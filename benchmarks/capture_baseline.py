@@ -4,8 +4,9 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/capture_baseline.py
 
-The committed ``BENCH_headline.json`` gives future changes a perf
-trajectory to compare against.  Two configurations are timed:
+The default output is ``BENCH_headline.json`` next to this script
+(``benchmarks/``), whatever the working directory.  The committed file
+gives future changes a perf trajectory to compare against.  Two configurations are timed:
 
 * ``no_cache`` — the mapping cache is cleared before every run, so each
   run re-pays the Section 5 mapping DP (the pre-fast-path behaviour);
@@ -18,12 +19,12 @@ bound by it rather than by the mapper.  Two further sections cover the
 fast-path work: ``analytic_engine`` times the closed-form analytic
 engine against the tile engine, and ``sweep`` times the full
 ``generate_report`` pipeline with the persistent result cache off /
-cold (empty store) / warm (populated store).  ``dse_batched`` times the
-cold ``dse_array_scale`` sweep under the legacy scalar mapper loops
-(``REPRO_BATCHED_MAPPER=off``) vs the batched SoA path.
+cold (empty store) / warm (populated store).  ``dse_batched`` records
+absolute timings of the cold ``dse_array_scale`` sweep under the default
+kernel backend, and which backend that resolved to.
 ``kernels`` times the same cold sweep under ``REPRO_KERNELS=numpy`` vs
-the best compiled backend (numba or the generated-C extension) and is
-guarded by an absolute >= 3x floor whenever a compiled backend exists.
+the generated-C extension and is guarded by an absolute >= 3x floor
+whenever the extension builds.
 ``dse_per_layer`` pins the per-layer reconfigurable-dataflow plans
 (``repro dse --per-layer``, see ``docs/DATAFLOWS.md``) — deterministic
 model outputs enforced exactly, with absolute invariants on AlexNet
@@ -194,54 +195,49 @@ def _sweep(rounds: int) -> dict:
 
 
 def _dse_batched(rounds: int) -> dict:
-    """Time the cold ``dse_array_scale`` sweep: scalar vs batched mapper.
+    """Time the cold ``dse_array_scale`` sweep under the default backend.
 
-    Every round clears the in-process mapping caches first, so both
-    engines pay the full candidate-enumeration + coupling-DP cost — the
-    honest cold-sweep comparison the batched SoA path was built for.
-    The persistent store stays off so only mapper speed is measured.
+    Every round clears the in-process mapping caches first, so it pays
+    the full candidate-enumeration + coupling-DP cost.  The persistent
+    store stays off so only mapper speed is measured.  The section
+    records absolute timings plus the backend ``REPRO_KERNELS`` resolved
+    to; ``--check`` does not gate it (wall-clock is machine-dependent).
 
     A round is tens of milliseconds — the same order as one gen-2
     collection of the heap the earlier sections leave behind — so GC is
-    collected once and paused across the timed region (for both engines
-    alike), and each engine gets one untimed warm-up run.
+    collected once and paused across the timed region, after one
+    untimed warm-up run.
     """
     import gc
 
     from repro.experiments import dse_array_scale
+    from repro.kernels import kernel_backend
 
     def run_sweep():
         clear_mapping_cache()
         dse_array_scale.run()
 
-    samples = {}
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         with _env(REPRO_CACHE="off"):
-            for engine in ("off", "on"):
-                with _env(REPRO_BATCHED_MAPPER=engine):
-                    run_sweep()
-                    samples[engine] = _time(run_sweep, rounds)
+            backend = kernel_backend()
+            run_sweep()
+            samples = _time(run_sweep, rounds)
     finally:
         if gc_was_enabled:
             gc.enable()
     clear_mapping_cache()
     return {
         "experiment": "dse_array_scale",
-        "scalar": _summary(samples["off"]),
-        "batched": _summary(samples["on"]),
-        "speedup_median": round(
-            statistics.median(samples["off"])
-            / statistics.median(samples["on"]),
-            2,
-        ),
+        "backend": backend,
+        "batched": _summary(samples),
     }
 
 
 #: Absolute floor on the compiled-kernel speedup over the batched NumPy
-#: paths (``kernels.speedup_median``).  The compiled backends exist to
+#: paths (``kernels.speedup_median``).  The compiled backend exists to
 #: beat NumPy by an integer factor on the DSE hot path; anything under
 #: this is a build or dispatch regression, not machine noise.
 KERNELS_MIN_SPEEDUP = 3.0
@@ -256,15 +252,15 @@ SWEEP_COLD_MIN = 0.95
 def _kernels(rounds: int) -> dict:
     """Time the cold ``dse_array_scale`` sweep: NumPy vs compiled kernels.
 
-    Both legs run the batched SoA mapper; only ``REPRO_KERNELS`` differs,
-    so the ratio isolates the compiled backend's win over the NumPy
-    expressions it replaces.  The compiled leg resolves ``auto`` (numba
-    if installed, else the C extension) and records which backend it
-    got; on a machine with neither, both legs are NumPy and ``--check``
-    skips the floor.  GC discipline matches ``_dse_batched`` — rounds
-    are tens of milliseconds, so GC is collected once and paused across
-    the timed region, with an untimed warm-up per leg (which also pays
-    the one-time JIT/compile cost outside the samples).
+    Only ``REPRO_KERNELS`` differs between the legs, so the ratio
+    isolates the compiled backend's win over the NumPy expressions it
+    replaces.  The compiled leg resolves ``auto`` (the C extension when
+    a compiler works) and records which backend it got; on a machine
+    without one, both legs are NumPy and ``--check`` skips the floor.
+    GC discipline matches ``_dse_batched`` — rounds are tens of
+    milliseconds, so GC is collected once and paused across the timed
+    region, with an untimed warm-up per leg (which also pays the
+    one-time compile cost outside the samples).
     """
     import gc
 
@@ -281,7 +277,7 @@ def _kernels(rounds: int) -> dict:
     gc.collect()
     gc.disable()
     try:
-        with _env(REPRO_CACHE="off", REPRO_BATCHED_MAPPER="on"):
+        with _env(REPRO_CACHE="off"):
             for leg, choice in (("numpy", "numpy"), ("compiled", "auto")):
                 with _env(REPRO_KERNELS=choice):
                     reset_kernels()
@@ -557,10 +553,6 @@ def check(baseline_path: Path, tolerance: float) -> int:
     # The engine micro-bench ratios get 0.5: their denominators are
     # sub-millisecond, so honest runs swing ~30%; losing the fast path
     # entirely would drop the ratio below half of any recorded baseline.
-    # dse_batched.speedup_median compares two in-process compute paths
-    # (no disk in either denominator), so it is steadier than the cache
-    # ratios; 0.5 still catches the real failure mode — the batched
-    # path silently degrading back toward scalar speed.
     # serve.warm_over_cold_throughput shares sweep.warm's shape — a
     # sub-millisecond cached path over a compute-bound cold path — so it
     # gets the same 75% band; a broken serve cache or coalescer drags
@@ -570,7 +562,6 @@ def check(baseline_path: Path, tolerance: float) -> int:
         ("sim_engine", "speedup_min", 0.5),
         ("analytic_engine", "speedup_min", 0.5),
         ("sweep", "warm_speedup_median", 0.75),
-        ("dse_batched", "speedup_median", 0.5),
         ("serve", "warm_over_cold_throughput", 0.75),
     )
     for section, field, tolerance_override in checked_metrics:
@@ -594,8 +585,8 @@ def check(baseline_path: Path, tolerance: float) -> int:
             failures.append((metric, delta_pct))
     # Compiled kernels: absolute >= KERNELS_MIN_SPEEDUP floor (plus a
     # 50% relative band against any compiled baseline value).  Skipped
-    # entirely when the machine has no compiled backend — the NumPy
-    # fallback is first-class and its speed is pinned by dse_batched.
+    # entirely when the machine has no C compiler — the NumPy fallback
+    # is first-class and its timings are recorded in dse_batched.
     kernels = payload.get("kernels", {})
     if kernels.get("backend", "numpy") == "numpy":
         print("kernels: no compiled backend available, skipping")
@@ -681,8 +672,10 @@ def check(baseline_path: Path, tolerance: float) -> int:
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "output", nargs="?", default="BENCH_headline.json",
-        help="where to write the captured baseline",
+        "output", nargs="?",
+        default=str(Path(__file__).resolve().parent / "BENCH_headline.json"),
+        help="where to write the captured baseline (default:"
+        " BENCH_headline.json next to this script)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -716,7 +709,9 @@ def main(argv: list) -> int:
         f" sweep {sweep['off']['median_s']*1000:.1f} ms"
         f" -> {sweep['warm']['median_s']*1000:.1f} ms warm"
         f" ({sweep['warm_speedup_median']}x),"
-        f" dse batched {payload['dse_batched']['speedup_median']}x,"
+        f" dse batched"
+        f" {payload['dse_batched']['batched']['median_s']*1000:.1f} ms"
+        f" ({payload['dse_batched']['backend']}),"
         f" kernels {payload['kernels']['speedup_median']}x"
         f" ({payload['kernels']['backend']}),"
         f" serve warm/cold {payload['serve']['warm_over_cold_throughput']}x"

@@ -133,16 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes across workloads (default 1; sweep only)",
     )
     dse_cmd.add_argument(
-        "--engine", default="batched",
-        help="candidate-scoring path: 'batched' (vectorized, default) or"
-        " 'scalar' (legacy loops; results are identical; scalar exists"
-        " for cross-checking and benchmarking)",
-    )
-    dse_cmd.add_argument(
         "--kernels", default=None, metavar="BACKEND",
-        help="compute-kernel backend for this run: auto, numba, cext, or"
-        " numpy (default: the REPRO_KERNELS environment setting, else"
-        " auto)",
+        help="compute-kernel backend for this run: auto, cext, or numpy"
+        " (default: the REPRO_KERNELS environment setting, else auto;"
+        " results are identical)",
     )
     dse_cmd.add_argument(
         "--per-layer", action="store_true",
@@ -514,30 +508,13 @@ def _dse_rows(spec: str, dims: List[int]) -> List[dict]:
     return rows
 
 
-def _dse_worker(task) -> List[dict]:
-    """Process-pool entry for one workload of the ``dse`` sweep."""
-    import os
-
-    from repro.dataflow.mapper import ENV_BATCHED_MAPPER
-
-    spec, dims, engine = task
-    os.environ[ENV_BATCHED_MAPPER] = "on" if engine == "batched" else "off"
-    return _dse_rows(spec, list(dims))
-
-
 def _cmd_dse(args: argparse.Namespace) -> int:
     import os
 
-    from repro.dataflow.mapper import ENV_BATCHED_MAPPER, clear_mapping_cache
+    from repro.dataflow.mapper import clear_mapping_cache
     from repro.experiments.common import ExperimentResult
     from repro.kernels import ENV_KERNELS, VALID_BACKENDS, reset_kernels
 
-    engines = ("batched", "scalar")
-    if args.engine not in engines:
-        raise ConfigurationError(
-            f"unknown engine {args.engine!r}; valid engines:"
-            f" {', '.join(engines)}"
-        )
     if args.kernels is not None and args.kernels not in VALID_BACKENDS:
         raise ConfigurationError(
             f"unknown kernel backend {args.kernels!r}; valid backends:"
@@ -561,23 +538,18 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"--reconfig-cost must be >= 0, got {args.reconfig_cost!r}"
         )
-    saved_flag = os.environ.get(ENV_BATCHED_MAPPER)
     saved_kernels = os.environ.get(ENV_KERNELS)
-    os.environ[ENV_BATCHED_MAPPER] = (
-        "on" if args.engine == "batched" else "off"
-    )
     if args.kernels is not None:
         # The environment crosses the spawn boundary, so --jobs workers
         # pick the same backend; reset_kernels() re-resolves in-process.
         os.environ[ENV_KERNELS] = args.kernels
         reset_kernels()
-    # In-process memos may hold entries computed under the other engine
+    # In-process memos may hold entries computed under another backend
     # (they agree bit-for-bit, but a benchmark run should not mix paths).
     clear_mapping_cache()
     specs = (
         list(WORKLOAD_NAMES) if args.workload == "all" else [args.workload]
     )
-    tasks = [(spec, tuple(dims), args.engine) for spec in specs]
     try:
         if args.per_layer:
             from repro.dse import format_plan, solve_per_layer
@@ -600,14 +572,12 @@ def _cmd_dse(args: argparse.Namespace) -> int:
                 max_workers=min(args.jobs, len(specs)),
                 mp_context=mp.get_context("spawn"),
             ) as pool:
-                row_lists = list(pool.map(_dse_worker, tasks))
+                row_lists = list(
+                    pool.map(_dse_rows, specs, [dims] * len(specs))
+                )
         else:
             row_lists = [_dse_rows(spec, dims) for spec in specs]
     finally:
-        if saved_flag is None:
-            os.environ.pop(ENV_BATCHED_MAPPER, None)
-        else:
-            os.environ[ENV_BATCHED_MAPPER] = saved_flag
         if args.kernels is not None:
             if saved_kernels is None:
                 os.environ.pop(ENV_KERNELS, None)
@@ -616,9 +586,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             reset_kernels()
     result = ExperimentResult(
         experiment_id="dse",
-        title=(
-            f"FlexFlow array-scale sweep ({args.engine} candidate scoring)"
-        ),
+        title="FlexFlow array-scale sweep (batched candidate scoring)",
         rows=[row for rows in row_lists for row in rows],
         notes="* marks the GOPS/mm^2-optimal scale per workload.",
     )

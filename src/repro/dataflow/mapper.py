@@ -19,6 +19,12 @@ minimizes total cycles including re-layout penalties; this joint
 optimization is what reproduces Table 4's seemingly sub-optimal per-layer
 choices (e.g. LeNet-5 C1's ``Tc = 5`` instead of a perfectly-packed
 ``(2, 2, 4)``: the latter would strand C3 at 52 % row utilization).
+
+The search runs in one of two equivalent engines: the fused compiled
+``map_network_dp`` kernel when :mod:`repro.kernels` has a backend, else
+the vectorized NumPy DP over Pareto-pruned candidate sets.  Both are
+pinned bit-for-bit against the plain-Python reference DP in
+``tests/dse_oracle.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from repro.dataflow.styles import ProcessingStyle, classify
 from repro.dataflow.unrolling import (
     UnrollingFactors,
     ceil_div,
-    iter_triples,
     useful_values,
 )
 from repro.dataflow.utilization import UtilizationReport, utilization_report
@@ -61,30 +66,6 @@ ENV_MAPPING_CACHE_SIZE = "REPRO_MAPPING_CACHE_SIZE"
 
 #: Default ``map_layer`` memo bound when the env var is unset.
 DEFAULT_MAPPING_CACHE_SIZE = 4096
-
-#: Environment variable selecting the candidate-scoring implementation:
-#: ``on`` (default) scores candidates through the vectorized
-#: structure-of-arrays path with dominated-candidate pruning; ``off``
-#: falls back to the legacy scalar per-candidate loops.  Both produce
-#: identical mappings (pinned by ``tests/dataflow/test_candidates.py``);
-#: the flag exists so benchmarks can measure one against the other.
-ENV_BATCHED_MAPPER = "REPRO_BATCHED_MAPPER"
-
-
-def batched_mapper_enabled() -> bool:
-    """Whether the vectorized candidate-scoring path is active."""
-    raw = os.environ.get(ENV_BATCHED_MAPPER)
-    if raw is None:
-        return True
-    value = raw.strip().lower()
-    if value in ("", "on", "1", "true", "yes"):
-        return True
-    if value in ("off", "0", "false", "no"):
-        return False
-    raise ConfigurationError(
-        f"{ENV_BATCHED_MAPPER} must be 'on' or 'off', got {raw!r}"
-    )
-
 
 def mapping_cache_size() -> int:
     """The configured ``map_layer`` memo bound (``REPRO_MAPPING_CACHE_SIZE``)."""
@@ -197,10 +178,8 @@ class NetworkMapping:
 # -- per-side candidate enumeration -------------------------------------------
 
 
-# Memoized per-dimension useful values for the batched path only: one
-# cold sweep re-derives the same few (dimension, limit) sets hundreds of
-# times.  The legacy scalar loops keep calling ``useful_values`` directly
-# so ``REPRO_BATCHED_MAPPER=off`` stays a faithful baseline.
+# Memoized per-dimension useful values: one cold sweep re-derives the
+# same few (dimension, limit) sets hundreds of times.
 _useful_cached = lru_cache(maxsize=None)(useful_values)
 
 
@@ -254,9 +233,7 @@ def _candidate_tuples(
 def _candidate_list(dims: Triple, product_limit: int, caps: Triple) -> List[Triple]:
     if product_limit <= 0:
         raise MappingError("product_limit must be positive")
-    if batched_mapper_enabled():
-        return list(_candidate_tuples(dims, product_limit, caps))
-    return sorted(set(iter_triples(dims, product_limit, caps)))
+    return list(_candidate_tuples(dims, product_limit, caps))
 
 
 def candidate_array(dims: Triple, product_limit: int, caps: Triple) -> np.ndarray:
@@ -309,8 +286,8 @@ class CandidateScores:
 
     ``cycles[i, j]`` is the compute-cycle count of pairing input triple
     ``i`` with output triple ``j`` — the product of the two step counts,
-    exactly what the scalar ``_input_steps * _output_steps`` evaluates
-    pair by pair.
+    exactly what ``_input_steps * _output_steps`` evaluates pair by
+    pair.
     """
 
     input_triples: np.ndarray  # (n_in, 3)
@@ -368,10 +345,10 @@ def _best_input_batched(layer: ConvLayer, col_limit: int) -> Tuple[Triple, int, 
     """``(best_triple, steps, n_candidates)`` via the vectorized path.
 
     ``np.argmin`` returns the first minimum and the candidate array is in
-    lexicographic order, so this reproduces the scalar
-    ``min(ins, key=(steps, triple))`` selection exactly.  Memoized on the
-    layer's input space — a DSE sweep re-asks the same question for every
-    network that shares a layer shape.
+    lexicographic order, so this is the ``min(ins, key=(steps, triple))``
+    selection exactly.  Memoized on the layer's input space — a DSE sweep
+    re-asks the same question for every network that shares a layer
+    shape.
     """
     return _best_input_cached(layer.in_maps, layer.kernel, col_limit)
 
@@ -382,7 +359,7 @@ def _best_output_batched(
     """``(best_triple, n_candidates)`` via the vectorized path.
 
     ``np.lexsort`` is stable, so sorting by ``(steps, ceil(M/Tm))`` and
-    taking the first element reproduces the scalar
+    taking the first element is the
     ``min(outs, key=(steps, ceil(M/Tm), triple))`` tie-break chain.
     """
     dims, caps = _output_space(layer, tr_tc_bound)
@@ -496,16 +473,10 @@ def _map_layer_impl(
         labels={"dim": str(array_dim)},
     ) as span:
         row_limit, col_limit = _usable_limits(array_dim, mask)
-        batched = batched_mapper_enabled()
         if fixed_input_triple is None:
-            if batched:
-                best_in, _, n_input_candidates = _best_input_batched(
-                    layer, col_limit
-                )
-            else:
-                ins = input_candidates(layer, col_limit)
-                best_in = min(ins, key=lambda t: (_input_steps(layer, t), t))
-                n_input_candidates = len(ins)
+            best_in, _, n_input_candidates = _best_input_batched(
+                layer, col_limit
+            )
         else:
             best_in = fixed_input_triple
             n_input_candidates = 0  # coupled: no intra-row search ran
@@ -517,21 +488,9 @@ def _map_layer_impl(
                 )
         # Tie-break equal-cycle choices toward larger Tm: fewer output-map tile
         # groups means each input word is re-broadcast fewer times.
-        if batched:
-            best_out, n_output_candidates = _best_output_batched(
-                layer, row_limit, tr_tc_bound
-            )
-        else:
-            outs = output_candidates(layer, row_limit, tr_tc_bound)
-            best_out = min(
-                outs,
-                key=lambda t: (
-                    _output_steps(layer, t),
-                    ceil_div(layer.out_maps, t[0]),
-                    t,
-                ),
-            )
-            n_output_candidates = len(outs)
+        best_out, n_output_candidates = _best_output_batched(
+            layer, row_limit, tr_tc_bound
+        )
         factors = UnrollingFactors(
             tm=best_out[0], tn=best_in[0], tr=best_out[1], tc=best_out[2],
             ti=best_in[1], tj=best_in[2],
@@ -724,18 +683,13 @@ def _map_network_search(
         raise MappingError(f"network {network.name!r} has no CONV layers")
     row_limit, col_limit = _usable_limits(array_dim, mask)
 
-    if batched_mapper_enabled():
-        suite = active_kernels()
-        if suite is not None:
-            final_cost, final_trace, counters = _search_kernel(
-                contexts, array_dim, row_limit, col_limit, suite
-            )
-        else:
-            final_cost, final_trace, counters = _search_batched(
-                contexts, array_dim, row_limit, col_limit
-            )
+    suite = active_kernels()
+    if suite is not None:
+        final_cost, final_trace, counters = _search_kernel(
+            contexts, array_dim, row_limit, col_limit, suite
+        )
     else:
-        final_cost, final_trace, counters = _search_scalar(
+        final_cost, final_trace, counters = _search_batched(
             contexts, array_dim, row_limit, col_limit
         )
     mappings: List[LayerMapping] = []
@@ -776,87 +730,6 @@ def _map_network_search(
     return result
 
 
-def _search_scalar(
-    contexts, array_dim: int, row_limit: int, col_limit: int
-) -> Tuple[int, tuple, Dict[str, int]]:
-    """The legacy per-candidate DP (``REPRO_BATCHED_MAPPER=off``)."""
-    # Per-layer candidate sets and their step counts.
-    layer_outs: List[List[Triple]] = []
-    for ctx in contexts:
-        outs = output_candidates(ctx.layer, row_limit, ctx.tr_tc_bound)
-        layer_outs.append(outs)
-
-    # DP state: best (cost, trace) for each output triple of the current
-    # layer.  ``trace`` records, per layer, (input_triple, output_triple,
-    # relayout_cycles) for reconstruction.
-    first = contexts[0].layer
-    free_in_first = min(
-        input_candidates(first, col_limit), key=lambda t: (_input_steps(first, t), t)
-    )
-    fin_first = _input_steps(first, free_in_first)
-
-    best: Dict[Triple, Tuple[int, tuple]] = {}
-    for out in layer_outs[0]:
-        cost = _output_steps(first, out) * fin_first
-        entry = (cost, ((free_in_first, out, 0),))
-        current = best.get(out)
-        if current is None or cost < current[0]:
-            best[out] = entry
-
-    for idx in range(1, len(contexts)):
-        layer = contexts[idx].layer
-        # Free-choice option: best input triple regardless of predecessor.
-        free_in = min(
-            input_candidates(layer, col_limit),
-            key=lambda t: (_input_steps(layer, t), t),
-        )
-        fin_free = _input_steps(layer, free_in)
-        penalty = relayout_penalty_cycles(layer, array_dim)
-
-        # Bucket predecessors by their coupled input triple for this layer.
-        coupled_buckets: Dict[Optional[Triple], Tuple[int, tuple]] = {}
-        best_prev_any: Optional[Tuple[int, tuple]] = None
-        for prev_out, (prev_cost, prev_trace) in best.items():
-            coupled = coupled_input_triple(prev_out, layer, col_limit)
-            bucket = coupled_buckets.get(coupled)
-            if bucket is None or prev_cost < bucket[0]:
-                coupled_buckets[coupled] = (prev_cost, prev_trace)
-            if best_prev_any is None or prev_cost < best_prev_any[0]:
-                best_prev_any = (prev_cost, prev_trace)
-        assert best_prev_any is not None
-
-        new_best: Dict[Triple, Tuple[int, tuple]] = {}
-        for out in layer_outs[idx]:
-            fout = _output_steps(layer, out)
-            # Option A: stay coupled with the best-matching predecessor.
-            candidate: Optional[Tuple[int, tuple]] = None
-            for coupled, (prev_cost, prev_trace) in coupled_buckets.items():
-                if coupled is None:
-                    continue
-                cost = prev_cost + fout * _input_steps(layer, coupled)
-                if candidate is None or cost < candidate[0]:
-                    candidate = (cost, prev_trace + ((coupled, out, 0),))
-            # Option B: break coupling, pay the re-layout penalty.
-            prev_cost, prev_trace = best_prev_any
-            free_cost = prev_cost + fout * fin_free + penalty
-            if candidate is None or free_cost < candidate[0]:
-                candidate = (free_cost, prev_trace + ((free_in, out, penalty),))
-            new_best[out] = candidate
-        best = new_best
-
-    last_layer = contexts[-1].layer
-    final_cost, final_trace = min(
-        best.items(),
-        key=lambda item: (
-            item[1][0],
-            ceil_div(last_layer.out_maps, item[0][0]),
-            item[0],
-        ),
-    )[1]
-    counters = {"output_candidates": sum(len(outs) for outs in layer_outs)}
-    return final_cost, final_trace, counters
-
-
 @lru_cache(maxsize=None)
 def _useful_arr(dim: int) -> np.ndarray:
     """``useful_values(dim, dim)`` as a read-only sorted int64 array."""
@@ -874,12 +747,12 @@ def _search_kernel(
     useful-value pool to ``map_network_dp``, which enumerates the FULL
     output-candidate sets, picks each layer's best free input, and runs
     the coupling DP — all inside the kernel.  The DP is a direct port of
-    :func:`_search_scalar`'s loops (strict-``<`` first-wins updates,
-    transition buckets in first-appearance order, final
-    ``(cost, ceil(M/Tm), triple)`` tie-break); its only deviation is
-    pruning transition buckets whose ``(cost, fin)`` is dominated, which
-    provably never changes any winner.  Bit-identical to both python
-    engines (pinned by ``tests/kernels/test_parity.py``).
+    the reference loops in ``tests/dse_oracle.py`` (strict-``<``
+    first-wins updates, transition buckets in first-appearance order,
+    final ``(cost, ceil(M/Tm), triple)`` tie-break); its only deviation
+    is pruning transition buckets whose ``(cost, fin)`` is dominated,
+    which provably never changes any winner.  Bit-identical to
+    :func:`_search_batched` (pinned by ``tests/test_dse_differential.py``).
     """
     n_layers = len(contexts)
     pool: Dict[int, int] = {}
@@ -945,8 +818,8 @@ def _pruned_layer_outs(
     coupling as a shared ``None`` bucket) are therefore totally ordered:
     only the bucket's earliest minimum-``fout`` member can ever win the
     bucket or the global best-predecessor slot, with ties resolved to the
-    earliest candidate in lexicographic order — exactly the scalar DP's
-    strict-``<`` first-wins updates.  For the last layer the final
+    earliest candidate in lexicographic order — exactly the reference
+    DP's strict-``<`` first-wins updates.  For the last layer the final
     selection key ``(cost, ceil(M/Tm), triple)`` collapses the whole set
     to a single survivor the same way.
 
@@ -956,7 +829,7 @@ def _pruned_layer_outs(
     entry offers the next layer (valid only where ``coupled_ok[i]`` —
     infeasible coupling and the last layer share the all-false bucket)
     and ``kept_bucket_first[i]`` the position where the entry's bucket
-    *first appears* in the full candidate list — the scalar DP's
+    *first appears* in the full candidate list — the reference DP's
     bucket-visit order, which decides exact cost ties in Option A.
     """
     dims, caps = _output_space(layer, tr_tc_bound)
@@ -967,7 +840,7 @@ def _pruned_layer_outs(
         # Final layer: the selection key (cost, ceil(M/Tm), triple) with
         # cost strictly increasing in fout keeps exactly one candidate.
         # argmin of the packed (fout, ceil_m) key is the lexicographic
-        # first minimum, matching the scalar tie-break chain.
+        # first minimum, matching the reference tie-break chain.
         ceil_m = -(-layer.out_maps // arr[:, 0])
         pick = int(np.argmin(fout * (np.int64(layer.out_maps) + 1) + ceil_m))
         keep = np.asarray([pick])
@@ -1019,10 +892,11 @@ def _search_batched(
 ) -> Tuple[int, tuple, Dict[str, int]]:
     """The vectorized coupling DP over Pareto-pruned candidate sets.
 
-    Produces bit-identical mappings to :func:`_search_scalar`: the pruning
-    argument lives in :func:`_pruned_layer_outs`, and every argmin below
-    resolves ties the way the scalar strict-``<`` loops do (first
-    occurrence, with buckets visited in first-appearance order).
+    Produces bit-identical mappings to the full-candidate reference DP
+    in ``tests/dse_oracle.py``: the pruning argument lives in
+    :func:`_pruned_layer_outs`, and every argmin below resolves ties the
+    way the reference strict-``<`` loops do (first occurrence, with
+    buckets visited in first-appearance order).
     """
     first = contexts[0].layer
     next_layer = contexts[1].layer if len(contexts) > 1 else None
@@ -1038,9 +912,8 @@ def _search_batched(
     total_candidates = n_full
     kept_candidates = len(outs)
     # One backpointer record per non-first layer; the single surviving
-    # final candidate's trace is reconstructed from them afterwards —
-    # materializing a trace tuple per live candidate per layer is the
-    # one thing the scalar DP does that batching doesn't need.
+    # final candidate's trace is reconstructed from them afterwards
+    # instead of materializing a trace tuple per live candidate per layer.
     records = []
 
     for idx in range(1, len(contexts)):
@@ -1054,7 +927,7 @@ def _search_batched(
         total_candidates += n_full
         kept_candidates += len(outs)
 
-        # The scalar DP visits transition buckets in first-appearance
+        # The reference DP visits transition buckets in first-appearance
         # order and updates on strict <, so exact cost ties resolve to
         # the bucket appearing earliest in the full candidate list.
         feas = np.flatnonzero(state_coupled_ok)
@@ -1072,7 +945,7 @@ def _search_batched(
             best_a = cost_a[pick_a, np.arange(len(outs))]
         # Option B: break coupling from the globally best predecessor.
         # State entries sit in ascending candidate-position order, so
-        # argmin's first-minimum is the scalar items() scan's tie-break.
+        # argmin's first-minimum is the reference items() scan's tie-break.
         best_prev = int(np.argmin(state_cost))
         cost_b = state_cost[best_prev] + fin_free * fout + penalty
 
@@ -1101,7 +974,7 @@ def _search_batched(
         state_coupled_ok = coupled_ok
         state_bucket_first = bucket_first
 
-    # The last layer was pruned to the scalar DP's unique final pick;
+    # The last layer was pruned to the reference DP's unique final pick;
     # walk the backpointers from it to rebuild the winning trace.
     assert len(state_cost) == 1
     j = 0

@@ -17,14 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.dataflow.mapper import (
-    _best_input_batched,
-    _best_output_batched,
-    _input_steps,
-    _output_steps,
-    batched_mapper_enabled,
-)
-from repro.dataflow.unrolling import UnrollingFactors, ceil_div, iter_triples
+from repro.dataflow.mapper import _best_input_batched, _best_output_batched
+from repro.dataflow.unrolling import UnrollingFactors
 from repro.errors import MappingError
 from repro.nn.layers import ConvLayer
 from repro.nn.network import Network
@@ -61,34 +55,10 @@ def map_layer_rect(
     """
     if rows <= 0 or cols <= 0:
         raise MappingError(f"rows/cols must be positive, got {rows}x{cols}")
-    if batched_mapper_enabled():
-        # The square-mapper constraints already decouple by side, so the
-        # vectorized selectors apply directly with rows/cols limits.
-        best_in, _, _ = _best_input_batched(layer, cols)
-        best_out, _ = _best_output_batched(layer, rows, tr_tc_bound)
-    else:
-        in_dims = (layer.in_maps, layer.kernel, layer.kernel)
-        ins = sorted(set(iter_triples(in_dims, cols, in_dims)))
-        out_bound = layer.out_size if tr_tc_bound is None else min(
-            layer.out_size, tr_tc_bound
-        )
-        out_dims = (layer.out_maps, layer.out_size, layer.out_size)
-        outs = sorted(
-            set(
-                iter_triples(
-                    out_dims, rows, (layer.out_maps, out_bound, out_bound)
-                )
-            )
-        )
-        best_in = min(ins, key=lambda t: (_input_steps(layer, t), t))
-        best_out = min(
-            outs,
-            key=lambda t: (
-                _output_steps(layer, t),
-                ceil_div(layer.out_maps, t[0]),
-                t,
-            ),
-        )
+    # The square-mapper constraints already decouple by side, so the
+    # vectorized selectors apply directly with rows/cols limits.
+    best_in, _, _ = _best_input_batched(layer, cols)
+    best_out, _ = _best_output_batched(layer, rows, tr_tc_bound)
     factors = UnrollingFactors(
         tm=best_out[0], tn=best_in[0], tr=best_out[1], tc=best_out[2],
         ti=best_in[1], tj=best_in[2],

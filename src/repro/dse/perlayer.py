@@ -27,12 +27,11 @@ new option entering a FlexFlow candidate is of the form
 ``a + b * fout`` with shared ``a, b > 0``, and every option *leaving* a
 FlexFlow state depends on it only through its cost — so per-bucket
 minimum-``fout`` pruning and the last layer's single-survivor collapse
-stay exact.  The batched engine therefore reuses
+stay exact.  The solver therefore reuses
 :func:`~repro.dataflow.mapper._pruned_layer_outs` wholesale and scores
-extern states through a vectorized structure-of-arrays cycle matrix;
-the scalar fallback (``REPRO_BATCHED_MAPPER=off``) enumerates full
-candidate sets in pure Python.  Both are bit-identical, pinned by
-``tests/dse/test_perlayer.py``.
+extern states with the accelerator modules' own ``*_layer_cycles``
+closed forms.  It is pinned bit-for-bit against the full-candidate
+plain-Python reference DP in ``tests/dse_oracle.py``.
 
 Restricted to FlexFlow states only, the DP *is* the mapper's DP — so a
 solved plan never exceeds any fixed-dataflow total, which the solver
@@ -58,21 +57,15 @@ from repro.dataflow.mapper import (
     _pruned_layer_outs,
     _steps_array,
     _usable_limits,
-    batched_mapper_enabled,
-    coupled_input_triple,
-    input_candidates,
     map_network,
-    output_candidates,
     relayout_penalty_cycles,
 )
-from repro.dataflow.unrolling import ceil_div
 from repro.dse.reconfig import ReconfigCostModel
 from repro.errors import ConfigurationError, MappingError
 from repro.nn.layers import ConvLayer
 from repro.nn.network import Network
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import current_tracer
-from repro.sim.batch import cdiv_array
 
 Triple = Tuple[int, int, int]
 
@@ -155,54 +148,11 @@ def _extern_cycle_rows(
     layers: Sequence[ConvLayer],
     num_pes: int,
 ) -> List[List[int]]:
-    """Scalar scoring: one Python closed-form call per (state, layer)."""
+    """``rows[s][l]``: cycles of layer ``l`` under extern state ``s``."""
     return [
         [extern_layer_cycles(state, layer, num_pes) for layer in layers]
         for state in states
     ]
-
-
-def _extern_cycle_matrix(
-    states: Sequence[ExternState],
-    layers: Sequence[ConvLayer],
-    num_pes: int,
-) -> List[List[int]]:
-    """Batched scoring: vectorized closed forms over layer SoA columns.
-
-    Same integer arithmetic as :func:`_extern_cycle_rows` evaluated as
-    int64 array expressions — bit-identical values (pinned by the parity
-    suite), one numpy pass per state instead of one call per cell.
-    """
-    m = np.array([layer.out_maps for layer in layers], dtype=np.int64)
-    n = np.array([layer.in_maps for layer in layers], dtype=np.int64)
-    s = np.array([layer.out_size for layer in layers], dtype=np.int64)
-    k = np.array([layer.kernel for layer in layers], dtype=np.int64)
-    w = np.array([layer.in_size for layer in layers], dtype=np.int64)
-    rows: List[List[int]] = []
-    for state in states:
-        if state.family in ("systolic", "pipeline"):
-            ta = state.params[0]
-            arrays = max(1, num_pes // (ta * ta))
-            passes = cdiv_array(k, np.int64(ta)) ** 2
-            fill = w * np.minimum(k, ta)
-            rounds = cdiv_array(m * n, np.int64(arrays))
-            if state.family == "systolic":
-                cycles = rounds * passes * (s * s + fill)
-            else:
-                cycles = rounds * passes * s * s + fill
-        elif state.family == "mapping2d":
-            block = state.params[0]
-            blocks = cdiv_array(s, np.int64(block)) ** 2
-            cycles = m * blocks * (n * k * k + block)
-        else:  # tiling
-            tm, tn = state.params
-            cycles = (
-                cdiv_array(m, np.int64(tm))
-                * cdiv_array(n, np.int64(tn))
-                * s * s * k * k
-            )
-        rows.append(cycles.tolist())
-    return rows
 
 
 # -- plan datamodel -----------------------------------------------------------
@@ -381,165 +331,6 @@ _TraceStep = Tuple[
 ]
 
 
-def _solve_scalar(
-    contexts,
-    array_dim: int,
-    row_limit: int,
-    col_limit: int,
-    states: Sequence[ExternState],
-    ext_cycles: List[List[int]],
-    cost_model: ReconfigCostModel,
-) -> Tuple[int, Tuple[_TraceStep, ...], Dict[str, int]]:
-    """Full-candidate pure-Python DP (``REPRO_BATCHED_MAPPER=off``)."""
-    first = contexts[0].layer
-    free_in_first = min(
-        input_candidates(first, col_limit),
-        key=lambda t: (_input_steps(first, t), t),
-    )
-    fin_first = _input_steps(first, free_in_first)
-    n_outs = 0
-
-    ff_best: Dict[Triple, Tuple[int, tuple]] = {}
-    first_outs = output_candidates(first, row_limit, contexts[0].tr_tc_bound)
-    n_outs += len(first_outs)
-    for out in first_outs:
-        cost = _output_steps(first, out) * fin_first
-        entry = (cost, (("flexflow", (), free_in_first, out, 0, ""),))
-        current = ff_best.get(out)
-        if current is None or cost < current[0]:
-            ff_best[out] = entry
-    ex_best: List[Tuple[int, tuple]] = [
-        (ext_cycles[s][0], ((st.family, st.params, None, None, 0, ""),))
-        for s, st in enumerate(states)
-    ]
-
-    for idx in range(1, len(contexts)):
-        layer = contexts[idx].layer
-        free_in = min(
-            input_candidates(layer, col_limit),
-            key=lambda t: (_input_steps(layer, t), t),
-        )
-        fin_free = _input_steps(layer, free_in)
-        penalty = relayout_penalty_cycles(layer, array_dim)
-        fam_sw = cost_model.family_switch_cycles(layer)
-        par_sw = cost_model.param_switch_cycles(layer)
-
-        coupled_buckets: Dict[Optional[Triple], Tuple[int, tuple]] = {}
-        best_ff_prev: Optional[Tuple[int, tuple]] = None
-        for prev_out, entry in ff_best.items():
-            coupled = coupled_input_triple(prev_out, layer, col_limit)
-            bucket = coupled_buckets.get(coupled)
-            if bucket is None or entry[0] < bucket[0]:
-                coupled_buckets[coupled] = entry
-            if best_ff_prev is None or entry[0] < best_ff_prev[0]:
-                best_ff_prev = entry
-        assert best_ff_prev is not None
-        best_ex_prev = ex_best[0]
-        for entry in ex_best[1:]:
-            if entry[0] < best_ex_prev[0]:
-                best_ex_prev = entry
-
-        new_ff: Dict[Triple, Tuple[int, tuple]] = {}
-        outs = output_candidates(layer, row_limit, contexts[idx].tr_tc_bound)
-        n_outs += len(outs)
-        for out in outs:
-            fout = _output_steps(layer, out)
-            # Option A: stay coupled with the best-matching predecessor.
-            candidate: Optional[Tuple[int, tuple]] = None
-            for coupled, (pc, pt) in coupled_buckets.items():
-                if coupled is None:
-                    continue
-                cost = pc + fout * _input_steps(layer, coupled)
-                if candidate is None or cost < candidate[0]:
-                    candidate = (
-                        cost,
-                        pt + (("flexflow", (), coupled, out, 0, ""),),
-                    )
-            # Option B: break coupling, pay the re-layout penalty (the
-            # mapper's own pricing — untouched by the reconfig scale).
-            pc, pt = best_ff_prev
-            cost = pc + fout * fin_free + penalty
-            if candidate is None or cost < candidate[0]:
-                candidate = (
-                    cost,
-                    pt + (("flexflow", (), free_in, out, penalty, "relayout"),),
-                )
-            # Option C: re-enter FlexFlow from the best extern state.
-            pc, pt = best_ex_prev
-            cost = pc + fout * fin_free + fam_sw
-            if cost < candidate[0]:
-                candidate = (
-                    cost,
-                    pt + (("flexflow", (), free_in, out, fam_sw, "family"),),
-                )
-            new_ff[out] = candidate
-
-        new_ex: List[Tuple[int, tuple]] = []
-        for s, state in enumerate(states):
-            step = ext_cycles[s][idx]
-            pc, pt = ex_best[s]
-            candidate = (
-                pc + step,
-                pt + ((state.family, state.params, None, None, 0, ""),),
-            )
-            for o, other in enumerate(states):
-                if o == s or other.family != state.family:
-                    continue
-                pc, pt = ex_best[o]
-                cost = pc + par_sw + step
-                if cost < candidate[0]:
-                    candidate = (
-                        cost,
-                        pt
-                        + (
-                            (state.family, state.params, None, None,
-                             par_sw, "param"),
-                        ),
-                    )
-            for o, other in enumerate(states):
-                if other.family == state.family:
-                    continue
-                pc, pt = ex_best[o]
-                cost = pc + fam_sw + step
-                if cost < candidate[0]:
-                    candidate = (
-                        cost,
-                        pt
-                        + (
-                            (state.family, state.params, None, None,
-                             fam_sw, "family"),
-                        ),
-                    )
-            pc, pt = best_ff_prev
-            cost = pc + fam_sw + step
-            if cost < candidate[0]:
-                candidate = (
-                    cost,
-                    pt
-                    + (
-                        (state.family, state.params, None, None,
-                         fam_sw, "family"),
-                    ),
-                )
-            new_ex.append(candidate)
-        ff_best, ex_best = new_ff, new_ex
-
-    last = contexts[-1].layer
-    final_cost, final_trace = min(
-        ff_best.items(),
-        key=lambda item: (
-            item[1][0],
-            ceil_div(last.out_maps, item[0][0]),
-            item[0],
-        ),
-    )[1]
-    for entry in ex_best:
-        if entry[0] < final_cost:
-            final_cost, final_trace = entry
-    counters = {"output_candidates": n_outs, "extern_states": len(states)}
-    return final_cost, final_trace, counters
-
-
 def _solve_batched(
     contexts,
     array_dim: int,
@@ -551,9 +342,9 @@ def _solve_batched(
 ) -> Tuple[int, Tuple[_TraceStep, ...], Dict[str, int]]:
     """Vectorized DP over the mapper's Pareto-pruned candidate sets.
 
-    Bit-identical to :func:`_solve_scalar`: the FlexFlow side inherits
-    the mapper's pruning + first-occurrence argmin tie-breaks, and the
-    extern side runs the same strict-``<`` scans over exact ints.
+    Bit-identical to the full-candidate reference DP: the FlexFlow side
+    inherits the mapper's pruning + first-occurrence argmin tie-breaks,
+    and the extern side runs strict-``<`` scans over exact ints.
     """
     first = contexts[0].layer
     next_layer = contexts[1].layer if len(contexts) > 1 else None
@@ -637,9 +428,8 @@ def _solve_batched(
             )
         )
 
-        # Extern targets: the same strict-< scans as the scalar engine,
-        # on exact ints (stay, param switch, family switch, FlexFlow
-        # exit — in that order).
+        # Extern targets: strict-< scans on exact ints (stay, param
+        # switch, family switch, FlexFlow exit — in that order).
         new_ex_cost: List[int] = []
         layer_recs: List[Tuple[str, int, int, str]] = []
         for s, state in enumerate(states):
@@ -763,9 +553,7 @@ def solve_per_layer(
     Returns the exact optimum over the unified state space (FlexFlow
     unrollings plus the extern grid) under the reconfiguration-cost
     model, together with every family's best *fixed* total for
-    comparison.  The engine follows ``REPRO_BATCHED_MAPPER`` exactly
-    like the mapper: batched by default, scalar fallback off-switch,
-    bit-identical results.
+    comparison.
     """
     if array_dim <= 0:
         raise ConfigurationError(f"array_dim must be positive, got {array_dim}")
@@ -783,18 +571,11 @@ def solve_per_layer(
         category="dse",
         labels={"dim": str(array_dim), "scale": f"{reconfig_scale:g}"},
     ) as span:
-        if batched_mapper_enabled():
-            ext_cycles = _extern_cycle_matrix(states, layers, num_pes)
-            final_cost, trace, counters = _solve_batched(
-                contexts, array_dim, row_limit, col_limit, states,
-                ext_cycles, cost_model,
-            )
-        else:
-            ext_cycles = _extern_cycle_rows(states, layers, num_pes)
-            final_cost, trace, counters = _solve_scalar(
-                contexts, array_dim, row_limit, col_limit, states,
-                ext_cycles, cost_model,
-            )
+        ext_cycles = _extern_cycle_rows(states, layers, num_pes)
+        final_cost, trace, counters = _solve_batched(
+            contexts, array_dim, row_limit, col_limit, states,
+            ext_cycles, cost_model,
+        )
         totals, fixed_params = _fixed_totals(
             network, array_dim, states, ext_cycles
         )

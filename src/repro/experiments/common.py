@@ -15,7 +15,6 @@ from repro.accelerators import make_accelerator
 from repro.accelerators.base import NetworkResult
 from repro.arch.config import ArchConfig
 from repro.cache import deferred_cache_publishes
-from repro.dataflow.mapper import batched_mapper_enabled
 from repro.errors import ConfigurationError
 from repro.nn.network import Network
 from repro.nn.workloads import get_workload
@@ -104,14 +103,10 @@ def sweep_span(label: str, **counters: int):
 
     Yields the span so callers can add counters discovered mid-sweep;
     the ``configs_evaluated``-style counts passed here are recorded up
-    front together with which candidate-scoring path was active.
+    front.
     """
     tracer = current_tracer()
-    with tracer.span(
-        f"sweep:{label}",
-        category="sweep",
-        labels={"batched": "on" if batched_mapper_enabled() else "off"},
-    ) as span:
+    with tracer.span(f"sweep:{label}", category="sweep") as span:
         if tracer.enabled and counters:
             span.add_counters(dict(counters))
         yield span
@@ -125,11 +120,10 @@ def evaluate_sweep(
     This is the shared entry for sweep-shaped experiments (`dse`,
     `fig19`, `sensitivity`, ...).  The heavy lifting is batched
     underneath: every FlexFlow point funnels through the vectorized
-    candidate-scoring mapper (see ``REPRO_BATCHED_MAPPER``), each
-    distinct ``(kind, config, workload)`` accelerator instance is
-    constructed once, and repeated points hit the mapping memo and the
-    persistent result cache exactly as before (``simulate_network``
-    keeps both intact).  The whole batch runs under one ``sweep:{label}``
+    candidate-scoring mapper, each distinct ``(kind, config, workload)``
+    accelerator instance is constructed once, and repeated points hit
+    the mapping memo and the persistent result cache exactly as before
+    (``simulate_network`` keeps both intact).  The whole batch runs under one ``sweep:{label}``
     span reporting configs-evaluated counts.
     """
     results: Dict[Any, NetworkResult] = {}

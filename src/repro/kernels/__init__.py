@@ -2,21 +2,21 @@
 
 ``REPRO_KERNELS`` selects the backend:
 
-- ``auto`` (default): best available — ``numba`` if importable, else the
-  generated-C extension (``cext``) if a C compiler is present, else pure
-  NumPy. Unavailable backends are skipped silently in this mode.
-- ``numba`` / ``cext``: that backend, or :class:`ConfigurationError` if
-  it cannot be loaded (numba missing / no C compiler).
-- ``numpy``: force the pure-NumPy reference paths (no compiled code).
+- ``auto`` (default): the generated-C extension (``cext``) when a C
+  compiler works, else pure NumPy. A failed build falls back silently
+  in this mode.
+- ``cext``: the C extension, or :class:`ConfigurationError` if it cannot
+  be built (no C compiler).
+- ``numpy``: force the pure-NumPy paths (no compiled code).
 
-All backends are bit-identical: the compiled kernels are integer-exact
+Both backends are bit-identical: the compiled kernels are integer-exact
 ports of the NumPy expressions they replace, and the parity suite
 (``tests/kernels/test_parity.py``) pins every kernel against its
-reference under whichever backends the machine can load.
+reference whenever the machine can build the extension.
 
 Loading is memoized per process; :func:`reset_kernels` clears the memo
 so tests can flip ``REPRO_KERNELS`` mid-run. Loads emit a
-``kernels:load:<backend>`` span (category ``kernels``) so JIT/compile
+``kernels:load:<backend>`` span (category ``kernels``) so compile
 warm-up cost shows in traces, and every kernel invocation at a wired
 call site bumps ``kernels.calls{kernel=...,backend=...}`` via
 :func:`count_kernel_call`.
@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError
 from repro.obs import REGISTRY, current_tracer
 
 ENV_KERNELS = "REPRO_KERNELS"
-VALID_BACKENDS: Tuple[str, ...] = ("auto", "numba", "cext", "numpy")
+VALID_BACKENDS: Tuple[str, ...] = ("auto", "cext", "numpy")
 
 # (resolved_env_value, suite_or_None); None suite == pure-NumPy paths.
 _active: Optional[Tuple[str, Optional[object]]] = None
@@ -47,25 +47,6 @@ def requested_backend() -> str:
             f" {choices} (example: {ENV_KERNELS}=cext)"
         )
     return raw
-
-
-def _load_numba(strict: bool):
-    from repro.kernels import numba_backend
-
-    if not numba_backend.AVAILABLE:
-        if strict:
-            raise ConfigurationError(
-                f"{ENV_KERNELS}=numba requested but numba is not installed;"
-                f" use one of: {', '.join(VALID_BACKENDS)}"
-            )
-        return None
-    tracer = current_tracer()
-    with tracer.span("kernels:load:numba", category="kernels") as span:
-        suite = numba_backend.load()
-        numba_backend.warm_up(suite)
-        span.set_label("backend", "numba")
-    REGISTRY.counter("kernels.loads", backend="numba").inc()
-    return suite
 
 
 def _load_cext(strict: bool):
@@ -93,14 +74,7 @@ def _load_cext(strict: bool):
 def _resolve(choice: str):
     if choice == "numpy":
         return None
-    if choice == "numba":
-        return _load_numba(strict=True)
-    if choice == "cext":
-        return _load_cext(strict=True)
-    suite = _load_numba(strict=False)
-    if suite is None:
-        suite = _load_cext(strict=False)
-    return suite
+    return _load_cext(strict=choice == "cext")
 
 
 def active_kernels():

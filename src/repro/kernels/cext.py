@@ -123,11 +123,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         _I64_P, _I64_P, ctypes.c_int64,
         _I64_P, _I64_P, _I64_P,
     ]
-    lib.repro_coupling_dp.restype = ctypes.c_int64
-    lib.repro_coupling_dp.argtypes = [
-        _I64_P, _I64_P, ctypes.c_int64, _I64_P, _I64_P, _I64_P, _I64_P,
-        ctypes.c_int64, _I64_P, _I64_P, _I64_P, _I64_P,
-    ]
     lib.repro_map_network.restype = ctypes.c_int64
     lib.repro_map_network.argtypes = [
         _I64_P, _I64_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
@@ -202,44 +197,6 @@ class CExtKernels:
             _ptr(fin), _ptr(fout), _ptr(cycles),
         )
         return fin, fout, cycles
-
-    def coupling_dp(
-        self,
-        cand: np.ndarray,
-        offsets: np.ndarray,
-        ldims: np.ndarray,
-        free_in: np.ndarray,
-        fin_free: np.ndarray,
-        penalty: np.ndarray,
-        col_limit: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """The whole-network coupling DP; see ``repro_coupling_dp``.
-
-        Returns ``(in_triples, out_triples, relayout_cycles, total_cost,
-        total_candidates)`` with one row per CONV layer.
-        """
-        cand = _i64(cand)
-        offsets = _i64(offsets)
-        ldims = _i64(ldims)
-        free_in = _i64(free_in)
-        fin_free = _i64(fin_free)
-        penalty = _i64(penalty)
-        n_layers = len(ldims)
-        in_out = np.empty((n_layers, 3), dtype=np.int64)
-        out_out = np.empty((n_layers, 3), dtype=np.int64)
-        relayout = np.empty(n_layers, dtype=np.int64)
-        cost = np.empty(1, dtype=np.int64)
-        total = self._lib.repro_coupling_dp(
-            _ptr(cand), _ptr(offsets), n_layers, _ptr(ldims),
-            _ptr(free_in), _ptr(fin_free), _ptr(penalty),
-            ctypes.c_int64(col_limit),
-            _ptr(in_out), _ptr(out_out), _ptr(relayout), _ptr(cost),
-        )
-        if total < 0:
-            raise MappingError(
-                f"coupling DP kernel rejected its inputs (code {int(total)})"
-            )
-        return in_out, out_out, relayout, int(cost[0]), int(total)
 
     def map_network_dp(
         self,

@@ -16,9 +16,12 @@ stay **bit-identical** to it (pinned by ``tests/kernels/test_parity.py``):
 * ``repro_pair_cycles`` — ``score_candidates_batch``'s step counts and
   outer-product cycle matrix.
 * ``repro_coupling_dp`` — the inter-layer coupling DP, a direct port of
-  the reference ``_search_scalar`` loops (strict-``<`` first-wins
-  updates, buckets in first-appearance order, final pick by
+  the reference loops in ``tests/dse_oracle.py`` (strict-``<``
+  first-wins updates, buckets in first-appearance order, final pick by
   ``(cost, ceil(M/Tm), lexicographic)``).
+* ``repro_map_network`` — the fused per-network search behind
+  ``map_network_dp``: candidate enumeration, best free inputs, then
+  ``repro_coupling_dp``, in one call.
 * ``repro_flexflow_store_sums`` — the kernel-store fits/thrashes
   dichotomy of ``repro.sim.batch.batch_flexflow_traces`` (integer sums,
   order-independent, hence exact).

@@ -71,7 +71,7 @@ def _spawn_worker_main(conn) -> None:
     """One spawn worker's loop: ``(task_id, kind, spec)`` in, reply out.
 
     Before serving, the worker eagerly loads the compiled kernel backend
-    (numba/cext builds happen here, at pool start) so the first cold
+    (the cext build happens here, at pool start) so the first cold
     request does not pay the load, and reports how long it took via a
     ``warm`` message (the ``serve.worker_warm_ms`` gauge).
     """

@@ -10,11 +10,19 @@ own ``monkeypatch.setenv`` calls (which land after this fixture).
 The environment variable (rather than an in-process flag) is the switch
 because it crosses the ``spawn`` boundary to the resilient runner's
 worker processes.
+
+The ``ci`` hypothesis profile (``--hypothesis-profile=ci``) widens the
+example budget of the differential DSE suite
+(``tests/test_dse_differential.py``); without it that suite runs a small
+derandomized slice.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.cache import reset_cache_handles
+
+settings.register_profile("ci", max_examples=300, deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -5,9 +5,9 @@ Pins the three invariants the batched DSE engine rests on:
 * candidate lists are duplicate-free and Pareto-minimal (every triple is
   a "useful" unrolling — dropping it to the next smaller useful value
   would change the ceil-division step count);
-* the batched mapper (``REPRO_BATCHED_MAPPER=on``, the default) returns
-  *identical* mappings to the legacy scalar loops — factors, cycles, and
-  relayout decisions — across workloads, array dims, and fault masks;
+* the batched mapper returns *identical* mappings to the full-candidate
+  reference DP in ``tests/dse_oracle.py`` — factors, cycles, and relayout
+  decisions — across workloads, array dims, and fault masks;
 * ``score_candidates_batch`` agrees element-wise with the scalar step
   formulas.
 """
@@ -18,8 +18,6 @@ import pytest
 from repro.arch import ArchConfig
 from repro.dataflow import map_network
 from repro.dataflow.mapper import (
-    ENV_BATCHED_MAPPER,
-    batched_mapper_enabled,
     candidate_array,
     clear_mapping_cache,
     input_candidates,
@@ -30,10 +28,11 @@ from repro.dataflow.mapper import (
 )
 from repro.dataflow.rectangular import map_layer_rect
 from repro.dataflow.unrolling import iter_triples, useful_values
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import MappingError
 from repro.faults.model import FaultModel
 from repro.nn import ConvLayer
 from repro.nn.workloads import all_workloads
+from tests import dse_oracle as oracle
 
 
 SPACES = [
@@ -111,89 +110,53 @@ class TestScoreCandidatesBatch:
 
 
 class TestBatchedScalarIdentity:
-    def test_flag_parsing(self, monkeypatch):
-        for value, expected in (
-            ("on", True), ("1", True), ("true", True), ("", True),
-            ("off", False), ("0", False), ("no", False),
-        ):
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, value)
-            assert batched_mapper_enabled() is expected
-        monkeypatch.delenv(ENV_BATCHED_MAPPER)
-        assert batched_mapper_enabled() is True
-        monkeypatch.setenv(ENV_BATCHED_MAPPER, "maybe")
-        with pytest.raises(ConfigurationError):
-            batched_mapper_enabled()
+    """The batched mapper against the scalar reference DP (the oracle)."""
 
     @pytest.mark.parametrize("dim", [8, 16, 32])
-    def test_network_mappings_identical(self, dim, monkeypatch):
-        batched = {}
-        for network in all_workloads():
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, "on")
-            clear_mapping_cache()
-            batched[network.name] = map_network(network, dim)
-        monkeypatch.setenv(ENV_BATCHED_MAPPER, "off")
+    def test_network_mappings_identical(self, dim):
         clear_mapping_cache()
         for network in all_workloads():
-            scalar = map_network(network, dim)
-            fast = batched[network.name]
-            assert fast.total_cycles == scalar.total_cycles
-            for lm_fast, lm_scalar in zip(fast.layers, scalar.layers):
-                assert lm_fast.factors == lm_scalar.factors
-                assert lm_fast.coupled == lm_scalar.coupled
-                assert lm_fast.compute_cycles == lm_scalar.compute_cycles
-        clear_mapping_cache()
+            fast = oracle.mapping_trace(map_network(network, dim))
+            assert fast == oracle.map_network(network, dim), network.name
 
-    def test_fault_masked_mappings_identical(self, monkeypatch):
+    def test_fault_masked_mappings_identical(self):
         mask = FaultModel(seed=7, dead_pe_rate=0.05, dead_rows=(3,)).mask_for(16)
-        results = {}
-        for flag in ("on", "off"):
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, flag)
-            clear_mapping_cache()
-            results[flag] = {
-                network.name: map_network(network, 16, mask=mask)
-                for network in all_workloads()
-            }
         clear_mapping_cache()
-        for name, fast in results["on"].items():
-            scalar = results["off"][name]
-            assert fast.total_cycles == scalar.total_cycles
-            assert [lm.factors for lm in fast.layers] == [
-                lm.factors for lm in scalar.layers
-            ]
+        for network in all_workloads():
+            fast = oracle.mapping_trace(map_network(network, 16, mask=mask))
+            assert fast == oracle.map_network(network, 16, mask), network.name
 
-    def test_rectangular_identical(self, monkeypatch):
+    def test_rectangular_identical(self):
         layers = [
             ConvLayer("a", in_maps=3, out_maps=12, out_size=14, kernel=5),
             ConvLayer("b", in_maps=16, out_maps=16, out_size=10, kernel=3),
             ConvLayer("c", in_maps=1, out_maps=4, out_size=24, kernel=7),
         ]
         shapes = [(4, 64), (16, 16), (64, 4), (8, 32)]
-        per_flag = {}
-        for flag in ("on", "off"):
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, flag)
-            clear_mapping_cache()
-            per_flag[flag] = [
-                map_layer_rect(layer, rows, cols)
-                for layer in layers
-                for rows, cols in shapes
-            ]
-        clear_mapping_cache()
-        for fast, scalar in zip(per_flag["on"], per_flag["off"]):
-            assert fast.factors == scalar.factors
-            assert fast.compute_cycles == scalar.compute_cycles
+        for layer in layers:
+            for rows, cols in shapes:
+                fast = map_layer_rect(layer, rows, cols)
+                best_in, fin = oracle.best_input(layer, cols)
+                best_out = oracle.best_output(layer, rows)
+                assert oracle.factor_triples(fast.factors) == (best_in, best_out)
+                assert fast.compute_cycles == fin * oracle.steps(
+                    oracle.out_dims(layer), best_out
+                )
 
-    def test_simulation_results_identical(self, monkeypatch, tmp_path):
-        """End-to-end: full NetworkResult equality under both engines."""
+    def test_simulation_results_identical(self):
+        """End-to-end: every simulated FlexFlow layer costs exactly the
+        reference DP's compute plus relayout cycles."""
         from repro.accelerators import make_accelerator
 
-        monkeypatch.setenv("REPRO_CACHE", "off")
         network = next(iter(all_workloads()))
         config = ArchConfig()
-        outcomes = {}
-        for flag in ("on", "off"):
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, flag)
-            clear_mapping_cache()
-            acc = make_accelerator("flexflow", config)
-            outcomes[flag] = acc.simulate_network(network)
         clear_mapping_cache()
-        assert outcomes["on"] == outcomes["off"]
+        result = make_accelerator("flexflow", config).simulate_network(network)
+        _, trace = oracle.map_network(network, config.array_dim)
+        expected = [
+            oracle.steps(oracle.in_dims(r.layer), tin)
+            * oracle.steps(oracle.out_dims(r.layer), tout)
+            + relayout
+            for r, (tin, tout, relayout) in zip(result.layers, trace)
+        ]
+        assert [r.cycles for r in result.layers] == expected

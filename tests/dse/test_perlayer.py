@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch.config import ArchConfig
-from repro.dataflow.mapper import ENV_BATCHED_MAPPER, map_network
+from repro.dataflow.mapper import map_network
 from repro.dse import (
     EXTERN_FAMILIES,
     FAMILY_ORDER,
@@ -16,6 +16,7 @@ from repro.dse import (
 )
 from repro.errors import ConfigurationError
 from repro.nn import WORKLOAD_NAMES, get_workload
+from tests import dse_oracle as oracle
 
 
 class TestExternStates:
@@ -150,26 +151,23 @@ class TestSolver:
 
 
 class TestEngineParity:
-    """Batched and scalar DPs must return identical plans."""
+    """The batched DP and the scalar reference DP (the oracle) must
+    return identical plans."""
 
     @pytest.mark.parametrize("name", list(WORKLOAD_NAMES))
     @pytest.mark.parametrize("dim", [8, 16])
-    def test_plans_bit_identical(self, name, dim, monkeypatch):
+    def test_plans_bit_identical(self, name, dim):
         network = get_workload(name)
-        monkeypatch.setenv(ENV_BATCHED_MAPPER, "on")
         batched = solve_per_layer(network, dim)
-        monkeypatch.setenv(ENV_BATCHED_MAPPER, "off")
-        scalar = solve_per_layer(network, dim)
+        scalar = oracle.solve_per_layer(network, dim)
         assert format_plan(batched) == format_plan(scalar)
         assert plan_payload(batched) == plan_payload(scalar)
 
-    def test_parity_across_scales(self, monkeypatch):
+    def test_parity_across_scales(self):
         network = get_workload("AlexNet")
         for scale in (0.0, 0.5, 4.0):
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, "on")
             batched = solve_per_layer(network, 16, reconfig_scale=scale)
-            monkeypatch.setenv(ENV_BATCHED_MAPPER, "off")
-            scalar = solve_per_layer(network, 16, reconfig_scale=scale)
+            scalar = oracle.solve_per_layer(network, 16, scale)
             assert plan_payload(batched) == plan_payload(scalar), scale
 
 

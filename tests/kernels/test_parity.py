@@ -1,4 +1,4 @@
-"""Bit-identity of the compiled kernel backends against NumPy references.
+"""Bit-identity of the compiled kernel backend against NumPy references.
 
 Every kernel in :mod:`repro.kernels` is an integer-exact port of the
 NumPy/scalar expression it replaces, so parity here is ``==`` — not
@@ -9,14 +9,10 @@ backend source); the end-to-end tests force ``REPRO_KERNELS`` and check
 that mapper, batched simulator, and fault-retention results are
 identical under every available backend.
 
-Backends the machine cannot load are skipped, never failed: the numba
-leg skips when numba is not installed, the cext leg when no C compiler
-is present — the CI matrix runs both a numba-equipped leg and a bare leg
-so each combination stays covered somewhere.
+The compiled leg skips, never fails, when no C compiler is present.
 """
 
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -26,19 +22,12 @@ from repro.dataflow import map_network
 from repro.dataflow.mapper import clear_mapping_cache
 from repro.kernels import ENV_KERNELS, reset_kernels
 from repro.kernels import cext as cext_mod
-from repro.kernels import numba_backend
 from repro.nn.workloads import all_workloads
 
-BACKENDS = ("cext", "numba")
+BACKENDS = ("cext",)
 
 
-def _load_suite(name):
-    if name == "numba":
-        if not numba_backend.AVAILABLE:
-            pytest.skip("numba is not installed")
-        suite = numba_backend.load()
-        numba_backend.warm_up(suite)
-        return suite
+def _load_suite():
     try:
         suite, _ = cext_mod.load()
     except cext_mod.KernelBuildError as exc:
@@ -49,13 +38,13 @@ def _load_suite(name):
 @pytest.fixture(scope="module", params=BACKENDS)
 def suite(request):
     """One loaded kernel suite per available compiled backend."""
-    return _load_suite(request.param)
+    return _load_suite()
 
 
 @pytest.fixture(params=BACKENDS)
 def forced_backend(request, monkeypatch):
     """``REPRO_KERNELS`` pinned to one available compiled backend."""
-    _load_suite(request.param)  # skip before touching the environment
+    _load_suite()  # skip before touching the environment
     monkeypatch.setenv(ENV_KERNELS, request.param)
     reset_kernels()
     clear_mapping_cache()
@@ -274,16 +263,17 @@ class TestEndToEnd:
 
 
 def test_unavailable_backend_is_clear_error(monkeypatch):
-    """Explicitly requesting a missing backend must not fall back."""
+    """Requesting a backend this build does not ship (numba was retired)
+    must fail loud, naming the valid choices, never fall back."""
     from repro.errors import ConfigurationError
     from repro.kernels import active_kernels
 
-    if numba_backend.AVAILABLE:
-        pytest.skip("numba installed; nothing is unavailable to request")
     monkeypatch.setenv(ENV_KERNELS, "numba")
     reset_kernels()
     try:
-        with pytest.raises(ConfigurationError, match="numba"):
+        with pytest.raises(
+            ConfigurationError, match="'numba'.*auto, cext, numpy"
+        ):
             active_kernels()
     finally:
         reset_kernels()

@@ -362,24 +362,43 @@ class TestDseCommand:
         out = capsys.readouterr().out
         assert [line.rstrip() for line in out.strip().splitlines()] == self.GOLDEN_PV
 
-    def test_scalar_engine_rows_identical(self, capsys):
-        assert main(["dse", "PV", "--dims", "8,16", "--engine", "scalar"]) == 0
-        out = capsys.readouterr().out
-        lines = [line.rstrip() for line in out.strip().splitlines()]
-        assert lines[0] == (
-            "== dse: FlexFlow array-scale sweep (scalar candidate scoring) =="
-        )
-        assert lines[1:] == self.GOLDEN_PV[1:]
+    @staticmethod
+    def _require_cext():
+        from repro.kernels import cext
 
-    def test_engine_flag_does_not_leak(self, capsys):
+        try:
+            cext.load()
+        except cext.KernelBuildError as exc:
+            pytest.skip(f"C backend unavailable: {exc}")
+
+    def test_unknown_kernels_backend_rejected(self, capsys):
+        assert main(["dse", "PV", "--kernels", "numba"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert err.startswith("error: ") and "auto, cext, numpy" in err
+
+    def test_kernel_backends_print_identical_tables(self, capsys):
+        self._require_cext()
+        assert main(["dse", "all", "--kernels", "numpy"]) == 0
+        numpy_out = capsys.readouterr().out
+        assert main(["dse", "all", "--kernels", "cext"]) == 0
+        assert capsys.readouterr().out == numpy_out
+
+    def test_kernels_flag_does_not_leak(self, capsys, monkeypatch):
         import os
 
-        from repro.dataflow.mapper import ENV_BATCHED_MAPPER
+        from repro.kernels import ENV_KERNELS, kernel_backend
 
-        before = os.environ.get(ENV_BATCHED_MAPPER)
-        assert main(["dse", "PV", "--dims", "8", "--engine", "scalar"]) == 0
+        monkeypatch.delenv(ENV_KERNELS, raising=False)
+        assert main(["dse", "PV", "--dims", "8", "--kernels", "numpy"]) == 0
+        assert ENV_KERNELS not in os.environ
+        monkeypatch.setenv(ENV_KERNELS, "numpy")
+        assert main(["dse", "PV", "--dims", "8", "--kernels", "auto"]) == 0
         capsys.readouterr()
-        assert os.environ.get(ENV_BATCHED_MAPPER) == before
+        assert os.environ[ENV_KERNELS] == "numpy"
+        assert kernel_backend() == "numpy"
 
     def test_all_workloads(self, capsys):
         assert main(["dse", "all", "--dims", "8"]) == 0
@@ -423,10 +442,12 @@ class TestDseCommand:
         assert "speedup vs best fixed" in out
 
     def test_per_layer_engines_agree(self, capsys):
-        assert main(["dse", "PV", "--per-layer", "--engine", "batched"]) == 0
-        batched = capsys.readouterr().out
-        assert main(["dse", "PV", "--per-layer", "--engine", "scalar"]) == 0
-        assert capsys.readouterr().out == batched
+        """Per-layer plans are byte-identical under both kernel backends."""
+        self._require_cext()
+        assert main(["dse", "all", "--per-layer", "--kernels", "numpy"]) == 0
+        numpy_out = capsys.readouterr().out
+        assert main(["dse", "all", "--per-layer", "--kernels", "cext"]) == 0
+        assert capsys.readouterr().out == numpy_out
 
     def test_per_layer_respects_dims(self, capsys):
         assert main(["dse", "PV", "--per-layer", "--dims", "8"]) == 0
