@@ -4,9 +4,10 @@
 This is the executable proof behind the repository's dataflow claims:
 each architecture's cycle-level machine (FlexFlow's grouped PE array with
 local stores and RA/RS broadcasts, the systolic pipeline with inter-row
-FIFOs, the 2D shift array, the tiling adder trees) computes the exact
-same convolution as the golden model — while reporting very different
-cycle counts and traffic.
+FIFOs, the 2D shift array, the tiling adder trees) computes the same
+convolution as the golden model, to within float rounding (each machine
+sums in its own order) — while reporting very different cycle counts and
+traffic.
 
 The script runs the paper's Figure 8 example (C1/C2 on a 4x4 array) plus
 a batch of random layers, and prints per-dataflow cycle/traffic contrasts.

@@ -49,7 +49,7 @@ def main() -> None:
     print()
     top = np.argsort(result.final_output)[::-1][:3]
     print(f"Classifier output (10 classes): top-3 indices {list(top)}")
-    print("Full inference matches the golden model bit-for-bit.")
+    print("Full inference matches the golden model (allclose, atol=1e-7).")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,12 @@ the simulator realizes them as an explicit neuron grid whose refill events
 are counted as buffer reads and whose shifts as FIFO traffic.
 
 A block therefore takes exactly ``K^2`` cycles per input map, matching the
-analytical model; numerics are validated against the golden convolution.
+analytical model.  The modeled array works through the output maps one
+after another; the window schedule of a block depends only on the input
+map, so the simulator runs it once per ``(block, input map)`` with an
+``(M, rows, cols)`` partial sum and grows every counter by ``M`` per
+event.  Outputs equal the golden convolution to within float rounding
+(the summation order differs).
 """
 
 from __future__ import annotations
@@ -62,22 +67,21 @@ class Mapping2DFunctionalSim:
         with tracer.span(
             f"conv:{layer.name}", category="sim.mapping2d"
         ) as span:
-            for m in range(layer.out_maps):
-                for r0 in range(0, layer.out_size, block):
-                    for c0 in range(0, layer.out_size, block):
-                        rows = min(block, layer.out_size - r0)
-                        cols = min(block, layer.out_size - c0)
-                        psum = np.zeros((rows, cols))
-                        for n in range(layer.in_maps):
-                            self._run_block(
-                                padded[n],
-                                kernels[m, n],
-                                psum,
-                                (r0, c0),
-                                trace,
-                            )
-                        out[m, r0:r0 + rows, c0:c0 + cols] = psum
-                        trace.neuron_buffer_writes += rows * cols
+            for r0 in range(0, layer.out_size, block):
+                for c0 in range(0, layer.out_size, block):
+                    rows = min(block, layer.out_size - r0)
+                    cols = min(block, layer.out_size - c0)
+                    psum = np.zeros((layer.out_maps, rows, cols))
+                    for n in range(layer.in_maps):
+                        self._run_block(
+                            padded[n],
+                            kernels[:, n],
+                            psum,
+                            (r0, c0),
+                            trace,
+                        )
+                    out[:, r0:r0 + rows, c0:c0 + cols] = psum
+                    trace.neuron_buffer_writes += psum.size
             if tracer.enabled:
                 span.set_cycles(trace.cycles)
                 span.add_counters(trace.as_dict())
@@ -86,35 +90,36 @@ class Mapping2DFunctionalSim:
     def _run_block(
         self,
         image: np.ndarray,
-        kernel: np.ndarray,
+        kernels: np.ndarray,
         psum: np.ndarray,
         origin: Tuple[int, int],
         trace: SimTrace,
     ) -> None:
-        k = kernel.shape[0]
-        rows, cols = psum.shape
+        """One input map's window schedule on one block, for all ``M`` maps.
+
+        ``kernels`` is ``(M, K, K)`` and ``psum`` is ``(M, rows, cols)``.
+        """
+        maps, rows, cols = psum.shape
+        k = kernels.shape[-1]
         r0, c0 = origin
         # The neuron window currently held by the array: window[p, q] is
         # the neuron PE (p, q) will multiply this cycle.
         window: Optional[np.ndarray] = None
         for i in range(k):
             for j in range(k):
-                trace.cycles += 1
-                trace.kernel_buffer_reads += 1  # synapse broadcast
-                trace.bus_transfers += 1
+                trace.cycles += maps
+                trace.kernel_buffer_reads += maps  # synapse broadcast
+                trace.bus_transfers += maps
                 if window is None:
                     # Initial load: the whole (rows x cols) window.
                     window = image[r0 + i:r0 + i + rows, c0 + j:c0 + j + cols].copy()
-                    trace.neuron_buffer_reads += rows * cols
+                    trace.neuron_buffer_reads += maps * rows * cols
                 elif j > 0:
-                    # Shift left: PEs take their right neighbour's neuron;
-                    # the rightmost column loads fresh neurons.
-                    window[:, :-1] = window[:, 1:]
-                    trace.fifo_accesses += 2 * rows * (cols - 1)
-                    window[:, -1] = image[
-                        r0 + i:r0 + i + rows, c0 + j + cols - 1
-                    ]
-                    trace.neuron_buffer_reads += rows
+                    self._shift_left(
+                        window, image[r0 + i:r0 + i + rows, c0 + j + cols - 1]
+                    )
+                    trace.fifo_accesses += maps * 2 * rows * (cols - 1)
+                    trace.neuron_buffer_reads += maps * rows
                 else:
                     # Kernel-row boundary: the window moves one row down in
                     # the image and rewinds K-1 columns.  The overlap with
@@ -125,8 +130,8 @@ class Mapping2DFunctionalSim:
                     overlap_rows = rows - 1
                     overlap_cols = max(0, cols - (k - 1))
                     reused = overlap_rows * overlap_cols
-                    trace.fifo_accesses += 2 * reused
-                    trace.neuron_buffer_reads += rows * cols - reused
+                    trace.fifo_accesses += maps * 2 * reused
+                    trace.neuron_buffer_reads += maps * (rows * cols - reused)
                     window = image[
                         r0 + i:r0 + i + rows, c0:c0 + cols
                     ].copy()
@@ -137,6 +142,13 @@ class Mapping2DFunctionalSim:
                         f"window misaligned at kernel ({i},{j}):"
                         f" PE(0,0) holds {sample}, expected {expected}"
                     )
-                psum += window * kernel[i, j]
-                trace.mac_ops += rows * cols
-                trace.register_accesses += 2 * rows * cols
+                psum += window * kernels[:, i, j, np.newaxis, np.newaxis]
+                trace.mac_ops += maps * rows * cols
+                trace.register_accesses += maps * 2 * rows * cols
+
+    @staticmethod
+    def _shift_left(window: np.ndarray, fresh: np.ndarray) -> None:
+        """PEs take their right neighbour's neuron; the rightmost column
+        loads ``fresh`` from the buffer."""
+        window[:, :-1] = window[:, 1:]
+        window[:, -1] = fresh

@@ -15,9 +15,14 @@ Each in-flight output carries its coordinates, so the simulator *checks*
 the shift/FIFO timing invariant (``r = rr - i, c = cc - j``) instead of
 assuming it — a wrong FIFO depth or shift order fails loudly.
 
-Multiple (input map, output map) pairs run sequentially on one array,
-accumulating partial output maps across input maps, exactly as the single
-array of a DC-CNN-style design would.
+The modeled machine is one array that runs the ``(input map, output
+map)`` pairs one after another, accumulating partial output maps across
+input maps, as the single array of a DC-CNN-style design would.  That
+schedule is the same for every pair, so the simulator runs it once per
+layer: each in-flight output carries an ``(M, N)`` accumulator, one slot
+per pair, and every counter grows by the pair count per event.  Output
+maps sum their pairs in ascending input-map order, which is the order
+the sequential machine adds them in.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ class _Flight:
 
     r: int
     c: int
-    acc: float
+    acc: np.ndarray  # (M, N): one partial sum per (output, input) map pair
 
 
 class SystolicFunctionalSim:
@@ -70,33 +75,33 @@ class SystolicFunctionalSim:
                 f"kernels shape {kernels.shape} != {layer.kernel_shape}"
             )
         padded = pad_input(inputs, layer.padding)
-        outputs = np.zeros((layer.out_maps, layer.out_size, layer.out_size))
         trace = SimTrace()
         tracer = self.tracer if self.tracer is not None else current_tracer()
         with tracer.span(
             f"conv:{layer.name}", category="sim.systolic"
         ) as span:
-            for m in range(layer.out_maps):
-                for n in range(layer.in_maps):
-                    self._run_pair(
-                        padded[n], kernels[m, n], outputs[m], layer.out_size, trace
-                    )
+            # drained[:, n] holds pair (m, n)'s finished output map.
+            drained = self._run_pipeline(padded, kernels, layer.out_size, trace)
+            outputs = np.zeros((layer.out_maps, layer.out_size, layer.out_size))
+            for n in range(layer.in_maps):
+                outputs += drained[:, n]
             if tracer.enabled:
                 span.set_cycles(trace.cycles)
                 span.add_counters(trace.as_dict())
         return outputs, trace
 
-    def _run_pair(
+    def _run_pipeline(
         self,
-        image: np.ndarray,
-        kernel: np.ndarray,
-        out_map: np.ndarray,
+        images: np.ndarray,
+        kernels: np.ndarray,
         out_size: int,
         trace: SimTrace,
-    ) -> None:
-        k = kernel.shape[0]
-        width = image.shape[1]
-        height = image.shape[0]
+    ) -> np.ndarray:
+        """One pass of the pair schedule, all ``(m, n)`` pairs in lockstep."""
+        maps_out, maps_in, k, _ = kernels.shape
+        pairs = maps_out * maps_in
+        _, height, width = images.shape
+        drained = np.zeros((maps_out, maps_in, out_size, out_size))
         fifo_depth = max(1, width - k)
         # regs[i][j] is the output currently resident at PE (i, j).
         regs: List[List[Optional[_Flight]]] = [[None] * k for _ in range(k)]
@@ -107,36 +112,41 @@ class SystolicFunctionalSim:
         # outputs keep shifting toward the exit.
         for rr in range(height + k):
             for cc in range(width):
-                trace.cycles += 1
+                trace.cycles += pairs
                 real = rr < height
-                value = image[rr, cc] if real else 0.0
+                # One broadcast neuron per input map.
+                value = images[:, rr, cc] if real else 0.0
                 if real:
-                    trace.neuron_buffer_reads += 1
-                    trace.bus_transfers += 1  # broadcast to all PEs
+                    trace.neuron_buffer_reads += pairs
+                    trace.bus_transfers += pairs  # broadcast to all PEs
                 # Shift phase: rightmost column exits first.
                 for i in range(k):
                     exiting = regs[i][k - 1]
                     if exiting is not None:
                         if i < k - 1:
                             fifos[i].push(exiting)
-                            trace.fifo_accesses += 1
+                            trace.fifo_accesses += pairs
                         elif 0 <= exiting.r < out_size and 0 <= exiting.c < out_size:
                             # Drained complete at PE (K-1, K-1); edge
                             # flights (invalid windows) are discarded.
-                            out_map[exiting.r, exiting.c] += exiting.acc
-                            trace.neuron_buffer_writes += 1
+                            drained[:, :, exiting.r, exiting.c] = exiting.acc
+                            trace.neuron_buffer_writes += pairs
                     for j in range(k - 1, 0, -1):
                         regs[i][j] = regs[i][j - 1]
                     if i == 0:
                         # A fresh output O(rr, cc) enters the first stage
                         # (none during the drain rows).
-                        regs[0][0] = _Flight(r=rr, c=cc, acc=0.0) if real else None
+                        regs[0][0] = (
+                            _Flight(r=rr, c=cc, acc=np.zeros((maps_out, maps_in)))
+                            if real
+                            else None
+                        )
                     else:
                         entering = None
                         fifo = fifos[i - 1]
                         if not fifo.empty and fifo.peek().r == rr - i and fifo.peek().c == cc:
                             entering = fifo.pop()
-                            trace.fifo_accesses += 1
+                            trace.fifo_accesses += pairs
                         regs[i][0] = entering
                 # Accumulate phase: every PE multiplies the broadcast neuron
                 # by its resident synapse into its in-flight output.
@@ -164,9 +174,10 @@ class SystolicFunctionalSim:
                             and flight.c + j == cc
                         )
                         if contributes:
-                            flight.acc += value * kernel[i, j]
-                            trace.mac_ops += 1
-                            trace.register_accesses += 2
+                            flight.acc += value * kernels[:, :, i, j]
+                            trace.mac_ops += pairs
+                            trace.register_accesses += 2 * pairs
         for i in range(k - 1):
             if not fifos[i].empty:
                 raise SimulationError(f"row FIFO {i} not drained at end of layer")
+        return drained

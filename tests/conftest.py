@@ -12,9 +12,10 @@ because it crosses the ``spawn`` boundary to the resilient runner's
 worker processes.
 
 The ``ci`` hypothesis profile (``--hypothesis-profile=ci``) widens the
-example budget of the differential DSE suite
-(``tests/test_dse_differential.py``); without it that suite runs a small
-derandomized slice.
+example budget of the differential suites
+(``tests/test_dse_differential.py`` and
+``tests/sim/test_baseline_differential.py``); without it each runs a
+small derandomized slice.
 """
 
 import pytest

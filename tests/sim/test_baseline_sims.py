@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import SpecificationError
+from repro.arch.interconnect import FifoLink
+from repro.errors import SimulationError, SpecificationError
 from repro.nn import ConvLayer, conv2d, make_inputs, make_kernels, pad_input
 from repro.sim import Mapping2DFunctionalSim, SystolicFunctionalSim, TilingFunctionalSim
 
@@ -71,6 +72,47 @@ class TestSystolicSim:
             )
 
 
+class _NewestFirstFifo(FifoLink):
+    """Hands out the newest entry instead of the one at the head."""
+
+    def pop(self):
+        entries = [FifoLink.pop(self) for _ in range(len(self))]
+        for entry in entries[:-1]:
+            self.push(entry)
+        return entries[-1]
+
+
+class _StickyFifo(FifoLink):
+    """Pops leave the entry at the head; deep enough never to fill."""
+
+    def __init__(self, depth, name="fifo"):
+        super().__init__(depth + 10_000, name)
+
+    def pop(self):
+        return self.peek()
+
+
+class TestSystolicMachineChecks:
+    """Break the pipeline on purpose: the simulator must notice."""
+
+    LAYER = ConvLayer("t", in_maps=2, out_maps=2, out_size=4, kernel=3)
+
+    def run(self):
+        return SystolicFunctionalSim().run_layer(
+            self.LAYER, make_inputs(self.LAYER), make_kernels(self.LAYER)
+        )
+
+    def test_misrouted_flight_breaks_timing(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.systolic_sim.FifoLink", _NewestFirstFifo)
+        with pytest.raises(SimulationError, match="pipeline timing broken"):
+            self.run()
+
+    def test_stuck_fifo_entry_is_not_drained(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.systolic_sim.FifoLink", _StickyFifo)
+        with pytest.raises(SimulationError, match="row FIFO 0 not drained"):
+            self.run()
+
+
 class TestMapping2DSim:
     @pytest.mark.parametrize(
         "n,m,s,k,block",
@@ -111,6 +153,21 @@ class TestMapping2DSim:
     def test_invalid_block_rejected(self):
         with pytest.raises(SpecificationError):
             Mapping2DFunctionalSim(block_size=0)
+
+    def test_window_shifted_one_column_wrong_is_caught(self, monkeypatch):
+        def shift_two_columns(window, fresh):
+            window[:, :-2] = window[:, 2:]
+            window[:, -2:] = fresh[:, np.newaxis]
+
+        monkeypatch.setattr(
+            Mapping2DFunctionalSim, "_shift_left", staticmethod(shift_two_columns)
+        )
+        layer = ConvLayer("t", in_maps=2, out_maps=2, out_size=4, kernel=3)
+        misaligned = r"window misaligned at kernel \(0,1\)"
+        with pytest.raises(SimulationError, match=misaligned):
+            Mapping2DFunctionalSim(block_size=4).run_layer(
+                layer, make_inputs(layer), make_kernels(layer)
+            )
 
     def test_stride_rejected(self):
         layer = ConvLayer("t", in_maps=1, out_maps=1, out_size=3, kernel=3, stride=2)
