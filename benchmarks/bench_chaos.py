@@ -249,9 +249,9 @@ def run_drill(
         "p50_ms": round(percentile(latencies, 0.50), 1),
         "p99_ms": round(percentile(latencies, 0.99), 1),
         "p99_budget_ms": p99_budget_ms,
-        "worker_crashes": delta("serve.worker_crashes"),
-        "worker_respawns": delta("serve.worker_respawns"),
-        "worker_reaps": delta("serve.worker_reaps"),
+        "worker_crashes": delta("pool.worker_crashes"),
+        "worker_respawns": delta("pool.worker_respawns"),
+        "worker_reaps": delta("pool.worker_reaps"),
         "stream_drops": drops,
         "stream_disconnects": delta("serve.stream_disconnects"),
         "responses_503": delta("serve.responses{code=503}"),

@@ -31,7 +31,7 @@ from repro.arch.config import ArchConfig
 from repro.compiler import ProgramExecutor, compile_network, to_asm
 from repro.dataflow import map_network
 from repro.errors import ConfigurationError, ReproError, SpecificationError
-from repro.experiments import ALL_EXPERIMENTS, run_experiments
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ARCH_LABELS, ARCH_ORDER
 from repro.nn import WORKLOAD_NAMES, all_workloads, get_workload, parse_network
 from repro.nn.network import Network
@@ -398,52 +398,38 @@ def _cmd_compile(workload: str, dim: int, execute: bool) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import RunPolicy, run_batch
+
     ids = (
         list(ALL_EXPERIMENTS)
         if args.experiment_id == "all"
         else [args.experiment_id]
     )
-    if args.shards is not None:
-        from repro.cache import active_cache
-        from repro.experiments.runner import RunPolicy
-        from repro.experiments.shard import run_sharded
+    policy = RunPolicy(
+        jobs=args.jobs, timeout_s=args.timeout,
+        retries=args.retries, run_dir=args.run_dir,
+    )
+    if args.shards is None:
+        return _print_outcomes(run_batch(ids, policy))
+    from repro.cache import active_cache
+    from repro.experiments.shard import run_sharded
 
-        if args.shards < 1:
-            raise ConfigurationError(
-                f"--shards must be >= 1, got {args.shards}"
-                " (e.g. --shards 4)"
-            )
-        if active_cache() is None:
-            raise ConfigurationError(
-                "--shards needs the shared result store: set"
-                " REPRO_CACHE_DIR to a directory all hosts share"
-                " (and leave REPRO_CACHE on)"
-            )
-        outcomes = run_sharded(
-            ids,
-            RunPolicy(
-                jobs=args.jobs, timeout_s=args.timeout,
-                retries=args.retries, run_dir=args.run_dir,
-            ),
-            host_id=args.host_id,
-            num_shards=args.shards,
+    if args.shards < 1:
+        raise ConfigurationError(
+            f"--shards must be >= 1, got {args.shards}"
+            " (e.g. --shards 4)"
         )
-        return _print_outcomes(outcomes)
-    if args.timeout is not None or args.retries or args.run_dir is not None:
-        from repro.experiments.runner import RunPolicy, run_resilient
-
-        outcomes = run_resilient(
-            ids,
-            RunPolicy(
-                jobs=args.jobs, timeout_s=args.timeout,
-                retries=args.retries, run_dir=args.run_dir,
-            ),
+    if active_cache() is None:
+        raise ConfigurationError(
+            "--shards needs the shared result store: set"
+            " REPRO_CACHE_DIR to a directory all hosts share"
+            " (and leave REPRO_CACHE on)"
         )
-        return _print_outcomes(outcomes)
-    for result in run_experiments(ids, jobs=args.jobs):
-        print(result.format_table())
-        print()
-    return 0
+    return _print_outcomes(
+        run_sharded(
+            ids, policy, host_id=args.host_id, num_shards=args.shards
+        )
+    )
 
 
 def _print_outcomes(outcomes) -> int:

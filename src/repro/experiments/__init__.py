@@ -90,26 +90,22 @@ def run_experiments(
     retries: int = 0,
     run_dir=None,
 ):
-    """Run several experiments, optionally across worker processes.
+    """Run several experiments; results come back in input order.
 
-    Experiments are independent of one another, so with ``jobs > 1`` they
-    fan out over worker processes (spawn context — portable and
-    thread-safe).  Results always come back in input order.  Unknown ids
-    raise before any worker spawns.
-
-    Requesting any resilience feature (``timeout_s``, ``retries``, or
-    ``run_dir``) routes the batch through
-    :func:`repro.experiments.runner.run_resilient`: each experiment runs
-    in a supervised process with a wall-clock timeout, failures retry
-    with exponential backoff, and completed results checkpoint to
-    ``run_dir`` (resumable).  In that mode a terminal failure raises
+    :func:`repro.experiments.runner.run_batch` picks the executor:
+    ``jobs == 1`` with no resilience option runs in-process; anything
+    else runs on the supervised worker pool
+    (:func:`repro.experiments.runner.run_resilient`), with a wall-clock
+    timeout per attempt, retries with capped exponential backoff, and
+    checkpoints to ``run_dir`` (resumable).  Unknown ids raise before
+    any experiment runs; a terminal failure raises
     :class:`~repro.errors.ExperimentError` after the rest of the batch
     finishes — use :func:`repro.experiments.runner.run_resilient`
     directly for partial results.
 
     Args:
         experiment_ids: ids from :data:`ALL_EXPERIMENTS`.
-        jobs: worker process count; ``1`` runs in-process (no pool).
+        jobs: worker process count; ``1`` runs in-process.
         timeout_s: per-experiment wall-clock limit in seconds.
         retries: extra attempts for failed/timed-out experiments.
         run_dir: checkpoint directory for resumable batches.
@@ -117,46 +113,12 @@ def run_experiments(
     Returns:
         ``List[ExperimentResult]`` in the order of ``experiment_ids``.
     """
-    from repro.errors import ConfigurationError
-    from repro.experiments.runner import experiment_registry
+    from repro.experiments.runner import RunPolicy, require_all_ok, run_batch
 
-    ids = list(experiment_ids)
-    registry = experiment_registry()
-    unknown = [eid for eid in ids if eid not in registry]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown experiment ids: {', '.join(unknown)}"
-        )
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if timeout_s is not None or retries or run_dir is not None:
-        from repro.experiments.runner import (
-            RunPolicy,
-            require_all_ok,
-            run_resilient,
-        )
-
-        outcomes = run_resilient(
-            ids,
-            RunPolicy(
-                jobs=jobs, timeout_s=timeout_s, retries=retries,
-                run_dir=run_dir,
-            ),
-        )
-        return require_all_ok(outcomes)
-    if jobs == 1 or len(ids) <= 1:
-        from repro.cache import deferred_cache_publishes
-
-        # One store flush for the whole in-process batch: back-to-back
-        # small-file publishes batch far better than per-experiment
-        # bursts interleaved with compute.
-        with deferred_cache_publishes():
-            return [run_experiment(eid) for eid in ids]
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=min(jobs, len(ids))) as pool:
-        return pool.map(run_experiment, ids)
+    policy = RunPolicy(
+        jobs=jobs, timeout_s=timeout_s, retries=retries, run_dir=run_dir
+    )
+    return require_all_ok(run_batch(experiment_ids, policy))
 
 
 __all__ = [

@@ -1,15 +1,20 @@
 """Resilient experiment runner: isolation, timeouts, retries, checkpoints.
 
-:func:`run_resilient` executes each experiment in its own ``spawn``-context
-worker process, so a crashing or hanging experiment cannot take down the
-batch: the supervisor observes the worker's pipe and exit code, enforces a
-per-experiment wall-clock timeout (terminating the worker), and retries
-failed experiments with exponential backoff.  Completed results are
-checkpointed as JSON into a run directory — re-running the same batch with
-the same ``run_dir`` resumes, skipping everything already finished — and
-failures come back as structured :class:`RunOutcome` records instead of
-exceptions, so :mod:`repro.experiments.report` can render a partial report
-that marks what is missing.
+:func:`run_resilient` runs a batch on the supervised spawn worker pool
+(:class:`repro.serve.pool.WorkerPool`), so a crashing or hanging
+experiment cannot take down the batch: the pool reports each attempt as
+ok, failed (with the worker's traceback, or a dead worker's exit code)
+or timed out, kills a worker at the per-experiment wall-clock timeout,
+and retries failed experiments with capped exponential backoff.  Its
+``min(jobs, pending)`` workers are reused across the batch and stopped
+gracefully at the end, so every cache entry they computed is on disk
+when the call returns.  Completed results are checkpointed as JSON into
+a run directory — re-running the same batch with the same ``run_dir``
+resumes, skipping everything already finished — and failures come back
+as structured :class:`RunOutcome` records instead of exceptions, so
+:mod:`repro.experiments.report` can render a partial report that marks
+what is missing.  :func:`run_batch` is the one place that picks between
+this and a plain in-process run.
 
 Workers resolve experiments through :func:`experiment_registry`, which
 honours the ``REPRO_EXPERIMENTS_PLUGIN`` environment variable
@@ -29,7 +34,7 @@ import platform
 import subprocess
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -43,12 +48,6 @@ from repro.obs.tracer import current_tracer
 #: Environment variable naming extra experiments: ``"module:attribute"``
 #: where the attribute is a ``dict`` of id -> module-like (has ``run()``).
 PLUGIN_ENV = "REPRO_EXPERIMENTS_PLUGIN"
-
-#: Upper bound on one supervisor wait, seconds.  The supervisor is
-#: event-driven — it wakes the instant a worker reports or a retry/timeout
-#: deadline arrives — so this cap only bounds how long a lost wake-up
-#: could go unnoticed (e.g. a platform whose pipes cannot be waited on).
-_MAX_WAIT_S = 1.0
 
 
 def experiment_registry() -> Dict[str, Any]:
@@ -76,7 +75,7 @@ def experiment_registry() -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class RunPolicy:
-    """How :func:`run_resilient` supervises a batch.
+    """How :func:`run_resilient` (and the serve worker pool) supervise jobs.
 
     Args:
         jobs: concurrently running worker processes.
@@ -120,19 +119,24 @@ class RunPolicy:
         """Delay before the retry that follows failed attempt ``attempt``.
 
         Exponential from ``backoff_s``, but never above ``max_backoff_s``
-        — both the resilient runner and the serve worker pool schedule
-        retries through here so the cap holds everywhere.
+        — the worker pool schedules every retry (served requests and
+        experiment batches alike) through here.
         """
         return min(self.backoff_s * (2 ** (attempt - 1)), self.max_backoff_s)
 
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """What happened to one experiment across all of its attempts."""
+    """What happened to one job across all of its attempts.
+
+    For an experiment, ``result`` is its :class:`ExperimentResult`; the
+    worker pool reports any job this way, with the request label as
+    ``experiment_id`` and the worker entry's return value as ``result``.
+    """
 
     experiment_id: str
     status: str  # "ok" | "failed" | "timeout"
-    result: Optional[ExperimentResult] = None
+    result: Any = None
     error: str = ""
     attempts: int = 1
     from_checkpoint: bool = False
@@ -170,7 +174,11 @@ def _checkpoint_path(run_dir: str, experiment_id: str) -> Path:
 
 
 def _write_checkpoint(run_dir: str, outcome: RunOutcome) -> None:
-    """Atomic JSON checkpoint: write to a temp file, then rename."""
+    """Atomic JSON checkpoint: write to a temp file, then rename.
+
+    No ``sort_keys``: a row's key order is its table's column order, so
+    a resumed batch prints what the first run printed.
+    """
     path = _checkpoint_path(run_dir, outcome.experiment_id)
     payload = {
         "experiment_id": outcome.experiment_id,
@@ -179,7 +187,7 @@ def _write_checkpoint(run_dir: str, outcome: RunOutcome) -> None:
         "error": outcome.error,
         "attempts": outcome.attempts,
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
+    atomic_write_text(path, json.dumps(payload, indent=2))
 
 
 def _load_checkpoint(run_dir: str, experiment_id: str) -> Optional[RunOutcome]:
@@ -339,8 +347,8 @@ def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
     """``module.run()`` behind the persistent result cache.
 
     Both the in-process path (:func:`repro.experiments.run_experiment`)
-    and the resilient runner's workers go through here, so a warm store
-    turns a whole report into a series of JSON reads.
+    and the pool workers (:func:`experiment_entry`) go through here, so a
+    warm store turns a whole report into a series of JSON reads.
     """
     from repro.cache import active_cache
 
@@ -415,52 +423,66 @@ def prewarm_shared_points(experiment_ids: Sequence[str]) -> int:
 # -- the worker side ----------------------------------------------------------
 
 
-def _worker_main(experiment_id: str, conn) -> None:
-    """Run one experiment and report through the pipe (child process)."""
-    try:
-        from repro.chaos import chaos_worker_entry
+def experiment_entry(kind: str, spec: Dict[str, Any]) -> ExperimentResult:
+    """Worker-pool entry for one experiment (runs in a spawn worker).
 
-        # Chaos-armed runs (REPRO_CHAOS crosses the spawn boundary with
-        # the environment) crash or hang here, exactly where a real
-        # experiment would: after the process booted, before any result.
+    Chaos-armed runs (``REPRO_CHAOS`` crosses the spawn boundary with
+    the environment) crash or hang here, exactly where a real experiment
+    would: after the worker booted, before any result.  A failure comes
+    back carrying the worker-side traceback.
+    """
+    from repro.chaos import chaos_worker_entry
+
+    try:
         chaos_worker_entry()
-        registry = experiment_registry()
-        module = registry.get(experiment_id)
-        if module is None:
-            raise ConfigurationError(f"unknown experiment {experiment_id!r}")
-        result = run_module_cached(experiment_id, module)
-        conn.send(("ok", result_to_dict(result)))
+        experiment_id = spec["experiment_id"]
+        module = experiment_registry()[experiment_id]
+        return run_module_cached(experiment_id, module)
     except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
+        raise ExperimentError(traceback.format_exc()) from None
 
 
 # -- the supervisor -----------------------------------------------------------
 
 
-@dataclass
-class _Job:
-    experiment_id: str
-    attempts: int = 0
-    not_before: float = 0.0
-    process: Any = None
-    conn: Any = None
-    deadline: Optional[float] = None
-    outcome: Optional[RunOutcome] = None
-    errors: List[str] = field(default_factory=list)
-    first_launch_wall: float = 0.0
+def _check_known(ids: Sequence[str]) -> None:
+    """Fail fast, before any work starts, on ids no registry knows."""
+    registry = experiment_registry()
+    unknown = [eid for eid in ids if eid not in registry]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown experiment ids: {', '.join(unknown)}"
+        )
 
-    @property
-    def running(self) -> bool:
-        return self.process is not None
 
-    @property
-    def done(self) -> bool:
-        return self.outcome is not None
+def run_batch(
+    experiment_ids: Sequence[str], policy: RunPolicy
+) -> List[RunOutcome]:
+    """Run a batch on the executor its policy calls for.
+
+    ``jobs == 1`` with no timeout, retries or run directory runs the
+    experiments in this process under one deferred cache flush, and a
+    failure raises.  Any other policy goes through
+    :func:`run_resilient`.  Outcomes come back in input order.
+    """
+    if (
+        policy.jobs > 1
+        or policy.timeout_s is not None
+        or policy.retries
+        or policy.run_dir is not None
+    ):
+        return run_resilient(experiment_ids, policy)
+    from repro.cache import deferred_cache_publishes
+    from repro.experiments import run_experiment
+
+    ids = list(experiment_ids)
+    _check_known(ids)
+    # One store flush for the whole batch: back-to-back small-file
+    # publishes batch far better than per-experiment bursts.
+    with deferred_cache_publishes():
+        return [
+            RunOutcome(eid, "ok", result=run_experiment(eid)) for eid in ids
+        ]
 
 
 def run_resilient(
@@ -472,226 +494,99 @@ def run_resilient(
     worker spawns (fail fast); everything after that comes back as
     :class:`RunOutcome` records in input order.
     """
-    import multiprocessing
-    import multiprocessing.connection
-
     policy = policy or RunPolicy()
     ids = list(experiment_ids)
-    registry = experiment_registry()
-    unknown = [eid for eid in ids if eid not in registry]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown experiment ids: {', '.join(unknown)}"
-        )
+    _check_known(ids)
     if len(set(ids)) != len(ids):
         raise ConfigurationError("duplicate experiment ids in one batch")
 
-    tracer = current_tracer()
     started_unix = time.time()
-    jobs = [_Job(experiment_id=eid) for eid in ids]
+    outcomes: Dict[str, RunOutcome] = {}
     if policy.run_dir is not None:
-        for job in jobs:
-            prior = _load_checkpoint(policy.run_dir, job.experiment_id)
+        for eid in ids:
+            prior = _load_checkpoint(policy.run_dir, eid)
             if prior is not None:
-                job.outcome = prior
+                outcomes[eid] = prior
                 REGISTRY.counter("runner.checkpoint_reuses").inc()
         _write_manifest(
             policy.run_dir, ids, policy, started_unix=started_unix
         )
-
+    pending = [eid for eid in ids if eid not in outcomes]
     # Sweep deduplication: simulate the batch's shared design points once
     # (into the persistent cache) before any worker repeats them.
-    prewarm_shared_points([job.experiment_id for job in jobs if not job.done])
+    prewarm_shared_points(pending)
+    if pending:
+        outcomes.update(_run_on_pool(pending, policy))
 
-    ctx = multiprocessing.get_context("spawn")
+    ordered = [outcomes[eid] for eid in ids]
+    if policy.run_dir is not None:
+        _write_manifest(
+            policy.run_dir, ids, policy,
+            started_unix=started_unix, outcomes=ordered,
+        )
+    return ordered
 
-    def record_outcome(job: _Job) -> None:
-        """One span per finished experiment (first launch -> outcome)."""
-        outcome = job.outcome
+
+def _run_on_pool(
+    ids: Sequence[str], policy: RunPolicy
+) -> Dict[str, RunOutcome]:
+    """Every experiment in ``ids`` through one supervised worker pool.
+
+    The pool reuses its ``min(jobs, len(ids))`` workers across the batch.
+    A failed attempt's retry waits out its backoff without holding a
+    worker, so peers keep running; each outcome checkpoints the moment it
+    settles.  ``grace_factor=1`` kills a timed-out worker at the timeout.
+    """
+    # Imported here: the in-process path of run_batch stays free of
+    # asyncio and the serve package (import time and resident memory).
+    import asyncio
+
+    from repro.serve.pool import WorkerPool
+    from repro.serve.schemas import ComputeRequest
+
+    tracer = current_tracer()
+    pool = WorkerPool(
+        policy, jobs=min(policy.jobs, len(ids)), grace_factor=1.0,
+        entry=experiment_entry,
+    )
+
+    async def supervise(eid: str) -> RunOutcome:
+        dispatched: List[float] = []
+
+        def trace(record: Dict[str, Any]) -> None:
+            if record["name"] == "attempt" and not dispatched:
+                dispatched.append(time.perf_counter())
+            tracer.event(
+                record["name"], category="experiment",
+                labels=record["labels"],
+            )
+
+        request = ComputeRequest(
+            "experiment", {"experiment_id": eid}, key=eid, label=eid
+        )
+        outcome = await pool.supervise(request, trace)
         end = time.perf_counter()
-        start = job.first_launch_wall or end
+        # One span per experiment: first dispatch -> outcome.
         tracer.add_span(
-            f"experiment:{job.experiment_id}",
+            f"experiment:{eid}",
             "experiment",
-            start_wall=start,
+            start_wall=dispatched[0] if dispatched else end,
             end_wall=end,
             counters={"attempts": outcome.attempts},
             labels={"status": outcome.status},
         )
         REGISTRY.counter("runner.outcomes", status=outcome.status).inc()
-
-    def launch(job: _Job) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_main,
-            args=(job.experiment_id, child_conn),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        job.process = process
-        job.conn = parent_conn
-        if job.attempts == 0:
-            job.first_launch_wall = time.perf_counter()
-        job.attempts += 1
-        REGISTRY.counter("runner.attempts").inc()
-        job.deadline = (
-            None
-            if policy.timeout_s is None
-            else time.monotonic() + policy.timeout_s
-        )
-
-    def settle(job: _Job, status: str, error: str) -> None:
-        """Record one failed attempt; retry or finalize."""
-        job.errors.append(f"attempt {job.attempts}: [{status}] {error}")
-        job.process = None
-        job.conn = None
-        REGISTRY.counter("runner.attempt_failures", status=status).inc()
-        tracer.event(
-            "timeout" if status == "timeout" else "attempt-failed",
-            category="experiment",
-            labels={
-                "experiment": job.experiment_id,
-                "attempt": str(job.attempts),
-            },
-        )
-        if job.attempts <= policy.retries:
-            delay = policy.retry_delay(job.attempts)
-            job.not_before = time.monotonic() + delay
-            REGISTRY.counter("runner.retries").inc()
-            tracer.event(
-                "retry-scheduled",
-                category="experiment",
-                labels={
-                    "experiment": job.experiment_id,
-                    "delay_s": f"{delay:.3f}",
-                },
-            )
-            return
-        job.outcome = RunOutcome(
-            experiment_id=job.experiment_id,
-            status=status,
-            error="\n".join(job.errors),
-            attempts=job.attempts,
-        )
-        record_outcome(job)
         if policy.run_dir is not None:
-            _write_checkpoint(policy.run_dir, job.outcome)
+            _write_checkpoint(policy.run_dir, outcome)
+        return outcome
 
-    def reap(job: _Job) -> None:
-        """Check one running job for completion, crash, or timeout."""
-        process, conn = job.process, job.conn
-        if conn.poll():
-            try:
-                kind, payload = conn.recv()
-            except (EOFError, OSError):
-                # Pipe closed with no message: the worker died (crash,
-                # os._exit, OOM-kill) before it could report anything.
-                process.join(timeout=5)
-                settle(
-                    job,
-                    "failed",
-                    "worker died without a result"
-                    f" (exitcode {process.exitcode})",
-                )
-                return
-            process.join(timeout=5)
-            if kind == "ok":
-                job.process = None
-                job.conn = None
-                job.outcome = RunOutcome(
-                    experiment_id=job.experiment_id,
-                    status="ok",
-                    result=result_from_dict(payload),
-                    attempts=job.attempts,
-                )
-                record_outcome(job)
-                if policy.run_dir is not None:
-                    _write_checkpoint(policy.run_dir, job.outcome)
-            else:
-                settle(job, "failed", str(payload))
-            return
-        if not process.is_alive():
-            process.join(timeout=5)
-            settle(
-                job,
-                "failed",
-                f"worker died without a result (exitcode {process.exitcode})",
-            )
-            return
-        if job.deadline is not None and time.monotonic() > job.deadline:
-            process.terminate()
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - stuck in kernel
-                process.kill()
-                process.join(timeout=5)
-            settle(
-                job, "timeout", f"exceeded {policy.timeout_s}s wall clock"
-            )
-
-    def next_wake_delay(now: float) -> Optional[float]:
-        """Seconds until the earliest scheduled event, or ``None``.
-
-        Events are per-running-job timeout deadlines and per-pending-job
-        retry ready-at timestamps.  A pending job whose backoff has not
-        elapsed contributes a timer instead of blocking the loop — other
-        ready jobs launch, and finished workers are reaped (and their
-        checkpoints flushed), while it waits.
-        """
-        deadlines = [
-            job.deadline
-            for job in jobs
-            if job.running and job.deadline is not None
-        ]
-        has_free_slot = sum(1 for job in jobs if job.running) < policy.jobs
-        if has_free_slot:
-            deadlines.extend(
-                job.not_before
-                for job in jobs
-                if not job.done and not job.running
-            )
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - now)
+    async def batch() -> List[RunOutcome]:
+        return await asyncio.gather(*map(supervise, ids))
 
     try:
-        while any(not job.done for job in jobs):
-            now = time.monotonic()
-            running = sum(1 for job in jobs if job.running)
-            for job in jobs:
-                if (
-                    running < policy.jobs
-                    and not job.done
-                    and not job.running
-                    and job.not_before <= now
-                ):
-                    launch(job)
-                    running += 1
-            conns = [job.conn for job in jobs if job.running]
-            delay = next_wake_delay(time.monotonic())
-            wait_s = _MAX_WAIT_S if delay is None else min(delay, _MAX_WAIT_S)
-            if conns:
-                # Wakes the instant any worker reports a result or dies
-                # (its pipe end closes), or at the next deadline.
-                multiprocessing.connection.wait(conns, timeout=wait_s)
-            elif wait_s > 0:
-                time.sleep(wait_s)
-            for job in jobs:
-                if job.running:
-                    reap(job)
+        return {o.experiment_id: o for o in asyncio.run(batch())}
     finally:
-        for job in jobs:  # never leak workers on supervisor exceptions
-            if job.running:
-                job.process.terminate()
-                job.process.join(timeout=5)
-
-    outcomes = [job.outcome for job in jobs]
-    if policy.run_dir is not None:
-        _write_manifest(
-            policy.run_dir, ids, policy,
-            started_unix=started_unix, outcomes=outcomes,
-        )
-    return outcomes
+        pool.shutdown()  # graceful: workers' cache publishes reach disk
 
 
 def require_all_ok(outcomes: Sequence[RunOutcome]) -> List[ExperimentResult]:

@@ -185,11 +185,9 @@ class ShardStore:
         path = self._done_path(shard_index)
         if path.is_file():
             return False
+        # No sort_keys: row key order is the printed column order.
         atomic_write_text(
-            path,
-            json.dumps(
-                [_outcome_to_dict(o) for o in outcomes], sort_keys=True
-            ),
+            path, json.dumps([_outcome_to_dict(o) for o in outcomes])
         )
         REGISTRY.counter("shard.publishes").inc()
         return True

@@ -12,9 +12,10 @@ array-scale DSE sweep behind a small stdlib-only HTTP API (see
   processes run;
 * :mod:`repro.serve.coalescer` — dedup of identical in-flight requests
   onto a single backend computation;
-* :mod:`repro.serve.pool` — a ``spawn`` worker pool supervised under the
-  resilient runner's :class:`~repro.experiments.runner.RunPolicy`
-  (timeout / retries / non-blocking backoff);
+* :mod:`repro.serve.pool` — the supervised ``spawn`` worker pool (also
+  the resilient experiment runner's executor) under
+  :class:`~repro.experiments.runner.RunPolicy` (timeout / retries /
+  non-blocking backoff);
 * :mod:`repro.serve.app` — the asyncio HTTP server: ``/v1/map``,
   ``/v1/simulate``, ``/v1/dse``, ``/v1/sweep``, ``/metrics``,
   ``/healthz``, and SSE progress streaming;

@@ -1,29 +1,36 @@
-"""Supervised async worker pool: spawn workers the coordinator can kill.
+"""Supervised async worker pool: the repo's one spawn executor.
 
-Cold requests run in ``spawn`` worker processes, so a crashing
-computation cannot take down the coordinator and CPU-heavy searches do
-not stall the accept loop.  The supervision policy is the resilient
-runner's :class:`~repro.experiments.runner.RunPolicy` — the same
-timeout / retries / capped-exponential-backoff knobs, but enforced
-*asynchronously*: a timed-out attempt raises out of ``asyncio.wait_for``
-and backoff is an ``await asyncio.sleep``, so one struggling request
-never blocks the coordinator from serving others.
+Cold serve requests and resilient experiment batches
+(:func:`repro.experiments.runner.run_resilient`) both run here, in
+``spawn`` worker processes, so a crashing computation cannot take down
+the coordinator and CPU-heavy work does not stall its event loop.  The
+pool takes its worker entry function at construction: serve keeps
+:func:`~repro.serve.compute.pool_entry`, the runner passes
+:func:`~repro.experiments.runner.experiment_entry`.  The supervision
+policy is :class:`~repro.experiments.runner.RunPolicy` — timeout /
+retries / capped exponential backoff — enforced *asynchronously*: an
+attempt's timeout runs from its dispatch to a worker, and backoff is an
+``await asyncio.sleep``, so one struggling job never blocks the others.
 
-Unlike the ``ProcessPoolExecutor`` it replaces, this pool owns each
-worker directly (one duplex pipe + one reader thread per worker), which
-buys the two properties an executor cannot provide:
+Each attempt reports ``ok``, ``failed`` or ``timeout``.  The pool owns
+each worker directly (one duplex pipe + one reader thread per worker),
+which buys what an executor cannot provide:
 
 * **hung-worker reaping** — every dispatched task carries a deadline of
   ``timeout_s * grace_factor``; a worker still busy past it is killed
   (``SIGKILL`` — hung computations ignore polite signals) and replaced,
   so a wedged computation costs one worker-respawn, not a pool slot
-  forever.  ``serve.worker_reaps`` / ``serve.worker_respawns`` count the
+  forever.  ``pool.worker_reaps`` / ``pool.worker_respawns`` count the
   churn, and a result arriving after its caller gave up is dropped and
-  counted (``serve.late_results``), never delivered to the wrong caller;
+  counted (``pool.late_results``), never delivered to the wrong caller;
 * **crash self-healing** — a worker that dies mid-task (chaos
-  ``worker_crash``, OOM kill) surfaces as a failed attempt for exactly
-  the task it was running, the worker is respawned, and the retry runs
-  on a live worker (``serve.worker_crashes``).
+  ``worker_crash``, OOM kill) fails exactly the attempt it was running
+  with its exit code, the worker is respawned, and the retry runs on a
+  live worker (``pool.worker_crashes``);
+* **graceful stop** — :meth:`WorkerPool.shutdown` sends idle workers a
+  stop sentinel and waits for them to exit, so each worker's atexit
+  hooks (the result cache's write-behind drain) run; only busy or
+  unresponsive workers are killed.
 
 ``jobs=0`` selects *inline* mode — daemon worker threads in the
 coordinator process — used by tests and tiny deployments.  Threads
@@ -32,7 +39,7 @@ daemon thread until its computation returns, and its late result is
 discarded) while a fresh thread takes over the slot: a hung attempt no
 longer wedges inline mode forever.
 
-The ``serve.pool_workers`` gauge tracks live workers through every
+The ``pool.workers`` gauge tracks live workers through every
 transition: spawn, reap/respawn, and ``shutdown()`` (where it drops to
 zero until the next ``run()`` recreates the pool).
 """
@@ -49,7 +56,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import RunPolicy
+from repro.experiments.runner import RunOutcome, RunPolicy
 from repro.obs.events import event_record
 from repro.obs.metrics import REGISTRY
 from repro.serve.compute import pool_entry
@@ -58,31 +65,58 @@ from repro.serve.schemas import ComputeRequest
 #: A progress callback; receives serializable event dicts.
 ProgressSink = Callable[[Dict[str, Any]], None]
 
+#: A worker entry: ``entry(kind, spec) -> result``.  Spawn workers import
+#: it by name, so it must be a module-level function.
+Entry = Callable[[str, Dict[str, Any]], Any]
+
 #: How far past ``timeout_s`` a busy worker may run before the reaper
 #: kills and replaces it (callers have long since timed out and retried).
 DEFAULT_GRACE_FACTOR = 2.0
+
+#: How long ``shutdown()`` waits for stopped workers to exit (their
+#: atexit cache drain included) before it kills them.
+STOP_TIMEOUT_S = 5.0
 
 
 def _noop_sink(record: Dict[str, Any]) -> None:
     pass
 
 
-def _spawn_worker_main(conn) -> None:
-    """One spawn worker's loop: ``(task_id, kind, spec)`` in, reply out.
+def _warm_message() -> Optional[Tuple[None, str, float]]:
+    """Eagerly load the kernel backend; the ``warm`` report, or ``None``.
 
-    Before serving, the worker eagerly loads the compiled kernel backend
-    (the cext build happens here, at pool start) so the first cold
-    request does not pay the load, and reports how long it took via a
-    ``warm`` message (the ``serve.worker_warm_ms`` gauge).
+    Workers call this before serving (the cext build happens here, at
+    pool start) so the first cold task does not pay the load; the time
+    it took feeds the ``pool.worker_warm_ms`` gauge.
     """
     try:
         from repro.kernels import active_kernels
 
         started = time.perf_counter()
         active_kernels()
-        conn.send((None, "warm", (time.perf_counter() - started) * 1000.0))
+        return (None, "warm", (time.perf_counter() - started) * 1000.0)
     except Exception:
-        pass  # a worker that cannot warm still serves (numpy fallback)
+        return None  # a worker that cannot warm still serves (numpy fallback)
+
+
+def _execute(entry: Entry, message) -> Tuple[int, str, Any]:
+    """One task through ``entry``; any failure becomes a ``failed`` reply."""
+    task_id, kind, spec = message
+    try:
+        return (task_id, "ok", entry(kind, spec))
+    except BaseException as exc:
+        return (task_id, "failed", str(exc) or exc.__class__.__name__)
+
+
+def _spawn_worker_main(conn, entry: Entry) -> None:
+    """One spawn worker's loop: ``(task_id, kind, spec)`` in, reply out.
+
+    ``None`` (or a closed pipe) ends the loop; the process then exits
+    normally, running its atexit hooks.
+    """
+    warm = _warm_message()
+    if warm is not None:
+        conn.send(warm)
     while True:
         try:
             message = conn.recv()
@@ -90,17 +124,13 @@ def _spawn_worker_main(conn) -> None:
             return
         if message is None:
             return
-        task_id, kind, spec = message
-        try:
-            reply = (task_id, "ok", pool_entry(kind, spec))
-        except BaseException as exc:  # any failure must become a reply
-            reply = (task_id, "error", str(exc) or exc.__class__.__name__)
+        reply = _execute(entry, message)
         try:
             conn.send(reply)
         except (OSError, TypeError, ValueError):
             # An unserializable envelope must not kill the worker.
             try:
-                conn.send((task_id, "error", "result not serializable"))
+                conn.send((reply[0], "failed", "result not serializable"))
             except OSError:
                 return
 
@@ -108,7 +138,7 @@ def _spawn_worker_main(conn) -> None:
 class _ProcessWorker:
     """One owned spawn process + the reader thread watching its pipe."""
 
-    def __init__(self, worker_id: int, post) -> None:
+    def __init__(self, worker_id: int, post, entry: Entry) -> None:
         self.id = worker_id
         self.busy_task: Optional[int] = None
         self.deadline: Optional[float] = None
@@ -117,9 +147,9 @@ class _ProcessWorker:
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_spawn_worker_main,
-            args=(child_conn,),
+            args=(child_conn, entry),
             daemon=True,
-            name=f"repro-serve-worker-{worker_id}",
+            name=f"repro-pool-worker-{worker_id}",
         )
         self.process.start()
         child_conn.close()
@@ -127,7 +157,7 @@ class _ProcessWorker:
             target=self._read_loop,
             args=(post,),
             daemon=True,
-            name=f"repro-serve-reader-{worker_id}",
+            name=f"repro-pool-reader-{worker_id}",
         )
         self._reader.start()
 
@@ -147,56 +177,56 @@ class _ProcessWorker:
     def submit(self, task_id: int, kind: str, spec: Dict[str, Any]) -> None:
         self._conn.send((task_id, kind, spec))
 
+    def stop(self) -> None:
+        """Ask the worker to exit after its current message loop turn."""
+        try:
+            self._conn.send(None)
+        except (OSError, ValueError):
+            pass  # already dead: join() reaps it
+
+    def join(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for a stopped worker; kill it past that."""
+        self.process.join(timeout)
+        self.kill()
+
     def kill(self) -> None:
         if self.process.is_alive():
             self.process.kill()  # SIGKILL: hung computations ignore terminate
-        # Reap the corpse off-loop; the reader thread exits on pipe EOF.
-        threading.Thread(target=self.process.join, daemon=True).start()
+            self.process.join(timeout=1.0)
 
 
 class _ThreadWorker:
     """Inline-mode worker: a daemon thread that cannot be killed, only
     abandoned (marked retired; its eventual result is dropped as late)."""
 
-    def __init__(self, worker_id: int, post) -> None:
+    def __init__(self, worker_id: int, post, entry: Optional[Entry]) -> None:
         self.id = worker_id
         self.busy_task: Optional[int] = None
         self.deadline: Optional[float] = None
         self.retired = False
         self._post = post
+        self._entry = entry
         self._queue: "queue.Queue" = queue.Queue()
         self._thread = threading.Thread(
             target=self._loop,
             daemon=True,
-            name=f"repro-serve-inline-{worker_id}",
+            name=f"repro-pool-inline-{worker_id}",
         )
         self._thread.start()
 
     def _loop(self) -> None:
-        try:
-            # Same eager warm-up as a spawn worker; the kernel load is
-            # process-memoized, so only the first inline worker pays it.
-            from repro.kernels import active_kernels
-
-            started = time.perf_counter()
-            active_kernels()
-            self._post(
-                self, (None, "warm", (time.perf_counter() - started) * 1000.0)
-            )
-        except Exception:
-            pass
+        # Same eager warm-up as a spawn worker; the kernel load is
+        # process-memoized, so only the first inline worker pays it.
+        warm = _warm_message()
+        if warm is not None:
+            self._post(self, warm)
         while True:
             message = self._queue.get()
             if message is None:
                 return
-            task_id, kind, spec = message
-            try:
-                # Module-global lookup on purpose: tests monkeypatch
-                # ``repro.serve.pool.pool_entry``.
-                reply = (task_id, "ok", pool_entry(kind, spec))
-            except BaseException as exc:
-                reply = (task_id, "error", str(exc) or exc.__class__.__name__)
-            self._post(self, reply)
+            # Module-global lookup on purpose: tests monkeypatch
+            # ``repro.serve.pool.pool_entry``.
+            self._post(self, _execute(self._entry or pool_entry, message))
             if self.retired:
                 return
 
@@ -206,9 +236,24 @@ class _ThreadWorker:
     def kill(self) -> None:
         self._queue.put(None)  # unblock if idle; a busy thread is abandoned
 
+    stop = kill
+
+    def join(self, timeout: float) -> None:
+        pass  # an in-process thread holds nothing a stop could lose
+
 
 class WorkerPool:
-    """Executes :class:`ComputeRequest`s under a :class:`RunPolicy`."""
+    """Runs jobs on supervised workers under a :class:`RunPolicy`.
+
+    Args:
+        policy: timeout / retries / backoff for every job.
+        jobs: worker count; ``0`` = one inline thread worker.
+        grace_factor: a busy worker is reaped ``timeout_s *
+            grace_factor`` after dispatch (``1`` kills it at the
+            timeout).
+        entry: the module-level worker function; ``None`` is serve's
+            :func:`~repro.serve.compute.pool_entry`.
+    """
 
     def __init__(
         self,
@@ -216,6 +261,7 @@ class WorkerPool:
         *,
         jobs: int = 2,
         grace_factor: float = DEFAULT_GRACE_FACTOR,
+        entry: Optional[Entry] = None,
     ):
         if jobs < 0:
             raise ExperimentError(f"jobs must be >= 0, got {jobs}")
@@ -226,6 +272,7 @@ class WorkerPool:
         self.policy = policy or RunPolicy()
         self.jobs = jobs
         self.grace_factor = grace_factor
+        self.entry = entry
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._workers: List[Any] = []
         self._idle: Deque[Any] = deque()
@@ -255,7 +302,7 @@ class WorkerPool:
         if self._loop is None:
             self._loop = loop
             self._closed = False
-            for _ in range(max(1, self.jobs) if self.jobs == 0 else self.jobs):
+            for _ in range(max(1, self.jobs)):
                 self._add_worker()
             self._reaper_wakeup = asyncio.Event()
             self._reaper_task = loop.create_task(self._reap_loop())
@@ -263,25 +310,36 @@ class WorkerPool:
     def _add_worker(self):
         worker_id = next(self._worker_ids)
         if self.jobs == 0:
-            worker = _ThreadWorker(worker_id, self._post_message)
+            worker = _ThreadWorker(worker_id, self._post_message, self.entry)
         else:
-            worker = _ProcessWorker(worker_id, self._post_message)
+            worker = _ProcessWorker(
+                worker_id, self._post_message, self.entry or pool_entry
+            )
         self._workers.append(worker)
         self._idle.append(worker)
-        REGISTRY.gauge("serve.pool_workers").set(len(self._workers))
+        REGISTRY.gauge("pool.workers").set(len(self._workers))
         self._grant_waiters()
         return worker
 
     def _teardown(self) -> None:
-        for worker in list(self._workers):
+        """Stop idle workers gracefully, kill busy ones, drop to zero."""
+        stopping = []
+        for worker in self._workers:
             worker.retired = True
-            worker.kill()
+            if worker.busy_task is None:
+                worker.stop()
+                stopping.append(worker)
+            else:
+                worker.kill()
+        deadline = time.monotonic() + STOP_TIMEOUT_S
+        for worker in stopping:
+            worker.join(max(0.0, deadline - time.monotonic()))
         self._workers.clear()
         self._idle.clear()
         for fut in list(self._pending.values()):
             if not fut.done():
                 try:
-                    fut.set_result(("crashed", "pool shut down"))
+                    fut.set_result(("failed", "pool shut down"))
                 except Exception:
                     pass  # future bound to an already-closed loop
         self._pending.clear()
@@ -300,10 +358,15 @@ class WorkerPool:
             self._reaper_task = None
         self._reaper_wakeup = None
         self._loop = None
-        REGISTRY.gauge("serve.pool_workers").set(0)
+        REGISTRY.gauge("pool.workers").set(0)
 
     def shutdown(self) -> None:
-        """Kill every worker and drop to zero; the next run() recreates."""
+        """Stop every worker and drop to zero; the next run() recreates.
+
+        Idle workers exit gracefully (within :data:`STOP_TIMEOUT_S`), so
+        the cache entries they computed reach disk; busy or unresponsive
+        workers are killed.  No worker process outlives the call.
+        """
         self._closed = True
         self._teardown()
 
@@ -357,15 +420,22 @@ class WorkerPool:
         if payload is None:
             # Pipe EOF: the worker process died (crash, OOM, or our kill).
             if not worker.retired:
-                REGISTRY.counter("serve.worker_crashes").inc()
-                self._retire(worker, "pipe closed unexpectedly")
+                # It is exiting; reap it here (never on the reader
+                # thread: two waiters race) to learn its exit code.
+                worker.process.join(timeout=1.0)
+                REGISTRY.counter("pool.worker_crashes").inc()
+                self._retire(worker, (
+                    "failed",
+                    "worker died without a result"
+                    f" (exitcode {worker.process.exitcode})",
+                ))
             return
         task_id, status, data = payload
         if status == "warm":
             # Pool-start kernel preload report.  The worker was never
             # checked out for this message, so do NOT release it — that
             # would enqueue an idle worker twice.
-            REGISTRY.gauge("serve.worker_warm_ms").set(data)
+            REGISTRY.gauge("pool.worker_warm_ms").set(data)
             return
         fut = self._pending.pop(task_id, None)
         if fut is not None:
@@ -373,11 +443,11 @@ class WorkerPool:
                 fut.set_result((status, data))
         elif task_id in self._abandoned:
             self._abandoned.discard(task_id)
-            REGISTRY.counter("serve.late_results").inc()
+            REGISTRY.counter("pool.late_results").inc()
         if not worker.retired:
             self._release(worker)
 
-    def _retire(self, worker, reason: str) -> None:
+    def _retire(self, worker, report: Tuple[str, str]) -> None:
         """Remove + kill one worker, failing its in-flight task; respawn."""
         if worker.retired:
             return
@@ -396,14 +466,17 @@ class WorkerPool:
                 self._abandoned.discard(task_id)
             fut = self._pending.pop(task_id, None)
             if fut is not None and not fut.done():
-                fut.set_result(("crashed", reason))
+                fut.set_result(report)
         worker.kill()
-        REGISTRY.gauge("serve.pool_workers").set(len(self._workers))
+        REGISTRY.gauge("pool.workers").set(len(self._workers))
         if not self._closed and self._loop is not None:
             self._add_worker()
-            REGISTRY.counter("serve.worker_respawns").inc()
+            REGISTRY.counter("pool.worker_respawns").inc()
 
     # -- the hung-worker reaper ----------------------------------------------
+
+    def _timeout_report(self) -> Tuple[str, str]:
+        return ("timeout", f"exceeded {self.policy.timeout_s}s wall clock")
 
     async def _reap_loop(self) -> None:
         while True:
@@ -426,27 +499,39 @@ class WorkerPool:
                     pass
                 continue
             now = time.monotonic()
-            grace_s = (self.policy.timeout_s or 0.0) * self.grace_factor
             for worker in list(self._workers):
                 if worker.deadline is not None and worker.deadline <= now:
-                    REGISTRY.counter("serve.worker_reaps").inc()
-                    self._retire(
-                        worker, f"hung for more than {grace_s:.1f}s, reaped"
-                    )
+                    REGISTRY.counter("pool.worker_reaps").inc()
+                    # With grace_factor 1 the reap can beat the caller's
+                    # own timer; either way the attempt timed out.
+                    self._retire(worker, self._timeout_report())
 
     # -- execution -----------------------------------------------------------
 
-    async def _attempt(self, request: ComputeRequest) -> Tuple[str, Any]:
+    def _abandon(self, task_id: int) -> None:
+        if self._pending.pop(task_id, None) is not None:
+            self._abandoned.add(task_id)
+
+    async def _attempt(
+        self, request: ComputeRequest, attempt: int, progress: ProgressSink
+    ) -> Tuple[str, Any]:
         """One dispatch: checkout, submit, await the worker's reply.
 
-        Returns ``(status, data)`` with status ``ok``/``error``/
-        ``crashed`` — never raises for a worker-side failure, so the
-        retry loop above stays in control.  Cancellation (the caller's
-        ``wait_for`` timing out) abandons the in-flight task: the worker
-        stays busy until its reply or its reaper deadline, whichever
-        comes first.
+        Returns ``(status, data)`` with status ``ok``/``failed``/
+        ``timeout`` — never raises for a worker-side failure, so the
+        retry loop above stays in control.  The timeout runs from the
+        dispatch; a timed-out (or cancelled) task is abandoned: the
+        worker stays busy until its reply or its reaper deadline,
+        whichever comes first.
         """
         worker = await self._acquire()
+        REGISTRY.counter("pool.attempts", kind=request.kind).inc()
+        progress(
+            event_record(
+                "attempt", "serve",
+                {"attempt": str(attempt), "label": request.label},
+            )
+        )
         task_id = next(self._task_ids)
         fut = self._loop.create_future()
         self._pending[task_id] = fut
@@ -460,60 +545,54 @@ class WorkerPool:
             worker.submit(task_id, request.kind, request.spec)
         except (OSError, ValueError) as exc:
             self._pending.pop(task_id, None)
-            REGISTRY.counter("serve.worker_crashes").inc()
-            self._retire(worker, f"submit failed: {exc}")
-            return ("crashed", f"submit failed: {exc}")
+            REGISTRY.counter("pool.worker_crashes").inc()
+            self._retire(worker, ("failed", f"submit failed: {exc}"))
+            return ("failed", f"submit failed: {exc}")
         try:
-            return await fut
+            return await asyncio.wait_for(fut, self.policy.timeout_s)
+        except asyncio.TimeoutError:
+            self._abandon(task_id)
+            return self._timeout_report()
         except asyncio.CancelledError:
-            if self._pending.pop(task_id, None) is not None:
-                self._abandoned.add(task_id)
+            self._abandon(task_id)
             raise
 
-    async def run(
+    async def supervise(
         self,
         request: ComputeRequest,
         progress: Optional[ProgressSink] = None,
-    ) -> Dict[str, Any]:
-        """One request through the pool: attempts, timeout, async backoff.
+    ) -> RunOutcome:
+        """One job through the pool: attempts, timeout, async backoff.
 
-        Returns the worker envelope ``{"result": ..., "spans": [...]}``.
-        Raises :class:`ExperimentError` when every attempt failed or
-        timed out (the HTTP layer maps it to a 500).
+        Never raises for a worker-side failure.  The outcome carries the
+        request label as its id, the entry's return value when ``ok``,
+        and otherwise the last attempt's status plus one ``attempt N:
+        [status] detail`` line per failed attempt.
         """
         progress = progress or _noop_sink
         self._ensure_started()
         errors = []
         for attempt in range(1, self.policy.retries + 2):
-            REGISTRY.counter("serve.attempts", kind=request.kind).inc()
+            status, data = await self._attempt(request, attempt, progress)
+            if status == "ok":
+                return RunOutcome(
+                    request.label, "ok", result=data, attempts=attempt
+                )
+            errors.append(f"attempt {attempt}: [{status}] {data}")
+            if status == "timeout":
+                REGISTRY.counter("pool.timeouts", kind=request.kind).inc()
+            else:
+                REGISTRY.counter("pool.failures", kind=request.kind).inc()
             progress(
                 event_record(
-                    "attempt", "serve",
+                    "timeout" if status == "timeout" else "attempt-failed",
+                    "serve",
                     {"attempt": str(attempt), "label": request.label},
                 )
             )
-            try:
-                status, data = await asyncio.wait_for(
-                    self._attempt(request), timeout=self.policy.timeout_s
-                )
-            except asyncio.TimeoutError:
-                errors.append(
-                    f"attempt {attempt}: [timeout] exceeded"
-                    f" {self.policy.timeout_s}s wall clock"
-                )
-                REGISTRY.counter("serve.timeouts", kind=request.kind).inc()
-            else:
-                if status == "ok":
-                    return data
-                detail = (
-                    data if status == "error"
-                    else f"worker crashed/died ({data})"
-                )
-                errors.append(f"attempt {attempt}: [failed] {detail}")
-                REGISTRY.counter("serve.failures", kind=request.kind).inc()
             if attempt <= self.policy.retries:
                 delay = self.policy.retry_delay(attempt)
-                REGISTRY.counter("serve.retries", kind=request.kind).inc()
+                REGISTRY.counter("pool.retries", kind=request.kind).inc()
                 progress(
                     event_record(
                         "retry-scheduled", "serve",
@@ -521,7 +600,25 @@ class WorkerPool:
                     )
                 )
                 await asyncio.sleep(delay)
-        raise ExperimentError(
-            f"{request.label} failed after {self.policy.retries + 1}"
-            " attempt(s):\n" + "\n".join(errors)
+        return RunOutcome(
+            request.label, status, error="\n".join(errors), attempts=attempt
         )
+
+    async def run(
+        self,
+        request: ComputeRequest,
+        progress: Optional[ProgressSink] = None,
+    ) -> Dict[str, Any]:
+        """One serve request through :meth:`supervise`.
+
+        Returns the worker envelope ``{"result": ..., "spans": [...]}``.
+        Raises :class:`ExperimentError` when every attempt failed or
+        timed out (the HTTP layer maps it to a 500).
+        """
+        outcome = await self.supervise(request, progress)
+        if not outcome.ok:
+            raise ExperimentError(
+                f"{request.label} failed after {outcome.attempts}"
+                " attempt(s):\n" + outcome.error
+            )
+        return outcome.result

@@ -60,6 +60,22 @@ class _Hang:
         time.sleep(300)
 
 
+class _Columns:
+    @staticmethod
+    def run():
+        return ExperimentResult(
+            "cols_exp", "Columns", [{"zeta": 1, "alpha": 2}]
+        )
+
+
+class _Pid:
+    @staticmethod
+    def run():
+        return ExperimentResult(
+            "pid_exp", "Worker pid", [{"pid": os.getpid()}]
+        )
+
+
 class _Flaky:
     @staticmethod
     def run():
@@ -77,6 +93,11 @@ EXTRA = {
     "raise_exp": _Raise,
     "hang_exp": _Hang,
     "flaky_exp": _Flaky,
+    "cols_exp": _Columns,
+    "pid_a": _Pid,
+    "pid_b": _Pid,
+    "pid_c": _Pid,
+    "pid_d": _Pid,
 }
 """
 
@@ -217,6 +238,33 @@ class TestSupervision:
         assert "attempt 1" in outcome.error and "attempt 2" in outcome.error
 
 
+class TestWorkerPool:
+    def test_workers_reused_across_the_batch(self, plugin):
+        """Four experiments at jobs=2 run on (at most) two workers, not
+        one interpreter per experiment."""
+        outcomes = run_resilient(
+            ["pid_a", "pid_b", "pid_c", "pid_d"], RunPolicy(jobs=2)
+        )
+        assert all(o.ok for o in outcomes)
+        pids = {o.result.rows[0]["pid"] for o in outcomes}
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_no_worker_outlives_a_batch(self, plugin):
+        import multiprocessing
+
+        run_resilient(["good_exp", "pid_a"], RunPolicy(jobs=2))
+        assert multiprocessing.active_children() == []
+        (crashed,) = run_resilient(["crash_exp"], RunPolicy(backoff_s=0.0))
+        assert crashed.status == "failed"
+        assert multiprocessing.active_children() == []
+        (hung,) = run_resilient(
+            ["hang_exp"], RunPolicy(timeout_s=1.0, backoff_s=0.0)
+        )
+        assert hung.status == "timeout"
+        assert multiprocessing.active_children() == []
+
+
 class TestCheckpoints:
     def test_checkpoint_written_and_resumed(self, plugin, tmp_path):
         run_dir = str(tmp_path / "run")
@@ -228,6 +276,14 @@ class TestCheckpoints:
         assert second.ok
         assert second.from_checkpoint
         assert second.result == first.result
+
+    def test_resumed_result_keeps_column_order(self, plugin, tmp_path):
+        run_dir = str(tmp_path / "run")
+        (first,) = run_resilient(["cols_exp"], RunPolicy(run_dir=run_dir))
+        (second,) = run_resilient(["cols_exp"], RunPolicy(run_dir=run_dir))
+        assert second.from_checkpoint
+        assert list(second.result.rows[0]) == ["zeta", "alpha"]
+        assert second.result.format_table() == first.result.format_table()
 
     def test_failed_checkpoint_is_rerun(self, plugin, tmp_path):
         run_dir = str(tmp_path / "run")

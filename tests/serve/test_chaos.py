@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.cache import reset_cache_handles
-from repro.chaos import reset_chaos_handles
+from repro.chaos import CRASH_EXIT_CODE, reset_chaos_handles
 from repro.experiments.runner import RunPolicy
 from repro.obs.metrics import REGISTRY
 from repro.serve.pool import WorkerPool
@@ -66,8 +66,8 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv("REPRO_CHAOS", "worker_crash=1@1,seed=1")
         monkeypatch.setenv("REPRO_CHAOS_STATE", str(tmp_path / "chaos"))
         reset_chaos_handles()
-        crashes = REGISTRY.counter("serve.worker_crashes")
-        respawns = REGISTRY.counter("serve.worker_respawns")
+        crashes = REGISTRY.counter("pool.worker_crashes")
+        respawns = REGISTRY.counter("pool.worker_respawns")
         crashes_before, respawns_before = crashes.value, respawns.value
         pool = WorkerPool(
             RunPolicy(jobs=1, retries=1, backoff_s=0.01, timeout_s=60.0),
@@ -86,6 +86,34 @@ class TestWorkerCrashRecovery:
             pool.shutdown()
 
 
+    def test_spawn_worker_crash_reports_exit_code(
+        self, tmp_path, monkeypatch
+    ):
+        """A dead worker's attempt report names its exit code."""
+        import asyncio
+
+        monkeypatch.setenv("REPRO_CHAOS", "worker_crash=1@1,seed=1")
+        monkeypatch.setenv("REPRO_CHAOS_STATE", str(tmp_path / "chaos"))
+        reset_chaos_handles()
+        pool = WorkerPool(
+            RunPolicy(jobs=1, retries=0, timeout_s=60.0), jobs=1
+        )
+        try:
+            outcome = asyncio.run(
+                pool.supervise(
+                    parse_request("map", {"workload": "PV", "dim": 4})
+                )
+            )
+        finally:
+            pool.shutdown()
+        assert CRASH_EXIT_CODE == 23
+        assert outcome.status == "failed"
+        assert outcome.error == (
+            "attempt 1: [failed] worker died without a result"
+            f" (exitcode {CRASH_EXIT_CODE})"
+        )
+
+
 class TestHungWorkerReaping:
     def test_hung_spawn_worker_reaped_within_grace(
         self, tmp_path, monkeypatch
@@ -101,7 +129,7 @@ class TestHungWorkerReaping:
         )
         monkeypatch.setenv("REPRO_CHAOS_STATE", str(tmp_path / "chaos"))
         reset_chaos_handles()
-        reaps = REGISTRY.counter("serve.worker_reaps")
+        reaps = REGISTRY.counter("pool.worker_reaps")
         reaps_before = reaps.value
         # retries=4: the attempts after the reap also absorb the respawned
         # worker's boot time (spawn workers import the package on start).

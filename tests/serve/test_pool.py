@@ -142,7 +142,7 @@ class TestSupervision:
             "repro.serve.pool.pool_entry",
             lambda kind, spec: {"result": {}, "spans": []},
         )
-        gauge = REGISTRY.gauge("serve.pool_workers")
+        gauge = REGISTRY.gauge("pool.workers")
         pool = inline_pool(jobs=1, retries=0)
         run(pool.run(MAP_PV))
         assert gauge.value == 1
@@ -169,9 +169,9 @@ class TestSupervision:
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", sticky)
         pool = inline_pool(jobs=1, timeout_s=0.1, retries=0)
-        reaps = REGISTRY.counter("serve.worker_reaps")
-        respawns = REGISTRY.counter("serve.worker_respawns")
-        late = REGISTRY.counter("serve.late_results")
+        reaps = REGISTRY.counter("pool.worker_reaps")
+        respawns = REGISTRY.counter("pool.worker_respawns")
+        late = REGISTRY.counter("pool.late_results")
         reaps_before, respawns_before = reaps.value, respawns.value
         late_before = late.value
 
@@ -201,15 +201,15 @@ class TestSupervision:
         assert reaps.value == reaps_before + 1
         assert respawns.value >= respawns_before + 1
         assert pool.worker_count == 1
-        assert REGISTRY.gauge("serve.pool_workers").value == 1
+        assert REGISTRY.gauge("pool.workers").value == 1
 
 
 class TestEagerWarmup:
     def test_inline_worker_reports_warm_gauge(self, inline_pool):
         """Worker start eagerly loads the kernel backend and reports the
-        load time via the ``serve.worker_warm_ms`` gauge, so the first
+        load time via the ``pool.worker_warm_ms`` gauge, so the first
         cold request never pays the kernel (JIT) load."""
-        gauge = REGISTRY.gauge("serve.worker_warm_ms")
+        gauge = REGISTRY.gauge("pool.worker_warm_ms")
         gauge.set(-1.0)
         pool = inline_pool(jobs=1, retries=0)
         envelope = run(pool.run(MAP_PV))
@@ -219,7 +219,7 @@ class TestEagerWarmup:
         assert gauge.value >= 0.0
 
     def test_spawn_worker_reports_warm_gauge(self):
-        gauge = REGISTRY.gauge("serve.worker_warm_ms")
+        gauge = REGISTRY.gauge("pool.worker_warm_ms")
         gauge.set(-1.0)
         pool = WorkerPool(
             RunPolicy(jobs=1, retries=0, timeout_s=60.0), jobs=1
@@ -233,3 +233,57 @@ class TestEagerWarmup:
             assert gauge.value >= 0.0
         finally:
             pool.shutdown()
+
+
+def store_entries(root):
+    """Every published cache entry under ``root``, as relative paths."""
+    return sorted(
+        str(path.relative_to(root)) for path in root.glob("*/*/*.json")
+    )
+
+
+class TestGracefulShutdown:
+    def test_shutdown_lands_worker_cache_publishes(
+        self, serve_cache, tmp_path, monkeypatch
+    ):
+        """shutdown() stops an idle spawn worker with the sentinel, so the
+        write-behind flush of everything its request computed reaches
+        disk — with no drain() in this process."""
+        from repro.cache import active_cache, reset_cache_handles
+        from repro.dataflow import clear_mapping_cache
+        from repro.serve.compute import execute_request
+
+        request = parse_request(
+            "dse", {"workload": "PV", "dims": [4, 8, 12, 16, 20, 24, 28, 32]}
+        )
+        pool = WorkerPool(
+            RunPolicy(jobs=1, retries=0, timeout_s=120.0), jobs=1
+        )
+        try:
+            run(pool.run(request))
+        finally:
+            pool.shutdown()
+        published = store_entries(serve_cache)
+
+        # The same request in this process, drained, names every entry
+        # the computation writes.
+        reference = tmp_path / "reference"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(reference))
+        reset_cache_handles()
+        clear_mapping_cache()
+        execute_request(request.kind, request.spec)
+        active_cache().drain()
+        expected = store_entries(reference)
+        assert expected, "the request should compute cache entries"
+        assert published == expected
+
+    def test_shutdown_leaves_no_worker_alive(self):
+        """Idle workers exit on the sentinel and are reaped before
+        shutdown() returns."""
+        import multiprocessing
+
+        pool = WorkerPool(RunPolicy(jobs=2, timeout_s=60.0), jobs=2)
+        run(pool.run(MAP_PV))
+        pool.shutdown()
+        assert multiprocessing.active_children() == []
+        assert REGISTRY.gauge("pool.workers").value == 0

@@ -8,6 +8,9 @@ Three guards over the repo's Markdown:
   blocks may assume optional extras or long runtimes);
 * documents containing ``>>>`` interpreter sessions pass ``doctest``
   (these are live examples, executed here).
+
+It also checks that the metric catalog in ``docs/OBSERVABILITY.md``
+lists exactly the series the code registers.
 """
 
 import doctest
@@ -173,3 +176,60 @@ def test_doctest_coverage_list_is_current():
     }
     missing = with_examples - set(DOCTEST_FILES)
     assert not missing, f"add {sorted(missing)} to DOCTEST_FILES"
+
+
+#: ``REGISTRY.counter("name", ...)`` (or ``gauge`` / ``histogram``); the
+#: name may sit on the next line.
+_REGISTRY_CALL = re.compile(r"REGISTRY\.(?:counter|gauge|histogram)\(")
+_REGISTERED = re.compile(
+    r"REGISTRY\.(counter|gauge|histogram)\(\s*(f?)\"([^\"]+)\""
+)
+#: ``_record_cache_outcome("layer_cache", ...)`` registers
+#: ``mapper.layer_cache`` through the mapper's ``f"mapper.{name}"``.
+_CACHE_OUTCOME = re.compile(r"_record_cache_outcome\(\s*\"(\w+)\"")
+_MAPPER_TEMPLATE = "mapper.{name}"
+_CATALOG_ROW = re.compile(
+    r"^\| `([a-z_.]+)` \| (counter|gauge|histogram) \|", re.MULTILINE
+)
+
+
+def _registered_series():
+    """Series name -> kind for every registry call under ``src/``."""
+    series = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        calls = _REGISTERED.findall(text)
+        assert len(calls) == len(_REGISTRY_CALL.findall(text)), (
+            f"{path.name}: a registry call without a literal series name"
+        )
+        for kind, templated, name in calls:
+            if templated:
+                assert name == _MAPPER_TEMPLATE, (
+                    f"{path.name}: templated series {name!r}; teach this"
+                    " test how to expand it"
+                )
+                continue
+            series[name] = kind
+        for name in _CACHE_OUTCOME.findall(text):
+            series[_MAPPER_TEMPLATE.format(name=name)] = "counter"
+    return series
+
+
+def test_metric_catalog_matches_registered_series():
+    text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(
+        encoding="utf-8"
+    )
+    section = text.split("### Metric catalog", 1)[1].split("\n#", 1)[0]
+    catalog = dict(_CATALOG_ROW.findall(section))
+    registered = _registered_series()
+    assert "mapper.layer_cache" in registered
+    missing = sorted(set(registered) - set(catalog))
+    assert not missing, f"registered but not in the catalog: {missing}"
+    stale = sorted(set(catalog) - set(registered))
+    assert not stale, f"catalog rows nothing registers: {stale}"
+    wrong_kind = {
+        name: (catalog[name], kind)
+        for name, kind in registered.items()
+        if catalog[name] != kind
+    }
+    assert not wrong_kind, f"catalog kind != registered kind: {wrong_kind}"
