@@ -12,16 +12,20 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.arch.config import ArchConfig
+from repro.errors import SimulationError
 from repro.experiments.common import ExperimentResult
 from repro.nn.layers import ConvLayer
 from repro.nn.reference import conv2d, make_inputs, make_kernels
 from repro.sim.flexflow_sim import FlexFlowFunctionalSim
 
-import numpy as np
-
 #: Store sizes swept (bytes); 256 B is the paper's design point.
 DEFAULT_SIZES = (16, 32, 64, 128, 256, 512)
+
+#: A LeNet-5-C3-shaped layer scaled to keep the functional sim fast.
+LAYER = ConvLayer("C3-like", in_maps=4, out_maps=8, out_size=8, kernel=5)
 
 
 def run(
@@ -29,8 +33,7 @@ def run(
     array_dim: int = 8,
     config: Optional[ArchConfig] = None,
 ) -> ExperimentResult:
-    # A LeNet-5-C3-shaped layer scaled to keep the functional sim fast.
-    layer = ConvLayer("C3-like", in_maps=4, out_maps=8, out_size=8, kernel=5)
+    layer = LAYER
     inputs, kernels = make_inputs(layer), make_kernels(layer)
     golden = conv2d(inputs, kernels)
     unique_words = layer.num_input_words + layer.num_kernel_words
@@ -44,7 +47,13 @@ def run(
         )
         sim = FlexFlowFunctionalSim(cfg)
         outputs, trace = sim.run_layer(layer, inputs, kernels)
-        assert np.allclose(outputs, golden, atol=1e-9), "sim must stay exact"
+        if not np.allclose(outputs, golden, atol=1e-9):
+            error = float(np.max(np.abs(outputs - golden)))
+            raise SimulationError(
+                f"{layer.name} with {size} B local stores: simulated outputs"
+                f" differ from the golden convolution (max abs error"
+                f" {error:.3g}); the sim must stay exact"
+            )
         broadcasts = trace.neuron_buffer_reads + trace.kernel_buffer_reads
         rows.append(
             {

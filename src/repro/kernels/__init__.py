@@ -1,4 +1,4 @@
-"""Compiled kernel backends for the DSE hot paths.
+"""Compiled kernel backends for the DSE and functional-simulator hot paths.
 
 ``REPRO_KERNELS`` selects the backend:
 

@@ -139,6 +139,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_surviving_structures.argtypes = [
         _U8_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
     ]
+    lib.repro_store_replay.restype = None
+    lib.repro_store_replay.argtypes = [
+        _I64_P, _I64_P, _I64_P, _I64_P, _U8_P,
+        ctypes.c_int64, ctypes.c_int64, _U8_P, _I64_P,
+    ]
     return lib
 
 
@@ -255,6 +260,45 @@ class CExtKernels:
             batch, *(_ptr(col) for col in cols), _ptr(bus), _ptr(misses)
         )
         return bus, misses
+
+    def store_replay(
+        self,
+        table: np.ndarray,
+        counts: np.ndarray,
+        capacity: np.ndarray,
+        coords: np.ndarray,
+        active: np.ndarray,
+        tile_len: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(miss, seq)`` of one access stream; see ``repro_store_replay``.
+
+        ``table`` and ``counts`` are updated in place, so they must already
+        be contiguous ``int64``.  The plain loop needs no tile structure;
+        ``tile_len`` is accepted for signature parity with NumPy.
+        """
+        for name, arr in (("table", table), ("counts", counts)):
+            if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+                raise ValueError(f"{name} must be a contiguous int64 array")
+        capacity = _i64(capacity)
+        coords = _i64(coords)
+        active = np.ascontiguousarray(active, dtype=bool)
+        steps, stores = coords.shape
+        if (
+            active.shape != coords.shape
+            or counts.shape != (stores,)
+            or capacity.shape != (stores,)
+        ):
+            raise ValueError("store_replay: mismatched stream shapes")
+        if coords.size and (coords.min() < 0 or coords.max() >= table.size):
+            raise ValueError("store_replay: coordinate outside the table")
+        miss = np.empty((steps, stores), dtype=bool)
+        seq = np.empty((steps, stores), dtype=np.int64)
+        self._lib.repro_store_replay(
+            _ptr(table), _ptr(counts), _ptr(capacity), _ptr(coords),
+            active.ctypes.data_as(_U8_P), steps, stores,
+            miss.ctypes.data_as(_U8_P), _ptr(seq),
+        )
+        return miss, seq
 
     # -- faults ---------------------------------------------------------------
 

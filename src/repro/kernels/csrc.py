@@ -27,6 +27,9 @@ stay **bit-identical** to it (pinned by ``tests/kernels/test_parity.py``):
   order-independent, hence exact).
 * ``repro_surviving_structures`` — the structure-survival counting of
   ``repro.faults.impact`` (reshape + any + sum).
+* ``repro_store_replay`` — the demand-fill replay of circular local
+  stores behind ``repro.kernels.replay.store_replay``: a plain loop over
+  the access stream in order, equal to the NumPy per-tile fixed point.
 
 All integer math is ``int64``; inputs are non-negative and small enough
 that no intermediate product overflows (the Python callers guarantee
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 #: Bumped when the ABI (function names/signatures) changes incompatibly;
 #: folded into the build hash alongside the source text.
-KERNELS_C_ABI = 2
+KERNELS_C_ABI = 3
 
 KERNELS_C_SOURCE = r"""
 #include <stdint.h>
@@ -506,5 +509,32 @@ i64 repro_surviving_structures(const unsigned char *flags, i64 n_flags,
         alive += !dead;
     }
     return alive;
+}
+
+/* Demand-fill replay of circular local stores over `steps` x `stores`
+ * accesses in row-major (access) order.  Store `s` holds `capacity[s]`
+ * words and has pushed `counts[s]` times; `table[coords[k]]` is the
+ * 1-based push that last wrote the word access `k` touches.  A word is
+ * resident iff fewer than `capacity` pushes happened since its own last
+ * push; a miss pushes it.  `seq[k]` is the push the read sees (its own on
+ * a miss); inactive accesses touch nothing and read 0. */
+void repro_store_replay(i64 *table, i64 *counts, const i64 *capacity,
+                        const i64 *coords, const unsigned char *active,
+                        i64 steps, i64 stores, unsigned char *miss,
+                        i64 *seq) {
+    for (i64 t = 0; t < steps; t++) {
+        for (i64 s = 0; s < stores; s++) {
+            i64 k = t * stores + s;
+            miss[k] = 0;
+            seq[k] = 0;
+            if (!active[k]) continue;
+            i64 *word = table + coords[k];
+            if (counts[s] - *word >= capacity[s]) {
+                *word = ++counts[s];
+                miss[k] = 1;
+            }
+            seq[k] = *word;
+        }
+    }
 }
 """

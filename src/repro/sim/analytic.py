@@ -35,9 +35,10 @@ The two capacity-dependent quantities need more care:
   and every output-map group presents the identical tile stream, so the
   replay runs group-by-group until the store state (a capacity-clipped
   push-slack signature) reaches its steady state and the remaining groups
-  are extrapolated exactly.  The replay reuses the tile engine's
-  fixed-point miss resolver and chunks its state tables to
-  :data:`REPLAY_BUDGET_BYTES`.
+  are extrapolated exactly.  Each group's class streams go to the same
+  :func:`~repro.kernels.replay.store_replay` kernel as the tile engine,
+  in budgeted chunks of spatial tiles, and the state tables are chunked
+  to :data:`REPLAY_BUDGET_BYTES`.
 
 The three baseline dataflows (Systolic, 2D-Mapping, Tiling) have fully
 static schedules, so their traces are pure arithmetic.
@@ -52,12 +53,17 @@ import numpy as np
 from repro.dataflow.unrolling import UnrollingFactors, ceil_div
 from repro.errors import SpecificationError
 from repro.nn.layers import ConvLayer
-from repro.sim.tile_engine import _NEVER, TileEngine
+from repro.kernels.replay import NEVER, store_replay
+from repro.sim.tile_engine import TileEngine
 from repro.sim.trace import SimTrace
 
 #: Memory budget for one neuron-replay state chunk (last-push table plus
-#: its signature copies).  Tests shrink this to force multi-chunk runs.
+#: its signature copies).  Tests shrink this to force multi-chunk runs,
+#: which also shrinks the access-stream chunks to one spatial tile.
 REPLAY_BUDGET_BYTES = 64 * 1024 * 1024
+
+#: Temporary bytes per lane of a neuron-replay access-stream chunk.
+_STREAM_SLOT_BYTES = 48
 
 
 def _ceil_counts(extent: int, offsets: np.ndarray, step: int) -> np.ndarray:
@@ -200,8 +206,15 @@ def _neuron_store_replay(
     n_rc = len(dr)
     n_cols = col_ok.shape[1]
     n_classes = n_rc * n_cols
+    n_steps = len(steps)
     # Four state-sized arrays live at once (table, two signatures, coords).
     chunk = max(1, REPLAY_BUDGET_BYTES // (4 * 8 * neuron_space))
+    # Spatial tile origins (r0, c0) in reference loop order.
+    r0, c0 = np.divmod(
+        np.arange(ceil_div(s_total, f.tr) * ceil_div(s_total, f.tc)),
+        ceil_div(s_total, f.tc),
+    )
+    r0, c0 = r0 * f.tr, c0 * f.tc
 
     bus = 0
     writes = 0
@@ -209,40 +222,46 @@ def _neuron_store_replay(
         cls = np.arange(start, min(start + chunk, n_classes))
         rc_i, c_i = np.divmod(cls, n_cols)
         n_cls = len(cls)
-        last_push = np.full((n_cls, 1, neuron_space), _NEVER)
-        count = np.zeros((n_cls, 1), dtype=np.int64)
-        r_ix = np.arange(n_cls)[None, :, None]
-        c_ix = np.zeros((1, 1, 1), dtype=np.int64)
-        coords_base = base_tc[:, c_i]  # (T, n_cls)
-        act_cols = col_ok[:, c_i]
+        # One store per class, each owning a slice of one last-push table.
+        last_push = np.full(n_cls * neuron_space, NEVER)
+        count = np.zeros(n_cls, dtype=np.int64)
+        capacities = np.full(n_cls, capacity)
+        coords_base = base_tc[:, c_i] + np.arange(n_cls) * neuron_space
+        act_cols = col_ok[:, c_i]  # (T, n_cls)
         cls_dr, cls_dc = dr[rc_i], dc[rc_i]
+        # Spatial tiles per replay call: a stream chunk of (tiles * T,
+        # n_cls) lanes within the smaller of the two budgets.
+        tiles = max(
+            1,
+            min(REPLAY_BUDGET_BYTES, TileEngine.CHUNK_BYTES)
+            // (_STREAM_SLOT_BYTES * n_steps * n_cls),
+        )
 
         def run_group() -> int:
             misses = 0
-            for r0 in range(0, s_total, f.tr):
-                row_r = r0 + cls_dr
-                for c0 in range(0, s_total, f.tc):
-                    col_c = c0 + cls_dc
-                    row_ok = (row_r < s_total) & (col_c < s_total)
-                    active = (act_cols & row_ok[None, :])[:, :, None]
-                    if not active.any():
-                        continue
-                    offset = row_r * (stride * padded_size) + col_c * stride
-                    coords = np.where(
-                        active, (coords_base + offset[None, :])[:, :, None], 0
-                    )
-                    miss, _ = TileEngine._resolve_misses(
-                        last_push, count, coords, active, capacity,
-                        r_ix, c_ix,
-                    )
-                    misses += int(miss.sum())
+            for t0 in range(0, len(r0), tiles):
+                row_r = r0[t0:t0 + tiles, None] + cls_dr  # (B, n_cls)
+                col_c = c0[t0:t0 + tiles, None] + cls_dc
+                row_ok = (row_r < s_total) & (col_c < s_total)
+                active = act_cols[None, :, :] & row_ok[:, None, :]
+                offset = row_r * (stride * padded_size) + col_c * stride
+                coords = np.where(
+                    active, coords_base[None, :, :] + offset[:, None, :], 0
+                )
+                miss, _ = store_replay(
+                    last_push, count, capacities,
+                    coords.reshape(-1, n_cls), active.reshape(-1, n_cls),
+                    n_steps,
+                )
+                misses += int(np.count_nonzero(miss))
             return misses
 
         def signature() -> np.ndarray:
             # Push slacks clipped at the capacity: slacks >= capacity all
             # mean "not resident", so clipping makes the signature a
             # sufficient statistic for all future behaviour.
-            return np.minimum(count[:, :, None] - last_push, capacity)
+            slack = count[:, None] - last_push.reshape(n_cls, neuron_space)
+            return np.minimum(slack, capacity)
 
         sig_prev = signature()
         m_hist: List[int] = []

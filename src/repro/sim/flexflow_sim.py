@@ -17,14 +17,15 @@ The result is numerically compared against the NumPy golden model; this is
 the executable proof that the Section 4.3 mapping formulas, the RA synapse
 reordering, and the local-store addressing are mutually consistent.
 
-Two interchangeable engines execute the tile stream:
+Three interchangeable engines produce the result:
 
 * ``"reference"`` — the per-PE Python loop below: one :class:`CoordStore`
   pair per PE, explicit bus sets per cycle.  Slow, but the golden
   definition of the machine's behaviour.
-* ``"tile"`` — the batched-NumPy :class:`~repro.sim.tile_engine.TileEngine`
-  fast path, bit-identical on outputs and exact on every counter (the
-  equivalence suite in ``tests/sim/test_tile_engine.py`` pins this).
+* ``"tile"`` — the :class:`~repro.sim.tile_engine.TileEngine` fast path,
+  which replays chunks of output tiles as whole arrays; bit-identical on
+  outputs and exact on every counter (``tests/sim/test_tile_engine.py``
+  and ``tests/sim/test_flexflow_differential.py`` pin this).
 * ``"analytic"`` — the closed-form model in :mod:`repro.sim.analytic`:
   counters are computed, not observed, yet exactly equal to the cycle
   engines' (``tests/sim/test_analytic.py`` pins this); outputs come from

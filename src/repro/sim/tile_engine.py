@@ -3,9 +3,9 @@
 :class:`TileEngine` executes the same computation as the per-PE reference
 loop in :mod:`repro.sim.flexflow_sim` — one unrolled tile per cycle, RA/RS
 broadcast sharing, capacity-limited circular local stores — but processes
-one *output tile* (all of its ``f_in`` inner cycles) per step as batched
-NumPy gathers, products, and scatter updates instead of per-PE Python
-loops.  It is an executable replacement, not an approximation:
+a *chunk* of output tiles of one output-map group per step: every tile's
+``f_in`` inner cycles, on every PE, as whole-array NumPy passes.  It is an
+executable replacement, not an approximation:
 
 * **outputs** are bit-identical: within each cycle the adder-tree sum is
   accumulated column by column in PE-column order, and the per-row
@@ -14,25 +14,27 @@ loops.  It is an executable replacement, not an approximation:
 * **cycle count** is asserted equal to ``factors.outer_iterations(layer)``
   (the Section 4.2 one-tile-per-cycle invariant);
 * **traffic counters** (buffer reads, bus transfers, local-store
-  reads/writes) are exact, including capacity evictions of the per-PE
-  circular stores.
+  reads/writes) are exact reductions over the chunk's arrays, including
+  capacity evictions of the per-PE circular stores.
 
-The local stores need no materialized ring buffer.  A circular store of
-``W`` words pushes only on a miss, so a coordinate is resident iff fewer
-than ``W`` pushes happened since its own last push — residency is a pure
-function of a per-PE ``last_push`` sequence table and a push counter.
-Within one output tile every PE touches each coordinate at most once, so
-the only sequential hazard is an intra-tile eviction: a word resident at
-tile start can be overwritten by the tile's own pushes before its use.
-Misses therefore satisfy a monotone fixed point —
+**Per-chunk replay.**  Both local stores of every PE share one last-push
+table with one store axis: PE ``p``'s neuron store is store ``p``, its
+kernel store is store ``R*C + p``, and each owns a contiguous slice of the
+table.  A chunk's whole access stream — ``(tiles * f_in, 2 * R * C)``
+coordinates in access order — therefore demand-fills every store in one
+call to :func:`~repro.kernels.replay.store_replay`, which holds the
+residency rule (a compiled loop, or the NumPy per-tile fixed point).
+:data:`TileEngine.CHUNK_BYTES` of temporaries bound the tiles per chunk.
 
-    miss(t)  iff  pushes_before(t) >= W - (push_count - last_push)
+**Transient faults.**  A store word holds what its last push wrote, so
+what a read sees is a pure function of the push it sees: the replay's
+read sequence (the read's own push on a miss, the word's last push on a
+hit).  The flip is :func:`~repro.faults.model.transient_flip` of the
+physical PE, the data coordinate and that sequence — the push-time
+corruption of :class:`~repro.sim.flexflow_sim.CoordStore` — so fault and
+fault-free runs take one path and flips land on the gathered reads.
 
-with ``pushes_before`` a cumulative sum of earlier misses — which is
-solved by iterating from the optimistic solution (no intra-tile
-evictions) until stable; each round only adds misses, so it terminates.
-
-Memory for the sequence tables is ``active_PEs x coordinate_space``; when
+Memory for the last-push table is ``active_PEs x coordinate_space``; when
 that exceeds :data:`TileEngine.MAX_TABLE_BYTES` the engine reports itself
 infeasible and :class:`~repro.sim.flexflow_sim.FlexFlowFunctionalSim`
 falls back to the reference loop.
@@ -40,26 +42,27 @@ falls back to the reference loop.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.arch.config import ArchConfig
 from repro.dataflow.grouping import GroupGeometry
-from repro.dataflow.unrolling import UnrollingFactors
+from repro.dataflow.unrolling import UnrollingFactors, ceil_div
 from repro.errors import SimulationError
 from repro.faults.mask import LiveGrid
-from repro.faults.model import FaultModel, apply_flip, transient_flip
+from repro.faults.model import FaultModel, transient_flip
+from repro.kernels.replay import NEVER, store_replay
 from repro.nn.layers import ConvLayer
 from repro.obs.tracer import Tracer, counter_delta, current_tracer
 from repro.sim.trace import SimTrace
 
-#: Live bit-flip overrides: ``(row, col, coord) -> (push_sequence, value)``.
-_Overrides = Dict[Tuple[int, int, int], Tuple[int, float]]
+#: Temporary bytes per (cycle, PE) slot of a chunk: coordinates, masks,
+#: read sequences, values and products, for both stores.
+_SLOT_BYTES = 96
 
-#: ``last_push`` initial value: far enough below zero that no coordinate
-#: appears resident before its first push, for any realistic capacity.
-_NEVER = np.int64(np.iinfo(np.int64).min // 2)
+#: Store kinds along the stacked store axis, as the fault hash names them.
+_KINDS = ("neuron", "kernel")
 
 
 class TileEngine:
@@ -76,6 +79,10 @@ class TileEngine:
     #: per-PE reference loop (such layers are far outside the functional
     #: simulator's practical envelope anyway).
     MAX_TABLE_BYTES = 256 * 1024 * 1024
+
+    #: Budget for one chunk's temporaries, in bytes; bounds how many
+    #: spatial tiles replay per :func:`store_replay` call.
+    CHUNK_BYTES = 1024 * 1024
 
     def __init__(
         self,
@@ -130,13 +137,16 @@ class TileEngine:
         n_total = layer.in_maps
         rows, cols = geo.active_rows, geo.active_cols
         padded_size = padded.shape[1]
+        if self.table_bytes(self.config, layer, f) > self.MAX_TABLE_BYTES:
+            raise SimulationError(
+                f"{layer.name}: last-push tables exceed"
+                f" {self.MAX_TABLE_BYTES} bytes; use the reference engine"
+            )
 
         # Row/column offset decompositions (Section 4.3 index functions).
-        row_idx = np.arange(rows)
-        dm, rest = np.divmod(row_idx, f.tr * f.tc)
+        dm, rest = np.divmod(np.arange(rows), f.tr * f.tc)
         dr, dc = np.divmod(rest, f.tc)
-        col_idx = np.arange(cols)
-        dn, rest = np.divmod(col_idx, f.ti * f.tj)
+        dn, rest = np.divmod(np.arange(cols), f.ti * f.tj)
         di, dj = np.divmod(rest, f.tj)
 
         # Inner-cycle bases (n0, i0, j0) in reference loop order.
@@ -153,45 +163,43 @@ class TileEngine:
         i_tc = steps[:, 1:2] + di[None, :]
         j_tc = steps[:, 2:3] + dj[None, :]
         col_ok = (n_tc < n_total) & (i_tc < k_total) & (j_tc < k_total)
-        cols_per_step = col_ok.sum(axis=1)
-        # Flat-coordinate bases: tile-dependent parts are added per tile.
+        macs_per_row = int(col_ok.sum())  # MACs of one valid row per tile
+        # Flat-coordinate bases: tile-dependent parts are added per chunk.
         neuron_base_tc = n_tc * (padded_size * padded_size) + i_tc * padded_size + j_tc
         kernel_base_tc = (n_tc * k_total + i_tc) * k_total + j_tc
 
-        padded_flat = padded.reshape(-1)
-        kernels_flat = kernels.reshape(-1)
+        # Spatial tile origins (r0, c0) in reference loop order.
+        r0, c0 = np.divmod(
+            np.arange(ceil_div(s_total, f.tr) * ceil_div(s_total, f.tc)),
+            ceil_div(s_total, f.tc),
+        )
+        r0, c0 = r0 * f.tr, c0 * f.tc
+        chunk = max(1, self.CHUNK_BYTES // (n_steps * rows * cols * _SLOT_BYTES))
 
-        # Per-PE circular-store state: last-push sequence numbers + counts.
+        # One last-push table for both stores of every PE (store axis:
+        # neuron stores, then kernel stores), each a contiguous slice.
+        n_pes = rows * cols
         neuron_space = n_total * padded_size * padded_size
         kernel_space = m_total * n_total * k_total * k_total
-        if self.table_bytes(self.config, layer, f) > self.MAX_TABLE_BYTES:
-            raise SimulationError(
-                f"{layer.name}: last-push tables exceed"
-                f" {self.MAX_TABLE_BYTES} bytes; use the reference engine"
-            )
-        neuron_last = np.full((rows, cols, neuron_space), _NEVER)
-        kernel_last = np.full((rows, cols, kernel_space), _NEVER)
-        neuron_count = np.zeros((rows, cols), dtype=np.int64)
-        kernel_count = np.zeros((rows, cols), dtype=np.int64)
-        w_neuron = self.config.neuron_store_words
-        w_kernel = self.config.kernel_store_words
-        r_ix = row_idx[None, :, None]  # PE-axis index helpers for gathers
-        c_ix = col_idx[None, None, :]
-
-        # Transient-fault state (inactive runs never touch any of it).
+        table = np.full(n_pes * (neuron_space + kernel_space), NEVER)
+        store_base = np.concatenate(
+            [
+                np.arange(n_pes) * neuron_space,
+                n_pes * neuron_space + np.arange(n_pes) * kernel_space,
+            ]
+        ).reshape(2, rows, cols)
+        counts = np.zeros(2 * n_pes, dtype=np.int64)
+        capacity = np.repeat(
+            [self.config.neuron_store_words, self.config.kernel_store_words],
+            n_pes,
+        )
         flips_active = (
             self.fault_model is not None
             and self.fault_model.has_transient_faults
         )
-        neuron_over: _Overrides = {}
-        kernel_over: _Overrides = {}
-        if self.grid is not None:
-            phys_rows = [self.grid.physical_row(r) for r in range(rows)]
-            phys_cols = [self.grid.physical_col(c) for c in range(cols)]
-        else:
-            phys_rows = list(range(rows))
-            phys_cols = list(range(cols))
 
+        padded_flat = padded.reshape(-1)
+        kernels_flat = kernels.reshape(-1)
         outputs = np.zeros((m_total, s_total, s_total))
         outputs_flat = outputs.reshape(-1)
         trace = SimTrace()
@@ -207,98 +215,76 @@ class TileEngine:
                 before = trace.as_dict() if tracer.enabled else None
                 m_r = m0 + dm  # (R,) per-row output coordinates
                 kernel_m = m_r * (n_total * k_total * k_total)
-                for r0 in range(0, s_total, f.tr):
-                    r_r = r0 + dr
-                    for c0 in range(0, s_total, f.tc):
-                        c_r = c0 + dc
-                        trace.cycles += n_steps
-                        row_ok = (m_r < m_total) & (r_r < s_total) & (c_r < s_total)
-                        n_rows_ok = int(row_ok.sum())
-                        if n_rows_ok == 0:
-                            continue
-                        active = row_ok[None, :, None] & col_ok[:, None, :]
+                for start in range(0, len(r0), chunk):
+                    r_r = r0[start:start + chunk, None] + dr  # (B, R)
+                    c_r = c0[start:start + chunk, None] + dc
+                    row_ok = (m_r < m_total) & (r_r < s_total) & (c_r < s_total)
+                    active = row_ok[:, None, :, None] & col_ok[None, :, None, :]
 
-                        # Coordinates for every (cycle, row, col) of this tile.
-                        neuron_tile = (r_r * stride) * padded_size + c_r * stride
-                        neuron_flat = np.where(
-                            active,
-                            neuron_base_tc[:, None, :] + neuron_tile[None, :, None],
-                            0,
-                        )
-                        kernel_flat = np.where(
-                            active,
-                            kernel_base_tc[:, None, :] + kernel_m[None, :, None],
-                            0,
-                        )
+                    # Data coordinates of every (tile, cycle, store, row,
+                    # col) read; inactive lanes read coordinate 0.
+                    shape = active.shape[:2] + (2, rows, cols)
+                    data = np.empty(shape, dtype=np.int64)
+                    neuron_tile = (r_r * stride) * padded_size + c_r * stride
+                    data[:, :, 0] = neuron_base_tc[None, :, None, :] + (
+                        neuron_tile[:, None, :, None]
+                    )
+                    data[:, :, 1] = kernel_base_tc[None, :, None, :] + (
+                        kernel_m[None, None, :, None]
+                    )
+                    data *= active[:, :, None]
+                    lanes = np.broadcast_to(active[:, :, None], shape)
 
-                        # Demand-fill both stores (misses, pushes, bus words).
-                        neuron_miss, neuron_seq = self._resolve_misses(
-                            neuron_last, neuron_count, neuron_flat, active,
-                            w_neuron, r_ix, c_ix,
-                        )
-                        kernel_miss, kernel_seq = self._resolve_misses(
-                            kernel_last, kernel_count, kernel_flat, active,
-                            w_kernel, r_ix, c_ix,
-                        )
-                        if flips_active:
-                            self._push_flips(
-                                "neuron", neuron_miss, neuron_seq, neuron_flat,
-                                padded_flat, neuron_over, phys_rows, phys_cols,
-                            )
-                            self._push_flips(
-                                "kernel", kernel_miss, kernel_seq, kernel_flat,
-                                kernels_flat, kernel_over, phys_rows, phys_cols,
-                            )
-                        n_neuron_miss = int(neuron_miss.sum())
-                        n_kernel_miss = int(kernel_miss.sum())
-                        # Bus sharing (RA/RS): a word already driven this cycle
-                        # is free for every other PE on that bus.  A neuron word
-                        # is shared by the rows that differ only in their dm
-                        # offset (the coordinate has no m dependence); a kernel
-                        # word is shared by all (Tr*Tc) rows of its (m % Tm)
-                        # group.  Any other row pair touches distinct words.
-                        by_group = (n_steps, f.tm, f.tr * f.tc, cols)
-                        neuron_bus = int(
-                            neuron_miss.reshape(by_group).any(axis=1).sum()
-                        )
-                        kernel_bus = int(
-                            kernel_miss.reshape(by_group).any(axis=2).sum()
-                        )
-                        trace.neuron_buffer_reads += neuron_bus
-                        trace.kernel_buffer_reads += kernel_bus
-                        trace.bus_transfers += neuron_bus + kernel_bus
-                        trace.local_store_writes += n_neuron_miss + n_kernel_miss
+                    # Demand-fill both stores of every PE in one replay.
+                    miss, seq = store_replay(
+                        table, counts, capacity,
+                        (data + store_base).reshape(-1, 2 * n_pes),
+                        lanes.reshape(-1, 2 * n_pes), n_steps,
+                    )
+                    # Bus sharing (RA/RS): a word already driven this cycle
+                    # is free for every other PE on that bus.  A neuron word
+                    # is shared by the rows that differ only in their dm
+                    # offset (the coordinate has no m dependence); a kernel
+                    # word is shared by all (Tr*Tc) rows of its (m % Tm)
+                    # group.  Any other row pair touches distinct words.
+                    by_group = miss.reshape(
+                        shape[:3] + (f.tm, f.tr * f.tc, cols)
+                    )
+                    neuron_bus = int(by_group[:, :, 0].any(axis=2).sum())
+                    kernel_bus = int(by_group[:, :, 1].any(axis=3).sum())
+                    n_rows_ok = int(row_ok.sum())
+                    macs = n_rows_ok * macs_per_row
+                    trace.cycles += len(r_r) * n_steps
+                    trace.neuron_buffer_reads += neuron_bus
+                    trace.kernel_buffer_reads += kernel_bus
+                    trace.bus_transfers += neuron_bus + kernel_bus
+                    trace.local_store_writes += int(np.count_nonzero(miss))
+                    trace.mac_ops += macs
+                    trace.local_store_reads += 2 * macs
+                    trace.register_accesses += 2 * n_steps * n_rows_ok
+                    trace.neuron_buffer_writes += n_rows_ok
 
-                        macs = n_rows_ok * int(cols_per_step.sum())
-                        trace.mac_ops += macs
-                        trace.local_store_reads += 2 * macs
-                        trace.register_accesses += 2 * n_steps * n_rows_ok
+                    neuron_vals = padded_flat[data[:, :, 0]]
+                    kernel_vals = kernels_flat[data[:, :, 1]]
+                    if flips_active:
+                        values = np.stack([neuron_vals, kernel_vals], axis=2)
+                        self._corrupt_reads(
+                            values, data, seq.reshape(shape), lanes
+                        )
+                        neuron_vals, kernel_vals = values[:, :, 0], values[:, :, 1]
+                    # Adder trees and accumulators, in the reference
+                    # float-addition order: columns left to right within a
+                    # cycle, cycles first to last within each tile.
+                    products = np.where(active, neuron_vals * kernel_vals, 0.0)
+                    tree = np.zeros(shape[:2] + (rows,))
+                    for col in range(cols):
+                        tree += products[..., col]
+                    accumulators = np.zeros(row_ok.shape)
+                    for step in range(n_steps):
+                        accumulators += tree[:, step]
 
-                        # Adder trees and accumulators, in the reference
-                        # float-addition order: columns left to right within a
-                        # cycle, cycles first to last within the tile.
-                        neuron_vals = padded_flat[neuron_flat]
-                        kernel_vals = kernels_flat[kernel_flat]
-                        if flips_active:
-                            self._apply_overrides(
-                                neuron_over, neuron_last, neuron_count,
-                                neuron_flat, active, neuron_vals, w_neuron,
-                            )
-                            self._apply_overrides(
-                                kernel_over, kernel_last, kernel_count,
-                                kernel_flat, active, kernel_vals, w_kernel,
-                            )
-                        products = np.where(active, neuron_vals * kernel_vals, 0.0)
-                        tree = np.zeros((n_steps, rows))
-                        for col in range(cols):
-                            tree += products[:, :, col]
-                        accumulators = np.zeros(rows)
-                        for step in range(n_steps):
-                            accumulators += tree[step]
-
-                        out_flat = (m_r * s_total + r_r) * s_total + c_r
-                        outputs_flat[out_flat[row_ok]] = accumulators[row_ok]
-                        trace.neuron_buffer_writes += n_rows_ok
+                    out_flat = (m_r * s_total + r_r) * s_total + c_r
+                    outputs_flat[out_flat[row_ok]] = accumulators[row_ok]
                 if before is not None:
                     delta = counter_delta(before, trace.as_dict())
                     group_span.set_cycles(delta["cycles"])
@@ -312,109 +298,56 @@ class TileEngine:
             )
         return outputs, trace
 
-    @staticmethod
-    def _resolve_misses(
-        last_push: np.ndarray,
-        push_count: np.ndarray,
-        coords: np.ndarray,
-        active: np.ndarray,
-        capacity: int,
-        r_ix: np.ndarray,
-        c_ix: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Misses (and push sequences) for one store over one tile.
-
-        ``coords`` and ``active`` are ``(T, R, C)``; a PE touches each of
-        its coordinates at most once per tile, so the intra-tile eviction
-        fixed point is monotone and the final scatter is conflict-free.
-        Returns ``(miss, sequence)``; ``sequence`` is meaningful only at
-        miss positions (a push's 1-based inclusive rank, the counter fed
-        to the transient-fault hash).  Store state is updated in place.
-        """
-        slack = push_count[None, :, :] - last_push[r_ix, c_ix, coords]
-        miss = active & (slack >= capacity)
-        while True:
-            pushes_before = np.cumsum(miss, axis=0) - miss
-            grown = miss | (active & (slack + pushes_before >= capacity))
-            if np.array_equal(grown, miss):
-                break
-            miss = grown
-        # Push sequence numbers: rank within the tile, offset by the
-        # pre-tile count (a push's own sequence is its inclusive rank).
-        sequence = push_count[None, :, :] + np.cumsum(miss, axis=0)
-        t_at, r_at, c_at = np.nonzero(miss)
-        last_push[r_at, c_at, coords[t_at, r_at, c_at]] = sequence[t_at, r_at, c_at]
-        push_count += miss.sum(axis=0)
-        return miss, sequence
-
     # -- transient faults ----------------------------------------------------
 
-    def _push_flips(
+    def _corrupt_reads(
         self,
-        kind: str,
-        miss: np.ndarray,
-        sequence: np.ndarray,
-        coords: np.ndarray,
-        source_flat: np.ndarray,
-        overrides: _Overrides,
-        phys_rows,
-        phys_cols,
+        values: np.ndarray,
+        data: np.ndarray,
+        seq: np.ndarray,
+        lanes: np.ndarray,
     ) -> None:
-        """Decide bit flips for every push of one tile.
+        """Flip the bits each read of one chunk sees, in place.
 
-        Matches :class:`~repro.sim.flexflow_sim.CoordStore`'s push-time
-        corruption: the hash keys on the physical PE, the flat data
-        coordinate, and the push's 1-based sequence rank.  A clean re-push
-        clears any stale override for the same word.
+        All four arrays share the chunk's ``(B, T, 2, R, C)`` shape.  A read
+        sees its word as corrupted at the push it sees, so the flip is keyed
+        on the physical PE, the flat data coordinate and that push's
+        sequence; each distinct push read in the chunk is hashed once.
         """
         seed = self.fault_model.seed
         rate = self.fault_model.bitflip_rate
-        t_at, r_at, c_at = np.nonzero(miss)
-        for t, r, c in zip(t_at.tolist(), r_at.tolist(), c_at.tolist()):
-            coord = int(coords[t, r, c])
-            seq = int(sequence[t, r, c])
-            bit = transient_flip(
-                seed, kind, phys_rows[r], phys_cols[c], coord, seq, rate
+        store_shape = values.shape[2:]  # (2, R, C)
+        store = np.broadcast_to(
+            np.arange(np.prod(store_shape)).reshape(store_shape), values.shape
+        )[lanes]
+        read_seq = seq[lanes]
+        read_data = data[lanes]
+        _, first, inverse = np.unique(
+            store * (int(read_seq.max()) + 1) + read_seq,
+            return_index=True,
+            return_inverse=True,
+        )
+        kind, row, col = np.unravel_index(store[first], store_shape)
+        grid = self.grid
+        pushes = zip(kind.tolist(), row.tolist(), col.tolist(), first.tolist())
+        flips = [
+            transient_flip(
+                seed,
+                _KINDS[k],
+                grid.physical_row(r) if grid is not None else r,
+                grid.physical_col(c) if grid is not None else c,
+                int(read_data[i]),
+                int(read_seq[i]),
+                rate,
             )
-            key = (r, c, coord)
-            if bit is None:
-                overrides.pop(key, None)
-            else:
-                overrides[key] = (seq, apply_flip(float(source_flat[coord]), bit))
-
-    @staticmethod
-    def _apply_overrides(
-        overrides: _Overrides,
-        last_push: np.ndarray,
-        push_count: np.ndarray,
-        coords: np.ndarray,
-        active: np.ndarray,
-        values: np.ndarray,
-        capacity: int,
-    ) -> None:
-        """Substitute corrupted store contents into this tile's reads.
-
-        An override stands for "the store word last pushed with sequence
-        ``seq`` holds ``value``"; it applies to a read exactly when that
-        push is still the word's latest (``last_push == seq``).  Eviction
-        does not clear ``last_push``, so a word corrupted at its push and
-        evicted later in the same tile still delivers the corrupted value
-        to its (earlier) read — application happens before pruning.
-        Entries whose word has aged out of the circular store are pruned;
-        a future touch re-pushes and re-rolls the flip.
-        """
-        if not overrides:
-            return
-        stale = []
-        for (r, c, coord), (seq, value) in overrides.items():
-            if last_push[r, c, coord] == seq:
-                match = (coords[:, r, c] == coord) & active[:, r, c]
-                hits = np.nonzero(match)[0]
-                if hits.size:
-                    values[hits[0], r, c] = value
-                if push_count[r, c] - seq >= capacity:
-                    stale.append((r, c, coord))
-            else:
-                stale.append((r, c, coord))
-        for key in stale:
-            del overrides[key]
+            for k, r, c, i in pushes
+        ]
+        bits = np.array([-1 if b is None else b for b in flips])
+        bits = bits[inverse.reshape(-1)]
+        flipped = np.flatnonzero(bits >= 0)
+        reads = values[lanes]
+        words = reads[flipped].view(np.uint64) ^ (
+            np.uint64(1) << bits[flipped].astype(np.uint64)
+        )
+        reads[flipped] = words.view(np.float64)
+        values[lanes] = reads

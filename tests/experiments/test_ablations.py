@@ -117,3 +117,22 @@ class TestLocalStoreAblation:
     def test_cycles_unaffected_by_store_size(self, localstore_result):
         cycles = {row["cycles"] for row in localstore_result.rows}
         assert len(cycles) == 1
+
+    def test_inexact_outputs_raise_simulation_error(self, monkeypatch):
+        """The exactness gate is an explicit check, not an ``assert``, so
+        ``python -O`` cannot strip it; it names the store size and error."""
+        from repro.errors import SimulationError
+        from repro.experiments import ablation_localstore
+        from repro.sim.flexflow_sim import FlexFlowFunctionalSim
+
+        run_layer = FlexFlowFunctionalSim.run_layer
+
+        def skewed(self, layer, inputs, kernels):
+            outputs, trace = run_layer(self, layer, inputs, kernels)
+            return outputs + 0.5, trace
+
+        monkeypatch.setattr(FlexFlowFunctionalSim, "run_layer", skewed)
+        with pytest.raises(
+            SimulationError, match=r"32 B local stores.*max abs error 0\.5"
+        ):
+            ablation_localstore.run(store_sizes=(32,))

@@ -5,9 +5,11 @@ NumPy/scalar expression it replaces, so parity here is ``==`` — not
 ``allclose``.  The direct tests drive each kernel with
 hypothesis-generated inputs against an independent plain-Python
 reference (translated from the documented semantics, not from the
-backend source); the end-to-end tests force ``REPRO_KERNELS`` and check
-that mapper, batched simulator, and fault-retention results are
-identical under every available backend.
+backend source).  ``store_replay`` is pinned against its NumPy backend,
+and that backend against plain-Python ring-buffer stores.  The end-to-end
+tests force ``REPRO_KERNELS`` and check that mapper, batched simulator,
+FlexFlow functional simulator and fault-retention results are identical
+under every available backend.
 
 The compiled leg skips, never fails, when no C compiler is present.
 """
@@ -192,6 +194,112 @@ def test_surviving_structures_matches_reference(suite, flags, n_struct, size):
     assert got == expected
 
 
+@st.composite
+def replay_streams(draw):
+    """A ``store_replay`` access stream and the stores it runs against.
+
+    Each (tile, store) touches distinct words — a prefix of a permutation
+    of the store's small word space — so words are revisited across
+    tiles; lanes go inactive at random, and capacities run from one word
+    to more than the whole touch set.  ``split`` cuts the stream at a
+    tile boundary into two calls, so state must carry over in place.
+    """
+    stores = draw(st.integers(min_value=1, max_value=4))
+    tile_len = draw(st.integers(min_value=1, max_value=4))
+    tiles = draw(st.integers(min_value=1, max_value=6))
+    space = draw(st.integers(min_value=tile_len, max_value=tile_len + 4))
+    coords = np.empty((tiles, tile_len, stores), dtype=np.int64)
+    for tile in range(tiles):
+        for store in range(stores):
+            words = draw(st.permutations(range(space)))[:tile_len]
+            coords[tile, :, store] = store * space + np.asarray(words)
+    lanes = tiles * tile_len * stores
+    active = np.asarray(
+        draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes))
+    ).reshape(tiles * tile_len, stores)
+    capacity = np.asarray(
+        draw(st.lists(
+            st.integers(min_value=1, max_value=space + 2),
+            min_size=stores, max_size=stores,
+        )),
+        dtype=np.int64,
+    )
+    split = draw(st.integers(min_value=0, max_value=tiles)) * tile_len
+    return (
+        stores * space, capacity, coords.reshape(-1, stores), active,
+        tile_len, split,
+    )
+
+
+def _run_replay(replay, stream):
+    """``(miss, seq, table, counts)`` of ``stream`` replayed in two calls."""
+    from repro.kernels.replay import NEVER
+
+    size, capacity, coords, active, tile_len, split = stream
+    table = np.full(size, NEVER)
+    counts = np.zeros(len(capacity), dtype=np.int64)
+    parts = [
+        replay(table, counts, capacity, coords[cut], active[cut], tile_len)
+        for cut in (slice(None, split), slice(split, None))
+    ]
+    miss = np.concatenate([part[0] for part in parts])
+    seq = np.concatenate([part[1] for part in parts])
+    return miss, seq, table, counts
+
+
+def _ring_replay(stream):
+    """Plain-Python circular stores: ``(miss, seq, counts)``.
+
+    Each store is a ring of ``capacity`` slots written round-robin on a
+    miss; a word is resident while its slot still holds it.
+    """
+    _, capacity, coords, active, _, _ = stream
+    steps, stores = coords.shape
+    miss = np.zeros((steps, stores), dtype=bool)
+    seq = np.zeros((steps, stores), dtype=np.int64)
+    counts = []
+    for store in range(stores):
+        ring = [None] * int(capacity[store])
+        pushed_at = {}
+        pushes = 0
+        for step in range(steps):
+            if not active[step, store]:
+                continue
+            word = int(coords[step, store])
+            last = pushed_at.get(word)  # push `last` wrote slot (last-1) % W
+            if last is None or ring[(last - 1) % len(ring)] != word:
+                pushes += 1
+                ring[(pushes - 1) % len(ring)] = word
+                pushed_at[word] = pushes
+                miss[step, store] = True
+            seq[step, store] = pushed_at[word]
+        counts.append(pushes)
+    return miss, seq, np.asarray(counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(replay_streams())
+def test_store_replay_numpy_matches_ring_buffers(stream):
+    from repro.kernels.replay import numpy_store_replay
+
+    miss, seq, _, counts = _run_replay(numpy_store_replay, stream)
+    ref_miss, ref_seq, ref_counts = _ring_replay(stream)
+    assert miss.tolist() == ref_miss.tolist()
+    assert seq.tolist() == ref_seq.tolist()
+    assert counts.tolist() == ref_counts.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(replay_streams())
+def test_store_replay_matches_numpy(suite, stream):
+    from repro.kernels.replay import numpy_store_replay
+
+    got = _run_replay(suite.store_replay, stream)
+    want = _run_replay(numpy_store_replay, stream)
+    for name, fast, ref in zip(("miss", "seq", "table", "counts"), got, want):
+        assert fast.tolist() == ref.tolist(), name
+
+
 # -- end-to-end parity: compiled backend vs. forced-NumPy paths ---------------
 
 
@@ -256,6 +364,50 @@ class TestEndToEnd:
                 )
                 for mask in masks
             ]
+
+        compiled = run()
+        _force_numpy(monkeypatch)
+        assert run() == compiled
+
+    def test_flexflow_sim_identical(self, forced_backend, monkeypatch):
+        """The cold report's FlexFlow calls — the ``verify`` layers and the
+        ``ablation_localstore`` store sizes — plus one faulty run."""
+        from repro.arch import ArchConfig
+        from repro.experiments import ablation_localstore
+        from repro.experiments.verification import _sample_layers
+        from repro.faults import FaultModel
+        from repro.nn import make_inputs, make_kernels
+        from repro.sim import FlexFlowFunctionalSim
+
+        runs = [
+            (ArchConfig(array_dim=8), layer, None)
+            for layer in _sample_layers(6, 2017)
+        ]
+        runs += [
+            (
+                ArchConfig(
+                    array_dim=8, neuron_store_bytes=size,
+                    kernel_store_bytes=size,
+                ),
+                ablation_localstore.LAYER,
+                None,
+            )
+            for size in ablation_localstore.DEFAULT_SIZES
+        ]
+        runs.append((
+            ArchConfig(array_dim=8, neuron_store_bytes=32),
+            ablation_localstore.LAYER,
+            FaultModel(seed=4, bitflip_rate=0.05, dead_pes=((2, 5),)),
+        ))
+
+        def run():
+            results = []
+            for config, layer, faults in runs:
+                outputs, trace = FlexFlowFunctionalSim(
+                    config, fault_model=faults
+                ).run_layer(layer, make_inputs(layer), make_kernels(layer))
+                results.append((outputs.tobytes(), trace.as_dict()))
+            return results
 
         compiled = run()
         _force_numpy(monkeypatch)
