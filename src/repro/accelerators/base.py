@@ -14,12 +14,10 @@ import abc
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import ArchConfig
 from repro.arch.power import ActivityCounts, PowerReport, compute_power
-from repro.cache import active_cache, config_payload, hash_payload, network_payload
 from repro.dataflow.unrolling import ceil_div
 from repro.errors import MappingError, SimulationError
 from repro.nn.layers import ConvLayer, FCLayer, PoolLayer
@@ -140,34 +138,6 @@ class NetworkResult:
         return {r.layer.name: r for r in self.layers}
 
 
-@lru_cache(maxsize=4096)
-def _simulate_request_key(
-    kind: str,
-    identity_items: Tuple[Tuple[str, Any], ...],
-    config: ArchConfig,
-    network: Network,
-    include_fc: bool,
-) -> str:
-    """Persistent-cache key for one simulation request, memoized by value.
-
-    ``identity_items`` is the sorted item tuple of
-    :meth:`Accelerator.cache_identity`; rebuilding the dict here keeps the
-    hashed document identical to the uncached construction (canonical
-    JSON sorts keys), while the memo spares repeated sweeps the
-    dataclass-walk + SHA-256 cost per lookup.
-    """
-    return hash_payload(
-        "simulate_network",
-        {
-            "kind": kind,
-            "identity": dict(identity_items),
-            "config": config_payload(config),
-            "network": network_payload(network),
-            "include_fc": include_fc,
-        },
-    )
-
-
 class Accelerator(abc.ABC):
     """Abstract architecture model.
 
@@ -248,26 +218,6 @@ class Accelerator(abc.ABC):
         """
         return self.simulate_layer(layer.as_conv())
 
-    def cache_identity(self) -> Dict[str, Any]:
-        """Instance state (beyond ``config``) that determines results.
-
-        Part of the persistent-cache key for :meth:`simulate_network`.
-        The default collects every non-``config`` instance attribute
-        (scalar attrs verbatim, anything else by ``repr``), which covers
-        the baselines' per-instance knobs — systolic ``array_size``,
-        2D-Mapping ``block_size``, Tiling ``tm``/``tn`` — without each
-        subclass having to remember the hook exists.
-        """
-        identity: Dict[str, Any] = {"class": type(self).__name__}
-        for name, value in sorted(vars(self).items()):
-            if name == "config":
-                continue
-            if isinstance(value, (int, float, str, bool, type(None))):
-                identity[name] = value
-            else:
-                identity[name] = repr(value)
-        return identity
-
     def simulate_network(
         self, network: Network, *, include_fc: bool = False
     ) -> NetworkResult:
@@ -276,112 +226,20 @@ class Accelerator(abc.ABC):
         The paper's evaluation is CONV-only (>90 % of compute); pass
         ``include_fc=True`` to append the classifier layers.
 
-        Results are served from the persistent cache (:mod:`repro.cache`)
-        when an identical request — same architecture kind, instance
-        knobs, configuration, and network structure — was simulated
-        before, by this process or any other sharing the store.
+        Nothing here is persisted: every model derives a layer's cycles
+        and counts in closed form, so re-walking a network is cheaper than
+        a store round trip.  FlexFlow's one costly step, the Section 5
+        mapping search, is memoized and persisted by
+        :func:`~repro.dataflow.mapper.map_network` itself.
         """
-        cache = active_cache()
-        if cache is None:
-            return self._simulate_network_uncached(
-                network, include_fc=include_fc
-            )
-        identity = self.cache_identity()
-        try:
-            key = _simulate_request_key(
-                self.kind,
-                tuple(sorted(identity.items())),
-                self.config,
-                network,
-                include_fc,
-            )
-        except TypeError:  # unhashable identity value / config / network
-            key = hash_payload(
-                "simulate_network",
-                {
-                    "kind": self.kind,
-                    "identity": identity,
-                    "config": config_payload(self.config),
-                    "network": network_payload(network),
-                    "include_fc": include_fc,
-                },
-            )
-        stored = cache.get("simulate_network", key)
-        if stored is not None:
-            restored = self._network_result_from_payload(
-                network, stored, include_fc=include_fc
-            )
-            if restored is not None:
-                return restored
-        result = self._simulate_network_uncached(network, include_fc=include_fc)
-        cache.put("simulate_network", key, _network_result_payload(result))
-        return result
-
-    def _expected_conv_layers(
-        self, network: Network, *, include_fc: bool
-    ) -> List[ConvLayer]:
-        """The layer objects a (cached) network result must cover, in order."""
-        layers = [ctx.layer for ctx in network.conv_contexts()]
-        if include_fc:
-            layers.extend(fc.as_conv() for fc in network.fc_layers)
-        return layers
-
-    def _network_result_from_payload(
-        self, network: Network, payload: Any, *, include_fc: bool
-    ) -> Optional[NetworkResult]:
-        """Rebuild a NetworkResult from cached counters, or ``None``.
-
-        Layer objects come from re-walking the live network (they are in
-        the cache key, so shapes are guaranteed to match); only the
-        computed counters are trusted from disk.  Any structural mismatch
-        or malformed entry falls back to simulating.
-        """
-        expected = self._expected_conv_layers(network, include_fc=include_fc)
-        try:
-            entries = payload["layers"]
-            if len(entries) != len(expected):
-                return None
-            results = []
-            for layer, entry in zip(expected, entries):
-                if entry["name"] != layer.name:
-                    return None
-                results.append(
-                    LayerResult(
-                        kind=self.kind,
-                        layer=layer,
-                        cycles=int(entry["cycles"]),
-                        utilization=float(entry["utilization"]),
-                        counts=ActivityCounts(**entry["counts"]),
-                    )
-                )
-        except (KeyError, TypeError, ValueError):
-            return None
-        return NetworkResult(
-            kind=self.kind,
-            network_name=network.name,
-            config=self.config,
-            layers=tuple(results),
-        )
-
-    def _simulate_network_uncached(
-        self, network: Network, *, include_fc: bool = False
-    ) -> NetworkResult:
-        """The actual network walk (subclasses may override this)."""
         results: List[LayerResult] = []
         pool_ops = self._pool_ops_by_predecessor(network)
-        for ctx in network.conv_contexts():
-            result = self.simulate_layer(
-                ctx.layer, tr_tc_bound=ctx.tr_tc_bound, network=network
-            )
-            extra_pool = pool_ops.get(ctx.layer.name, 0)
+        for result in self._conv_layer_results(network):
+            extra_pool = pool_ops.get(result.layer.name, 0)
             if extra_pool:
-                counts = result.counts + ActivityCounts(pool_ops=extra_pool)
-                result = LayerResult(
-                    kind=result.kind,
-                    layer=result.layer,
-                    cycles=result.cycles,
-                    utilization=result.utilization,
-                    counts=counts,
+                result = dataclasses.replace(
+                    result,
+                    counts=result.counts + ActivityCounts(pool_ops=extra_pool),
                 )
             results.append(result)
         if include_fc:
@@ -396,6 +254,19 @@ class Accelerator(abc.ABC):
             layers=tuple(results),
         )
 
+    def _conv_layer_results(self, network: Network) -> List[LayerResult]:
+        """One result per CONV layer, in order (subclasses may override).
+
+        The default maps each layer on its own, bounded by its successor's
+        Eq. 1 constraint.
+        """
+        return [
+            self.simulate_layer(
+                ctx.layer, tr_tc_bound=ctx.tr_tc_bound, network=network
+            )
+            for ctx in network.conv_contexts()
+        ]
+
     @staticmethod
     def _pool_ops_by_predecessor(network: Network) -> Dict[str, int]:
         """Attribute each POOL layer's ops to the CONV layer feeding it."""
@@ -407,21 +278,6 @@ class Accelerator(abc.ABC):
             elif isinstance(layer, PoolLayer) and previous_conv is not None:
                 pool_ops[previous_conv] = pool_ops.get(previous_conv, 0) + layer.ops
         return pool_ops
-
-
-def _network_result_payload(result: NetworkResult) -> Dict[str, Any]:
-    """A NetworkResult's computed counters as a JSON-compatible dict."""
-    return {
-        "layers": [
-            {
-                "name": r.layer.name,
-                "cycles": r.cycles,
-                "utilization": r.utilization,
-                "counts": dataclasses.asdict(r.counts),
-            }
-            for r in result.layers
-        ],
-    }
 
 
 def dram_words_with_reload(

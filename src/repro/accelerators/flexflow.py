@@ -21,9 +21,9 @@ RA/RS/IADP/IPDR reuse structure:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from repro.accelerators.base import Accelerator, LayerResult, NetworkResult, dram_words_with_reload
+from repro.accelerators.base import Accelerator, LayerResult, dram_words_with_reload
 from repro.arch.area import pe_area_mm2
 from repro.arch.power import ActivityCounts
 from repro.dataflow.mapper import LayerMapping, map_layer, map_network
@@ -62,42 +62,21 @@ class FlexFlowAccelerator(Accelerator):
             )
         return self._result_from_mapping(mapping)
 
-    def _simulate_network_uncached(
-        self, network: Network, *, include_fc: bool = False
-    ) -> NetworkResult:
-        """Execute a network using the joint (DP) mapping.
+    def _conv_layer_results(self, network: Network) -> List[LayerResult]:
+        """Every CONV layer under the joint (DP) mapping.
 
-        The persistent-cache wrapper lives in the base class's
-        :meth:`~repro.accelerators.base.Accelerator.simulate_network`.
+        :func:`~repro.dataflow.mapper.map_network` memoizes the search in
+        process and persists it in the result store, so only the closed
+        forms below are recomputed on a repeat.
         """
         net_mapping = map_network(
             network, self.config.array_dim, mask=self.config.pe_mask
         )
         by_name: Dict[str, LayerMapping] = net_mapping.by_layer_name()
-        pool_ops = self._pool_ops_by_predecessor(network)
-        results = []
-        for ctx in network.conv_contexts():
-            mapping = by_name[ctx.layer.name]
-            result = self._result_from_mapping(mapping)
-            extra_pool = pool_ops.get(ctx.layer.name, 0)
-            if extra_pool:
-                result = LayerResult(
-                    kind=result.kind,
-                    layer=result.layer,
-                    cycles=result.cycles,
-                    utilization=result.utilization,
-                    counts=result.counts + ActivityCounts(pool_ops=extra_pool),
-                )
-            results.append(result)
-        if include_fc:
-            for fc in network.fc_layers:
-                results.append(self.simulate_fc_layer(fc))
-        return NetworkResult(
-            kind=self.kind,
-            network_name=network.name,
-            config=self.config,
-            layers=tuple(results),
-        )
+        return [
+            self._result_from_mapping(by_name[ctx.layer.name])
+            for ctx in network.conv_contexts()
+        ]
 
     # -- internals ------------------------------------------------------------
 

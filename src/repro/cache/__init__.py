@@ -1,17 +1,18 @@
 """Persistent result cache: content-addressed, process-shared, versioned.
 
 Tier 2 of the performance layer (see ``docs/PERFORMANCE.md``): mapping
-searches, accelerator network simulations, and whole experiment results
-are stored on disk keyed by a SHA-256 over the full request (shapes,
-configuration, factors) plus a code-version salt, so repeated sweeps —
-including ``--jobs N`` worker processes sharing one directory — pay for
-each unique design point once.
+searches, whole experiment results, and served responses are stored on
+disk keyed by a SHA-256 over the full request (shapes, configuration,
+factors) plus a code-version salt, so repeated sweeps — including
+``--jobs N`` worker processes sharing one directory — pay for each
+unique search once.  Closed-form results (cycles, utilization, activity
+counts) are cheaper to recompute than to read back, so they are not
+stored.
 """
 
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
     canonical_json,
-    config_payload,
     factors_payload,
     hash_payload,
     layer_payload,
@@ -45,7 +46,6 @@ __all__ = [
     "cache_enabled",
     "cache_root",
     "canonical_json",
-    "config_payload",
     "deferred_cache_publishes",
     "factors_payload",
     "hash_payload",

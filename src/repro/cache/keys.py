@@ -1,8 +1,9 @@
-"""Content-addressed cache keys for simulation and mapping results.
+"""Content-addressed cache keys for mapping, experiment, and served results.
 
 Every persistent-cache key is the SHA-256 of a *canonical JSON* document
-describing the request: the layer/network shapes, the architecture
-configuration, the mapping factors, and :data:`CACHE_SCHEMA_VERSION` — a
+describing the request — the network shapes, array size and fault mask
+of a mapping, the id and module source of an experiment, the validated
+spec of a served request — plus :data:`CACHE_SCHEMA_VERSION`, a
 code-version salt.  Hashing the full request (rather than trusting file
 names or object identity) makes the store safe to share between worker
 processes and across runs: two requests collide only if they are the
@@ -18,11 +19,11 @@ import json
 from functools import lru_cache
 from typing import Any, Dict, Optional
 
-from repro.arch.serialization import config_to_dict, mask_to_dict
+from repro.arch.serialization import mask_to_dict
 
 #: Code-version salt baked into every cache key.  Bump whenever counter
 #: semantics, result schemas, or model equations change — old entries
-#: become unreachable (and ``repro cache verify`` garbage-collects them).
+#: become unreachable (and ``repro cache verify --repair`` quarantines them).
 CACHE_SCHEMA_VERSION = 1
 
 
@@ -88,19 +89,6 @@ def _build_network_payload(network: Any) -> Dict[str, Any]:
 @lru_cache(maxsize=1024)
 def _network_payload_cached(network: Any) -> Dict[str, Any]:
     return _build_network_payload(network)
-
-
-def config_payload(config: Any) -> Dict[str, Any]:
-    """An ArchConfig (with technology and mask) as key material (read-only)."""
-    try:
-        return _config_payload_cached(config)
-    except TypeError:
-        return config_to_dict(config)
-
-
-@lru_cache(maxsize=1024)
-def _config_payload_cached(config: Any) -> Dict[str, Any]:
-    return config_to_dict(config)
 
 
 def factors_payload(factors: Any) -> Dict[str, int]:

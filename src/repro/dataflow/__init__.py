@@ -37,7 +37,6 @@ from repro.dataflow.styles import ARCHITECTURE_STYLES, ProcessingStyle, classify
 from repro.dataflow.unrolling import (
     UnrollingFactors,
     ceil_div,
-    iter_triples,
     useful_values,
 )
 from repro.dataflow.utilization import (
@@ -82,7 +81,6 @@ __all__ = [
     "UnrollingFactors",
     "ceil_div",
     "useful_values",
-    "iter_triples",
     "UtilizationReport",
     "row_utilization",
     "column_utilization",

@@ -189,9 +189,9 @@ def _candidate_cache(dims: Triple, product_limit: int, caps: Triple) -> np.ndarr
 
     Builds the full ``useful_values`` meshgrid per dimension and masks it
     with the per-factor caps and the Eq. 1 product limit — exactly the set
-    :func:`~repro.dataflow.unrolling.iter_triples` yields (its per-level
-    ``limit // a`` clipping is the same predicate, since ``b <= L // a``
-    iff ``a * b <= L`` over positive ints).  Each dimension's useful
+    the nested ``iter_triples`` loop of ``tests/dse_oracle.py`` yields
+    (its per-level ``limit // a`` clipping is the same predicate, since
+    ``b <= L // a`` iff ``a * b <= L`` over positive ints).  Each dimension's useful
     values are distinct, so the meshgrid is duplicate-free by construction
     and — because distinct useful values give distinct quotients — no
     candidate dominates another in (steps, footprint) space

@@ -12,13 +12,14 @@ style flexibility rather than to micro-architecture differences.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.dataflow.mapper import LayerMapping, Triple, _input_steps, _output_steps
+import numpy as np
+
+from repro.dataflow.mapper import LayerMapping, _steps_array, candidate_array
 from repro.dataflow.styles import ProcessingStyle
-from repro.dataflow.unrolling import UnrollingFactors, iter_triples
+from repro.dataflow.unrolling import UnrollingFactors
 from repro.dataflow.utilization import utilization_report
-from repro.errors import MappingError
 from repro.nn.layers import ConvLayer
 from repro.nn.network import Network
 
@@ -66,18 +67,13 @@ def map_layer_with_style(
         min(output_caps[2], out_bound),
     )
 
-    ins: List[Triple] = sorted(set(iter_triples(in_dims, array_dim, input_caps)))
-    outs: List[Triple] = sorted(set(iter_triples(out_dims, array_dim, out_caps)))
-    if not ins or not outs:
-        raise MappingError(
-            f"{layer.name}: no feasible {style.name} mapping on D={array_dim}"
-        )
-    best_in = min(ins, key=lambda t: (_input_steps(layer, t), t))
-    best_out = min(outs, key=lambda t: (_output_steps(layer, t), t))
-    factors = UnrollingFactors(
-        tm=best_out[0], tn=best_in[0], tr=best_out[1], tc=best_out[2],
-        ti=best_in[1], tj=best_in[2],
-    )
+    # Both arrays are in lexicographic order and always hold (1, 1, 1), so
+    # the first minimum is the smallest (steps, triple) pair.
+    ins = candidate_array(in_dims, array_dim, input_caps)
+    outs = candidate_array(out_dims, array_dim, out_caps)
+    tn, ti, tj = ins[int(np.argmin(_steps_array(in_dims, ins)))].tolist()
+    tm, tr, tc = outs[int(np.argmin(_steps_array(out_dims, outs)))].tolist()
+    factors = UnrollingFactors(tm=tm, tn=tn, tr=tr, tc=tc, ti=ti, tj=tj)
     factors.check(layer, array_dim, tr_tc_bound=tr_tc_bound)
     return LayerMapping(
         layer=layer,

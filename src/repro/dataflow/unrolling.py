@@ -18,7 +18,7 @@ outputs are written in the *next* layer's buffer format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import MappingError
 from repro.nn.layers import ConvLayer
@@ -218,29 +218,3 @@ def useful_values(dimension: int, limit: int) -> Tuple[int, ...]:
     if not values:
         values.add(1)
     return tuple(sorted(values))
-
-
-def iter_triples(
-    dims: Tuple[int, int, int], product_limit: int, caps: Tuple[int, int, int]
-) -> Iterator[Tuple[int, int, int]]:
-    """All useful ``(a, b, c)`` factor triples with ``a*b*c <= product_limit``.
-
-    ``dims`` are the three loop extents, ``caps`` per-factor upper bounds
-    (e.g. the ``P*K'`` bound on ``Tr``/``Tc``).  Only Pareto-useful values
-    per dimension are enumerated (see :func:`useful_values`).
-    """
-    if product_limit <= 0:
-        raise MappingError("product_limit must be positive")
-    firsts = useful_values(dims[0], min(caps[0], product_limit))
-    for a in firsts:
-        limit_b = product_limit // a
-        if limit_b == 0:
-            continue
-        seconds = useful_values(dims[1], min(caps[1], limit_b))
-        for b in seconds:
-            limit_c = product_limit // (a * b)
-            if limit_c == 0:
-                continue
-            thirds = useful_values(dims[2], min(caps[2], limit_c))
-            for c in thirds:
-                yield (a, b, c)

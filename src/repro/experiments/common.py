@@ -120,11 +120,12 @@ def evaluate_sweep(
     This is the shared entry for sweep-shaped experiments (`dse`,
     `fig19`, `sensitivity`, ...).  The heavy lifting is batched
     underneath: every FlexFlow point funnels through the vectorized
-    candidate-scoring mapper, each distinct ``(kind, config, workload)``
-    accelerator instance is constructed once, and repeated points hit
-    the mapping memo and the persistent result cache exactly as before
-    (``simulate_network`` keeps both intact).  The whole batch runs under one ``sweep:{label}``
-    span reporting configs-evaluated counts.
+    candidate-scoring mapper, whose searches hit the mapping memo and
+    the persistent result cache, and each distinct ``(kind, config,
+    workload)`` accelerator instance is constructed once.  The points'
+    cycles and counts are closed forms, recomputed on every call.  The
+    whole batch runs under one ``sweep:{label}`` span reporting
+    configs-evaluated counts.
     """
     results: Dict[Any, NetworkResult] = {}
     with sweep_span(label, configs_evaluated=len(points)) as span:

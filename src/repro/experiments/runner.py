@@ -366,8 +366,8 @@ def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
             except (KeyError, TypeError, ValueError):
                 pass  # malformed entry: recompute and overwrite
     if cache is not None:
-        # One batched flush for the run's point-level publishes (mapping
-        # + simulation entries) and the experiment entry itself.
+        # One batched flush for the run's mapping publishes and the
+        # experiment entry itself.
         with cache.deferred():
             result = module.run()
             if key is not None:
@@ -385,16 +385,17 @@ MATRIX_EXPERIMENTS = ("fig15", "fig16", "fig17", "fig18", "headline")
 
 
 def prewarm_shared_points(experiment_ids: Sequence[str]) -> int:
-    """Dedupe a batch's shared sweep points; simulate each unique one once.
+    """Map the batch's shared workloads once, before any worker does.
 
     When two or more matrix-sharing experiments are in one batch, the
-    supervisor runs the shared (architecture, workload) matrix once —
-    populating the persistent cache — instead of letting every worker
-    repeat it.  Workers then restore the points from disk and only pay
-    for their experiment-specific post-processing.  Returns the number
-    of unique points warmed (0 when the cache is off or fewer than two
+    supervisor runs the Section 5 mapping search (``map_network``) for
+    every Table 1 workload at the default array size once — populating
+    the persistent cache — instead of letting every worker repeat it.
+    Workers then restore the mappings from disk; the network simulations
+    on top are closed forms each worker recomputes.  Returns the number
+    of mappings warmed (0 when the cache is off or fewer than two
     sharers are present); never raises — a failing prewarm just means
-    the workers simulate for themselves.
+    the workers search for themselves.
     """
     from repro.cache import active_cache
 
@@ -404,18 +405,21 @@ def prewarm_shared_points(experiment_ids: Sequence[str]) -> int:
     if len(sharers) < 2:
         return 0
     try:
-        from repro.experiments.common import ARCH_ORDER, run_matrix
-        from repro.nn.workloads import WORKLOAD_NAMES
+        from repro.arch import ArchConfig
+        from repro.dataflow import map_network
+        from repro.nn.workloads import WORKLOAD_NAMES, get_workload
 
-        run_matrix(WORKLOAD_NAMES)
+        dim = ArchConfig().array_dim
+        for name in WORKLOAD_NAMES:
+            map_network(get_workload(name), dim)
         cache = active_cache()
         if cache is not None:
-            # Publishes are write-behind; the spawned workers only see
-            # the warm points once they are physically on disk.
+            # An earlier deferred publish may still be in flight; the
+            # spawned workers only see the mappings once they are on disk.
             cache.drain()
     except Exception:
         return 0
-    points = len(WORKLOAD_NAMES) * len(ARCH_ORDER)
+    points = len(WORKLOAD_NAMES)
     REGISTRY.counter("runner.prewarmed_points").inc(points)
     return points
 
@@ -512,8 +516,8 @@ def run_resilient(
             policy.run_dir, ids, policy, started_unix=started_unix
         )
     pending = [eid for eid in ids if eid not in outcomes]
-    # Sweep deduplication: simulate the batch's shared design points once
-    # (into the persistent cache) before any worker repeats them.
+    # Search the batch's shared mappings once (into the persistent cache)
+    # before any worker repeats them.
     prewarm_shared_points(pending)
     if pending:
         outcomes.update(_run_on_pool(pending, policy))

@@ -4,10 +4,11 @@
 (:class:`~repro.serve.schemas.ComputeRequest`) into a JSON-compatible
 result dict.  It is a module-level function on purpose: the worker pool
 ships ``(kind, spec)`` across the ``spawn`` boundary by name.  All the
-heavy lifting reuses the library paths that already sit behind the
-persistent result cache — ``map_network``, ``simulate_network``,
-``evaluate_sweep`` — so a served computation and a CLI run populate and
-hit the same store entries.
+heavy lifting reuses the library paths — ``map_network``,
+``simulate_network``, ``evaluate_sweep`` — so a served computation and a
+CLI run populate and hit the same ``map_network`` store entries; the
+closed forms on top are recomputed, and the whole response is stored
+under the ``serve`` section.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Every tier has the same contract — a warm store reproduces *exactly*
 what a cold run computes, and a damaged store silently degrades to
-recomputation.
+recomputation.  The simulators persist nothing of their own: their
+closed forms are re-derived over the stored mappings.
 """
 
 import json
@@ -15,6 +16,7 @@ from repro.cache import active_cache, reset_cache_handles
 from repro.dataflow import map_network
 from repro.dataflow.mapper import clear_mapping_cache
 from repro.errors import ConfigurationError
+from repro.faults.model import FaultModel
 from repro.nn.workloads import get_workload
 from repro.obs.metrics import REGISTRY
 
@@ -83,33 +85,67 @@ class TestMapperTier:
         assert map_network(network, 16) == cold
 
 
+KINDS = ["systolic", "mapping2d", "tiling", "flexflow", "rowstationary"]
+# Nine dead PEs: every kind degrades, none loses all its structures.
+MASKED = ArchConfig(pe_mask=FaultModel(seed=3, dead_pe_rate=0.02).mask_for(16))
+
+
 class TestSimulatorTier:
-    @pytest.mark.parametrize(
-        "kind", ["systolic", "mapping2d", "tiling", "flexflow", "rowstationary"]
-    )
-    def test_warm_network_result_identical(self, cache_dir, kind):
+    """Network results are closed forms over the persisted mappings.
+
+    Nothing is stored under ``simulate_network``; a fresh process
+    re-derives the cold result, and only FlexFlow's mapping search is
+    read back from the store.
+    """
+
+    @staticmethod
+    def assert_rederived(cache_dir, kind, config):
         network = get_workload("PV")
-        config = ArchConfig()
         cold = make_accelerator(
             kind, config, workload_name="PV"
         ).simulate_network(network)
-        assert store_files(cache_dir, "simulate_network"), "expected a write"
+        active_cache().drain()
+        assert not (cache_dir / "simulate_network").exists()
         fresh_process_state()
         warm = make_accelerator(
             kind, config, workload_name="PV"
         ).simulate_network(network)
         assert warm == cold
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_warm_network_result_identical(self, cache_dir, kind):
+        self.assert_rederived(cache_dir, kind, ArchConfig())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fault_masked_result_identical(self, cache_dir, kind):
+        self.assert_rederived(cache_dir, kind, MASKED)
+
+    def test_flexflow_rederivation_hits_the_mapping(self, cache_dir):
+        network = get_workload("PV")
+        make_accelerator("flexflow", ArchConfig()).simulate_network(network)
+        fresh_process_state()
+        REGISTRY.reset()
+        make_accelerator("flexflow", ArchConfig()).simulate_network(network)
+        hits = [
+            value
+            for name, value in REGISTRY.snapshot().items()
+            if name.startswith("cache.lookups")
+            and "map_network" in name
+            and "outcome=hit" in name
+        ]
+        assert hits == [1]
+
     def test_config_change_misses(self, cache_dir):
         network = get_workload("PV")
         acc = make_accelerator("flexflow", ArchConfig(), workload_name="PV")
         acc.simulate_network(network)
-        n_before = len(store_files(cache_dir, "simulate_network"))
+        n_before = len(store_files(cache_dir, "map_network"))
         scaled = make_accelerator(
             "flexflow", ArchConfig().scaled_to(8), workload_name="PV"
         )
         scaled.simulate_network(network)
-        assert len(store_files(cache_dir, "simulate_network")) == n_before + 1
+        assert len(store_files(cache_dir, "map_network")) == n_before + 1
+        assert not (cache_dir / "simulate_network").exists()
 
     def test_corrupt_entry_recomputes(self, cache_dir):
         network = get_workload("PV")

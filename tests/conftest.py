@@ -13,7 +13,8 @@ worker processes.
 
 The ``ci`` hypothesis profile (``--hypothesis-profile=ci``) widens the
 example budget of the differential suites
-(``tests/test_dse_differential.py`` and
+(``tests/test_dse_differential.py``,
+``tests/dataflow/test_restricted_differential.py`` and
 ``tests/sim/test_baseline_differential.py``); without it each runs a
 small derandomized slice.
 """

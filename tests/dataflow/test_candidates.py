@@ -27,12 +27,13 @@ from repro.dataflow.mapper import (
     _output_steps,
 )
 from repro.dataflow.rectangular import map_layer_rect
-from repro.dataflow.unrolling import iter_triples, useful_values
+from repro.dataflow.unrolling import useful_values
 from repro.errors import MappingError
 from repro.faults.model import FaultModel
 from repro.nn import ConvLayer
 from repro.nn.workloads import all_workloads
 from tests import dse_oracle as oracle
+from tests.dse_oracle import iter_triples
 
 
 SPACES = [

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.dataflow import UnrollingFactors, ceil_div, iter_triples, useful_values
+from repro.dataflow import UnrollingFactors, ceil_div, useful_values
 from repro.errors import MappingError
 from repro.nn import ConvLayer
+from tests.dse_oracle import iter_triples
 
 
 def layer_c3():

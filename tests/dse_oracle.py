@@ -19,10 +19,10 @@ With no extern states the per-layer DP *is* the mapper's DP, so one
 :func:`solve` serves both.
 """
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch.technology import TechnologyModel
-from repro.dataflow.unrolling import iter_triples
+from repro.dataflow.unrolling import useful_values
 from repro.dse import (
     EXTERN_FAMILIES,
     ExternState,
@@ -32,6 +32,7 @@ from repro.dse import (
     extern_layer_cycles,
     family_param_states,
 )
+from repro.errors import MappingError
 from repro.faults.mask import AvailabilityMask, live_grid
 from repro.nn.layers import ConvLayer
 from repro.nn.network import Network
@@ -39,6 +40,30 @@ from repro.nn.network import Network
 Triple = Tuple[int, int, int]
 #: ``(family, params, in_triple, out_triple, reconfig_cycles, kind)``.
 Step = Tuple[str, Tuple[int, ...], Optional[Triple], Optional[Triple], int, str]
+
+
+def iter_triples(
+    dims: Triple, product_limit: int, caps: Triple
+) -> Iterator[Triple]:
+    """All useful ``(a, b, c)`` factor triples with ``a*b*c <= product_limit``.
+
+    ``dims`` are the three loop extents, ``caps`` per-factor upper bounds
+    (e.g. the ``P*K'`` bound on ``Tr``/``Tc``).  Only Pareto-useful values
+    per dimension are enumerated (see
+    :func:`~repro.dataflow.unrolling.useful_values`), level by level.
+    """
+    if product_limit <= 0:
+        raise MappingError("product_limit must be positive")
+    for a in useful_values(dims[0], min(caps[0], product_limit)):
+        limit_b = product_limit // a
+        if limit_b == 0:
+            continue
+        for b in useful_values(dims[1], min(caps[1], limit_b)):
+            limit_c = product_limit // (a * b)
+            if limit_c == 0:
+                continue
+            for c in useful_values(dims[2], min(caps[2], limit_c)):
+                yield (a, b, c)
 
 
 def cdiv(a: int, b: int) -> int:

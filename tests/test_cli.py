@@ -276,7 +276,7 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "map_network" in out and "simulate_network" in out
+        assert "map_network" in out and "simulate_network" not in out
         assert main(["cache", "verify"]) == 0
         assert "0 corrupt" in capsys.readouterr().out
         assert main(["cache", "clear"]) == 0
