@@ -66,9 +66,6 @@ ENV_DIR = "REPRO_CACHE_DIR"
 ENV_MAX_ENTRIES = "REPRO_CACHE_MAX_ENTRIES"
 ENV_MEM_MB = "REPRO_CACHE_MEM_MB"
 
-#: Sentinel distinguishing "not buffered" from a buffered ``None``.
-_MISSING = object()
-
 #: Corrupt entries are moved (never deleted) into this dot-directory,
 #: which every store walk skips; operators can inspect or purge it.
 QUARANTINE_DIR = ".quarantine"
@@ -79,6 +76,31 @@ _TRUTHY = {"1", "on", "true", "yes", ""}
 #: Uniquifier for batched-flush temp names (same role as the one in
 #: :mod:`repro.fsutil`, local so the flush loop stays self-contained).
 _FLUSH_SEQUENCE = itertools.count()
+
+#: A deferral buffer: ``(section, key)`` -> ``(payload, encoded entry)``.
+_Buffer = "OrderedDict[Tuple[str, str], Tuple[Any, str]]"
+
+
+def _encode_entry(section: str, key: str, payload: Any) -> Optional[str]:
+    """The on-disk document for one entry, or ``None`` for a non-JSON payload.
+
+    No ``sort_keys``: payload dict order is meaning-bearing (e.g.
+    ExperimentResult rows derive their column order from it).  Compact
+    separators: decode-identical, measurably faster to serialize and
+    write on sweep-sized batches.
+    """
+    try:
+        return json.dumps(
+            {
+                "schema": CACHE_SCHEMA_VERSION,
+                "section": section,
+                "key": key,
+                "payload": payload,
+            },
+            separators=(",", ":"),
+        )
+    except (TypeError, ValueError):
+        return None
 
 
 class ResultCache:
@@ -108,14 +130,14 @@ class ResultCache:
         self.mem = MemoryTier(mem_budget_mb * 1024 * 1024)
         # Active deferral buffer (see :meth:`deferred`); ``None`` means
         # puts publish eagerly.  The depth counter makes nesting safe.
-        self._deferred: "Optional[OrderedDict[Tuple[str, str], Any]]" = None
+        self._deferred: "Optional[_Buffer]" = None
         self._deferred_depth = 0
         # Write-behind state: batched flushes run on one lazy daemon
         # thread so sweep wall-time excludes publish IO; :meth:`drain`
         # (and an atexit hook) give synchronization points.
         self._flush_lock = threading.Lock()
         self._flush_cond = threading.Condition(self._flush_lock)
-        self._flush_backlog: "deque[OrderedDict[Tuple[str, str], Any]]" = deque()
+        self._flush_backlog: "deque[_Buffer]" = deque()
         self._flush_jobs = 0
         self._flush_thread_running = False
         self._atexit_registered = False
@@ -176,13 +198,13 @@ class ResultCache:
         if self._deferred is not None:
             # A put buffered in this very block must stay visible to its
             # own process even when the memory tier is disabled.
-            buffered = self._deferred.get((section, key), _MISSING)
-            if buffered is not _MISSING:
+            buffered = self._deferred.get((section, key))
+            if buffered is not None:
                 REGISTRY.counter(
                     "cache.lookups", section=section, outcome="hit"
                 ).inc()
                 REGISTRY.counter("cache.memo_hits", section=section).inc()
-                return buffered
+                return buffered[0]
         chaos_sleep("slow_io")
         path_str = self._entry_path_str(section, key)
         try:
@@ -207,37 +229,34 @@ class ResultCache:
     def put(self, section: str, key: str, payload: Any) -> None:
         """Publish one entry atomically (last concurrent writer wins).
 
+        The entry is encoded here, once, for either path; a non-JSON
+        payload is dropped (a slower, uncached run, never a crash).
         Inside a :meth:`deferred` block the entry lands in the in-process
         memo immediately (same-process readers see it) but the disk write
         is buffered until the block exits.
         """
+        text = _encode_entry(section, key, payload)
+        if text is None:
+            return
         if self._deferred is not None:
-            self._deferred[(section, key)] = payload
+            self._deferred[(section, key)] = (payload, text)
             self.mem.put(section, key, payload)
             return
-        self._write_entry(section, key, payload)
+        self._write_entry(section, key, payload, text)
         if self.max_entries is not None:
             self._evict_to_limit()
 
-    def _write_entry(self, section: str, key: str, payload: Any) -> None:
+    def _write_entry(
+        self, section: str, key: str, payload: Any, text: str
+    ) -> None:
         """One atomic on-disk publish (no eviction — callers own that)."""
         chaos_sleep("slow_io")
         path = self._entry_path(section, key)
-        document = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "section": section,
-            "key": key,
-            "payload": payload,
-        }
         try:
-            # No sort_keys: payload dict order is meaning-bearing (e.g.
-            # ExperimentResult rows derive their column order from it).
-            # Compact separators: decode-identical, measurably faster to
-            # serialize and write on sweep-sized batches.
-            atomic_write_text(path, json.dumps(document, separators=(",", ":")))
-        except (OSError, TypeError, ValueError):
-            # A full/read-only disk or a non-JSON payload degrades to a
-            # slower (uncached) run, never a crash.
+            atomic_write_text(path, text)
+        except OSError:
+            # A full/read-only disk degrades to a slower (uncached) run,
+            # never a crash.
             return
         if chaos_point("cache_corrupt"):
             # Truncate the just-published entry mid-document: the shape a
@@ -279,9 +298,7 @@ class ResultCache:
                     self._enqueue_flush(buffered)
                     REGISTRY.counter("cache.deferred_flushes").inc()
 
-    def _enqueue_flush(
-        self, buffered: "OrderedDict[Tuple[str, str], Any]"
-    ) -> None:
+    def _enqueue_flush(self, buffered: "_Buffer") -> None:
         with self._flush_lock:
             self._flush_backlog.append(buffered)
             self._flush_jobs += 1
@@ -333,40 +350,30 @@ class ResultCache:
         # run, and a wedged disk must not hang interpreter shutdown.
         self.drain(timeout=10.0)
 
-    def _flush_entries(
-        self, buffered: "OrderedDict[Tuple[str, str], Any]"
-    ) -> None:
+    def _flush_entries(self, buffered: "_Buffer") -> None:
         """Publish a buffered batch with one lean pass of os-level IO.
 
         Each entry is still a private temp file renamed into place
         (readers never see a torn write), but directory creation is
         deduplicated across the batch, paths are plain strings, and the
         write counters are bumped once per section instead of per entry.
+        An entry that fails to land is dropped from the memory tier too,
+        the rule :meth:`_quarantine` follows: the tier must never serve
+        an entry the disk does not hold.
         """
         made_dirs = set()
         pid = os.getpid()
         writes: Dict[str, int] = {}
-        for (section, key), payload in buffered.items():
+        for (section, key), (_, text) in buffered.items():
             chaos_sleep("slow_io")
             directory = os.path.join(self._root_str, section, key[:2])
             if directory not in made_dirs:
                 try:
                     os.makedirs(directory, exist_ok=True)
                 except OSError:
+                    self.mem.invalidate(section, key)
                     continue
                 made_dirs.add(directory)
-            try:
-                text = json.dumps(
-                    {
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "section": section,
-                        "key": key,
-                        "payload": payload,
-                    },
-                    separators=(",", ":"),
-                )
-            except (TypeError, ValueError):
-                continue  # non-JSON payload: skip, never crash
             final = os.path.join(directory, f"{key}.json")
             tmp = os.path.join(
                 directory, f".{key}.{pid}.{next(_FLUSH_SEQUENCE)}.tmp"
@@ -379,6 +386,7 @@ class ResultCache:
                     os.close(fd)
                 os.replace(tmp, final)
             except OSError:
+                self.mem.invalidate(section, key)
                 try:
                     os.unlink(tmp)
                 except OSError:

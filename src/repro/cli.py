@@ -129,16 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " --dims 8,16,32 (default 8,16,32,64; with --per-layer, 16)",
     )
     dse_cmd.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes across workloads (default 1; sweep only)",
-    )
-    dse_cmd.add_argument(
-        "--kernels", default=None, metavar="BACKEND",
-        help="compute-kernel backend for this run: auto, cext, or numpy"
-        " (default: the REPRO_KERNELS environment setting, else auto;"
-        " results are identical)",
-    )
-    dse_cmd.add_argument(
         "--per-layer", action="store_true",
         help="solve the per-layer runtime-reconfigurable dataflow schedule"
         " (engine family + parameters per CONV layer) instead of the"
@@ -457,55 +447,38 @@ def _print_outcomes(outcomes) -> int:
 
 def _dse_rows(spec: str, dims: List[int]) -> List[dict]:
     """The ``dse`` table rows for one workload across the dim sweep."""
-    from repro.arch.area import area_report
     from repro.experiments.common import evaluate_sweep
+    from repro.experiments.dse_array_scale import scale_points
 
     network = _resolve_workload(spec)
     base = ArchConfig()
-    per_dim = [(dim, base.scaled_to(dim)) for dim in dims]
     results = evaluate_sweep(
         f"dse_cli:{network.name}",
-        [((dim), "flexflow", network, cfg) for dim, cfg in per_dim],
+        [(dim, "flexflow", network, base.scaled_to(dim)) for dim in dims],
     )
-    rows = []
-    best_dim = None
-    best_density = -1.0
-    for dim, cfg in per_dim:
-        result = results[dim]
-        area = area_report("flexflow", cfg).total_mm2
-        density = result.gops / area
-        rows.append(
-            {
-                "workload": network.name,
-                "dim": f"{dim}x{dim}",
-                "utilization": result.overall_utilization,
-                "gops": result.gops,
-                "area_mm2": area,
-                "gops_per_mm2": density,
-                "best": "",
-            }
-        )
-        if density > best_density:
-            best_density = density
-            best_dim = dim
-    for dim_row, (dim, _) in zip(rows, per_dim):
-        if dim == best_dim:
-            dim_row["best"] = "*"
-    return rows
+    points, best_dim = scale_points(results, dims)
+    return [
+        {
+            "workload": network.name,
+            "dim": f"{dim}x{dim}",
+            "utilization": result.overall_utilization,
+            "gops": result.gops,
+            "area_mm2": area,
+            "gops_per_mm2": density,
+            "best": "*" if dim == best_dim else "",
+        }
+        for dim, (result, area, density) in zip(dims, points)
+    ]
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
-    import os
+    """Sweep the array scale (or solve per-layer plans) in this process.
 
-    from repro.dataflow.mapper import clear_mapping_cache
+    The kernel backend is the ``REPRO_KERNELS`` setting; every backend
+    prints the same table.
+    """
     from repro.experiments.common import ExperimentResult
-    from repro.kernels import ENV_KERNELS, VALID_BACKENDS, reset_kernels
 
-    if args.kernels is not None and args.kernels not in VALID_BACKENDS:
-        raise ConfigurationError(
-            f"unknown kernel backend {args.kernels!r}; valid backends:"
-            f" {', '.join(VALID_BACKENDS)}"
-        )
     dims_text = args.dims
     if dims_text is None:
         dims_text = "16" if args.per_layer else "8,16,32,64"
@@ -516,64 +489,30 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"array dimensions must be positive, got {dims}"
         )
-    if args.jobs < 1:
-        raise ConfigurationError(
-            f"jobs must be >= 1, got {args.jobs} (e.g. --jobs 4)"
-        )
     if not args.reconfig_cost >= 0:
         raise ConfigurationError(
             f"--reconfig-cost must be >= 0, got {args.reconfig_cost!r}"
         )
-    saved_kernels = os.environ.get(ENV_KERNELS)
-    if args.kernels is not None:
-        # The environment crosses the spawn boundary, so --jobs workers
-        # pick the same backend; reset_kernels() re-resolves in-process.
-        os.environ[ENV_KERNELS] = args.kernels
-        reset_kernels()
-    # In-process memos may hold entries computed under another backend
-    # (they agree bit-for-bit, but a benchmark run should not mix paths).
-    clear_mapping_cache()
     specs = (
         list(WORKLOAD_NAMES) if args.workload == "all" else [args.workload]
     )
-    try:
-        if args.per_layer:
-            from repro.dse import format_plan, solve_per_layer
+    if args.per_layer:
+        from repro.dse import format_plan, solve_per_layer
 
-            blocks = []
-            for spec in specs:
-                network = _resolve_workload(spec)
-                for dim in dims:
-                    plan = solve_per_layer(
-                        network, dim, reconfig_scale=args.reconfig_cost
-                    )
-                    blocks.append(format_plan(plan))
-            print("\n\n".join(blocks))
-            return 0
-        if args.jobs > 1 and len(specs) > 1:
-            import multiprocessing as mp
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=min(args.jobs, len(specs)),
-                mp_context=mp.get_context("spawn"),
-            ) as pool:
-                row_lists = list(
-                    pool.map(_dse_rows, specs, [dims] * len(specs))
+        blocks = []
+        for spec in specs:
+            network = _resolve_workload(spec)
+            for dim in dims:
+                plan = solve_per_layer(
+                    network, dim, reconfig_scale=args.reconfig_cost
                 )
-        else:
-            row_lists = [_dse_rows(spec, dims) for spec in specs]
-    finally:
-        if args.kernels is not None:
-            if saved_kernels is None:
-                os.environ.pop(ENV_KERNELS, None)
-            else:
-                os.environ[ENV_KERNELS] = saved_kernels
-            reset_kernels()
+                blocks.append(format_plan(plan))
+        print("\n\n".join(blocks))
+        return 0
     result = ExperimentResult(
         experiment_id="dse",
         title="FlexFlow array-scale sweep (batched candidate scoring)",
-        rows=[row for rows in row_lists for row in rows],
+        rows=[row for spec in specs for row in _dse_rows(spec, dims)],
         notes="* marks the GOPS/mm^2-optimal scale per workload.",
     )
     print(result.format_table())

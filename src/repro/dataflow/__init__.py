@@ -10,7 +10,6 @@ from repro.dataflow.mapper import (
     map_layer,
     map_network,
     mapping_cache_info,
-    mapping_cache_size,
     output_candidates,
     relayout_penalty_cycles,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "map_layer",
     "map_network",
     "mapping_cache_info",
-    "mapping_cache_size",
     "clear_mapping_cache",
     "input_candidates",
     "output_candidates",

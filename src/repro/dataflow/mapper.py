@@ -29,7 +29,6 @@ pinned bit-for-bit against the plain-Python reference DP in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -50,7 +49,7 @@ from repro.dataflow.unrolling import (
     useful_values,
 )
 from repro.dataflow.utilization import UtilizationReport, utilization_report
-from repro.errors import ConfigurationError, MappingError, ReproError
+from repro.errors import MappingError, ReproError
 from repro.faults.mask import AvailabilityMask, live_grid
 from repro.kernels import active_kernels, count_kernel_call
 from repro.nn.layers import ConvLayer
@@ -59,30 +58,6 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import current_tracer
 
 Triple = Tuple[int, int, int]
-
-#: Environment variable bounding the in-memory ``map_layer`` memo (the
-#: ``map_network`` memo scales along at 1/16th, floor 1).
-ENV_MAPPING_CACHE_SIZE = "REPRO_MAPPING_CACHE_SIZE"
-
-#: Default ``map_layer`` memo bound when the env var is unset.
-DEFAULT_MAPPING_CACHE_SIZE = 4096
-
-def mapping_cache_size() -> int:
-    """The configured ``map_layer`` memo bound (``REPRO_MAPPING_CACHE_SIZE``)."""
-    raw = os.environ.get(ENV_MAPPING_CACHE_SIZE)
-    if raw is None or not raw.strip():
-        return DEFAULT_MAPPING_CACHE_SIZE
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{ENV_MAPPING_CACHE_SIZE} must be a positive integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ConfigurationError(
-            f"{ENV_MAPPING_CACHE_SIZE} must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 def _record_cache_outcome(name: str, before, after) -> None:
@@ -447,16 +422,18 @@ def map_layer(
             its live subgrid while utilization stays measured against the
             full ``D x D`` fabric.
     """
-    layer_cache, _ = _mapping_caches()
-    before = layer_cache.cache_info()
-    result = layer_cache(
+    before = _map_layer_cached.cache_info()
+    result = _map_layer_cached(
         layer, array_dim, tr_tc_bound, fixed_input_triple, mask
     )
-    _record_cache_outcome("layer_cache", before, layer_cache.cache_info())
+    _record_cache_outcome(
+        "layer_cache", before, _map_layer_cached.cache_info()
+    )
     return result
 
 
-def _map_layer_impl(
+@lru_cache(maxsize=4096)
+def _map_layer_cached(
     layer: ConvLayer,
     array_dim: int,
     tr_tc_bound: Optional[int],
@@ -555,11 +532,10 @@ def map_network(
     worker process) already solved restores from disk instead of
     re-enumerating.
     """
-    _, network_cache = _mapping_caches()
-    before = network_cache.cache_info()
-    result = network_cache(network, array_dim, mask)
+    before = _map_network_cached.cache_info()
+    result = _map_network_cached(network, array_dim, mask)
     _record_cache_outcome(
-        "network_cache", before, network_cache.cache_info()
+        "network_cache", before, _map_network_cached.cache_info()
     )
     return result
 
@@ -587,7 +563,8 @@ def _map_network_request_key(
     )
 
 
-def _map_network_impl(
+@lru_cache(maxsize=256)
+def _map_network_cached(
     network: Network,
     array_dim: int,
     mask: Optional[AvailabilityMask],
@@ -1002,55 +979,25 @@ def _search_batched(
 
 # -- cache management ---------------------------------------------------------
 
-_map_layer_cached = None
-_map_network_cached = None
-
-
-def _mapping_caches():
-    """The two ``lru_cache`` wrappers, built on first use.
-
-    Building lazily (instead of at import) lets a bad
-    ``REPRO_MAPPING_CACHE_SIZE`` surface as a catchable one-line
-    :class:`~repro.errors.ConfigurationError` instead of an import-time
-    traceback, and lets :func:`clear_mapping_cache` re-read the
-    environment.
-    """
-    global _map_layer_cached, _map_network_cached
-    if _map_layer_cached is None:
-        size = mapping_cache_size()
-        _map_layer_cached = lru_cache(maxsize=size)(_map_layer_impl)
-        _map_network_cached = lru_cache(maxsize=max(1, size // 16))(
-            _map_network_impl
-        )
-    return _map_layer_cached, _map_network_cached
-
 
 def mapping_cache_info() -> Dict[str, object]:
-    """``functools`` cache statistics for both memoized mapping searches.
+    """``functools`` cache statistics for the memoized mapping searches.
 
-    The ``map_layer``/``map_network`` values are ``cache_info()``
-    snapshots (their ``maxsize`` reflects ``REPRO_MAPPING_CACHE_SIZE``);
-    ``configured_size`` is the raw configured bound.
+    ``map_layer`` and ``map_network`` are ``cache_info()`` snapshots of
+    the two bounded memos (4096 and 256 entries); ``candidates`` is the
+    candidate-enumeration memo behind both.
     """
-    layer_cache, network_cache = _mapping_caches()
     return {
-        "map_layer": layer_cache.cache_info(),
-        "map_network": network_cache.cache_info(),
+        "map_layer": _map_layer_cached.cache_info(),
+        "map_network": _map_network_cached.cache_info(),
         "candidates": _candidate_cache.cache_info(),
-        "configured_size": mapping_cache_size(),
     }
 
 
 def clear_mapping_cache() -> None:
-    """Drop all memoized mapping results (tests and benchmarks use this).
-
-    The caches are rebuilt on next use, re-reading
-    ``REPRO_MAPPING_CACHE_SIZE`` — so changing the env var mid-process
-    takes effect after a clear.
-    """
-    global _map_layer_cached, _map_network_cached
-    _map_layer_cached = None
-    _map_network_cached = None
+    """Drop all memoized mapping results (tests and benchmarks use this)."""
+    _map_layer_cached.cache_clear()
+    _map_network_cached.cache_clear()
     _candidate_cache.cache_clear()
     _candidate_tuples.cache_clear()
     _useful_cached.cache_clear()

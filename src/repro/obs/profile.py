@@ -249,7 +249,7 @@ def _mapping_cache_line() -> str:
     layer = info["map_layer"]
     network = info["map_network"]
     return (
-        f"mapping cache (REPRO_MAPPING_CACHE_SIZE={info['configured_size']}):"
+        "mapping cache:"
         f" map_layer {layer.hits}/{layer.hits + layer.misses} hits"
         f" ({layer.currsize}/{layer.maxsize} entries),"
         f" map_network {network.hits}/{network.hits + network.misses} hits"

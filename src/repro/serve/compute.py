@@ -84,30 +84,23 @@ def _exec_simulate(spec: Dict[str, Any]) -> Dict[str, Any]:
 def _dse_payload(network: Network, dims, results) -> Dict[str, Any]:
     """One dse response body from pre-evaluated per-dim results.
 
-    The best-dim scan walks ``dims`` in request order with a strict
-    ``>``, exactly like the pre-fusion code, so a request's payload does
-    not depend on which other requests it was batched with.
+    :func:`~repro.experiments.dse_array_scale.scale_points` picks the
+    best dim in request order, so a request's payload does not depend on
+    which other requests it was batched with.
     """
-    from repro.arch.area import area_report
+    from repro.experiments.dse_array_scale import scale_points
 
-    base = ArchConfig()
-    rows = []
-    best_dim, best_density = None, -1.0
-    for dim in dims:
-        result = results[dim]
-        area = area_report("flexflow", base.scaled_to(dim)).total_mm2
-        density = result.gops / area
-        rows.append(
-            {
-                "dim": dim,
-                "utilization": result.overall_utilization,
-                "gops": result.gops,
-                "area_mm2": area,
-                "gops_per_mm2": density,
-            }
-        )
-        if density > best_density:
-            best_dim, best_density = dim, density
+    points, best_dim = scale_points(results, dims)
+    rows = [
+        {
+            "dim": dim,
+            "utilization": result.overall_utilization,
+            "gops": result.gops,
+            "area_mm2": area,
+            "gops_per_mm2": density,
+        }
+        for dim, (result, area, density) in zip(dims, points)
+    ]
     return {"workload": network.name, "rows": rows, "best_dim": best_dim}
 
 

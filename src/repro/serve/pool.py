@@ -1,16 +1,18 @@
 """Supervised async worker pool: the repo's one spawn executor.
 
-Cold serve requests and resilient experiment batches
-(:func:`repro.experiments.runner.run_resilient`) both run here, in
-``spawn`` worker processes, so a crashing computation cannot take down
-the coordinator and CPU-heavy work does not stall its event loop.  The
-pool takes its worker entry function at construction: serve keeps
-:func:`~repro.serve.compute.pool_entry`, the runner passes
-:func:`~repro.experiments.runner.experiment_entry`.  The supervision
-policy is :class:`~repro.experiments.runner.RunPolicy` — timeout /
-retries / capped exponential backoff — enforced *asynchronously*: an
-attempt's timeout runs from its dispatch to a worker, and backoff is an
-``await asyncio.sleep``, so one struggling job never blocks the others.
+No other code under ``src`` runs computations in worker processes
+(``repro dse`` sweeps in-process).  Cold serve requests and resilient
+experiment batches (:func:`repro.experiments.runner.run_resilient`)
+both run here, in ``spawn`` worker processes, so a crashing
+computation cannot take down the coordinator and CPU-heavy work does
+not stall its event loop.  The pool takes its worker entry function
+at construction: serve keeps :func:`~repro.serve.compute.pool_entry`,
+the runner passes :func:`~repro.experiments.runner.experiment_entry`.
+The supervision policy is :class:`~repro.experiments.runner.RunPolicy`
+— timeout / retries / capped exponential backoff — enforced
+*asynchronously*: an attempt's timeout runs from its dispatch to a
+worker, and backoff is an ``await asyncio.sleep``, so one struggling
+job never blocks the others.
 
 Each attempt reports ``ok``, ``failed`` or ``timeout``.  The pool owns
 each worker directly (one duplex pipe + one reader thread per worker),

@@ -32,7 +32,6 @@ def _no_persistent_cache(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "off")
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES", raising=False)
-    monkeypatch.delenv("REPRO_MAPPING_CACHE_SIZE", raising=False)
     reset_cache_handles()
     yield
     reset_cache_handles()

@@ -199,53 +199,12 @@ class TestMappingCache:
         info = mapping_cache_info()["map_layer"]
         assert info.currsize == 0 and info.hits == 0
 
-
-class TestMappingCacheSize:
-    """The REPRO_MAPPING_CACHE_SIZE environment knob."""
-
-    def setup_method(self):
+    def test_evicted_mapping_rederives_equal_factors(self):
         from repro.dataflow import clear_mapping_cache
 
-        clear_mapping_cache()
-
-    teardown_method = setup_method
-
-    def test_default_size(self):
-        from repro.dataflow import mapping_cache_info
-        from repro.dataflow.mapper import DEFAULT_MAPPING_CACHE_SIZE
-
-        info = mapping_cache_info()
-        assert info["configured_size"] == DEFAULT_MAPPING_CACHE_SIZE
-        assert info["map_layer"].maxsize == DEFAULT_MAPPING_CACHE_SIZE
-
-    def test_env_override_applies_after_clear(self, monkeypatch):
-        from repro.dataflow import mapping_cache_info
-
-        monkeypatch.setenv("REPRO_MAPPING_CACHE_SIZE", "64")
-        info = mapping_cache_info()
-        assert info["configured_size"] == 64
-        assert info["map_layer"].maxsize == 64
-        # map_network gets a proportionally smaller (but nonzero) bound.
-        assert 1 <= info["map_network"].maxsize <= 64
-
-    @pytest.mark.parametrize("bad", ["0", "-5", "many"])
-    def test_invalid_size_is_one_clean_error(self, bad, monkeypatch):
-        from repro.errors import ConfigurationError
-
-        monkeypatch.setenv("REPRO_MAPPING_CACHE_SIZE", bad)
-        layer = ConvLayer("c", in_maps=2, out_maps=4, out_size=6, kernel=3)
-        with pytest.raises(
-            ConfigurationError, match="REPRO_MAPPING_CACHE_SIZE"
-        ) as err:
-            map_layer(layer, 8)
-        assert "\n" not in str(err.value)
-
-    def test_tiny_cache_still_correct(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAPPING_CACHE_SIZE", "1")
-        layer_a = ConvLayer("a", in_maps=2, out_maps=4, out_size=6, kernel=3)
-        layer_b = ConvLayer("b", in_maps=3, out_maps=2, out_size=5, kernel=2)
-        first = map_layer(layer_a, 8)
-        map_layer(layer_b, 8)  # evicts layer_a from the 1-entry cache
-        again = map_layer(layer_a, 8)
+        layer = ConvLayer("a", in_maps=2, out_maps=4, out_size=6, kernel=3)
+        first = map_layer(layer, 8)
+        clear_mapping_cache()  # evicts the memoized entry
+        again = map_layer(layer, 8)
         assert again is not first
         assert again.factors == first.factors

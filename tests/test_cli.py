@@ -371,34 +371,36 @@ class TestDseCommand:
         except cext.KernelBuildError as exc:
             pytest.skip(f"C backend unavailable: {exc}")
 
-    def test_unknown_kernels_backend_rejected(self, capsys):
-        assert main(["dse", "PV", "--kernels", "numba"]) == 1
-        captured = capsys.readouterr()
+    @staticmethod
+    def _dse_under(backend, argv, capsys, monkeypatch):
+        """Run ``main(argv)`` with ``REPRO_KERNELS=backend``.
+
+        The mapping memo is cleared first so the backend really runs.
+        Returns the exit code and the captured output.
+        """
+        from repro.dataflow import clear_mapping_cache
+
+        monkeypatch.setenv("REPRO_KERNELS", backend)
+        clear_mapping_cache()
+        return main(argv), capsys.readouterr()
+
+    def test_unknown_kernels_backend_rejected(self, capsys, monkeypatch):
+        code, captured = self._dse_under(
+            "numba", ["dse", "PV"], capsys, monkeypatch
+        )
+        assert code == 1
         assert captured.out == ""
         err = captured.err.strip()
         assert "\n" not in err
         assert err.startswith("error: ") and "auto, cext, numpy" in err
 
-    def test_kernel_backends_print_identical_tables(self, capsys):
+    def test_kernel_backends_print_identical_tables(self, capsys, monkeypatch):
         self._require_cext()
-        assert main(["dse", "all", "--kernels", "numpy"]) == 0
-        numpy_out = capsys.readouterr().out
-        assert main(["dse", "all", "--kernels", "cext"]) == 0
-        assert capsys.readouterr().out == numpy_out
-
-    def test_kernels_flag_does_not_leak(self, capsys, monkeypatch):
-        import os
-
-        from repro.kernels import ENV_KERNELS, kernel_backend
-
-        monkeypatch.delenv(ENV_KERNELS, raising=False)
-        assert main(["dse", "PV", "--dims", "8", "--kernels", "numpy"]) == 0
-        assert ENV_KERNELS not in os.environ
-        monkeypatch.setenv(ENV_KERNELS, "numpy")
-        assert main(["dse", "PV", "--dims", "8", "--kernels", "auto"]) == 0
-        capsys.readouterr()
-        assert os.environ[ENV_KERNELS] == "numpy"
-        assert kernel_backend() == "numpy"
+        argv = ["dse", "all"]
+        numpy_code, numpy = self._dse_under("numpy", argv, capsys, monkeypatch)
+        cext_code, cext = self._dse_under("cext", argv, capsys, monkeypatch)
+        assert numpy_code == cext_code == 0
+        assert cext.out == numpy.out
 
     def test_all_workloads(self, capsys):
         assert main(["dse", "all", "--dims", "8"]) == 0
@@ -411,10 +413,6 @@ class TestDseCommand:
         path.write_text("network Tiny\ninput 1 8\nconv C1 maps 2 kernel 3\n")
         assert main(["dse", str(path), "--dims", "4,8"]) == 0
         assert "Tiny" in capsys.readouterr().out
-
-    def test_jobs_flag_accepted(self, capsys):
-        assert main(["dse", "PV", "--dims", "8", "--jobs", "2"]) == 0
-        assert "PV" in capsys.readouterr().out
 
     def test_invalid_dims_rejected(self, capsys):
         assert main(["dse", "PV", "--dims", "0,8"]) == 1
@@ -429,10 +427,6 @@ class TestDseCommand:
         err = capsys.readouterr().err
         assert "e.g. --dims 8,16,32" in err
 
-    def test_invalid_jobs_rejected(self, capsys):
-        assert main(["dse", "PV", "--jobs", "0"]) == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
-
     def test_per_layer_plan(self, capsys):
         assert main(["dse", "AlexNet", "--per-layer"]) == 0
         out = capsys.readouterr().out
@@ -441,13 +435,14 @@ class TestDseCommand:
         assert "<- best fixed" in out
         assert "speedup vs best fixed" in out
 
-    def test_per_layer_engines_agree(self, capsys):
+    def test_per_layer_engines_agree(self, capsys, monkeypatch):
         """Per-layer plans are byte-identical under both kernel backends."""
         self._require_cext()
-        assert main(["dse", "all", "--per-layer", "--kernels", "numpy"]) == 0
-        numpy_out = capsys.readouterr().out
-        assert main(["dse", "all", "--per-layer", "--kernels", "cext"]) == 0
-        assert capsys.readouterr().out == numpy_out
+        argv = ["dse", "all", "--per-layer"]
+        numpy_code, numpy = self._dse_under("numpy", argv, capsys, monkeypatch)
+        cext_code, cext = self._dse_under("cext", argv, capsys, monkeypatch)
+        assert numpy_code == cext_code == 0
+        assert cext.out == numpy.out
 
     def test_per_layer_respects_dims(self, capsys):
         assert main(["dse", "PV", "--per-layer", "--dims", "8"]) == 0

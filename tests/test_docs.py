@@ -10,7 +10,8 @@ Three guards over the repo's Markdown:
   (these are live examples, executed here).
 
 It also checks that the metric catalog in ``docs/OBSERVABILITY.md``
-lists exactly the series the code registers.
+lists exactly the series the code registers, and that every ``repro``
+subcommand and ``--flag`` the docs name exists in the CLI.
 """
 
 import doctest
@@ -28,6 +29,27 @@ DOC_FILES = sorted(
         *(REPO_ROOT / "docs").glob("*.md"),
     ]
 )
+
+#: The verify skill spells out CLI probes, so the CLI checks read it too.
+CLI_DOC_FILES = DOC_FILES + [
+    REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+]
+
+#: Root documents that describe the CLI as it is now.  The root's records
+#: of past and planned changes name flags a later change retired, so the
+#: flag check reads only these of the root documents.
+CURRENT_ROOT_DOCS = {
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "RESULTS.md",
+    "ROADMAP.md",
+}
+FLAG_DOC_FILES = [
+    p
+    for p in CLI_DOC_FILES
+    if p.parent != REPO_ROOT or p.name in CURRENT_ROOT_DOCS
+]
 
 #: Documents whose ``>>>`` examples are executed as doctests.
 DOCTEST_FILES = [
@@ -128,7 +150,7 @@ def test_every_docs_page_reachable_from_readme():
 _CLI_MENTION = re.compile(r"(?<!from )\brepro ([a-z][a-z0-9_]*)\b")
 
 
-def _cli_subcommands():
+def _cli_parser():
     import sys
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -136,15 +158,67 @@ def _cli_subcommands():
         from repro.cli import _build_parser
     finally:
         sys.path.pop(0)
+    return _build_parser()
+
+
+def _subparsers(parser):
+    """``name -> subparser`` for ``parser``'s subcommands (empty if none)."""
     import argparse
 
-    for action in _build_parser()._actions:
+    for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return set(action.choices)
-    raise AssertionError("CLI parser has no subcommands")
+            return action.choices
+    return {}
 
 
-@pytest.mark.parametrize("path", DOC_FILES, ids=_doc_ids(DOC_FILES))
+def _cli_subcommands():
+    commands = set(_subparsers(_cli_parser()))
+    assert commands, "CLI parser has no subcommands"
+    return commands
+
+
+def _long_options(parser):
+    """Every ``--option`` of ``parser`` and of its nested subcommands."""
+    options = {
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    for child in _subparsers(parser).values():
+        options |= _long_options(child)
+    return options
+
+
+#: An inline code span; it may wrap lines.
+_INLINE_CODE = re.compile(r"`([^`]+)`")
+#: A long option that is not the tail of a longer word.
+_LONG_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: Shell separators: a flag after one belongs to the next command.  A
+#: pipe needs blanks around it, so a synopsis's ``auto|cext`` is no pipe.
+_SHELL_SEPARATOR = re.compile(r"\s\|\|?\s|&&|;")
+
+
+def _code_units(text):
+    """Each fenced code line (``\\`` continuations joined) and inline span."""
+    units = []
+    for _language, body in _FENCE.findall(text):
+        units.extend(body.replace("\\\n", " ").splitlines())
+    units.extend(_INLINE_CODE.findall(_strip_fences(text)))
+    return units
+
+
+def _flag_mentions(unit):
+    """``(subcommand, flag)`` for each ``--flag`` after a ``repro <cmd>``."""
+    for segment in _SHELL_SEPARATOR.split(unit):
+        mentions = list(_CLI_MENTION.finditer(segment))
+        ends = [m.start() for m in mentions[1:]] + [len(segment)]
+        for mention, end in zip(mentions, ends):
+            for flag in _LONG_FLAG.findall(segment, mention.end(), end):
+                yield mention.group(1), flag
+
+
+@pytest.mark.parametrize("path", CLI_DOC_FILES, ids=_doc_ids(CLI_DOC_FILES))
 def test_repro_cli_mentions_exist(path):
     """Every ``repro <cmd>`` a doc mentions must be a real subcommand."""
     commands = _cli_subcommands()
@@ -160,6 +234,45 @@ def test_repro_cli_mentions_exist(path):
         f"{path.name} mentions nonexistent repro subcommands {unknown};"
         f" known: {sorted(commands)}"
     )
+
+
+def test_flag_mentions_parse_code_units():
+    text = (
+        "Run `python -m repro dse all\n  --dims 8,16` or\n"
+        "```bash\nrepro experiment all --jobs 2 \\\n"
+        "  --timeout 60 | head --lines 1\n```\n"
+        "`repro dse PV [--kernels a|b] [--jobs N]`, `--jobs` alone.\n"
+    )
+    mentions = [
+        found for unit in _code_units(text) for found in _flag_mentions(unit)
+    ]
+    assert sorted(mentions) == [
+        ("dse", "--dims"),
+        ("dse", "--jobs"),
+        ("dse", "--kernels"),
+        ("experiment", "--jobs"),
+        ("experiment", "--timeout"),
+    ]
+
+
+@pytest.mark.parametrize("path", FLAG_DOC_FILES, ids=_doc_ids(FLAG_DOC_FILES))
+def test_repro_cli_flags_exist(path):
+    """Every ``--flag`` after ``repro <cmd>`` in one code span or code-block
+    line must be an option of that subcommand (or of one nested in it)."""
+    parser = _cli_parser()
+    options = {
+        name: _long_options(child)
+        for name, child in _subparsers(parser).items()
+    }
+    unknown = sorted(
+        {
+            f"repro {command} {flag}"
+            for unit in _code_units(path.read_text(encoding="utf-8"))
+            for command, flag in _flag_mentions(unit)
+            if command in options and flag not in options[command]
+        }
+    )
+    assert not unknown, f"{path.name} names nonexistent CLI flags {unknown}"
 
 
 def test_doctest_coverage_list_is_current():
