@@ -229,7 +229,7 @@ class Accelerator(abc.ABC):
         Nothing here is persisted: every model derives a layer's cycles
         and counts in closed form, so re-walking a network is cheaper than
         a store round trip.  FlexFlow's one costly step, the Section 5
-        mapping search, is memoized and persisted by
+        mapping search, is memoized per process by
         :func:`~repro.dataflow.mapper.map_network` itself.
         """
         results: List[LayerResult] = []

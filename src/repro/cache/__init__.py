@@ -1,22 +1,20 @@
 """Persistent result cache: content-addressed, process-shared, versioned.
 
-Tier 2 of the performance layer (see ``docs/PERFORMANCE.md``): mapping
-searches, whole experiment results, and served responses are stored on
-disk keyed by a SHA-256 over the full request (shapes, configuration,
-factors) plus a code-version salt, so repeated sweeps — including
-``--jobs N`` worker processes sharing one directory — pay for each
-unique search once.  Closed-form results (cycles, utilization, activity
-counts) are cheaper to recompute than to read back, so they are not
-stored.
+Tier 2 of the performance layer (see ``docs/PERFORMANCE.md``): whole
+experiment results and served responses are stored on disk keyed by a
+SHA-256 over the full request plus a code-version salt, so repeated
+reports — including ``--jobs N`` worker processes sharing one directory
+— pay for each experiment once, and a repeated request is a read.
+Mapping searches and closed-form results (cycles, utilization, activity
+counts) cost no more to recompute than to read back, so they are not
+stored: the store has two sections, ``experiment`` and ``serve``.
 """
 
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
     canonical_json,
-    factors_payload,
     hash_payload,
     layer_payload,
-    mask_payload,
     network_payload,
 )
 from repro.cache.memtier import DEFAULT_MEM_MB, MemoryTier
@@ -47,10 +45,8 @@ __all__ = [
     "cache_root",
     "canonical_json",
     "deferred_cache_publishes",
-    "factors_payload",
     "hash_payload",
     "layer_payload",
-    "mask_payload",
     "network_payload",
     "reset_cache_handles",
 ]

@@ -1,14 +1,14 @@
-"""Content-addressed cache keys for mapping, experiment, and served results.
+"""Content-addressed cache keys for experiment and served results.
 
 Every persistent-cache key is the SHA-256 of a *canonical JSON* document
-describing the request — the network shapes, array size and fault mask
-of a mapping, the id and module source of an experiment, the validated
-spec of a served request — plus :data:`CACHE_SCHEMA_VERSION`, a
-code-version salt.  Hashing the full request (rather than trusting file
-names or object identity) makes the store safe to share between worker
-processes and across runs: two requests collide only if they are the
-same computation, and bumping the salt orphans every entry written by
-older (incompatible) code without touching the files themselves.
+describing the request — the id and module source of an experiment, the
+validated spec (with the resolved network shapes) of a served request —
+plus :data:`CACHE_SCHEMA_VERSION`, a code-version salt.  Hashing the
+full request (rather than trusting file names or object identity) makes
+the store safe to share between worker processes and across runs: two
+requests collide only if they are the same computation, and bumping the
+salt orphans every entry written by older (incompatible) code without
+touching the files themselves.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import dataclasses
 import hashlib
 import json
 from functools import lru_cache
-from typing import Any, Dict, Optional
-
-from repro.arch.serialization import mask_to_dict
+from typing import Any, Dict
 
 #: Code-version salt baked into every cache key.  Bump whenever counter
 #: semantics, result schemas, or model equations change — old entries
@@ -89,20 +87,3 @@ def _build_network_payload(network: Any) -> Dict[str, Any]:
 @lru_cache(maxsize=1024)
 def _network_payload_cached(network: Any) -> Dict[str, Any]:
     return _build_network_payload(network)
-
-
-def factors_payload(factors: Any) -> Dict[str, int]:
-    """Unrolling factors ``<Tm,Tn,Tr,Tc,Ti,Tj>`` as key material."""
-    return {
-        "tm": factors.tm,
-        "tn": factors.tn,
-        "tr": factors.tr,
-        "tc": factors.tc,
-        "ti": factors.ti,
-        "tj": factors.tj,
-    }
-
-
-def mask_payload(mask: Optional[Any]) -> Optional[Dict[str, Any]]:
-    """An optional AvailabilityMask as key material."""
-    return None if mask is None else mask_to_dict(mask)

@@ -273,17 +273,18 @@ class ResultCache:
     def deferred(self):
         """Batch puts: buffer inside the block, publish behind the block.
 
-        A sweep that writes hundreds of entries pays one write-behind
-        flush pass (and one eviction scan) instead of per-entry publish
-        IO on its own wall clock.  Duplicate puts of one key collapse to
-        the last payload.  Nesting is safe — only the outermost block
-        hands its buffer to the flush thread.  The memo is updated at
-        ``put`` time, so same-process readers never notice the delay;
-        other processes see the entries once the background flush lands
-        — call :meth:`drain` first where cross-process visibility is
-        required (e.g. before spawning workers that should hit warm).
-        An atexit hook drains outstanding flushes so short-lived CLI and
-        worker processes still publish everything they computed.
+        A batch of experiments pays one write-behind flush pass (and one
+        eviction scan) instead of per-entry publish IO on its own wall
+        clock, and a served response publishes off the event loop.
+        Duplicate puts of one key collapse to the last payload.  Nesting
+        is safe — only the outermost block hands its buffer to the flush
+        thread.  The memo is updated at ``put`` time, so same-process
+        readers never notice the delay; other processes see the entries
+        once the background flush lands — call :meth:`drain` first where
+        cross-process visibility is required (e.g. shard publication, or
+        tests asserting on-disk state).  An atexit hook drains
+        outstanding flushes so short-lived CLI and experiment worker
+        processes still publish everything they computed.
         """
         self._deferred_depth += 1
         if self._deferred_depth == 1:
@@ -337,8 +338,8 @@ class ResultCache:
         """Block until every queued write-behind flush has landed on disk.
 
         Returns ``False`` on timeout.  Call before handing the store root
-        to another process (worker prewarm, shard publication) or before
-        asserting on-disk state in tests.
+        to another process (shard publication) or before asserting
+        on-disk state in tests.
         """
         with self._flush_lock:
             return self._flush_cond.wait_for(
@@ -653,7 +654,7 @@ def reset_cache_handles() -> None:
 def deferred_cache_publishes():
     """:meth:`ResultCache.deferred` on the active cache; no-op when off.
 
-    Sweep-shaped call sites wrap themselves in this so a cold run
+    An in-process experiment batch wraps itself in this so a cold run
     publishes its entries in one batched flush instead of per-entry.
     """
     cache = active_cache()

@@ -31,17 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cache import (
-    active_cache,
-    factors_payload,
-    hash_payload,
-    mask_payload,
-    network_payload,
-)
 from repro.dataflow.styles import ProcessingStyle, classify
 from repro.dataflow.unrolling import (
     UnrollingFactors,
@@ -49,7 +42,7 @@ from repro.dataflow.unrolling import (
     useful_values,
 )
 from repro.dataflow.utilization import UtilizationReport, utilization_report
-from repro.errors import MappingError, ReproError
+from repro.errors import MappingError
 from repro.faults.mask import AvailabilityMask, live_grid
 from repro.kernels import active_kernels, count_kernel_call
 from repro.nn.layers import ConvLayer
@@ -524,13 +517,12 @@ def map_network(
     coupled triple's step count, so the DP is ``O(layers * |outs| * |steps|)``
     rather than quadratic in the candidate sets.
 
-    Results are memoized on ``(network, D, mask)`` — :class:`Network`
-    equality is structural, so re-parsing the same workload still hits the
-    cache, and a masked configuration never shares an unmasked entry.
-    Behind the in-memory memo sits the persistent result cache
-    (:mod:`repro.cache`): a DP search that any prior run (or a sibling
-    worker process) already solved restores from disk instead of
-    re-enumerating.
+    Results are memoized per process on ``(network, D, mask)`` —
+    :class:`Network` equality is structural, so re-parsing the same
+    workload still hits the memo, and a masked configuration never shares
+    an unmasked entry.  Nothing is persisted: a search costs about a
+    millisecond, no more than restoring it from disk, so each process
+    re-derives its mappings.
     """
     before = _map_network_cached.cache_info()
     result = _map_network_cached(network, array_dim, mask)
@@ -540,113 +532,18 @@ def map_network(
     return result
 
 
-@lru_cache(maxsize=4096)
-def _map_network_request_key(
-    network: Network,
-    array_dim: int,
-    mask: Optional[AvailabilityMask],
-) -> str:
-    """Persistent-cache key for one mapping request, memoized by value.
-
-    The key is pure in its (hashable, frozen) inputs and the schema
-    constant, so the memo can never go stale — and unlike the mapping
-    memos it survives :func:`clear_mapping_cache`, sparing repeated
-    sweeps the canonical-JSON + SHA-256 cost per lookup.
-    """
-    return hash_payload(
-        "map_network",
-        {
-            "network": network_payload(network),
-            "array_dim": array_dim,
-            "mask": mask_payload(mask),
-        },
-    )
-
-
 @lru_cache(maxsize=256)
 def _map_network_cached(
     network: Network,
     array_dim: int,
     mask: Optional[AvailabilityMask],
 ) -> NetworkMapping:
-    cache = active_cache()
-    key = None
-    if cache is not None:
-        key = _map_network_request_key(network, array_dim, mask)
-        stored = cache.get("map_network", key)
-        if stored is not None:
-            restored = _network_mapping_from_payload(
-                network, array_dim, stored
-            )
-            if restored is not None:
-                return restored
     with current_tracer().span(
         f"map_network:{network.name}",
         category="mapper",
         labels={"dim": str(array_dim)},
     ) as network_span:
-        result = _map_network_search(network, array_dim, mask, network_span)
-    if cache is not None:
-        cache.put("map_network", key, _network_mapping_payload(result))
-    return result
-
-
-def _network_mapping_payload(result: NetworkMapping) -> Dict[str, Any]:
-    """A NetworkMapping reduced to what the restore path cannot recompute."""
-    return {
-        "layers": [
-            {
-                "name": m.layer.name,
-                "factors": factors_payload(m.factors),
-                "relayout_cycles": m.relayout_cycles,
-            }
-            for m in result.layers
-        ],
-    }
-
-
-def _network_mapping_from_payload(
-    network: Network, array_dim: int, payload: Any
-) -> Optional[NetworkMapping]:
-    """Rebuild a NetworkMapping from its cached factors, or ``None``.
-
-    Utilization reports and cycle counts are recomputed from the factors
-    (cheap closed forms), so only the DP's *choices* are trusted from
-    disk; any inconsistency — wrong layer list, infeasible factors,
-    malformed entry — falls back to re-running the search.
-    """
-    contexts = network.conv_contexts()
-    try:
-        entries = payload["layers"]
-        if len(entries) != len(contexts):
-            return None
-        mappings = []
-        for ctx, entry in zip(contexts, entries):
-            if entry["name"] != ctx.layer.name:
-                return None
-            factors = UnrollingFactors(
-                **{k: int(v) for k, v in entry["factors"].items()}
-            )
-            factors.check(ctx.layer, array_dim, tr_tc_bound=ctx.tr_tc_bound)
-            mappings.append(
-                LayerMapping(
-                    layer=ctx.layer,
-                    factors=factors,
-                    array_dim=array_dim,
-                    utilization=utilization_report(
-                        ctx.layer, factors, array_dim
-                    ),
-                    compute_cycles=factors.outer_iterations(ctx.layer),
-                    relayout_cycles=int(entry["relayout_cycles"]),
-                )
-            )
-    except (KeyError, TypeError, ValueError, AttributeError, ReproError):
-        return None
-    return NetworkMapping(
-        network_name=network.name,
-        array_dim=array_dim,
-        layers=tuple(mappings),
-    )
+        return _map_network_search(network, array_dim, mask, network_span)
 
 
 def _map_network_search(

@@ -14,7 +14,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.accelerators import make_accelerator
 from repro.accelerators.base import NetworkResult
 from repro.arch.config import ArchConfig
-from repro.cache import deferred_cache_publishes
 from repro.errors import ConfigurationError
 from repro.nn.network import Network
 from repro.nn.workloads import get_workload
@@ -120,28 +119,25 @@ def evaluate_sweep(
     This is the shared entry for sweep-shaped experiments (`dse`,
     `fig19`, `sensitivity`, ...).  The heavy lifting is batched
     underneath: every FlexFlow point funnels through the vectorized
-    candidate-scoring mapper, whose searches hit the mapping memo and
-    the persistent result cache, and each distinct ``(kind, config,
-    workload)`` accelerator instance is constructed once.  The points'
-    cycles and counts are closed forms, recomputed on every call.  The
-    whole batch runs under one ``sweep:{label}`` span reporting
-    configs-evaluated counts.
+    candidate-scoring mapper, whose searches hit the per-process mapping
+    memo, and each distinct ``(kind, config, workload)`` accelerator
+    instance is constructed once.  Nothing here touches the persistent
+    result store: the points' cycles and counts are closed forms,
+    recomputed on every call.  The whole batch runs under one
+    ``sweep:{label}`` span reporting configs-evaluated counts.
     """
     results: Dict[Any, NetworkResult] = {}
     with sweep_span(label, configs_evaluated=len(points)) as span:
         accelerators: Dict[Tuple[str, Optional[ArchConfig], str], Any] = {}
-        # One batched cache flush for the whole sweep: a cold store pays
-        # a single publish pass instead of per-point atomic writes.
-        with deferred_cache_publishes():
-            for key, kind, network, config in points:
-                acc_key = (kind, config, network.name)
-                accelerator = accelerators.get(acc_key)
-                if accelerator is None:
-                    accelerator = make_accelerator(
-                        kind, config, workload_name=network.name
-                    )
-                    accelerators[acc_key] = accelerator
-                results[key] = accelerator.simulate_network(network)
+        for key, kind, network, config in points:
+            acc_key = (kind, config, network.name)
+            accelerator = accelerators.get(acc_key)
+            if accelerator is None:
+                accelerator = make_accelerator(
+                    kind, config, workload_name=network.name
+                )
+                accelerators[acc_key] = accelerator
+            results[key] = accelerator.simulate_network(network)
         if current_tracer().enabled:
             span.add_counters({"accelerators": len(accelerators)})
     REGISTRY.counter("experiments.sweep_points", sweep=label).inc(len(points))
@@ -156,8 +152,7 @@ def run_matrix(
     """workload -> architecture -> result, for the Figure 15-18 sweeps."""
     if not workload_names:
         raise ConfigurationError("workload_names must be non-empty")
-    with deferred_cache_publishes():
-        return {
-            name: run_all_architectures(get_workload(name), config, kinds)
-            for name in workload_names
-        }
+    return {
+        name: run_all_architectures(get_workload(name), config, kinds)
+        for name in workload_names
+    }

@@ -348,7 +348,10 @@ def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
 
     Both the in-process path (:func:`repro.experiments.run_experiment`)
     and the pool workers (:func:`experiment_entry`) go through here, so a
-    warm store turns a whole report into a series of JSON reads.
+    warm store turns a whole report into a series of JSON reads.  The
+    experiment entry is the only thing a run publishes: the mapping
+    searches and closed forms inside ``module.run()`` are recomputed (and
+    memoized per process) on a miss.
     """
     from repro.cache import active_cache
 
@@ -366,8 +369,8 @@ def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
             except (KeyError, TypeError, ValueError):
                 pass  # malformed entry: recompute and overwrite
     if cache is not None:
-        # One batched flush for the run's mapping publishes and the
-        # experiment entry itself.
+        # The entry publishes behind the result: the caller (or the pool
+        # worker's reply) does not wait on the disk write.
         with cache.deferred():
             result = module.run()
             if key is not None:
@@ -375,53 +378,6 @@ def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
     else:
         result = module.run()
     return result
-
-
-#: Experiments that consume the shared (architecture x workload) matrix of
-#: default-configuration network simulations (Figs. 15-18 + the headline
-#: claims all sweep the same six Table 1 workloads over the same four
-#: architectures).
-MATRIX_EXPERIMENTS = ("fig15", "fig16", "fig17", "fig18", "headline")
-
-
-def prewarm_shared_points(experiment_ids: Sequence[str]) -> int:
-    """Map the batch's shared workloads once, before any worker does.
-
-    When two or more matrix-sharing experiments are in one batch, the
-    supervisor runs the Section 5 mapping search (``map_network``) for
-    every Table 1 workload at the default array size once — populating
-    the persistent cache — instead of letting every worker repeat it.
-    Workers then restore the mappings from disk; the network simulations
-    on top are closed forms each worker recomputes.  Returns the number
-    of mappings warmed (0 when the cache is off or fewer than two
-    sharers are present); never raises — a failing prewarm just means
-    the workers search for themselves.
-    """
-    from repro.cache import active_cache
-
-    if active_cache() is None:
-        return 0
-    sharers = [eid for eid in experiment_ids if eid in MATRIX_EXPERIMENTS]
-    if len(sharers) < 2:
-        return 0
-    try:
-        from repro.arch import ArchConfig
-        from repro.dataflow import map_network
-        from repro.nn.workloads import WORKLOAD_NAMES, get_workload
-
-        dim = ArchConfig().array_dim
-        for name in WORKLOAD_NAMES:
-            map_network(get_workload(name), dim)
-        cache = active_cache()
-        if cache is not None:
-            # An earlier deferred publish may still be in flight; the
-            # spawned workers only see the mappings once they are on disk.
-            cache.drain()
-    except Exception:
-        return 0
-    points = len(WORKLOAD_NAMES)
-    REGISTRY.counter("runner.prewarmed_points").inc(points)
-    return points
 
 
 # -- the worker side ----------------------------------------------------------
@@ -516,9 +472,6 @@ def run_resilient(
             policy.run_dir, ids, policy, started_unix=started_unix
         )
     pending = [eid for eid in ids if eid not in outcomes]
-    # Search the batch's shared mappings once (into the persistent cache)
-    # before any worker repeats them.
-    prewarm_shared_points(pending)
     if pending:
         outcomes.update(_run_on_pool(pending, policy))
 

@@ -6,9 +6,10 @@ result dict.  It is a module-level function on purpose: the worker pool
 ships ``(kind, spec)`` across the ``spawn`` boundary by name.  All the
 heavy lifting reuses the library paths — ``map_network``,
 ``simulate_network``, ``evaluate_sweep`` — so a served computation and a
-CLI run populate and hit the same ``map_network`` store entries; the
-closed forms on top are recomputed, and the whole response is stored
-under the ``serve`` section.
+CLI run give the same numbers.  Workers never read or write the
+persistent store: the mapping searches are memoized per worker process,
+the closed forms on top are recomputed, and only the coordinator stores
+the whole response, under the ``serve`` section.
 """
 
 from __future__ import annotations

@@ -601,14 +601,18 @@ def _fastpath_cold_phase(members: int = 8) -> Dict[str, Any]:
     The burst is ``members`` compatible DSE requests over one heavy
     workload, each asking for the same 31 shared dims plus one distinct
     dim.  The pool runs with ``jobs == members``, so in the unbatched
-    leg every request's sweep starts before any other finishes — none of
-    them can see the others' cache publishes, and each redundantly
-    evaluates all 32 dims.  The batched leg fuses the burst into one
-    dispatch that evaluates the 39-dim union once.  The redundant work
-    is exactly what cross-request batching exists to collapse, and
-    (unlike a fixed-overhead-amortization protocol) the effect does not
-    depend on core count: with ``jobs`` workers all admitted at once,
-    the OS timeshares them and the publish race holds everywhere.
+    leg each request runs on its own worker and evaluates all 32 of its
+    dims: workers share no results (each memoizes its mapping searches
+    in-process and publishes nothing).  The batched leg fuses the burst
+    into one dispatch that evaluates the 39-dim union once, on one
+    worker.  The redundant work is exactly what cross-request batching
+    exists to collapse, but the throughput ratio also depends on the
+    host: the unbatched leg's ``members * 32`` dim evaluations spread
+    over every core the workers can use, while the fused dispatch runs
+    on one, so the ratio falls as cores are added and rises when the
+    server is pinned to fewer.  Each leg also pays a fixed cost per
+    request (pool IPC, encoding, the coordinator's ``serve`` publish),
+    which the unbatched leg pays ``members`` times.
 
     Each leg warms one-time process costs (imports, memoized accelerator
     state in every worker) with untimed single-dim requests on dims the

@@ -1,12 +1,10 @@
 """End-to-end persistent caching: mapper, simulators, and experiments.
 
-Every tier has the same contract — a warm store reproduces *exactly*
-what a cold run computes, and a damaged store silently degrades to
-recomputation.  The simulators persist nothing of their own: their
-closed forms are re-derived over the stored mappings.
+The store holds whole experiment results; a warm store reproduces
+*exactly* what a cold run computes, and a damaged store silently
+degrades to recomputation.  The mapper and the simulators persist
+nothing: a fresh process re-derives the same mappings and closed forms.
 """
-
-import json
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.arch import ArchConfig
 from repro.cache import active_cache, reset_cache_handles
 from repro.dataflow import map_network
 from repro.dataflow.mapper import clear_mapping_cache
-from repro.errors import ConfigurationError
 from repro.faults.model import FaultModel
 from repro.nn.workloads import get_workload
 from repro.obs.metrics import REGISTRY
@@ -40,62 +37,50 @@ def store_files(root, section):
     return sorted((root / section).glob("*/*.json"))
 
 
-class TestMapperTier:
-    def test_warm_mapping_identical_to_cold(self, cache_dir):
-        network = get_workload("LeNet-5")
-        cold = map_network(network, 16)
-        assert store_files(cache_dir, "map_network"), "expected a write"
-        fresh_process_state()
-        warm = map_network(network, 16)
-        assert warm == cold
-
-    def test_restore_counts_as_store_hit(self, cache_dir):
-        network = get_workload("PV")
-        map_network(network, 16)
-        fresh_process_state()
-        REGISTRY.reset()
-        map_network(network, 16)
-        hits = [
-            name
-            for name in REGISTRY.snapshot()
-            if name.startswith("cache.lookups")
-            and "map_network" in name
-            and "outcome=hit" in name
-        ]
-        assert hits, "expected a store hit on the warm mapping"
-
-    def test_corrupt_entry_falls_back_to_search(self, cache_dir):
-        network = get_workload("PV")
-        cold = map_network(network, 16)
-        for path in store_files(cache_dir, "map_network"):
-            path.write_text("{broken")
-        fresh_process_state()
-        assert map_network(network, 16) == cold
-
-    def test_tampered_factors_are_rejected(self, cache_dir):
-        # An entry whose factors violate Eq. 1 must not be trusted.
-        network = get_workload("PV")
-        cold = map_network(network, 16)
-        for path in store_files(cache_dir, "map_network"):
-            entry = json.loads(path.read_text())
-            for layer in entry["payload"]["layers"]:
-                layer["factors"]["tm"] = 10_000
-            path.write_text(json.dumps(entry))
-        fresh_process_state()
-        assert map_network(network, 16) == cold
-
-
 KINDS = ["systolic", "mapping2d", "tiling", "flexflow", "rowstationary"]
 # Nine dead PEs: every kind degrades, none loses all its structures.
 MASKED = ArchConfig(pe_mask=FaultModel(seed=3, dead_pe_rate=0.02).mask_for(16))
 
 
-class TestSimulatorTier:
-    """Network results are closed forms over the persisted mappings.
+class TestMapperNotPersisted:
+    """The mapping search is a per-process memo and nothing more."""
 
-    Nothing is stored under ``simulate_network``; a fresh process
-    re-derives the cold result, and only FlexFlow's mapping search is
-    read back from the store.
+    @staticmethod
+    def store_series():
+        return [
+            name
+            for name in REGISTRY.snapshot()
+            if name.startswith(("cache.lookups", "cache.writes"))
+        ]
+
+    def test_search_touches_no_store(self, cache_dir):
+        from repro.dse import solve_per_layer
+        from repro.experiments.common import evaluate_sweep
+
+        network = get_workload("PV")
+        REGISTRY.reset()
+        cold = map_network(network, 16)
+        masked = map_network(network, 16, mask=MASKED.pe_mask)
+        evaluate_sweep(
+            "contract",
+            [(dim, "flexflow", network, ArchConfig().scaled_to(dim))
+             for dim in (8, 16)],
+        )
+        solve_per_layer(network, 16)
+        assert self.store_series() == []
+        cache = active_cache()
+        cache.drain()
+        assert cache.stats()["sections"] == {}
+        fresh_process_state()
+        assert map_network(network, 16) == cold
+        assert map_network(network, 16, mask=MASKED.pe_mask) == masked
+
+
+class TestSimulatorTier:
+    """Network results are closed forms over per-process mappings.
+
+    Nothing is stored for a network simulation; a fresh process
+    re-derives the cold result.
     """
 
     @staticmethod
@@ -120,42 +105,28 @@ class TestSimulatorTier:
     def test_fault_masked_result_identical(self, cache_dir, kind):
         self.assert_rederived(cache_dir, kind, MASKED)
 
-    def test_flexflow_rederivation_hits_the_mapping(self, cache_dir):
-        network = get_workload("PV")
-        make_accelerator("flexflow", ArchConfig()).simulate_network(network)
+    def test_corrupt_entry_recomputes(self, cache_dir):
+        """Simulations persist nothing, so a damaged store is exercised on
+        the experiment entries a warm report reads instead."""
+        from repro.experiments import run_experiment
+
+        cold = run_experiment("table04")
+        active_cache().drain()
+        entries = store_files(cache_dir, "experiment")
+        assert entries, "expected an experiment entry to corrupt"
+        for path in entries:
+            path.write_text(path.read_text()[:10])
         fresh_process_state()
         REGISTRY.reset()
-        make_accelerator("flexflow", ArchConfig()).simulate_network(network)
-        hits = [
-            value
-            for name, value in REGISTRY.snapshot().items()
-            if name.startswith("cache.lookups")
-            and "map_network" in name
-            and "outcome=hit" in name
-        ]
-        assert hits == [1]
-
-    def test_config_change_misses(self, cache_dir):
-        network = get_workload("PV")
-        acc = make_accelerator("flexflow", ArchConfig(), workload_name="PV")
-        acc.simulate_network(network)
-        n_before = len(store_files(cache_dir, "map_network"))
-        scaled = make_accelerator(
-            "flexflow", ArchConfig().scaled_to(8), workload_name="PV"
+        warm = run_experiment("table04")
+        assert warm.rows == cold.rows
+        assert REGISTRY.snapshot()[
+            "cache.quarantined{section=experiment}"
+        ] == len(entries)
+        quarantined = cache_dir / ".quarantine" / "experiment"
+        assert sorted(p.name for p in quarantined.iterdir()) == sorted(
+            p.name for p in entries
         )
-        scaled.simulate_network(network)
-        assert len(store_files(cache_dir, "map_network")) == n_before + 1
-        assert not (cache_dir / "simulate_network").exists()
-
-    def test_corrupt_entry_recomputes(self, cache_dir):
-        network = get_workload("PV")
-        acc = make_accelerator("tiling", ArchConfig(), workload_name="PV")
-        cold = acc.simulate_network(network)
-        for path in store_files(cache_dir, "simulate_network"):
-            path.write_text("not json at all")
-        fresh_process_state()
-        acc = make_accelerator("tiling", ArchConfig(), workload_name="PV")
-        assert acc.simulate_network(network) == cold
 
 
 class TestExperimentTier:
@@ -210,16 +181,3 @@ class TestResilientRunnerSharing:
         again = run_resilient(ids, RunPolicy(jobs=3))
         for first, second in zip(outcomes, again):
             assert second.result.rows == first.result.rows
-
-    def test_prewarm_skips_without_two_sharers(self, cache_dir):
-        from repro.experiments.runner import prewarm_shared_points
-
-        assert prewarm_shared_points(["table04", "fig15"]) == 0
-        assert prewarm_shared_points(["fig15", "fig16"]) > 0
-
-    def test_prewarm_noop_when_cache_off(self, monkeypatch):
-        from repro.experiments.runner import prewarm_shared_points
-
-        monkeypatch.setenv("REPRO_CACHE", "off")
-        assert active_cache() is None
-        assert prewarm_shared_points(["fig15", "fig16"]) == 0

@@ -260,15 +260,7 @@ class TestCacheSelfHealing:
         post mortems — never deleted), and recomputes: the client sees
         two clean 200s, not a decode error."""
         from repro.cache import active_cache
-        from repro.dataflow import map_network
-        from repro.nn import get_workload
 
-        # Warm the mapper's caches BEFORE arming chaos (the inline
-        # worker shares this process), so the worker's own map_network
-        # publish doesn't consume the one-shot corruption budget — the
-        # `serve` entry must be the first disk write under fire.
-        map_network(get_workload("PV"), 4)
-        active_cache().drain()
         monkeypatch.setenv("REPRO_CHAOS", "cache_corrupt=1@1,seed=1")
         reset_chaos_handles()
         quarantined_before = counter_value(

@@ -247,17 +247,21 @@ class TestGracefulShutdown:
         self, serve_cache, tmp_path, monkeypatch
     ):
         """shutdown() stops an idle spawn worker with the sentinel, so the
-        write-behind flush of everything its request computed reaches
-        disk — with no drain() in this process."""
+        write-behind flush of the experiment entry it computed reaches
+        disk — with no drain() in this process.  Experiment workers are
+        the only pool workers that publish."""
         from repro.cache import active_cache, reset_cache_handles
-        from repro.dataflow import clear_mapping_cache
-        from repro.serve.compute import execute_request
+        from repro.experiments import run_experiment
+        from repro.experiments.runner import experiment_entry
+        from repro.serve.schemas import ComputeRequest
 
-        request = parse_request(
-            "dse", {"workload": "PV", "dims": [4, 8, 12, 16, 20, 24, 28, 32]}
+        request = ComputeRequest(
+            "experiment", {"experiment_id": "table04"},
+            key="table04", label="table04",
         )
         pool = WorkerPool(
-            RunPolicy(jobs=1, retries=0, timeout_s=120.0), jobs=1
+            RunPolicy(jobs=1, retries=0, timeout_s=120.0), jobs=1,
+            entry=experiment_entry,
         )
         try:
             run(pool.run(request))
@@ -265,16 +269,15 @@ class TestGracefulShutdown:
             pool.shutdown()
         published = store_entries(serve_cache)
 
-        # The same request in this process, drained, names every entry
-        # the computation writes.
+        # The same experiment in this process, drained, names every
+        # entry the computation writes.
         reference = tmp_path / "reference"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(reference))
         reset_cache_handles()
-        clear_mapping_cache()
-        execute_request(request.kind, request.spec)
+        run_experiment("table04")
         active_cache().drain()
         expected = store_entries(reference)
-        assert expected, "the request should compute cache entries"
+        assert expected, "the experiment should compute a cache entry"
         assert published == expected
 
     def test_shutdown_leaves_no_worker_alive(self):

@@ -253,16 +253,11 @@ class TestCacheCommand:
     @pytest.fixture(autouse=True)
     def _isolated_store(self, tmp_path, monkeypatch):
         from repro.cache import reset_cache_handles
-        from repro.dataflow import clear_mapping_cache
 
         monkeypatch.setenv("REPRO_CACHE", "on")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-        # The in-process mapping memo would satisfy map_network before
-        # the persistent store ever saw the request.
-        clear_mapping_cache()
         reset_cache_handles()
         yield
-        clear_mapping_cache()
         reset_cache_handles()
 
     def test_stats_on_empty_store(self, capsys):
@@ -272,11 +267,15 @@ class TestCacheCommand:
         assert "entries: 0" in out
 
     def test_populate_stats_verify_clear(self, capsys):
-        assert main(["run", "PV", "--arch", "flexflow"]) == 0
+        from repro.cache import active_cache
+
+        assert main(["experiment", "table04"]) == 0
+        active_cache().drain()  # the entry publishes behind the run
         capsys.readouterr()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "map_network" in out and "simulate_network" not in out
+        assert "experiment" in out
+        assert "map_network" not in out and "simulate_network" not in out
         assert main(["cache", "verify"]) == 0
         assert "0 corrupt" in capsys.readouterr().out
         assert main(["cache", "clear"]) == 0
@@ -316,7 +315,7 @@ class TestCacheCommand:
 
     def test_invalid_cache_env_is_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE", "banana")
-        assert main(["run", "PV", "--arch", "flexflow"]) == 1
+        assert main(["experiment", "table04"]) == 1
         assert "REPRO_CACHE" in capsys.readouterr().err
 
 
