@@ -14,6 +14,7 @@ import abc
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import ArchConfig
@@ -70,8 +71,9 @@ class NetworkResult:
     def total_ops(self) -> int:
         return sum(r.ops for r in self.layers)
 
-    @property
+    @cached_property
     def counts(self) -> ActivityCounts:
+        """The layers' counts summed, once per result."""
         total = ActivityCounts()
         for result in self.layers:
             total = total + result.counts
@@ -116,6 +118,12 @@ class NetworkResult:
 
     def power_report(self) -> PowerReport:
         """Energy/power for the whole run (chip power, DRAM separate)."""
+        return self._power
+
+    @cached_property
+    def _power(self) -> PowerReport:
+        # Priced once per result: the memoized walks hand one result to
+        # every figure that reads its power, energy or efficiency.
         return compute_power(self.counts, self.kind, self.config)
 
     @property
@@ -162,6 +170,22 @@ class Accelerator(abc.ABC):
 
     def __init__(self, config: Optional[ArchConfig] = None) -> None:
         self.config = config or ArchConfig()
+
+    # -- value identity -------------------------------------------------------
+
+    def _state(self) -> tuple:
+        """The class plus constructor state (``config`` and the array
+        geometry): everything a model's results depend on."""
+        return (type(self), tuple(vars(self).items()))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal models give equal results: same class, equal state."""
+        if not isinstance(other, Accelerator):
+            return NotImplemented
+        return self._state() == other._state()
+
+    def __hash__(self) -> int:
+        return hash(self._state())
 
     def _active_pe_cycles(self, macs: int, cycles: int, total_pes: int) -> int:
         """Useful MAC cycles plus the idle fabric's residual toggling.
@@ -226,12 +250,16 @@ class Accelerator(abc.ABC):
         The paper's evaluation is CONV-only (>90 % of compute); pass
         ``include_fc=True`` to append the classifier layers.
 
-        Nothing here is persisted: every model derives a layer's cycles
-        and counts in closed form, so re-walking a network is cheaper than
-        a store round trip.  FlexFlow's one costly step, the Section 5
-        mapping search, is memoized per process by
-        :func:`~repro.dataflow.mapper.map_network` itself.
+        Results are memoized per process (:func:`memoized_network_result`)
+        and never persisted: every model derives a layer's cycles and
+        counts in closed form, so a fresh process re-walks a network
+        faster than a store round trip would restore it, while the
+        evaluation's repeated (model, network) pairs are walked once.
         """
+        return memoized_network_result(self, network, include_fc)
+
+    def _walk_network(self, network: Network, include_fc: bool) -> NetworkResult:
+        """The uncached walk behind :meth:`simulate_network`."""
         results: List[LayerResult] = []
         pool_ops = self._pool_ops_by_predecessor(network)
         for result in self._conv_layer_results(network):
@@ -278,6 +306,26 @@ class Accelerator(abc.ABC):
             elif isinstance(layer, PoolLayer) and previous_conv is not None:
                 pool_ops[previous_conv] = pool_ops.get(previous_conv, 0) + layer.ops
         return pool_ops
+
+
+#: Bound of the network-result memo, a constant like ``map_network``'s
+#: 256 entries; a cold ``repro report`` fills 118.
+NETWORK_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=NETWORK_MEMO_SIZE)
+def memoized_network_result(
+    accelerator: Accelerator, network: Network, include_fc: bool
+) -> NetworkResult:
+    """:meth:`Accelerator.simulate_network`'s per-process memo.
+
+    Keyed by value, never by object identity: the model's class and
+    constructor state (:meth:`Accelerator.__eq__`), the network's
+    structure (:class:`~repro.nn.network.Network` equality) and
+    ``include_fc``.  A walk that raises is not stored.
+    :func:`repro.dataflow.clear_mapping_cache` empties it.
+    """
+    return accelerator._walk_network(network, include_fc)
 
 
 def dram_words_with_reload(

@@ -65,9 +65,10 @@ class FlexFlowAccelerator(Accelerator):
     def _conv_layer_results(self, network: Network) -> List[LayerResult]:
         """Every CONV layer under the joint (DP) mapping.
 
-        :func:`~repro.dataflow.mapper.map_network` memoizes the search in
-        process and persists it in the result store, so only the closed
-        forms below are recomputed on a repeat.
+        :func:`~repro.dataflow.mapper.map_network` memoizes the search per
+        process and persists nothing; the closed forms below run once per
+        distinct walk, because :meth:`simulate_network` memoizes the
+        whole network result on top.
         """
         net_mapping = map_network(
             network, self.config.array_dim, mask=self.config.pe_mask

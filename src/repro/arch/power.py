@@ -15,7 +15,7 @@ numbers are for the accelerator die, while DRAM traffic feeds the Table 7
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict
 
 from repro.arch.area import area_report
@@ -49,11 +49,9 @@ class ActivityCounts:
     def __add__(self, other: "ActivityCounts") -> "ActivityCounts":
         if not isinstance(other, ActivityCounts):
             return NotImplemented
-        kwargs = {
-            f.name: getattr(self, f.name) + getattr(other, f.name)
-            for f in fields(self)
-        }
-        return ActivityCounts(**kwargs)
+        return ActivityCounts(
+            *[getattr(self, name) + getattr(other, name) for name in _COUNT_FIELDS]
+        )
 
     @property
     def buffer_words_total(self) -> int:
@@ -65,6 +63,10 @@ class ActivityCounts:
             + self.neuron_buffer_partial_reads
             + self.kernel_buffer_reads
         )
+
+
+#: :class:`ActivityCounts` field names in declaration (constructor) order.
+_COUNT_FIELDS = tuple(f.name for f in fields(ActivityCounts))
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,15 @@ of an ``open`` + ``json.loads``.  It replaces the old entry-counted
 
 * **byte budget** — ``REPRO_CACHE_MEM_MB`` bounds resident bytes, not
   entry count, so a few giant sweep payloads cannot silently pin
-  hundreds of megabytes.  Entries are charged their canonical-JSON
-  length (the same text the disk entry stores), evicted LRU per shard;
+  hundreds of megabytes.  Entries are charged the length of their stored
+  document (the disk entry's text, which the store hands over on every
+  ``put``, so no payload is encoded twice), evicted LRU per shard;
 * **sharding** — the tier is probed from the event loop, inline worker
   threads, and the write-behind flush thread at once; N independently
   locked shards keep the hot path contention-free (the old ``_memo``
   OrderedDict had no lock at all);
 * **digest validation** — every resident entry carries a SHA-256 over
-  its canonical payload text.  A ``put`` that changes a key's digest
+  its stored document.  A ``put`` that changes a key's digest
   replaces the entry and counts ``cache.mem_invalidations``; quarantine
   and repair call :meth:`invalidate` so a corrupt disk entry can never
   keep serving from memory.
@@ -27,7 +28,6 @@ Metrics: ``cache.mem_hits{section}`` / ``cache.mem_misses{section}`` /
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
@@ -43,28 +43,6 @@ SHARD_COUNT = 8
 #: Flat per-entry overhead charged on top of the payload text: the dict
 #: slot, key strings, and bookkeeping tuple are not free.
 ENTRY_OVERHEAD_BYTES = 256
-
-
-def _encode(payload: Any) -> Optional[str]:
-    """Canonical payload text (the disk entry's byte form), or ``None``
-    when the payload is not JSON-serializable (such entries skip the
-    tier the same way they skip the disk)."""
-    try:
-        return json.dumps(payload, separators=(",", ":"))
-    except (TypeError, ValueError):
-        return None
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def payload_digest(payload: Any) -> Optional[str]:
-    """The digest :class:`MemoryTier` would assign ``payload`` (or ``None``
-    for unserializable payloads).  External coherence checks — the serve
-    hot path — compare this against :meth:`MemoryTier.digest`."""
-    text = _encode(payload)
-    return None if text is None else _digest(text)
 
 
 class _Shard:
@@ -114,17 +92,19 @@ class MemoryTier:
         REGISTRY.counter("cache.mem_hits", section=section).inc()
         return True, entry[0]
 
-    def put(self, section: str, key: str, payload: Any) -> None:
-        """Admit (or refresh) one decoded entry, evicting LRU to budget."""
+    def put(self, section: str, key: str, payload: Any, document: str) -> None:
+        """Admit (or refresh) one decoded entry, evicting LRU to budget.
+
+        ``document`` is the entry's stored text — the encoded entry on a
+        store ``put``, the file's text on a disk hit — so both paths
+        charge and digest the same bytes without re-encoding ``payload``.
+        """
         if not self.enabled:
             return
-        text = _encode(payload)
-        if text is None:
-            return
-        nbytes = len(text) + ENTRY_OVERHEAD_BYTES
+        nbytes = len(document) + ENTRY_OVERHEAD_BYTES
         if nbytes > max(self._shard_budget, 1):
             return  # larger than a whole shard: not worth caching
-        digest = _digest(text)
+        digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
         shard = self._shard_for(section, key)
         entry_key = (section, key)
         evicted = invalidated = 0

@@ -223,7 +223,7 @@ class ResultCache:
             self._quarantine(Path(path_str), section)
             return None
         REGISTRY.counter("cache.lookups", section=section, outcome="hit").inc()
-        self.mem.put(section, key, entry["payload"])
+        self.mem.put(section, key, entry["payload"], text)
         return entry["payload"]
 
     def put(self, section: str, key: str, payload: Any) -> None:
@@ -240,7 +240,7 @@ class ResultCache:
             return
         if self._deferred is not None:
             self._deferred[(section, key)] = (payload, text)
-            self.mem.put(section, key, payload)
+            self.mem.put(section, key, payload, text)
             return
         self._write_entry(section, key, payload, text)
         if self.max_entries is not None:
@@ -267,7 +267,7 @@ class ResultCache:
             except OSError:
                 pass
         REGISTRY.counter("cache.writes", section=section).inc()
-        self.mem.put(section, key, payload)
+        self.mem.put(section, key, payload, text)
 
     @contextmanager
     def deferred(self):

@@ -43,6 +43,11 @@ from repro.dataflow.unrolling import (
 )
 from repro.dataflow.utilization import UtilizationReport, utilization_report
 from repro.errors import MappingError
+from repro.faults.impact import (
+    row_kill_retention,
+    systolic_retention,
+    tiling_retention,
+)
 from repro.faults.mask import AvailabilityMask, live_grid
 from repro.kernels import active_kernels, count_kernel_call
 from repro.nn.layers import ConvLayer
@@ -882,17 +887,34 @@ def mapping_cache_info() -> Dict[str, object]:
 
     ``map_layer`` and ``map_network`` are ``cache_info()`` snapshots of
     the two bounded memos (4096 and 256 entries); ``candidates`` is the
-    candidate-enumeration memo behind both.
+    candidate-enumeration memo behind both.  ``simulate_network`` is the
+    accelerator models' network-result memo (256 entries), which sits on
+    top of these searches.
     """
+    # Imported here: the accelerator models import this module.
+    from repro.accelerators.base import memoized_network_result
+
     return {
         "map_layer": _map_layer_cached.cache_info(),
         "map_network": _map_network_cached.cache_info(),
         "candidates": _candidate_cache.cache_info(),
+        "simulate_network": memoized_network_result.cache_info(),
     }
 
 
 def clear_mapping_cache() -> None:
-    """Drop all memoized mapping results (tests and benchmarks use this)."""
+    """Drop all memoized mapping results (tests and benchmarks use this).
+
+    The one reset for every per-process memo on the evaluation path: the
+    searches here, the baselines' fault retentions and the accelerator
+    models' network results, so a cleared process recomputes them all.
+    """
+    from repro.accelerators.base import memoized_network_result
+
+    memoized_network_result.cache_clear()
+    systolic_retention.cache_clear()
+    row_kill_retention.cache_clear()
+    tiling_retention.cache_clear()
     _map_layer_cached.cache_clear()
     _map_network_cached.cache_clear()
     _candidate_cache.cache_clear()

@@ -122,8 +122,10 @@ def evaluate_sweep(
     candidate-scoring mapper, whose searches hit the per-process mapping
     memo, and each distinct ``(kind, config, workload)`` accelerator
     instance is constructed once.  Nothing here touches the persistent
-    result store: the points' cycles and counts are closed forms,
-    recomputed on every call.  The whole batch runs under one
+    result store: the points' cycles and counts are closed forms, and
+    :meth:`~repro.accelerators.base.Accelerator.simulate_network`
+    memoizes each point's result per process, so a point another sweep
+    already walked costs a key hash.  The whole batch runs under one
     ``sweep:{label}`` span reporting configs-evaluated counts.
     """
     results: Dict[Any, NetworkResult] = {}

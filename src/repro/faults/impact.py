@@ -20,15 +20,25 @@ work serially, so cycles scale by ``1 / retention`` — retention 0 means
 the architecture is unusable under the mask.  PEs are assigned to
 structures in row-major linear order (the same order the physical layout
 tiles them); leftover PEs outside any structure absorb faults for free.
+
+A retention depends only on the mask and the structure shape, so each
+model is memoized per process (:data:`RETENTION_MEMO_SIZE` entries) and
+evaluated once per (mask, structure), not once per layer;
+:func:`repro.dataflow.clear_mapping_cache` empties the memos.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.mask import AvailabilityMask
 from repro.kernels import active_kernels, count_kernel_call
+
+#: Bound of each retention memo (one entry per mask and structure shape).
+RETENTION_MEMO_SIZE = 256
 
 
 def _dead_flags(mask: AvailabilityMask) -> np.ndarray:
@@ -58,6 +68,7 @@ def _surviving(flags: np.ndarray, n_struct: int, size: int) -> int:
     return int((~per_struct_dead).sum())
 
 
+@lru_cache(maxsize=RETENTION_MEMO_SIZE)
 def systolic_retention(mask: AvailabilityMask, array_size: int) -> float:
     """Fraction of ``Ta x Ta`` systolic arrays that survive the mask."""
     if array_size <= 0:
@@ -71,12 +82,14 @@ def systolic_retention(mask: AvailabilityMask, array_size: int) -> float:
     return _surviving(flags, num_arrays, pes_per_array) / num_arrays
 
 
+@lru_cache(maxsize=RETENTION_MEMO_SIZE)
 def row_kill_retention(mask: AvailabilityMask) -> float:
     """Fraction of physical rows with no dead PE (2D-Mapping, row-stationary)."""
     dead_rows = {r for r, _ in mask.dead}
     return (mask.array_dim - len(dead_rows)) / mask.array_dim
 
 
+@lru_cache(maxsize=RETENTION_MEMO_SIZE)
 def tiling_retention(mask: AvailabilityMask, tm: int, tn: int) -> float:
     """Fraction of ``Tm`` clusters (of ``Tn`` lanes) that survive the mask."""
     if tm <= 0 or tn <= 0:

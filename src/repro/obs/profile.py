@@ -242,16 +242,16 @@ def format_profile(
 
 
 def _mapping_cache_line() -> str:
-    """One-line in-process mapping cache summary for ``repro profile``."""
+    """One-line in-process mapping cache summary for ``repro profile``:
+    the two mapping memos and the network-result memo on top of them."""
     from repro.dataflow.mapper import mapping_cache_info
 
     info = mapping_cache_info()
-    layer = info["map_layer"]
-    network = info["map_network"]
-    return (
-        "mapping cache:"
-        f" map_layer {layer.hits}/{layer.hits + layer.misses} hits"
-        f" ({layer.currsize}/{layer.maxsize} entries),"
-        f" map_network {network.hits}/{network.hits + network.misses} hits"
-        f" ({network.currsize}/{network.maxsize} entries)"
-    )
+    parts = []
+    for name in ("map_layer", "map_network", "simulate_network"):
+        memo = info[name]
+        parts.append(
+            f"{name} {memo.hits}/{memo.hits + memo.misses} hits"
+            f" ({memo.currsize}/{memo.maxsize} entries)"
+        )
+    return "mapping cache: " + ", ".join(parts)

@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro.cache import active_cache
-from repro.cache.memtier import payload_digest
 from repro.errors import ConfigurationError, ReproError, SpecificationError
 from repro.experiments.runner import RunPolicy
 from repro.obs.events import event_record

@@ -7,9 +7,9 @@ ships ``(kind, spec)`` across the ``spawn`` boundary by name.  All the
 heavy lifting reuses the library paths — ``map_network``,
 ``simulate_network``, ``evaluate_sweep`` — so a served computation and a
 CLI run give the same numbers.  Workers never read or write the
-persistent store: the mapping searches are memoized per worker process,
-the closed forms on top are recomputed, and only the coordinator stores
-the whole response, under the ``serve`` section.
+persistent store: the mapping searches and the network results on top
+are memoized per worker process, and only the coordinator stores the
+whole response, under the ``serve`` section.
 """
 
 from __future__ import annotations

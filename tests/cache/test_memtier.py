@@ -5,7 +5,9 @@ The tier fronts the content-addressed disk store with decoded payloads
 byte budget with LRU eviction, digest-validated invalidation, and the
 parity requirement that a memory-tier hit returns *bit-identical* data
 to the disk-tier read it replaced — plus the store-level interactions:
-deferred-put visibility and quarantine dropping resident entries.
+deferred-put visibility, quarantine dropping resident entries, and one
+stored document (the entry file's text) charged and digested on both
+the put and the disk-hit path.
 """
 
 import json
@@ -17,11 +19,8 @@ from repro.cache import (
     canonical_json,
     hash_payload,
 )
-from repro.cache.memtier import (
-    ENTRY_OVERHEAD_BYTES,
-    MemoryTier,
-    payload_digest,
-)
+from repro.cache.memtier import ENTRY_OVERHEAD_BYTES, MemoryTier
+from repro.cache.store import _encode_entry
 from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY
 
@@ -30,33 +29,38 @@ def counter_value(name, **labels):
     return REGISTRY.counter(name, **labels).value
 
 
+def put(tier, section, key, payload):
+    """Admit ``payload`` with the document the store would hand over."""
+    tier.put(section, key, payload, _encode_entry(section, key, payload))
+
+
 class TestMemoryTier:
     def test_round_trip_and_hit_miss_counters(self):
         tier = MemoryTier(1024 * 1024, shards=1)
         hits = counter_value("cache.mem_hits", section="unit")
         misses = counter_value("cache.mem_misses", section="unit")
         assert tier.get("unit", "k") == (False, None)
-        tier.put("unit", "k", {"rows": [1, 2]})
+        put(tier, "unit", "k", {"rows": [1, 2]})
         assert tier.get("unit", "k") == (True, {"rows": [1, 2]})
         assert counter_value("cache.mem_hits", section="unit") == hits + 1
         assert counter_value("cache.mem_misses", section="unit") == misses + 1
 
     def test_stored_none_is_a_hit(self):
         tier = MemoryTier(1024, shards=1)
-        tier.put("unit", "k", None)
+        put(tier, "unit", "k", None)
         assert tier.get("unit", "k") == (True, None)
 
     def test_byte_budget_evicts_lru(self):
         payload = {"blob": "x" * 256}
         entry_bytes = len(
-            json.dumps(payload, separators=(",", ":"))
+            _encode_entry("unit", "a", payload)
         ) + ENTRY_OVERHEAD_BYTES
         tier = MemoryTier(entry_bytes * 2, shards=1)
         evictions = counter_value("cache.mem_evictions")
-        tier.put("unit", "a", payload)
-        tier.put("unit", "b", payload)
+        put(tier, "unit", "a", payload)
+        put(tier, "unit", "b", payload)
         tier.get("unit", "a")  # refresh: "b" becomes the LRU victim
-        tier.put("unit", "c", payload)
+        put(tier, "unit", "c", payload)
         assert tier.get("unit", "a")[0] is True
         assert tier.get("unit", "b")[0] is False  # evicted
         assert tier.get("unit", "c")[0] is True
@@ -65,36 +69,25 @@ class TestMemoryTier:
 
     def test_oversized_payload_skips_the_tier(self):
         tier = MemoryTier(512, shards=1)
-        tier.put("unit", "big", {"blob": "x" * 4096})
+        put(tier, "unit", "big", {"blob": "x" * 4096})
         assert tier.get("unit", "big")[0] is False
         assert tier.stats()["entries"] == 0
-
-    def test_unserializable_payload_skips_the_tier(self):
-        tier = MemoryTier(1024, shards=1)
-        tier.put("unit", "obj", {"fn": object()})
-        assert tier.get("unit", "obj")[0] is False
 
     def test_changed_payload_replaces_and_counts_invalidation(self):
         tier = MemoryTier(1024 * 1024, shards=1)
         invalidations = counter_value("cache.mem_invalidations")
-        tier.put("unit", "k", {"v": 1})
+        put(tier, "unit", "k", {"v": 1})
         first = tier.digest("unit", "k")
-        tier.put("unit", "k", {"v": 1})  # same bytes: no invalidation
+        put(tier, "unit", "k", {"v": 1})  # same bytes: no invalidation
         assert counter_value("cache.mem_invalidations") == invalidations
-        tier.put("unit", "k", {"v": 2})
+        put(tier, "unit", "k", {"v": 2})
         assert counter_value("cache.mem_invalidations") == invalidations + 1
         assert tier.digest("unit", "k") != first
         assert tier.get("unit", "k") == (True, {"v": 2})
 
-    def test_digest_matches_payload_digest_helper(self):
-        tier = MemoryTier(1024 * 1024, shards=1)
-        tier.put("unit", "k", {"v": [1, 2, 3]})
-        assert tier.digest("unit", "k") == payload_digest({"v": [1, 2, 3]})
-        assert tier.digest("unit", "absent") is None
-
     def test_invalidate_drops_the_entry(self):
         tier = MemoryTier(1024 * 1024, shards=1)
-        tier.put("unit", "k", {"v": 1})
+        put(tier, "unit", "k", {"v": 1})
         assert tier.invalidate("unit", "k") is True
         assert tier.invalidate("unit", "k") is False
         assert tier.get("unit", "k")[0] is False
@@ -108,7 +101,7 @@ class TestMemoryTier:
     def test_zero_budget_disables_everything(self):
         tier = MemoryTier(0)
         assert tier.enabled is False
-        tier.put("unit", "k", {"v": 1})
+        put(tier, "unit", "k", {"v": 1})
         assert tier.get("unit", "k") == (False, None)
         assert tier.digest("unit", "k") is None
 
@@ -134,6 +127,45 @@ class TestStoreIntegration:
         # Key order is part of the contract (report columns derive from
         # it), so compare plain dumps too, not just the canonical form.
         assert json.dumps(second) == json.dumps(via_disk)
+
+    def test_put_and_disk_hit_share_one_digest(self, tmp_path):
+        """Coherence without a second encode: the digest a ``put`` leaves
+        equals the one a fresh handle's disk hit leaves, and both charge
+        the entry file's length."""
+        payload = {"v": [1, 2, 3], "meta": {"zeta": 1, "alpha": 2.5}}
+        key = hash_payload("unit", {"q": 7})
+        invalidations = counter_value("cache.mem_invalidations")
+        writer = ResultCache(tmp_path, mem_budget_mb=8)
+        writer.put("unit", key, payload)
+        reader = ResultCache(tmp_path, mem_budget_mb=8)
+        assert reader.get("unit", key) == payload  # disk hit, admitted
+        digest = writer.mem.digest("unit", key)
+        assert digest is not None
+        assert reader.mem.digest("unit", key) == digest
+        reader.put("unit", key, payload)  # refresh: same bytes, same digest
+        assert reader.mem.digest("unit", key) == digest
+        assert counter_value("cache.mem_invalidations") == invalidations
+        file_bytes = writer._entry_path("unit", key).stat().st_size
+        charged = file_bytes + ENTRY_OVERHEAD_BYTES
+        assert writer.mem.stats()["bytes"] == charged
+        assert reader.mem.stats()["bytes"] == charged
+        assert writer.mem.digest("unit", "absent") is None
+
+    def test_unserializable_payload_is_dropped(self, tmp_path):
+        """``ResultCache.put`` drops a non-JSON payload on either path:
+        nothing resident, nothing on disk."""
+        cache = ResultCache(tmp_path, mem_budget_mb=8)
+        eager = hash_payload("unit", {"q": 8})
+        deferred = hash_payload("unit", {"q": 9})
+        cache.put("unit", eager, {"fn": object()})
+        with cache.deferred():
+            cache.put("unit", deferred, {"fn": object()})
+        assert cache.drain(timeout=10)
+        for key in (eager, deferred):
+            assert cache.mem.get("unit", key)[0] is False
+            assert not cache._entry_path("unit", key).exists()
+            assert cache.get("unit", key) is None
+        assert cache.mem.stats()["entries"] == 0
 
     def test_disk_tier_never_consulted_on_memory_hit(self, tmp_path):
         cache = ResultCache(tmp_path, mem_budget_mb=8)

@@ -84,6 +84,14 @@ class TestProfileCommand:
         # counts depend on process history, so assert only presence.
         assert "metrics:" in out
         assert "mapper." in out
+        # The memo line covers both mapping memos and the network-result
+        # memo on top of them.
+        memo_line = next(
+            line for line in out.splitlines()
+            if line.startswith("mapping cache:")
+        )
+        for memo in ("map_layer", "map_network", "simulate_network"):
+            assert f" {memo} " in memo_line
 
     def test_trace_file_valid(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
