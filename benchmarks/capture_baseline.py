@@ -143,8 +143,10 @@ def _sweep(rounds: int) -> dict:
         generate_report()
 
     def drain_store():
-        # Publishes are write-behind; settle them (untimed) before the
-        # store directory is torn down or the next sample starts.
+        # The report writes each entry inside ``cache.put``, in the timed
+        # leg; this sync point (untimed) only settles write-behind
+        # publishes, of which a report makes none, before the store
+        # directory is torn down or the next sample starts.
         cache = active_cache()
         if cache is not None:
             cache.drain()
@@ -243,9 +245,10 @@ def _dse_batched(rounds: int) -> dict:
 KERNELS_MIN_SPEEDUP = 3.0
 
 #: Absolute floor on ``sweep.cold_speedup_median``: a cold (empty-store)
-#: sweep must stay within 5% of the cache-off sweep.  Publishes are
-#: buffered per sweep and flushed write-behind, so the store's first run
-#: may no longer cost double-digit percent.
+#: sweep must stay within 5% of the cache-off sweep.  A cold report
+#: publishes only its 26 entries, each written inside ``cache.put`` in
+#: the timed leg, so the store's first run may not cost double-digit
+#: percent.
 SWEEP_COLD_MIN = 0.95
 
 
@@ -544,8 +547,8 @@ def check(baseline_path: Path, tolerance: float) -> int:
     # Per-metric tolerance overrides (None -> the --tolerance default).
     # sweep.cold_speedup_median is guarded by an absolute floor
     # (SWEEP_COLD_MIN) further down rather than a baseline-relative
-    # band: with write-behind publishing the cold ratio sits near 1.0,
-    # and the failure mode that matters is it sliding back toward the
+    # band: with 26 small synchronous writes the cold ratio sits near
+    # 1.0, and the failure mode that matters is it sliding back toward the
     # pre-fix 0.8x, not small run-to-run drift.  sweep.warm is hundreds-of-x with a
     # millisecond denominator, so its run-to-run swing is large; a 75%
     # band still catches the failure mode that matters (a broken cache
@@ -604,7 +607,7 @@ def check(baseline_path: Path, tolerance: float) -> int:
         if measured < floor:
             failures.append(("kernels.speedup_median", 0.0))
     # Cold-store sweeps must stay within 5% of cache-off (absolute):
-    # the deferred/write-behind publish path is what holds this.
+    # a report publishes only its 26 experiment entries.
     cold = payload["sweep"]["cold_speedup_median"]
     verdict = "ok" if cold >= SWEEP_COLD_MIN else "REGRESSION"
     print(

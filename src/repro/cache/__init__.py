@@ -27,7 +27,6 @@ from repro.cache.store import (
     active_cache,
     cache_enabled,
     cache_root,
-    deferred_cache_publishes,
     reset_cache_handles,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "cache_enabled",
     "cache_root",
     "canonical_json",
-    "deferred_cache_publishes",
     "hash_payload",
     "layer_payload",
     "network_payload",

@@ -11,8 +11,9 @@ of an ``open`` + ``json.loads``.  It replaces the old entry-counted
   document (the disk entry's text, which the store hands over on every
   ``put``, so no payload is encoded twice), evicted LRU per shard;
 * **sharding** — the tier is probed from the event loop, inline worker
-  threads, and the write-behind flush thread at once; N independently
-  locked shards keep the hot path contention-free (the old ``_memo``
+  threads, and the store's flush thread (which drops the entry of a
+  write-behind publish that failed) at once; N independently locked
+  shards keep the hot path contention-free (the old ``_memo``
   OrderedDict had no lock at all);
 * **digest validation** — every resident entry carries a SHA-256 over
   its stored document.  A ``put`` that changes a key's digest
@@ -103,7 +104,10 @@ class MemoryTier:
             return
         nbytes = len(document) + ENTRY_OVERHEAD_BYTES
         if nbytes > max(self._shard_budget, 1):
-            return  # larger than a whole shard: not worth caching
+            # Larger than a whole shard: not worth caching, and an older
+            # resident copy of the key must not outlive it.
+            self.invalidate(section, key)
+            return
         digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
         shard = self._shard_for(section, key)
         entry_key = (section, key)

@@ -35,12 +35,10 @@ report cache effectiveness.
 from __future__ import annotations
 
 import atexit
-import itertools
 import json
 import os
 import threading
-from collections import OrderedDict, deque
-from contextlib import contextmanager
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -72,13 +70,6 @@ QUARANTINE_DIR = ".quarantine"
 
 _FALSEY = {"0", "off", "false", "no"}
 _TRUTHY = {"1", "on", "true", "yes", ""}
-
-#: Uniquifier for batched-flush temp names (same role as the one in
-#: :mod:`repro.fsutil`, local so the flush loop stays self-contained).
-_FLUSH_SEQUENCE = itertools.count()
-
-#: A deferral buffer: ``(section, key)`` -> ``(payload, encoded entry)``.
-_Buffer = "OrderedDict[Tuple[str, str], Tuple[Any, str]]"
 
 
 def _encode_entry(section: str, key: str, payload: Any) -> Optional[str]:
@@ -128,17 +119,16 @@ class ResultCache:
         if mem_budget_mb is None:
             mem_budget_mb = _mem_mb_from_env()
         self.mem = MemoryTier(mem_budget_mb * 1024 * 1024)
-        # Active deferral buffer (see :meth:`deferred`); ``None`` means
-        # puts publish eagerly.  The depth counter makes nesting safe.
-        self._deferred: "Optional[_Buffer]" = None
-        self._deferred_depth = 0
-        # Write-behind state: batched flushes run on one lazy daemon
-        # thread so sweep wall-time excludes publish IO; :meth:`drain`
-        # (and an atexit hook) give synchronization points.
+        # Write-behind state (:meth:`put_behind`): ``(section, key)`` ->
+        # ``(payload, encoded entry)`` for every entry whose disk write
+        # has not landed, oldest first.  It is both the flush thread's
+        # queue and a read-through for :meth:`get`; :meth:`drain` (and
+        # an atexit hook) wait for it to empty.
         self._flush_lock = threading.Lock()
         self._flush_cond = threading.Condition(self._flush_lock)
-        self._flush_backlog: "deque[_Buffer]" = deque()
-        self._flush_jobs = 0
+        self._pending: "OrderedDict[Tuple[str, str], Tuple[Any, str]]" = (
+            OrderedDict()
+        )
         self._flush_thread_running = False
         self._atexit_registered = False
 
@@ -148,7 +138,7 @@ class ResultCache:
         return Path(self._entry_path_str(section, key))
 
     def _entry_path_str(self, section: str, key: str) -> str:
-        # The hot read/flush paths build plain strings: ``Path`` algebra
+        # The hot read/write paths build plain strings: ``Path`` algebra
         # is measurable overhead at hundreds of lookups per sweep.
         return os.path.join(self._root_str, section, key[:2], f"{key}.json")
 
@@ -191,20 +181,17 @@ class ResultCache:
     def get(self, section: str, key: str) -> Optional[Any]:
         """The stored payload, or ``None`` on miss/corruption (never raises)."""
         hit, payload = self.mem.get(section, key)
+        if not hit and self._pending:
+            # A write-behind entry stays visible to its own process until
+            # its write lands, even with the memory tier disabled.
+            with self._flush_lock:
+                pending = self._pending.get((section, key))
+            if pending is not None:
+                hit, payload = True, pending[0]
         if hit:
             REGISTRY.counter("cache.lookups", section=section, outcome="hit").inc()
             REGISTRY.counter("cache.memo_hits", section=section).inc()
             return payload
-        if self._deferred is not None:
-            # A put buffered in this very block must stay visible to its
-            # own process even when the memory tier is disabled.
-            buffered = self._deferred.get((section, key))
-            if buffered is not None:
-                REGISTRY.counter(
-                    "cache.lookups", section=section, outcome="hit"
-                ).inc()
-                REGISTRY.counter("cache.memo_hits", section=section).inc()
-                return buffered[0]
         chaos_sleep("slow_io")
         path_str = self._entry_path_str(section, key)
         try:
@@ -229,80 +216,39 @@ class ResultCache:
     def put(self, section: str, key: str, payload: Any) -> None:
         """Publish one entry atomically (last concurrent writer wins).
 
-        The entry is encoded here, once, for either path; a non-JSON
-        payload is dropped (a slower, uncached run, never a crash).
-        Inside a :meth:`deferred` block the entry lands in the in-process
-        memo immediately (same-process readers see it) but the disk write
-        is buffered until the block exits.
+        When the call returns, the entry is on disk and, budget
+        permitting, in the memory tier.  A non-JSON payload is dropped,
+        and a failed write leaves no memory-tier copy: either costs a
+        recompute, never a crash.
         """
         text = _encode_entry(section, key, payload)
         if text is None:
             return
-        if self._deferred is not None:
-            self._deferred[(section, key)] = (payload, text)
+        if self._write_entry(section, key, text):
             self.mem.put(section, key, payload, text)
-            return
-        self._write_entry(section, key, payload, text)
         if self.max_entries is not None:
             self._evict_to_limit()
 
-    def _write_entry(
-        self, section: str, key: str, payload: Any, text: str
-    ) -> None:
-        """One atomic on-disk publish (no eviction — callers own that)."""
-        chaos_sleep("slow_io")
-        path = self._entry_path(section, key)
-        try:
-            atomic_write_text(path, text)
-        except OSError:
-            # A full/read-only disk degrades to a slower (uncached) run,
-            # never a crash.
-            return
-        if chaos_point("cache_corrupt"):
-            # Truncate the just-published entry mid-document: the shape a
-            # torn write or disk fault leaves behind for readers to heal.
-            try:
-                with open(path, "r+") as handle:
-                    handle.truncate(max(1, path.stat().st_size // 2))
-            except OSError:
-                pass
-        REGISTRY.counter("cache.writes", section=section).inc()
-        self.mem.put(section, key, payload, text)
+    def put_behind(self, section: str, key: str, payload: Any) -> None:
+        """:meth:`put` with the disk write on a background flush thread.
 
-    @contextmanager
-    def deferred(self):
-        """Batch puts: buffer inside the block, publish behind the block.
-
-        A batch of experiments pays one write-behind flush pass (and one
-        eviction scan) instead of per-entry publish IO on its own wall
-        clock, and a served response publishes off the event loop.
-        Duplicate puts of one key collapse to the last payload.  Nesting
-        is safe — only the outermost block hands its buffer to the flush
-        thread.  The memo is updated at ``put`` time, so same-process
-        readers never notice the delay; other processes see the entries
-        once the background flush lands — call :meth:`drain` first where
-        cross-process visibility is required (e.g. shard publication, or
-        tests asserting on-disk state).  An atexit hook drains
-        outstanding flushes so short-lived CLI and experiment worker
-        processes still publish everything they computed.
+        The served response is the one caller: waiting on its own disk
+        write cost the server 15–25% of its cold p50.  The entry enters
+        the memory tier before the call returns, and :meth:`get` reads
+        it from the pending map until its write lands, so this process
+        never misses it, even with the tier disabled.  Other processes
+        see it once the write lands: :meth:`drain` waits for that, and
+        an atexit hook drains (bounded) at interpreter shutdown.  A
+        write that fails drops the memory-tier copy, the rule
+        :meth:`_quarantine` follows: the tier must never serve an entry
+        the disk does not hold.
         """
-        self._deferred_depth += 1
-        if self._deferred_depth == 1:
-            self._deferred = OrderedDict()
-        try:
-            yield self
-        finally:
-            self._deferred_depth -= 1
-            if self._deferred_depth == 0:
-                buffered, self._deferred = self._deferred, None
-                if buffered:
-                    self._enqueue_flush(buffered)
-                    REGISTRY.counter("cache.deferred_flushes").inc()
-
-    def _enqueue_flush(self, buffered: "_Buffer") -> None:
+        text = _encode_entry(section, key, payload)
+        if text is None:
+            return
+        self.mem.put(section, key, payload, text)
         with self._flush_lock:
-            self._flush_backlog.append(buffered)
-            self._flush_jobs += 1
+            self._pending[(section, key)] = (payload, text)
             if not self._atexit_registered:
                 self._atexit_registered = True
                 atexit.register(self._drain_at_exit)
@@ -314,96 +260,70 @@ class ResultCache:
                     daemon=True,
                 ).start()
 
+    def _write_entry(self, section: str, key: str, text: str) -> bool:
+        """One atomic on-disk publish; ``True`` once it has landed."""
+        chaos_sleep("slow_io")
+        path = self._entry_path_str(section, key)
+        try:
+            atomic_write_text(path, text)
+        except OSError:
+            # A full/read-only disk degrades to a slower (uncached) run,
+            # never a crash.
+            return False
+        if chaos_point("cache_corrupt"):
+            # Truncate the just-published entry mid-document: the shape a
+            # torn write or disk fault leaves behind for readers to heal.
+            try:
+                with open(path, "r+") as handle:
+                    handle.truncate(max(1, os.path.getsize(path) // 2))
+            except OSError:
+                pass
+        REGISTRY.counter("cache.writes", section=section).inc()
+        return True
+
     def _flush_worker(self) -> None:
-        """Drain the backlog, then exit (a new thread starts on demand)."""
+        """Write pending entries oldest first; exit once none is left.
+
+        An entry leaves the pending map only after its write (and any
+        eviction) is done, and only if no newer :meth:`put_behind` of
+        its key replaced it meanwhile; a replaced entry is written again.
+        A new thread starts on demand.
+        """
         while True:
             with self._flush_lock:
-                if not self._flush_backlog:
+                if not self._pending:
                     self._flush_thread_running = False
+                    self._flush_cond.notify_all()
                     return
-                buffered = self._flush_backlog.popleft()
+                entry_key, entry = next(iter(self._pending.items()))
+            landed = False
             try:
-                self._flush_entries(buffered)
+                landed = self._write_entry(*entry_key, entry[1])
                 if self.max_entries is not None:
                     self._evict_to_limit()
             except Exception:  # never kill the thread: cache IO is best-effort
                 pass
-            finally:
-                with self._flush_lock:
-                    self._flush_jobs -= 1
-                    if self._flush_jobs == 0:
-                        self._flush_cond.notify_all()
+            if not landed:
+                self.mem.invalidate(*entry_key)
+            with self._flush_lock:
+                if self._pending.get(entry_key) is entry:
+                    del self._pending[entry_key]
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every queued write-behind flush has landed on disk.
+        """Block until every :meth:`put_behind` write has landed on disk.
 
         Returns ``False`` on timeout.  Call before handing the store root
-        to another process (shard publication) or before asserting
-        on-disk state in tests.
+        to another process or before asserting on-disk state in tests.
         """
         with self._flush_lock:
             return self._flush_cond.wait_for(
-                lambda: self._flush_jobs == 0, timeout
+                lambda: not self._pending, timeout
             )
 
     def _drain_at_exit(self) -> None:
         # Bounded: losing late cache entries only costs a recompute next
         # run, and a wedged disk must not hang interpreter shutdown.
         self.drain(timeout=10.0)
-
-    def _flush_entries(self, buffered: "_Buffer") -> None:
-        """Publish a buffered batch with one lean pass of os-level IO.
-
-        Each entry is still a private temp file renamed into place
-        (readers never see a torn write), but directory creation is
-        deduplicated across the batch, paths are plain strings, and the
-        write counters are bumped once per section instead of per entry.
-        An entry that fails to land is dropped from the memory tier too,
-        the rule :meth:`_quarantine` follows: the tier must never serve
-        an entry the disk does not hold.
-        """
-        made_dirs = set()
-        pid = os.getpid()
-        writes: Dict[str, int] = {}
-        for (section, key), (_, text) in buffered.items():
-            chaos_sleep("slow_io")
-            directory = os.path.join(self._root_str, section, key[:2])
-            if directory not in made_dirs:
-                try:
-                    os.makedirs(directory, exist_ok=True)
-                except OSError:
-                    self.mem.invalidate(section, key)
-                    continue
-                made_dirs.add(directory)
-            final = os.path.join(directory, f"{key}.json")
-            tmp = os.path.join(
-                directory, f".{key}.{pid}.{next(_FLUSH_SEQUENCE)}.tmp"
-            )
-            try:
-                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-                try:
-                    os.write(fd, text.encode("utf-8"))
-                finally:
-                    os.close(fd)
-                os.replace(tmp, final)
-            except OSError:
-                self.mem.invalidate(section, key)
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                continue
-            if chaos_point("cache_corrupt"):
-                try:
-                    with open(final, "r+") as handle:
-                        handle.truncate(
-                            max(1, os.path.getsize(final) // 2)
-                        )
-                except OSError:
-                    pass
-            writes[section] = writes.get(section, 0) + 1
-        for section, count in writes.items():
-            REGISTRY.counter("cache.writes", section=section).inc(count)
 
     # -- maintenance ----------------------------------------------------------
 
@@ -648,18 +568,3 @@ def reset_cache_handles() -> None:
     """Drop process-wide handles (and their memos); tests use this."""
     _instances.clear()
     _resolved_env.clear()
-
-
-@contextmanager
-def deferred_cache_publishes():
-    """:meth:`ResultCache.deferred` on the active cache; no-op when off.
-
-    An in-process experiment batch wraps itself in this so a cold run
-    publishes its entries in one batched flush instead of per-entry.
-    """
-    cache = active_cache()
-    if cache is None:
-        yield None
-        return
-    with cache.deferred():
-        yield cache

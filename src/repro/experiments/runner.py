@@ -7,14 +7,14 @@ ok, failed (with the worker's traceback, or a dead worker's exit code)
 or timed out, kills a worker at the per-experiment wall-clock timeout,
 and retries failed experiments with capped exponential backoff.  Its
 ``min(jobs, pending)`` workers are reused across the batch and stopped
-gracefully at the end, so every cache entry they computed is on disk
-when the call returns.  Completed results are checkpointed as JSON into
-a run directory — re-running the same batch with the same ``run_dir``
-resumes, skipping everything already finished — and failures come back
-as structured :class:`RunOutcome` records instead of exceptions, so
-:mod:`repro.experiments.report` can render a partial report that marks
-what is missing.  :func:`run_batch` is the one place that picks between
-this and a plain in-process run.
+gracefully at the end; each experiment entry a worker computes is on
+disk before the worker replies.  Completed results are checkpointed as
+JSON into a run directory — re-running the same batch with the same
+``run_dir`` resumes, skipping everything already finished — and
+failures come back as structured :class:`RunOutcome` records instead of
+exceptions, so :mod:`repro.experiments.report` can render a partial
+report that marks what is missing.  :func:`run_batch` is the one place
+that picks between this and a plain in-process run.
 
 Workers resolve experiments through :func:`experiment_registry`, which
 honours the ``REPRO_EXPERIMENTS_PLUGIN`` environment variable
@@ -349,9 +349,10 @@ def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
     Both the in-process path (:func:`repro.experiments.run_experiment`)
     and the pool workers (:func:`experiment_entry`) go through here, so a
     warm store turns a whole report into a series of JSON reads.  The
-    experiment entry is the only thing a run publishes: the mapping
-    searches and closed forms inside ``module.run()`` are recomputed (and
-    memoized per process) on a miss.
+    experiment entry is the only thing a run publishes, and it is on
+    disk when the call returns: the mapping searches and closed forms
+    inside ``module.run()`` are recomputed (and memoized per process) on
+    a miss.
     """
     from repro.cache import active_cache
 
@@ -368,15 +369,9 @@ def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
                 return result_from_dict(stored)
             except (KeyError, TypeError, ValueError):
                 pass  # malformed entry: recompute and overwrite
-    if cache is not None:
-        # The entry publishes behind the result: the caller (or the pool
-        # worker's reply) does not wait on the disk write.
-        with cache.deferred():
-            result = module.run()
-            if key is not None:
-                cache.put("experiment", key, result_to_dict(result))
-    else:
-        result = module.run()
+    result = module.run()
+    if cache is not None and key is not None:
+        cache.put("experiment", key, result_to_dict(result))
     return result
 
 
@@ -421,9 +416,9 @@ def run_batch(
     """Run a batch on the executor its policy calls for.
 
     ``jobs == 1`` with no timeout, retries or run directory runs the
-    experiments in this process under one deferred cache flush, and a
-    failure raises.  Any other policy goes through
-    :func:`run_resilient`.  Outcomes come back in input order.
+    experiments in this process, each entry on disk before the next
+    experiment starts, and a failure raises.  Any other policy goes
+    through :func:`run_resilient`.  Outcomes come back in input order.
     """
     if (
         policy.jobs > 1
@@ -432,17 +427,11 @@ def run_batch(
         or policy.run_dir is not None
     ):
         return run_resilient(experiment_ids, policy)
-    from repro.cache import deferred_cache_publishes
     from repro.experiments import run_experiment
 
     ids = list(experiment_ids)
     _check_known(ids)
-    # One store flush for the whole batch: back-to-back small-file
-    # publishes batch far better than per-experiment bursts.
-    with deferred_cache_publishes():
-        return [
-            RunOutcome(eid, "ok", result=run_experiment(eid)) for eid in ids
-        ]
+    return [RunOutcome(eid, "ok", result=run_experiment(eid)) for eid in ids]
 
 
 def run_resilient(

@@ -19,29 +19,44 @@ from __future__ import annotations
 
 import itertools
 import os
-from pathlib import Path
+from typing import Union
 
 #: Process-wide uniquifier: two threads writing the same destination get
 #: distinct temp files even though they share a pid.
 _SEQUENCE = itertools.count()
 
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Atomically publish ``text`` at ``path`` (parents created).
+
+def atomic_write_text(path: Union[str, "os.PathLike[str]"], text: str) -> None:
+    """Atomically publish ``text`` (UTF-8) at ``path`` (parents created).
 
     Either the write completes and ``path`` holds exactly ``text``, or it
     fails, the temp file is removed, and the original ``path`` (if any)
-    is untouched.  Raises ``OSError`` on filesystem failure.
+    is untouched.  Raises ``OSError`` on filesystem failure.  The result
+    store publishes every entry here, so the writer makes plain ``os``
+    calls and creates the directory only when the temp file cannot be
+    opened without it.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.{next(_SEQUENCE)}.tmp"
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{next(_SEQUENCE)}.tmp")
     try:
-        tmp.write_text(text)
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    try:
+        try:
+            data = text.encode("utf-8")
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:
-            tmp.unlink()
+            os.unlink(tmp)
         except OSError:
             pass
         raise

@@ -223,11 +223,10 @@ class ServeApp:
             if cache is not None:
                 # Every point lands under its own content-addressed key
                 # — batched or not — so future singletons still hit.
-                # Deferred: the publish IO runs on the cache's flush
-                # thread, not the event loop (the memory tier makes the
-                # entry visible to this process immediately).
-                with cache.deferred():
-                    cache.put("serve", request.key, envelope["result"])
+                # Write-behind: the disk write runs on the cache's flush
+                # thread, not the event loop; the entry is in the memory
+                # tier on return, so a repeat is a memory hit.
+                cache.put_behind("serve", request.key, envelope["result"])
             REGISTRY.counter("serve.results", source="computed").inc()
             return {"source": "computed", **envelope}
 

@@ -30,9 +30,10 @@ which buys what an executor cannot provide:
   with its exit code, the worker is respawned, and the retry runs on a
   live worker (``pool.worker_crashes``);
 * **graceful stop** — :meth:`WorkerPool.shutdown` sends idle workers a
-  stop sentinel and waits for them to exit, so each worker's atexit
-  hooks (the result cache's write-behind drain) run; only busy or
-  unresponsive workers are killed.
+  stop sentinel and waits for them to exit normally, sparing them a
+  SIGKILL (each experiment entry a worker computed is already on disk:
+  the worker publishes it before it replies); only busy or unresponsive
+  workers are killed.
 
 ``jobs=0`` selects *inline* mode — daemon worker threads in the
 coordinator process — used by tests and tiny deployments.  Threads
@@ -75,8 +76,8 @@ Entry = Callable[[str, Dict[str, Any]], Any]
 #: kills and replaces it (callers have long since timed out and retried).
 DEFAULT_GRACE_FACTOR = 2.0
 
-#: How long ``shutdown()`` waits for stopped workers to exit (their
-#: atexit cache drain included) before it kills them.
+#: How long ``shutdown()`` waits for stopped workers to exit normally
+#: before it kills them.
 STOP_TIMEOUT_S = 5.0
 
 
@@ -365,9 +366,9 @@ class WorkerPool:
     def shutdown(self) -> None:
         """Stop every worker and drop to zero; the next run() recreates.
 
-        Idle workers exit gracefully (within :data:`STOP_TIMEOUT_S`), so
-        the cache entries they computed reach disk; busy or unresponsive
-        workers are killed.  No worker process outlives the call.
+        Idle workers exit gracefully (within :data:`STOP_TIMEOUT_S`)
+        instead of being SIGKILLed; busy or unresponsive workers are
+        killed.  No worker process outlives the call.
         """
         self._closed = True
         self._teardown()

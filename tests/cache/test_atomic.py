@@ -45,12 +45,13 @@ class TestPutFaultInjection:
         self, cache_dir, mem_budget_mb
     ):
         cache = ResultCache(cache_dir, mem_budget_mb=mem_budget_mb)
-        with cache.deferred():
-            cache.put("sec", KEY, {"bad": {1, 2, 3}})
-            # Not served back from the deferral buffer either.
-            assert cache.get("sec", KEY) is None
-        cache.drain()
+        cache.put_behind("sec", KEY, {"bad": {1, 2, 3}})
+        # Never resident or pending, so never served back either.
         assert cache.get("sec", KEY) is None
+        assert cache.mem.stats()["entries"] == 0
+        assert cache.drain(timeout=10)
+        assert cache.get("sec", KEY) is None
+        assert not cache._entry_path("sec", KEY).exists()
         assert tmp_litter(cache_dir) == []
 
     def test_deferred_replace_failure_degrades_silently(
@@ -60,15 +61,21 @@ class TestPutFaultInjection:
             "repro.fsutil.os.replace",
             lambda src, dst: (_ for _ in ()).throw(OSError("disk full")),
         )
-        cache = ResultCache(cache_dir)
-        with cache.deferred():
-            cache.put("sec", KEY, {"x": 1})  # must not raise
-        cache.drain()  # the write-behind flush fails under the patch
+        caches = [
+            ResultCache(cache_dir / name, mem_budget_mb=mem_budget_mb)
+            for name, mem_budget_mb in (("mem-off", 0), ("mem-on", 64))
+        ]
+        for cache in caches:
+            cache.put_behind("sec", KEY, {"x": 1})  # must not raise
+            # The background write fails under the patch.
+            assert cache.drain(timeout=10)
         assert tmp_litter(cache_dir) == []
         monkeypatch.undo()
-        # The failed flush is a clean miss, not a phantom memory-tier hit.
-        assert cache.get("sec", KEY) is None
-        assert ResultCache(cache_dir).get("sec", KEY) is None
+        for cache in caches:
+            # The failed write is a clean miss, not a phantom memory-tier
+            # hit, in this handle or a fresh one.
+            assert cache.get("sec", KEY) is None
+            assert ResultCache(cache.root).get("sec", KEY) is None
 
     def test_failed_publish_keeps_previous_entry(self, cache_dir, monkeypatch):
         cache = ResultCache(cache_dir)

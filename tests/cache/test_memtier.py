@@ -5,7 +5,7 @@ The tier fronts the content-addressed disk store with decoded payloads
 byte budget with LRU eviction, digest-validated invalidation, and the
 parity requirement that a memory-tier hit returns *bit-identical* data
 to the disk-tier read it replaced — plus the store-level interactions:
-deferred-put visibility, quarantine dropping resident entries, and one
+write-behind visibility, quarantine dropping resident entries, and one
 stored document (the entry file's text) charged and digested on both
 the put and the disk-hit path.
 """
@@ -71,6 +71,14 @@ class TestMemoryTier:
         tier = MemoryTier(512, shards=1)
         put(tier, "unit", "big", {"blob": "x" * 4096})
         assert tier.get("unit", "big")[0] is False
+        assert tier.stats()["entries"] == 0
+        # A resident entry re-put oversized is dropped, not left stale.
+        put(tier, "unit", "k", {"v": 1})
+        assert tier.get("unit", "k")[0] is True
+        invalidations = counter_value("cache.mem_invalidations")
+        put(tier, "unit", "k", {"blob": "x" * 4096})
+        assert tier.get("unit", "k")[0] is False
+        assert counter_value("cache.mem_invalidations") == invalidations + 1
         assert tier.stats()["entries"] == 0
 
     def test_changed_payload_replaces_and_counts_invalidation(self):
@@ -156,12 +164,11 @@ class TestStoreIntegration:
         nothing resident, nothing on disk."""
         cache = ResultCache(tmp_path, mem_budget_mb=8)
         eager = hash_payload("unit", {"q": 8})
-        deferred = hash_payload("unit", {"q": 9})
+        behind = hash_payload("unit", {"q": 9})
         cache.put("unit", eager, {"fn": object()})
-        with cache.deferred():
-            cache.put("unit", deferred, {"fn": object()})
+        cache.put_behind("unit", behind, {"fn": object()})
         assert cache.drain(timeout=10)
-        for key in (eager, deferred):
+        for key in (eager, behind):
             assert cache.mem.get("unit", key)[0] is False
             assert not cache._entry_path("unit", key).exists()
             assert cache.get("unit", key) is None
@@ -174,14 +181,35 @@ class TestStoreIntegration:
         cache._entry_path("unit", key).unlink()  # disk gone, memory holds
         assert cache.get("unit", key) == {"v": 1}
 
-    def test_deferred_put_visible_with_tier_disabled(self, tmp_path):
-        """The deferral buffer must keep same-process visibility even
-        when ``REPRO_CACHE_MEM_MB=0`` turns the memory tier off."""
+    def test_deferred_put_visible_with_tier_disabled(
+        self, tmp_path, held_writes
+    ):
+        """A ``put_behind`` entry stays visible to its own process until
+        its write lands, even when ``REPRO_CACHE_MEM_MB=0`` turns the
+        memory tier off."""
+        started, release = held_writes
         cache = ResultCache(tmp_path, mem_budget_mb=0)
         key = hash_payload("unit", {"q": 3})
-        with cache.deferred():
-            cache.put("unit", key, {"v": 3})
-            assert cache.get("unit", key) == {"v": 3}
+        cache.put_behind("unit", key, {"v": 3})
+        assert started.wait(10)
+        assert not cache._entry_path("unit", key).exists()
+        assert cache.get("unit", key) == {"v": 3}
+        release.set()
+        assert cache.drain(timeout=10)
+        assert cache.get("unit", key) == {"v": 3}  # now read from disk
+
+    def test_oversized_reput_drops_the_resident_entry(self, tmp_path):
+        """A payload too large for the tier must not leave an older copy
+        of its key serving: this handle and a fresh one read what the
+        disk holds."""
+        key = hash_payload("unit", {"q": 10})
+        cache = ResultCache(tmp_path, mem_budget_mb=1)
+        cache.put("unit", key, {"v": "small"})
+        assert cache.mem.digest("unit", key) is not None
+        big = {"v": "x" * 200_000}
+        cache.put("unit", key, big)
+        assert cache.get("unit", key) == big
+        assert ResultCache(tmp_path, mem_budget_mb=1).get("unit", key) == big
 
     def test_repair_quarantine_drops_the_resident_entry(self, tmp_path):
         """A corrupt disk entry must never keep serving from memory:

@@ -2,7 +2,9 @@
 
 import json
 import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -244,40 +246,38 @@ class TestEnvironmentKnobs:
 
 
 class TestDeferredPublishes:
+    """``put_behind``, the write-behind publish, against ``put``."""
+
     def entry_files(self, root):
         return sorted(p for p in root.rglob("*.json"))
 
-    def test_buffered_puts_visible_in_process_before_flush(self, tmp_path):
+    def test_buffered_puts_visible_in_process_before_flush(
+        self, tmp_path, held_writes
+    ):
+        started, release = held_writes
         cache = ResultCache(tmp_path)
         key = hash_payload("unit", {"d": 1})
-        with cache.deferred():
-            cache.put("unit", key, {"v": 1})
-            # The in-process memo answers immediately...
-            assert cache.get("unit", key) == {"v": 1}
-        cache.drain()
-        # ...and after the write-behind flush lands, so does the disk.
+        cache.put_behind("unit", key, {"v": 1})
+        assert started.wait(10)
+        # The write has not landed, yet this process reads the entry...
+        assert not cache._entry_path("unit", key).exists()
+        assert cache.get("unit", key) == {"v": 1}
+        release.set()
+        assert cache.drain(timeout=10)
+        # ...and once it lands, so does a fresh handle.
         assert ResultCache(tmp_path).get("unit", key) == {"v": 1}
 
-    def test_nested_blocks_flush_once(self, tmp_path):
-        from repro.obs.metrics import REGISTRY
-
-        REGISTRY.reset()
-        cache = ResultCache(tmp_path)
-        with cache.deferred():
-            cache.put("unit", hash_payload("unit", {"n": 1}), {"n": 1})
-            with cache.deferred():
-                cache.put("unit", hash_payload("unit", {"n": 2}), {"n": 2})
-        cache.drain()
-        assert REGISTRY.counter("cache.deferred_flushes").value == 1
-        assert len(self.entry_files(tmp_path)) == 2
-
-    def test_duplicate_puts_collapse_to_last(self, tmp_path):
+    def test_duplicate_puts_collapse_to_last(self, tmp_path, held_writes):
+        """A second ``put_behind`` of a key while the first one's write is
+        in flight still leaves the last payload on disk."""
+        started, release = held_writes
         cache = ResultCache(tmp_path)
         key = hash_payload("unit", {"dup": True})
-        with cache.deferred():
-            cache.put("unit", key, {"v": "first"})
-            cache.put("unit", key, {"v": "last"})
-        cache.drain()
+        cache.put_behind("unit", key, {"v": "first"})
+        assert started.wait(10)
+        cache.put_behind("unit", key, {"v": "last"})
+        release.set()
+        assert cache.drain(timeout=10)
         assert len(self.entry_files(tmp_path)) == 1
         assert ResultCache(tmp_path).get("unit", key) == {"v": "last"}
 
@@ -286,46 +286,81 @@ class TestDeferredPublishes:
 
     def test_eviction_applies_after_deferred_flush(self, tmp_path):
         cache = ResultCache(tmp_path, max_entries=3)
-        with cache.deferred():
-            for n in range(10):
-                cache.put("unit", hash_payload("unit", {"n": n}), {"n": n})
-        cache.drain()
+        for n in range(10):
+            cache.put_behind("unit", hash_payload("unit", {"n": n}), {"n": n})
+        assert cache.drain(timeout=10)
         assert len(self.entry_files(tmp_path)) == 3
 
     def test_flushes_are_deterministic_across_drains(self, tmp_path):
-        """Same puts -> byte-identical entries, deferred or not."""
+        """Same payloads -> byte-identical entries, ``put`` or
+        ``put_behind``."""
         direct = ResultCache(tmp_path / "direct")
-        deferred = ResultCache(tmp_path / "deferred")
+        behind = ResultCache(tmp_path / "behind")
         payloads = [{"n": n, "rows": list(range(n))} for n in range(5)]
         for n, payload in enumerate(payloads):
             direct.put("unit", hash_payload("unit", {"n": n}), payload)
-        with deferred.deferred():
-            for n, payload in enumerate(payloads):
-                deferred.put("unit", hash_payload("unit", {"n": n}), payload)
-        deferred.drain()
+            behind.put_behind("unit", hash_payload("unit", {"n": n}), payload)
+        assert behind.drain(timeout=10)
         direct_files = {
             p.relative_to(tmp_path / "direct"): p.read_bytes()
             for p in (tmp_path / "direct").rglob("*.json")
         }
-        deferred_files = {
-            p.relative_to(tmp_path / "deferred"): p.read_bytes()
-            for p in (tmp_path / "deferred").rglob("*.json")
+        behind_files = {
+            p.relative_to(tmp_path / "behind"): p.read_bytes()
+            for p in (tmp_path / "behind").rglob("*.json")
         }
-        assert direct_files == deferred_files
+        assert len(direct_files) == len(payloads)
+        assert direct_files == behind_files
 
-    def test_module_helper_handles_disabled_cache(self):
-        from repro.cache import deferred_cache_publishes
+    def test_concurrent_put_behind_lands_every_last_payload(self, tmp_path):
+        """Threads re-put their own keys while the flush thread writes
+        them: after ``drain()`` every key holds its last payload on disk."""
+        keys = [
+            [hash_payload("unit", {"t": t, "k": k}) for k in range(2)]
+            for t in range(8)
+        ]
 
-        # conftest turns REPRO_CACHE off: the helper must still nest.
-        with deferred_cache_publishes() as cache:
-            assert cache is None
+        def writer(cache, own):
+            for version in range(100):
+                for key in own:
+                    cache.put_behind("unit", key, {"v": version})
+                time.sleep(0.0002)  # let the flush thread interleave
 
-    def test_module_helper_batches_active_cache(self, cache_dir):
-        from repro.cache import deferred_cache_publishes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_dir in ("a", "b", "c", "d"):
+                cache = ResultCache(tmp_path / round_dir)
+                threads = [
+                    threading.Thread(target=writer, args=(cache, own))
+                    for own in keys
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert cache.drain(timeout=30)
+                fresh = ResultCache(tmp_path / round_dir)
+                landed = [fresh.get("unit", key) for own in keys for key in own]
+                assert landed == [{"v": 99}] * 16
+        finally:
+            sys.setswitchinterval(interval)
 
-        key = hash_payload("unit", {"helper": 1})
-        with deferred_cache_publishes() as cache:
-            assert cache is active_cache()
-            cache.put("unit", key, {"ok": True})
-        cache.drain()
-        assert ResultCache(cache_dir).get("unit", key) == {"ok": True}
+    def test_report_batch_never_reaches_the_flush_thread(
+        self, cache_dir, monkeypatch
+    ):
+        """An in-process batch publishes inside ``put``: every entry is on
+        disk when ``run_batch`` returns, with no ``drain()`` and no flush
+        thread."""
+        from repro.experiments.runner import RunPolicy, run_batch
+
+        flushes = []
+        monkeypatch.setattr(
+            ResultCache, "_flush_worker", lambda self: flushes.append(self)
+        )
+        ids = ["table04", "area"]
+        outcomes = run_batch(ids, RunPolicy())
+        assert [outcome.status for outcome in outcomes] == ["ok", "ok"]
+        assert len(self.entry_files(cache_dir / "experiment")) == len(ids)
+        assert flushes == []

@@ -74,17 +74,13 @@ class TestFaultInjection:
 
     def test_write_failure_leaves_no_tmp(self, tmp_path, monkeypatch):
         """A failure while writing the temp file itself also cleans up."""
-        from pathlib import Path
+        real_write = os.write
 
-        real_write_text = Path.write_text
+        def failing_write(fd, data):
+            real_write(fd, data[: len(data) // 2])  # partial!
+            raise OSError("no space left on device")
 
-        def failing_write_text(self, text, *args, **kwargs):
-            if self.name.endswith(".tmp"):
-                real_write_text(self, text[: len(text) // 2])  # partial!
-                raise OSError("no space left on device")
-            return real_write_text(self, text, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        monkeypatch.setattr("repro.fsutil.os.write", failing_write)
         target = tmp_path / "out.json"
         with pytest.raises(OSError, match="no space left"):
             atomic_write_text(target, "data-that-does-not-fit")
