@@ -258,14 +258,15 @@ def _build_parser() -> argparse.ArgumentParser:
         " requests before exiting (default 10)",
     )
     serve_cmd.add_argument(
-        "--batch-window-ms", type=float, default=2.0, metavar="MS",
+        "--batch-window-ms", type=float, default=0.0, metavar="MS",
         help="how long a cold batchable request waits for compatible"
-        " requests to fuse with (0 disables dynamic batching; default 2)",
+        " requests to fuse with (default 0: batching off, every cold"
+        " request dispatches at once)",
     )
     serve_cmd.add_argument(
         "--batch-max", type=int, default=16,
         help="most requests one fused batch dispatch may carry"
-        " (default 16)",
+        " (default 16; 1 also turns batching off)",
     )
 
     faults = sub.add_parser(

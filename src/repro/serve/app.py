@@ -20,9 +20,12 @@ Request flow for a computation: validate → admission control (shed with
 a fast 503 + ``Retry-After`` when the pending budget for the kind is
 exhausted, or while draining) → coalesce on the content-addressed key
 (one leader, N waiters) → leader probes the persistent ``serve`` cache
-section → on miss, pass the circuit breaker (open = fast 503) and
-compute in the worker pool under the run policy → publish to the cache →
-resolve every waiter.  See ``docs/RESILIENCE.md``.
+section → on miss, pass the circuit breaker (open = fast 503) → the
+batch scheduler (:mod:`repro.serve.batcher`; off by default, with
+``--batch-window-ms`` > 0 compatible ``dse``/``simulate`` requests wait
+that long and fuse into one dispatch) → compute in the worker pool
+under the run policy → publish to the cache (write-behind) → resolve
+every waiter.  See ``docs/RESILIENCE.md`` and ``docs/SERVING.md``.
 """
 
 from __future__ import annotations

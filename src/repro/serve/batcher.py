@@ -4,7 +4,11 @@ The :class:`~repro.serve.coalescer.Coalescer` collapses *identical*
 in-flight requests; this scheduler generalizes it to *compatible* ones —
 same kind and network (and arch), different dims/grid points, exactly
 the axes :func:`repro.experiments.common.evaluate_sweep` and the batched
-SoA engine consume in one shot.  A cold request that misses the cache
+SoA engine consume in one shot.  Batching is off by default
+(``window_ms == 0``): every cold request dispatches at once, because a
+hold only pays when compatible requests arrive inside it, and traffic
+that leaves workers idle pays it for nothing.  With ``window_ms > 0``
+a cold request that misses the cache
 parks in a pending batch for up to ``window_ms``; requests arriving
 inside the window join it, and when the window closes (or the batch
 reaches ``max_batch`` members) the whole group ships to the worker pool
@@ -50,9 +54,14 @@ Dispatch = Callable[[ComputeRequest, ProgressSink], Awaitable[Dict[str, Any]]]
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Batching knobs (CLI: ``--batch-window-ms`` / ``--batch-max``)."""
+    """Batching knobs (CLI: ``--batch-window-ms`` / ``--batch-max``).
 
-    window_ms: float = 2.0
+    ``window_ms`` is how long a batch stays open for compatible requests
+    and ``max_batch`` caps its members; ``window_ms == 0`` (the default)
+    or ``max_batch == 1`` turns batching off.
+    """
+
+    window_ms: float = 0.0
     max_batch: int = 16
 
     @property
@@ -107,10 +116,6 @@ class BatchScheduler:
         self.policy = policy
         self._dispatch = dispatch
         self._pending: Dict[Tuple[Any, ...], _PendingBatch] = {}
-
-    @property
-    def pending(self) -> int:
-        return sum(len(b.members) for b in self._pending.values())
 
     async def submit(
         self, request: ComputeRequest, progress: ProgressSink

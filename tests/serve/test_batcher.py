@@ -210,18 +210,17 @@ class TestWindowAndSeal:
             assert payload["result"] == execute_request("dse", request.spec)
 
     def test_disabled_policy_dispatches_immediately(self):
+        """The default policy (window 0) is off: concurrent compatible
+        requests each get their own dispatch, and no batch opens."""
         requests = [
             parse_request("dse", {"workload": "PV", "dims": [4 + i]})
             for i in range(3)
         ]
-        app = ServeApp(
-            RunPolicy(jobs=1, retries=0),
-            jobs=0,
-            batching=BatchPolicy(window_ms=0.0, max_batch=16),
-        )
+        assert BatchPolicy() == BatchPolicy(window_ms=0.0, max_batch=16)
+        app = ServeApp(RunPolicy(jobs=1, retries=0), jobs=0)
         before = REGISTRY.snapshot()
         try:
-            drive(app, requests)
+            payloads = drive(app, requests)
         finally:
             app.shutdown()
         after = REGISTRY.snapshot()
@@ -229,6 +228,8 @@ class TestWindowAndSeal:
         assert snapshot_delta(
             before, after, "serve.backend_computations"
         ) == 3
+        for payload, request in zip(payloads, requests):
+            assert payload["result"] == execute_request("dse", request.spec)
 
     def test_simulate_requests_fuse_too(self):
         requests = [

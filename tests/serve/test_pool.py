@@ -246,10 +246,11 @@ class TestGracefulShutdown:
     def test_shutdown_lands_worker_cache_publishes(
         self, serve_cache, tmp_path, monkeypatch
     ):
-        """shutdown() stops an idle spawn worker with the sentinel, so the
-        write-behind flush of the experiment entry it computed reaches
-        disk — with no drain() in this process.  Experiment workers are
-        the only pool workers that publish."""
+        """The experiment entry a spawn worker computed is on disk once
+        shutdown() returns, with no drain() in this process: the worker
+        writes it inside ``cache.put`` before it replies, and shutdown()
+        stops the idle worker with the sentinel rather than a SIGKILL.
+        Experiment workers are the only pool workers that publish."""
         from repro.cache import active_cache, reset_cache_handles
         from repro.experiments import run_experiment
         from repro.experiments.runner import experiment_entry
