@@ -124,7 +124,8 @@ def main(argv: list) -> int:
             "fastpath check passed: fused"
             f" {args.fanout}->1 dispatch, warm mem/disk p50"
             f" {warm['mem_over_disk_p50']:.2f}, batched cold"
-            f" {cold['batched_over_unbatched_throughput']:.1f}x, zero 5xx"
+            f" {cold['batched_over_unbatched_throughput']:.1f}x, zero 5xx",
+            file=sys.stderr,
         )
         return 0
 
@@ -165,7 +166,8 @@ def main(argv: list) -> int:
         return 1
     print(
         f"serve check passed: dedup {dedup['dedup_hit_rate']:.2f},"
-        f" warm/cold {report['warm_over_cold_throughput']:.1f}x, zero 5xx"
+        f" warm/cold {report['warm_over_cold_throughput']:.1f}x, zero 5xx",
+        file=sys.stderr,
     )
     return 0
 

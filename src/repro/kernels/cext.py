@@ -3,15 +3,16 @@
 The C source lives in :mod:`repro.kernels.csrc` as one translation unit.
 :func:`load` writes it next to the kernels cache directory
 (``cache_root()/kernels``), compiles it with the system C compiler
-(``$CC`` or ``cc``/``gcc``, ``-O2 -shared -fPIC``) and memoizes the
-shared object by the SHA-256 of the source + compiler command + ABI tag,
+(``$CC`` or ``cc``/``gcc``, :data:`CFLAGS`) and memoizes the shared
+object by the SHA-256 of the source + compiler command + ABI tag,
 so editing a kernel or switching compilers rebuilds while repeated runs
 (and concurrent processes — the build publishes through a unique temp
 file and ``os.replace``) share one ``.so``.
 
-Every binding coerces its inputs to contiguous ``int64`` arrays and
-returns plain numpy arrays/ints, mirroring the NumPy expressions the
-kernels replace — parity is pinned by ``tests/kernels/test_parity.py``.
+Every binding coerces its index inputs to contiguous ``int64`` arrays
+(the FlexFlow group's data stays ``float64``) and returns plain numpy
+arrays/ints, mirroring the NumPy expressions the kernels replace —
+parity is pinned by ``tests/kernels/test_parity.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +35,25 @@ Triple = Tuple[int, int, int]
 
 _I64_P = ctypes.POINTER(ctypes.c_int64)
 _U8_P = ctypes.POINTER(ctypes.c_uint8)
+_F64_P = ctypes.POINTER(ctypes.c_double)
+
+#: Compile flags.  ``-ffp-contract=off`` keeps every ``a += b * c`` a
+#: rounded multiply then a rounded add, as NumPy computes it, on targets
+#: whose baseline has fused multiply-add.
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: The counters ``repro_flexflow_group`` returns, in its output order.
+FLEXFLOW_GROUP_COUNTERS = (
+    "cycles",
+    "neuron_buffer_reads",
+    "kernel_buffer_reads",
+    "bus_transfers",
+    "local_store_writes",
+    "mac_ops",
+    "local_store_reads",
+    "register_accesses",
+    "neuron_buffer_writes",
+)
 
 
 class KernelBuildError(ReproError):
@@ -54,7 +74,7 @@ def _compiler() -> Optional[str]:
 def build_digest(compiler: str) -> str:
     """Content hash naming the built artifact (source + command + ABI)."""
     payload = "\x00".join(
-        (KERNELS_C_SOURCE, compiler, f"abi={KERNELS_C_ABI}")
+        (KERNELS_C_SOURCE, compiler, *CFLAGS, f"abi={KERNELS_C_ABI}")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -92,7 +112,7 @@ def build_library(build_dir: Optional[Path] = None) -> Tuple[Path, bool]:
             obj = Path(tmp) / "kernels.so"
             src.write_text(KERNELS_C_SOURCE)
             proc = subprocess.run(
-                [compiler, "-O2", "-shared", "-fPIC", "-o", str(obj), str(src)],
+                [compiler, *CFLAGS, "-o", str(obj), str(src)],
                 capture_output=True,
                 text=True,
                 timeout=120,
@@ -143,6 +163,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_store_replay.argtypes = [
         _I64_P, _I64_P, _I64_P, _I64_P, _U8_P,
         ctypes.c_int64, ctypes.c_int64, _U8_P, _I64_P,
+    ]
+    lib.repro_flexflow_group.restype = ctypes.c_int64
+    lib.repro_flexflow_group.argtypes = [
+        _F64_P, _F64_P, _I64_P, _I64_P, _I64_P, _U8_P, _I64_P, _I64_P,
+        _I64_P, _I64_P, _I64_P, _F64_P, _I64_P,
     ]
     return lib
 
@@ -299,6 +324,93 @@ class CExtKernels:
             miss.ctypes.data_as(_U8_P), _ptr(seq),
         )
         return miss, seq
+
+    def flexflow_group(
+        self,
+        padded: np.ndarray,
+        kernels: np.ndarray,
+        m0: int,
+        *,
+        out_size: int,
+        stride: int,
+        rows_per_map: int,
+        row_offsets: np.ndarray,
+        origins: np.ndarray,
+        col_ok: np.ndarray,
+        neuron_base: np.ndarray,
+        kernel_base: np.ndarray,
+        table: np.ndarray,
+        counts: np.ndarray,
+        capacity: Sequence[int],
+        outputs: np.ndarray,
+    ) -> Dict[str, int]:
+        """Run one output-map tile group; see ``repro_flexflow_group``.
+
+        ``padded`` is ``(N, P, P)`` and ``kernels`` ``(M, N, K, K)``, both
+        ``float64``.  ``row_offsets`` holds each PE row's ``(dm, dr, dc)``,
+        ``origins`` each spatial tile's ``(r0, c0)``; ``col_ok``,
+        ``neuron_base`` and ``kernel_base`` are ``(steps, cols)``.
+        ``table`` (0 = never pushed), ``counts`` and ``outputs`` are
+        updated in place.  Returns the group's counter deltas by
+        :class:`~repro.sim.trace.SimTrace` field name.
+        """
+        for name, arr, dtype in (
+            ("padded", padded, np.float64),
+            ("kernels", kernels, np.float64),
+            ("table", table, np.int64),
+            ("counts", counts, np.int64),
+            ("outputs", outputs, np.float64),
+        ):
+            if arr.dtype != dtype or not arr.flags.c_contiguous:
+                raise ValueError(
+                    f"{name} must be a contiguous {dtype.__name__} array"
+                )
+        row_offsets, origins = _i64(row_offsets), _i64(origins)
+        neuron_base, kernel_base = _i64(neuron_base), _i64(kernel_base)
+        col_ok = np.ascontiguousarray(col_ok, dtype=bool)
+        capacity = _i64(capacity)
+        m_total, padded_size = kernels.shape[0], padded.shape[1]
+        rows, cols = len(row_offsets), col_ok.shape[1]
+        kernel_m = kernels[0].size
+        if (
+            row_offsets.shape != (rows, 3)
+            or origins.shape[1:] != (2,)
+            or neuron_base.shape != col_ok.shape
+            or kernel_base.shape != col_ok.shape
+            or rows % rows_per_map
+            or table.size != rows * cols * (padded.size + kernels.size)
+            or counts.shape != (2 * rows * cols,)
+            or capacity.shape != (2,)
+            or outputs.size != m_total * out_size * out_size
+        ):
+            raise ValueError("flexflow_group: mismatched operand shapes")
+        last = (out_size - 1) * stride
+        if (
+            min(row_offsets.min(initial=0), origins.min(initial=0)) < 0
+            or neuron_base.min(where=col_ok, initial=0) < 0
+            or kernel_base.min(where=col_ok, initial=0) < 0
+            or neuron_base.max(where=col_ok, initial=0)
+            + last * padded_size + last >= padded.size
+            or kernel_base.max(where=col_ok, initial=0)
+            + (m_total - 1) * kernel_m >= kernels.size
+        ):
+            raise ValueError("flexflow_group: coordinate outside the operands")
+        geom = _i64([
+            m0, m_total, out_size, stride, padded_size, rows, cols,
+            col_ok.shape[0], len(origins), rows_per_map, padded.size,
+            kernels.size, kernel_m,
+        ])
+        counters = np.empty(len(FLEXFLOW_GROUP_COUNTERS), dtype=np.int64)
+        status = self._lib.repro_flexflow_group(
+            padded.ctypes.data_as(_F64_P), kernels.ctypes.data_as(_F64_P),
+            _ptr(geom), _ptr(row_offsets), _ptr(origins),
+            col_ok.ctypes.data_as(_U8_P), _ptr(neuron_base),
+            _ptr(kernel_base), _ptr(table), _ptr(counts), _ptr(capacity),
+            outputs.ctypes.data_as(_F64_P), _ptr(counters),
+        )
+        if status < 0:
+            raise MemoryError("flexflow_group: out of scratch memory")
+        return dict(zip(FLEXFLOW_GROUP_COUNTERS, counters.tolist()))
 
     # -- faults ---------------------------------------------------------------
 

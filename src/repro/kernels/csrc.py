@@ -2,10 +2,10 @@
 
 One translation unit holding every compiled kernel.  The Python side
 (:mod:`repro.kernels.cext`) writes this string to a temp file, compiles
-it with the system C compiler (``cc -O2 -shared -fPIC``) and caches the
-shared object under the kernels cache directory keyed by the SHA-256 of
-the source + compile command — editing a kernel automatically invalidates
-every previously built ``.so``.
+it with the system C compiler (``cc -O2 -ffp-contract=off -shared
+-fPIC``) and caches the shared object under the kernels cache directory
+keyed by the SHA-256 of the source + compile command — editing a kernel
+automatically invalidates every previously built ``.so``.
 
 Every function mirrors a NumPy expression elsewhere in the tree and must
 stay **bit-identical** to it (pinned by ``tests/kernels/test_parity.py``):
@@ -30,6 +30,12 @@ stay **bit-identical** to it (pinned by ``tests/kernels/test_parity.py``):
 * ``repro_store_replay`` — the demand-fill replay of circular local
   stores behind ``repro.kernels.replay.store_replay``: a plain loop over
   the access stream in order, equal to the NumPy per-tile fixed point.
+* ``repro_flexflow_group`` — one output-map tile group of
+  ``repro.sim.tile_engine.TileEngine`` without transient faults: the
+  same store replay, bus counts, adder trees and accumulators as the
+  NumPy chunk loop, in one call.  Its float sums add the same products
+  in the same order, and the build turns off multiply-add contraction
+  (``-ffp-contract=off``), so outputs are bit-identical too.
 
 All integer math is ``int64``; inputs are non-negative and small enough
 that no intermediate product overflows (the Python callers guarantee
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 #: Bumped when the ABI (function names/signatures) changes incompatibly;
 #: folded into the build hash alongside the source text.
-KERNELS_C_ABI = 3
+KERNELS_C_ABI = 4
 
 KERNELS_C_SOURCE = r"""
 #include <stdint.h>
@@ -536,5 +542,136 @@ void repro_store_replay(i64 *table, i64 *counts, const i64 *capacity,
             seq[k] = *word;
         }
     }
+}
+
+/* One output-map tile group of a FlexFlow layer, end to end: the
+ * TileEngine chunk loop of a run without transient faults, fused.
+ * Spatial tiles run in reference order, each tile's inner cycles in
+ * order.  Every cycle demand-fills both local stores of every active PE
+ * against the shared last-push table, counts one bus word per RA/RS
+ * sharing set that missed, sums each row's adder tree column by column
+ * and adds the tree to the row's accumulator; a tile's finished rows
+ * then land in `outputs`.  Table entries hold 1-based pushes and 0
+ * means "never pushed", so the table may start as zeroed pages.
+ *
+ * `geom` holds 13 ints: [0] m0  [1] out_maps  [2] out_size  [3] stride
+ * [4] padded_size  [5] rows  [6] cols  [7] steps (inner cycles per tile)
+ * [8] tiles  [9] rows per output map (Tr*Tc)  [10] neuron_space
+ * [11] kernel_space  [12] N*K*K (kernel words per output map).
+ * `row_off` is rows x 3 (dm, dr, dc); `origin` tiles x 2 (r0, c0);
+ * `col_ok`, `neuron_base` and `kernel_base` are steps x cols: each
+ * cycle's column validity and the tile-independent parts of the flat
+ * data coordinates.  Store `pe` (row * cols + col) owns table slice
+ * `pe * neuron_space` (neuron) and `rows * cols * neuron_space + pe *
+ * kernel_space` (kernel); `counts` holds the neuron stores' push
+ * counters, then the kernel stores'; `capacity` is (neuron words,
+ * kernel words).  `counters` receives the group's deltas: cycles,
+ * neuron_buffer_reads, kernel_buffer_reads, bus_transfers,
+ * local_store_writes, mac_ops, local_store_reads, register_accesses,
+ * neuron_buffer_writes.  Returns 0, or -3 when out of memory. */
+i64 repro_flexflow_group(const double *padded, const double *kernels,
+                         const i64 *geom, const i64 *row_off,
+                         const i64 *origin, const unsigned char *col_ok,
+                         const i64 *neuron_base, const i64 *kernel_base,
+                         i64 *table, i64 *counts, const i64 *capacity,
+                         double *outputs, i64 *counters) {
+    i64 m0 = geom[0], m_total = geom[1], s_total = geom[2];
+    i64 stride = geom[3], psize = geom[4], rows = geom[5], cols = geom[6];
+    i64 steps = geom[7], tiles = geom[8], per_map = geom[9];
+    i64 nspace = geom[10], kspace = geom[11], kernel_m = geom[12];
+    i64 n_pes = rows * cols;
+    i64 *kernel_table = table + n_pes * nspace;
+    i64 *kernel_counts = counts + n_pes;
+    i64 *row_ok = malloc(sizeof(i64) * (size_t)rows);
+    i64 *ntile = malloc(sizeof(i64) * (size_t)rows);
+    i64 *kmap = malloc(sizeof(i64) * (size_t)rows);
+    i64 *out_at = malloc(sizeof(i64) * (size_t)rows);
+    double *acc = malloc(sizeof(double) * (size_t)rows);
+    /* Bus-sharing stamps: the last cycle each sharing set drove a word.
+     * A neuron word is shared by the rows that differ only in dm, a
+     * kernel word by the Tr*Tc rows of one output map. */
+    i64 *nstamp = malloc(sizeof(i64) * (size_t)(per_map * cols));
+    i64 *kstamp = malloc(sizeof(i64) * (size_t)(rows / per_map * cols));
+    if (!row_ok || !ntile || !kmap || !out_at || !acc || !nstamp ||
+        !kstamp) {
+        free(row_ok); free(ntile); free(kmap); free(out_at); free(acc);
+        free(nstamp); free(kstamp);
+        return -3;
+    }
+    for (i64 k = 0; k < per_map * cols; k++) nstamp[k] = -1;
+    for (i64 k = 0; k < rows / per_map * cols; k++) kstamp[k] = -1;
+    i64 macs_per_row = 0;
+    for (i64 k = 0; k < steps * cols; k++) macs_per_row += col_ok[k] != 0;
+
+    i64 cycle = 0, neuron_bus = 0, kernel_bus = 0, writes = 0;
+    i64 rows_done = 0;
+    for (i64 tile = 0; tile < tiles; tile++) {
+        i64 r0 = origin[tile * 2], c0 = origin[tile * 2 + 1];
+        for (i64 row = 0; row < rows; row++) {
+            i64 m = m0 + row_off[row * 3];
+            i64 r = r0 + row_off[row * 3 + 1];
+            i64 c = c0 + row_off[row * 3 + 2];
+            row_ok[row] = m < m_total && r < s_total && c < s_total;
+            if (!row_ok[row]) continue;
+            ntile[row] = r * stride * psize + c * stride;
+            kmap[row] = m * kernel_m;
+            out_at[row] = (m * s_total + r) * s_total + c;
+            acc[row] = 0.0;
+            rows_done++;
+        }
+        for (i64 t = 0; t < steps; t++, cycle++) {
+            for (i64 row = 0; row < rows; row++) {
+                if (!row_ok[row]) continue;
+                i64 *nshare = nstamp + row % per_map * cols;
+                i64 *kshare = kstamp + row / per_map * cols;
+                double tree = 0.0;
+                for (i64 col = 0; col < cols; col++) {
+                    i64 k = t * cols + col;
+                    if (!col_ok[k]) continue;
+                    i64 pe = row * cols + col;
+                    i64 nd = neuron_base[k] + ntile[row];
+                    i64 *word = table + pe * nspace + nd;
+                    if (*word == 0 || counts[pe] - *word >= capacity[0]) {
+                        *word = ++counts[pe];
+                        writes++;
+                        if (nshare[col] != cycle) {
+                            nshare[col] = cycle;
+                            neuron_bus++;
+                        }
+                    }
+                    i64 kd = kernel_base[k] + kmap[row];
+                    word = kernel_table + pe * kspace + kd;
+                    if (*word == 0
+                        || kernel_counts[pe] - *word >= capacity[1]) {
+                        *word = ++kernel_counts[pe];
+                        writes++;
+                        if (kshare[col] != cycle) {
+                            kshare[col] = cycle;
+                            kernel_bus++;
+                        }
+                    }
+                    tree += padded[nd] * kernels[kd];
+                }
+                acc[row] += tree;
+            }
+        }
+        for (i64 row = 0; row < rows; row++) {
+            if (row_ok[row]) outputs[out_at[row]] = acc[row];
+        }
+    }
+
+    i64 macs = rows_done * macs_per_row;
+    counters[0] = tiles * steps;
+    counters[1] = neuron_bus;
+    counters[2] = kernel_bus;
+    counters[3] = neuron_bus + kernel_bus;
+    counters[4] = writes;
+    counters[5] = macs;
+    counters[6] = 2 * macs;
+    counters[7] = 2 * steps * rows_done;
+    counters[8] = rows_done;
+    free(row_ok); free(ntile); free(kmap); free(out_at); free(acc);
+    free(nstamp); free(kstamp);
+    return 0;
 }
 """

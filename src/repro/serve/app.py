@@ -125,6 +125,7 @@ class ServeApp:
         return await asyncio.start_server(self._handle_connection, host, port)
 
     def shutdown(self) -> None:
+        self.batcher.shutdown()
         self.pool.shutdown()
 
     def request_drain(self) -> None:
@@ -157,7 +158,7 @@ class ServeApp:
             f" {abandoned} request(s) abandoned at the deadline",
             file=sys.stderr,
         )
-        self.pool.shutdown()
+        self.shutdown()
         self.drained.set()
 
     # -- request flow --------------------------------------------------------

@@ -25,7 +25,10 @@ full retry/timeout policy, so a batch-leader crash (chaos
 exhausts its attempts anyway, the scheduler *fails over* to per-member
 singleton dispatches (``serve.batch_failovers``) — a poisoned or
 unlucky batch degrades to the unbatched path instead of failing every
-waiter.
+waiter.  :meth:`BatchScheduler.shutdown` (called by
+``ServeApp.shutdown``) fails every batch that has not dispatched yet with
+"pool shut down", as a request on a stopped worker fails, so a window
+that closes after the shutdown never restarts the stopped pool.
 
 Counters: ``serve.batches`` (fused dispatches), ``serve.batched{kind}``
 (requests served via a fused dispatch), ``serve.batch_failovers``, plus
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.cache import hash_payload
+from repro.errors import ExperimentError
 from repro.obs.metrics import REGISTRY
 from repro.serve.pool import ProgressSink
 from repro.serve.schemas import ComputeRequest
@@ -99,14 +103,16 @@ def fuse_requests(requests: List[ComputeRequest]) -> ComputeRequest:
 class _PendingBatch:
     """One open batch: members accumulate until sealed."""
 
-    __slots__ = ("members", "sealed", "closed")
+    __slots__ = ("members", "sealed", "closed", "epoch")
 
-    def __init__(self) -> None:
+    def __init__(self, epoch: int) -> None:
         self.members: List[
             Tuple[ComputeRequest, ProgressSink, asyncio.Future]
         ] = []
         self.sealed = asyncio.Event()
         self.closed = False
+        #: The scheduler's shutdown count when the batch opened.
+        self.epoch = epoch
 
 
 class BatchScheduler:
@@ -116,6 +122,14 @@ class BatchScheduler:
         self.policy = policy
         self._dispatch = dispatch
         self._pending: Dict[Tuple[Any, ...], _PendingBatch] = {}
+        self._epoch = 0
+
+    def shutdown(self) -> None:
+        """Fail every batch not yet dispatched, now rather than when its
+        window closes; batches opened afterwards dispatch as usual."""
+        self._epoch += 1
+        for key, batch in list(self._pending.items()):
+            self._seal(key, batch)
 
     async def submit(
         self, request: ComputeRequest, progress: ProgressSink
@@ -131,7 +145,7 @@ class BatchScheduler:
         batch = self._pending.get(key)
         future = asyncio.get_running_loop().create_future()
         if batch is None or batch.closed:
-            batch = _PendingBatch()
+            batch = _PendingBatch(self._epoch)
             self._pending[key] = batch
             batch.members.append((request, progress, future))
             # The batch's own detached task closes the window; every
@@ -163,6 +177,16 @@ class BatchScheduler:
             pass
         self._seal(key, batch)
         members = batch.members
+        if batch.epoch != self._epoch:
+            # Shut down while the window was open: dispatching now would
+            # restart the stopped pool.
+            for request, _, future in members:
+                if not future.done():
+                    future.set_exception(
+                        ExperimentError(f"{request.label}: pool shut down")
+                    )
+                    future.exception()  # retrieved: the waiter may be gone
+            return
         if len(members) == 1:
             # A batch of one is just a singleton: no fusion overhead,
             # no batch counters — the window cost was the only price.

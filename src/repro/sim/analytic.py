@@ -36,9 +36,9 @@ The two capacity-dependent quantities need more care:
   replay runs group-by-group until the store state (a capacity-clipped
   push-slack signature) reaches its steady state and the remaining groups
   are extrapolated exactly.  Each group's class streams go to the same
-  :func:`~repro.kernels.replay.store_replay` kernel as the tile engine,
-  in budgeted chunks of spatial tiles, and the state tables are chunked
-  to :data:`REPLAY_BUDGET_BYTES`.
+  :func:`~repro.kernels.replay.store_replay` kernel as the tile
+  engine's chunk loop, in budgeted chunks of spatial tiles, and the
+  state tables are chunked to :data:`REPLAY_BUDGET_BYTES`.
 
 The three baseline dataflows (Systolic, 2D-Mapping, Tiling) have fully
 static schedules, so their traces are pure arithmetic.

@@ -19,15 +19,19 @@ The modeled machine is one array that runs the ``(input map, output
 map)`` pairs one after another, accumulating partial output maps across
 input maps, as the single array of a DC-CNN-style design would.  That
 schedule is the same for every pair, so the simulator runs it once per
-layer: each in-flight output carries an ``(M, N)`` accumulator, one slot
-per pair, and every counter grows by the pair count per event.  Output
-maps sum their pairs in ascending input-map order, which is the order
-the sequential machine adds them in.
+layer and every counter grows by the pair count per event.  The cycle
+loop moves only coordinates: each in-flight output records the PEs it
+took a product at (its taps), in order, and the timing, FIFO and drain
+checks run on those moves.  The data path then runs once the loop is
+done, as ``K * K`` whole-array passes over the drained outputs, one per
+tap: pass ``t`` adds tap ``t``'s ``(M, N)`` products to every output at
+once, so each pair's sum adds its products in the order the machine
+does.  Output maps sum their pairs in ascending input-map order, which
+is the order the sequential machine adds them in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -40,13 +44,16 @@ from repro.obs.tracer import Tracer, current_tracer
 from repro.sim.trace import SimTrace
 
 
-@dataclass
 class _Flight:
     """An in-flight output neuron moving through the pipeline."""
 
-    r: int
-    c: int
-    acc: np.ndarray  # (M, N): one partial sum per (output, input) map pair
+    __slots__ = ("r", "c", "taps")
+
+    def __init__(self, r: int, c: int) -> None:
+        self.r = r
+        self.c = c
+        #: PE ``i * K + j`` of each contribution, in the order they happen.
+        self.taps: List[int] = []
 
 
 class SystolicFunctionalSim:
@@ -97,15 +104,20 @@ class SystolicFunctionalSim:
         out_size: int,
         trace: SimTrace,
     ) -> np.ndarray:
-        """One pass of the pair schedule, all ``(m, n)`` pairs in lockstep."""
+        """One pass of the pair schedule, all ``(m, n)`` pairs in lockstep.
+
+        The cycle loop moves only flight coordinates and records where
+        each flight picks up a product; the data path then replays those
+        taps over every drained output at once.
+        """
         maps_out, maps_in, k, _ = kernels.shape
         pairs = maps_out * maps_in
         _, height, width = images.shape
-        drained = np.zeros((maps_out, maps_in, out_size, out_size))
         fifo_depth = max(1, width - k)
         # regs[i][j] is the output currently resident at PE (i, j).
         regs: List[List[Optional[_Flight]]] = [[None] * k for _ in range(k)]
         fifos = [FifoLink(fifo_depth + 1, name=f"row-fifo-{i}") for i in range(k - 1)]
+        exits: List[_Flight] = []
 
         # The raster runs K extra virtual rows past the image: the pipeline
         # drain, during which no neurons are broadcast but in-flight
@@ -114,9 +126,8 @@ class SystolicFunctionalSim:
             for cc in range(width):
                 trace.cycles += pairs
                 real = rr < height
-                # One broadcast neuron per input map.
-                value = images[:, rr, cc] if real else 0.0
                 if real:
+                    # One broadcast neuron per input map.
                     trace.neuron_buffer_reads += pairs
                     trace.bus_transfers += pairs  # broadcast to all PEs
                 # Shift phase: rightmost column exits first.
@@ -129,18 +140,14 @@ class SystolicFunctionalSim:
                         elif 0 <= exiting.r < out_size and 0 <= exiting.c < out_size:
                             # Drained complete at PE (K-1, K-1); edge
                             # flights (invalid windows) are discarded.
-                            drained[:, :, exiting.r, exiting.c] = exiting.acc
+                            exits.append(exiting)
                             trace.neuron_buffer_writes += pairs
                     for j in range(k - 1, 0, -1):
                         regs[i][j] = regs[i][j - 1]
                     if i == 0:
                         # A fresh output O(rr, cc) enters the first stage
                         # (none during the drain rows).
-                        regs[0][0] = (
-                            _Flight(r=rr, c=cc, acc=np.zeros((maps_out, maps_in)))
-                            if real
-                            else None
-                        )
+                        regs[0][0] = _Flight(rr, cc) if real else None
                     else:
                         entering = None
                         fifo = fifos[i - 1]
@@ -174,10 +181,24 @@ class SystolicFunctionalSim:
                             and flight.c + j == cc
                         )
                         if contributes:
-                            flight.acc += value * kernels[:, :, i, j]
+                            flight.taps.append(i * k + j)
                             trace.mac_ops += pairs
                             trace.register_accesses += 2 * pairs
         for i in range(k - 1):
             if not fifos[i].empty:
                 raise SimulationError(f"row FIFO {i} not drained at end of layer")
+
+        # Data path: pass t adds tap t of every drained output at once, so
+        # each (m, n) sum adds its products in the order the machine did.
+        # Every drained output took all K*K taps; drained[:, n] holds
+        # pair (m, n)'s finished output map.
+        r = np.array([flight.r for flight in exits], dtype=np.int64)
+        c = np.array([flight.c for flight in exits], dtype=np.int64)
+        taps = np.array([flight.taps for flight in exits], dtype=np.int64)
+        acc = np.zeros((maps_out, maps_in, len(exits)))
+        for tap in taps.reshape(len(exits), k * k).T:
+            i, j = np.divmod(tap, k)
+            acc += images[:, r + i, c + j] * kernels[:, :, i, j]
+        drained = np.zeros((maps_out, maps_in, out_size, out_size))
+        drained[:, :, r, c] = acc
         return drained

@@ -6,7 +6,10 @@ NumPy/scalar expression it replaces, so parity here is ``==`` — not
 hypothesis-generated inputs against an independent plain-Python
 reference (translated from the documented semantics, not from the
 backend source).  ``store_replay`` is pinned against its NumPy backend,
-and that backend against plain-Python ring-buffer stores.  The end-to-end
+and that backend against plain-Python ring-buffer stores.
+``flexflow_group`` is pinned against the tile engine's NumPy chunk loop,
+group by group, and its dispatch (once per group on fault-free compiled
+runs, never on bit-flip or NumPy runs) is checked.  The end-to-end
 tests force ``REPRO_KERNELS`` and check that mapper, batched simulator,
 FlexFlow functional simulator and fault-retention results are identical
 under every available backend.
@@ -14,17 +17,27 @@ under every available backend.
 The compiled leg skips, never fails, when no C compiler is present.
 """
 
+import contextlib
 import itertools
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dataflow import map_network
+from repro.arch import ArchConfig
+from repro.dataflow import map_layer, map_network
 from repro.dataflow.mapper import clear_mapping_cache
+from repro.dataflow.unrolling import ceil_div
 from repro.kernels import ENV_KERNELS, reset_kernels
 from repro.kernels import cext as cext_mod
+from repro.nn import make_inputs, make_kernels
+from repro.nn.layers import ConvLayer
 from repro.nn.workloads import all_workloads
+from repro.obs import REGISTRY, Tracer
+from repro.obs.export import parity_report
+from repro.sim import FlexFlowFunctionalSim
 
 BACKENDS = ("cext",)
 
@@ -298,6 +311,136 @@ def test_store_replay_matches_numpy(suite, stream):
     want = _run_replay(numpy_store_replay, stream)
     for name, fast, ref in zip(("miss", "seq", "table", "counts"), got, want):
         assert fast.tolist() == ref.tolist(), name
+
+
+# -- the FlexFlow group kernel vs. the tile engine's NumPy chunk loop ----------
+
+if settings.get_current_profile_name() == "default":
+    group_budget = settings(max_examples=40, derandomize=True, deadline=None)
+else:
+    group_budget = settings(deadline=None)
+
+
+@contextlib.contextmanager
+def _kernels(backend):
+    """``REPRO_KERNELS`` set to ``backend`` for the block."""
+    with mock.patch.dict(os.environ, {ENV_KERNELS: backend}):
+        reset_kernels()
+        try:
+            yield
+        finally:
+            reset_kernels()
+
+
+@st.composite
+def group_cases(draw):
+    """A CONV layer, its ``map_layer`` factors on a 2..8 array, and stores.
+
+    Stride 2 and implied padding (``explicit_in_size`` below the valid
+    size) come up, stores run from one word up, and small arrays with up
+    to 12 output maps give layers several output-map groups.
+    """
+    stride = draw(st.sampled_from((1, 2)))
+    kernel = draw(st.integers(min_value=1, max_value=4))
+    out_size = draw(st.integers(min_value=1, max_value=6))
+    valid = (out_size - 1) * stride + kernel
+    layer = ConvLayer(
+        "group",
+        in_maps=draw(st.integers(min_value=1, max_value=5)),
+        out_maps=draw(st.integers(min_value=1, max_value=12)),
+        out_size=out_size,
+        kernel=kernel,
+        stride=stride,
+        explicit_in_size=draw(
+            st.integers(min_value=max(1, valid - kernel + 1), max_value=valid)
+        ),
+    )
+    dim = draw(st.integers(min_value=2, max_value=8))
+    words = st.integers(min_value=1, max_value=48)
+    config = ArchConfig(
+        array_dim=dim,
+        neuron_store_bytes=2 * draw(words),
+        kernel_store_bytes=2 * draw(words),
+    )
+    return layer, config, map_layer(layer, dim).factors
+
+
+@group_budget
+@given(case=group_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_flexflow_group_matches_numpy_chunks(suite, case, seed):
+    """Output bytes, counters and every ``group:m0=`` span's deltas."""
+    layer, config, factors = case
+    rng = np.random.default_rng(seed)
+    inputs = rng.standard_normal(layer.input_shape)
+    kernels = rng.standard_normal(layer.kernel_shape)
+    runs = {}
+    for backend in ("cext", "numpy"):
+        with _kernels(backend):
+            tracer = Tracer()
+            outputs, trace = FlexFlowFunctionalSim(
+                config, factors=factors, engine="tile", tracer=tracer
+            ).run_layer(layer, inputs, kernels)
+        runs[backend] = (
+            outputs.tobytes(), trace.as_dict(), parity_report(tracer)
+        )
+    assert runs["cext"] == runs["numpy"]
+
+
+class TestFlexFlowGroupDispatch:
+    """Which path each tile-engine run takes: a silent fallback to the
+    NumPy chunk loop would still pass every parity check."""
+
+    LAYER = ConvLayer("dispatch", in_maps=3, out_maps=6, out_size=5, kernel=3)
+    CONFIG = ArchConfig(array_dim=4)
+
+    def run(self, monkeypatch, fault_model=None):
+        """``(group kernel calls, chunk-loop replays)`` of one run."""
+        from repro.sim import tile_engine
+
+        replays = []
+        real_replay = tile_engine.store_replay
+
+        def counting_replay(*args):
+            replays.append(1)
+            return real_replay(*args)
+
+        monkeypatch.setattr(tile_engine, "store_replay", counting_replay)
+        counter = REGISTRY.counter(
+            "kernels.calls", kernel="flexflow_group", backend="cext"
+        )
+        before = counter.value
+        FlexFlowFunctionalSim(
+            self.CONFIG, engine="tile", fault_model=fault_model
+        ).run_layer(self.LAYER, make_inputs(self.LAYER), make_kernels(self.LAYER))
+        return counter.value - before, len(replays)
+
+    def groups(self):
+        factors = map_layer(self.LAYER, self.CONFIG.array_dim).factors
+        return ceil_div(self.LAYER.out_maps, factors.tm)
+
+    def test_fault_free_compiled_run_calls_once_per_group(
+        self, forced_backend, monkeypatch
+    ):
+        assert self.groups() > 1
+        assert self.run(monkeypatch) == (self.groups(), 0)
+
+    def test_bitflip_run_takes_the_chunk_loop(
+        self, forced_backend, monkeypatch
+    ):
+        from repro.faults import FaultModel
+
+        calls, replays = self.run(
+            monkeypatch, FaultModel(seed=3, bitflip_rate=0.05)
+        )
+        assert calls == 0 and replays >= self.groups()
+
+    def test_numpy_backend_takes_the_chunk_loop(self, monkeypatch):
+        _force_numpy(monkeypatch)
+        try:
+            calls, replays = self.run(monkeypatch)
+        finally:
+            reset_kernels()
+        assert calls == 0 and replays >= self.groups()
 
 
 # -- end-to-end parity: compiled backend vs. forced-NumPy paths ---------------

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import reset_chaos_handles
+from repro.errors import ExperimentError
 from repro.experiments.runner import RunPolicy
 from repro.obs.metrics import REGISTRY
 from repro.serve.app import ServeApp
@@ -250,6 +251,37 @@ class TestWindowAndSeal:
         for payload, request in zip(payloads, requests):
             direct = execute_request("simulate", request.spec)
             assert json.dumps(payload["result"]) == json.dumps(direct)
+
+
+class TestShutdownDuringWindow:
+    def test_window_closing_after_shutdown_restarts_nothing(self):
+        """A batch whose window is still open at ``shutdown()`` fails with
+        "pool shut down" instead of dispatching when the window closes,
+        which would restart the stopped pool and compute the request."""
+        request = parse_request("dse", {"workload": "PV", "dims": [4, 8]})
+        app = make_app(window_ms=50.0)
+        before = REGISTRY.snapshot()
+
+        async def scenario():
+            served = asyncio.create_task(app.serve_request(request))
+            await asyncio.sleep(0.005)
+            app.shutdown()
+            workers_at_shutdown = app.pool.worker_count
+            (outcome,) = await asyncio.gather(served, return_exceptions=True)
+            await asyncio.sleep(0.08)  # past the window's close
+            return workers_at_shutdown, app.pool.worker_count, outcome
+
+        try:
+            at_shutdown, after_window, outcome = asyncio.run(scenario())
+        finally:
+            app.shutdown()
+        assert (at_shutdown, after_window) == (0, 0)
+        assert isinstance(outcome, ExperimentError)
+        assert "pool shut down" in str(outcome)
+        after = REGISTRY.snapshot()
+        assert snapshot_delta(
+            before, after, "serve.backend_computations"
+        ) == 0
 
 
 class TestLeaderCrashFailover:
