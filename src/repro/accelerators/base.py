@@ -21,6 +21,7 @@ from repro.arch.config import ArchConfig
 from repro.arch.power import ActivityCounts, PowerReport, compute_power
 from repro.dataflow.unrolling import ceil_div
 from repro.errors import MappingError, SimulationError
+from repro.faults.mask import AvailabilityMask
 from repro.nn.layers import ConvLayer, FCLayer, PoolLayer
 from repro.nn.network import Network
 
@@ -206,11 +207,22 @@ class Accelerator(abc.ABC):
     def fault_retention(self) -> float:
         """Fraction of nominal throughput retained under ``config.pe_mask``.
 
-        1.0 by default (healthy, or an architecture that reroutes around
-        faults).  The rigid baselines override this with their
-        structure-kill models (:mod:`repro.faults.impact`); FlexFlow keeps
-        the default because its degradation comes out of the real mapping
-        search over the live subgrid.
+        1.0 with no mask or a healthy one; otherwise
+        :meth:`_masked_retention` of the mask.
+        """
+        mask = self.config.pe_mask
+        if mask is None or mask.is_healthy:
+            return 1.0
+        return self._masked_retention(mask)
+
+    def _masked_retention(self, mask: AvailabilityMask) -> float:
+        """Retention under a mask with dead PEs.
+
+        1.0 by default (an architecture that reroutes around faults).
+        The rigid baselines override this with their structure-kill
+        models (:mod:`repro.faults.impact`); FlexFlow keeps the default
+        because its degradation comes out of the real mapping search over
+        the live subgrid.
         """
         return 1.0
 

@@ -25,6 +25,7 @@ from repro.arch.power import ActivityCounts
 from repro.dataflow.unrolling import ceil_div
 from repro.errors import ConfigurationError
 from repro.faults.impact import row_kill_retention
+from repro.faults.mask import AvailabilityMask
 from repro.nn.layers import ConvLayer
 
 
@@ -33,8 +34,9 @@ def mapping2d_layer_cycles(layer: ConvLayer, block_size: int) -> int:
 
     Module-level pure-int helper so the per-layer DP
     (:mod:`repro.dse.perlayer`) and the accelerator model cannot drift.
-    Includes the inter-block switch bubble
-    (:attr:`Mapping2DAccelerator.BLOCK_SWITCH_OVERHEAD`).
+    Includes the inter-block switch bubble: ``block_size`` extra cycles
+    per output-block visit, draining the block's finished neurons and
+    pre-loading the next block's initial window through the edge FIFOs.
     """
     blocks = ceil_div(layer.out_size, block_size) ** 2
     return layer.out_maps * blocks * (
@@ -54,10 +56,6 @@ class Mapping2DAccelerator(Accelerator):
 
     kind = "mapping2d"
     IDLE_ACTIVITY = 0.85
-    #: Extra cycles per output-block visit: draining the block's finished
-    #: neurons and pre-loading the next block's initial window through the
-    #: edge FIFOs (the inter-block bubble of the shift dataflow).
-    BLOCK_SWITCH_OVERHEAD = True
 
     def __init__(
         self, config: Optional[ArchConfig] = None, *, block_size: Optional[int] = None
@@ -70,11 +68,9 @@ class Mapping2DAccelerator(Accelerator):
     def simulate_layer(self, layer: ConvLayer, **_context) -> LayerResult:
         block = self.block_size
         blocks = ceil_div(layer.out_size, block) ** 2
-        if self.BLOCK_SWITCH_OVERHEAD:
-            healthy = mapping2d_layer_cycles(layer, block)
-        else:
-            healthy = layer.out_maps * blocks * layer.in_maps * layer.kernel**2
-        cycles = self._degrade_cycles(healthy, layer)
+        cycles = self._degrade_cycles(
+            mapping2d_layer_cycles(layer, block), layer
+        )
 
         macs = layer.macs
         total_pes = block * block
@@ -126,11 +122,8 @@ class Mapping2DAccelerator(Accelerator):
             counts=counts,
         )
 
-    def fault_retention(self) -> float:
+    def _masked_retention(self, mask: AvailabilityMask) -> float:
         """A dead PE severs its row's neuron shift chain — row kill."""
-        mask = self.config.pe_mask
-        if mask is None or mask.is_healthy:
-            return 1.0
         return row_kill_retention(mask)
 
     def spatial_utilization(self, layer: ConvLayer) -> float:

@@ -26,16 +26,8 @@ comparison point for the per-layer dataflow DSE
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
-from repro.accelerators.base import Accelerator, LayerResult, dram_words_with_reload
-from repro.arch.area import pe_area_mm2
-from repro.arch.config import ArchConfig
-from repro.arch.power import ActivityCounts
+from repro.accelerators.systolic import SystolicAccelerator
 from repro.dataflow.unrolling import ceil_div
-from repro.errors import ConfigurationError
-from repro.faults.impact import systolic_retention
 from repro.nn.layers import ConvLayer
 
 
@@ -56,109 +48,27 @@ def pipeline_layer_cycles(
     return rounds * passes * layer.out_size**2 + fill
 
 
-class PipelinedSystolicAccelerator(Accelerator):
+class PipelinedSystolicAccelerator(SystolicAccelerator):
     """Systolic arrays with configurable (transparent) pipelining.
 
-    Args:
-        config: shared sizing (PE budget = ``config.num_pes``).
-        array_size: ``Ta`` — one array is ``Ta x Ta``.  Same per-workload
-            sizing convention as the systolic baseline (11 for AlexNet,
-            6 otherwise) via :meth:`for_workload`; the per-layer DSE
-            treats ``Ta`` as a runtime-reconfigurable parameter instead.
+    Everything but the fill recurrence, the idle activity and the
+    transparency latch writes is the systolic baseline's: the same
+    ``Ta x Ta`` arrays (sized by :meth:`for_workload`, which the
+    per-layer DSE replaces with a runtime-reconfigurable ``Ta``), the
+    same traffic, the same fault sensitivity and spatial utilization.
     """
 
     kind = "pipeline"
     IDLE_ACTIVITY = 0.80  # transparent latches clock-gate drained stages
 
-    def __init__(
-        self, config: Optional[ArchConfig] = None, *, array_size: int = 6
-    ) -> None:
-        super().__init__(config)
-        if array_size <= 0:
-            raise ConfigurationError(f"array_size must be positive, got {array_size}")
-        self.array_size = array_size
-
-    @classmethod
-    def for_workload(
-        cls, workload_name: str, config: Optional[ArchConfig] = None
-    ) -> "PipelinedSystolicAccelerator":
-        """Same per-workload sizing as the systolic baseline."""
-        array_size = 11 if workload_name == "AlexNet" else 6
-        return cls(config, array_size=array_size)
-
-    @property
-    def num_arrays(self) -> int:
-        """Arrays fitting the shared PE budget."""
-        return max(1, self.config.num_pes // (self.array_size**2))
-
-    def simulate_layer(self, layer: ConvLayer, **_context) -> LayerResult:
-        ta = self.array_size
-        arrays = self.num_arrays
-        passes = ceil_div(layer.kernel, ta) ** 2
-        fill = layer.in_size * min(layer.kernel, ta)
-        pairs = layer.out_maps * layer.in_maps
-        rounds = ceil_div(pairs, arrays)
-        cycles = self._degrade_cycles(
-            pipeline_layer_cycles(layer, ta, self.config.num_pes), layer
+    def _healthy_cycles(self, layer: ConvLayer) -> int:
+        return pipeline_layer_cycles(
+            layer, self.array_size, self.config.num_pes
         )
 
-        macs = layer.macs
-        total_pes = arrays * ta * ta
-        utilization = macs / (cycles * total_pes)
-
-        # Traffic is the systolic baseline's: the same operands stream
-        # through the same wavefront, only the fill recurrence differs.
-        sharing = min(arrays, layer.out_maps)
-        input_words = (
-            pairs * passes * layer.in_size**2 + sharing - 1
-        ) // sharing
-        kernel_words = layer.num_kernel_words
-        output_writes = pairs * layer.out_size**2
-        partial_reads = layer.out_maps * (layer.in_maps - 1) * layer.out_size**2
-
-        active = self._active_pe_cycles(macs, cycles, total_pes)
-        fifo_accesses = 2 * pairs * layer.out_size**2 * min(layer.kernel, ta)
-        # Per active PE cycle: synapse register read + partial-sum update,
-        # plus one transparency-configuration latch write per stage per
+    def _register_accesses(self, layer: ConvLayer, active: int) -> int:
+        # Plus one transparency-configuration latch write per stage per
         # pass (the mechanism that elides the refill).
-        register_accesses = 3 * active + passes * ta * ta
-
-        pitch = math.sqrt(pe_area_mm2(self.kind, self.config))
-        span = ta * pitch
-        bus_word_mm = input_words * span
-
-        dram = dram_words_with_reload(layer, self.config)
-
-        counts = ActivityCounts(
-            cycles=cycles,
-            mac_ops=macs,
-            active_pe_cycles=active,
-            neuron_buffer_reads=input_words,
-            neuron_buffer_writes=output_writes,
-            neuron_buffer_partial_reads=partial_reads,
-            kernel_buffer_reads=kernel_words,
-            fifo_accesses=fifo_accesses,
-            register_accesses=register_accesses,
-            bus_word_mm=bus_word_mm,
-            dram_accesses=dram,
-        )
-        return LayerResult(
-            kind=self.kind,
-            layer=layer,
-            cycles=cycles,
-            utilization=utilization,
-            counts=counts,
-        )
-
-    def fault_retention(self) -> float:
-        """Same structural sensitivity as the systolic baseline."""
-        mask = self.config.pe_mask
-        if mask is None or mask.is_healthy:
-            return 1.0
-        return systolic_retention(mask, self.array_size)
-
-    def spatial_utilization(self, layer: ConvLayer) -> float:
-        """Kernel coverage of the array — pipelining does not change it."""
         ta = self.array_size
         passes = ceil_div(layer.kernel, ta) ** 2
-        return layer.kernel**2 / (ta**2 * passes)
+        return super()._register_accesses(layer, active) + passes * ta * ta

@@ -40,6 +40,7 @@ from repro.arch.power import ActivityCounts
 from repro.dataflow.unrolling import ceil_div
 from repro.errors import ConfigurationError
 from repro.faults.impact import row_kill_retention
+from repro.faults.mask import AvailabilityMask
 from repro.nn.layers import ConvLayer
 
 
@@ -47,9 +48,10 @@ class RowStationaryAccelerator(Accelerator):
     """Eyeriss-style row-stationary baseline.
 
     Args:
-        config: shared sizing; the array defaults to Eyeriss's 12 x 14
-            when ``config.array_dim`` is 16 (the 168-PE published design),
-            otherwise to ``(array_dim - 2) x array_dim`` to track scale.
+        config: shared sizing; the array defaults to
+            ``(array_dim - 4) x (array_dim - 2)`` to track scale, which is
+            Eyeriss's 12 x 14 (the 168-PE published design) at the
+            default ``array_dim`` of 16.
     """
 
     kind = "rowstationary"
@@ -132,9 +134,6 @@ class RowStationaryAccelerator(Accelerator):
             counts=counts,
         )
 
-    def fault_retention(self) -> float:
+    def _masked_retention(self, mask: AvailabilityMask) -> float:
         """A dead PE breaks its row's diagonal psum chain — row kill."""
-        mask = self.config.pe_mask
-        if mask is None or mask.is_healthy:
-            return 1.0
         return row_kill_retention(mask)

@@ -21,7 +21,6 @@ Model summary per (m, n) pair:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.accelerators.base import Accelerator, LayerResult, dram_words_with_reload
@@ -31,6 +30,7 @@ from repro.arch.power import ActivityCounts
 from repro.dataflow.unrolling import ceil_div
 from repro.errors import ConfigurationError
 from repro.faults.impact import systolic_retention
+from repro.faults.mask import AvailabilityMask
 from repro.nn.layers import ConvLayer
 
 
@@ -82,14 +82,23 @@ class SystolicAccelerator(Accelerator):
         """Arrays fitting the shared PE budget (7 at the 16x16 scale)."""
         return max(1, self.config.num_pes // (self.array_size**2))
 
+    def _healthy_cycles(self, layer: ConvLayer) -> int:
+        """Healthy-array cycles, with a pipeline fill on every pass (the
+        pipelined variant fills once per layer)."""
+        return systolic_layer_cycles(
+            layer, self.array_size, self.config.num_pes
+        )
+
+    def _register_accesses(self, layer: ConvLayer, active: int) -> int:
+        """Per active PE cycle: synapse register read + partial-sum update."""
+        return 3 * active
+
     def simulate_layer(self, layer: ConvLayer, **_context) -> LayerResult:
         ta = self.array_size
         arrays = self.num_arrays
         passes = ceil_div(layer.kernel, ta) ** 2
         pairs = layer.out_maps * layer.in_maps
-        cycles = self._degrade_cycles(
-            systolic_layer_cycles(layer, ta, self.config.num_pes), layer
-        )
+        cycles = self._degrade_cycles(self._healthy_cycles(layer), layer)
 
         macs = layer.macs
         total_pes = arrays * ta * ta
@@ -110,8 +119,7 @@ class SystolicAccelerator(Accelerator):
         # Each output neuron shifts through ~K pipeline stages and the
         # inter-row FIFOs; charge 2 FIFO events (push + pop) per row switch.
         fifo_accesses = 2 * pairs * layer.out_size**2 * min(layer.kernel, ta)
-        # Per active PE cycle: synapse register read + partial-sum update.
-        register_accesses = 3 * active
+        register_accesses = self._register_accesses(layer, active)
 
         pitch = math.sqrt(pe_area_mm2(self.kind, self.config))
         span = ta * pitch
@@ -140,11 +148,8 @@ class SystolicAccelerator(Accelerator):
             counts=counts,
         )
 
-    def fault_retention(self) -> float:
+    def _masked_retention(self, mask: AvailabilityMask) -> float:
         """A dead PE anywhere in a ``Ta x Ta`` array retires the array."""
-        mask = self.config.pe_mask
-        if mask is None or mask.is_healthy:
-            return 1.0
         return systolic_retention(mask, self.array_size)
 
     def spatial_utilization(self, layer: ConvLayer) -> float:

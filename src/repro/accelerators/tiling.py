@@ -25,6 +25,7 @@ from repro.arch.power import ActivityCounts
 from repro.dataflow.unrolling import ceil_div
 from repro.errors import ConfigurationError
 from repro.faults.impact import tiling_retention
+from repro.faults.mask import AvailabilityMask
 from repro.nn.layers import ConvLayer
 
 
@@ -115,11 +116,8 @@ class TilingAccelerator(Accelerator):
             counts=counts,
         )
 
-    def fault_retention(self) -> float:
+    def _masked_retention(self, mask: AvailabilityMask) -> float:
         """A dead lane corrupts its cluster's adder-tree sum — cluster kill."""
-        mask = self.config.pe_mask
-        if mask is None or mask.is_healthy:
-            return 1.0
         return tiling_retention(mask, self.tm, self.tn)
 
     def spatial_utilization(self, layer: ConvLayer) -> float:

@@ -7,7 +7,10 @@ reports — including ``--jobs N`` worker processes sharing one directory
 — pay for each experiment once, and a repeated request is a read.
 Mapping searches and closed-form results (cycles, utilization, activity
 counts) cost no more to recompute than to read back, so they are not
-stored: the store has two sections, ``experiment`` and ``serve``.
+stored: the store has two sections, ``experiment`` and ``serve``, one
+flat directory each (``<root>/<section>/<key>.json``), and no eviction
+bound.  A byte-budgeted LRU (:class:`MemoryTier`) keeps decoded entries
+in front of the disk.
 """
 
 from repro.cache.keys import (
@@ -21,7 +24,6 @@ from repro.cache.memtier import DEFAULT_MEM_MB, MemoryTier
 from repro.cache.store import (
     ENV_DIR,
     ENV_ENABLE,
-    ENV_MAX_ENTRIES,
     ENV_MEM_MB,
     ResultCache,
     active_cache,
@@ -35,7 +37,6 @@ __all__ = [
     "DEFAULT_MEM_MB",
     "ENV_DIR",
     "ENV_ENABLE",
-    "ENV_MAX_ENTRIES",
     "ENV_MEM_MB",
     "MemoryTier",
     "ResultCache",

@@ -1,14 +1,16 @@
 """Persistent, content-addressed result store shared across processes.
 
-Entries live under ``<root>/<section>/<key[:2]>/<key>.json`` where the key
-is a SHA-256 over the full request (:mod:`repro.cache.keys`).  The store
-is safe for concurrent writers — ``--jobs N`` experiment workers share
-one directory — because every write lands in a unique temp file and is
-published with ``os.replace`` (atomic on POSIX), and eviction serializes
-on an advisory ``fcntl`` lock where the platform provides one.  A corrupt
-or truncated entry is never fatal: the hot read path *self-heals* — the
-bad entry is quarantined (moved under ``<root>/.quarantine`` for post
-mortems), counted, and reported as a miss so the caller recomputes and
+Entries live under ``<root>/<section>/<key>.json`` where the key is a
+SHA-256 over the full request (:mod:`repro.cache.keys`); only
+:class:`ResultCache` knows the layout.  The store is safe for concurrent
+writers — ``--jobs N`` experiment workers share one directory — because
+every write lands in a unique temp file and is published with
+``os.replace`` (atomic on POSIX).  Nothing trims it: a report writes
+its 26 experiment entries, each distinct served request one ``serve``
+entry, and ``repro cache clear`` empties it.  A corrupt or truncated
+entry is never fatal: the hot read path *self-heals* — the bad entry is
+quarantined (moved under ``<root>/.quarantine`` for post mortems),
+counted, and reported as a miss so the caller recomputes and
 republishes.  ``repro cache verify`` reports corruption; ``--repair``
 sends bad entries through the same quarantine path.
 
@@ -19,17 +21,15 @@ to worker processes:
   entirely (default: on).
 * ``REPRO_CACHE_DIR`` — store root (default:
   ``$XDG_CACHE_HOME/repro-flexflow`` or ``~/.cache/repro-flexflow``).
-* ``REPRO_CACHE_MAX_ENTRIES`` — optional positive bound; writes beyond it
-  evict oldest-mtime entries first.
 * ``REPRO_CACHE_MEM_MB`` — byte budget (MiB) for the in-memory hot tier
   holding decoded entries in front of the disk store (default
   :data:`repro.cache.memtier.DEFAULT_MEM_MB`; ``0`` disables the tier
   so every hit pays the disk read).
 
-Hit/miss/corrupt/evict counts flow into the :mod:`repro.obs` metrics
-registry (``cache.lookups{section,outcome}``, ``cache.writes{section}``,
-``cache.evictions``) so ``repro profile`` and the benchmark harness can
-report cache effectiveness.
+Hit/miss/corrupt counts flow into the :mod:`repro.obs` metrics registry
+(``cache.lookups{section,outcome}``, ``cache.writes{section}``) so
+``repro profile`` and the benchmark harness can report cache
+effectiveness.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ from repro.errors import ConfigurationError
 from repro.fsutil import atomic_write_text
 from repro.obs.metrics import REGISTRY
 
-try:  # pragma: no cover - platform-dependent import
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-
 #: Default store location, under the user cache directory.
 DEFAULT_SUBDIR = "repro-flexflow"
 
@@ -61,7 +56,6 @@ DEFAULT_SUBDIR = "repro-flexflow"
 #: tests and subprocesses can reconfigure without reimporting).
 ENV_ENABLE = "REPRO_CACHE"
 ENV_DIR = "REPRO_CACHE_DIR"
-ENV_MAX_ENTRIES = "REPRO_CACHE_MAX_ENTRIES"
 ENV_MEM_MB = "REPRO_CACHE_MEM_MB"
 
 #: Corrupt entries are moved (never deleted) into this dot-directory,
@@ -102,20 +96,9 @@ class ResultCache:
     ``0`` disables the tier so every hit pays the disk read.
     """
 
-    def __init__(
-        self,
-        root: Path,
-        *,
-        max_entries: Optional[int] = None,
-        mem_budget_mb: Optional[int] = None,
-    ):
-        if max_entries is not None and max_entries <= 0:
-            raise ConfigurationError(
-                f"cache max_entries must be positive, got {max_entries}"
-            )
+    def __init__(self, root: Path, *, mem_budget_mb: Optional[int] = None):
         self.root = Path(root)
         self._root_str = str(self.root)
-        self.max_entries = max_entries
         if mem_budget_mb is None:
             mem_budget_mb = _mem_mb_from_env()
         self.mem = MemoryTier(mem_budget_mb * 1024 * 1024)
@@ -140,15 +123,25 @@ class ResultCache:
     def _entry_path_str(self, section: str, key: str) -> str:
         # The hot read/write paths build plain strings: ``Path`` algebra
         # is measurable overhead at hundreds of lookups per sweep.
-        return os.path.join(self._root_str, section, key[:2], f"{key}.json")
+        return os.path.join(self._root_str, section, f"{key}.json")
 
     def _entry_files(self):
+        """``(section, path)`` for every entry file, sorted per section.
+
+        Also yields entries of the older ``<section>/<key[:2]>/`` layout,
+        which lookups no longer read, so ``stats``, ``verify`` and
+        ``clear`` still count, check and remove them.
+        """
         if not self.root.is_dir():
             return
         for section_dir in sorted(self.root.iterdir()):
             if not section_dir.is_dir() or section_dir.name.startswith("."):
                 continue  # skip quarantine and other dot-state
-            yield from sorted(section_dir.glob("*/*.json"))
+            section = section_dir.name
+            for path in sorted(
+                [*section_dir.glob("*.json"), *section_dir.glob("*/*.json")]
+            ):
+                yield section, path
 
     def quarantine_path(self, section: str) -> Path:
         return self.root / QUARANTINE_DIR / section
@@ -226,8 +219,6 @@ class ResultCache:
             return
         if self._write_entry(section, key, text):
             self.mem.put(section, key, payload, text)
-        if self.max_entries is not None:
-            self._evict_to_limit()
 
     def put_behind(self, section: str, key: str, payload: Any) -> None:
         """:meth:`put` with the disk write on a background flush thread.
@@ -284,10 +275,10 @@ class ResultCache:
     def _flush_worker(self) -> None:
         """Write pending entries oldest first; exit once none is left.
 
-        An entry leaves the pending map only after its write (and any
-        eviction) is done, and only if no newer :meth:`put_behind` of
-        its key replaced it meanwhile; a replaced entry is written again.
-        A new thread starts on demand.
+        An entry leaves the pending map only after its write is done, and
+        only if no newer :meth:`put_behind` of its key replaced it
+        meanwhile; a replaced entry is written again.  A new thread starts
+        on demand.
         """
         while True:
             with self._flush_lock:
@@ -299,8 +290,6 @@ class ResultCache:
             landed = False
             try:
                 landed = self._write_entry(*entry_key, entry[1])
-                if self.max_entries is not None:
-                    self._evict_to_limit()
             except Exception:  # never kill the thread: cache IO is best-effort
                 pass
             if not landed:
@@ -332,8 +321,7 @@ class ResultCache:
         sections: Dict[str, Dict[str, int]] = {}
         total_entries = 0
         total_bytes = 0
-        for path in self._entry_files():
-            section = path.parent.parent.name
+        for section, path in self._entry_files():
             try:
                 size = path.stat().st_size
             except OSError:
@@ -346,7 +334,6 @@ class ResultCache:
         return {
             "root": str(self.root),
             "schema": CACHE_SCHEMA_VERSION,
-            "max_entries": self.max_entries,
             "entries": total_entries,
             "bytes": total_bytes,
             "sections": sections,
@@ -360,9 +347,8 @@ class ResultCache:
         deletes anything, so a false positive is always recoverable.
         """
         checked = ok = corrupt = quarantined = 0
-        for path in list(self._entry_files()):
+        for section, path in list(self._entry_files()):
             checked += 1
-            section = path.parent.parent.name
             key = path.stem
             try:
                 text = path.read_text()
@@ -384,7 +370,7 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
         removed = 0
-        for path in list(self._entry_files()):
+        for _, path in list(self._entry_files()):
             try:
                 path.unlink()
                 removed += 1
@@ -410,44 +396,10 @@ class ResultCache:
             return None
         return entry
 
-    def _evict_to_limit(self) -> None:
-        """Drop oldest-mtime entries until the store fits ``max_entries``."""
-        lock_path = self.root / ".lock"
-        lock_file = None
-        try:
-            if fcntl is not None:
-                lock_file = open(lock_path, "w")
-                fcntl.flock(lock_file, fcntl.LOCK_EX)
-            entries = []
-            for path in self._entry_files():
-                try:
-                    entries.append((path.stat().st_mtime, path))
-                except OSError:
-                    continue
-            excess = len(entries) - self.max_entries
-            if excess <= 0:
-                return
-            entries.sort(key=lambda item: item[0])
-            for _, path in entries[:excess]:
-                try:
-                    path.unlink()
-                    REGISTRY.counter("cache.evictions").inc()
-                except OSError:
-                    pass
-        except OSError:
-            pass
-        finally:
-            if lock_file is not None:
-                try:
-                    fcntl.flock(lock_file, fcntl.LOCK_UN)
-                except OSError:
-                    pass
-                lock_file.close()
-
 
 # -- the ambient cache handle -------------------------------------------------
 
-_instances: Dict[Tuple[str, Optional[int], int], ResultCache] = {}
+_instances: Dict[Tuple[str, int], ResultCache] = {}
 
 
 def cache_enabled() -> bool:
@@ -476,23 +428,6 @@ def cache_root() -> Path:
     return base / DEFAULT_SUBDIR
 
 
-def _max_entries_from_env() -> Optional[int]:
-    raw = os.environ.get(ENV_MAX_ENTRIES)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{ENV_MAX_ENTRIES} must be a positive integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ConfigurationError(
-            f"{ENV_MAX_ENTRIES} must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
 def _mem_mb_from_env() -> int:
     """The hot-tier budget in MiB (``0`` disables the tier)."""
     raw = os.environ.get(ENV_MEM_MB)
@@ -511,13 +446,11 @@ def _mem_mb_from_env() -> int:
     return value
 
 
-#: Raw environment tuple -> resolved ``(root, max_entries)`` or ``None``
+#: Raw environment tuple -> resolved ``(root, mem_budget_mb)`` or ``None``
 #: (disabled).  The environment is still consulted on every call — only
 #: the *parsing* (path resolution, int validation) is memoized, so tests
 #: and subprocesses can flip the variables without reimporting.
-_resolved_env: Dict[
-    Tuple[Optional[str], ...], Optional[Tuple[str, Optional[int], int]]
-] = {}
+_resolved_env: Dict[Tuple[Optional[str], ...], Optional[Tuple[str, int]]] = {}
 
 
 def active_cache() -> Optional[ResultCache]:
@@ -525,13 +458,12 @@ def active_cache() -> Optional[ResultCache]:
 
     The environment is re-read on every call (cheap), so tests and
     subprocesses can flip ``REPRO_CACHE``/``REPRO_CACHE_DIR`` without
-    reimporting; instances are shared per ``(root, max_entries)`` so the
-    in-process memo survives across call sites.
+    reimporting; instances are shared per ``(root, mem_budget_mb)`` so
+    the memory tier survives across call sites.
     """
     raw = (
         os.environ.get(ENV_ENABLE),
         os.environ.get(ENV_DIR),
-        os.environ.get(ENV_MAX_ENTRIES),
         os.environ.get(ENV_MEM_MB),
         os.environ.get("XDG_CACHE_HOME"),
         os.environ.get("HOME"),
@@ -542,11 +474,7 @@ def active_cache() -> Optional[ResultCache]:
         resolved = (
             None
             if not cache_enabled()
-            else (
-                str(cache_root()),
-                _max_entries_from_env(),
-                _mem_mb_from_env(),
-            )
+            else (str(cache_root()), _mem_mb_from_env())
         )
         if len(_resolved_env) > 64:
             _resolved_env.clear()
@@ -555,11 +483,7 @@ def active_cache() -> Optional[ResultCache]:
         return None
     instance = _instances.get(resolved)
     if instance is None:
-        instance = ResultCache(
-            Path(resolved[0]),
-            max_entries=resolved[1],
-            mem_budget_mb=resolved[2],
-        )
+        instance = ResultCache(Path(resolved[0]), mem_budget_mb=resolved[1])
         _instances[resolved] = instance
     return instance
 

@@ -626,7 +626,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(
             f"memory tier:       {memory['entries']:>6} entries"
             f" {memory['bytes']:>10} bytes"
-            f" (budget {budget_mb:.0f} MiB, {memory['shards']} shards)"
+            f" (budget {budget_mb:.0f} MiB)"
         )
         return 0
     if args.cache_command == "clear":

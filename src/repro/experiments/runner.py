@@ -169,6 +169,32 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     )
 
 
+def outcome_to_dict(outcome: RunOutcome) -> Dict[str, Any]:
+    """The JSON record of one outcome, as checkpoints and shard done
+    markers store it (``from_checkpoint`` is not stored)."""
+    return {
+        "experiment_id": outcome.experiment_id,
+        "status": outcome.status,
+        "result": None if outcome.result is None else result_to_dict(outcome.result),
+        "error": outcome.error,
+        "attempts": outcome.attempts,
+    }
+
+
+def outcome_from_dict(data: Dict[str, Any]) -> RunOutcome:
+    """Rebuild a stored outcome; ``from_checkpoint`` marks it as not run
+    by this call."""
+    result = data.get("result")
+    return RunOutcome(
+        experiment_id=data["experiment_id"],
+        status=data["status"],
+        result=None if result is None else result_from_dict(result),
+        error=data.get("error", ""),
+        attempts=int(data.get("attempts", 1)),
+        from_checkpoint=True,
+    )
+
+
 def _checkpoint_path(run_dir: str, experiment_id: str) -> Path:
     return Path(run_dir) / f"{experiment_id}.json"
 
@@ -180,14 +206,7 @@ def _write_checkpoint(run_dir: str, outcome: RunOutcome) -> None:
     a resumed batch prints what the first run printed.
     """
     path = _checkpoint_path(run_dir, outcome.experiment_id)
-    payload = {
-        "experiment_id": outcome.experiment_id,
-        "status": outcome.status,
-        "result": None if outcome.result is None else result_to_dict(outcome.result),
-        "error": outcome.error,
-        "attempts": outcome.attempts,
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2))
+    atomic_write_text(path, json.dumps(outcome_to_dict(outcome), indent=2))
 
 
 def _load_checkpoint(run_dir: str, experiment_id: str) -> Optional[RunOutcome]:
@@ -199,14 +218,8 @@ def _load_checkpoint(run_dir: str, experiment_id: str) -> Optional[RunOutcome]:
         payload = json.loads(path.read_text())
         if payload.get("status") != "ok" or payload.get("result") is None:
             return None
-        return RunOutcome(
-            experiment_id=experiment_id,
-            status="ok",
-            result=result_from_dict(payload["result"]),
-            attempts=int(payload.get("attempts", 1)),
-            from_checkpoint=True,
-        )
-    except (ValueError, KeyError, TypeError):
+        return outcome_from_dict(payload)
+    except (ValueError, KeyError, TypeError, AttributeError):
         return None  # corrupt checkpoint: re-run rather than crash
 
 

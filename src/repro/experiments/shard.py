@@ -36,7 +36,7 @@ import os
 import socket
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cache import cache_root
 from repro.errors import ConfigurationError, ExperimentError
@@ -46,9 +46,9 @@ from repro.obs.tracer import current_tracer
 from repro.experiments.runner import (
     RunOutcome,
     RunPolicy,
-    experiment_registry,
-    result_from_dict,
-    result_to_dict,
+    _check_known,
+    outcome_from_dict,
+    outcome_to_dict,
     run_resilient,
 )
 
@@ -79,30 +79,6 @@ def shard_members(
 def default_host_id() -> str:
     """``<hostname>-<pid>``: unique enough to attribute leases in logs."""
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def _outcome_to_dict(outcome: RunOutcome) -> Dict[str, Any]:
-    return {
-        "experiment_id": outcome.experiment_id,
-        "status": outcome.status,
-        "result": (
-            None if outcome.result is None else result_to_dict(outcome.result)
-        ),
-        "error": outcome.error,
-        "attempts": outcome.attempts,
-    }
-
-
-def _outcome_from_dict(data: Dict[str, Any]) -> RunOutcome:
-    result = data.get("result")
-    return RunOutcome(
-        experiment_id=data["experiment_id"],
-        status=data["status"],
-        result=None if result is None else result_from_dict(result),
-        error=data.get("error", ""),
-        attempts=int(data.get("attempts", 1)),
-        from_checkpoint=True,  # merged from another host, not run here
-    )
 
 
 class ShardStore:
@@ -187,7 +163,7 @@ class ShardStore:
             return False
         # No sort_keys: row key order is the printed column order.
         atomic_write_text(
-            path, json.dumps([_outcome_to_dict(o) for o in outcomes])
+            path, json.dumps([outcome_to_dict(o) for o in outcomes])
         )
         REGISTRY.counter("shard.publishes").inc()
         return True
@@ -199,8 +175,9 @@ class ShardStore:
             return None
         try:
             payload = json.loads(path.read_text())
-            return [_outcome_from_dict(entry) for entry in payload]
-        except (ValueError, KeyError, TypeError):
+            # from_checkpoint: merged from another host, not run here.
+            return [outcome_from_dict(entry) for entry in payload]
+        except (ValueError, KeyError, TypeError, AttributeError):
             return None  # half-written by a dying host: treat as not done
 
     def done_indices(self, num_shards: int) -> List[int]:
@@ -259,12 +236,7 @@ def run_sharded(
         raise ConfigurationError(
             f"stale_after_s must be positive, got {stale_after_s}"
         )
-    registry = experiment_registry()
-    unknown = [eid for eid in ids if eid not in registry]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown experiment ids: {', '.join(unknown)}"
-        )
+    _check_known(ids)
     if policy is None:
         policy = RunPolicy()
     host = host_id if host_id else default_host_id()

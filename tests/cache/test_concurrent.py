@@ -1,7 +1,7 @@
 """Cross-process cache races, exercised with real subprocesses.
 
-Two writers publishing the same key, publishes racing the evictor, and a
-reader polling mid-race must never observe a torn entry: ``os.replace``
+Two writers publishing the same key, writers churning distinct keys, and
+a reader polling mid-race must never observe a torn entry: ``os.replace``
 publishes are atomic, so every read sees a complete, integrity-checked
 document (or a miss) — never partial JSON.
 """
@@ -20,14 +20,13 @@ PAD = "x" * 4096
 
 #: Publishes `count` entries.  With `distinct=0` every iteration rewrites
 #: the same key; with `distinct=1` each iteration gets its own key (the
-#: eviction-pressure mode).
+#: churn mode).
 WRITER = """
 import hashlib, sys
 from repro.cache.store import ResultCache
 
-root, section, salt, count, distinct, max_entries = sys.argv[1:7]
-limit = int(max_entries) or None
-cache = ResultCache(root, max_entries=limit)
+root, section, salt, count, distinct = sys.argv[1:6]
+cache = ResultCache(root)
 for i in range(int(count)):
     seed = f"{salt}-{i}" if int(distinct) else "contended"
     key = hashlib.sha256(seed.encode()).hexdigest()
@@ -35,7 +34,7 @@ for i in range(int(count)):
 """
 
 
-def _spawn_writer(root, section, salt, count, *, distinct=False, max_entries=0):
+def _spawn_writer(root, section, salt, count, *, distinct=False):
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
@@ -43,8 +42,7 @@ def _spawn_writer(root, section, salt, count, *, distinct=False, max_entries=0):
     return subprocess.Popen(
         [
             sys.executable, "-c", WRITER,
-            str(root), section, salt, str(count),
-            str(int(distinct)), str(max_entries),
+            str(root), section, salt, str(count), str(int(distinct)),
         ],
         env=env,
         stderr=subprocess.PIPE,
@@ -67,7 +65,7 @@ class TestConcurrentPublish:
         third process (the test) at the raw-file level."""
         root = tmp_path / "store"
         key = _key_for("contended")
-        path = root / "race" / key[:2] / f"{key}.json"
+        path = ResultCache(root)._entry_path("race", key)
         writers = [
             _spawn_writer(root, "race", salt, 300) for salt in ("aaaa", "bbbb")
         ]
@@ -98,29 +96,21 @@ class TestConcurrentPublish:
         assert final["pad"] == PAD and final["i"] == 299
 
     def test_publish_during_eviction_stays_consistent(self, tmp_path):
-        """Writers churning distinct keys under a small ``max_entries``
-        run the flock-serialized evictor concurrently with publishes;
-        the store must come out bounded and fully decodable."""
+        """Two writers churning distinct keys into one section publish
+        concurrently; every entry must land complete and decodable."""
         root = tmp_path / "store"
         writers = [
-            _spawn_writer(
-                root, "evict", salt, 120, distinct=True, max_entries=8
-            )
+            _spawn_writer(root, "evict", salt, 120, distinct=True)
             for salt in ("pppp", "qqqq")
         ]
         for proc in writers:
             _assert_clean_exit(proc)
-        cache = ResultCache(root, max_entries=8)
+        cache = ResultCache(root)
         report = cache.verify()  # reports anything corrupt/stale
-        assert report["corrupt"] == 0, "eviction race corrupted entries"
-        assert report["ok"] == report["checked"]
-        # One more publish re-runs eviction; the store ends bounded.
-        cache.put("evict", _key_for("final"), {"salt": "done", "pad": PAD})
-        assert cache.stats()["entries"] <= 8
-        # Every surviving entry is intact end to end.
-        survivors = [
-            json.loads(p.read_text()) for p in root.glob("evict/*/*.json")
-        ]
-        assert survivors and all(
-            doc["payload"]["pad"] == PAD for doc in survivors
-        )
+        assert report["corrupt"] == 0, "publish race corrupted entries"
+        assert report["ok"] == report["checked"] == 240
+        # Every entry is intact end to end.
+        for salt in ("pppp", "qqqq"):
+            for i in range(120):
+                doc = cache.get("evict", _key_for(f"{salt}-{i}"))
+                assert doc == {"salt": salt, "i": i, "pad": PAD}

@@ -10,7 +10,7 @@ import pytest
 
 from repro.accelerators import make_accelerator
 from repro.arch import ArchConfig
-from repro.cache import active_cache, reset_cache_handles
+from repro.cache import ResultCache, active_cache, reset_cache_handles
 from repro.dataflow import map_network
 from repro.dataflow.mapper import clear_mapping_cache
 from repro.faults.model import FaultModel
@@ -32,9 +32,11 @@ def _clean_memos():
 
 
 def store_files(root, section):
-    if not (root / section).is_dir():
-        return []
-    return sorted((root / section).glob("*/*.json"))
+    return [
+        path
+        for entry_section, path in ResultCache(root)._entry_files()
+        if entry_section == section
+    ]
 
 
 KINDS = ["systolic", "mapping2d", "tiling", "flexflow", "rowstationary"]

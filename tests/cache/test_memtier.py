@@ -10,10 +10,20 @@ stored document (the entry file's text) charged and digested on both
 the put and the disk-hit path.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+from collections import OrderedDict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.cache import (
     ResultCache,
     canonical_json,
@@ -36,7 +46,7 @@ def put(tier, section, key, payload):
 
 class TestMemoryTier:
     def test_round_trip_and_hit_miss_counters(self):
-        tier = MemoryTier(1024 * 1024, shards=1)
+        tier = MemoryTier(1024 * 1024)
         hits = counter_value("cache.mem_hits", section="unit")
         misses = counter_value("cache.mem_misses", section="unit")
         assert tier.get("unit", "k") == (False, None)
@@ -46,7 +56,7 @@ class TestMemoryTier:
         assert counter_value("cache.mem_misses", section="unit") == misses + 1
 
     def test_stored_none_is_a_hit(self):
-        tier = MemoryTier(1024, shards=1)
+        tier = MemoryTier(1024)
         put(tier, "unit", "k", None)
         assert tier.get("unit", "k") == (True, None)
 
@@ -55,7 +65,7 @@ class TestMemoryTier:
         entry_bytes = len(
             _encode_entry("unit", "a", payload)
         ) + ENTRY_OVERHEAD_BYTES
-        tier = MemoryTier(entry_bytes * 2, shards=1)
+        tier = MemoryTier(entry_bytes * 2)
         evictions = counter_value("cache.mem_evictions")
         put(tier, "unit", "a", payload)
         put(tier, "unit", "b", payload)
@@ -68,7 +78,7 @@ class TestMemoryTier:
         assert tier.stats()["bytes"] <= tier.budget_bytes
 
     def test_oversized_payload_skips_the_tier(self):
-        tier = MemoryTier(512, shards=1)
+        tier = MemoryTier(512)
         put(tier, "unit", "big", {"blob": "x" * 4096})
         assert tier.get("unit", "big")[0] is False
         assert tier.stats()["entries"] == 0
@@ -82,7 +92,7 @@ class TestMemoryTier:
         assert tier.stats()["entries"] == 0
 
     def test_changed_payload_replaces_and_counts_invalidation(self):
-        tier = MemoryTier(1024 * 1024, shards=1)
+        tier = MemoryTier(1024 * 1024)
         invalidations = counter_value("cache.mem_invalidations")
         put(tier, "unit", "k", {"v": 1})
         first = tier.digest("unit", "k")
@@ -94,7 +104,7 @@ class TestMemoryTier:
         assert tier.get("unit", "k") == (True, {"v": 2})
 
     def test_invalidate_drops_the_entry(self):
-        tier = MemoryTier(1024 * 1024, shards=1)
+        tier = MemoryTier(1024 * 1024)
         put(tier, "unit", "k", {"v": 1})
         assert tier.invalidate("unit", "k") is True
         assert tier.invalidate("unit", "k") is False
@@ -103,7 +113,6 @@ class TestMemoryTier:
             "budget_bytes": tier.budget_bytes,
             "entries": 0,
             "bytes": 0,
-            "shards": 1,
         }
 
     def test_zero_budget_disables_everything(self):
@@ -112,6 +121,159 @@ class TestMemoryTier:
         put(tier, "unit", "k", {"v": 1})
         assert tier.get("unit", "k") == (False, None)
         assert tier.digest("unit", "k") is None
+
+
+class LruModel:
+    """The tier's contract as a plain ``OrderedDict`` LRU: charge each
+    entry its document plus overhead, refuse one over the whole budget,
+    evict least recently used first."""
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.entries = OrderedDict()  # key -> (payload, nbytes, digest)
+
+    @property
+    def bytes(self):
+        return sum(nbytes for _, nbytes, _ in self.entries.values())
+
+    def put(self, key, payload, document):
+        """Apply a put; returns the evicted keys, oldest first."""
+        nbytes = len(document) + ENTRY_OVERHEAD_BYTES
+        self.entries.pop(key, None)
+        if nbytes > self.budget:
+            return []
+        digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
+        self.entries[key] = (payload, nbytes, digest)
+        evicted = []
+        while self.bytes > self.budget:
+            evicted.append(self.entries.popitem(last=False)[0])
+        return evicted
+
+    def touch(self, key):
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+        return entry
+
+
+KEYS = [(section, f"k{n}") for section in ("experiment", "serve")
+        for n in range(4)]
+
+tier_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("put", "get", "digest", "invalidate")),
+        st.sampled_from(KEYS),
+        st.integers(min_value=0, max_value=1200),  # document length
+        st.sampled_from("ab"),  # document content: same length, new digest
+    ),
+    max_size=60,
+)
+
+
+class TestAgainstLruModel:
+    @settings(deadline=None)
+    @given(budget=st.integers(min_value=300, max_value=3000), ops=tier_ops)
+    def test_tier_matches_a_plain_lru(self, budget, ops):
+        """Random put/get/digest/invalidate sequences against
+        :class:`LruModel`: the resident bytes never exceed the budget,
+        exactly the least recently used entries are evicted, and an entry
+        over the budget is never admitted."""
+        tier = MemoryTier(budget)
+        model = LruModel(budget)
+        for op, (section, key), length, char in ops:
+            entry_key = (section, key)
+            if op == "put":
+                document = char * length
+                evictions = counter_value("cache.mem_evictions")
+                evicted = model.put(entry_key, (key, length), document)
+                tier.put(section, key, (key, length), document)
+                assert (
+                    counter_value("cache.mem_evictions") - evictions
+                    == len(evicted)
+                )
+                for gone in evicted:
+                    assert tier.digest(*gone) is None
+            elif op == "get":
+                entry = model.touch(entry_key)
+                expected = (False, None) if entry is None else (True, entry[0])
+                assert tier.get(section, key) == expected
+            elif op == "digest":
+                entry = model.touch(entry_key)
+                expected = None if entry is None else entry[2]
+                assert tier.digest(section, key) == expected
+            else:
+                present = model.entries.pop(entry_key, None) is not None
+                assert tier.invalidate(section, key) is present
+            stats = tier.stats()
+            assert stats["bytes"] <= budget
+            assert stats["bytes"] == model.bytes
+            assert stats["entries"] == len(model.entries)
+        resident = {k for k in KEYS if tier.digest(*k) is not None}
+        assert resident == set(model.entries)
+
+
+def test_threaded_churn_keeps_the_byte_count_exact():
+    """Eight threads put, get and invalidate overlapping keys on one tier
+    under a shortened switch interval: the resident byte count stays
+    equal to the entries' charges and within the budget."""
+    document = "x" * 100
+    charge = len(document) + ENTRY_OVERHEAD_BYTES
+    tier = MemoryTier(charge * 10)
+
+    def churn(worker):
+        for n in range(300):
+            key = f"k{(worker + n) % 24}"
+            tier.put("unit", key, n, document)
+            tier.get("unit", f"k{n % 24}")
+            if n % 7 == 0:
+                tier.invalidate("unit", key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=churn, args=(worker,))
+            for worker in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    stats = tier.stats()
+    assert stats["bytes"] == stats["entries"] * charge <= tier.budget_bytes
+
+
+#: Sixteen 1,000-byte entries into a 16,000-byte tier, printing which
+#: keys stay resident.
+HASH_SEED_PROBE = """
+from repro.cache.memtier import ENTRY_OVERHEAD_BYTES, MemoryTier
+tier = MemoryTier(16_000)
+for n in range(16):
+    tier.put("unit", f"key-{n}", n, "x" * (1_000 - ENTRY_OVERHEAD_BYTES))
+print([n for n in range(16) if tier.digest("unit", f"key-{n}") is not None])
+"""
+
+
+def test_resident_set_independent_of_hash_seed():
+    """Which keys stay resident depends on use order alone, not on the
+    interpreter's string-hash seed: two seeds keep the same set, and a
+    tier filled exactly to its budget evicts nothing."""
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    resident = []
+    for seed in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = seed
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        resident.append(done.stdout.strip())
+    assert resident[0] == resident[1] == str(list(range(16)))
 
 
 class TestStoreIntegration:
@@ -206,7 +368,7 @@ class TestStoreIntegration:
         cache = ResultCache(tmp_path, mem_budget_mb=1)
         cache.put("unit", key, {"v": "small"})
         assert cache.mem.digest("unit", key) is not None
-        big = {"v": "x" * 200_000}
+        big = {"v": "x" * (1024 * 1024)}  # over the whole 1 MiB budget
         cache.put("unit", key, big)
         assert cache.get("unit", key) == big
         assert ResultCache(tmp_path, mem_budget_mb=1).get("unit", key) == big

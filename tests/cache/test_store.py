@@ -17,7 +17,6 @@ from repro.cache import (
     cache_root,
     canonical_json,
     hash_payload,
-    reset_cache_handles,
 )
 from repro.errors import ConfigurationError
 
@@ -68,7 +67,7 @@ class TestRoundTrip:
 
 class TestCorruptionRecovery:
     def _entry_path(self, root, section, key):
-        return root / section / key[:2] / f"{key}.json"
+        return ResultCache(root)._entry_path(section, key)
 
     def test_truncated_entry_is_removed_and_missed(self, tmp_path):
         key = hash_payload("unit", {"q": 2})
@@ -140,24 +139,6 @@ class TestCorruptionRecovery:
 
 
 class TestEvictionAndMaintenance:
-    def test_oldest_entries_evicted_beyond_limit(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        keys = [hash_payload("unit", {"n": n}) for n in range(4)]
-        for age, key in enumerate(keys):
-            cache.put("unit", key, age)
-            path = tmp_path / "unit" / key[:2] / f"{key}.json"
-            if path.exists():  # age the earlier entries explicitly
-                os.utime(path, (1_000_000 + age, 1_000_000 + age))
-        stats = ResultCache(tmp_path).stats()
-        assert stats["entries"] == 2
-        fresh = ResultCache(tmp_path)
-        assert fresh.get("unit", keys[0]) is None
-        assert fresh.get("unit", keys[3]) == 3
-
-    def test_invalid_max_entries_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="positive"):
-            ResultCache(tmp_path, max_entries=0)
-
     def test_clear_removes_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
         for n in range(3):
@@ -173,6 +154,40 @@ class TestEvictionAndMaintenance:
         assert set(stats["sections"]) == {"alpha", "beta"}
         assert stats["entries"] == 2
         assert stats["bytes"] > 0
+
+    def test_entries_sit_directly_under_their_section(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = hash_payload("unit", {"flat": True})
+        cache.put("unit", key, [1])
+        path = cache._entry_path("unit", key)
+        assert path == tmp_path / "unit" / f"{key}.json"
+        assert [p.name for p in (tmp_path / "unit").iterdir()] == [path.name]
+
+    def test_older_nested_layout_is_counted_checked_and_cleared(
+        self, tmp_path
+    ):
+        """Entries written under ``<section>/<key[:2]>/<key>.json`` by the
+        earlier layout are no longer read, but ``stats`` counts them,
+        ``verify`` checks them and ``clear`` removes them."""
+        cache = ResultCache(tmp_path)
+        good = hash_payload("unit", {"n": "good"})
+        bad = hash_payload("unit", {"n": "bad"})
+        nested = {}
+        for key in (good, bad):
+            cache.put("unit", key, key)
+            nested[key] = tmp_path / "unit" / key[:2] / f"{key}.json"
+            nested[key].parent.mkdir(exist_ok=True)
+            os.replace(cache._entry_path("unit", key), nested[key])
+        nested[bad].write_text("{torn")
+        fresh = ResultCache(tmp_path)
+        assert fresh.get("unit", good) is None  # reads cold once
+        assert fresh.stats()["sections"]["unit"]["entries"] == 2
+        assert fresh.verify() == {
+            "checked": 2, "ok": 1, "corrupt": 1, "quarantined": 0
+        }
+        assert fresh.clear() == 2
+        assert not any(path.exists() for path in nested.values())
+        assert fresh.stats()["entries"] == 0
 
 
 class TestConcurrentWriters:
@@ -223,19 +238,6 @@ class TestEnvironmentKnobs:
         with pytest.raises(ConfigurationError, match="REPRO_CACHE"):
             cache_enabled()
 
-    def test_invalid_max_entries_env_rejected(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "-3")
-        reset_cache_handles()
-        with pytest.raises(
-            ConfigurationError, match="REPRO_CACHE_MAX_ENTRIES"
-        ):
-            active_cache()
-
-    def test_max_entries_env_applies(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "5")
-        reset_cache_handles()
-        assert active_cache().max_entries == 5
-
     def test_default_root_under_user_cache(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", "/somewhere/cache")
@@ -283,13 +285,6 @@ class TestDeferredPublishes:
 
     def test_drain_is_noop_when_idle(self, tmp_path):
         assert ResultCache(tmp_path).drain(timeout=0.1) is True
-
-    def test_eviction_applies_after_deferred_flush(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=3)
-        for n in range(10):
-            cache.put_behind("unit", hash_payload("unit", {"n": n}), {"n": n})
-        assert cache.drain(timeout=10)
-        assert len(self.entry_files(tmp_path)) == 3
 
     def test_flushes_are_deterministic_across_drains(self, tmp_path):
         """Same payloads -> byte-identical entries, ``put`` or

@@ -31,7 +31,6 @@ settings.register_profile("ci", max_examples=300, deadline=None)
 def _no_persistent_cache(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "off")
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES", raising=False)
     reset_cache_handles()
     yield
     reset_cache_handles()

@@ -22,12 +22,15 @@ from repro.experiments.runner import (
     PLUGIN_ENV,
     RunOutcome,
     RunPolicy,
+    _load_checkpoint,
+    _write_checkpoint,
     experiment_registry,
     require_all_ok,
     result_from_dict,
     result_to_dict,
     run_resilient,
 )
+from repro.experiments.shard import ShardStore
 
 PLUGIN_SOURCE = """
 import os
@@ -175,6 +178,61 @@ class TestSerialization:
     def test_result_roundtrip(self):
         result = ExperimentResult("id", "Title", [{"a": 1.5}], notes="n")
         assert result_from_dict(result_to_dict(result)) == result
+
+    def test_checkpoint_and_done_marker_bytes(self, tmp_path):
+        """One outcome record serves run checkpoints and shard done
+        markers; the bytes of both files are pinned, so stores written
+        before and after stay readable by each other."""
+        result = ExperimentResult(
+            "table04", "Table 4", [{"zeta": 1, "alpha": 2.5, "name": "PV"}],
+            notes="n",
+        )
+        ok = RunOutcome("table04", "ok", result=result, attempts=2)
+        timeout = RunOutcome(
+            "fig15", "timeout", error="timed out after 1.0s", attempts=3
+        )
+        _write_checkpoint(str(tmp_path), ok)
+        assert (tmp_path / "table04.json").read_bytes() == (
+            b'{\n  "experiment_id": "table04",\n  "status": "ok",\n'
+            b'  "result": {\n    "experiment_id": "table04",\n'
+            b'    "title": "Table 4",\n    "rows": [\n      {\n'
+            b'        "zeta": 1,\n        "alpha": 2.5,\n'
+            b'        "name": "PV"\n      }\n    ],\n    "notes": "n"\n'
+            b'  },\n  "error": "",\n  "attempts": 2\n}'
+        )
+        store = ShardStore("batch", root=tmp_path)
+        assert store.publish(0, [ok, timeout])
+        assert store._done_path(0).read_bytes() == (
+            b'[{"experiment_id": "table04", "status": "ok", "result":'
+            b' {"experiment_id": "table04", "title": "Table 4", "rows":'
+            b' [{"zeta": 1, "alpha": 2.5, "name": "PV"}], "notes": "n"},'
+            b' "error": "", "attempts": 2}, {"experiment_id": "fig15",'
+            b' "status": "timeout", "result": null, "error":'
+            b' "timed out after 1.0s", "attempts": 3}]'
+        )
+        resumed = _load_checkpoint(str(tmp_path), "table04")
+        assert resumed == RunOutcome(
+            "table04", "ok", result=result, attempts=2, from_checkpoint=True
+        )
+        assert store.load_done(0) == [
+            resumed,
+            RunOutcome(
+                "fig15", "timeout", error="timed out after 1.0s",
+                attempts=3, from_checkpoint=True,
+            ),
+        ]
+
+
+    def test_wrongly_shaped_records_read_as_corrupt(self, tmp_path):
+        """Valid JSON of the wrong shape is a corrupt record, never a
+        crash: the checkpoint's experiment re-runs and the shard reads
+        as not done."""
+        (tmp_path / "table04.json").write_text("[1, 2]")
+        assert _load_checkpoint(str(tmp_path), "table04") is None
+        store = ShardStore("batch", root=tmp_path)
+        store.dir.mkdir(parents=True)
+        store._done_path(0).write_text('{"a": 1}')
+        assert store.load_done(0) is None
 
 
 class TestFailFast:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.cache import ResultCache
 from repro.errors import ExperimentError
 from repro.experiments.runner import RunPolicy
 from repro.obs.metrics import REGISTRY
@@ -238,7 +239,8 @@ class TestEagerWarmup:
 def store_entries(root):
     """Every published cache entry under ``root``, as relative paths."""
     return sorted(
-        str(path.relative_to(root)) for path in root.glob("*/*/*.json")
+        str(path.relative_to(root))
+        for _, path in ResultCache(root)._entry_files()
     )
 
 

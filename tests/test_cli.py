@@ -292,7 +292,7 @@ class TestCacheCommand:
         bad = hash_payload("unit", {"n": "bad"})
         store.put("unit", good, "fine")
         store.put("unit", bad, "soon-garbage")
-        bad_path = cache_root() / "unit" / bad[:2] / f"{bad}.json"
+        bad_path = store._entry_path("unit", bad)
         bad_path.write_text("{torn")
         assert main(["cache", "verify"]) == 0
         out = capsys.readouterr().out
