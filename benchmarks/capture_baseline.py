@@ -51,8 +51,12 @@ the committed baseline instead of writing it: ratios are wall-clock
 independent (both sides of each ratio move together on a slower
 machine), so this works as a CI perf guard.  A measured speedup below
 ``baseline * (1 - tolerance)`` fails the check (exit 1); faster is
-never an error.  A missing baseline file exits 3 — distinct from a
-regression — so CI can tell "never captured" from "got slower".
+never an error.  The warm legs of ``sweep`` and ``serve`` are gated on
+counts instead: a warm report must read every experiment from the
+store and run none, and every warm served reply must come from the
+cache with no backend computation.  A missing baseline file exits 3 —
+distinct from a regression — so CI can tell "never captured" from "got
+slower".
 """
 
 from __future__ import annotations
@@ -160,13 +164,49 @@ def _env(**overrides):
                 os.environ[key] = value
 
 
+@contextlib.contextmanager
+def _counting_experiment_runs():
+    """Count ``run()`` calls of every registered experiment module."""
+    from repro.experiments.runner import experiment_registry
+
+    calls = []
+    saved = [(module, module.run) for module in experiment_registry().values()]
+
+    def counted(run):
+        def wrapper(*args, **kwargs):
+            calls.append(run)
+            return run(*args, **kwargs)
+
+        return wrapper
+
+    for module, run in saved:
+        module.run = counted(run)
+    try:
+        yield calls
+    finally:
+        for module, run in saved:
+            module.run = run
+
+
+def _experiment_store_hits() -> int:
+    from repro.obs.metrics import REGISTRY
+
+    return REGISTRY.counter(
+        "cache.lookups", section="experiment", outcome="hit"
+    ).value
+
+
 def _sweep(rounds: int) -> dict:
     """Time ``generate_report`` with the result cache off / cold / warm.
 
     Cold rounds each get a fresh (empty) store directory so every sample
     pays the compute *and* the writes; warm rounds share one populated
-    store.  The speedup ratios are what the CI guard pins — absolute
-    wall-clock shifts with the machine, the ratios do not.
+    store.  The cold ratio is what the CI guard pins — absolute
+    wall-clock shifts with the machine, the ratio does not.  One more
+    warm report, untimed, counts its store hits and experiment
+    ``run()`` calls (``warm_counts``): a warm report reads every
+    experiment from the store and runs none, which the guard checks
+    directly rather than through a ratio to the uncached report.
 
     A report round is half a second of heavy allocation, so each leg
     starts from one ``gc.collect()`` — a stray gen-2 collection landing
@@ -181,6 +221,7 @@ def _sweep(rounds: int) -> dict:
 
     from repro.cache import active_cache, reset_cache_handles
     from repro.experiments.report import generate_report
+    from repro.experiments.runner import experiment_registry
 
     def run_report():
         clear_mapping_cache()
@@ -220,20 +261,25 @@ def _sweep(rounds: int) -> dict:
             drain_store()
             gc.collect()
             warm = _time(run_report, rounds)
+            hits_before = _experiment_store_hits()
+            with _counting_experiment_runs() as runs:
+                run_report()
+            warm_counts = {
+                "experiments": len(experiment_registry()),
+                "store_hits": _experiment_store_hits() - hits_before,
+                "runs": len(runs),
+            }
             drain_store()
     reset_cache_handles()
 
-    off_median = statistics.median(off)
     return {
         "off": _summary(off),
         "cold": _summary(cold),
         "warm": _summary(warm),
         "cold_speedup_median": round(
-            off_median / statistics.median(cold), 2
+            statistics.median(off) / statistics.median(cold), 2
         ),
-        "warm_speedup_median": round(
-            off_median / statistics.median(warm), 2
-        ),
+        "warm_counts": warm_counts,
     }
 
 
@@ -433,9 +479,9 @@ def _serve() -> dict:
     """Load-test a freshly booted serve instance against an empty store.
 
     The subprocess gets its own temporary cache directory, so the cold
-    numbers are honest and the parent's store is untouched.  The
-    headline ratio (warm/cold request throughput) is a ratio of two
-    same-machine measurements, like the other guarded metrics.
+    numbers are honest and the parent's store is untouched.  ``--check``
+    gates the warm phase's counts (every reply from the cache, no
+    backend computation); the warm/cold throughput ratio is recorded.
     """
     from repro.serve.loadtest import run_load_test, start_server
 
@@ -543,6 +589,41 @@ def capture(rounds: int = 5) -> dict:
     }
 
 
+def _check_warm_legs(payload: dict) -> list:
+    """Gate the warm legs of ``sweep`` and ``serve`` on counts; returns
+    the failed metric names (empty = ok).
+
+    Both legs must read the store instead of recomputing.  The counts
+    are absolute: a ratio of a warm leg to the uncached or cold one fell
+    every time the uncached path got faster, with no cache regression,
+    while a warm leg that recomputes moves these counts.
+    """
+    failures = []
+    warm = payload["sweep"]["warm_counts"]
+    warm_ok = warm["runs"] == 0 and warm["store_hits"] == warm["experiments"]
+    print(
+        f"sweep.warm_counts: {warm['store_hits']} store hits for"
+        f" {warm['experiments']} experiments, {warm['runs']} experiment"
+        f" run() calls -> {'ok' if warm_ok else 'REGRESSION'}"
+    )
+    if not warm_ok:
+        failures.append("sweep.warm_counts")
+    served = payload["serve"]["warm"]
+    from_cache = served["sources"].get("cache", 0)
+    served_ok = (
+        from_cache == served["requests"]
+        and served["backend_computations"] == 0
+    )
+    print(
+        f"serve.warm: {from_cache} of {served['requests']} replies from the"
+        f" cache, {served['backend_computations']:.0f} backend computations"
+        f" -> {'ok' if served_ok else 'REGRESSION'}"
+    )
+    if not served_ok:
+        failures.append("serve.warm")
+    return failures
+
+
 #: Exit code for "no baseline has been captured yet" (vs 1 = regression
 #: or unreadable/corrupt baseline).
 EXIT_NO_BASELINE = 3
@@ -570,24 +651,16 @@ def check(baseline_path: Path, tolerance: float) -> int:
     # (SWEEP_COLD_MIN) further down rather than a baseline-relative
     # band: with 26 small synchronous writes the cold ratio sits near
     # 1.0, and the failure mode that matters is it sliding back toward the
-    # pre-fix 0.8x, not small run-to-run drift.  sweep.warm is hundreds-of-x with a
-    # millisecond denominator, so its run-to-run swing is large; a 75%
-    # band still catches the failure mode that matters (a broken cache
-    # collapses the ratio to ~1x).
+    # pre-fix 0.8x, not small run-to-run drift.
     # The engine ratios get 0.5: their denominators are short, so honest
     # runs swing ~30%; losing the fast path entirely (an analytic run
     # that executes the tile engine reads ~1x) drops the ratio below
     # half of any recorded baseline.
-    # serve.warm_over_cold_throughput shares sweep.warm's shape — a
-    # sub-millisecond cached path over a compute-bound cold path — so it
-    # gets the same 75% band; a broken serve cache or coalescer drags
-    # the ratio to ~1x, far below any plausible floor.
+    # The warm legs of sweep and serve are gated on counts further down.
     checked_metrics = (
         ("headline", "speedup_median", None),
         ("sim_engine", "speedup_min", 0.5),
         ("analytic_engine", "speedup_min", 0.5),
-        ("sweep", "warm_speedup_median", 0.75),
-        ("serve", "warm_over_cold_throughput", 0.75),
     )
     for section, field, tolerance_override in checked_metrics:
         metric = f"{section}.{field}"
@@ -638,6 +711,7 @@ def check(baseline_path: Path, tolerance: float) -> int:
     )
     if cold < SWEEP_COLD_MIN:
         failures.append(("sweep.cold_speedup_median", 0.0))
+    failures.extend((metric, 0.0) for metric in _check_warm_legs(payload))
     # The fast-path section carries absolute invariants (fused dispatch
     # count, byte parity, ratio floors), not baseline-relative bands:
     # re-apply bench_serve's floors to the fresh measurement.
@@ -733,7 +807,8 @@ def main(argv: list) -> int:
         f" analytic engine {payload['analytic_engine']['speedup_min']}x,"
         f" sweep {sweep['off']['median_s']*1000:.1f} ms"
         f" -> {sweep['warm']['median_s']*1000:.1f} ms warm"
-        f" ({sweep['warm_speedup_median']}x),"
+        f" ({sweep['warm_counts']['store_hits']} store hits,"
+        f" {sweep['warm_counts']['runs']} runs),"
         f" dse batched"
         f" {payload['dse_batched']['batched']['median_s']*1000:.1f} ms"
         f" ({payload['dse_batched']['backend']}),"

@@ -3,8 +3,8 @@
 Tier 2 of the performance layer (see ``docs/PERFORMANCE.md``): whole
 experiment results and served responses are stored on disk keyed by a
 SHA-256 over the full request plus a code-version salt, so repeated
-reports — including ``--jobs N`` worker processes sharing one directory
-— pay for each experiment once, and a repeated request is a read.
+reports — including separate processes sharing one directory — pay
+for each experiment once, and a repeated request is a read.
 Mapping searches and closed-form results (cycles, utilization, activity
 counts) cost no more to recompute than to read back, so they are not
 stored: the store has two sections, ``experiment`` and ``serve``, one

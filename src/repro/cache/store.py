@@ -3,9 +3,10 @@
 Entries live under ``<root>/<section>/<key>.json`` where the key is a
 SHA-256 over the full request (:mod:`repro.cache.keys`); only
 :class:`ResultCache` knows the layout.  The store is safe for concurrent
-writers — ``--jobs N`` experiment workers share one directory — because
-every write lands in a unique temp file and is published with
-``os.replace`` (atomic on POSIX).  Nothing trims it: a report writes
+writers — any number of ``repro`` processes, and the worker a
+supervised batch runs on, share one directory — because every write
+lands in a unique temp file and is published with ``os.replace``
+(atomic on POSIX).  Nothing trims it: a report writes
 its 26 experiment entries, each distinct served request one ``serve``
 entry, and ``repro cache clear`` empties it.  A corrupt or truncated
 entry is never fatal: the hot read path *self-heals* — the bad entry is

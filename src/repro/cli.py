@@ -101,20 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "experiment_id", choices=list(ALL_EXPERIMENTS) + ["all"]
     )
-    experiment.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes for running experiments (default 1)",
-    )
-    experiment.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="split the batch into N shards and cooperate with other"
-        " hosts sharing this REPRO_CACHE_DIR (see docs/PERFORMANCE.md)",
-    )
-    experiment.add_argument(
-        "--host-id", default=None, metavar="NAME",
-        help="stable host name for shard-lease attribution"
-        " (default <hostname>-<pid>; --shards only)",
-    )
     _add_resilience_args(experiment)
 
     dse_cmd = sub.add_parser(
@@ -145,10 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "-o", "--output", default="-", help="output file ('-' for stdout)"
-    )
-    report.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes for running experiments (default 1)",
     )
     _add_resilience_args(report)
 
@@ -397,30 +379,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else [args.experiment_id]
     )
     policy = RunPolicy(
-        jobs=args.jobs, timeout_s=args.timeout,
-        retries=args.retries, run_dir=args.run_dir,
+        timeout_s=args.timeout, retries=args.retries, run_dir=args.run_dir
     )
-    if args.shards is None:
-        return _print_outcomes(run_batch(ids, policy))
-    from repro.cache import active_cache
-    from repro.experiments.shard import run_sharded
-
-    if args.shards < 1:
-        raise ConfigurationError(
-            f"--shards must be >= 1, got {args.shards}"
-            " (e.g. --shards 4)"
-        )
-    if active_cache() is None:
-        raise ConfigurationError(
-            "--shards needs the shared result store: set"
-            " REPRO_CACHE_DIR to a directory all hosts share"
-            " (and leave REPRO_CACHE on)"
-        )
-    return _print_outcomes(
-        run_sharded(
-            ids, policy, host_id=args.host_id, num_shards=args.shards
-        )
-    )
+    return _print_outcomes(run_batch(ids, policy))
 
 
 def _print_outcomes(outcomes) -> int:
@@ -525,8 +486,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     output = args.output
     text = generate_report(
-        jobs=args.jobs, timeout_s=args.timeout, retries=args.retries,
-        run_dir=args.run_dir,
+        timeout_s=args.timeout, retries=args.retries, run_dir=args.run_dir
     )
     if output == "-":
         print(text)
@@ -675,9 +635,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"batch-max must be >= 1, got {args.batch_max}"
         )
     policy = RunPolicy(
-        jobs=max(1, args.jobs), timeout_s=args.timeout,
-        retries=args.retries, backoff_s=args.backoff,
-        max_backoff_s=args.max_backoff,
+        timeout_s=args.timeout, retries=args.retries,
+        backoff_s=args.backoff, max_backoff_s=args.max_backoff,
     )
     resilience = ResiliencePolicy(
         max_pending=args.max_pending,

@@ -85,16 +85,15 @@ def run_experiment(experiment_id: str) -> ExperimentResult:
 def run_experiments(
     experiment_ids,
     *,
-    jobs: int = 1,
     timeout_s=None,
     retries: int = 0,
     run_dir=None,
 ):
     """Run several experiments; results come back in input order.
 
-    :func:`repro.experiments.runner.run_batch` picks the executor:
-    ``jobs == 1`` with no resilience option runs in-process; anything
-    else runs on the supervised worker pool
+    :func:`repro.experiments.runner.run_batch` picks the executor: with
+    no resilience option the batch runs in-process; otherwise it runs on
+    one supervised pool worker
     (:func:`repro.experiments.runner.run_resilient`), with a wall-clock
     timeout per attempt, retries with capped exponential backoff, and
     checkpoints to ``run_dir`` (resumable).  Unknown ids raise before
@@ -105,7 +104,6 @@ def run_experiments(
 
     Args:
         experiment_ids: ids from :data:`ALL_EXPERIMENTS`.
-        jobs: worker process count; ``1`` runs in-process.
         timeout_s: per-experiment wall-clock limit in seconds.
         retries: extra attempts for failed/timed-out experiments.
         run_dir: checkpoint directory for resumable batches.
@@ -115,9 +113,7 @@ def run_experiments(
     """
     from repro.experiments.runner import RunPolicy, require_all_ok, run_batch
 
-    policy = RunPolicy(
-        jobs=jobs, timeout_s=timeout_s, retries=retries, run_dir=run_dir
-    )
+    policy = RunPolicy(timeout_s=timeout_s, retries=retries, run_dir=run_dir)
     return require_all_ok(run_batch(experiment_ids, policy))
 
 

@@ -34,27 +34,25 @@ def generate_report(
     experiment_ids: Optional[Sequence[str]] = None,
     *,
     title: str = "FlexFlow Reproduction Results",
-    jobs: int = 1,
     timeout_s: Optional[float] = None,
     retries: int = 0,
     run_dir: Optional[str] = None,
 ) -> str:
     """Run experiments and render a Markdown report.
 
-    With ``jobs > 1`` or any resilience option set (``timeout_s``,
-    ``retries``, ``run_dir``) the experiments run on the supervised
-    worker pool and a *partial* report is produced: failed or timed-out
-    experiments get a clearly marked **FAILED** section with the error
-    instead of aborting the whole document, and completed results
-    checkpoint to ``run_dir`` so a re-run resumes where this one
+    With no resilience option the experiments run in this process (see
+    :func:`repro.experiments.runner.run_batch`).  With any of
+    ``timeout_s``, ``retries`` or ``run_dir`` set they run on one
+    supervised pool worker and a *partial* report is produced: failed or
+    timed-out experiments get a clearly marked **FAILED** section with
+    the error instead of aborting the whole document, and completed
+    results checkpoint to ``run_dir`` so a re-run resumes where this one
     stopped.
 
     Args:
         experiment_ids: which experiments to include (default: all, in
             registry order).
         title: the document heading.
-        jobs: worker processes for running the experiments (``1`` =
-            in-process; see :func:`repro.experiments.runner.run_batch`).
         timeout_s: per-experiment wall-clock limit in seconds.
         retries: extra attempts for failed/timed-out experiments.
         run_dir: checkpoint directory for resumable report runs.
@@ -68,9 +66,7 @@ def generate_report(
     ids = list(experiment_ids or experiment_registry())
     outcomes = run_batch(
         ids,
-        RunPolicy(
-            jobs=jobs, timeout_s=timeout_s, retries=retries, run_dir=run_dir
-        ),
+        RunPolicy(timeout_s=timeout_s, retries=retries, run_dir=run_dir),
     )
     sections = [f"# {title}", ""]
     sections.append(

@@ -6,14 +6,14 @@ experiment cannot take down the batch: the pool reports each attempt as
 ok, failed (with the worker's traceback, or a dead worker's exit code)
 or timed out, kills a worker at the per-experiment wall-clock timeout,
 and retries failed experiments with capped exponential backoff.  Its
-``min(jobs, pending)`` workers are reused across the batch and stopped
-gracefully at the end; each experiment entry a worker computes is on
-disk before the worker replies.  Completed results are checkpointed as
-JSON into a run directory — re-running the same batch with the same
-``run_dir`` resumes, skipping everything already finished — and
-failures come back as structured :class:`RunOutcome` records instead of
-exceptions, so :mod:`repro.experiments.report` can render a partial
-report that marks what is missing.  :func:`run_batch` is the one place
+one worker is reused across the batch (and replaced when it dies) and
+stopped gracefully at the end; each experiment entry the worker
+computes is on disk before it replies.  Completed results are
+checkpointed as JSON into a run directory — re-running the same batch
+with the same ``run_dir`` resumes, skipping everything already finished
+— and failures come back as structured :class:`RunOutcome` records
+instead of exceptions, so :mod:`repro.experiments.report` can render a
+partial report that marks what is missing.  :func:`run_batch` is the one place
 that picks between this and a plain in-process run.
 
 Workers resolve experiments through :func:`experiment_registry`, which
@@ -78,7 +78,6 @@ class RunPolicy:
     """How :func:`run_resilient` (and the serve worker pool) supervise jobs.
 
     Args:
-        jobs: concurrently running worker processes.
         timeout_s: per-attempt wall-clock limit (``None`` = unlimited).
         retries: extra attempts after a failed/timed-out first attempt.
         backoff_s: delay before retry ``k`` is ``backoff_s * 2**(k-1)``,
@@ -88,7 +87,6 @@ class RunPolicy:
         run_dir: checkpoint directory; ``None`` disables checkpointing.
     """
 
-    jobs: int = 1
     timeout_s: Optional[float] = None
     retries: int = 0
     backoff_s: float = 0.5
@@ -96,8 +94,6 @@ class RunPolicy:
     run_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigurationError(
                 f"timeout_s must be positive, got {self.timeout_s}"
@@ -170,8 +166,8 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
 
 
 def outcome_to_dict(outcome: RunOutcome) -> Dict[str, Any]:
-    """The JSON record of one outcome, as checkpoints and shard done
-    markers store it (``from_checkpoint`` is not stored)."""
+    """The JSON record of one outcome, as a run-directory checkpoint
+    stores it (``from_checkpoint`` is not stored)."""
     return {
         "experiment_id": outcome.experiment_id,
         "status": outcome.status,
@@ -242,6 +238,17 @@ def _git_rev() -> str:
     return rev if proc.returncode == 0 and rev else "unknown"
 
 
+def _policy_record(policy: "RunPolicy") -> Dict[str, Any]:
+    """The supervision settings a manifest records and its hash covers
+    (the run directory is where the record lives, not part of it)."""
+    return {
+        "timeout_s": policy.timeout_s,
+        "retries": policy.retries,
+        "backoff_s": policy.backoff_s,
+        "max_backoff_s": policy.max_backoff_s,
+    }
+
+
 def batch_config_hash(
     experiment_ids: Sequence[str], policy: "RunPolicy"
 ) -> str:
@@ -253,13 +260,7 @@ def batch_config_hash(
     payload = json.dumps(
         {
             "experiment_ids": list(experiment_ids),
-            "policy": {
-                "jobs": policy.jobs,
-                "timeout_s": policy.timeout_s,
-                "retries": policy.retries,
-                "backoff_s": policy.backoff_s,
-                "max_backoff_s": policy.max_backoff_s,
-            },
+            "policy": _policy_record(policy),
         },
         sort_keys=True,
     )
@@ -283,13 +284,7 @@ def _write_manifest(
     payload: Dict[str, Any] = {
         "schema": 1,
         "experiment_ids": list(experiment_ids),
-        "policy": {
-            "jobs": policy.jobs,
-            "timeout_s": policy.timeout_s,
-            "retries": policy.retries,
-            "backoff_s": policy.backoff_s,
-            "max_backoff_s": policy.max_backoff_s,
-        },
+        "policy": _policy_record(policy),
         "config_hash": batch_config_hash(experiment_ids, policy),
         "git_rev": _git_rev(),
         "python": platform.python_version(),
@@ -311,17 +306,6 @@ def _write_manifest(
         }
     path = Path(run_dir) / "manifest.json"
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_manifest(run_dir: str) -> Dict[str, Any]:
-    """Read a run directory's manifest (raises on absence/corruption)."""
-    path = Path(run_dir) / "manifest.json"
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(
-            f"cannot read run manifest {path}: {exc}"
-        ) from exc
 
 
 # -- persistent experiment-result cache ---------------------------------------
@@ -428,14 +412,13 @@ def run_batch(
 ) -> List[RunOutcome]:
     """Run a batch on the executor its policy calls for.
 
-    ``jobs == 1`` with no timeout, retries or run directory runs the
+    A policy with no timeout, retries or run directory runs the
     experiments in this process, each entry on disk before the next
     experiment starts, and a failure raises.  Any other policy goes
     through :func:`run_resilient`.  Outcomes come back in input order.
     """
     if (
-        policy.jobs > 1
-        or policy.timeout_s is not None
+        policy.timeout_s is not None
         or policy.retries
         or policy.run_dir is not None
     ):
@@ -489,11 +472,11 @@ def run_resilient(
 def _run_on_pool(
     ids: Sequence[str], policy: RunPolicy
 ) -> Dict[str, RunOutcome]:
-    """Every experiment in ``ids`` through one supervised worker pool.
+    """Every experiment in ``ids`` through one supervised pool worker.
 
-    The pool reuses its ``min(jobs, len(ids))`` workers across the batch.
-    A failed attempt's retry waits out its backoff without holding a
-    worker, so peers keep running; each outcome checkpoints the moment it
+    The pool reuses its worker across the batch.  A failed attempt's
+    retry waits out its backoff without holding the worker, so the next
+    experiment runs meanwhile; each outcome checkpoints the moment it
     settles.  ``grace_factor=1`` kills a timed-out worker at the timeout.
     """
     # Imported here: the in-process path of run_batch stays free of
@@ -505,8 +488,7 @@ def _run_on_pool(
 
     tracer = current_tracer()
     pool = WorkerPool(
-        policy, jobs=min(policy.jobs, len(ids)), grace_factor=1.0,
-        entry=experiment_entry,
+        policy, jobs=1, grace_factor=1.0, entry=experiment_entry
     )
 
     async def supervise(eid: str) -> RunOutcome:
@@ -540,12 +522,14 @@ def _run_on_pool(
         return outcome
 
     async def batch() -> List[RunOutcome]:
+        # All queued at once, not one after another: a retry waiting
+        # out its backoff leaves the worker to the next experiment.
         return await asyncio.gather(*map(supervise, ids))
 
     try:
         return {o.experiment_id: o for o in asyncio.run(batch())}
     finally:
-        pool.shutdown()  # graceful: workers' cache publishes reach disk
+        pool.shutdown()  # graceful: the worker's cache publishes reach disk
 
 
 def require_all_ok(outcomes: Sequence[RunOutcome]) -> List[ExperimentResult]:

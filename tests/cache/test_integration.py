@@ -171,15 +171,16 @@ class TestExperimentTier:
 
 class TestResilientRunnerSharing:
     def test_spawned_workers_share_the_store(self, cache_dir):
-        """--jobs N workers read/write one directory without conflicts."""
+        """A supervised batch's worker writes the store this process
+        reads, and a second batch's worker reads it back."""
         from repro.experiments.runner import RunPolicy, run_resilient
 
         ids = ["table04", "area", "table03"]
-        outcomes = run_resilient(ids, RunPolicy(jobs=3))
+        outcomes = run_resilient(ids, RunPolicy())
         assert all(o.result is not None and not o.error for o in outcomes)
         assert len(store_files(cache_dir, "experiment")) == len(ids)
         # A second batch restores every experiment from the shared store.
         fresh_process_state()
-        again = run_resilient(ids, RunPolicy(jobs=3))
+        again = run_resilient(ids, RunPolicy())
         for first, second in zip(outcomes, again):
             assert second.result.rows == first.result.rows

@@ -24,13 +24,13 @@ from repro.experiments.runner import (
     RunPolicy,
     _load_checkpoint,
     _write_checkpoint,
+    batch_config_hash,
     experiment_registry,
     require_all_ok,
     result_from_dict,
     result_to_dict,
     run_resilient,
 )
-from repro.experiments.shard import ShardStore
 
 PLUGIN_SOURCE = """
 import os
@@ -140,12 +140,12 @@ class TestRegistry:
 class TestRunPolicy:
     def test_defaults_valid(self):
         policy = RunPolicy()
-        assert policy.jobs == 1 and policy.retries == 0
+        assert policy.timeout_s is None and policy.retries == 0
+        assert policy.run_dir is None
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"jobs": 0},
             {"timeout_s": 0.0},
             {"timeout_s": -1.0},
             {"retries": -1},
@@ -180,17 +180,13 @@ class TestSerialization:
         assert result_from_dict(result_to_dict(result)) == result
 
     def test_checkpoint_and_done_marker_bytes(self, tmp_path):
-        """One outcome record serves run checkpoints and shard done
-        markers; the bytes of both files are pinned, so stores written
-        before and after stay readable by each other."""
+        """The bytes of a run checkpoint are pinned, so run directories
+        written before and after stay readable by each other."""
         result = ExperimentResult(
             "table04", "Table 4", [{"zeta": 1, "alpha": 2.5, "name": "PV"}],
             notes="n",
         )
         ok = RunOutcome("table04", "ok", result=result, attempts=2)
-        timeout = RunOutcome(
-            "fig15", "timeout", error="timed out after 1.0s", attempts=3
-        )
         _write_checkpoint(str(tmp_path), ok)
         assert (tmp_path / "table04.json").read_bytes() == (
             b'{\n  "experiment_id": "table04",\n  "status": "ok",\n'
@@ -200,39 +196,16 @@ class TestSerialization:
             b'        "name": "PV"\n      }\n    ],\n    "notes": "n"\n'
             b'  },\n  "error": "",\n  "attempts": 2\n}'
         )
-        store = ShardStore("batch", root=tmp_path)
-        assert store.publish(0, [ok, timeout])
-        assert store._done_path(0).read_bytes() == (
-            b'[{"experiment_id": "table04", "status": "ok", "result":'
-            b' {"experiment_id": "table04", "title": "Table 4", "rows":'
-            b' [{"zeta": 1, "alpha": 2.5, "name": "PV"}], "notes": "n"},'
-            b' "error": "", "attempts": 2}, {"experiment_id": "fig15",'
-            b' "status": "timeout", "result": null, "error":'
-            b' "timed out after 1.0s", "attempts": 3}]'
-        )
         resumed = _load_checkpoint(str(tmp_path), "table04")
         assert resumed == RunOutcome(
             "table04", "ok", result=result, attempts=2, from_checkpoint=True
         )
-        assert store.load_done(0) == [
-            resumed,
-            RunOutcome(
-                "fig15", "timeout", error="timed out after 1.0s",
-                attempts=3, from_checkpoint=True,
-            ),
-        ]
-
 
     def test_wrongly_shaped_records_read_as_corrupt(self, tmp_path):
-        """Valid JSON of the wrong shape is a corrupt record, never a
-        crash: the checkpoint's experiment re-runs and the shard reads
-        as not done."""
+        """Valid JSON of the wrong shape is a corrupt checkpoint, never a
+        crash: its experiment re-runs."""
         (tmp_path / "table04.json").write_text("[1, 2]")
         assert _load_checkpoint(str(tmp_path), "table04") is None
-        store = ShardStore("batch", root=tmp_path)
-        store.dir.mkdir(parents=True)
-        store._done_path(0).write_text('{"a": 1}')
-        assert store.load_done(0) is None
 
 
 class TestFailFast:
@@ -271,7 +244,7 @@ class TestSupervision:
 
     def test_crash_does_not_sink_the_batch(self, plugin):
         outcomes = run_resilient(
-            ["good_exp", "crash_exp"], RunPolicy(jobs=2, backoff_s=0.0)
+            ["good_exp", "crash_exp"], RunPolicy(backoff_s=0.0)
         )
         assert [o.experiment_id for o in outcomes] == ["good_exp", "crash_exp"]
         assert outcomes[0].ok
@@ -298,20 +271,20 @@ class TestSupervision:
 
 class TestWorkerPool:
     def test_workers_reused_across_the_batch(self, plugin):
-        """Four experiments at jobs=2 run on (at most) two workers, not
-        one interpreter per experiment."""
+        """Four experiments run on one worker process, not one
+        interpreter per experiment, and not in this process."""
         outcomes = run_resilient(
-            ["pid_a", "pid_b", "pid_c", "pid_d"], RunPolicy(jobs=2)
+            ["pid_a", "pid_b", "pid_c", "pid_d"], RunPolicy()
         )
         assert all(o.ok for o in outcomes)
         pids = {o.result.rows[0]["pid"] for o in outcomes}
-        assert len(pids) <= 2
+        assert len(pids) == 1
         assert os.getpid() not in pids
 
     def test_no_worker_outlives_a_batch(self, plugin):
         import multiprocessing
 
-        run_resilient(["good_exp", "pid_a"], RunPolicy(jobs=2))
+        run_resilient(["good_exp", "pid_a"], RunPolicy())
         assert multiprocessing.active_children() == []
         (crashed,) = run_resilient(["crash_exp"], RunPolicy(backoff_s=0.0))
         assert crashed.status == "failed"
@@ -364,6 +337,40 @@ class TestCheckpoints:
         assert payload["status"] == "ok"
 
 
+class TestManifest:
+    def test_resumed_batch_records_every_checkpoint(self, plugin, tmp_path):
+        run_dir = tmp_path / "run"
+        ids = ["good_exp", "cols_exp"]
+        policy = RunPolicy(run_dir=str(run_dir))
+        run_resilient(ids, policy)
+        run_resilient(ids, policy)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["experiment_ids"] == ids
+        assert manifest["policy"] == {
+            "timeout_s": None,
+            "retries": 0,
+            "backoff_s": 0.5,
+            "max_backoff_s": 30.0,
+        }
+        assert manifest["config_hash"] == batch_config_hash(ids, policy)
+        assert manifest["outcomes"] == {
+            eid: {"status": "ok", "attempts": 1, "from_checkpoint": True}
+            for eid in ids
+        }
+
+    def test_failed_experiment_makes_a_partial_run(self, plugin, tmp_path):
+        run_dir = tmp_path / "run"
+        run_resilient(
+            ["good_exp", "crash_exp"],
+            RunPolicy(run_dir=str(run_dir), backoff_s=0.0),
+        )
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "partial"
+        assert manifest["outcomes"]["good_exp"]["status"] == "ok"
+        assert manifest["outcomes"]["crash_exp"]["status"] == "failed"
+
+
 class TestNonBlockingBackoff:
     def test_peer_progresses_during_pending_backoff(
         self, plugin, tmp_path, monkeypatch
@@ -384,7 +391,7 @@ class TestNonBlockingBackoff:
         started = time.monotonic()
         outcomes = run_resilient(
             ["flaky_exp", "good_exp"],
-            RunPolicy(jobs=1, retries=1, backoff_s=backoff, run_dir=str(run_dir)),
+            RunPolicy(retries=1, backoff_s=backoff, run_dir=str(run_dir)),
         )
         elapsed = time.monotonic() - started
         by_id = {o.experiment_id: o for o in outcomes}

@@ -81,7 +81,7 @@ def make_server(serve_cache):
 
     def make(policy=None, *, jobs=0, resilience=None, batching=None):
         app = ServeApp(
-            policy or RunPolicy(jobs=1, retries=0),
+            policy or RunPolicy(retries=0),
             jobs=jobs,
             resilience=resilience,
             batching=batching,

@@ -254,7 +254,7 @@ class TestStreamDisconnect:
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", flaky)
         server = make_server(
-            RunPolicy(jobs=1, retries=12, backoff_s=0.05, max_backoff_s=0.05)
+            RunPolicy(retries=12, backoff_s=0.05, max_backoff_s=0.05)
         )
         before = REGISTRY.snapshot()
         body = json.dumps({"workload": "PV", "dim": 4}).encode()

@@ -61,7 +61,7 @@ def drive(app, requests):
 
 def make_app(window_ms=200.0, max_batch=32):
     return ServeApp(
-        RunPolicy(jobs=1, retries=0),
+        RunPolicy(retries=0),
         jobs=0,
         batching=BatchPolicy(window_ms=window_ms, max_batch=max_batch),
     )
@@ -218,7 +218,7 @@ class TestWindowAndSeal:
             for i in range(3)
         ]
         assert BatchPolicy() == BatchPolicy(window_ms=0.0, max_batch=16)
-        app = ServeApp(RunPolicy(jobs=1, retries=0), jobs=0)
+        app = ServeApp(RunPolicy(retries=0), jobs=0)
         before = REGISTRY.snapshot()
         try:
             payloads = drive(app, requests)

@@ -42,7 +42,7 @@ class TestWorkerCrashRecovery:
         retries: every request answers 200, nothing surfaces as a 5xx."""
         monkeypatch.setenv("REPRO_CHAOS", "worker_crash=1@3,seed=1")
         reset_chaos_handles()
-        server = make_server(RunPolicy(jobs=1, retries=3, backoff_s=0.01))
+        server = make_server(RunPolicy(retries=3, backoff_s=0.01))
         injected_before = counter_value("chaos.injections",
                                         point="worker_crash")
         client = server.client()
@@ -70,7 +70,7 @@ class TestWorkerCrashRecovery:
         respawns = REGISTRY.counter("pool.worker_respawns")
         crashes_before, respawns_before = crashes.value, respawns.value
         pool = WorkerPool(
-            RunPolicy(jobs=1, retries=1, backoff_s=0.01, timeout_s=60.0),
+            RunPolicy(retries=1, backoff_s=0.01, timeout_s=60.0),
             jobs=1,
         )
         try:
@@ -96,7 +96,7 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv("REPRO_CHAOS_STATE", str(tmp_path / "chaos"))
         reset_chaos_handles()
         pool = WorkerPool(
-            RunPolicy(jobs=1, retries=0, timeout_s=60.0), jobs=1
+            RunPolicy(retries=0, timeout_s=60.0), jobs=1
         )
         try:
             outcome = asyncio.run(
@@ -134,7 +134,7 @@ class TestHungWorkerReaping:
         # retries=4: the attempts after the reap also absorb the respawned
         # worker's boot time (spawn workers import the package on start).
         pool = WorkerPool(
-            RunPolicy(jobs=1, retries=4, backoff_s=0.05, timeout_s=1.0),
+            RunPolicy(retries=4, backoff_s=0.05, timeout_s=1.0),
             jobs=1,
             grace_factor=1.5,
         )
@@ -168,7 +168,7 @@ class TestCircuitBreaker:
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", entry)
         server = make_server(
-            RunPolicy(jobs=1, retries=0),
+            RunPolicy(retries=0),
             resilience=ResiliencePolicy(
                 breaker_threshold=2, breaker_reset_s=0.3
             ),
@@ -215,7 +215,7 @@ class TestAdmissionControl:
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", slow)
         server = make_server(
-            RunPolicy(jobs=1, retries=0),
+            RunPolicy(retries=0),
             resilience=ResiliencePolicy(max_pending=1),
         )
         shed_before = counter_value("serve.shed", kind="map")

@@ -43,7 +43,7 @@ class TestWorkerPool:
         from repro.dataflow import clear_mapping_cache
 
         clear_mapping_cache()  # a memo hit would produce no spans
-        envelope = run(inline_pool(jobs=1).run(MAP_PV))
+        envelope = run(inline_pool().run(MAP_PV))
         assert envelope["result"]["workload"] == "PV"
         assert envelope["result"]["dim"] == 4
         assert isinstance(envelope["spans"], list) and envelope["spans"]
@@ -62,7 +62,7 @@ class TestWorkerPool:
             return {"result": {"ok": True}, "spans": []}
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", flaky)
-        pool = inline_pool(jobs=1, retries=2, backoff_s=0.001)
+        pool = inline_pool(retries=2, backoff_s=0.001)
         events = []
         envelope = run(pool.run(MAP_PV, events.append))
         assert envelope["result"] == {"ok": True}
@@ -78,7 +78,7 @@ class TestWorkerPool:
             "repro.serve.pool.pool_entry",
             lambda kind, spec: (_ for _ in ()).throw(RuntimeError("nope")),
         )
-        pool = inline_pool(jobs=1, retries=1, backoff_s=0.001)
+        pool = inline_pool(retries=1, backoff_s=0.001)
         with pytest.raises(ExperimentError) as excinfo:
             run(pool.run(MAP_PV))
         message = str(excinfo.value)
@@ -92,7 +92,7 @@ class TestWorkerPool:
             return {"result": {}, "spans": []}
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", slow)
-        pool = inline_pool(jobs=1, timeout_s=0.05, retries=0)
+        pool = inline_pool(timeout_s=0.05, retries=0)
         started = time.monotonic()
         with pytest.raises(ExperimentError, match=r"\[timeout\]"):
             run(pool.run(MAP_PV))
@@ -116,7 +116,7 @@ class TestWorkerPool:
             return {"result": {"workload": spec.get("workload")}, "spans": []}
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", sometimes)
-        pool = inline_pool(jobs=1, retries=1, backoff_s=0.3)
+        pool = inline_pool(retries=1, backoff_s=0.3)
         fast = parse_request("map", {"workload": "FR", "dim": 4})
 
         async def scenario():
@@ -144,7 +144,7 @@ class TestSupervision:
             lambda kind, spec: {"result": {}, "spans": []},
         )
         gauge = REGISTRY.gauge("pool.workers")
-        pool = inline_pool(jobs=1, retries=0)
+        pool = inline_pool(retries=0)
         run(pool.run(MAP_PV))
         assert gauge.value == 1
         pool.shutdown()
@@ -169,7 +169,7 @@ class TestSupervision:
             return {"result": {"call": len(calls)}, "spans": []}
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", sticky)
-        pool = inline_pool(jobs=1, timeout_s=0.1, retries=0)
+        pool = inline_pool(timeout_s=0.1, retries=0)
         reaps = REGISTRY.counter("pool.worker_reaps")
         respawns = REGISTRY.counter("pool.worker_respawns")
         late = REGISTRY.counter("pool.late_results")
@@ -212,7 +212,7 @@ class TestEagerWarmup:
         cold request never pays the kernel (JIT) load."""
         gauge = REGISTRY.gauge("pool.worker_warm_ms")
         gauge.set(-1.0)
-        pool = inline_pool(jobs=1, retries=0)
+        pool = inline_pool(retries=0)
         envelope = run(pool.run(MAP_PV))
         assert envelope["result"]["workload"] == "PV"
         # The warm message is posted before the worker's first reply, so
@@ -223,7 +223,7 @@ class TestEagerWarmup:
         gauge = REGISTRY.gauge("pool.worker_warm_ms")
         gauge.set(-1.0)
         pool = WorkerPool(
-            RunPolicy(jobs=1, retries=0, timeout_s=60.0), jobs=1
+            RunPolicy(retries=0, timeout_s=60.0), jobs=1
         )
         try:
             envelope = run(pool.run(MAP_PV))
@@ -263,7 +263,7 @@ class TestGracefulShutdown:
             key="table04", label="table04",
         )
         pool = WorkerPool(
-            RunPolicy(jobs=1, retries=0, timeout_s=120.0), jobs=1,
+            RunPolicy(retries=0, timeout_s=120.0), jobs=1,
             entry=experiment_entry,
         )
         try:
@@ -288,7 +288,7 @@ class TestGracefulShutdown:
         shutdown() returns."""
         import multiprocessing
 
-        pool = WorkerPool(RunPolicy(jobs=2, timeout_s=60.0), jobs=2)
+        pool = WorkerPool(RunPolicy(timeout_s=60.0), jobs=2)
         run(pool.run(MAP_PV))
         pool.shutdown()
         assert multiprocessing.active_children() == []

@@ -97,7 +97,7 @@ def served():
     """One in-process server (inline pool) for every example."""
     active_kernels()  # bind the kernels before any temp store is active
     handle = ServerHandle(
-        ServeApp(RunPolicy(jobs=1, retries=0), jobs=0)
+        ServeApp(RunPolicy(retries=0), jobs=0)
     ).start()
     client = handle.client()
     yield client

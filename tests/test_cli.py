@@ -94,13 +94,27 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_jobs_flag_accepted(self, capsys):
-        assert main(["experiment", "area", "--jobs", "2"]) == 0
-        assert "Layout area" in capsys.readouterr().out
-
-    def test_invalid_jobs_rejected(self, capsys):
-        assert main(["experiment", "area", "--jobs", "0"]) == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "area", "--jobs", "2"],
+            ["experiment", "area", "-j", "2"],
+            ["experiment", "all", "--shards", "2"],
+            ["experiment", "all", "--host-id", "x"],
+            ["report", "--jobs", "2"],
+        ],
+        ids=[
+            "experiment-jobs", "experiment-j", "shards", "host-id",
+            "report-jobs",
+        ],
+    )
+    def test_parallel_runner_flags_rejected(self, argv, capsys):
+        """Batches run in one process (or on one supervised worker):
+        the options that spread them over more are usage errors."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestErrorPaths:
@@ -139,27 +153,30 @@ class TestErrorPaths:
 
 
 class TestParallelExperiments:
+    """A supervised batch (one spawn worker, ``timeout_s``) returns what
+    the same batch returns in-process."""
+
     def test_run_experiments_parallel_matches_serial(self):
         from repro.experiments import run_experiments
 
         ids = ["area", "table04"]
-        serial = run_experiments(ids, jobs=1)
-        parallel = run_experiments(ids, jobs=2)
-        assert [r.title for r in serial] == [r.title for r in parallel]
-        assert [r.rows for r in serial] == [r.rows for r in parallel]
+        serial = run_experiments(ids)
+        supervised = run_experiments(ids, timeout_s=300)
+        assert [r.title for r in serial] == [r.title for r in supervised]
+        assert [r.rows for r in serial] == [r.rows for r in supervised]
 
     def test_run_experiments_rejects_unknown_ids(self):
         from repro.errors import ConfigurationError
         from repro.experiments import run_experiments
 
         with pytest.raises(ConfigurationError, match="unknown experiment"):
-            run_experiments(["area", "nope"], jobs=2)
+            run_experiments(["area", "nope"], timeout_s=300)
 
     def test_report_jobs_matches_serial(self):
         from repro.experiments.report import generate_report
 
         ids = ["area", "table04"]
-        assert generate_report(ids, jobs=2) == generate_report(ids, jobs=1)
+        assert generate_report(ids, timeout_s=300) == generate_report(ids)
 
 
 class TestFaultsCommand:
