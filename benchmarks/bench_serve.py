@@ -66,6 +66,13 @@ def check_fastpath(report: dict, fanout: int) -> list:
     if fused["responses_5xx"] != 0:
         failures.append(f"{fused['responses_5xx']} 5xx in the fused phase")
     warm = report["warm_memory"]
+    for leg in ("disk", "memory"):
+        uncached = warm[f"{leg}_uncached_replays"]
+        if uncached:
+            failures.append(
+                f"{uncached}/{warm['replays']} warm replays on the {leg} leg"
+                " were not served from the cache"
+            )
     if warm["mem_over_disk_p50"] > FASTPATH_MAX_WARM_RATIO:
         failures.append(
             f"memory-tier warm p50 is {warm['mem_over_disk_p50']:.2f}x the"

@@ -31,6 +31,7 @@ from repro.dataflow.schedule import (
 from repro.dataflow.restricted import (
     map_layer_with_style,
     network_utilization_by_style,
+    network_utilization_by_styles,
 )
 from repro.dataflow.styles import ARCHITECTURE_STYLES, ProcessingStyle, classify
 from repro.dataflow.unrolling import (
@@ -69,6 +70,7 @@ __all__ = [
     "relayout_penalty_cycles",
     "map_layer_with_style",
     "network_utilization_by_style",
+    "network_utilization_by_styles",
     "CycleReads",
     "neuron_schedule",
     "kernel_schedule",

@@ -253,6 +253,20 @@ def _steps_array(dims: Triple, triples: np.ndarray) -> np.ndarray:
     )
 
 
+def _fewest_steps(dims: Triple, triples: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row of the ``(Q, N)`` mask ``keep``, the fewest steps it keeps.
+
+    The sweeps that ask one side many questions (a narrower array shape,
+    a restricted processing style) enumerate the side once at the widest
+    limit and answer each question as a mask over that table: a smaller
+    product limit or a tighter per-factor cap keeps a subset of it, in
+    the same order.  Every mask must keep ``(1, 1, 1)``, which every
+    candidate table holds, so each row's minimum is a real step count.
+    """
+    steps = _steps_array(dims, triples)
+    return np.where(keep, steps, np.iinfo(np.int64).max).min(axis=1)
+
+
 @dataclass(frozen=True)
 class CandidateScores:
     """Batched scores for all ``input x output`` candidate pairs of a layer.
@@ -906,12 +920,14 @@ def clear_mapping_cache() -> None:
     """Drop all memoized mapping results (tests and benchmarks use this).
 
     The one reset for every per-process memo on the evaluation path: the
-    searches here, the baselines' fault retentions and the accelerator
-    models' network results, so a cleared process recomputes them all.
+    searches here, the fault masks' live grids, the baselines' fault
+    retentions and the accelerator models' network results, so a cleared
+    process recomputes them all.
     """
     from repro.accelerators.base import memoized_network_result
 
     memoized_network_result.cache_clear()
+    live_grid.cache_clear()
     systolic_retention.cache_clear()
     row_kill_retention.cache_clear()
     tiling_retention.cache_clear()

@@ -15,13 +15,24 @@ machinery makes one step away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.dataflow.mapper import _best_input_batched, _best_output_batched
+import numpy as np
+
+from repro.dataflow.mapper import (
+    _best_input_batched,
+    _best_output_batched,
+    _fewest_steps,
+    _input_space,
+    _output_space,
+    candidate_array,
+)
 from repro.dataflow.unrolling import UnrollingFactors
 from repro.errors import MappingError
 from repro.nn.layers import ConvLayer
 from repro.nn.network import Network
+
+Shape = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,7 @@ def map_layer_rect(
     )
 
 
-def aspect_ratio_candidates(pe_budget: int) -> List[Tuple[int, int]]:
+def aspect_ratio_candidates(pe_budget: int) -> List[Shape]:
     """All ``(rows, cols)`` factorizations of a PE budget, widest to tallest."""
     if pe_budget <= 0:
         raise MappingError(f"pe_budget must be positive, got {pe_budget}")
@@ -80,33 +91,77 @@ def aspect_ratio_candidates(pe_budget: int) -> List[Tuple[int, int]]:
     return shapes
 
 
-def best_aspect_ratio(
-    network: Network, pe_budget: int, *, min_dim: int = 2
-) -> Tuple[Tuple[int, int], float]:
-    """The budget factorization maximizing network utilization.
+def aspect_ratio_shapes(pe_budget: int, min_dim: int = 2) -> List[Shape]:
+    """The budget's factorizations with both sides at least ``min_dim``.
 
-    Returns ``((rows, cols), utilization)``.  ``min_dim`` excludes
-    degenerate 1-wide shapes that no real layout would use.
+    ``min_dim`` excludes degenerate 1-wide shapes that no real layout
+    would use; an empty selection raises :class:`MappingError`.
     """
-    best_shape: Optional[Tuple[int, int]] = None
-    best_util = -1.0
-    for rows, cols in aspect_ratio_candidates(pe_budget):
-        if rows < min_dim or cols < min_dim:
-            continue
-        total_macs = 0
-        total_cycles = 0
-        for ctx in network.conv_contexts():
-            mapping = map_layer_rect(
-                ctx.layer, rows, cols, tr_tc_bound=ctx.tr_tc_bound
-            )
-            total_macs += ctx.layer.macs
-            total_cycles += mapping.compute_cycles
-        utilization = total_macs / (total_cycles * pe_budget)
-        if utilization > best_util:
-            best_util = utilization
-            best_shape = (rows, cols)
-    if best_shape is None:
+    shapes = [
+        (rows, cols)
+        for rows, cols in aspect_ratio_candidates(pe_budget)
+        if rows >= min_dim and cols >= min_dim
+    ]
+    if not shapes:
         raise MappingError(
             f"no valid shape for budget {pe_budget} with min_dim {min_dim}"
         )
-    return best_shape, best_util
+    return shapes
+
+
+def shape_utilizations(
+    network: Network, pe_budget: int, shapes: Sequence[Shape]
+) -> List[float]:
+    """Network utilization ``MACs / (cycles * pe_budget)`` on each shape.
+
+    Shape by shape, ``cycles`` is the sum of ``map_layer_rect``'s compute
+    cycles over the network's CONV layers, but each layer side is
+    enumerated once, at the widest ``cols`` (input side) or tallest
+    ``rows`` (output side) among the shapes.  A shape's candidates are
+    that table masked by its own limit, and its cycles are the fewest
+    input steps times the fewest output steps (the output side's
+    ``ceil(M/Tm)`` tie-break picks a triple, not a step count).
+    """
+    for rows, cols in shapes:
+        if rows <= 0 or cols <= 0:
+            raise MappingError(f"rows/cols must be positive, got {rows}x{cols}")
+    if not shapes:
+        return []
+    row_limits = np.array([rows for rows, _ in shapes], dtype=np.int64)
+    col_limits = np.array([cols for _, cols in shapes], dtype=np.int64)
+    max_rows, max_cols = int(row_limits.max()), int(col_limits.max())
+    total_macs = 0
+    total_cycles = np.zeros(len(shapes), dtype=np.int64)
+    for ctx in network.conv_contexts():
+        in_dims, in_caps = _input_space(ctx.layer)
+        out_dims, out_caps = _output_space(ctx.layer, ctx.tr_tc_bound)
+        ins = candidate_array(in_dims, max_cols, in_caps)
+        outs = candidate_array(out_dims, max_rows, out_caps)
+        fits_in = ins.prod(axis=1)[None, :] <= col_limits[:, None]
+        fits_out = outs.prod(axis=1)[None, :] <= row_limits[:, None]
+        total_cycles += _fewest_steps(in_dims, ins, fits_in) * _fewest_steps(
+            out_dims, outs, fits_out
+        )
+        total_macs += ctx.layer.macs
+    return [total_macs / (int(cycles) * pe_budget) for cycles in total_cycles]
+
+
+def best_shape(
+    shapes: Sequence[Shape], utilizations: Sequence[float]
+) -> Tuple[Shape, float]:
+    """The first shape of highest utilization, in ``shapes`` order."""
+    pick = max(range(len(shapes)), key=utilizations.__getitem__)
+    return shapes[pick], utilizations[pick]
+
+
+def best_aspect_ratio(
+    network: Network, pe_budget: int, *, min_dim: int = 2
+) -> Tuple[Shape, float]:
+    """The budget factorization maximizing network utilization.
+
+    Returns ``((rows, cols), utilization)`` over
+    :func:`aspect_ratio_shapes`, all scored in one
+    :func:`shape_utilizations` pass.
+    """
+    shapes = aspect_ratio_shapes(pe_budget, min_dim)
+    return best_shape(shapes, shape_utilizations(network, pe_budget, shapes))

@@ -12,11 +12,18 @@ style flexibility rather than to micro-architecture differences.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.dataflow.mapper import LayerMapping, _steps_array, candidate_array
+from repro.dataflow.mapper import (
+    LayerMapping,
+    _fewest_steps,
+    _input_space,
+    _output_space,
+    _steps_array,
+    candidate_array,
+)
 from repro.dataflow.styles import ProcessingStyle
 from repro.dataflow.unrolling import UnrollingFactors
 from repro.dataflow.utilization import utilization_report
@@ -84,18 +91,47 @@ def map_layer_with_style(
     )
 
 
+def network_utilization_by_styles(
+    network: Network, array_dim: int, styles: Iterable[ProcessingStyle]
+) -> Dict[ProcessingStyle, float]:
+    """MAC-weighted utilization of a whole network under each style.
+
+    Style by style, the total is the sum of ``map_layer_with_style``'s
+    compute cycles over the network's CONV layers, but each layer side is
+    enumerated once at ``array_dim`` under its natural caps.  Every style
+    cap is at most the natural one, so a style's candidates are that
+    table masked by its :func:`_style_caps` factor by factor, and its
+    cycles are the fewest input steps times the fewest output steps.
+    """
+    styles = tuple(styles)
+    total_macs = 0
+    total_cycles = np.zeros(len(styles), dtype=np.int64)
+    for ctx in network.conv_contexts():
+        layer = ctx.layer
+        in_dims, natural_in = _input_space(layer)
+        out_dims, natural_out = _output_space(layer, ctx.tr_tc_bound)
+        ins = candidate_array(in_dims, array_dim, natural_in)
+        outs = candidate_array(out_dims, array_dim, natural_out)
+        # (styles, side, factor): each style's input and output caps.
+        caps = np.array(
+            [_style_caps(style, layer) for style in styles], dtype=np.int64
+        ).reshape(len(styles), 2, 3)
+        keep_in = (ins[None, :, :] <= caps[:, None, 0, :]).all(axis=2)
+        keep_out = (outs[None, :, :] <= caps[:, None, 1, :]).all(axis=2)
+        total_cycles += _fewest_steps(in_dims, ins, keep_in) * _fewest_steps(
+            out_dims, outs, keep_out
+        )
+        total_macs += layer.macs
+    return {
+        style: (
+            total_macs / (int(cycles) * array_dim**2) if cycles else 0.0
+        )
+        for style, cycles in zip(styles, total_cycles)
+    }
+
+
 def network_utilization_by_style(
     network: Network, array_dim: int, style: ProcessingStyle
 ) -> float:
     """MAC-weighted utilization of a whole network under one style."""
-    total_macs = 0
-    total_cycles = 0
-    for ctx in network.conv_contexts():
-        mapping = map_layer_with_style(
-            ctx.layer, array_dim, style, tr_tc_bound=ctx.tr_tc_bound
-        )
-        total_macs += ctx.layer.macs
-        total_cycles += mapping.compute_cycles
-    if total_cycles == 0:
-        return 0.0
-    return total_macs / (total_cycles * array_dim**2)
+    return network_utilization_by_styles(network, array_dim, (style,))[style]

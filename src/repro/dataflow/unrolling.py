@@ -207,14 +207,22 @@ def useful_values(dimension: int, limit: int) -> Tuple[int, ...]:
     PEs.  The useful set is therefore ``{ceil(dimension / q) : q in 1..dimension}``
     clipped to ``limit`` — at most ``~2 * sqrt(dimension)`` values, which keeps
     the mapper's search space tractable for VGG-scale layers.
+
+    The walk visits one quotient per block of equal values: the quotients
+    sharing ``t = ceil(dimension / q)`` end at ``(dimension - 1) // (t - 1)``,
+    so the next block starts one past it.  It starts at the first quotient
+    whose value fits ``limit``; ``tests/dse_oracle.py`` keeps the
+    every-quotient loop as the reference.
     """
     if dimension <= 0 or limit <= 0:
         raise MappingError("dimension and limit must be positive")
-    values = set()
-    for quotient in range(1, dimension + 1):
-        t = ceil_div(dimension, quotient)
-        if t <= limit:
-            values.add(t)
-    if not values:
-        values.add(1)
-    return tuple(sorted(values))
+    values = []
+    quotient = -(-dimension // limit)
+    while True:
+        t = -(-dimension // quotient)
+        values.append(t)
+        if t == 1:
+            break
+        quotient = (dimension - 1) // (t - 1) + 1
+    values.reverse()
+    return tuple(values)

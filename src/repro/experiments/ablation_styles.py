@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from repro.arch.config import ArchConfig
 from repro.dataflow.mapper import map_network
-from repro.dataflow.restricted import network_utilization_by_style
+from repro.dataflow.restricted import network_utilization_by_styles
 from repro.dataflow.styles import ProcessingStyle
 from repro.experiments.common import ExperimentResult
 from repro.nn.workloads import WORKLOAD_NAMES, get_workload
@@ -45,9 +45,12 @@ def run(
     for name in workloads:
         network = get_workload(name)
         row = {"workload": name}
-        for style in ABLATION_STYLES:
+        by_style = network_utilization_by_styles(
+            network, array_dim, ABLATION_STYLES
+        )
+        for style, utilization in by_style.items():
             label = f"{style.name} ({'+'.join(style.parallelism_types)})"
-            row[label] = network_utilization_by_style(network, array_dim, style)
+            row[label] = utilization
         row["MFMNMS (FlexFlow)"] = map_network(
             network, array_dim
         ).overall_utilization

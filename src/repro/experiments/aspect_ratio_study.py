@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 from repro.arch.config import ArchConfig
 from repro.dataflow.rectangular import (
     aspect_ratio_candidates,
-    best_aspect_ratio,
-    map_layer_rect,
+    aspect_ratio_shapes,
+    best_shape,
+    shape_utilizations,
 )
 from repro.experiments.common import ExperimentResult, sweep_span
 from repro.nn.workloads import WORKLOAD_NAMES, get_workload
@@ -27,28 +28,20 @@ def run(
 ) -> ExperimentResult:
     rows = []
     square_dim = int(pe_budget**0.5)
-    # Each (workload, shape) design point runs the vectorized per-layer
-    # candidate scorer; the span records the sweep's full grid size.
+    # One pass per workload scores every candidate shape plus the square
+    # baseline; the span records the sweep's full grid size.
     shape_count = len(aspect_ratio_candidates(pe_budget))
+    shapes = aspect_ratio_shapes(pe_budget)
     with sweep_span(
         "aspect_ratio_study",
         configs_evaluated=len(workloads) * (shape_count + 1),
     ):
         for name in workloads:
             network = get_workload(name)
-            square_util = 0.0
-            total_macs = 0
-            total_cycles = 0
-            for ctx in network.conv_contexts():
-                mapping = map_layer_rect(
-                    ctx.layer, square_dim, square_dim, tr_tc_bound=ctx.tr_tc_bound
-                )
-                total_macs += ctx.layer.macs
-                total_cycles += mapping.compute_cycles
-            square_util = total_macs / (total_cycles * pe_budget)
-            (best_rows, best_cols), best_util = best_aspect_ratio(
-                network, pe_budget
+            *utilizations, square_util = shape_utilizations(
+                network, pe_budget, shapes + [(square_dim, square_dim)]
             )
+            (best_rows, best_cols), best_util = best_shape(shapes, utilizations)
             rows.append(
                 {
                     "workload": name,

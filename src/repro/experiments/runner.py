@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -94,21 +95,27 @@ class RunPolicy:
     run_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        # `nan <= 0` is False, so a bare sign check lets NaN through; a
+        # NaN or infinite timeout or backoff would then supervise a hung
+        # job forever.
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0
+        ):
             raise ConfigurationError(
-                f"timeout_s must be positive, got {self.timeout_s}"
+                f"timeout_s must be positive and finite, got {self.timeout_s}"
             )
         if self.retries < 0:
             raise ConfigurationError(
                 f"retries must be >= 0, got {self.retries}"
             )
-        if self.backoff_s < 0:
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
             raise ConfigurationError(
-                f"backoff_s must be >= 0, got {self.backoff_s}"
+                f"backoff_s must be >= 0 and finite, got {self.backoff_s}"
             )
-        if self.max_backoff_s <= 0:
+        if not (math.isfinite(self.max_backoff_s) and self.max_backoff_s > 0):
             raise ConfigurationError(
-                f"max_backoff_s must be positive, got {self.max_backoff_s}"
+                "max_backoff_s must be positive and finite,"
+                f" got {self.max_backoff_s}"
             )
 
     def retry_delay(self, attempt: int) -> float:

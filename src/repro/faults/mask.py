@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Tuple
 
 from repro.errors import ConfigurationError
@@ -183,12 +184,20 @@ class LiveGrid:
         return self.cols[logical_col]
 
 
+#: Bound of the :func:`live_grid` memo (one entry per mask).
+LIVE_GRID_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=LIVE_GRID_MEMO_SIZE)
 def live_grid(mask: AvailabilityMask) -> LiveGrid:
     """Greedy row/column retirement until the kept subgrid is fault-free.
 
     Deterministic: each round retires the row or column covering the most
     remaining faults (ties prefer the side with more surviving lines, then
-    the lower index), so equal masks always produce equal grids.
+    the lower index), so equal masks always produce equal grids.  The
+    grid is a pure function of the (hashable, immutable) mask, so it is
+    memoized per process; :func:`repro.dataflow.clear_mapping_cache`
+    empties the memo.
     """
     dim = mask.array_dim
     rows: List[int] = list(range(dim))

@@ -53,6 +53,13 @@ class ConvContext:
 class Network:
     """An ordered, shape-checked CNN specification.
 
+    A network is immutable once built: assigning ``name``, ``input_spec``
+    or ``layers`` raises :class:`AttributeError`.  That lets it cache its
+    hash and its :meth:`conv_contexts`, and lets one build be shared by
+    every memo and experiment that keys on it.  The hash covers ``str``
+    names, which are salted per process, so pickling rebuilds the network
+    from its fields and never carries a cached hash across processes.
+
     Args:
         name: workload name (e.g. ``"LeNet-5"``).
         input_spec: the input plane.
@@ -62,13 +69,27 @@ class Network:
         SpecificationError: when consecutive shapes do not chain.
     """
 
+    __slots__ = ("name", "input_spec", "layers", "_hash", "_contexts")
+
     def __init__(self, name: str, input_spec: InputSpec, layers: Sequence[Layer]):
-        self.name = name
-        self.input_spec = input_spec
-        self.layers: Tuple[Layer, ...] = tuple(layers)
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "input_spec", input_spec)
+        init(self, "layers", tuple(layers))
+        init(self, "_hash", None)
+        init(self, "_contexts", None)
         if not self.layers:
             raise SpecificationError(f"network {name!r} has no layers")
         self._validate()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Network is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Network is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.name, self.input_spec, self.layers))
 
     # -- validation ----------------------------------------------------------
 
@@ -151,13 +172,18 @@ class Network:
     def fc_layers(self) -> List[FCLayer]:
         return [l for l in self.layers if isinstance(l, FCLayer)]
 
-    def conv_contexts(self) -> List[ConvContext]:
+    def conv_contexts(self) -> Tuple[ConvContext, ...]:
         """CONV layers annotated with Eq. 1 successor constraints.
 
         For each CONV layer, find the next CONV layer (``K'``) and the pool
         window ``P`` of any POOL layer between the two (``P = 1`` when the
-        layers are adjacent).
+        layers are adjacent).  Derived once per network and cached.
         """
+        if self._contexts is None:
+            object.__setattr__(self, "_contexts", self._derive_contexts())
+        return self._contexts
+
+    def _derive_contexts(self) -> Tuple[ConvContext, ...]:
         contexts: List[ConvContext] = []
         layer_list = list(self.layers)
         for idx, layer in enumerate(layer_list):
@@ -183,7 +209,7 @@ class Network:
                     pool_window=pool_window if next_kernel is not None else 1,
                 )
             )
-        return contexts
+        return tuple(contexts)
 
     # -- aggregate statistics --------------------------------------------------
 
@@ -245,7 +271,11 @@ class Network:
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.input_spec, self.layers))
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash((self.name, self.input_spec, self.layers))
+            )
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.layers)

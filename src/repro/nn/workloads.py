@@ -195,25 +195,37 @@ WORKLOAD_NAMES: List[str] = list(_BUILDERS)
 SMALL_WORKLOAD_NAMES: List[str] = ["PV", "FR", "LeNet-5", "HG"]
 
 
+#: One build per workload per process, made on first use.
+_BUILT: Dict[str, Network] = {}
+
+
 def get_workload(name: str) -> Network:
-    """Build the named Table 1 workload.
+    """The named Table 1 workload, shared by every caller in the process.
+
+    The first call builds it; later calls return the same immutable
+    :class:`~repro.nn.network.Network`, so its cached hash and conv
+    contexts serve every memo keyed on it.
 
     Raises:
         SpecificationError: for unknown workload names (the message lists
             the valid ones).
     """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise SpecificationError(
-            f"unknown workload {name!r}; available: {', '.join(WORKLOAD_NAMES)}"
-        ) from None
-    return builder()
+    network = _BUILT.get(name)
+    if network is None:
+        try:
+            builder = _BUILDERS[name]
+        except KeyError:
+            raise SpecificationError(
+                f"unknown workload {name!r}; available: {', '.join(WORKLOAD_NAMES)}"
+            ) from None
+        # setdefault keeps the first build if two threads race here.
+        network = _BUILT.setdefault(name, builder())
+    return network
 
 
 def all_workloads() -> List[Network]:
     """All six Table 1 workloads, in the paper's order."""
-    return [build() for build in _BUILDERS.values()]
+    return [get_workload(name) for name in WORKLOAD_NAMES]
 
 
 def small_workloads() -> List[Network]:

@@ -526,6 +526,11 @@ def _fastpath_warm_phase(jobs: int, warm_rounds: int) -> Dict[str, Any]:
     path).  Requests are timed serially over pre-encoded body bytes —
     the client's constant JSON codec and thread-scheduling costs would
     otherwise dilute the tier comparison identically on both legs.
+
+    Before timing, each leg replays the point set once and counts the
+    replies not served from the cache (``<leg>_uncached_replays``); a
+    non-zero count is a failed invariant for the caller to report, not
+    an exception that would cut the run short.
     """
     points: List[Tuple[str, Dict[str, Any]]] = []
     for offset, workload in enumerate(
@@ -539,6 +544,7 @@ def _fastpath_warm_phase(jobs: int, warm_rounds: int) -> Dict[str, Any]:
 
     with tempfile.TemporaryDirectory(prefix="repro-fastpath-warm-") as tmp:
         legs: Dict[str, Dict[str, Any]] = {}
+        uncached: Dict[str, int] = {}
         hot_hits = 0.0
         for leg, mem_mb in (("disk", "0"), ("memory", "")):
             env = dict(os.environ)
@@ -552,16 +558,15 @@ def _fastpath_warm_phase(jobs: int, warm_rounds: int) -> Dict[str, Any]:
             proc, client = start_server(jobs=jobs, env=env)
             try:
                 # Populate (the disk store on the first leg, the memory
-                # tier and hot responses on the second), then assert the
-                # replay is fully cache-served before timing anything.
+                # tier and hot responses on the second), then count the
+                # replays that were not cache-served before timing.
                 for kind, body in points:
                     client.compute(kind, body)
-                for kind, body in points:
-                    payload = client.compute(kind, body)
-                    if payload.get("source") not in ("cache", "coalesced"):
-                        raise ExperimentError(
-                            f"{leg} warm leg not cached: {payload.get('source')}"
-                        )
+                uncached[leg] = sum(
+                    client.compute(kind, body).get("source")
+                    not in ("cache", "coalesced")
+                    for kind, body in points
+                )
                 latencies: List[float] = []
                 started = time.perf_counter()
                 for _ in range(warm_rounds):
@@ -592,6 +597,9 @@ def _fastpath_warm_phase(jobs: int, warm_rounds: int) -> Dict[str, Any]:
         "disk_rps": legs["disk"]["rps"],
         "memory_rps": legs["memory"]["rps"],
         "hot_path_hits": hot_hits,
+        "replays": len(points),
+        "disk_uncached_replays": uncached["disk"],
+        "memory_uncached_replays": uncached["memory"],
     }
 
 

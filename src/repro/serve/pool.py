@@ -11,15 +11,18 @@ the runner passes :func:`~repro.experiments.runner.experiment_entry`.
 The supervision policy is :class:`~repro.experiments.runner.RunPolicy`
 — timeout / retries / capped exponential backoff — enforced
 *asynchronously*: an attempt's timeout runs from its dispatch to a
-worker, and backoff is an ``await asyncio.sleep``, so one struggling
-job never blocks the others.
+booted worker, and backoff is an ``await asyncio.sleep``, so one
+struggling job never blocks the others.
 
 Each attempt reports ``ok``, ``failed`` or ``timeout``.  The pool owns
 each worker directly (one duplex pipe + one reader thread per worker),
 which buys what an executor cannot provide:
 
 * **hung-worker reaping** — every dispatched task carries a deadline of
-  ``timeout_s * grace_factor``; a worker still busy past it is killed
+  ``timeout_s * grace_factor``, counted from the moment its worker has
+  booted (a task sent to a worker still booting waits up to
+  :data:`BOOT_TIMEOUT_S` for the boot, so a slow spawn on a loaded host
+  is not taken for a hung task); a worker still busy past it is killed
   (``SIGKILL`` — hung computations ignore polite signals) and replaced,
   so a wedged computation costs one worker-respawn, not a pool slot
   forever.  ``pool.worker_reaps`` / ``pool.worker_respawns`` count the
@@ -80,17 +83,23 @@ DEFAULT_GRACE_FACTOR = 2.0
 #: before it kills them.
 STOP_TIMEOUT_S = 5.0
 
+#: How long a worker with a task may take to boot (start, import the
+#: package, load the kernel backend) before the reaper treats it as hung.
+BOOT_TIMEOUT_S = 60.0
+
 
 def _noop_sink(record: Dict[str, Any]) -> None:
     pass
 
 
-def _warm_message() -> Optional[Tuple[None, str, float]]:
-    """Eagerly load the kernel backend; the ``warm`` report, or ``None``.
+def _warm_message() -> Tuple[None, str, Optional[float]]:
+    """Eagerly load the kernel backend; the worker's ``warm`` report.
 
     Workers call this before serving (the cext build happens here, at
-    pool start) so the first cold task does not pay the load; the time
-    it took feeds the ``pool.worker_warm_ms`` gauge.
+    pool start) so the first cold task does not pay the load.  The
+    report tells the pool the worker has booted; its load time in ms
+    feeds the ``pool.worker_warm_ms`` gauge, and is ``None`` when the
+    backend could not load (the worker still serves, on numpy).
     """
     try:
         from repro.kernels import active_kernels
@@ -99,7 +108,7 @@ def _warm_message() -> Optional[Tuple[None, str, float]]:
         active_kernels()
         return (None, "warm", (time.perf_counter() - started) * 1000.0)
     except Exception:
-        return None  # a worker that cannot warm still serves (numpy fallback)
+        return (None, "warm", None)
 
 
 def _execute(entry: Entry, message) -> Tuple[int, str, Any]:
@@ -117,9 +126,7 @@ def _spawn_worker_main(conn, entry: Entry) -> None:
     ``None`` (or a closed pipe) ends the loop; the process then exits
     normally, running its atexit hooks.
     """
-    warm = _warm_message()
-    if warm is not None:
-        conn.send(warm)
+    conn.send(_warm_message())
     while True:
         try:
             message = conn.recv()
@@ -146,6 +153,7 @@ class _ProcessWorker:
         self.busy_task: Optional[int] = None
         self.deadline: Optional[float] = None
         self.retired = False
+        self.booted: Optional[asyncio.Future] = None  # set by the pool
         ctx = multiprocessing.get_context("spawn")
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
@@ -207,6 +215,7 @@ class _ThreadWorker:
         self.busy_task: Optional[int] = None
         self.deadline: Optional[float] = None
         self.retired = False
+        self.booted: Optional[asyncio.Future] = None  # set by the pool
         self._post = post
         self._entry = entry
         self._queue: "queue.Queue" = queue.Queue()
@@ -220,9 +229,7 @@ class _ThreadWorker:
     def _loop(self) -> None:
         # Same eager warm-up as a spawn worker; the kernel load is
         # process-memoized, so only the first inline worker pays it.
-        warm = _warm_message()
-        if warm is not None:
-            self._post(self, warm)
+        self._post(self, _warm_message())
         while True:
             message = self._queue.get()
             if message is None:
@@ -252,8 +259,8 @@ class WorkerPool:
         policy: timeout / retries / backoff for every job.
         jobs: worker count; ``0`` = one inline thread worker.
         grace_factor: a busy worker is reaped ``timeout_s *
-            grace_factor`` after dispatch (``1`` kills it at the
-            timeout).
+            grace_factor`` after its task reached the booted worker
+            (``1`` kills it at the timeout).
         entry: the module-level worker function; ``None`` is serve's
             :func:`~repro.serve.compute.pool_entry`.
     """
@@ -318,6 +325,9 @@ class WorkerPool:
             worker = _ProcessWorker(
                 worker_id, self._post_message, self.entry or pool_entry
             )
+        # Resolved by the worker's warm report, which can only reach the
+        # loop after this (loop-thread) call returns.
+        worker.booted = self._loop.create_future()
         self._workers.append(worker)
         self._idle.append(worker)
         REGISTRY.gauge("pool.workers").set(len(self._workers))
@@ -435,10 +445,15 @@ class WorkerPool:
             return
         task_id, status, data = payload
         if status == "warm":
-            # Pool-start kernel preload report.  The worker was never
-            # checked out for this message, so do NOT release it — that
-            # would enqueue an idle worker twice.
-            REGISTRY.gauge("pool.worker_warm_ms").set(data)
+            # The worker has booted.  It was never checked out for this
+            # message, so do NOT release it — that would enqueue an idle
+            # worker twice; a task already sent to it starts its clock.
+            if data is not None:
+                REGISTRY.gauge("pool.worker_warm_ms").set(data)
+            if not worker.booted.done():
+                worker.booted.set_result(None)
+            if worker.busy_task is not None and not worker.retired:
+                self._arm_deadline(worker)
             return
         fut = self._pending.pop(task_id, None)
         if fut is not None:
@@ -481,6 +496,15 @@ class WorkerPool:
     def _timeout_report(self) -> Tuple[str, str]:
         return ("timeout", f"exceeded {self.policy.timeout_s}s wall clock")
 
+    def _arm_deadline(self, worker, budget_s: Optional[float] = None) -> None:
+        """Give a busy worker its reaper deadline (no timeout: none)."""
+        if self.policy.timeout_s is None:
+            return
+        if budget_s is None:
+            budget_s = self.policy.timeout_s * self.grace_factor
+        worker.deadline = time.monotonic() + budget_s
+        self._reaper_wakeup.set()
+
     async def _reap_loop(self) -> None:
         while True:
             self._reaper_wakeup.clear()
@@ -507,7 +531,15 @@ class WorkerPool:
                     REGISTRY.counter("pool.worker_reaps").inc()
                     # With grace_factor 1 the reap can beat the caller's
                     # own timer; either way the attempt timed out.
-                    self._retire(worker, self._timeout_report())
+                    self._retire(
+                        worker,
+                        self._timeout_report()
+                        if worker.booted.done()
+                        else (
+                            "timeout",
+                            f"worker did not boot within {BOOT_TIMEOUT_S}s",
+                        ),
+                    )
 
     # -- execution -----------------------------------------------------------
 
@@ -523,9 +555,10 @@ class WorkerPool:
         Returns ``(status, data)`` with status ``ok``/``failed``/
         ``timeout`` — never raises for a worker-side failure, so the
         retry loop above stays in control.  The timeout runs from the
-        dispatch; a timed-out (or cancelled) task is abandoned: the
-        worker stays busy until its reply or its reaper deadline,
-        whichever comes first.
+        dispatch, or from the worker's boot when the task reached a
+        worker still booting; a timed-out (or cancelled) task is
+        abandoned: the worker stays busy until its reply or its reaper
+        deadline, whichever comes first.
         """
         worker = await self._acquire()
         REGISTRY.counter("pool.attempts", kind=request.kind).inc()
@@ -539,11 +572,8 @@ class WorkerPool:
         fut = self._loop.create_future()
         self._pending[task_id] = fut
         worker.busy_task = task_id
-        if self.policy.timeout_s is not None:  # no timeout -> no reaping
-            worker.deadline = (
-                time.monotonic() + self.policy.timeout_s * self.grace_factor
-            )
-            self._reaper_wakeup.set()
+        booting = not worker.booted.done()
+        self._arm_deadline(worker, BOOT_TIMEOUT_S if booting else None)
         try:
             worker.submit(task_id, request.kind, request.spec)
         except (OSError, ValueError) as exc:
@@ -552,6 +582,14 @@ class WorkerPool:
             self._retire(worker, ("failed", f"submit failed: {exc}"))
             return ("failed", f"submit failed: {exc}")
         try:
+            if booting:
+                # A worker that dies (or is reaped) while booting
+                # resolves ``fut``; its warm report resolves ``booted``.
+                await asyncio.wait(
+                    (fut, worker.booted), return_when=asyncio.FIRST_COMPLETED
+                )
+                if fut.done():
+                    return fut.result()
             return await asyncio.wait_for(fut, self.policy.timeout_s)
         except asyncio.TimeoutError:
             self._abandon(task_id)

@@ -1,10 +1,13 @@
 """Tests for unrolling factors and Eq. 1 feasibility."""
 
+import random
+
 import pytest
 
 from repro.dataflow import UnrollingFactors, ceil_div, useful_values
 from repro.errors import MappingError
 from repro.nn import ConvLayer
+from tests import dse_oracle
 from tests.dse_oracle import iter_triples
 
 
@@ -122,6 +125,25 @@ class TestUsefulValues:
             useful_values(0, 4)
         with pytest.raises(MappingError):
             useful_values(4, 0)
+
+    def test_block_walk_matches_every_quotient_loop(self):
+        # The loop's set at limit L is its full set clipped to L, so one
+        # loop per dimension checks every limit below.
+        for dimension in range(1, 4097):
+            full = dse_oracle.useful_values(dimension, dimension)
+            limits = {1, 2, 3, 16, 97, max(1, dimension // 2), dimension - 1,
+                      dimension, dimension + 7}
+            for limit in limits - {0}:
+                want = tuple(v for v in full if v <= limit)
+                assert useful_values(dimension, limit) == want, (dimension, limit)
+
+    def test_block_walk_matches_loop_on_large_dimensions(self):
+        rng = random.Random(26)
+        for dimension in [9216, 10**5] + rng.sample(range(4097, 10**5), 12):
+            for limit in (1, 256, 4096, dimension):
+                assert useful_values(dimension, limit) == dse_oracle.useful_values(
+                    dimension, limit
+                ), (dimension, limit)
 
 
 class TestIterTriples:

@@ -22,7 +22,6 @@ With no extern states the per-layer DP *is* the mapper's DP, so one
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch.technology import TechnologyModel
-from repro.dataflow.unrolling import useful_values
 from repro.dse import (
     EXTERN_FAMILIES,
     ExternState,
@@ -42,6 +41,23 @@ Triple = Tuple[int, int, int]
 Step = Tuple[str, Tuple[int, ...], Optional[Triple], Optional[Triple], int, str]
 
 
+def useful_values(dimension: int, limit: int) -> Tuple[int, ...]:
+    """``{ceil(dimension / q) : q in 1..dimension}`` clipped to ``limit``.
+
+    The every-quotient loop that
+    :func:`repro.dataflow.unrolling.useful_values` replaces with a walk
+    over blocks of equal quotients.
+    """
+    if dimension <= 0 or limit <= 0:
+        raise MappingError("dimension and limit must be positive")
+    values = set()
+    for quotient in range(1, dimension + 1):
+        t = cdiv(dimension, quotient)
+        if t <= limit:
+            values.add(t)
+    return tuple(sorted(values))
+
+
 def iter_triples(
     dims: Triple, product_limit: int, caps: Triple
 ) -> Iterator[Triple]:
@@ -49,8 +65,7 @@ def iter_triples(
 
     ``dims`` are the three loop extents, ``caps`` per-factor upper bounds
     (e.g. the ``P*K'`` bound on ``Tr``/``Tc``).  Only Pareto-useful values
-    per dimension are enumerated (see
-    :func:`~repro.dataflow.unrolling.useful_values`), level by level.
+    per dimension are enumerated (:func:`useful_values`), level by level.
     """
     if product_limit <= 0:
         raise MappingError("product_limit must be positive")

@@ -158,6 +158,18 @@ class TestRunPolicy:
         with pytest.raises(ConfigurationError):
             RunPolicy(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["timeout_s", "backoff_s", "max_backoff_s"]
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_policy_rejected(self, field, value):
+        # NaN slips past a plain `<= 0` check; an endless timeout or
+        # backoff would wedge the supervised runner instead of failing.
+        with pytest.raises(ConfigurationError, match=field):
+            RunPolicy(**{field: value})
+
     def test_retry_delay_doubles_then_caps(self):
         policy = RunPolicy(backoff_s=0.25, max_backoff_s=2.0)
         delays = [policy.retry_delay(attempt) for attempt in range(1, 7)]

@@ -99,6 +99,17 @@ class TestLiveGrid:
         assert grid.rows == (0, 1, 2, 3)
         assert grid.cols == (1, 2, 3)
 
+    def test_memoized_per_mask_and_cleared_with_mapping_memos(self):
+        from repro.dataflow import clear_mapping_cache
+
+        clear_mapping_cache()
+        grid = live_grid(AvailabilityMask.from_failures(8, dead_pes=[(1, 2)]))
+        again = live_grid(AvailabilityMask.from_failures(8, dead_pes=[(1, 2)]))
+        assert again is grid
+        assert live_grid.cache_info().currsize == 1
+        clear_mapping_cache()
+        assert live_grid.cache_info().currsize == 0
+
     def test_deterministic(self):
         mask = AvailabilityMask.from_failures(
             8, dead_pes=[(0, 0), (1, 1), (2, 2), (3, 0), (0, 5)]

@@ -1,5 +1,10 @@
 """Unit tests for the Network container: chaining, contexts, statistics."""
 
+import multiprocessing
+import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.errors import SpecificationError
@@ -172,3 +177,57 @@ class TestStatistics:
     def test_iteration(self):
         net = small_net()
         assert [l.name for l in net] == ["C1", "S2", "C3", "F4"]
+
+
+def _compare_with_fresh_build(payload: bytes):
+    """Runs in a spawned process: the shipped network against a new build."""
+    from repro.nn.workloads import get_workload
+
+    shipped = pickle.loads(payload)
+    fresh = get_workload(shipped.name)
+    return (
+        shipped == fresh,
+        hash(shipped) == hash(fresh),
+        {fresh: "hit"}.get(shipped),
+    )
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("attr", ["name", "input_spec", "layers", "extra"])
+    def test_assigning_an_attribute_raises(self, attr):
+        net = small_net()
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(net, attr, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(net, attr)
+        assert net == small_net()
+
+    def test_conv_contexts_cached_as_a_tuple(self):
+        net = small_net()
+        contexts = net.conv_contexts()
+        assert isinstance(contexts, tuple)
+        assert net.conv_contexts() is contexts
+
+    def test_hash_and_equality_stay_structural(self):
+        net = small_net()
+        assert hash(net) == hash(net) == hash(small_net())
+        assert net == small_net()
+
+    def test_pickled_network_matches_fresh_build_in_spawned_process(
+        self, monkeypatch
+    ):
+        from repro.nn.workloads import get_workload
+
+        net = get_workload("LeNet-5")
+        hash(net)  # the cached hash must not travel with the pickle
+        # Give the child a different string-hash salt than this process.
+        seed = os.environ.get("PYTHONHASHSEED", "")
+        monkeypatch.setenv(
+            "PYTHONHASHSEED", str(int(seed) + 1) if seed.isdigit() else "1"
+        )
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            equal, same_hash, lookup = pool.submit(
+                _compare_with_fresh_build, pickle.dumps(net)
+            ).result(timeout=120)
+        assert equal and same_hash and lookup == "hit"

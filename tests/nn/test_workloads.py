@@ -67,9 +67,16 @@ def test_unknown_workload_lists_alternatives():
         get_workload("ResNet")
 
 
-def test_all_workloads_are_fresh_instances():
-    first, second = get_workload("PV"), get_workload("PV")
-    assert first is not second
+def test_get_workload_returns_one_shared_build():
+    # Networks are immutable, so every caller can share one build (and
+    # its cached hash and conv contexts).
+    assert get_workload("PV") is get_workload("PV")
+    assert all(
+        net is get_workload(net.name) for net in all_workloads()
+    )
+    assert all(
+        net is get_workload(net.name) for net in small_workloads()
+    )
 
 
 def test_alexnet_c1_stride_and_input():

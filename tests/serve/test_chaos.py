@@ -120,10 +120,12 @@ class TestHungWorkerReaping:
     ):
         """One injected 30s hang against a 1s timeout: the caller times
         out, retries block on the (single) wedged worker, and only the
-        reaper — at ``timeout_s * grace_factor`` after dispatch — frees
-        the slot.  The request still succeeds, which *proves* the reap
-        happened on schedule (un-reaped, every retry would starve and
-        the 30s hang would blow the elapsed bound)."""
+        reaper — at ``timeout_s * grace_factor`` after the task reached
+        the booted worker — frees the slot.  The request still succeeds,
+        which *proves* the reap happened on schedule (un-reaped, every
+        retry would starve and the 30s hang would blow the elapsed
+        bound).  Worker boots are not charged to either clock, so a slow
+        spawn on a loaded host does not add reaps."""
         monkeypatch.setenv(
             "REPRO_CHAOS", "worker_hang=1@1,hang_s=30,seed=1"
         )
@@ -131,8 +133,6 @@ class TestHungWorkerReaping:
         reset_chaos_handles()
         reaps = REGISTRY.counter("pool.worker_reaps")
         reaps_before = reaps.value
-        # retries=4: the attempts after the reap also absorb the respawned
-        # worker's boot time (spawn workers import the package on start).
         pool = WorkerPool(
             RunPolicy(retries=4, backoff_s=0.05, timeout_s=1.0),
             jobs=1,
@@ -148,8 +148,9 @@ class TestHungWorkerReaping:
             elapsed = time.monotonic() - started
             assert envelope["result"]["workload"] == "PV"
             assert reaps.value == reaps_before + 1
-            # Generous bound: spawn boot + 0.5s timeout + reap at 1.0s +
-            # the retry's compute.  Far below the injected 30s hang.
+            # Generous bound: two spawn boots + the 1s timeout + the reap
+            # at 1.5s + the retry's compute.  Far below the injected 30s
+            # hang.
             assert elapsed < 20.0
         finally:
             pool.shutdown()
@@ -286,6 +287,8 @@ class TestCacheSelfHealing:
         assert len(moved) == 1 and moved[0].suffix == ".json"
         client.close()
         # Third time's fully healthy: the recompute re-published cleanly.
+        # Land that write-behind publish before the disk re-read, as above.
+        active_cache().drain()
         reset_cache_handles()
         client = server.client()
         third = client.compute("map", body)

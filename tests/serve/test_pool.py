@@ -205,6 +205,74 @@ class TestSupervision:
         assert REGISTRY.gauge("pool.workers").value == 1
 
 
+class TestBootNotCharged:
+    """A task's timeout and reaper deadline start once its worker has
+    booted, so a slow worker start is not taken for a hung task."""
+
+    def test_slow_inline_boot_not_charged_to_the_timeout(
+        self, inline_pool, monkeypatch
+    ):
+        from repro.serve import pool as pool_module
+
+        warm = pool_module._warm_message
+
+        def slow_warm():
+            time.sleep(0.3)
+            return warm()
+
+        monkeypatch.setattr("repro.serve.pool._warm_message", slow_warm)
+        timeouts = REGISTRY.counter("pool.timeouts", kind="map")
+        reaps = REGISTRY.counter("pool.worker_reaps")
+        timeouts_before, reaps_before = timeouts.value, reaps.value
+        pool = inline_pool(timeout_s=0.05, retries=0)
+        envelope = run(pool.run(MAP_PV))
+        assert envelope["result"]["workload"] == "PV"
+        assert timeouts.value == timeouts_before
+        assert reaps.value == reaps_before
+
+    def test_spawn_boot_not_charged_to_the_timeout(self):
+        """A spawn worker's start (a process, the package import) takes
+        far longer than this timeout; the map it then runs does not."""
+        timeouts = REGISTRY.counter("pool.timeouts", kind="map")
+        reaps = REGISTRY.counter("pool.worker_reaps")
+        timeouts_before, reaps_before = timeouts.value, reaps.value
+        pool = WorkerPool(
+            RunPolicy(retries=0, timeout_s=0.2), jobs=1, grace_factor=1.0
+        )
+        try:
+            envelope = run(pool.run(MAP_PV))
+        finally:
+            pool.shutdown()
+        assert envelope["result"]["workload"] == "PV"
+        assert timeouts.value == timeouts_before
+        assert reaps.value == reaps_before
+
+    def test_hung_boot_reaped_at_the_boot_timeout(
+        self, inline_pool, monkeypatch
+    ):
+        release = threading.Event()
+
+        def hung_warm():
+            release.wait(5.0)
+            return (None, "warm", None)
+
+        monkeypatch.setattr("repro.serve.pool._warm_message", hung_warm)
+        monkeypatch.setattr("repro.serve.pool.BOOT_TIMEOUT_S", 0.2)
+        reaps = REGISTRY.counter("pool.worker_reaps")
+        reaps_before = reaps.value
+        pool = inline_pool(timeout_s=0.05, retries=0)
+        started = time.monotonic()
+        try:
+            with pytest.raises(
+                ExperimentError, match=r"\[timeout\] worker did not boot"
+            ):
+                run(pool.run(MAP_PV))
+        finally:
+            release.set()
+        assert reaps.value == reaps_before + 1
+        assert 0.2 <= time.monotonic() - started < 3.0
+
+
 class TestEagerWarmup:
     def test_inline_worker_reports_warm_gauge(self, inline_pool):
         """Worker start eagerly loads the kernel backend and reports the

@@ -247,6 +247,43 @@ class TestResilienceFlags:
         assert main(["experiment", "table04", "--timeout", "-5"]) == 1
         assert "timeout_s must be positive" in capsys.readouterr().err
 
+    def test_experiment_nan_timeout_rejected_before_any_worker(
+        self, capsys, monkeypatch
+    ):
+        import multiprocessing
+
+        import repro.experiments.runner as runner
+
+        batches = []
+        monkeypatch.setattr(
+            runner, "run_batch", lambda *args: batches.append(args) or []
+        )
+        assert main(["experiment", "table04", "--timeout", "nan"]) == 1
+        assert "timeout_s" in capsys.readouterr().err
+        assert batches == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--timeout", "timeout_s"),
+            ("--backoff", "backoff_s"),
+            ("--max-backoff", "max_backoff_s"),
+        ],
+    )
+    def test_serve_nan_policy_refused_before_bind(
+        self, capsys, monkeypatch, flag, field
+    ):
+        import repro.serve.app as app
+
+        def never(*args, **kwargs):
+            raise AssertionError("the server must not start")
+
+        monkeypatch.setattr(app, "ServeApp", never)
+        monkeypatch.setattr(app, "run_app", never)
+        assert main(["serve", "--port", "0", flag, "nan"]) == 1
+        assert field in capsys.readouterr().err
+
     def test_report_resilience_flags_parse(self):
         # The full resilient report is exercised in
         # tests/experiments/test_runner.py; here just the flag plumbing.
