@@ -125,6 +125,9 @@ def shape_utilizations(
     for rows, cols in shapes:
         if rows <= 0 or cols <= 0:
             raise MappingError(f"rows/cols must be positive, got {rows}x{cols}")
+    contexts = network.conv_contexts()
+    if not contexts:
+        raise MappingError(f"network {network.name!r} has no CONV layers")
     if not shapes:
         return []
     row_limits = np.array([rows for rows, _ in shapes], dtype=np.int64)
@@ -132,7 +135,7 @@ def shape_utilizations(
     max_rows, max_cols = int(row_limits.max()), int(col_limits.max())
     total_macs = 0
     total_cycles = np.zeros(len(shapes), dtype=np.int64)
-    for ctx in network.conv_contexts():
+    for ctx in contexts:
         in_dims, in_caps = _input_space(ctx.layer)
         out_dims, out_caps = _output_space(ctx.layer, ctx.tr_tc_bound)
         ins = candidate_array(in_dims, max_cols, in_caps)

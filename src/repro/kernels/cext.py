@@ -10,9 +10,11 @@ so editing a kernel or switching compilers rebuilds while repeated runs
 file and ``os.replace``) share one ``.so``.
 
 Every binding coerces its index inputs to contiguous ``int64`` arrays
-(the FlexFlow group's data stays ``float64``) and returns plain numpy
-arrays/ints, mirroring the NumPy expressions the kernels replace —
-parity is pinned by ``tests/kernels/test_parity.py``.
+(the functional simulators' data stays ``float64``) and returns plain
+numpy arrays/ints, mirroring the NumPy expressions the kernels replace —
+parity is pinned by ``tests/kernels/test_parity.py``.  The baseline
+simulator kernels run the machines' checks too; a failed check raises
+the :class:`~repro.errors.SimulationError` the NumPy machine raises.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import MappingError, ReproError
+from repro.errors import MappingError, ReproError, SimulationError
 from repro.kernels.csrc import KERNELS_C_ABI, KERNELS_C_SOURCE
 
 Triple = Tuple[int, int, int]
@@ -53,6 +55,41 @@ FLEXFLOW_GROUP_COUNTERS = (
     "local_store_reads",
     "register_accesses",
     "neuron_buffer_writes",
+)
+
+#: The per-pair event counts ``repro_systolic_layer`` returns, in order.
+SYSTOLIC_LAYER_COUNTERS = (
+    "cycles",
+    "neuron_buffer_reads",
+    "bus_transfers",
+    "fifo_accesses",
+    "neuron_buffer_writes",
+    "mac_ops",
+    "register_accesses",
+)
+
+#: The counters ``repro_mapping2d_layer`` returns, in its output order.
+MAPPING2D_LAYER_COUNTERS = (
+    "cycles",
+    "kernel_buffer_reads",
+    "bus_transfers",
+    "neuron_buffer_reads",
+    "fifo_accesses",
+    "mac_ops",
+    "register_accesses",
+    "neuron_buffer_writes",
+)
+
+#: The counters ``repro_tiling_layer`` returns, in its output order.
+TILING_LAYER_COUNTERS = (
+    "cycles",
+    "neuron_buffer_reads",
+    "bus_transfers",
+    "kernel_buffer_reads",
+    "mac_ops",
+    "register_accesses",
+    "neuron_buffer_writes",
+    "neuron_buffer_partial_reads",
 )
 
 
@@ -169,6 +206,18 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         _F64_P, _F64_P, _I64_P, _I64_P, _I64_P, _U8_P, _I64_P, _I64_P,
         _I64_P, _I64_P, _I64_P, _F64_P, _I64_P,
     ]
+    lib.repro_systolic_layer.restype = ctypes.c_int64
+    lib.repro_systolic_layer.argtypes = [
+        _F64_P, _F64_P, _I64_P, _F64_P, _I64_P, _I64_P,
+    ]
+    lib.repro_mapping2d_layer.restype = ctypes.c_int64
+    lib.repro_mapping2d_layer.argtypes = [
+        _F64_P, _F64_P, _I64_P, _F64_P, _I64_P, _I64_P, _F64_P,
+    ]
+    lib.repro_tiling_layer.restype = ctypes.c_int64
+    lib.repro_tiling_layer.argtypes = [
+        _F64_P, _F64_P, _I64_P, _F64_P, _I64_P,
+    ]
     return lib
 
 
@@ -179,6 +228,29 @@ def _i64(values, copy_ok: bool = True) -> np.ndarray:
 
 def _ptr(arr: np.ndarray):
     return arr.ctypes.data_as(_I64_P)
+
+
+def _layer_operands(
+    images: np.ndarray, kernels: np.ndarray, reach: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Contiguous ``float64`` square ``(N, P, P)`` images and
+    ``(M, N, K, K)`` kernels whose outputs' windows, ``reach`` rows and
+    columns from the origin, lie inside every image."""
+    for name, arr in (("images", images), ("kernels", kernels)):
+        if arr.dtype != np.float64:
+            raise ValueError(f"{name} must be a float64 array")
+    images = np.ascontiguousarray(images)
+    kernels = np.ascontiguousarray(kernels)
+    if (
+        images.ndim != 3
+        or kernels.ndim != 4
+        or kernels.shape[1] != images.shape[0]
+        or kernels.shape[2] != kernels.shape[3]
+        or images.shape[1] != images.shape[2]
+        or reach > images.shape[1]
+    ):
+        raise ValueError("mismatched layer operand shapes")
+    return images, kernels
 
 
 class CExtKernels:
@@ -411,6 +483,138 @@ class CExtKernels:
         if status < 0:
             raise MemoryError("flexflow_group: out of scratch memory")
         return dict(zip(FLEXFLOW_GROUP_COUNTERS, counters.tolist()))
+
+    def systolic_layer(
+        self,
+        images: np.ndarray,
+        kernels: np.ndarray,
+        *,
+        out_size: int,
+        fifo_capacity: int,
+    ) -> Tuple[np.ndarray, Dict[str, int]]:
+        """Run one layer's systolic pipeline; see ``repro_systolic_layer``.
+
+        ``images`` is the padded ``(N, P, P)`` input and ``kernels``
+        ``(M, N, K, K)``, both ``float64``; each inter-row FIFO holds
+        ``fifo_capacity`` flights.  Returns the ``(M, S, S)`` outputs and
+        the event counts of one ``(m, n)`` pair by
+        :class:`~repro.sim.trace.SimTrace` field name.  A failed machine
+        check raises :class:`SimulationError`.
+        """
+        k = kernels.shape[-1]
+        if out_size < 1 or fifo_capacity < 1:
+            raise ValueError(
+                "systolic_layer: out_size and capacity must be positive"
+            )
+        images, kernels = _layer_operands(images, kernels, out_size + k - 1)
+        maps_out, maps_in = kernels.shape[:2]
+        _, height, width = images.shape
+        outputs = np.zeros((maps_out, out_size, out_size))
+        geom = _i64([maps_out, maps_in, k, height, width, out_size, fifo_capacity])
+        counters = np.empty(len(SYSTOLIC_LAYER_COUNTERS), dtype=np.int64)
+        info = np.zeros(6, dtype=np.int64)
+        status = self._lib.repro_systolic_layer(
+            images.ctypes.data_as(_F64_P), kernels.ctypes.data_as(_F64_P),
+            _ptr(geom), outputs.ctypes.data_as(_F64_P), _ptr(counters),
+            _ptr(info),
+        )
+        if status < 0:
+            raise MemoryError("systolic_layer: out of scratch memory")
+        if status == 1:
+            i, j, r, c, rr, cc = info.tolist()
+            raise SimulationError(
+                f"pipeline timing broken at PE({i},{j}): output"
+                f" ({r},{c}) at broadcast ({rr},{cc})"
+            )
+        if status == 2:
+            raise SimulationError(f"row-fifo-{info[0]}: push into full FIFO")
+        if status == 3:
+            raise SimulationError(
+                f"row FIFO {info[0]} not drained at end of layer"
+            )
+        if status == 4:
+            r, c, taps = info[:3].tolist()
+            raise SimulationError(
+                f"output ({r},{c}) drained with {taps} of {k * k} taps"
+            )
+        return outputs, dict(zip(SYSTOLIC_LAYER_COUNTERS, counters.tolist()))
+
+    def mapping2d_layer(
+        self,
+        images: np.ndarray,
+        kernels: np.ndarray,
+        *,
+        out_size: int,
+        block: int,
+    ) -> Tuple[np.ndarray, Dict[str, int]]:
+        """Run every block of a stride-1 layer on the 2D-Mapping array;
+        see ``repro_mapping2d_layer``.
+
+        Operands as for :meth:`systolic_layer`; ``block`` is the array
+        side.  Returns the ``(M, S, S)`` outputs and the layer's counters
+        by :class:`~repro.sim.trace.SimTrace` field name.  A misaligned
+        window raises :class:`SimulationError`.
+        """
+        if out_size < 1 or block < 1:
+            raise ValueError(
+                "mapping2d_layer: out_size and block must be positive"
+            )
+        k = kernels.shape[-1]
+        images, kernels = _layer_operands(images, kernels, out_size + k - 1)
+        outputs = np.zeros((kernels.shape[0], out_size, out_size))
+        geom = _i64([*kernels.shape[:3], images.shape[1], out_size, block])
+        counters = np.empty(len(MAPPING2D_LAYER_COUNTERS), dtype=np.int64)
+        info = np.zeros(2, dtype=np.int64)
+        held = np.zeros(2)
+        status = self._lib.repro_mapping2d_layer(
+            images.ctypes.data_as(_F64_P), kernels.ctypes.data_as(_F64_P),
+            _ptr(geom), outputs.ctypes.data_as(_F64_P), _ptr(counters),
+            _ptr(info), held.ctypes.data_as(_F64_P),
+        )
+        if status < 0:
+            raise MemoryError("mapping2d_layer: out of scratch memory")
+        if status == 1:
+            i, j = info.tolist()
+            raise SimulationError(
+                f"window misaligned at kernel ({i},{j}):"
+                f" PE(0,0) holds {held[0]}, expected {held[1]}"
+            )
+        return outputs, dict(zip(MAPPING2D_LAYER_COUNTERS, counters.tolist()))
+
+    def tiling_layer(
+        self,
+        images: np.ndarray,
+        kernels: np.ndarray,
+        *,
+        out_size: int,
+        stride: int,
+        tm: int,
+        tn: int,
+    ) -> Tuple[np.ndarray, Dict[str, int]]:
+        """Run the tiling engine over one layer; see ``repro_tiling_layer``.
+
+        Operands as for :meth:`systolic_layer`, with ``Tm x Tn`` tiles.
+        Returns the ``(M, S, S)`` outputs and the layer's counters by
+        :class:`~repro.sim.trace.SimTrace` field name.
+        """
+        if min(out_size, stride, tm, tn) < 1:
+            raise ValueError("tiling_layer: sizes must be positive")
+        k = kernels.shape[-1]
+        images, kernels = _layer_operands(
+            images, kernels, (out_size - 1) * stride + k
+        )
+        outputs = np.zeros((kernels.shape[0], out_size, out_size))
+        geom = _i64([
+            *kernels.shape[:3], images.shape[1], out_size, stride, tm, tn,
+        ])
+        counters = np.empty(len(TILING_LAYER_COUNTERS), dtype=np.int64)
+        status = self._lib.repro_tiling_layer(
+            images.ctypes.data_as(_F64_P), kernels.ctypes.data_as(_F64_P),
+            _ptr(geom), outputs.ctypes.data_as(_F64_P), _ptr(counters),
+        )
+        if status < 0:
+            raise MemoryError("tiling_layer: out of scratch memory")
+        return outputs, dict(zip(TILING_LAYER_COUNTERS, counters.tolist()))
 
     # -- faults ---------------------------------------------------------------
 

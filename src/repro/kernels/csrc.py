@@ -36,6 +36,20 @@ stay **bit-identical** to it (pinned by ``tests/kernels/test_parity.py``):
   NumPy chunk loop, in one call.  Its float sums add the same products
   in the same order, and the build turns off multiply-add contraction
   (``-ffp-contract=off``), so outputs are bit-identical too.
+* ``repro_systolic_layer`` — the whole pipeline of
+  ``repro.sim.systolic_sim.SystolicFunctionalSim`` over one layer: the
+  ``K x K`` register grid, the inter-row FIFOs as ring buffers, the
+  drain rows, every machine check, and each drained output's taps summed
+  per ``(m, n)`` pair in pipeline order, then over ``n`` ascending.
+* ``repro_mapping2d_layer`` — every block of
+  ``repro.sim.mapping2d_sim.Mapping2DFunctionalSim``: the explicit
+  neuron window (load, shift-left, kernel-row reload) with its traffic
+  counts and per-cycle alignment check, and the ``psum`` updates in
+  ``(n, i, j)`` order.
+* ``repro_tiling_layer`` — the ``(m0, n0, i, j)`` loop of
+  ``repro.sim.tiling_sim.TilingFunctionalSim`` over all output
+  positions, each position's ``Tn`` products summed by NumPy's pairwise
+  reduction (``pairwise_sum`` below).
 
 All integer math is ``int64``; inputs are non-negative and small enough
 that no intermediate product overflows (the Python callers guarantee
@@ -46,7 +60,7 @@ from __future__ import annotations
 
 #: Bumped when the ABI (function names/signatures) changes incompatibly;
 #: folded into the build hash alongside the source text.
-KERNELS_C_ABI = 4
+KERNELS_C_ABI = 5
 
 KERNELS_C_SOURCE = r"""
 #include <stdint.h>
@@ -672,6 +686,412 @@ i64 repro_flexflow_group(const double *padded, const double *kernels,
     counters[8] = rows_done;
     free(row_ok); free(ntile); free(kmap); free(out_at); free(acc);
     free(nstamp); free(kstamp);
+    return 0;
+}
+
+/* NumPy's sum of `n` contiguous doubles (`pairwise_sum_DOUBLE`), without
+ * the reduction's leading 0.0: below 8 values left to right from 0.0; up
+ * to 128 values eight partial sums combined as
+ * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order;
+ * above that, the halves split at n/2 rounded down to a multiple of 8. */
+static double pairwise_sum(const double *a, i64 n) {
+    if (n < 8) {
+        double res = 0.0;
+        for (i64 i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++) r[j] = a[j];
+        i64 i;
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* The systolic pipeline of one layer, cycle by cycle, as
+ * SystolicFunctionalSim._run_pipeline runs it: one broadcast per cycle
+ * over the (height + K) x width raster (the last K rows drain), the
+ * shift phase (row i's rightmost flight enters row FIFO i, or exits the
+ * array from row K-1; the rows shift right; row 0 takes the fresh
+ * output, row i the head of FIFO i-1 when it is due), then the
+ * accumulate phase.  A flight is its linear raster index r * width + c;
+ * the K-1 FIFOs are rings of `capacity` flights, and each live flight
+ * keeps its taps (PE i*K + j per product, in order) in a ring slot.
+ *
+ * A drained output's data path runs at its exit: per (m, n) pair its
+ * taps' products summed in tap order from 0.0, then the pairs summed
+ * into O[m] in ascending n from 0.0.
+ *
+ * `geom` holds 7 ints: [0] M  [1] N  [2] K  [3] height  [4] width
+ * [5] out_size  [6] FIFO capacity.  `outputs` (M x S x S) receives the
+ * drained outputs; `counters` the per-pair event counts: cycles,
+ * neuron_buffer_reads, bus_transfers, fifo_accesses,
+ * neuron_buffer_writes, mac_ops, register_accesses.  Returns 0, or the
+ * failed machine check with its details in `info`: 1 timing broken
+ * (i, j, r, c, rr, cc), 2 push into a full FIFO (fifo), 3 FIFO not
+ * drained (fifo), 4 an output drained without K*K taps (r, c, taps);
+ * -3 when out of memory. */
+i64 repro_systolic_layer(const double *images, const double *kernels,
+                         const i64 *geom, double *outputs, i64 *counters,
+                         i64 *info) {
+    i64 maps_out = geom[0], maps_in = geom[1], k = geom[2];
+    i64 height = geom[3], width = geom[4], out_size = geom[5];
+    i64 cap = geom[6];
+    i64 kk = k * k, plane = height * width;
+    /* A flight lives (K-1)*width + K + 1 cycles, so no two live flights
+     * share a slot of a ring this long. */
+    i64 ring = k * width + k + 1;
+    i64 *regs = malloc(sizeof(i64) * (size_t)kk);
+    i64 *fifo = malloc(sizeof(i64) * (size_t)(k * cap));
+    i64 *head = malloc(sizeof(i64) * (size_t)k);
+    i64 *len = malloc(sizeof(i64) * (size_t)k);
+    i64 *ntaps = malloc(sizeof(i64) * (size_t)ring);
+    i64 *taps = malloc(sizeof(i64) * (size_t)(ring * kk));
+    i64 *img_at = malloc(sizeof(i64) * (size_t)kk);
+    if (!regs || !fifo || !head || !len || !ntaps || !taps || !img_at) {
+        free(regs); free(fifo); free(head); free(len); free(ntaps);
+        free(taps); free(img_at);
+        return -3;
+    }
+    for (i64 p = 0; p < kk; p++) regs[p] = -1;
+    for (i64 f = 0; f < k; f++) head[f] = len[f] = 0;
+
+    i64 status = 0;
+    i64 cycles = 0, reads = 0, fifo_ops = 0, writes = 0, macs = 0;
+    for (i64 rr = 0; rr < height + k; rr++) {
+        int real = rr < height;
+        for (i64 cc = 0; cc < width; cc++) {
+            cycles++;
+            if (real) reads++;
+            /* Shift phase: the rightmost column exits first. */
+            for (i64 i = 0; i < k; i++) {
+                i64 *row = regs + i * k;
+                i64 exiting = row[k - 1];
+                if (exiting >= 0 && i < k - 1) {
+                    if (len[i] >= cap) {
+                        info[0] = i;
+                        status = 2;
+                        goto done;
+                    }
+                    fifo[i * cap + (head[i] + len[i]) % cap] = exiting;
+                    len[i]++;
+                    fifo_ops++;
+                } else if (exiting >= 0 && exiting / width < out_size
+                           && exiting % width < out_size) {
+                    /* Drained complete at PE (K-1, K-1); edge flights
+                     * (invalid windows) are discarded. */
+                    i64 r = exiting / width, c = exiting % width;
+                    i64 slot = exiting % ring;
+                    if (ntaps[slot] != kk) {
+                        info[0] = r;
+                        info[1] = c;
+                        info[2] = ntaps[slot];
+                        status = 4;
+                        goto done;
+                    }
+                    const i64 *tap = taps + slot * kk;
+                    for (i64 t = 0; t < kk; t++) {
+                        img_at[t] = (r + tap[t] / k) * width + c + tap[t] % k;
+                    }
+                    for (i64 m = 0; m < maps_out; m++) {
+                        double out = 0.0;
+                        for (i64 n = 0; n < maps_in; n++) {
+                            const double *img = images + n * plane;
+                            const double *ker = kernels + (m * maps_in + n) * kk;
+                            double acc = 0.0;
+                            for (i64 t = 0; t < kk; t++) {
+                                acc += img[img_at[t]] * ker[tap[t]];
+                            }
+                            out += acc;
+                        }
+                        outputs[(m * out_size + r) * out_size + c] = out;
+                    }
+                    writes++;
+                }
+                for (i64 j = k - 1; j > 0; j--) row[j] = row[j - 1];
+                if (i == 0) {
+                    /* A fresh output O(rr, cc) enters the first stage
+                     * (none during the drain rows). */
+                    row[0] = real ? rr * width + cc : -1;
+                    if (real) ntaps[row[0] % ring] = 0;
+                } else {
+                    i64 f = i - 1, entering = -1;
+                    if (len[f] > 0) {
+                        i64 front = fifo[f * cap + head[f]];
+                        if (front / width == rr - i && front % width == cc) {
+                            entering = front;
+                            head[f] = (head[f] + 1) % cap;
+                            len[f]--;
+                            fifo_ops++;
+                        }
+                    }
+                    row[0] = entering;
+                }
+            }
+            /* Accumulate phase: every PE's resident flight must be the
+             * one injected i*width + j cycles ago (the linear-index
+             * timing invariant); it takes a product when its window
+             * covers the broadcast neuron. */
+            for (i64 i = 0; i < k; i++) {
+                for (i64 j = 0; j < k; j++) {
+                    i64 flight = regs[i * k + j];
+                    if (flight < 0) continue;
+                    i64 r = flight / width, c = flight % width;
+                    if (flight != rr * width + cc - i * width - j) {
+                        info[0] = i;
+                        info[1] = j;
+                        info[2] = r;
+                        info[3] = c;
+                        info[4] = rr;
+                        info[5] = cc;
+                        status = 1;
+                        goto done;
+                    }
+                    if (real && r < out_size && c < out_size
+                        && r + i == rr && c + j == cc) {
+                        i64 slot = flight % ring;
+                        if (ntaps[slot] < kk) {
+                            taps[slot * kk + ntaps[slot]] = i * k + j;
+                        }
+                        ntaps[slot]++;
+                        macs++;
+                    }
+                }
+            }
+        }
+    }
+    for (i64 f = 0; f < k - 1; f++) {
+        if (len[f] > 0) {
+            info[0] = f;
+            status = 3;
+            goto done;
+        }
+    }
+    counters[0] = cycles;
+    counters[1] = reads;
+    counters[2] = reads;
+    counters[3] = fifo_ops;
+    counters[4] = writes;
+    counters[5] = macs;
+    counters[6] = 2 * macs;
+done:
+    free(regs); free(fifo); free(head); free(len); free(ntaps);
+    free(taps); free(img_at);
+    return status;
+}
+
+/* Every block of a stride-1 layer on the 2D-Mapping array, as
+ * Mapping2DFunctionalSim.run_layer and _run_block run them: blocks in
+ * (r0, c0) order, input maps in order, and per map the K*K cycles of the
+ * window schedule.  The window is explicit: the whole rows x cols window
+ * loads on the first cycle, shifts one column left with one fresh column
+ * inside a kernel row, and reloads at each kernel-row boundary; every
+ * cycle checks window[0, 0] against the image, then adds window * K[m,
+ * n, i, j] into every output map's partial sum.
+ *
+ * `geom` holds 6 ints: [0] M  [1] N  [2] K  [3] padded size  [4] out_size
+ * [5] block.  `outputs` (M x S x S) receives each block's sums;
+ * `counters` the layer's totals: cycles, kernel_buffer_reads,
+ * bus_transfers, neuron_buffer_reads, fifo_accesses, mac_ops,
+ * register_accesses, neuron_buffer_writes.  Returns 0; 1 when a window
+ * is misaligned, with (i, j) in `info` and the held and expected
+ * neurons in `held`; -3 when out of memory. */
+i64 repro_mapping2d_layer(const double *images, const double *kernels,
+                          const i64 *geom, double *outputs, i64 *counters,
+                          i64 *info, double *held) {
+    i64 maps = geom[0], maps_in = geom[1], k = geom[2], size = geom[3];
+    i64 out_size = geom[4], block = geom[5];
+    i64 kk = k * k, plane = size * size;
+    i64 side = block < out_size ? block : out_size;
+    double *window = malloc(sizeof(double) * (size_t)(side * side));
+    double *psum = malloc(sizeof(double) * (size_t)(maps * side * side));
+    if (!window || !psum) {
+        free(window); free(psum);
+        return -3;
+    }
+    i64 status = 0;
+    i64 cycles = 0, neuron_reads = 0, fifo_ops = 0, macs = 0, writes = 0;
+    for (i64 r0 = 0; r0 < out_size; r0 += block) {
+        for (i64 c0 = 0; c0 < out_size; c0 += block) {
+            i64 rows = out_size - r0 < block ? out_size - r0 : block;
+            i64 cols = out_size - c0 < block ? out_size - c0 : block;
+            i64 area = rows * cols;
+            for (i64 e = 0; e < maps * area; e++) psum[e] = 0.0;
+            for (i64 n = 0; n < maps_in; n++) {
+                const double *img = images + n * plane;
+                for (i64 i = 0; i < k; i++) {
+                    for (i64 j = 0; j < k; j++) {
+                        cycles += maps;
+                        if (i == 0 && j == 0) {
+                            /* Initial load: the whole window. */
+                            for (i64 p = 0; p < rows; p++) {
+                                for (i64 q = 0; q < cols; q++) {
+                                    window[p * cols + q] =
+                                        img[(r0 + p) * size + c0 + q];
+                                }
+                            }
+                            neuron_reads += maps * area;
+                        } else if (j > 0) {
+                            /* PEs take their right neighbour's neuron;
+                             * the rightmost column loads fresh. */
+                            for (i64 p = 0; p < rows; p++) {
+                                double *w = window + p * cols;
+                                for (i64 q = 0; q + 1 < cols; q++) {
+                                    w[q] = w[q + 1];
+                                }
+                                w[cols - 1] =
+                                    img[(r0 + i + p) * size + c0 + j + cols - 1];
+                            }
+                            fifo_ops += maps * 2 * rows * (cols - 1);
+                            neuron_reads += maps * rows;
+                        } else {
+                            /* Kernel-row boundary: the overlap with the
+                             * previous window shifts through the per-PE
+                             * FIFOs, the rest reloads from the buffer. */
+                            i64 overlap_cols = cols - (k - 1);
+                            if (overlap_cols < 0) overlap_cols = 0;
+                            i64 reused = (rows - 1) * overlap_cols;
+                            fifo_ops += maps * 2 * reused;
+                            neuron_reads += maps * (area - reused);
+                            for (i64 p = 0; p < rows; p++) {
+                                for (i64 q = 0; q < cols; q++) {
+                                    window[p * cols + q] =
+                                        img[(r0 + i + p) * size + c0 + q];
+                                }
+                            }
+                        }
+                        double sample = window[0];
+                        double expected = img[(r0 + i) * size + c0 + j];
+                        if (sample != expected) {
+                            info[0] = i;
+                            info[1] = j;
+                            held[0] = sample;
+                            held[1] = expected;
+                            status = 1;
+                            goto done;
+                        }
+                        for (i64 m = 0; m < maps; m++) {
+                            double kv = kernels[(m * maps_in + n) * kk
+                                                + i * k + j];
+                            double *ps = psum + m * area;
+                            for (i64 e = 0; e < area; e++) {
+                                ps[e] += window[e] * kv;
+                            }
+                        }
+                        macs += maps * area;
+                    }
+                }
+            }
+            for (i64 m = 0; m < maps; m++) {
+                for (i64 p = 0; p < rows; p++) {
+                    for (i64 q = 0; q < cols; q++) {
+                        outputs[(m * out_size + r0 + p) * out_size + c0 + q] =
+                            psum[(m * rows + p) * cols + q];
+                    }
+                }
+            }
+            writes += maps * area;
+        }
+    }
+    counters[0] = cycles;
+    counters[1] = cycles;
+    counters[2] = cycles;
+    counters[3] = neuron_reads;
+    counters[4] = fifo_ops;
+    counters[5] = macs;
+    counters[6] = 2 * macs;
+    counters[7] = writes;
+done:
+    free(window); free(psum);
+    return status;
+}
+
+/* The tiling engine over one layer, as TilingFunctionalSim.run_layer
+ * runs it: per (m0, n0) tile pair a fresh accumulator for every output
+ * map of the tile and every output position, then per (i, j) cycle each
+ * position's Tn products (synapse times neuron, in map order) summed as
+ * 0.0 plus their pairwise sum and added to its accumulator; the tile's
+ * accumulators are then added into `outputs`, which must start zeroed.
+ *
+ * `geom` holds 8 ints: [0] M  [1] N  [2] K  [3] padded size  [4] out_size
+ * [5] stride  [6] Tm  [7] Tn.  `counters` receives the layer's totals:
+ * cycles, neuron_buffer_reads, bus_transfers, kernel_buffer_reads,
+ * mac_ops, register_accesses, neuron_buffer_writes,
+ * neuron_buffer_partial_reads.  Returns 0, or -3 when out of memory. */
+i64 repro_tiling_layer(const double *images, const double *kernels,
+                       const i64 *geom, double *outputs, i64 *counters) {
+    i64 maps_out = geom[0], maps_in = geom[1], k = geom[2], size = geom[3];
+    i64 out_size = geom[4], stride = geom[5], tm = geom[6], tn = geom[7];
+    i64 kk = k * k, plane = size * size, positions = out_size * out_size;
+    i64 tm_max = tm < maps_out ? tm : maps_out;
+    i64 tn_max = tn < maps_in ? tn : maps_in;
+    double *products = malloc(sizeof(double) * (size_t)tn_max);
+    double *acc = malloc(sizeof(double) * (size_t)(tm_max * positions));
+    if (!products || !acc) {
+        free(products); free(acc);
+        return -3;
+    }
+    i64 cycles = 0, neuron_reads = 0, kernel_reads = 0, registers = 0;
+    i64 writes = 0, partial_reads = 0;
+    for (i64 m0 = 0; m0 < maps_out; m0 += tm) {
+        i64 m_hi = m0 + tm < maps_out ? m0 + tm : maps_out;
+        i64 tile_m = m_hi - m0;
+        for (i64 n0 = 0; n0 < maps_in; n0 += tn) {
+            i64 n_hi = n0 + tn < maps_in ? n0 + tn : maps_in;
+            i64 tile_n = n_hi - n0;
+            /* Partial-sum read-back when accumulating a later input-map
+             * tile onto stored partials. */
+            if (n0 > 0) partial_reads += positions * tile_m;
+            for (i64 e = 0; e < tile_m * positions; e++) acc[e] = 0.0;
+            for (i64 i = 0; i < k; i++) {
+                for (i64 j = 0; j < k; j++) {
+                    cycles += positions;
+                    neuron_reads += positions * tile_n;
+                    kernel_reads += positions * tile_m * tile_n;
+                    registers += positions * 2 * tile_m;
+                    for (i64 m = 0; m < tile_m; m++) {
+                        const double *syn =
+                            kernels + ((m0 + m) * maps_in + n0) * kk + i * k + j;
+                        double *sums = acc + m * positions;
+                        for (i64 r = 0; r < out_size; r++) {
+                            for (i64 c = 0; c < out_size; c++) {
+                                const double *neu = images + n0 * plane
+                                    + (r * stride + i) * size + c * stride + j;
+                                for (i64 t = 0; t < tile_n; t++) {
+                                    products[t] = syn[t * kk] * neu[t * plane];
+                                }
+                                double tree = 0.0;
+                                tree += pairwise_sum(products, tile_n);
+                                sums[r * out_size + c] += tree;
+                            }
+                        }
+                    }
+                }
+            }
+            for (i64 e = 0; e < tile_m * positions; e++) {
+                outputs[m0 * positions + e] += acc[e];
+            }
+            writes += positions * tile_m;
+        }
+    }
+    counters[0] = cycles;
+    counters[1] = neuron_reads;
+    counters[2] = neuron_reads;
+    counters[3] = kernel_reads;
+    counters[4] = kernel_reads;
+    counters[5] = registers;
+    counters[6] = writes;
+    counters[7] = partial_reads;
+    free(products); free(acc);
     return 0;
 }
 """

@@ -17,6 +17,14 @@ map, so the simulator runs it once per ``(block, input map)`` with an
 ``(M, rows, cols)`` partial sum and grows every counter by ``M`` per
 event.  Outputs equal the golden convolution to within float rounding
 (the summation order differs).
+
+Whenever the C kernel suite is loaded and both operands are ``float64``,
+every block, window move, alignment check and counter of the layer is
+one ``repro_mapping2d_layer`` call
+(:meth:`~repro.kernels.cext.CExtKernels.mapping2d_layer`), which adds
+every product in the same order.  The block loop below is the ``numpy``
+backend and the reference ``tests/kernels/test_parity.py`` pins the
+kernel to, byte for byte.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError, SpecificationError
+from repro.kernels import active_kernels, count_kernel_call
 from repro.nn.layers import ConvLayer
 from repro.nn.reference import pad_input
 from repro.obs.tracer import Tracer, current_tracer
@@ -60,32 +69,59 @@ class Mapping2DFunctionalSim:
                 f"kernels shape {kernels.shape} != {layer.kernel_shape}"
             )
         padded = pad_input(inputs, layer.padding)
-        block = self.block_size
-        out = np.zeros((layer.out_maps, layer.out_size, layer.out_size))
         trace = SimTrace()
+        # The kernel multiplies float64 words, so only float64 operands
+        # take it.
+        compiled = None
+        if padded.dtype == kernels.dtype == np.float64:
+            compiled = active_kernels()
         tracer = self.tracer if self.tracer is not None else current_tracer()
         with tracer.span(
             f"conv:{layer.name}", category="sim.mapping2d"
         ) as span:
-            for r0 in range(0, layer.out_size, block):
-                for c0 in range(0, layer.out_size, block):
-                    rows = min(block, layer.out_size - r0)
-                    cols = min(block, layer.out_size - c0)
-                    psum = np.zeros((layer.out_maps, rows, cols))
-                    for n in range(layer.in_maps):
-                        self._run_block(
-                            padded[n],
-                            kernels[:, n],
-                            psum,
-                            (r0, c0),
-                            trace,
-                        )
-                    out[:, r0:r0 + rows, c0:c0 + cols] = psum
-                    trace.neuron_buffer_writes += psum.size
+            if compiled is not None:
+                out, counters = compiled.mapping2d_layer(
+                    padded,
+                    kernels,
+                    out_size=layer.out_size,
+                    block=self.block_size,
+                )
+                for name, count in counters.items():
+                    setattr(trace, name, count)
+                count_kernel_call("mapping2d_layer", compiled.backend)
+            else:
+                out = self._run_blocks(layer, padded, kernels, trace)
             if tracer.enabled:
                 span.set_cycles(trace.cycles)
                 span.add_counters(trace.as_dict())
         return out, trace
+
+    def _run_blocks(
+        self,
+        layer: ConvLayer,
+        padded: np.ndarray,
+        kernels: np.ndarray,
+        trace: SimTrace,
+    ) -> np.ndarray:
+        """Every ``(block, input map)`` window schedule of the layer."""
+        block = self.block_size
+        out = np.zeros((layer.out_maps, layer.out_size, layer.out_size))
+        for r0 in range(0, layer.out_size, block):
+            for c0 in range(0, layer.out_size, block):
+                rows = min(block, layer.out_size - r0)
+                cols = min(block, layer.out_size - c0)
+                psum = np.zeros((layer.out_maps, rows, cols))
+                for n in range(layer.in_maps):
+                    self._run_block(
+                        padded[n],
+                        kernels[:, n],
+                        psum,
+                        (r0, c0),
+                        trace,
+                    )
+                out[:, r0:r0 + rows, c0:c0 + cols] = psum
+                trace.neuron_buffer_writes += psum.size
+        return out
 
     def _run_block(
         self,

@@ -28,6 +28,14 @@ tap: pass ``t`` adds tap ``t``'s ``(M, N)`` products to every output at
 once, so each pair's sum adds its products in the order the machine
 does.  Output maps sum their pairs in ascending input-map order, which
 is the order the sequential machine adds them in.
+
+Whenever the C kernel suite is loaded and both operands are ``float64``,
+the whole layer — cycle loop, machine checks, data path and counters —
+is one ``repro_systolic_layer`` call
+(:meth:`~repro.kernels.cext.CExtKernels.systolic_layer`), which adds
+every product in the same order.  The loop below is the ``numpy``
+backend and the reference ``tests/kernels/test_parity.py`` pins the
+kernel to, byte for byte.
 """
 
 from __future__ import annotations
@@ -38,10 +46,17 @@ import numpy as np
 
 from repro.arch.interconnect import FifoLink
 from repro.errors import SimulationError, SpecificationError
+from repro.kernels import active_kernels, count_kernel_call
 from repro.nn.layers import ConvLayer
 from repro.nn.reference import pad_input
 from repro.obs.tracer import Tracer, current_tracer
 from repro.sim.trace import SimTrace
+
+
+def _fifo_capacity(width: int, k: int) -> int:
+    """Slots of each inter-row FIFO: the ``W - K`` depth (at least 1) plus
+    one, for the cycle a flight is pushed before the head pops."""
+    return max(1, width - k) + 1
 
 
 class _Flight:
@@ -83,15 +98,36 @@ class SystolicFunctionalSim:
             )
         padded = pad_input(inputs, layer.padding)
         trace = SimTrace()
+        # The kernel multiplies float64 words, so only float64 operands
+        # take it.
+        compiled = None
+        if padded.dtype == kernels.dtype == np.float64:
+            compiled = active_kernels()
         tracer = self.tracer if self.tracer is not None else current_tracer()
         with tracer.span(
             f"conv:{layer.name}", category="sim.systolic"
         ) as span:
-            # drained[:, n] holds pair (m, n)'s finished output map.
-            drained = self._run_pipeline(padded, kernels, layer.out_size, trace)
-            outputs = np.zeros((layer.out_maps, layer.out_size, layer.out_size))
-            for n in range(layer.in_maps):
-                outputs += drained[:, n]
+            if compiled is not None:
+                outputs, events = compiled.systolic_layer(
+                    padded,
+                    kernels,
+                    out_size=layer.out_size,
+                    fifo_capacity=_fifo_capacity(padded.shape[2], layer.kernel),
+                )
+                pairs = layer.out_maps * layer.in_maps
+                for name, count in events.items():
+                    setattr(trace, name, count * pairs)
+                count_kernel_call("systolic_layer", compiled.backend)
+            else:
+                # drained[:, n] holds pair (m, n)'s finished output map.
+                drained = self._run_pipeline(
+                    padded, kernels, layer.out_size, trace
+                )
+                outputs = np.zeros(
+                    (layer.out_maps, layer.out_size, layer.out_size)
+                )
+                for n in range(layer.in_maps):
+                    outputs += drained[:, n]
             if tracer.enabled:
                 span.set_cycles(trace.cycles)
                 span.add_counters(trace.as_dict())
@@ -113,10 +149,12 @@ class SystolicFunctionalSim:
         maps_out, maps_in, k, _ = kernels.shape
         pairs = maps_out * maps_in
         _, height, width = images.shape
-        fifo_depth = max(1, width - k)
         # regs[i][j] is the output currently resident at PE (i, j).
         regs: List[List[Optional[_Flight]]] = [[None] * k for _ in range(k)]
-        fifos = [FifoLink(fifo_depth + 1, name=f"row-fifo-{i}") for i in range(k - 1)]
+        fifos = [
+            FifoLink(_fifo_capacity(width, k), name=f"row-fifo-{i}")
+            for i in range(k - 1)
+        ]
         exits: List[_Flight] = []
 
         # The raster runs K extra virtual rows past the image: the pipeline

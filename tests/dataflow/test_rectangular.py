@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.dataflow import map_network
 from repro.dataflow.rectangular import (
     aspect_ratio_candidates,
     best_aspect_ratio,
     map_layer_rect,
+    shape_utilizations,
 )
 from repro.errors import MappingError
-from repro.nn import ConvLayer, get_workload
+from repro.nn import ConvLayer, FCLayer, InputSpec, Network, get_workload
 
 
 class TestMapLayerRect:
@@ -83,3 +85,14 @@ class TestAspectRatio:
     def test_impossible_min_dim_rejected(self):
         with pytest.raises(MappingError):
             best_aspect_ratio(get_workload("PV"), 4, min_dim=4)
+
+    def test_network_without_conv_layers_rejected(self):
+        """The typed error ``map_network`` raises, not a division by zero."""
+        network = Network("fcs", InputSpec(1, 4), [FCLayer("F1", 16, 8)])
+        message = "network 'fcs' has no CONV layers"
+        with pytest.raises(MappingError, match=message):
+            map_network(network, 16)
+        with pytest.raises(MappingError, match=message):
+            shape_utilizations(network, 256, [(16, 16)])
+        with pytest.raises(MappingError, match=message):
+            best_aspect_ratio(network, 256)

@@ -9,7 +9,12 @@ backend source).  ``store_replay`` is pinned against its NumPy backend,
 and that backend against plain-Python ring-buffer stores.
 ``flexflow_group`` is pinned against the tile engine's NumPy chunk loop,
 group by group, and its dispatch (once per group on fault-free compiled
-runs, never on bit-flip or NumPy runs) is checked.  The end-to-end
+runs, never on bit-flip or NumPy runs) is checked.  ``systolic_layer``,
+``mapping2d_layer`` and ``tiling_layer`` are pinned against the baseline
+simulators' NumPy machines on the edge-biased layers of
+``tests/sim/test_baseline_differential.py``, and their dispatch (once
+per layer under ``cext``, never under ``numpy`` or for ``float32``
+operands) is checked.  The end-to-end
 tests force ``REPRO_KERNELS`` and check that mapper, batched simulator,
 FlexFlow functional simulator and fault-retention results are identical
 under every available backend.
@@ -17,19 +22,17 @@ under every available backend.
 The compiled leg skips, never fails, when no C compiler is present.
 """
 
-import contextlib
 import itertools
-import os
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.arch import ArchConfig
 from repro.dataflow import map_layer, map_network
 from repro.dataflow.mapper import clear_mapping_cache
 from repro.dataflow.unrolling import ceil_div
+from repro.errors import SimulationError
 from repro.kernels import ENV_KERNELS, reset_kernels
 from repro.kernels import cext as cext_mod
 from repro.nn import make_inputs, make_kernels
@@ -37,7 +40,18 @@ from repro.nn.layers import ConvLayer
 from repro.nn.workloads import all_workloads
 from repro.obs import REGISTRY, Tracer
 from repro.obs.export import parity_report
-from repro.sim import FlexFlowFunctionalSim
+from repro.sim import (
+    FlexFlowFunctionalSim,
+    Mapping2DFunctionalSim,
+    SystolicFunctionalSim,
+    TilingFunctionalSim,
+)
+from tests.sim.test_baseline_differential import (
+    kernels_backend,
+    layers,
+    seeds,
+    tensors,
+)
 
 BACKENDS = ("cext",)
 
@@ -321,17 +335,6 @@ else:
     group_budget = settings(deadline=None)
 
 
-@contextlib.contextmanager
-def _kernels(backend):
-    """``REPRO_KERNELS`` set to ``backend`` for the block."""
-    with mock.patch.dict(os.environ, {ENV_KERNELS: backend}):
-        reset_kernels()
-        try:
-            yield
-        finally:
-            reset_kernels()
-
-
 @st.composite
 def group_cases(draw):
     """A CONV layer, its ``map_layer`` factors on a 2..8 array, and stores.
@@ -375,7 +378,7 @@ def test_flexflow_group_matches_numpy_chunks(suite, case, seed):
     kernels = rng.standard_normal(layer.kernel_shape)
     runs = {}
     for backend in ("cext", "numpy"):
-        with _kernels(backend):
+        with kernels_backend(backend):
             tracer = Tracer()
             outputs, trace = FlexFlowFunctionalSim(
                 config, factors=factors, engine="tile", tracer=tracer
@@ -441,6 +444,219 @@ class TestFlexFlowGroupDispatch:
         finally:
             reset_kernels()
         assert calls == 0 and replays >= self.groups()
+
+
+# -- the baseline simulator kernels vs. their NumPy machines -------------------
+
+
+def _layer_runs(sim, layer, seed):
+    """``{backend: (output bytes, counters)}`` of one layer under each backend."""
+    inputs, kernels = tensors(layer, seed)
+    runs = {}
+    for backend in ("cext", "numpy"):
+        with kernels_backend(backend):
+            outputs, trace = sim.run_layer(layer, inputs, kernels)
+        runs[backend] = (outputs.tobytes(), trace.as_dict())
+    return runs
+
+
+@group_budget
+@given(layer=layers(max_in_maps=13, max_out_maps=5), seed=seeds)
+@example(  # K = 1
+    layer=ConvLayer("k1", in_maps=3, out_maps=2, out_size=4, kernel=1), seed=0
+)
+@example(  # S = 1: the kernel covers the input
+    layer=ConvLayer("s1", in_maps=5, out_maps=2, out_size=1, kernel=4), seed=1
+)
+@example(
+    layer=ConvLayer(
+        "pad", in_maps=2, out_maps=3, out_size=6, kernel=5, explicit_in_size=7
+    ),
+    seed=2,
+)
+def test_systolic_layer_matches_numpy(suite, layer, seed):
+    runs = _layer_runs(SystolicFunctionalSim(), layer, seed)
+    assert runs["cext"] == runs["numpy"]
+
+
+@group_budget
+@given(
+    layer=layers(max_in_maps=20, max_out_maps=7),
+    block=st.one_of(
+        st.sampled_from((1, 16)), st.integers(min_value=1, max_value=9)
+    ),
+    seed=seeds,
+)
+@example(  # blocks of one PE
+    layer=ConvLayer("b1", in_maps=3, out_maps=2, out_size=4, kernel=3),
+    block=1,
+    seed=0,
+)
+@example(  # one block larger than S
+    layer=ConvLayer("big", in_maps=4, out_maps=3, out_size=5, kernel=2),
+    block=9,
+    seed=1,
+)
+@example(
+    layer=ConvLayer("k1", in_maps=2, out_maps=2, out_size=5, kernel=1),
+    block=2,
+    seed=2,
+)
+@example(
+    layer=ConvLayer("s1", in_maps=3, out_maps=2, out_size=1, kernel=3),
+    block=4,
+    seed=3,
+)
+def test_mapping2d_layer_matches_numpy(suite, layer, block, seed):
+    runs = _layer_runs(Mapping2DFunctionalSim(block_size=block), layer, seed)
+    assert runs["cext"] == runs["numpy"]
+
+
+@group_budget
+@given(
+    layer=layers(max_in_maps=20, max_out_maps=7, strides=(1, 2)),
+    tm=st.one_of(
+        st.sampled_from((1, 16)), st.integers(min_value=1, max_value=9)
+    ),
+    tn=st.one_of(
+        st.sampled_from((1, 8, 9, 16)), st.integers(min_value=1, max_value=20)
+    ),
+    seed=seeds,
+)
+@example(  # trees of exactly 8 products: eight partial sums, no remainder
+    layer=ConvLayer("t8", in_maps=16, out_maps=3, out_size=3, kernel=2),
+    tm=2,
+    tn=8,
+    seed=0,
+)
+@example(  # trees of 9: eight partial sums plus a remainder
+    layer=ConvLayer("t9", in_maps=9, out_maps=2, out_size=3, kernel=3),
+    tm=4,
+    tn=9,
+    seed=1,
+)
+@example(  # a tree of 137 splits into halves of 64 and 73
+    layer=ConvLayer("t137", in_maps=137, out_maps=2, out_size=2, kernel=2),
+    tm=2,
+    tn=137,
+    seed=2,
+)
+@example(  # 261 splits into 128 and 133, and 133 splits again
+    layer=ConvLayer(
+        "t261", in_maps=261, out_maps=3, out_size=2, kernel=3, stride=2,
+        explicit_in_size=4,
+    ),
+    tm=2,
+    tn=300,
+    seed=3,
+)
+@example(
+    layer=ConvLayer("k1", in_maps=5, out_maps=3, out_size=3, kernel=1),
+    tm=2,
+    tn=2,
+    seed=4,
+)
+@example(
+    layer=ConvLayer("s1", in_maps=7, out_maps=2, out_size=1, kernel=3),
+    tm=1,
+    tn=3,
+    seed=5,
+)
+def test_tiling_layer_matches_numpy(suite, layer, tm, tn, seed):
+    runs = _layer_runs(TilingFunctionalSim(tm=tm, tn=tn), layer, seed)
+    assert runs["cext"] == runs["numpy"]
+
+
+def test_systolic_layer_full_fifo_is_caught(suite):
+    """The kernel's FIFO-full check: a row FIFO of one slot cannot hold the
+    ``W - K`` flights of an 8-wide image under a 3x3 kernel."""
+    layer = ConvLayer("fifo", in_maps=2, out_maps=2, out_size=6, kernel=3)
+    with pytest.raises(SimulationError, match="row-fifo-0: push into full FIFO"):
+        suite.systolic_layer(
+            make_inputs(layer),
+            make_kernels(layer),
+            out_size=layer.out_size,
+            fifo_capacity=1,
+        )
+
+
+def test_baseline_layer_kernels_reject_operands_they_cannot_index(suite):
+    """Non-square, too small or ``float32`` images never reach the C code,
+    which indexes ``P x P`` float64 planes."""
+    kernels = np.zeros((1, 2, 3, 3))
+    calls = (
+        lambda images: suite.systolic_layer(
+            images, kernels, out_size=3, fifo_capacity=3
+        ),
+        lambda images: suite.mapping2d_layer(images, kernels, out_size=3, block=2),
+        lambda images: suite.tiling_layer(
+            images, kernels, out_size=3, stride=1, tm=1, tn=1
+        ),
+    )
+    for images in (
+        np.zeros((2, 5, 4)),
+        np.zeros((2, 4, 4)),
+        np.zeros((2, 5, 5), dtype=np.float32),
+    ):
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(images)
+
+
+class TestBaselineLayerDispatch:
+    """Which path each baseline simulator takes: a silent fallback to the
+    NumPy machine would still pass every parity check."""
+
+    LAYER = ConvLayer("dispatch", in_maps=3, out_maps=2, out_size=5, kernel=3)
+    SIMS = (
+        ("systolic_layer", SystolicFunctionalSim(), "_run_pipeline"),
+        ("mapping2d_layer", Mapping2DFunctionalSim(block_size=4), "_run_blocks"),
+        ("tiling_layer", TilingFunctionalSim(tm=2, tn=2), "_run_tiles"),
+    )
+
+    def run(self, monkeypatch, dtype=np.float64):
+        """``{kernel: (compiled calls, NumPy machine runs)}``, one layer each."""
+        inputs = make_inputs(self.LAYER).astype(dtype)
+        kernels = make_kernels(self.LAYER).astype(dtype)
+        result = {}
+        for kernel, sim, method in self.SIMS:
+            machine_runs = []
+            real = getattr(type(sim), method)
+
+            def spy(*args, _real=real, _runs=machine_runs):
+                _runs.append(1)
+                return _real(*args)
+
+            monkeypatch.setattr(type(sim), method, spy)
+            counter = REGISTRY.counter(
+                "kernels.calls", kernel=kernel, backend="cext"
+            )
+            before = counter.value
+            sim.run_layer(self.LAYER, inputs, kernels)
+            result[kernel] = (counter.value - before, len(machine_runs))
+        return result
+
+    def test_compiled_run_calls_once_per_layer(self, forced_backend, monkeypatch):
+        assert self.run(monkeypatch) == dict.fromkeys(
+            ("systolic_layer", "mapping2d_layer", "tiling_layer"), (1, 0)
+        )
+
+    def test_float32_operands_take_the_numpy_machines(
+        self, forced_backend, monkeypatch
+    ):
+        assert self.run(monkeypatch, np.float32) == dict.fromkeys(
+            ("systolic_layer", "mapping2d_layer", "tiling_layer"), (0, 1)
+        )
+
+    def test_numpy_backend_takes_the_numpy_machines(self, monkeypatch):
+        _force_numpy(monkeypatch)
+        try:
+            runs = self.run(monkeypatch)
+        finally:
+            reset_kernels()
+        assert runs == dict.fromkeys(
+            ("systolic_layer", "mapping2d_layer", "tiling_layer"), (0, 1)
+        )
 
 
 # -- end-to-end parity: compiled backend vs. forced-NumPy paths ---------------

@@ -16,11 +16,22 @@ padding through ``explicit_in_size``, stride 2 for tiling, and
 Without a profile flag each property runs a small derandomized slice;
 ``--hypothesis-profile=ci`` (registered in ``tests/conftest.py``) switches
 to that profile's larger random budget.
+
+Every property runs under both kernel backends: ``cext`` (one compiled
+call per layer) and ``numpy`` (the simulators' NumPy machines).  The
+``cext`` leg skips when no C compiler is present.
 """
 
+import contextlib
+import os
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.kernels import ENV_KERNELS, reset_kernels
+from repro.kernels import cext as cext_mod
 from repro.nn.layers import ConvLayer
 from repro.sim import (
     Mapping2DFunctionalSim,
@@ -35,6 +46,28 @@ else:
     budget = settings(deadline=None)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@pytest.fixture(scope="module", params=("numpy", "cext"))
+def backend(request):
+    """A kernel backend this machine can run."""
+    if request.param == "cext":
+        try:
+            cext_mod.load()
+        except cext_mod.KernelBuildError as exc:
+            pytest.skip(f"C backend unavailable: {exc}")
+    return request.param
+
+
+@contextlib.contextmanager
+def kernels_backend(name):
+    """``REPRO_KERNELS`` set to ``name`` for the block."""
+    with mock.patch.dict(os.environ, {ENV_KERNELS: name}):
+        reset_kernels()
+        try:
+            yield
+        finally:
+            reset_kernels()
 
 
 def map_counts(high):
@@ -95,12 +128,11 @@ def assert_identical(got, want):
     ),
     seed=2,
 )
-def test_systolic_matches_oracle(layer, seed):
+def test_systolic_matches_oracle(backend, layer, seed):
     inputs, kernels = tensors(layer, seed)
-    assert_identical(
-        SystolicFunctionalSim().run_layer(layer, inputs, kernels),
-        oracle.systolic(layer, inputs, kernels),
-    )
+    with kernels_backend(backend):
+        got = SystolicFunctionalSim().run_layer(layer, inputs, kernels)
+    assert_identical(got, oracle.systolic(layer, inputs, kernels))
 
 
 @budget
@@ -126,12 +158,13 @@ def test_systolic_matches_oracle(layer, seed):
     block=4,
     seed=2,
 )
-def test_mapping2d_matches_oracle(layer, block, seed):
+def test_mapping2d_matches_oracle(backend, layer, block, seed):
     inputs, kernels = tensors(layer, seed)
-    assert_identical(
-        Mapping2DFunctionalSim(block_size=block).run_layer(layer, inputs, kernels),
-        oracle.mapping2d(layer, inputs, kernels, block),
-    )
+    with kernels_backend(backend):
+        got = Mapping2DFunctionalSim(block_size=block).run_layer(
+            layer, inputs, kernels
+        )
+    assert_identical(got, oracle.mapping2d(layer, inputs, kernels, block))
 
 
 @budget
@@ -162,9 +195,8 @@ def test_mapping2d_matches_oracle(layer, block, seed):
     tn=19,
     seed=2,
 )
-def test_tiling_matches_oracle(layer, tm, tn, seed):
+def test_tiling_matches_oracle(backend, layer, tm, tn, seed):
     inputs, kernels = tensors(layer, seed)
-    assert_identical(
-        TilingFunctionalSim(tm=tm, tn=tn).run_layer(layer, inputs, kernels),
-        oracle.tiling(layer, inputs, kernels, tm, tn),
-    )
+    with kernels_backend(backend):
+        got = TilingFunctionalSim(tm=tm, tn=tn).run_layer(layer, inputs, kernels)
+    assert_identical(got, oracle.tiling(layer, inputs, kernels, tm, tn))

@@ -5,12 +5,24 @@ import pytest
 
 from repro.arch.interconnect import FifoLink
 from repro.errors import SimulationError, SpecificationError
+from repro.kernels import ENV_KERNELS, reset_kernels
 from repro.nn import ConvLayer, conv2d, make_inputs, make_kernels, pad_input
 from repro.sim import Mapping2DFunctionalSim, SystolicFunctionalSim, TilingFunctionalSim
 
 
 def golden(layer, inputs, kernels):
     return conv2d(pad_input(inputs, layer.padding), kernels, stride=layer.stride)
+
+
+@pytest.fixture
+def numpy_machine(monkeypatch):
+    """Force the NumPy path: the reference machine these tests break on
+    purpose.  The compiled kernels never see a patched Python class; byte
+    parity with this machine pins them (``tests/kernels/test_parity.py``)."""
+    monkeypatch.setenv(ENV_KERNELS, "numpy")
+    reset_kernels()
+    yield
+    reset_kernels()
 
 
 class TestSystolicSim:
@@ -102,12 +114,12 @@ class TestSystolicMachineChecks:
             self.LAYER, make_inputs(self.LAYER), make_kernels(self.LAYER)
         )
 
-    def test_misrouted_flight_breaks_timing(self, monkeypatch):
+    def test_misrouted_flight_breaks_timing(self, numpy_machine, monkeypatch):
         monkeypatch.setattr("repro.sim.systolic_sim.FifoLink", _NewestFirstFifo)
         with pytest.raises(SimulationError, match="pipeline timing broken"):
             self.run()
 
-    def test_stuck_fifo_entry_is_not_drained(self, monkeypatch):
+    def test_stuck_fifo_entry_is_not_drained(self, numpy_machine, monkeypatch):
         monkeypatch.setattr("repro.sim.systolic_sim.FifoLink", _StickyFifo)
         with pytest.raises(SimulationError, match="row FIFO 0 not drained"):
             self.run()
@@ -154,7 +166,9 @@ class TestMapping2DSim:
         with pytest.raises(SpecificationError):
             Mapping2DFunctionalSim(block_size=0)
 
-    def test_window_shifted_one_column_wrong_is_caught(self, monkeypatch):
+    def test_window_shifted_one_column_wrong_is_caught(
+        self, numpy_machine, monkeypatch
+    ):
         def shift_two_columns(window, fresh):
             window[:, :-2] = window[:, 2:]
             window[:, -2:] = fresh[:, np.newaxis]
