@@ -11,7 +11,7 @@ gives future changes a perf trajectory to compare against.  Two configurations a
 * ``no_cache`` — the mapping cache is cleared before every run, so each
   run re-pays the Section 5 mapping DP (the pre-fast-path behaviour);
 * ``steady_state`` — caches warm, the configuration every repeated
-  experiment (and the pytest-benchmark rounds) actually sees.
+  experiment actually sees.
 
 A third section times the functional cycle simulator's two engines on a
 representative layer, since ``repro run`` / full-inference examples are

@@ -4,8 +4,8 @@
 Runs the full experiment suite (Figure 1, Tables 3/4/6/7, Figures 15-19,
 the Section 6.2.1 area table, and the Section 6.2.5 interconnect study)
 and prints each in paper-row format.  This is the one-shot reproduction
-entry point; the per-experiment pytest benchmarks in ``benchmarks/`` time
-the same code.
+entry point; ``repro experiment <id>`` regenerates one artifact and
+``repro profile <id>`` times it under the span tracer.
 
 Usage::
 

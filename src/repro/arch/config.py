@@ -145,11 +145,6 @@ class ArchConfig:
         return self.kernel_buffer_bytes // self.technology.word_bytes
 
     @property
-    def peak_macs_per_cycle(self) -> int:
-        """One MAC per PE per cycle — the nominal throughput numerator."""
-        return self.num_pes
-
-    @property
     def nominal_gops(self) -> float:
         """Nominal performance in GOPS (2 ops per MAC at full occupancy)."""
         return 2.0 * self.num_pes * self.technology.frequency_hz / 1e9

@@ -23,6 +23,7 @@ workloads | head -1``), the CLI exits 0 instead of dying with a
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -61,6 +62,21 @@ def _resolve_workload(spec: str) -> Network:
     )
 
 
+def _array_dim(text: str) -> int:
+    """The ``--dim`` type: a positive PE array dimension.
+
+    It raises :class:`ConfigurationError`, which argparse does not catch,
+    so a bad value ends in the one-line ``error:`` naming the flag.
+    """
+    try:
+        dim = int(text)
+        if dim > 0:
+            return dim
+    except ValueError:
+        pass
+    raise ConfigurationError(f"--dim must be a positive integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -79,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     map_cmd = sub.add_parser("map", help="run the parallelism-determination mapper")
     map_cmd.add_argument("workload", help=workload_help)
-    map_cmd.add_argument("--dim", type=int, default=16, help="PE array dimension D")
+    map_cmd.add_argument(
+        "--dim", type=_array_dim, default=16, help="PE array dimension D"
+    )
 
     run_cmd = sub.add_parser("run", help="simulate a workload on an architecture")
     run_cmd.add_argument("workload", help=workload_help)
@@ -88,11 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(ARCH_ORDER) + ["pipeline", "all"],
         default="flexflow",
     )
-    run_cmd.add_argument("--dim", type=int, default=16)
+    run_cmd.add_argument("--dim", type=_array_dim, default=16)
 
     compile_cmd = sub.add_parser("compile", help="emit configuration assembly")
     compile_cmd.add_argument("workload", help=workload_help)
-    compile_cmd.add_argument("--dim", type=int, default=16)
+    compile_cmd.add_argument("--dim", type=_array_dim, default=16)
     compile_cmd.add_argument(
         "--execute", action="store_true", help="also interpret the program"
     )
@@ -138,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace", help="trace a workload: per-layer, per-phase breakdown"
     )
     trace_cmd.add_argument("workload", help=workload_help)
-    trace_cmd.add_argument("--dim", type=int, default=16)
+    trace_cmd.add_argument("--dim", type=_array_dim, default=16)
     trace_cmd.add_argument(
         "--engine", choices=["auto", "tile", "reference", "analytic"],
         default="auto",
@@ -268,12 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated workload names (default: all Table 1 workloads)",
     )
     sweep.add_argument("--seed", type=int, default=2017)
-    sweep.add_argument("--dim", type=int, default=16)
+    sweep.add_argument("--dim", type=_array_dim, default=16)
 
     mask_cmd = faults_sub.add_parser(
         "mask", help="print the PE availability mask a fault model yields"
     )
-    mask_cmd.add_argument("--dim", type=int, default=16)
+    mask_cmd.add_argument("--dim", type=_array_dim, default=16)
     mask_cmd.add_argument("--seed", type=int, default=2017)
     mask_cmd.add_argument(
         "--rate", type=float, default=0.0, help="stuck-at-dead PE rate"
@@ -451,9 +469,10 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"array dimensions must be positive, got {dims}"
         )
-    if not args.reconfig_cost >= 0:
+    if not (math.isfinite(args.reconfig_cost) and args.reconfig_cost >= 0):
         raise ConfigurationError(
-            f"--reconfig-cost must be >= 0, got {args.reconfig_cost!r}"
+            "--reconfig-cost must be >= 0 and finite,"
+            f" got {args.reconfig_cost!r}"
         )
     specs = (
         list(WORKLOAD_NAMES) if args.workload == "all" else [args.workload]
@@ -624,16 +643,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.batcher import BatchPolicy
     from repro.serve.resilience import ResiliencePolicy
 
-    if args.jobs < 0:
-        raise ConfigurationError(f"jobs must be >= 0, got {args.jobs}")
-    if args.batch_window_ms < 0:
-        raise ConfigurationError(
-            f"batch-window-ms must be >= 0, got {args.batch_window_ms}"
-        )
-    if args.batch_max < 1:
-        raise ConfigurationError(
-            f"batch-max must be >= 1, got {args.batch_max}"
-        )
+    # Every setting is checked by the policy or pool that holds it, all
+    # before the server binds.
     policy = RunPolicy(
         timeout_s=args.timeout, retries=args.retries,
         backoff_s=args.backoff, max_backoff_s=args.max_backoff,
@@ -759,8 +770,9 @@ def _exit_on_broken_pipe() -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Parsed inside the guard: ``--dim``'s type raises a ReproError.
+        args = parser.parse_args(argv)
         code = _dispatch(args)
         # Flush inside the guard: with a small output the EPIPE often
         # only surfaces at flush time, after the command has returned.

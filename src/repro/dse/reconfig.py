@@ -34,6 +34,7 @@ configuration registers (mode + select per PE), a parameter switch
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.arch.technology import TechnologyModel
@@ -52,7 +53,7 @@ class ReconfigCostModel:
 
     Args:
         array_dim: PE array dimension ``D``.
-        scale: multiplier on the cycle charges (``>= 0``).
+        scale: multiplier on the cycle charges (finite, ``>= 0``).
     """
 
     array_dim: int
@@ -63,9 +64,10 @@ class ReconfigCostModel:
             raise ConfigurationError(
                 f"array_dim must be positive, got {self.array_dim}"
             )
-        if not self.scale >= 0:
+        if not (math.isfinite(self.scale) and self.scale >= 0):
             raise ConfigurationError(
-                f"reconfiguration scale must be >= 0, got {self.scale!r}"
+                "reconfiguration scale must be >= 0 and finite,"
+                f" got {self.scale!r}"
             )
 
     def _scaled(self, base: int) -> int:

@@ -35,10 +35,6 @@ from repro.kernels.csrc import KERNELS_C_ABI, KERNELS_C_SOURCE
 
 Triple = Tuple[int, int, int]
 
-_I64_P = ctypes.POINTER(ctypes.c_int64)
-_U8_P = ctypes.POINTER(ctypes.c_uint8)
-_F64_P = ctypes.POINTER(ctypes.c_double)
-
 #: Compile flags.  ``-ffp-contract=off`` keeps every ``a += b * c`` a
 #: rounded multiply then a rounded add, as NumPy computes it, on targets
 #: whose baseline has fused multiply-add.
@@ -168,66 +164,43 @@ def build_library(build_dir: Optional[Path] = None) -> Tuple[Path, bool]:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare every exported function's signature."""
-    lib.repro_enumerate_triples.restype = ctypes.c_int64
-    lib.repro_enumerate_triples.argtypes = [
-        _I64_P, ctypes.c_int64, _I64_P, ctypes.c_int64,
-        _I64_P, ctypes.c_int64, ctypes.c_int64, _I64_P,
-    ]
-    lib.repro_pair_cycles.restype = None
-    lib.repro_pair_cycles.argtypes = [
-        _I64_P, _I64_P, ctypes.c_int64,
-        _I64_P, _I64_P, ctypes.c_int64,
-        _I64_P, _I64_P, _I64_P,
-    ]
-    lib.repro_map_network.restype = ctypes.c_int64
-    lib.repro_map_network.argtypes = [
-        _I64_P, _I64_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _I64_P, _I64_P, _I64_P, _I64_P,
-    ]
-    lib.repro_flexflow_store_sums.restype = None
-    lib.repro_flexflow_store_sums.argtypes = [
-        ctypes.c_int64,
-        _I64_P, _I64_P, _I64_P, _I64_P,
-        _I64_P, _I64_P, _I64_P, _I64_P, _I64_P, _I64_P,
-        _I64_P, _I64_P,
-    ]
-    lib.repro_surviving_structures.restype = ctypes.c_int64
-    lib.repro_surviving_structures.argtypes = [
-        _U8_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-    ]
-    lib.repro_store_replay.restype = None
-    lib.repro_store_replay.argtypes = [
-        _I64_P, _I64_P, _I64_P, _I64_P, _U8_P,
-        ctypes.c_int64, ctypes.c_int64, _U8_P, _I64_P,
-    ]
-    lib.repro_flexflow_group.restype = ctypes.c_int64
-    lib.repro_flexflow_group.argtypes = [
-        _F64_P, _F64_P, _I64_P, _I64_P, _I64_P, _U8_P, _I64_P, _I64_P,
-        _I64_P, _I64_P, _I64_P, _F64_P, _I64_P,
-    ]
-    lib.repro_systolic_layer.restype = ctypes.c_int64
-    lib.repro_systolic_layer.argtypes = [
-        _F64_P, _F64_P, _I64_P, _F64_P, _I64_P, _I64_P,
-    ]
-    lib.repro_mapping2d_layer.restype = ctypes.c_int64
-    lib.repro_mapping2d_layer.argtypes = [
-        _F64_P, _F64_P, _I64_P, _F64_P, _I64_P, _I64_P, _F64_P,
-    ]
-    lib.repro_tiling_layer.restype = ctypes.c_int64
-    lib.repro_tiling_layer.argtypes = [
-        _F64_P, _F64_P, _I64_P, _F64_P, _I64_P,
-    ]
+    """Declare every exported function's signature.
+
+    Array arguments are untyped pointers, passed as ``arr.ctypes.data``
+    (the address; half the cost of ``data_as``).  The methods below check
+    each array's dtype, contiguity and shape before a call, since ctypes
+    checks nothing here.
+    """
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    signatures = {
+        "repro_enumerate_triples": (
+            i64, [ptr, i64, ptr, i64, ptr, i64, i64, ptr],
+        ),
+        "repro_pair_cycles": (
+            None, [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr],
+        ),
+        "repro_map_network": (
+            i64, [ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr],
+        ),
+        "repro_flexflow_store_sums": (None, [i64] + [ptr] * 12),
+        "repro_surviving_structures": (i64, [ptr, i64, i64, i64]),
+        "repro_store_replay": (
+            None, [ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr],
+        ),
+        "repro_flexflow_group": (i64, [ptr] * 13),
+        "repro_systolic_layer": (i64, [ptr] * 6),
+        "repro_mapping2d_layer": (i64, [ptr] * 7),
+        "repro_tiling_layer": (i64, [ptr] * 5),
+    }
+    for name, (restype, argtypes) in signatures.items():
+        function = getattr(lib, name)
+        function.restype = restype
+        function.argtypes = argtypes
     return lib
 
 
-def _i64(values, copy_ok: bool = True) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.int64)
-    return arr
-
-
-def _ptr(arr: np.ndarray):
-    return arr.ctypes.data_as(_I64_P)
+def _i64(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.int64)
 
 
 def _layer_operands(
@@ -273,8 +246,8 @@ class CExtKernels:
             return np.empty((0, 3), dtype=np.int64)
         out = np.empty((capacity, 3), dtype=np.int64)
         kept = self._lib.repro_enumerate_triples(
-            _ptr(a), len(a), _ptr(b), len(b), _ptr(c), len(c),
-            ctypes.c_int64(limit), _ptr(out),
+            a.ctypes.data, len(a), b.ctypes.data, len(b),
+            c.ctypes.data, len(c), ctypes.c_int64(limit), out.ctypes.data,
         )
         return out[: int(kept)]
 
@@ -295,8 +268,9 @@ class CExtKernels:
         din = _i64(dims_in)
         dout = _i64(dims_out)
         self._lib.repro_pair_cycles(
-            _ptr(din), _ptr(ins), n, _ptr(dout), _ptr(outs), m,
-            _ptr(fin), _ptr(fout), _ptr(cycles),
+            din.ctypes.data, ins.ctypes.data, n,
+            dout.ctypes.data, outs.ctypes.data, m,
+            fin.ctypes.data, fout.ctypes.data, cycles.ctypes.data,
         )
         return fin, fout, cycles
 
@@ -321,9 +295,10 @@ class CExtKernels:
         relayout = np.empty(n_layers, dtype=np.int64)
         cost = np.empty(1, dtype=np.int64)
         total = self._lib.repro_map_network(
-            _ptr(uvals), _ptr(spec), n_layers,
+            uvals.ctypes.data, spec.ctypes.data, n_layers,
             ctypes.c_int64(row_limit), ctypes.c_int64(col_limit),
-            _ptr(in_out), _ptr(out_out), _ptr(relayout), _ptr(cost),
+            in_out.ctypes.data, out_out.ctypes.data,
+            relayout.ctypes.data, cost.ctypes.data,
         )
         if total < 0:
             raise MappingError(
@@ -354,7 +329,8 @@ class CExtKernels:
         bus = np.empty(batch, dtype=np.int64)
         misses = np.empty(batch, dtype=np.int64)
         self._lib.repro_flexflow_store_sums(
-            batch, *(_ptr(col) for col in cols), _ptr(bus), _ptr(misses)
+            batch, *(col.ctypes.data for col in cols),
+            bus.ctypes.data, misses.ctypes.data,
         )
         return bus, misses
 
@@ -391,9 +367,9 @@ class CExtKernels:
         miss = np.empty((steps, stores), dtype=bool)
         seq = np.empty((steps, stores), dtype=np.int64)
         self._lib.repro_store_replay(
-            _ptr(table), _ptr(counts), _ptr(capacity), _ptr(coords),
-            active.ctypes.data_as(_U8_P), steps, stores,
-            miss.ctypes.data_as(_U8_P), _ptr(seq),
+            table.ctypes.data, counts.ctypes.data, capacity.ctypes.data,
+            coords.ctypes.data, active.ctypes.data, steps, stores,
+            miss.ctypes.data, seq.ctypes.data,
         )
         return miss, seq
 
@@ -474,11 +450,11 @@ class CExtKernels:
         ])
         counters = np.empty(len(FLEXFLOW_GROUP_COUNTERS), dtype=np.int64)
         status = self._lib.repro_flexflow_group(
-            padded.ctypes.data_as(_F64_P), kernels.ctypes.data_as(_F64_P),
-            _ptr(geom), _ptr(row_offsets), _ptr(origins),
-            col_ok.ctypes.data_as(_U8_P), _ptr(neuron_base),
-            _ptr(kernel_base), _ptr(table), _ptr(counts), _ptr(capacity),
-            outputs.ctypes.data_as(_F64_P), _ptr(counters),
+            padded.ctypes.data, kernels.ctypes.data, geom.ctypes.data,
+            row_offsets.ctypes.data, origins.ctypes.data, col_ok.ctypes.data,
+            neuron_base.ctypes.data, kernel_base.ctypes.data,
+            table.ctypes.data, counts.ctypes.data, capacity.ctypes.data,
+            outputs.ctypes.data, counters.ctypes.data,
         )
         if status < 0:
             raise MemoryError("flexflow_group: out of scratch memory")
@@ -514,9 +490,9 @@ class CExtKernels:
         counters = np.empty(len(SYSTOLIC_LAYER_COUNTERS), dtype=np.int64)
         info = np.zeros(6, dtype=np.int64)
         status = self._lib.repro_systolic_layer(
-            images.ctypes.data_as(_F64_P), kernels.ctypes.data_as(_F64_P),
-            _ptr(geom), outputs.ctypes.data_as(_F64_P), _ptr(counters),
-            _ptr(info),
+            images.ctypes.data, kernels.ctypes.data,
+            geom.ctypes.data, outputs.ctypes.data, counters.ctypes.data,
+            info.ctypes.data,
         )
         if status < 0:
             raise MemoryError("systolic_layer: out of scratch memory")
@@ -567,9 +543,9 @@ class CExtKernels:
         info = np.zeros(2, dtype=np.int64)
         held = np.zeros(2)
         status = self._lib.repro_mapping2d_layer(
-            images.ctypes.data_as(_F64_P), kernels.ctypes.data_as(_F64_P),
-            _ptr(geom), outputs.ctypes.data_as(_F64_P), _ptr(counters),
-            _ptr(info), held.ctypes.data_as(_F64_P),
+            images.ctypes.data, kernels.ctypes.data,
+            geom.ctypes.data, outputs.ctypes.data, counters.ctypes.data,
+            info.ctypes.data, held.ctypes.data,
         )
         if status < 0:
             raise MemoryError("mapping2d_layer: out of scratch memory")
@@ -609,8 +585,8 @@ class CExtKernels:
         ])
         counters = np.empty(len(TILING_LAYER_COUNTERS), dtype=np.int64)
         status = self._lib.repro_tiling_layer(
-            images.ctypes.data_as(_F64_P), kernels.ctypes.data_as(_F64_P),
-            _ptr(geom), outputs.ctypes.data_as(_F64_P), _ptr(counters),
+            images.ctypes.data, kernels.ctypes.data,
+            geom.ctypes.data, outputs.ctypes.data, counters.ctypes.data,
         )
         if status < 0:
             raise MemoryError("tiling_layer: out of scratch memory")
@@ -625,7 +601,7 @@ class CExtKernels:
         flags = np.ascontiguousarray(flags, dtype=np.uint8)
         return int(
             self._lib.repro_surviving_structures(
-                flags.ctypes.data_as(_U8_P), len(flags), n_struct, size
+                flags.ctypes.data, len(flags), n_struct, size
             )
         )
 

@@ -6,7 +6,6 @@ from repro.metrics.energy import (
     energy_delay_product,
     energy_per_mac_pj,
     energy_uj,
-    power_efficiency_gops_per_watt,
     power_mw,
 )
 from repro.metrics.performance import (
@@ -38,7 +37,6 @@ __all__ = [
     "nominal_gops",
     "achievable_fraction",
     "speedup_matrix",
-    "power_efficiency_gops_per_watt",
     "energy_uj",
     "power_mw",
     "efficiency_ratio_matrix",

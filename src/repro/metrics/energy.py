@@ -8,11 +8,6 @@ from repro.accelerators.base import NetworkResult
 from repro.errors import ConfigurationError
 
 
-def power_efficiency_gops_per_watt(result: NetworkResult) -> float:
-    """Figure 18(a): performance per watt."""
-    return result.gops_per_watt
-
-
 def energy_uj(result: NetworkResult) -> float:
     """Figure 18(b): chip energy to complete the workload's CONV layers."""
     return result.energy_uj

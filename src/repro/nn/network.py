@@ -234,10 +234,6 @@ class Network:
     def conv_macs(self) -> int:
         return sum(l.macs for l in self.conv_layers)
 
-    @property
-    def conv_ops(self) -> int:
-        return sum(l.ops for l in self.conv_layers)
-
     def conv_fraction(self) -> float:
         """Fraction of total MACs spent in CONV layers.
 

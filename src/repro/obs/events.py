@@ -1,33 +1,24 @@
-"""Tracer-to-event bridge: live span/event records as plain dicts.
+"""Span and event records as plain dicts, for streaming progress.
 
 The span :class:`~repro.obs.tracer.Tracer` collects a tree and is read
 *after* a run finishes — right for profiling, wrong for a server that
-must stream progress while a request is still computing.  The bridge
-closes that gap:
+must stream progress while a request is still computing.  The serve
+layer therefore reports progress as flat, JSON-serializable records:
 
-* :class:`BridgeTracer` is a drop-in ``Tracer`` that additionally calls
-  a sink callback with a JSON-serializable dict the moment each span
-  closes (and for each instant event).  The serve layer installs one per
-  request via :func:`~repro.obs.tracer.tracing` and forwards the dicts
-  onto an SSE stream.
-* :func:`condense_spans` flattens a finished tracer into bounded,
-  serializable summaries — what a worker process ships back to the
-  coordinator so remote computations still report where their time went.
-
-Sinks must be cheap and must never raise; a sink that needs to cross a
-thread boundary (e.g. into an asyncio loop) should hand off via
-``loop.call_soon_threadsafe`` itself.
+* :func:`event_record` is one instant event; the worker pool and the
+  app emit these (attempts, retries, cache hits) onto a request's SSE
+  stream as they happen.
+* :func:`span_record` is one closed span.
+* :func:`condense_spans` flattens a finished tracer into bounded span
+  records — what a worker process ships back with its result so remote
+  computations still report where their time went.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.tracer import Span, Tracer
-
-#: A sink receives one serializable record per closed span / event.
-EventSink = Callable[[Dict[str, Any]], None]
 
 
 def event_record(
@@ -55,54 +46,6 @@ def span_record(span: Span) -> Dict[str, Any]:
         "counters": dict(sorted(span.counters.items())),
         "labels": dict(span.labels),
     }
-
-
-class BridgeTracer(Tracer):
-    """A recording tracer that also streams records to a sink.
-
-    Spans are forwarded when they *close* (only then are their cycle and
-    counter totals final), innermost-first; instant events are forwarded
-    immediately.  The recorded tree stays byte-identical to a plain
-    ``Tracer``'s, so parity oracles and exporters keep working on top.
-    """
-
-    def __init__(self, sink: EventSink, enabled: bool = True) -> None:
-        super().__init__(enabled=enabled)
-        self._sink = sink
-
-    def _emit(self, record: Dict[str, Any]) -> None:
-        try:
-            self._sink(record)
-        except Exception:  # a broken sink must never break the traced run
-            pass
-
-    def span(
-        self,
-        name: str,
-        category: str = "",
-        labels: Optional[Dict[str, str]] = None,
-    ):
-        if not self.enabled:
-            return super().span(name, category, labels)
-        return self._bridged(Span(name, category, labels))
-
-    @contextmanager
-    def _bridged(self, span: Span) -> Iterator[Span]:
-        with self._record(span):
-            try:
-                yield span
-            finally:
-                self._emit(span_record(span))
-
-    def event(
-        self,
-        name: str,
-        category: str = "",
-        labels: Optional[Dict[str, str]] = None,
-    ) -> None:
-        super().event(name, category, labels)
-        if self.enabled:
-            self._emit(event_record(name, category, labels))
 
 
 def condense_spans(tracer: Tracer, limit: int = 64) -> List[Dict[str, Any]]:

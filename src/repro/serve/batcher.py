@@ -38,6 +38,7 @@ the ``serve.batch_size`` histogram.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -67,6 +68,18 @@ class BatchPolicy:
 
     window_ms: float = 0.0
     max_batch: int = 16
+
+    def __post_init__(self) -> None:
+        # A NaN window would turn batching off without a word, an
+        # infinite one hold a lone request until ``max_batch`` arrive.
+        if not (math.isfinite(self.window_ms) and self.window_ms >= 0):
+            raise ExperimentError(
+                f"window_ms must be >= 0 and finite, got {self.window_ms}"
+            )
+        if self.max_batch < 1:
+            raise ExperimentError(
+                f"max_batch must be >= 1, got {self.max_batch}"
+            )
 
     @property
     def enabled(self) -> bool:

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import multiprocessing
 import queue
 import threading
@@ -275,9 +276,11 @@ class WorkerPool:
     ):
         if jobs < 0:
             raise ExperimentError(f"jobs must be >= 0, got {jobs}")
-        if grace_factor < 1.0:
+        # A NaN deadline never compares due, so the reaper would spin
+        # without awaiting and wedge the event loop.
+        if not (math.isfinite(grace_factor) and grace_factor >= 1):
             raise ExperimentError(
-                f"grace_factor must be >= 1, got {grace_factor}"
+                f"grace_factor must be >= 1 and finite, got {grace_factor}"
             )
         self.policy = policy or RunPolicy()
         self.jobs = jobs

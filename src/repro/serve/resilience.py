@@ -36,6 +36,7 @@ Chaos-injection specs (:mod:`repro.chaos`) exercise every path here;
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
@@ -105,17 +106,26 @@ class ResiliencePolicy:
             raise ExperimentError(
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
             )
-        if self.breaker_reset_s <= 0:
+        # `nan <= 0` is False, so a bare sign check lets NaN through: a
+        # NaN reset never holds a breaker open, a NaN drain abandons
+        # in-flight requests at once, an infinite grace never reaps.
+        if not (
+            math.isfinite(self.breaker_reset_s) and self.breaker_reset_s > 0
+        ):
             raise ExperimentError(
-                f"breaker_reset_s must be positive, got {self.breaker_reset_s}"
+                "breaker_reset_s must be positive and finite,"
+                f" got {self.breaker_reset_s}"
             )
-        if self.drain_timeout_s <= 0:
+        if not (
+            math.isfinite(self.drain_timeout_s) and self.drain_timeout_s > 0
+        ):
             raise ExperimentError(
-                f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
+                "drain_timeout_s must be positive and finite,"
+                f" got {self.drain_timeout_s}"
             )
-        if self.grace_factor < 1.0:
+        if not (math.isfinite(self.grace_factor) and self.grace_factor >= 1):
             raise ExperimentError(
-                f"grace_factor must be >= 1, got {self.grace_factor}"
+                f"grace_factor must be >= 1 and finite, got {self.grace_factor}"
             )
 
 

@@ -8,10 +8,8 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
-
-from repro.arch.power import ActivityCounts
 
 
 @dataclass
@@ -29,23 +27,6 @@ class SimTrace:
     fifo_accesses: int = 0
     register_accesses: int = 0
     bus_transfers: int = 0
-
-    def to_activity_counts(self) -> ActivityCounts:
-        """Freeze into the power model's record (PE-activity fields that
-        the functional sims do not track stay at their observed values)."""
-        return ActivityCounts(
-            cycles=self.cycles,
-            mac_ops=self.mac_ops,
-            active_pe_cycles=self.mac_ops,
-            neuron_buffer_reads=self.neuron_buffer_reads,
-            neuron_buffer_writes=self.neuron_buffer_writes,
-            neuron_buffer_partial_reads=self.neuron_buffer_partial_reads,
-            kernel_buffer_reads=self.kernel_buffer_reads,
-            local_store_reads=self.local_store_reads,
-            local_store_writes=self.local_store_writes,
-            fifo_accesses=self.fifo_accesses,
-            register_accesses=self.register_accesses,
-        )
 
     def as_dict(self) -> Dict[str, int]:
         return {

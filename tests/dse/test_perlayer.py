@@ -87,6 +87,11 @@ class TestReconfigCostModel:
                 "bogus", get_workload("PV").conv_layers[0]
             )
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ReconfigCostModel(16, scale)
+
 
 class TestSolver:
     def test_plan_never_loses_to_any_fixed_dataflow(self):

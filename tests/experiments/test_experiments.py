@@ -97,8 +97,14 @@ class TestTable03:
                     ours,
                 )
 
+    def test_four_workloads_both_directions(self, results):
+        assert len(results["table03"].rows) == 8
+
 
 class TestTable04:
+    def test_c1_and_c3_of_four_workloads(self, results):
+        assert len(results["table04"].rows) == 8
+
     def test_pv_and_lenet_c1_exact(self, results):
         rows = {(r["workload"], r["layer"]): r for r in results["table04"].rows}
         assert rows[("PV", "C1")]["factors"] == rows[("PV", "C1")]["paper"]
@@ -170,6 +176,13 @@ class TestFig19:
         t2d = {r["scale"]: r for r in rows if r["architecture"] == "2D-Mapping"}
         assert t2d["64x64"]["utilization"] < t2d["8x8"]["utilization"] / 2
 
+    def test_flexflow_above_85pct_at_every_scale(self, results):
+        ff = [
+            r for r in results["fig19"].rows if r["architecture"] == "FlexFlow"
+        ]
+        assert len(ff) == 4
+        assert min(r["utilization"] for r in ff) > 0.85
+
     def test_flexflow_area_below_rigid_flexible_archs_at_64(self, results):
         rows = [r for r in results["fig19"].rows if r["scale"] == "64x64"]
         by_arch = {r["architecture"]: r["area_mm2"] for r in rows}
@@ -199,3 +212,53 @@ class TestInterconnect:
                 assert row["interconnect_share_pct"] == pytest.approx(
                     row["paper_share_pct"], abs=2.0
                 )
+
+
+class TestDse:
+    def test_best_scale_tracks_workload_size(self, results):
+        # Small nets peak at small scales; AlexNet keeps scaling.
+        by_name = {r["workload"]: r for r in results["dse"].rows}
+        assert by_name["AlexNet"]["best_scale"] in ("32x32", "64x64")
+        assert by_name["PV"]["best_scale"] in ("8x8", "16x16")
+
+
+class TestAspect:
+    def test_best_shape_never_loses_to_square(self, results):
+        for row in results["aspect"].rows:
+            assert row["gain"] >= 1.0 - 1e-9, row["workload"]
+
+
+class TestLayers:
+    def test_flexflow_at_least_every_baseline_per_layer(self, results):
+        for row in results["layers"].rows:
+            best_baseline = max(
+                row["Systolic_util"], row["2D-Mapping_util"], row["Tiling_util"]
+            )
+            assert row["FlexFlow_util"] >= best_baseline - 1e-9, row["layer"]
+
+
+class TestSensitivity:
+    def test_orderings_hold_on_full_grid(self, results):
+        for row in results["sensitivity"].rows:
+            assert row["best_utilization"]
+            assert row["best_efficiency"]
+            assert row["lowest_energy"]
+
+
+class TestHeadline:
+    def test_no_baseline_outperforms_flexflow(self, results):
+        row = next(
+            r
+            for r in results["headline"].rows
+            if r["claim"] == "performance speedup over baselines"
+        )
+        low = float(row["measured"].split("x")[0])
+        assert low >= 1.0
+
+
+class TestMotivation:
+    def test_one_summary_per_workload(self, results):
+        summaries = [
+            r for r in results["motivation"].rows if r["layer"] == "(summary)"
+        ]
+        assert len(summaries) == 6

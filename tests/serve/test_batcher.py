@@ -71,6 +71,22 @@ def snapshot_delta(before, after, name):
     return metric_total(after, name) - metric_total(before, name)
 
 
+class TestPolicy:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window_ms", float("nan")),
+            ("window_ms", float("inf")),
+            ("window_ms", float("-inf")),
+            ("window_ms", -1.0),
+            ("max_batch", 0),
+        ],
+    )
+    def test_bad_setting_rejected(self, field, value):
+        with pytest.raises(ExperimentError, match=field):
+            BatchPolicy(**{field: value})
+
+
 class TestCompatibility:
     def test_same_network_different_dims_share_a_key(self):
         a = parse_request("dse", {"workload": "PV", "dims": [4, 8]})

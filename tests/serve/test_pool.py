@@ -39,6 +39,14 @@ class TestWorkerPool:
         with pytest.raises(ExperimentError, match="jobs must be >= 0"):
             WorkerPool(jobs=-1)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 0.5]
+    )
+    def test_bad_grace_factor_rejected(self, value):
+        # A NaN deadline would keep the reaper looping without an await.
+        with pytest.raises(ExperimentError, match="grace_factor"):
+            WorkerPool(RunPolicy(timeout_s=5.0), jobs=0, grace_factor=value)
+
     def test_inline_success_returns_envelope(self, inline_pool):
         from repro.dataflow import clear_mapping_cache
 

@@ -61,6 +61,14 @@ class TestPolicy:
         with pytest.raises(ExperimentError):
             ResiliencePolicy(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["breaker_reset_s", "drain_timeout_s", "grace_factor"]
+    )
+    def test_non_finite_setting_rejected(self, field, value):
+        with pytest.raises(ExperimentError, match=field):
+            ResiliencePolicy(**{field: value})
+
 
 class TestCircuitBreaker:
     def make(self, clock, threshold=3, reset_s=10.0):

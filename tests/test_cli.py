@@ -151,6 +151,27 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert "cannot write report" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["dse", "AlexNet", "--per-layer", "--reconfig-cost", "inf"],
+             "--reconfig-cost"),
+            (["dse", "PV", "--per-layer", "--reconfig-cost", "nan"],
+             "--reconfig-cost"),
+            (["map", "PV", "--dim", "0"], "--dim"),
+            (["run", "PV", "--dim", "-3"], "--dim"),
+            (["compile", "PV", "--dim", "0"], "--dim"),
+            (["trace", "PV", "--dim", "0"], "--dim"),
+            (["faults", "sweep", "--dim", "0"], "--dim"),
+            (["faults", "mask", "--dim", "eight"], "--dim"),
+        ],
+    )
+    def test_bad_value_names_its_flag(self, capsys, argv, flag):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be")
+        assert err.count("\n") == 1
+
 
 class TestParallelExperiments:
     """A supervised batch (one spawn worker, ``timeout_s``) returns what
@@ -283,6 +304,31 @@ class TestResilienceFlags:
         monkeypatch.setattr(app, "run_app", never)
         assert main(["serve", "--port", "0", flag, "nan"]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--grace-factor", "nan", "grace_factor"),
+            ("--batch-window-ms", "inf", "window_ms"),
+            ("--drain-timeout", "nan", "drain_timeout_s"),
+            ("--breaker-reset", "inf", "breaker_reset_s"),
+            ("--batch-max", "0", "max_batch"),
+            ("--jobs", "-1", "jobs"),
+        ],
+    )
+    def test_serve_bad_setting_refused_before_bind(
+        self, capsys, monkeypatch, flag, value, field
+    ):
+        import repro.serve.app as app
+
+        def never(*args, **kwargs):
+            raise AssertionError("the server must not start")
+
+        monkeypatch.setattr(app, "run_app", never)
+        assert main(["serve", "--port", "0", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
 
     def test_report_resilience_flags_parse(self):
         # The full resilient report is exercised in
