@@ -167,7 +167,7 @@ def _env(**overrides):
 @contextlib.contextmanager
 def _counting_experiment_runs():
     """Count ``run()`` calls of every registered experiment module."""
-    from repro.experiments.runner import experiment_registry
+    from repro.experiments import experiment_registry
 
     calls = []
     saved = [(module, module.run) for module in experiment_registry().values()]
@@ -221,7 +221,7 @@ def _sweep(rounds: int) -> dict:
 
     from repro.cache import active_cache, reset_cache_handles
     from repro.experiments.report import generate_report
-    from repro.experiments.runner import experiment_registry
+    from repro.experiments import experiment_registry
 
     def run_report():
         clear_mapping_cache()

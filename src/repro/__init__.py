@@ -27,104 +27,60 @@ Quick start::
     print(result.gops, result.overall_utilization)
 """
 
-from repro.accelerators import (
-    Accelerator,
-    FlexFlowAccelerator,
-    LayerResult,
-    Mapping2DAccelerator,
-    NetworkResult,
-    SystolicAccelerator,
-    TilingAccelerator,
-    make_accelerator,
-)
-from repro.arch import ArchConfig, DEFAULT_CONFIG, TSMC65, TechnologyModel
-from repro.compiler import Program, compile_network, parse_asm, to_asm
-from repro.dataflow import (
-    LayerMapping,
-    NetworkMapping,
-    ProcessingStyle,
-    UnrollingFactors,
-    map_layer,
-    map_network,
-)
-from repro.errors import (
-    CapacityError,
-    CompilationError,
-    ConfigurationError,
-    MappingError,
-    ReproError,
-    SimulationError,
-    SpecificationError,
-)
-from repro.experiments import ALL_EXPERIMENTS, run_experiment
-from repro.nn import (
-    ConvLayer,
-    FCLayer,
-    InputSpec,
-    Network,
-    PoolLayer,
-    all_workloads,
-    get_workload,
-)
-from repro.sim import (
-    FlexFlowFunctionalSim,
-    Mapping2DFunctionalSim,
-    SystolicFunctionalSim,
-    TilingFunctionalSim,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # accelerators
-    "Accelerator",
-    "FlexFlowAccelerator",
-    "SystolicAccelerator",
-    "Mapping2DAccelerator",
-    "TilingAccelerator",
-    "make_accelerator",
-    "LayerResult",
-    "NetworkResult",
-    # arch
-    "ArchConfig",
-    "DEFAULT_CONFIG",
-    "TechnologyModel",
-    "TSMC65",
-    # compiler
-    "Program",
-    "compile_network",
-    "to_asm",
-    "parse_asm",
-    # dataflow
-    "UnrollingFactors",
-    "ProcessingStyle",
-    "LayerMapping",
-    "NetworkMapping",
-    "map_layer",
-    "map_network",
-    # errors
-    "ReproError",
-    "SpecificationError",
-    "MappingError",
-    "SimulationError",
-    "CapacityError",
-    "CompilationError",
-    "ConfigurationError",
-    # experiments
-    "ALL_EXPERIMENTS",
-    "run_experiment",
-    # nn
-    "ConvLayer",
-    "PoolLayer",
-    "FCLayer",
-    "InputSpec",
-    "Network",
-    "get_workload",
-    "all_workloads",
-    # sim
-    "FlexFlowFunctionalSim",
-    "SystolicFunctionalSim",
-    "Mapping2DFunctionalSim",
-    "TilingFunctionalSim",
-]
+# Each name loads its subpackage on first use: ``import repro`` alone
+# imports no subpackage, so ``import repro.<x>`` costs only ``<x>``.
+_names, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".accelerators": (
+            "Accelerator",
+            "FlexFlowAccelerator",
+            "SystolicAccelerator",
+            "Mapping2DAccelerator",
+            "TilingAccelerator",
+            "make_accelerator",
+            "LayerResult",
+            "NetworkResult",
+        ),
+        ".arch": ("ArchConfig", "DEFAULT_CONFIG", "TechnologyModel", "TSMC65"),
+        ".compiler": ("Program", "compile_network", "to_asm", "parse_asm"),
+        ".dataflow": (
+            "UnrollingFactors",
+            "ProcessingStyle",
+            "LayerMapping",
+            "NetworkMapping",
+            "map_layer",
+            "map_network",
+        ),
+        ".errors": (
+            "ReproError",
+            "SpecificationError",
+            "MappingError",
+            "SimulationError",
+            "CapacityError",
+            "CompilationError",
+            "ConfigurationError",
+        ),
+        ".experiments": ("ALL_EXPERIMENTS", "run_experiment"),
+        ".nn": (
+            "ConvLayer",
+            "PoolLayer",
+            "FCLayer",
+            "InputSpec",
+            "Network",
+            "get_workload",
+            "all_workloads",
+        ),
+        ".sim": (
+            "FlexFlowFunctionalSim",
+            "SystolicFunctionalSim",
+            "Mapping2DFunctionalSim",
+            "TilingFunctionalSim",
+        ),
+    },
+)
+__all__ = ["__version__", *_names]

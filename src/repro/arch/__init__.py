@@ -1,78 +1,46 @@
 """Hardware substrate: technology constants, configs, storage, wiring, area, power."""
 
-from repro.arch.area import (
-    ARCH_KINDS,
-    LAYOUT_OVERHEAD,
-    AreaReport,
-    all_area_reports,
-    area_report,
-    pe_area_mm2,
-)
-from repro.arch.buffers import BankedBuffer, BufferAccessStats, BufferSet
-from repro.arch.config import DEFAULT_CONFIG, KB, ArchConfig
-from repro.arch.interconnect import (
-    WIRING_MODELS,
-    CommonDataBus,
-    FifoLink,
-    WiringModel,
-    wiring_model,
-)
-from repro.arch.local_store import (
-    AddressGenerator,
-    AddressingMode,
-    AddressTrace,
-    ControlFSM,
-    FSMState,
-    LocalStore,
-)
-from repro.arch.power import ActivityCounts, PowerReport, compute_power
-from repro.arch.serialization import (
-    config_from_dict,
-    config_from_json,
-    config_to_dict,
-    config_to_json,
-    mask_from_dict,
-    mask_to_dict,
-    technology_from_dict,
-    technology_to_dict,
-)
-from repro.arch.technology import TSMC65, TechnologyModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARCH_KINDS",
-    "LAYOUT_OVERHEAD",
-    "AreaReport",
-    "area_report",
-    "all_area_reports",
-    "pe_area_mm2",
-    "BankedBuffer",
-    "BufferAccessStats",
-    "BufferSet",
-    "ArchConfig",
-    "DEFAULT_CONFIG",
-    "KB",
-    "CommonDataBus",
-    "FifoLink",
-    "WiringModel",
-    "WIRING_MODELS",
-    "wiring_model",
-    "AddressGenerator",
-    "AddressingMode",
-    "AddressTrace",
-    "ControlFSM",
-    "FSMState",
-    "LocalStore",
-    "ActivityCounts",
-    "PowerReport",
-    "compute_power",
-    "config_to_dict",
-    "config_from_dict",
-    "config_to_json",
-    "config_from_json",
-    "mask_to_dict",
-    "mask_from_dict",
-    "technology_to_dict",
-    "technology_from_dict",
-    "TechnologyModel",
-    "TSMC65",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".area": (
+            "ARCH_KINDS",
+            "LAYOUT_OVERHEAD",
+            "AreaReport",
+            "area_report",
+            "all_area_reports",
+            "pe_area_mm2",
+        ),
+        ".buffers": ("BankedBuffer", "BufferAccessStats", "BufferSet"),
+        ".config": ("ArchConfig", "DEFAULT_CONFIG", "KB"),
+        ".interconnect": (
+            "CommonDataBus",
+            "FifoLink",
+            "WiringModel",
+            "WIRING_MODELS",
+            "wiring_model",
+        ),
+        ".local_store": (
+            "AddressGenerator",
+            "AddressingMode",
+            "AddressTrace",
+            "ControlFSM",
+            "FSMState",
+            "LocalStore",
+        ),
+        ".power": ("ActivityCounts", "PowerReport", "compute_power"),
+        ".serialization": (
+            "config_to_dict",
+            "config_from_dict",
+            "config_to_json",
+            "config_from_json",
+            "mask_to_dict",
+            "mask_from_dict",
+            "technology_to_dict",
+            "technology_from_dict",
+        ),
+        ".technology": ("TechnologyModel", "TSMC65"),
+    },
+)

@@ -13,39 +13,28 @@ bound.  A byte-budgeted LRU (:class:`MemoryTier`) keeps decoded entries
 in front of the disk.
 """
 
-from repro.cache.keys import (
-    CACHE_SCHEMA_VERSION,
-    canonical_json,
-    hash_payload,
-    layer_payload,
-    network_payload,
-)
-from repro.cache.memtier import DEFAULT_MEM_MB, MemoryTier
-from repro.cache.store import (
-    ENV_DIR,
-    ENV_ENABLE,
-    ENV_MEM_MB,
-    ResultCache,
-    active_cache,
-    cache_enabled,
-    cache_root,
-    reset_cache_handles,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "DEFAULT_MEM_MB",
-    "ENV_DIR",
-    "ENV_ENABLE",
-    "ENV_MEM_MB",
-    "MemoryTier",
-    "ResultCache",
-    "active_cache",
-    "cache_enabled",
-    "cache_root",
-    "canonical_json",
-    "hash_payload",
-    "layer_payload",
-    "network_payload",
-    "reset_cache_handles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".keys": (
+            "CACHE_SCHEMA_VERSION",
+            "canonical_json",
+            "hash_payload",
+            "layer_payload",
+            "network_payload",
+        ),
+        ".memtier": ("DEFAULT_MEM_MB", "MemoryTier"),
+        ".store": (
+            "ENV_DIR",
+            "ENV_ENABLE",
+            "ENV_MEM_MB",
+            "ResultCache",
+            "active_cache",
+            "cache_enabled",
+            "cache_root",
+            "reset_cache_handles",
+        ),
+    },
+)

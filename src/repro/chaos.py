@@ -44,7 +44,6 @@ fires them.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import time
@@ -322,6 +321,8 @@ def chaos_worker_entry() -> None:
     if controller is None:
         return
     if controller.should_fire("worker_crash"):
+        import multiprocessing
+
         if multiprocessing.parent_process() is not None:
             os._exit(CRASH_EXIT_CODE)
         raise ChaosInjected("chaos: injected worker crash")

@@ -18,23 +18,24 @@ All command output funnels through :func:`main`'s single pipe-safe exit
 path: when a downstream consumer closes the pipe early (``repro
 workloads | head -1``), the CLI exits 0 instead of dying with a
 ``BrokenPipeError`` traceback.
+
+Each command imports what it runs inside its own function, so a process
+loads only its command's code: ``repro cache stats`` or ``repro serve``
+never imports the accelerator models, the experiment suite or NumPy.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional
 
-from repro.accelerators import make_accelerator
-from repro.arch.config import ArchConfig
-from repro.compiler import ProgramExecutor, compile_network, to_asm
-from repro.dataflow import map_network
 from repro.errors import ConfigurationError, ReproError, SpecificationError
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.common import ARCH_LABELS, ARCH_ORDER
-from repro.nn import WORKLOAD_NAMES, all_workloads, get_workload, parse_network
+from repro.experiments import EXPERIMENT_MODULES
+from repro.experiments.records import ARCH_LABELS, ARCH_ORDER
+from repro.nn import WORKLOAD_NAMES, get_workload, parse_network
 from repro.nn.network import Network
 
 
@@ -42,7 +43,6 @@ def _resolve_workload(spec: str) -> Network:
     """A Table 1 workload name, or a path to a network-description file."""
     if spec in WORKLOAD_NAMES:
         return get_workload(spec)
-    import os
 
     if os.path.exists(spec):
         # A directory or an unreadable file must surface as the standard
@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", help="regenerate paper artifacts")
     experiment.add_argument(
-        "experiment_id", choices=list(ALL_EXPERIMENTS) + ["all"]
+        "experiment_id", choices=list(EXPERIMENT_MODULES) + ["all"]
     )
     _add_resilience_args(experiment)
 
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_cmd = sub.add_parser(
         "profile", help="run one experiment under the tracer"
     )
-    profile_cmd.add_argument("experiment_id", choices=list(ALL_EXPERIMENTS))
+    profile_cmd.add_argument("experiment_id", choices=list(EXPERIMENT_MODULES))
     profile_cmd.add_argument(
         "-o", "--output", default=None, metavar="FILE",
         help="write a Chrome/Perfetto trace.json (default: no file)",
@@ -325,6 +325,8 @@ def _add_resilience_args(command: argparse.ArgumentParser) -> None:
 
 
 def _cmd_workloads() -> int:
+    from repro.nn import all_workloads
+
     print(f"{'workload':<10} {'CONV layers':>11} {'total MACs':>14} {'conv share':>11}")
     for network in all_workloads():
         print(
@@ -340,6 +342,8 @@ def _cmd_describe(workload: str) -> int:
 
 
 def _cmd_map(workload: str, dim: int) -> int:
+    from repro.dataflow import map_network
+
     network = _resolve_workload(workload)
     mapping = map_network(network, dim)
     print(f"{network.name} on a {dim}x{dim} convolutional unit:")
@@ -355,6 +359,9 @@ def _cmd_map(workload: str, dim: int) -> int:
 
 
 def _cmd_run(workload: str, arch: str, dim: int) -> int:
+    from repro.accelerators import make_accelerator
+    from repro.arch.config import ArchConfig
+
     config = ArchConfig().scaled_to(dim)
     kinds = list(ARCH_ORDER) if arch == "all" else [arch]
     network = _resolve_workload(workload)
@@ -375,6 +382,9 @@ def _cmd_run(workload: str, arch: str, dim: int) -> int:
 
 
 def _cmd_compile(workload: str, dim: int, execute: bool) -> int:
+    from repro.arch.config import ArchConfig
+    from repro.compiler import ProgramExecutor, compile_network, to_asm
+
     network = _resolve_workload(workload)
     program = compile_network(network, dim)
     print(to_asm(program), end="")
@@ -389,10 +399,11 @@ def _cmd_compile(workload: str, dim: int, execute: bool) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import RunPolicy, run_batch
+    from repro.experiments import run_batch
+    from repro.experiments.records import RunPolicy
 
     ids = (
-        list(ALL_EXPERIMENTS)
+        list(EXPERIMENT_MODULES)
         if args.experiment_id == "all"
         else [args.experiment_id]
     )
@@ -427,6 +438,7 @@ def _print_outcomes(outcomes) -> int:
 
 def _dse_rows(spec: str, dims: List[int]) -> List[dict]:
     """The ``dse`` table rows for one workload across the dim sweep."""
+    from repro.arch.config import ArchConfig
     from repro.experiments.common import evaluate_sweep
     from repro.experiments.dse_array_scale import scale_points
 
@@ -457,7 +469,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     The kernel backend is the ``REPRO_KERNELS`` setting; every backend
     prints the same table.
     """
-    from repro.experiments.common import ExperimentResult
+    from repro.experiments.records import ExperimentResult
 
     dims_text = args.dims
     if dims_text is None:
@@ -638,7 +650,7 @@ def _parse_csv(text: str, convert, what: str, example: str = "") -> list:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.experiments.runner import RunPolicy
+    from repro.experiments.records import RunPolicy
     from repro.serve.app import ServeApp, run_app
     from repro.serve.batcher import BatchPolicy
     from repro.serve.resilience import ResiliencePolicy
@@ -757,8 +769,6 @@ def _exit_on_broken_pipe() -> int:
     print ``Exception ignored ...``) all over again, so point the stdout
     file descriptor at ``/dev/null`` before returning.
     """
-    import os
-
     devnull = os.open(os.devnull, os.O_WRONLY)
     try:
         os.dup2(devnull, sys.stdout.fileno())

@@ -1,29 +1,19 @@
 """The Section 5 compiler: workload analysis, codegen, and assembly."""
 
-from repro.compiler.assembler import assemble, disassemble, parse_asm, to_asm
-from repro.compiler.codegen import compile_network
-from repro.compiler.executor import (
-    BatchReport,
-    ExecutionReport,
-    InstructionTiming,
-    ProgramExecutor,
-)
-from repro.compiler.isa import OPERAND_COUNTS, Instruction, Opcode, decode
-from repro.compiler.program import Program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProgramExecutor",
-    "BatchReport",
-    "ExecutionReport",
-    "InstructionTiming",
-    "Instruction",
-    "Opcode",
-    "OPERAND_COUNTS",
-    "decode",
-    "Program",
-    "compile_network",
-    "to_asm",
-    "parse_asm",
-    "assemble",
-    "disassemble",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".executor": (
+            "ProgramExecutor",
+            "BatchReport",
+            "ExecutionReport",
+            "InstructionTiming",
+        ),
+        ".isa": ("Instruction", "Opcode", "OPERAND_COUNTS", "decode"),
+        ".program": ("Program",),
+        ".codegen": ("compile_network",),
+        ".assembler": ("to_asm", "parse_asm", "assemble", "disassemble"),
+    },
+)

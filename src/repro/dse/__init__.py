@@ -14,30 +14,23 @@ Pareto-pruned coupling-DP machinery for the FlexFlow states and the
 accelerator modules' closed-form cycle helpers for the rigid families.
 """
 
-from repro.dse.perlayer import (
-    EXTERN_FAMILIES,
-    FAMILY_ORDER,
-    ExternState,
-    LayerChoice,
-    PerLayerPlan,
-    extern_layer_cycles,
-    family_param_states,
-    format_plan,
-    plan_payload,
-    solve_per_layer,
-)
-from repro.dse.reconfig import ReconfigCostModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXTERN_FAMILIES",
-    "FAMILY_ORDER",
-    "ExternState",
-    "LayerChoice",
-    "PerLayerPlan",
-    "ReconfigCostModel",
-    "extern_layer_cycles",
-    "family_param_states",
-    "format_plan",
-    "plan_payload",
-    "solve_per_layer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".perlayer": (
+            "EXTERN_FAMILIES",
+            "FAMILY_ORDER",
+            "ExternState",
+            "LayerChoice",
+            "PerLayerPlan",
+            "extern_layer_cycles",
+            "family_param_states",
+            "format_plan",
+            "plan_payload",
+            "solve_per_layer",
+        ),
+        ".reconfig": ("ReconfigCostModel",),
+    },
+)

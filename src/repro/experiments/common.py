@@ -1,79 +1,31 @@
-"""Shared experiment harness: runners, result records, table formatting.
+"""Shared experiment harness: the runners over the architecture models.
 
 Every experiment module exposes ``run(...) -> ExperimentResult``; the
 result carries the regenerated rows (list of dicts) plus enough metadata
 for EXPERIMENTS.md and the benchmark harness to print paper-style tables.
+The record itself, with ``ARCH_ORDER`` and ``ARCH_LABELS``, is defined in
+:mod:`repro.experiments.records` (no model imports) and re-exported here
+for the experiment modules.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.accelerators import make_accelerator
 from repro.accelerators.base import NetworkResult
 from repro.arch.config import ArchConfig
 from repro.errors import ConfigurationError
+from repro.experiments.records import (  # noqa: F401  (re-exported)
+    ARCH_LABELS,
+    ARCH_ORDER,
+    ExperimentResult,
+)
 from repro.nn.network import Network
 from repro.nn.workloads import get_workload
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import current_tracer
-
-#: Canonical architecture order used across all experiments.
-ARCH_ORDER = ("systolic", "mapping2d", "tiling", "flexflow")
-
-#: Display names matching the paper's figures.
-ARCH_LABELS = {
-    "systolic": "Systolic",
-    "mapping2d": "2D-Mapping",
-    "tiling": "Tiling",
-    "flexflow": "FlexFlow",
-    "pipeline": "Pipelined-Systolic",
-}
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """A regenerated table/figure: identifier, rows, and notes."""
-
-    experiment_id: str
-    title: str
-    rows: List[Dict[str, Any]]
-    notes: str = ""
-
-    def columns(self) -> List[str]:
-        if not self.rows:
-            return []
-        # Preserve the first row's key order; later rows may add none.
-        return list(self.rows[0].keys())
-
-    def format_table(self, float_digits: int = 3) -> str:
-        """Render rows as an aligned text table (the bench output)."""
-        columns = self.columns()
-        if not columns:
-            return f"{self.experiment_id}: (no rows)"
-
-        def fmt(value: Any) -> str:
-            if isinstance(value, float):
-                return f"{value:.{float_digits}f}"
-            return str(value)
-
-        cells = [[fmt(row.get(col, "")) for col in columns] for row in self.rows]
-        widths = [
-            max(len(col), *(len(row[idx]) for row in cells))
-            for idx, col in enumerate(columns)
-        ]
-        header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(columns))
-        divider = "  ".join("-" * widths[i] for i in range(len(columns)))
-        body = "\n".join(
-            "  ".join(row[i].ljust(widths[i]) for i in range(len(columns)))
-            for row in cells
-        )
-        lines = [f"== {self.experiment_id}: {self.title} ==", header, divider, body]
-        if self.notes:
-            lines.append(f"note: {self.notes}")
-        return "\n".join(lines)
 
 
 def run_all_architectures(

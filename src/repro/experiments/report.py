@@ -4,11 +4,23 @@
 results as a Markdown document with one section per artifact — the
 machine-generated companion to the hand-written EXPERIMENTS.md analysis.
 Used by the CLI's ``report`` command.
+
+Importing this module reads the built-in registry (``ALL_EXPERIMENTS``),
+which imports every experiment and, through them, every accelerator
+model, so a report process pays those imports at start-up rather than
+inside its first ``generate_report()``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.experiments import (  # noqa: F401  (imports every experiment)
+    ALL_EXPERIMENTS,
+    experiment_registry,
+    run_batch,
+)
+from repro.experiments.records import RunPolicy
 
 
 def _markdown_table(rows: List[Dict[str, Any]], float_digits: int = 3) -> str:
@@ -41,7 +53,7 @@ def generate_report(
     """Run experiments and render a Markdown report.
 
     With no resilience option the experiments run in this process (see
-    :func:`repro.experiments.runner.run_batch`).  With any of
+    :func:`repro.experiments.run_batch`).  With any of
     ``timeout_s``, ``retries`` or ``run_dir`` set they run on one
     supervised pool worker and a *partial* report is produced: failed or
     timed-out experiments get a clearly marked **FAILED** section with
@@ -57,12 +69,6 @@ def generate_report(
         retries: extra attempts for failed/timed-out experiments.
         run_dir: checkpoint directory for resumable report runs.
     """
-    from repro.experiments.runner import (
-        RunPolicy,
-        experiment_registry,
-        run_batch,
-    )
-
     ids = list(experiment_ids or experiment_registry())
     outcomes = run_batch(
         ids,

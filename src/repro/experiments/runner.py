@@ -13,163 +13,50 @@ checkpointed as JSON into a run directory — re-running the same batch
 with the same ``run_dir`` resumes, skipping everything already finished
 — and failures come back as structured :class:`RunOutcome` records
 instead of exceptions, so :mod:`repro.experiments.report` can render a
-partial report that marks what is missing.  :func:`run_batch` is the one place
-that picks between this and a plain in-process run.
+partial report that marks what is missing.
+:func:`repro.experiments.run_batch` is the one place that picks between
+this and a plain in-process run, and imports this module only for a
+supervised batch: the in-process path (the registry, the store lookup)
+lives in :mod:`repro.experiments`.
 
-Workers resolve experiments through :func:`experiment_registry`, which
-honours the ``REPRO_EXPERIMENTS_PLUGIN`` environment variable
-(``"module:attribute"`` naming a dict of extra experiment modules).  The
-variable crosses the ``spawn`` boundary with the environment, which is how
-the test suite injects deliberately crashing/hanging experiments into real
-worker processes.
+Workers resolve experiments through
+:func:`repro.experiments.experiment_registry`, which honours the
+``REPRO_EXPERIMENTS_PLUGIN`` environment variable (``"module:attribute"``
+naming a dict of extra experiment modules).  The variable crosses the
+``spawn`` boundary with the environment, which is how the test suite
+injects deliberately crashing/hanging experiments into real worker
+processes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
-import math
-import os
 import platform
 import subprocess
 import time
 import traceback
-from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.common import ExperimentResult
+from repro.experiments import (
+    _check_known,
+    experiment_registry,
+    run_module_cached,
+)
+from repro.experiments.records import (
+    ExperimentResult,
+    RunOutcome,
+    RunPolicy,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.fsutil import atomic_write_text
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import current_tracer
 
-#: Environment variable naming extra experiments: ``"module:attribute"``
-#: where the attribute is a ``dict`` of id -> module-like (has ``run()``).
-PLUGIN_ENV = "REPRO_EXPERIMENTS_PLUGIN"
-
-
-def experiment_registry() -> Dict[str, Any]:
-    """All runnable experiments: the built-in registry plus env plugins."""
-    from repro.experiments import ALL_EXPERIMENTS
-
-    registry: Dict[str, Any] = dict(ALL_EXPERIMENTS)
-    spec = os.environ.get(PLUGIN_ENV)
-    if spec:
-        try:
-            module_name, _, attr = spec.partition(":")
-            if not attr:
-                raise ValueError("expected 'module:attribute'")
-            extra = getattr(importlib.import_module(module_name), attr)
-            registry.update(extra)
-        except Exception as exc:
-            raise ConfigurationError(
-                f"cannot load {PLUGIN_ENV}={spec!r}: {exc}"
-            ) from exc
-    return registry
-
-
-# -- policies and outcomes ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunPolicy:
-    """How :func:`run_resilient` (and the serve worker pool) supervise jobs.
-
-    Args:
-        timeout_s: per-attempt wall-clock limit (``None`` = unlimited).
-        retries: extra attempts after a failed/timed-out first attempt.
-        backoff_s: delay before retry ``k`` is ``backoff_s * 2**(k-1)``,
-            capped at ``max_backoff_s``.
-        max_backoff_s: ceiling on any single retry delay, so a high retry
-            count cannot schedule multi-minute sleeps.
-        run_dir: checkpoint directory; ``None`` disables checkpointing.
-    """
-
-    timeout_s: Optional[float] = None
-    retries: int = 0
-    backoff_s: float = 0.5
-    max_backoff_s: float = 30.0
-    run_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        # `nan <= 0` is False, so a bare sign check lets NaN through; a
-        # NaN or infinite timeout or backoff would then supervise a hung
-        # job forever.
-        if self.timeout_s is not None and not (
-            math.isfinite(self.timeout_s) and self.timeout_s > 0
-        ):
-            raise ConfigurationError(
-                f"timeout_s must be positive and finite, got {self.timeout_s}"
-            )
-        if self.retries < 0:
-            raise ConfigurationError(
-                f"retries must be >= 0, got {self.retries}"
-            )
-        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
-            raise ConfigurationError(
-                f"backoff_s must be >= 0 and finite, got {self.backoff_s}"
-            )
-        if not (math.isfinite(self.max_backoff_s) and self.max_backoff_s > 0):
-            raise ConfigurationError(
-                "max_backoff_s must be positive and finite,"
-                f" got {self.max_backoff_s}"
-            )
-
-    def retry_delay(self, attempt: int) -> float:
-        """Delay before the retry that follows failed attempt ``attempt``.
-
-        Exponential from ``backoff_s``, but never above ``max_backoff_s``
-        — the worker pool schedules every retry (served requests and
-        experiment batches alike) through here.
-        """
-        return min(self.backoff_s * (2 ** (attempt - 1)), self.max_backoff_s)
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """What happened to one job across all of its attempts.
-
-    For an experiment, ``result`` is its :class:`ExperimentResult`; the
-    worker pool reports any job this way, with the request label as
-    ``experiment_id`` and the worker entry's return value as ``result``.
-    """
-
-    experiment_id: str
-    status: str  # "ok" | "failed" | "timeout"
-    result: Any = None
-    error: str = ""
-    attempts: int = 1
-    from_checkpoint: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
 # -- (de)serialization --------------------------------------------------------
-
-
-def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
-    """ExperimentResult as a JSON-compatible dict."""
-    return {
-        "experiment_id": result.experiment_id,
-        "title": result.title,
-        "rows": result.rows,
-        "notes": result.notes,
-    }
-
-
-def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
-    """Rebuild an ExperimentResult from its JSON dict."""
-    return ExperimentResult(
-        experiment_id=data["experiment_id"],
-        title=data["title"],
-        rows=list(data["rows"]),
-        notes=data.get("notes", ""),
-    )
 
 
 def outcome_to_dict(outcome: RunOutcome) -> Dict[str, Any]:
@@ -315,71 +202,17 @@ def _write_manifest(
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
-# -- persistent experiment-result cache ---------------------------------------
-
-
-@lru_cache(maxsize=1024)
-def _experiment_cache_key(experiment_id: str, module: Any) -> Optional[str]:
-    """Cache key for one experiment, salted with its module's source hash.
-
-    The source hash makes editing an experiment module invalidate its own
-    entries immediately (no manual salt bump needed); changes elsewhere in
-    the library rely on :data:`repro.cache.CACHE_SCHEMA_VERSION`.  Modules
-    without retrievable source (e.g. test-plugin namespaces) return
-    ``None`` and are never cached.  Memoized per ``(id, module)`` — the
-    source cannot change under a running process, and re-reading it per
-    lookup was measurable in cold sweeps.
-    """
-    import inspect
-
-    from repro.cache import hash_payload
-
-    try:
-        source = inspect.getsource(module)
-    except (OSError, TypeError):
-        return None
-    return hash_payload(
-        "experiment",
-        {
-            "id": experiment_id,
-            "source_sha": hashlib.sha256(source.encode("utf-8")).hexdigest(),
-        },
-    )
-
-
-def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
-    """``module.run()`` behind the persistent result cache.
-
-    Both the in-process path (:func:`repro.experiments.run_experiment`)
-    and the pool workers (:func:`experiment_entry`) go through here, so a
-    warm store turns a whole report into a series of JSON reads.  The
-    experiment entry is the only thing a run publishes, and it is on
-    disk when the call returns: the mapping searches and closed forms
-    inside ``module.run()`` are recomputed (and memoized per process) on
-    a miss.
-    """
-    from repro.cache import active_cache
-
-    cache = active_cache()
-    key = (
-        _experiment_cache_key(experiment_id, module)
-        if cache is not None
-        else None
-    )
-    if cache is not None and key is not None:
-        stored = cache.get("experiment", key)
-        if stored is not None:
-            try:
-                return result_from_dict(stored)
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed entry: recompute and overwrite
-    result = module.run()
-    if cache is not None and key is not None:
-        cache.put("experiment", key, result_to_dict(result))
-    return result
-
-
 # -- the worker side ----------------------------------------------------------
+
+
+def preload() -> None:
+    """Import every experiment a worker may run.
+
+    A :class:`~repro.serve.pool.WorkerPool` worker running
+    :func:`experiment_entry` calls this before its ``warm`` report, so
+    the worker's boot, never an experiment's timeout, pays the imports.
+    """
+    experiment_registry()
 
 
 def experiment_entry(kind: str, spec: Dict[str, Any]) -> ExperimentResult:
@@ -402,39 +235,6 @@ def experiment_entry(kind: str, spec: Dict[str, Any]) -> ExperimentResult:
 
 
 # -- the supervisor -----------------------------------------------------------
-
-
-def _check_known(ids: Sequence[str]) -> None:
-    """Fail fast, before any work starts, on ids no registry knows."""
-    registry = experiment_registry()
-    unknown = [eid for eid in ids if eid not in registry]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown experiment ids: {', '.join(unknown)}"
-        )
-
-
-def run_batch(
-    experiment_ids: Sequence[str], policy: RunPolicy
-) -> List[RunOutcome]:
-    """Run a batch on the executor its policy calls for.
-
-    A policy with no timeout, retries or run directory runs the
-    experiments in this process, each entry on disk before the next
-    experiment starts, and a failure raises.  Any other policy goes
-    through :func:`run_resilient`.  Outcomes come back in input order.
-    """
-    if (
-        policy.timeout_s is not None
-        or policy.retries
-        or policy.run_dir is not None
-    ):
-        return run_resilient(experiment_ids, policy)
-    from repro.experiments import run_experiment
-
-    ids = list(experiment_ids)
-    _check_known(ids)
-    return [RunOutcome(eid, "ok", result=run_experiment(eid)) for eid in ids]
 
 
 def run_resilient(

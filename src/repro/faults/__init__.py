@@ -11,22 +11,17 @@ The subsystem has three layers:
   baselines that cannot remap around dead PEs.
 """
 
-from repro.faults.impact import (
-    row_kill_retention,
-    systolic_retention,
-    tiling_retention,
-)
-from repro.faults.mask import AvailabilityMask, LiveGrid, live_grid
-from repro.faults.model import FaultModel, apply_flip, transient_flip
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AvailabilityMask",
-    "LiveGrid",
-    "live_grid",
-    "FaultModel",
-    "transient_flip",
-    "apply_flip",
-    "systolic_retention",
-    "row_kill_retention",
-    "tiling_retention",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".mask": ("AvailabilityMask", "LiveGrid", "live_grid"),
+        ".model": ("FaultModel", "transient_flip", "apply_flip"),
+        ".impact": (
+            "systolic_retention",
+            "row_kill_retention",
+            "tiling_retention",
+        ),
+    },
+)

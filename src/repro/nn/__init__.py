@@ -1,97 +1,54 @@
 """CNN workload substrate: layer specs, networks, Table 1 workloads, golden model."""
 
-from repro.nn.layers import (
-    OPS_PER_MAC,
-    ConvLayer,
-    FCLayer,
-    InputSpec,
-    JoinLayer,
-    PoolLayer,
-)
-from repro.nn.execution import (
-    make_network_inputs,
-    run_join_layer,
-    run_network,
-)
-from repro.nn.network import ConvContext, Network
-from repro.nn.reference import (
-    conv2d,
-    make_fc_weights,
-    make_inputs,
-    make_kernels,
-    pad_input,
-    pool2d,
-    run_conv_layer,
-    run_fc_layer,
-    run_pool_layer,
-)
-from repro.nn.netdesc import parse_network, to_description
-from repro.nn.synth import SynthSpec, random_network, random_networks
-from repro.nn.stats import (
-    LayerFootprint,
-    ParallelismProfile,
-    conv_compute_share,
-    conv_footprint,
-    dominant_parallelism_by_layer,
-    network_footprints,
-    parallelism_profile,
-)
-from repro.nn.workloads import (
-    SMALL_WORKLOAD_NAMES,
-    WORKLOAD_NAMES,
-    all_workloads,
-    build_alexnet,
-    build_fr,
-    build_hg,
-    build_lenet5,
-    build_pv,
-    build_vgg11,
-    get_workload,
-    small_workloads,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OPS_PER_MAC",
-    "ConvLayer",
-    "FCLayer",
-    "InputSpec",
-    "JoinLayer",
-    "PoolLayer",
-    "ConvContext",
-    "Network",
-    "make_network_inputs",
-    "run_join_layer",
-    "run_network",
-    "conv2d",
-    "pad_input",
-    "pool2d",
-    "run_conv_layer",
-    "run_fc_layer",
-    "run_pool_layer",
-    "make_inputs",
-    "make_kernels",
-    "make_fc_weights",
-    "LayerFootprint",
-    "ParallelismProfile",
-    "conv_footprint",
-    "network_footprints",
-    "parallelism_profile",
-    "dominant_parallelism_by_layer",
-    "conv_compute_share",
-    "parse_network",
-    "to_description",
-    "SynthSpec",
-    "random_network",
-    "random_networks",
-    "WORKLOAD_NAMES",
-    "SMALL_WORKLOAD_NAMES",
-    "get_workload",
-    "all_workloads",
-    "small_workloads",
-    "build_pv",
-    "build_fr",
-    "build_lenet5",
-    "build_hg",
-    "build_alexnet",
-    "build_vgg11",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".layers": (
+            "OPS_PER_MAC",
+            "ConvLayer",
+            "FCLayer",
+            "InputSpec",
+            "JoinLayer",
+            "PoolLayer",
+        ),
+        ".network": ("ConvContext", "Network"),
+        ".execution": ("make_network_inputs", "run_join_layer", "run_network"),
+        ".reference": (
+            "conv2d",
+            "pad_input",
+            "pool2d",
+            "run_conv_layer",
+            "run_fc_layer",
+            "run_pool_layer",
+            "make_inputs",
+            "make_kernels",
+            "make_fc_weights",
+        ),
+        ".stats": (
+            "LayerFootprint",
+            "ParallelismProfile",
+            "conv_footprint",
+            "network_footprints",
+            "parallelism_profile",
+            "dominant_parallelism_by_layer",
+            "conv_compute_share",
+        ),
+        ".netdesc": ("parse_network", "to_description"),
+        ".synth": ("SynthSpec", "random_network", "random_networks"),
+        ".workloads": (
+            "WORKLOAD_NAMES",
+            "SMALL_WORKLOAD_NAMES",
+            "get_workload",
+            "all_workloads",
+            "small_workloads",
+            "build_pv",
+            "build_fr",
+            "build_lenet5",
+            "build_hg",
+            "build_alexnet",
+            "build_vgg11",
+        ),
+    },
+)

@@ -21,57 +21,37 @@ Plus one orchestration module, imported lazily to avoid a cycle with
 See ``docs/OBSERVABILITY.md`` for the user guide.
 """
 
-from repro.obs.export import (
-    TRACE_SCHEMA_VERSION,
-    metrics_to_csv,
-    metrics_to_json,
-    parity_report,
-    span_to_dict,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-)
-from repro.obs.tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
-    Span,
-    Tracer,
-    counter_delta,
-    current_tracer,
-    tracing,
-    use_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # tracer
-    "Span",
-    "Tracer",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "counter_delta",
-    "current_tracer",
-    "tracing",
-    "use_tracer",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    # export
-    "TRACE_SCHEMA_VERSION",
-    "metrics_to_csv",
-    "metrics_to_json",
-    "parity_report",
-    "span_to_dict",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".tracer": (
+            "Span",
+            "Tracer",
+            "NULL_SPAN",
+            "NULL_TRACER",
+            "counter_delta",
+            "current_tracer",
+            "tracing",
+            "use_tracer",
+        ),
+        ".metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "REGISTRY",
+        ),
+        ".export": (
+            "TRACE_SCHEMA_VERSION",
+            "metrics_to_csv",
+            "metrics_to_json",
+            "parity_report",
+            "span_to_dict",
+            "to_chrome_trace",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+        ),
+    },
+)

@@ -14,7 +14,7 @@ array-scale DSE sweep behind a small stdlib-only HTTP API (see
   onto a single backend computation;
 * :mod:`repro.serve.pool` — the supervised ``spawn`` worker pool (also
   the resilient experiment runner's executor) under
-  :class:`~repro.experiments.runner.RunPolicy` (timeout / retries /
+  :class:`~repro.experiments.records.RunPolicy` (timeout / retries /
   non-blocking backoff);
 * :mod:`repro.serve.app` — the asyncio HTTP server: ``/v1/map``,
   ``/v1/simulate``, ``/v1/dse``, ``/v1/sweep``, ``/metrics``,
@@ -23,15 +23,14 @@ array-scale DSE sweep behind a small stdlib-only HTTP API (see
   ``benchmarks/bench_serve.py`` and the committed ``serve`` numbers.
 """
 
-from repro.serve.app import ServeApp
-from repro.serve.coalescer import Coalescer
-from repro.serve.pool import WorkerPool
-from repro.serve.schemas import ComputeRequest, parse_request
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Coalescer",
-    "ComputeRequest",
-    "ServeApp",
-    "WorkerPool",
-    "parse_request",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".coalescer": ("Coalescer",),
+        ".schemas": ("ComputeRequest", "parse_request"),
+        ".app": ("ServeApp",),
+        ".pool": ("WorkerPool",),
+    },
+)

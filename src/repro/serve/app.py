@@ -41,7 +41,7 @@ from urllib.parse import parse_qs
 
 from repro.cache import active_cache
 from repro.errors import ConfigurationError, ReproError, SpecificationError
-from repro.experiments.runner import RunPolicy
+from repro.experiments.records import RunPolicy
 from repro.obs.events import event_record
 from repro.obs.metrics import REGISTRY
 from repro.serve.batcher import BatchPolicy, BatchScheduler

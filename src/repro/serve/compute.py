@@ -10,6 +10,11 @@ CLI run give the same numbers.  Workers never read or write the
 persistent store: the mapping searches and the network results on top
 are memoized per worker process, and only the coordinator stores the
 whole response, under the ``serve`` section.
+
+The executors import the mapper, the accelerator models and the sweeps
+on first use, so the coordinator, which imports this module for
+:func:`pool_entry`, loads none of them (nor NumPy); a pool worker
+imports them all in :func:`preload`, before it reports ``warm``.
 """
 
 from __future__ import annotations
@@ -170,6 +175,15 @@ def _exec_dse_per_layer(spec: Dict[str, Any]) -> Dict[str, Any]:
         network, spec["dim"], reconfig_scale=spec["reconfig_scale"]
     )
     return plan_payload(plan)
+
+
+def preload() -> None:
+    """Import every module the executors run (a pool worker calls this
+    before its ``warm`` report, so no task pays an import)."""
+    import repro.accelerators  # noqa: F401
+    import repro.dataflow.mapper  # noqa: F401
+    import repro.dse.perlayer  # noqa: F401
+    import repro.experiments.dse_array_scale  # noqa: F401
 
 
 _EXECUTORS = {

@@ -8,11 +8,14 @@ computation cannot take down the coordinator and CPU-heavy work does
 not stall its event loop.  The pool takes its worker entry function
 at construction: serve keeps :func:`~repro.serve.compute.pool_entry`,
 the runner passes :func:`~repro.experiments.runner.experiment_entry`.
-The supervision policy is :class:`~repro.experiments.runner.RunPolicy`
+The supervision policy is :class:`~repro.experiments.records.RunPolicy`
 — timeout / retries / capped exponential backoff — enforced
 *asynchronously*: an attempt's timeout runs from its dispatch to a
 booted worker, and backoff is an ``await asyncio.sleep``, so one
 struggling job never blocks the others.
+
+The loop a spawn worker runs lives in :mod:`repro.serve.worker`, so a
+worker imports its entry and the entry's compute code, never asyncio.
 
 Each attempt reports ``ok``, ``failed`` or ``timeout``.  The pool owns
 each worker directly (one duplex pipe + one reader thread per worker),
@@ -63,18 +66,21 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import RunOutcome, RunPolicy
+from repro.experiments.records import RunOutcome, RunPolicy
 from repro.obs.events import event_record
 from repro.obs.metrics import REGISTRY
 from repro.serve.compute import pool_entry
 from repro.serve.schemas import ComputeRequest
+from repro.serve.worker import (
+    Entry,
+    _execute,
+    _preload,
+    _spawn_worker_main,
+    _warm_message,
+)
 
 #: A progress callback; receives serializable event dicts.
 ProgressSink = Callable[[Dict[str, Any]], None]
-
-#: A worker entry: ``entry(kind, spec) -> result``.  Spawn workers import
-#: it by name, so it must be a module-level function.
-Entry = Callable[[str, Dict[str, Any]], Any]
 
 #: How far past ``timeout_s`` a busy worker may run before the reaper
 #: kills and replaces it (callers have long since timed out and retried).
@@ -84,66 +90,14 @@ DEFAULT_GRACE_FACTOR = 2.0
 #: before it kills them.
 STOP_TIMEOUT_S = 5.0
 
-#: How long a worker with a task may take to boot (start, import the
-#: package, load the kernel backend) before the reaper treats it as hung.
+#: How long a worker with a task may take to boot (start, import its
+#: entry and the entry's compute code, load the kernel backend) before
+#: the reaper treats it as hung.
 BOOT_TIMEOUT_S = 60.0
 
 
 def _noop_sink(record: Dict[str, Any]) -> None:
     pass
-
-
-def _warm_message() -> Tuple[None, str, Optional[float]]:
-    """Eagerly load the kernel backend; the worker's ``warm`` report.
-
-    Workers call this before serving (the cext build happens here, at
-    pool start) so the first cold task does not pay the load.  The
-    report tells the pool the worker has booted; its load time in ms
-    feeds the ``pool.worker_warm_ms`` gauge, and is ``None`` when the
-    backend could not load (the worker still serves, on numpy).
-    """
-    try:
-        from repro.kernels import active_kernels
-
-        started = time.perf_counter()
-        active_kernels()
-        return (None, "warm", (time.perf_counter() - started) * 1000.0)
-    except Exception:
-        return (None, "warm", None)
-
-
-def _execute(entry: Entry, message) -> Tuple[int, str, Any]:
-    """One task through ``entry``; any failure becomes a ``failed`` reply."""
-    task_id, kind, spec = message
-    try:
-        return (task_id, "ok", entry(kind, spec))
-    except BaseException as exc:
-        return (task_id, "failed", str(exc) or exc.__class__.__name__)
-
-
-def _spawn_worker_main(conn, entry: Entry) -> None:
-    """One spawn worker's loop: ``(task_id, kind, spec)`` in, reply out.
-
-    ``None`` (or a closed pipe) ends the loop; the process then exits
-    normally, running its atexit hooks.
-    """
-    conn.send(_warm_message())
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message is None:
-            return
-        reply = _execute(entry, message)
-        try:
-            conn.send(reply)
-        except (OSError, TypeError, ValueError):
-            # An unserializable envelope must not kill the worker.
-            try:
-                conn.send((reply[0], "failed", "result not serializable"))
-            except OSError:
-                return
 
 
 class _ProcessWorker:
@@ -228,8 +182,10 @@ class _ThreadWorker:
         self._thread.start()
 
     def _loop(self) -> None:
-        # Same eager warm-up as a spawn worker; the kernel load is
-        # process-memoized, so only the first inline worker pays it.
+        # Same eager warm-up as a spawn worker; the imports and the
+        # kernel load are process-wide, so only the first inline worker
+        # pays them.
+        _preload(self._entry or pool_entry)
         self._post(self, _warm_message())
         while True:
             message = self._queue.get()

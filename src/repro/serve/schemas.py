@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.cache import hash_payload, network_payload
 from repro.errors import ConfigurationError, SpecificationError
-from repro.experiments.common import ARCH_ORDER
+from repro.experiments.records import ARCH_ORDER
 from repro.nn import WORKLOAD_NAMES, get_workload, parse_network
 from repro.nn.network import Network
 

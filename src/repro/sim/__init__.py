@@ -1,61 +1,39 @@
 """Functional cycle-level simulators validating each dataflow's numerics."""
 
-from repro.sim.analytic import (
-    analytic_flexflow_trace,
-    analytic_mapping2d_trace,
-    analytic_systolic_trace,
-    analytic_tiling_trace,
-)
-from repro.sim.batch import (
-    FactorBatch,
-    LayerBatch,
-    TraceBatch,
-    batch_flexflow_traces,
-    batch_mapping2d_traces,
-    batch_systolic_traces,
-    batch_tiling_traces,
-)
-from repro.sim.export import (
-    compare_runs,
-    load_run,
-    network_result_to_dict,
-    network_result_to_json,
-    sim_trace_to_dict,
-)
-from repro.sim.flexflow_sim import CoordStore, FlexFlowFunctionalSim
-from repro.sim.mapping2d_sim import Mapping2DFunctionalSim
-from repro.sim.network_sim import FlexFlowNetworkSim, NetworkSimResult
-from repro.sim.pooling_sim import PoolingUnitSim
-from repro.sim.systolic_sim import SystolicFunctionalSim
-from repro.sim.tile_engine import TileEngine
-from repro.sim.tiling_sim import TilingFunctionalSim
-from repro.sim.trace import SimTrace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "analytic_flexflow_trace",
-    "analytic_mapping2d_trace",
-    "analytic_systolic_trace",
-    "analytic_tiling_trace",
-    "batch_flexflow_traces",
-    "batch_mapping2d_traces",
-    "batch_systolic_traces",
-    "batch_tiling_traces",
-    "FactorBatch",
-    "LayerBatch",
-    "TraceBatch",
-    "CoordStore",
-    "FlexFlowFunctionalSim",
-    "FlexFlowNetworkSim",
-    "NetworkSimResult",
-    "Mapping2DFunctionalSim",
-    "PoolingUnitSim",
-    "SystolicFunctionalSim",
-    "TileEngine",
-    "TilingFunctionalSim",
-    "SimTrace",
-    "network_result_to_dict",
-    "network_result_to_json",
-    "sim_trace_to_dict",
-    "load_run",
-    "compare_runs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analytic": (
+            "analytic_flexflow_trace",
+            "analytic_mapping2d_trace",
+            "analytic_systolic_trace",
+            "analytic_tiling_trace",
+        ),
+        ".batch": (
+            "batch_flexflow_traces",
+            "batch_mapping2d_traces",
+            "batch_systolic_traces",
+            "batch_tiling_traces",
+            "FactorBatch",
+            "LayerBatch",
+            "TraceBatch",
+        ),
+        ".flexflow_sim": ("CoordStore", "FlexFlowFunctionalSim"),
+        ".network_sim": ("FlexFlowNetworkSim", "NetworkSimResult"),
+        ".mapping2d_sim": ("Mapping2DFunctionalSim",),
+        ".pooling_sim": ("PoolingUnitSim",),
+        ".systolic_sim": ("SystolicFunctionalSim",),
+        ".tile_engine": ("TileEngine",),
+        ".tiling_sim": ("TilingFunctionalSim",),
+        ".trace": ("SimTrace",),
+        ".export": (
+            "network_result_to_dict",
+            "network_result_to_json",
+            "sim_trace_to_dict",
+            "load_run",
+            "compare_runs",
+        ),
+    },
+)

@@ -145,16 +145,34 @@ class TestExperimentTier:
 
     def test_key_salted_by_module_source(self):
         from repro.experiments import ALL_EXPERIMENTS
-        from repro.experiments.runner import _experiment_cache_key
+        from repro.experiments import _experiment_cache_key
 
         key_a = _experiment_cache_key("table04", ALL_EXPERIMENTS["table04"])
         key_b = _experiment_cache_key("table04", ALL_EXPERIMENTS["area"])
         assert key_a and key_b and key_a != key_b
 
+    def test_builtin_keys_match_the_source_text_digest(self):
+        """The key hashes the module file's bytes; for every built-in
+        experiment that is the digest its ``inspect.getsource`` text
+        gave, so no stored entry is orphaned."""
+        import hashlib
+        import inspect
+
+        from repro.cache import hash_payload
+        from repro.experiments import ALL_EXPERIMENTS, _experiment_cache_key
+
+        for eid, module in ALL_EXPERIMENTS.items():
+            source = inspect.getsource(module).encode("utf-8")
+            expected = hash_payload(
+                "experiment",
+                {"id": eid, "source_sha": hashlib.sha256(source).hexdigest()},
+            )
+            assert _experiment_cache_key(eid, module) == expected, eid
+
     def test_sourceless_module_never_cached(self):
         import types
 
-        from repro.experiments.runner import _experiment_cache_key
+        from repro.experiments import _experiment_cache_key
 
         phantom = types.ModuleType("phantom_experiment")
         assert _experiment_cache_key("phantom", phantom) is None

@@ -348,7 +348,7 @@ class TestDeferredPublishes:
         """An in-process batch publishes inside ``put``: every entry is on
         disk when ``run_batch`` returns, with no ``drain()`` and no flush
         thread."""
-        from repro.experiments.runner import RunPolicy, run_batch
+        from repro.experiments import RunPolicy, run_batch
 
         flushes = []
         monkeypatch.setattr(

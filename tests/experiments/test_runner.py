@@ -18,8 +18,8 @@ import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.common import ExperimentResult
+from repro.experiments import PLUGIN_ENV
 from repro.experiments.runner import (
-    PLUGIN_ENV,
     RunOutcome,
     RunPolicy,
     _load_checkpoint,

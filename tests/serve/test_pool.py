@@ -312,6 +312,48 @@ class TestEagerWarmup:
             pool.shutdown()
 
 
+class TestWorkerPreload:
+    def test_spawn_worker_tasks_import_no_repro_module(self):
+        """A spawn worker imports every module a request kind runs
+        before it reports ``warm``, so no task, the first included, pays
+        an import inside its timeout; and it never imports asyncio,
+        which only the coordinator runs."""
+        from repro.experiments.records import ARCH_ORDER
+        from repro.serve.batcher import fuse_requests
+        from tests.serve.module_probe import probe_entry
+
+        dse = [
+            parse_request("dse", {"workload": "LeNet-5", "dims": dims})
+            for dims in ([4, 8], [8, 16])
+        ]
+        requests = [
+            parse_request("dse", {"workload": "PV", "dims": [4, 8]}),
+            MAP_PV,
+            *(
+                parse_request("simulate", {"workload": "PV", "dim": 8, "arch": arch})
+                for arch in ARCH_ORDER
+            ),
+            parse_request("dse_per_layer", {"workload": "PV", "dim": 8}),
+            fuse_requests(dse),
+        ]
+        pool = WorkerPool(
+            RunPolicy(retries=0, timeout_s=120.0), jobs=1, entry=probe_entry
+        )
+
+        async def serially():
+            return [await pool.run(request) for request in requests]
+
+        try:
+            envelopes = run(serially())
+        finally:
+            pool.shutdown()
+        assert {
+            request.label: envelope["imported"]
+            for request, envelope in zip(requests, envelopes)
+        } == {request.label: [] for request in requests}
+        assert not any(envelope["asyncio"] for envelope in envelopes)
+
+
 def store_entries(root):
     """Every published cache entry under ``root``, as relative paths."""
     return sorted(

@@ -273,11 +273,11 @@ class TestResilienceFlags:
     ):
         import multiprocessing
 
-        import repro.experiments.runner as runner
+        import repro.experiments as experiments
 
         batches = []
         monkeypatch.setattr(
-            runner, "run_batch", lambda *args: batches.append(args) or []
+            experiments, "run_batch", lambda *args: batches.append(args) or []
         )
         assert main(["experiment", "table04", "--timeout", "nan"]) == 1
         assert "timeout_s" in capsys.readouterr().err
