@@ -31,7 +31,7 @@ whenever the extension builds.
 model outputs enforced exactly, with absolute invariants on AlexNet
 (the plan mixes engine families and beats every fixed dataflow).
 ``serve`` boots a fresh ``repro serve`` instance against an empty store and runs
-the load-test protocol (:mod:`repro.serve.loadtest`): coalescing of
+the load-test protocol (:func:`bench_serve.run_load_test`): coalescing of
 identical concurrent requests, then cold vs warm request throughput.
 ``serve_fastpath`` runs the serving-fast-path protocol (cross-request
 dynamic batching + the in-memory hot cache tier): compatible concurrent
@@ -478,23 +478,13 @@ def _bench_serve():
 def _serve() -> dict:
     """Load-test a freshly booted serve instance against an empty store.
 
-    The subprocess gets its own temporary cache directory, so the cold
-    numbers are honest and the parent's store is untouched.  ``--check``
-    gates the warm phase's counts (every reply from the cache, no
-    backend computation); the warm/cold throughput ratio is recorded.
+    :func:`bench_serve.run_load_test` boots the server on its own
+    temporary store, so the cold numbers are honest and this process's
+    store is untouched.  ``--check`` gates the warm phase's counts
+    (every reply from the cache, no backend computation); the warm/cold
+    throughput ratio is recorded.
     """
-    from repro.serve.loadtest import run_load_test, start_server
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
-        env = dict(os.environ)
-        env.update(REPRO_CACHE="on", REPRO_CACHE_DIR=tmp)
-        proc, client = start_server(jobs=2, env=env)
-        try:
-            report = run_load_test(client)
-        finally:
-            client.close()
-            proc.terminate()
-            proc.wait(timeout=30)
+    report = _bench_serve().run_load_test()
     report["warm_over_cold_throughput"] = round(
         report["warm_over_cold_throughput"], 2
     )
@@ -510,7 +500,7 @@ def _serve_fastpath() -> dict:
     """Run the serving-fast-path protocol (batching + memory tier).
 
     Three phases, each booting its own servers (see
-    :func:`repro.serve.loadtest.run_fastpath_test`): the fused dispatch
+    :func:`bench_serve.run_fastpath_test`): the fused dispatch
     floor with byte-parity against singleton answers, warm p50 through
     the memory tier vs the disk tier, and a batched vs unbatched
     compatible cold burst.  ``--check`` re-runs the protocol and applies

@@ -233,31 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap on one retry delay (default 30)",
     )
     serve_cmd.add_argument(
-        "--max-pending", type=int, default=1024,
-        help="pending-request budget per kind; beyond it requests are"
-        " shed with a fast 503 + Retry-After (default 1024)",
-    )
-    serve_cmd.add_argument(
-        "--breaker-threshold", type=int, default=5,
-        help="consecutive backend failures that open a kind's circuit"
-        " breaker (default 5)",
-    )
-    serve_cmd.add_argument(
-        "--breaker-reset", type=float, default=30.0, metavar="SECONDS",
-        help="how long an open breaker waits before admitting a"
-        " half-open probe (default 30)",
-    )
-    serve_cmd.add_argument(
-        "--grace-factor", type=float, default=2.0,
-        help="a worker busy past timeout * grace-factor is killed and"
-        " respawned (default 2)",
-    )
-    serve_cmd.add_argument(
-        "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="on SIGTERM or POST /drain, how long to wait for in-flight"
-        " requests before exiting (default 10)",
-    )
-    serve_cmd.add_argument(
         "--batch-window-ms", type=float, default=0.0, metavar="MS",
         help="how long a cold batchable request waits for compatible"
         " requests to fuse with (default 0: batching off, every cold"
@@ -638,13 +613,20 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _parse_csv(text: str, convert, what: str, example: str = "") -> list:
+    """The values of a comma list, each once: a repeat is an error."""
     try:
-        return [convert(part) for part in text.split(",") if part.strip()]
+        values = [convert(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         hint = f" (expected comma-separated values, e.g. {example})" if example else ""
         raise ConfigurationError(
             f"bad {what} list {text!r}: {exc}{hint}"
         ) from exc
+    for index, value in enumerate(values):
+        if value in values[:index]:
+            raise ConfigurationError(
+                f"bad {what} list {text!r}: {value!r} appears more than once"
+            )
+    return values
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -653,7 +635,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.experiments.records import RunPolicy
     from repro.serve.app import ServeApp, run_app
     from repro.serve.batcher import BatchPolicy
-    from repro.serve.resilience import ResiliencePolicy
 
     # Every setting is checked by the policy or pool that holds it, all
     # before the server binds.
@@ -661,19 +642,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         timeout_s=args.timeout, retries=args.retries,
         backoff_s=args.backoff, max_backoff_s=args.max_backoff,
     )
-    resilience = ResiliencePolicy(
-        max_pending=args.max_pending,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=args.breaker_reset,
-        drain_timeout_s=args.drain_timeout,
-        grace_factor=args.grace_factor,
-    )
     batching = BatchPolicy(
         window_ms=args.batch_window_ms, max_batch=args.batch_max
     )
-    app = ServeApp(
-        policy, jobs=args.jobs, resilience=resilience, batching=batching
-    )
+    app = ServeApp(policy, jobs=args.jobs, batching=batching)
     try:
         asyncio.run(run_app(app, args.host, args.port))
     except KeyboardInterrupt:

@@ -22,14 +22,11 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "map_network",
             "mapping_cache_info",
             "clear_mapping_cache",
-            "input_candidates",
-            "output_candidates",
             "coupled_input_triple",
             "relayout_penalty_cycles",
         ),
         ".restricted": (
             "map_layer_with_style",
-            "network_utilization_by_style",
             "network_utilization_by_styles",
         ),
         ".schedule": (

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -158,7 +158,7 @@ _useful_cached = lru_cache(maxsize=None)(useful_values)
 
 @lru_cache(maxsize=4096)
 def _candidate_cache(dims: Triple, product_limit: int, caps: Triple) -> np.ndarray:
-    """Vectorized candidate enumeration: ``(array, tuples)``, both sorted.
+    """Vectorized candidate enumeration, in lexicographic order.
 
     Builds the full ``useful_values`` meshgrid per dimension and masks it
     with the per-factor caps and the Eq. 1 product limit — exactly the set
@@ -194,41 +194,11 @@ def _candidate_cache(dims: Triple, product_limit: int, caps: Triple) -> np.ndarr
     return arr
 
 
-@lru_cache(maxsize=4096)
-def _candidate_tuples(
-    dims: Triple, product_limit: int, caps: Triple
-) -> Tuple[Triple, ...]:
-    """The candidate array as python tuples, materialized on demand."""
-    arr = _candidate_cache(dims, product_limit, caps)
-    return tuple(map(tuple, arr.tolist()))
-
-
-def _candidate_list(dims: Triple, product_limit: int, caps: Triple) -> List[Triple]:
-    if product_limit <= 0:
-        raise MappingError("product_limit must be positive")
-    return list(_candidate_tuples(dims, product_limit, caps))
-
-
 def candidate_array(dims: Triple, product_limit: int, caps: Triple) -> np.ndarray:
     """The deduplicated candidate set as a read-only ``(N, 3)`` array."""
     if product_limit <= 0:
         raise MappingError("product_limit must be positive")
     return _candidate_cache(dims, product_limit, caps)
-
-
-def input_candidates(layer: ConvLayer, array_dim: int) -> List[Triple]:
-    """Feasible ``(Tn, Ti, Tj)`` triples (Eq. 1 intra-row side)."""
-    dims = (layer.in_maps, layer.kernel, layer.kernel)
-    caps = (layer.in_maps, layer.kernel, layer.kernel)
-    return _candidate_list(dims, array_dim, caps)
-
-
-def output_candidates(
-    layer: ConvLayer, array_dim: int, tr_tc_bound: Optional[int] = None
-) -> List[Triple]:
-    """Feasible ``(Tm, Tr, Tc)`` triples (Eq. 1 inter-row side)."""
-    dims, caps = _output_space(layer, tr_tc_bound)
-    return _candidate_list(dims, array_dim, caps)
 
 
 def _input_space(layer: ConvLayer) -> Tuple[Triple, Triple]:
@@ -265,55 +235,6 @@ def _fewest_steps(dims: Triple, triples: np.ndarray, keep: np.ndarray) -> np.nda
     """
     steps = _steps_array(dims, triples)
     return np.where(keep, steps, np.iinfo(np.int64).max).min(axis=1)
-
-
-@dataclass(frozen=True)
-class CandidateScores:
-    """Batched scores for all ``input x output`` candidate pairs of a layer.
-
-    ``cycles[i, j]`` is the compute-cycle count of pairing input triple
-    ``i`` with output triple ``j`` — the product of the two step counts,
-    exactly what ``_input_steps * _output_steps`` evaluates pair by
-    pair.
-    """
-
-    input_triples: np.ndarray  # (n_in, 3)
-    output_triples: np.ndarray  # (n_out, 3)
-    input_steps: np.ndarray  # (n_in,)
-    output_steps: np.ndarray  # (n_out,)
-    cycles: np.ndarray  # (n_in, n_out)
-
-
-def score_candidates_batch(
-    layer: ConvLayer,
-    input_triples: Union[np.ndarray, Sequence[Triple]],
-    output_triples: Union[np.ndarray, Sequence[Triple]],
-) -> CandidateScores:
-    """Score every input x output candidate pair in one vectorized pass."""
-    ins = np.atleast_2d(np.asarray(input_triples, dtype=np.int64))
-    outs = np.atleast_2d(np.asarray(output_triples, dtype=np.int64))
-    for arr, side in ((ins, "input"), (outs, "output")):
-        if arr.size and arr.shape[1] != 3:
-            raise MappingError(
-                f"{side} triples must have shape (N, 3), got {arr.shape}"
-            )
-    dims_in = (layer.in_maps, layer.kernel, layer.kernel)
-    dims_out = (layer.out_maps, layer.out_size, layer.out_size)
-    suite = active_kernels()
-    if suite is not None and ins.size and outs.size:
-        fin, fout, cycles = suite.pair_cycles(dims_in, ins, dims_out, outs)
-        count_kernel_call("pair_cycles", suite.backend)
-    else:
-        fin = _steps_array(dims_in, ins)
-        fout = _steps_array(dims_out, outs)
-        cycles = fin[:, None] * fout[None, :]
-    return CandidateScores(
-        input_triples=ins,
-        output_triples=outs,
-        input_steps=fin,
-        output_steps=fout,
-        cycles=cycles,
-    )
 
 
 @lru_cache(maxsize=4096)
@@ -934,7 +855,6 @@ def clear_mapping_cache() -> None:
     _map_layer_cached.cache_clear()
     _map_network_cached.cache_clear()
     _candidate_cache.cache_clear()
-    _candidate_tuples.cache_clear()
     _useful_cached.cache_clear()
     _useful_arr.cache_clear()
     _best_input_cached.cache_clear()

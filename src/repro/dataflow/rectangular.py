@@ -155,16 +155,3 @@ def best_shape(
     """The first shape of highest utilization, in ``shapes`` order."""
     pick = max(range(len(shapes)), key=utilizations.__getitem__)
     return shapes[pick], utilizations[pick]
-
-
-def best_aspect_ratio(
-    network: Network, pe_budget: int, *, min_dim: int = 2
-) -> Tuple[Shape, float]:
-    """The budget factorization maximizing network utilization.
-
-    Returns ``((rows, cols), utilization)`` over
-    :func:`aspect_ratio_shapes`, all scored in one
-    :func:`shape_utilizations` pass.
-    """
-    shapes = aspect_ratio_shapes(pe_budget, min_dim)
-    return best_shape(shapes, shape_utilizations(network, pe_budget, shapes))

@@ -128,10 +128,3 @@ def network_utilization_by_styles(
         )
         for style, cycles in zip(styles, total_cycles)
     }
-
-
-def network_utilization_by_style(
-    network: Network, array_dim: int, style: ProcessingStyle
-) -> float:
-    """MAC-weighted utilization of a whole network under one style."""
-    return network_utilization_by_styles(network, array_dim, (style,))[style]

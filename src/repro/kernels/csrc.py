@@ -13,8 +13,9 @@ stay **bit-identical** to it (pinned by ``tests/kernels/test_parity.py``):
 * ``repro_enumerate_triples`` — the meshgrid + ``nonzero`` candidate
   enumeration of ``repro.dataflow.mapper._candidate_cache`` (C-order
   nested loops == lexicographic order over sorted inputs).
-* ``repro_pair_cycles`` — ``score_candidates_batch``'s step counts and
-  outer-product cycle matrix.
+* ``repro_pair_cycles`` — the step counts ``prod(ceil(dim / t))`` of
+  each input and output candidate and their outer-product cycle matrix.
+  No src path calls it; it stays for the benchmark's kernel counters.
 * ``repro_coupling_dp`` — the inter-layer coupling DP, a direct port of
   the reference loops in ``tests/dse_oracle.py`` (strict-``<``
   first-wins updates, buckets in first-appearance order, final pick by

@@ -12,15 +12,23 @@ array-scale DSE sweep behind a small stdlib-only HTTP API (see
   processes run;
 * :mod:`repro.serve.coalescer` — dedup of identical in-flight requests
   onto a single backend computation;
+* :mod:`repro.serve.batcher` — cross-request batching: compatible cold
+  requests inside a window fuse into one pool dispatch (off by
+  default);
+* :mod:`repro.serve.resilience` — admission control, per-kind circuit
+  breakers and drain state, with their limits as module constants;
 * :mod:`repro.serve.pool` — the supervised ``spawn`` worker pool (also
   the resilient experiment runner's executor) under
   :class:`~repro.experiments.records.RunPolicy` (timeout / retries /
   non-blocking backoff);
+* :mod:`repro.serve.worker` — the worker side of the pool: the loop a
+  spawn worker runs, without asyncio;
 * :mod:`repro.serve.app` — the asyncio HTTP server: ``/v1/map``,
-  ``/v1/simulate``, ``/v1/dse``, ``/v1/sweep``, ``/metrics``,
-  ``/healthz``, and SSE progress streaming;
-* :mod:`repro.serve.loadtest` — the client and load-test harness behind
-  ``benchmarks/bench_serve.py`` and the committed ``serve`` numbers.
+  ``/v1/simulate``, ``/v1/dse``, ``/v1/dse_per_layer``, ``/v1/sweep``,
+  ``/metrics``, ``/healthz``, ``/drain``, and SSE progress streaming;
+* :mod:`repro.serve.loadtest` — the blocking client, the subprocess
+  boot helper and the metric readouts that tests, CI, perfbench and
+  the protocols in ``benchmarks/bench_serve.py`` use.
 """
 
 from repro._lazy import lazy_exports

@@ -44,6 +44,7 @@ from repro.errors import ConfigurationError, ReproError, SpecificationError
 from repro.experiments.records import RunPolicy
 from repro.obs.events import event_record
 from repro.obs.metrics import REGISTRY
+from repro.serve import resilience
 from repro.serve.batcher import BatchPolicy, BatchScheduler
 from repro.serve.coalescer import Coalescer
 from repro.serve.pool import ProgressSink, WorkerPool, _noop_sink
@@ -51,7 +52,6 @@ from repro.serve.resilience import (
     CircuitOpenError,
     DrainingError,
     OverloadedError,
-    ResiliencePolicy,
     ServeResilience,
 )
 from repro.serve.schemas import ComputeRequest, parse_request, parse_sweep
@@ -98,15 +98,11 @@ class ServeApp:
         policy: Optional[RunPolicy] = None,
         *,
         jobs: int = 2,
-        resilience: Optional[ResiliencePolicy] = None,
         batching: Optional[BatchPolicy] = None,
     ) -> None:
         self.coalescer = Coalescer()
-        self.resilience = ServeResilience(resilience or ResiliencePolicy())
-        self.pool = WorkerPool(
-            policy, jobs=jobs,
-            grace_factor=self.resilience.policy.grace_factor,
-        )
+        self.resilience = ServeResilience()
+        self.pool = WorkerPool(policy, jobs=jobs)
         self.batcher = BatchScheduler(
             batching or BatchPolicy(), self._dispatch
         )
@@ -132,9 +128,9 @@ class ServeApp:
         """Begin graceful shutdown (idempotent; SIGTERM / ``POST /drain``).
 
         New requests are refused from this instant; a background task
-        waits (up to ``drain_timeout_s``) for in-flight work, flushes a
-        metrics summary, shuts the pool down, and sets :attr:`drained`,
-        which :func:`run_app` watches to exit.
+        waits (up to :data:`~repro.serve.resilience.DRAIN_TIMEOUT_S`) for
+        in-flight work, flushes a metrics summary, shuts the pool down,
+        and sets :attr:`drained`, which :func:`run_app` watches to exit.
         """
         if self._drain_task is None:
             self.resilience.begin_drain()
@@ -143,8 +139,7 @@ class ServeApp:
             )
 
     async def _drain(self) -> None:
-        policy = self.resilience.policy
-        deadline = time.monotonic() + policy.drain_timeout_s
+        deadline = time.monotonic() + resilience.DRAIN_TIMEOUT_S
         while self.resilience.total_pending() and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
         abandoned = self.resilience.total_pending()

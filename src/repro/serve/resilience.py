@@ -11,34 +11,32 @@ single asyncio loop.
 Three mechanisms, one facade (:class:`ServeResilience`):
 
 * **admission control** — each request kind holds at most
-  ``max_pending`` in-flight requests; one more gets a fast 503 +
+  :data:`MAX_PENDING` in-flight requests; one more gets a fast 503 +
   ``Retry-After`` (:class:`OverloadedError`) instead of a queue slot.
   Shed requests count into ``serve.shed{kind}`` and live pressure shows
   in the ``serve.pending{kind}`` gauge.
-* **circuit breaker**, per request kind — ``breaker_threshold``
+* **circuit breaker**, per request kind — :data:`BREAKER_THRESHOLD`
   *consecutive* failures open the circuit; while open, requests fail
   fast (:class:`CircuitOpenError`, 503 + ``Retry-After``) without
-  touching the pool.  After ``breaker_reset_s`` the breaker goes
+  touching the pool.  After :data:`BREAKER_RESET_S` the breaker goes
   half-open and admits exactly one probe; the probe's outcome closes or
   re-opens it.  Transitions emit tracer events and drive the
   ``serve.breaker_state{kind}`` gauge (0 closed / 1 half-open / 2 open)
   plus ``serve.breaker_transitions{kind,to}`` counters.
 * **drain** — :meth:`ServeResilience.begin_drain` flips the service to
   *draining*: new requests get :class:`DrainingError` (503), `/healthz`
-  turns ``draining``, and the app waits for pending work to finish
-  before exiting (see ``ServeApp.drain``).
+  turns ``draining``, and the app waits up to :data:`DRAIN_TIMEOUT_S`
+  for pending work to finish before exiting (see ``ServeApp.drain``).
 
 ``/healthz`` is derived, never stored: ``draining`` wins, any open or
 half-open breaker reports ``degraded`` with reasons, otherwise ``ok``.
 Chaos-injection specs (:mod:`repro.chaos`) exercise every path here;
-``docs/RESILIENCE.md`` documents the knobs and the state machines.
+``docs/RESILIENCE.md`` documents the constants and the state machines.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import ExperimentError
@@ -48,6 +46,22 @@ from repro.obs.tracer import current_tracer
 #: Breaker states, also the ``serve.breaker_state`` gauge encoding.
 CLOSED, HALF_OPEN, OPEN = "closed", "half_open", "open"
 _STATE_GAUGE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
+
+#: In-flight requests admitted per kind.  High enough that a full-size
+#: sweep (``MAX_SWEEP_POINTS`` = 1024 coalesced requests) is admitted:
+#: the budget bounds memory and queueing delay, it does not rate-limit
+#: normal traffic.
+MAX_PENDING = 1024
+
+#: Consecutive backend failures that open a kind's circuit breaker.
+BREAKER_THRESHOLD = 5
+
+#: How long an open breaker waits before admitting a half-open probe.
+BREAKER_RESET_S = 30.0
+
+#: On SIGTERM or ``POST /drain``, how long the app waits for in-flight
+#: requests before it exits.
+DRAIN_TIMEOUT_S = 10.0
 
 
 class OverloadedError(ExperimentError):
@@ -81,54 +95,6 @@ class DrainingError(ExperimentError):
         self.retry_after_s = 1.0
 
 
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """The service-level knobs (`repro serve --max-pending` etc.).
-
-    ``max_pending`` defaults high enough that a full-size sweep
-    (``MAX_SWEEP_POINTS`` = 1024 coalesced requests) is admitted; it
-    exists to bound memory and queueing delay, not to rate-limit normal
-    traffic.  ``grace_factor`` is forwarded to the worker pool's reaper.
-    """
-
-    max_pending: int = 1024
-    breaker_threshold: int = 5
-    breaker_reset_s: float = 30.0
-    drain_timeout_s: float = 10.0
-    grace_factor: float = 2.0
-
-    def __post_init__(self):
-        if self.max_pending < 1:
-            raise ExperimentError(
-                f"max_pending must be >= 1, got {self.max_pending}"
-            )
-        if self.breaker_threshold < 1:
-            raise ExperimentError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        # `nan <= 0` is False, so a bare sign check lets NaN through: a
-        # NaN reset never holds a breaker open, a NaN drain abandons
-        # in-flight requests at once, an infinite grace never reaps.
-        if not (
-            math.isfinite(self.breaker_reset_s) and self.breaker_reset_s > 0
-        ):
-            raise ExperimentError(
-                "breaker_reset_s must be positive and finite,"
-                f" got {self.breaker_reset_s}"
-            )
-        if not (
-            math.isfinite(self.drain_timeout_s) and self.drain_timeout_s > 0
-        ):
-            raise ExperimentError(
-                "drain_timeout_s must be positive and finite,"
-                f" got {self.drain_timeout_s}"
-            )
-        if not (math.isfinite(self.grace_factor) and self.grace_factor >= 1):
-            raise ExperimentError(
-                f"grace_factor must be >= 1 and finite, got {self.grace_factor}"
-            )
-
-
 class CircuitBreaker:
     """Consecutive-failure breaker for one request kind.
 
@@ -141,8 +107,8 @@ class CircuitBreaker:
         self,
         kind: str,
         *,
-        threshold: int = 5,
-        reset_s: float = 30.0,
+        threshold: int = BREAKER_THRESHOLD,
+        reset_s: float = BREAKER_RESET_S,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.kind = kind
@@ -222,13 +188,7 @@ class CircuitBreaker:
 class ServeResilience:
     """Admission + breakers + drain state, one per :class:`ServeApp`."""
 
-    def __init__(
-        self,
-        policy: ResiliencePolicy = ResiliencePolicy(),
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.policy = policy
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._pending: Dict[str, int] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -247,12 +207,10 @@ class ServeResilience:
         if self.draining:
             raise DrainingError()
         count = self.pending(kind)
-        if count >= self.policy.max_pending:
+        if count >= MAX_PENDING:
             REGISTRY.counter("serve.shed", kind=kind).inc()
             current_tracer().event("request-shed", "serve", {"kind": kind})
-            raise OverloadedError(
-                kind, count, self.policy.max_pending, retry_after_s=1.0
-            )
+            raise OverloadedError(kind, count, MAX_PENDING, retry_after_s=1.0)
         self._pending[kind] = count + 1
         REGISTRY.gauge("serve.pending", kind=kind).set(self._pending[kind])
 
@@ -268,8 +226,8 @@ class ServeResilience:
         if breaker is None:
             breaker = CircuitBreaker(
                 kind,
-                threshold=self.policy.breaker_threshold,
-                reset_s=self.policy.breaker_reset_s,
+                threshold=BREAKER_THRESHOLD,
+                reset_s=BREAKER_RESET_S,
                 clock=self._clock,
             )
             self._breakers[kind] = breaker

@@ -110,7 +110,11 @@ def _parse_dims(body: Dict[str, Any]) -> List[int]:
         raise ConfigurationError(
             f"'dims' is limited to {MAX_DSE_DIMS} entries, got {len(raw)}"
         )
-    return [_parse_dim({"dims": d}, "dims") for d in raw]
+    dims = [_parse_dim({"dims": d}, "dims") for d in raw]
+    for index, dim in enumerate(dims):
+        if dim in dims[:index]:
+            raise SpecificationError(f"'dims' lists {dim} more than once")
+    return dims
 
 
 def _parse_reconfig_scale(body: Dict[str, Any]) -> float:

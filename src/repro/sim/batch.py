@@ -59,7 +59,6 @@ __all__ = [
     "batch_systolic_traces",
     "batch_mapping2d_traces",
     "batch_tiling_traces",
-    "cdiv_array",
 ]
 
 
@@ -76,11 +75,6 @@ def _as_int_array(values, name: str, batch: Optional[int] = None) -> np.ndarray:
 def _cdiv(value: np.ndarray, divisor: np.ndarray) -> np.ndarray:
     """Element-wise ``ceil(value / divisor)`` on non-negative int arrays."""
     return -(-value // divisor)
-
-
-#: Public alias — the per-layer DSE's structure-of-arrays scoring path
-#: (:mod:`repro.dse.perlayer`) builds its extern cycle matrices on it.
-cdiv_array = _cdiv
 
 
 def _ceil_counts_2d(

@@ -1,31 +1,20 @@
-"""Regression suite for the vectorized candidate-enumeration/scoring path.
+"""Regression suite for the vectorized candidate-enumeration path.
 
-Pins the three invariants the batched DSE engine rests on:
+Pins the two invariants the batched DSE engine rests on:
 
 * candidate lists are duplicate-free and Pareto-minimal (every triple is
   a "useful" unrolling — dropping it to the next smaller useful value
   would change the ceil-division step count);
 * the batched mapper returns *identical* mappings to the full-candidate
   reference DP in ``tests/dse_oracle.py`` — factors, cycles, and relayout
-  decisions — across workloads, array dims, and fault masks;
-* ``score_candidates_batch`` agrees element-wise with the scalar step
-  formulas.
+  decisions — across workloads, array dims, and fault masks.
 """
 
-import numpy as np
 import pytest
 
 from repro.arch import ArchConfig
 from repro.dataflow import map_network
-from repro.dataflow.mapper import (
-    candidate_array,
-    clear_mapping_cache,
-    input_candidates,
-    output_candidates,
-    score_candidates_batch,
-    _input_steps,
-    _output_steps,
-)
+from repro.dataflow.mapper import candidate_array, clear_mapping_cache
 from repro.dataflow.rectangular import map_layer_rect
 from repro.dataflow.unrolling import useful_values
 from repro.errors import MappingError
@@ -88,26 +77,6 @@ class TestCandidateEnumeration:
             candidate_array((3, 5, 5), 0, (3, 5, 5))
         with pytest.raises(MappingError):
             candidate_array((3, 5, 5), 16, (0, 5, 5))
-
-
-class TestScoreCandidatesBatch:
-    def test_matches_scalar_steps(self):
-        layer = ConvLayer("c", in_maps=6, out_maps=16, out_size=10, kernel=5)
-        ins = input_candidates(layer, 16)
-        outs = output_candidates(layer, 16)
-        scores = score_candidates_batch(layer, ins, outs)
-        fin = [_input_steps(layer, t) for t in ins]
-        fout = [_output_steps(layer, t) for t in outs]
-        np.testing.assert_array_equal(scores.input_steps, fin)
-        np.testing.assert_array_equal(scores.output_steps, fout)
-        np.testing.assert_array_equal(
-            scores.cycles, np.array(fin)[:, None] * np.array(fout)[None, :]
-        )
-
-    def test_shape_validation(self):
-        layer = ConvLayer("c", in_maps=2, out_maps=2, out_size=4, kernel=2)
-        with pytest.raises(MappingError):
-            score_candidates_batch(layer, [(1, 1)], [(1, 1, 1)])
 
 
 class TestBatchedScalarIdentity:

@@ -5,13 +5,12 @@ import pytest
 from repro.dataflow import (
     UnrollingFactors,
     coupled_input_triple,
-    input_candidates,
     map_layer,
     map_network,
-    output_candidates,
     relayout_penalty_cycles,
     total_utilization,
 )
+from repro.dataflow.mapper import _input_space, _output_space, candidate_array
 from repro.dataflow.styles import ProcessingStyle
 from repro.errors import MappingError
 from repro.nn import ConvLayer, InputSpec, Network, get_workload, small_workloads
@@ -20,13 +19,15 @@ from repro.nn import ConvLayer, InputSpec, Network, get_workload, small_workload
 class TestCandidates:
     def test_input_candidates_feasible(self):
         layer = ConvLayer("c", in_maps=6, out_maps=16, out_size=10, kernel=5)
-        for tn, ti, tj in input_candidates(layer, 16):
+        dims, caps = _input_space(layer)
+        for tn, ti, tj in candidate_array(dims, 16, caps).tolist():
             assert tn * ti * tj <= 16
             assert tn <= 6 and ti <= 5 and tj <= 5
 
     def test_output_candidates_respect_bound(self):
         layer = ConvLayer("c", in_maps=1, out_maps=6, out_size=28, kernel=5)
-        for _tm, tr, tc in output_candidates(layer, 16, tr_tc_bound=10):
+        dims, caps = _output_space(layer, tr_tc_bound=10)
+        for _tm, tr, tc in candidate_array(dims, 16, caps).tolist():
             assert tr <= 10 and tc <= 10
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.dataflow import map_network
 from repro.dataflow.rectangular import (
     aspect_ratio_candidates,
-    best_aspect_ratio,
+    aspect_ratio_shapes,
+    best_shape,
     map_layer_rect,
     shape_utilizations,
 )
@@ -65,7 +66,10 @@ class TestAspectRatio:
     def test_best_never_worse_than_square(self):
         for name in ("PV", "LeNet-5", "HG"):
             network = get_workload(name)
-            (_rows, _cols), best_util = best_aspect_ratio(network, 256)
+            shapes = aspect_ratio_shapes(256)
+            (_rows, _cols), best_util = best_shape(
+                shapes, shape_utilizations(network, 256, shapes)
+            )
             square_cycles = 0
             macs = 0
             for ctx in network.conv_contexts():
@@ -78,13 +82,13 @@ class TestAspectRatio:
             assert best_util >= square_util - 1e-12
 
     def test_min_dim_excludes_degenerate(self):
-        network = get_workload("PV")
-        (rows, cols), _ = best_aspect_ratio(network, 256, min_dim=4)
-        assert rows >= 4 and cols >= 4
+        shapes = aspect_ratio_shapes(256, min_dim=4)
+        assert (4, 64) in shapes and (64, 4) in shapes
+        assert all(rows >= 4 and cols >= 4 for rows, cols in shapes)
 
     def test_impossible_min_dim_rejected(self):
         with pytest.raises(MappingError):
-            best_aspect_ratio(get_workload("PV"), 4, min_dim=4)
+            aspect_ratio_shapes(4, min_dim=4)
 
     def test_network_without_conv_layers_rejected(self):
         """The typed error ``map_network`` raises, not a division by zero."""
@@ -94,5 +98,3 @@ class TestAspectRatio:
             map_network(network, 16)
         with pytest.raises(MappingError, match=message):
             shape_utilizations(network, 256, [(16, 16)])
-        with pytest.raises(MappingError, match=message):
-            best_aspect_ratio(network, 256)

@@ -1,7 +1,7 @@
 """Differential test: the one-pass sweeps against the per-query mappers.
 
-``shape_utilizations`` (behind ``best_aspect_ratio``) and
-``network_utilization_by_styles`` enumerate each CONV layer side once and
+``shape_utilizations`` (with ``best_shape``, the ``aspect`` experiment's
+pick) and ``network_utilization_by_styles`` enumerate each CONV layer side once and
 answer every array shape or processing style as a mask over that one
 table.  Their oracles are the single-query mappers they replaced:
 
@@ -28,13 +28,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.dataflow.rectangular import (
     aspect_ratio_candidates,
-    best_aspect_ratio,
+    aspect_ratio_shapes,
+    best_shape,
     map_layer_rect,
     shape_utilizations,
 )
 from repro.dataflow.restricted import (
     map_layer_with_style,
-    network_utilization_by_style,
     network_utilization_by_styles,
 )
 from repro.dataflow.styles import ProcessingStyle
@@ -146,8 +146,10 @@ def test_aspect_sweep_matches_per_shape_mapper(network):
         ]
         assert shape_utilizations(network, pe_budget, shapes) == want, pe_budget
         for min_dim in MIN_DIMS:
-            assert best_aspect_ratio(
-                network, pe_budget, min_dim=min_dim
+            candidates = aspect_ratio_shapes(pe_budget, min_dim)
+            assert best_shape(
+                candidates,
+                shape_utilizations(network, pe_budget, candidates),
             ) == oracle_best_shape(network, pe_budget, min_dim), (
                 pe_budget, min_dim,
             )
@@ -166,7 +168,6 @@ def test_style_sweep_matches_per_style_mapper(network):
         for style in styles:
             want = per_style_utilization(network, array_dim, style)
             assert got[style] == want, (array_dim, style)
-            assert network_utilization_by_style(network, array_dim, style) == want
 
 
 def test_nonpositive_shape_rejected():

@@ -6,7 +6,7 @@ from repro.dataflow import (
     ProcessingStyle,
     map_layer,
     map_layer_with_style,
-    network_utilization_by_style,
+    network_utilization_by_styles,
 )
 from repro.errors import MappingError
 from repro.experiments import run_experiment
@@ -50,10 +50,12 @@ class TestStyleRestriction:
         assert restricted.compute_cycles == free.compute_cycles
 
     def test_restricted_never_beats_full(self):
-        network = get_workload("LeNet-5")
-        full = network_utilization_by_style(network, 16, ProcessingStyle.MFMNMS)
+        by_style = network_utilization_by_styles(
+            get_workload("LeNet-5"), 16, ProcessingStyle
+        )
+        full = by_style[ProcessingStyle.MFMNMS]
         for style in ProcessingStyle:
-            assert network_utilization_by_style(network, 16, style) <= full + 1e-9
+            assert by_style[style] <= full + 1e-9
 
     def test_respects_tr_tc_bound(self):
         layer = ConvLayer("c", in_maps=1, out_maps=6, out_size=28, kernel=5)

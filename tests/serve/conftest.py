@@ -76,15 +76,12 @@ class ServerHandle:
 
 @pytest.fixture
 def make_server(serve_cache):
-    """Factory for in-process servers with custom run/resilience policies."""
+    """Factory for in-process servers with custom run/batch policies."""
     handles = []
 
-    def make(policy=None, *, jobs=0, resilience=None, batching=None):
+    def make(policy=None, *, jobs=0, batching=None):
         app = ServeApp(
-            policy or RunPolicy(retries=0),
-            jobs=jobs,
-            resilience=resilience,
-            batching=batching,
+            policy or RunPolicy(retries=0), jobs=jobs, batching=batching
         )
         handle = ServerHandle(app).start()
         handles.append(handle)

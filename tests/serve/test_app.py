@@ -56,6 +56,10 @@ class TestEndpoints:
         )
         assert status == 400
         assert "unknown workload" in body["error"]
+        status, body = server.client().post(
+            "/v1/dse", {"workload": "PV", "dims": [8, 8, 16]}
+        )
+        assert (status, body["error"]) == (400, "'dims' lists 8 more than once")
 
     def test_keep_alive_serves_sequential_requests(self, server):
         client = server.client()
@@ -316,6 +320,47 @@ class TestDrain:
         fresh.close()
         client.close()
 
+    def test_drain_abandons_in_flight_work_at_the_deadline(
+        self, make_server, monkeypatch, capsys
+    ):
+        """The drain waits ``DRAIN_TIMEOUT_S`` for in-flight requests,
+        then exits and reports the ones it abandoned."""
+        from repro.experiments.records import RunPolicy
+
+        release = threading.Event()
+
+        def stuck(kind, spec):
+            release.wait(10.0)
+            return {"result": {}, "spans": []}
+
+        monkeypatch.setattr("repro.serve.pool.pool_entry", stuck)
+        monkeypatch.setattr("repro.serve.resilience.DRAIN_TIMEOUT_S", 0.3)
+        server = make_server(RunPolicy(retries=0))
+        waiter = threading.Thread(
+            target=lambda: server.client().post(
+                "/v1/map", {"workload": "PV", "dim": 4}
+            )
+        )
+        waiter.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while server.app.resilience.total_pending() < 1:
+                assert time.monotonic() < deadline, "request never admitted"
+                time.sleep(0.01)
+            client = server.client()
+            started = time.monotonic()
+            assert client.post("/drain", {})[0] == 200
+            while not server.app.drained.is_set():
+                assert time.monotonic() - started < 5.0, "drain never ended"
+                time.sleep(0.02)
+            assert time.monotonic() - started >= 0.3
+            client.close()
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert "1 request(s) abandoned" in capsys.readouterr().err
+
 
 class TestSubprocessBoot:
     def test_cli_serve_boots_and_answers(self, serve_cache):
@@ -361,9 +406,7 @@ class TestSubprocessBoot:
             REPRO_CACHE="on", REPRO_CACHE_DIR=str(serve_cache),
             PYTHONPATH=src_dir + os.pathsep + env.get("PYTHONPATH", ""),
         )
-        proc, client = start_server(
-            jobs=0, env=env, extra_args=["--drain-timeout", "5"]
-        )
+        proc, client = start_server(jobs=0, env=env)
         try:
             payload = client.compute("map", {"workload": "PV", "dim": 4})
             assert payload["source"] == "computed"

@@ -17,7 +17,6 @@ from repro.chaos import CRASH_EXIT_CODE, reset_chaos_handles
 from repro.experiments.runner import RunPolicy
 from repro.obs.metrics import REGISTRY
 from repro.serve.pool import WorkerPool
-from repro.serve.resilience import ResiliencePolicy
 from repro.serve.schemas import parse_request
 
 
@@ -168,12 +167,9 @@ class TestCircuitBreaker:
             return {"result": {"fixed": True}, "spans": []}
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", entry)
-        server = make_server(
-            RunPolicy(retries=0),
-            resilience=ResiliencePolicy(
-                breaker_threshold=2, breaker_reset_s=0.3
-            ),
-        )
+        monkeypatch.setattr("repro.serve.resilience.BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr("repro.serve.resilience.BREAKER_RESET_S", 0.3)
+        server = make_server(RunPolicy(retries=0))
         rejections_before = counter_value(
             "serve.breaker_rejections", kind="map"
         )
@@ -195,7 +191,7 @@ class TestCircuitBreaker:
         assert health["breakers"]["map"] == "open"
 
         healthy.set()
-        time.sleep(0.35)  # past breaker_reset_s: next request is the probe
+        time.sleep(0.35)  # past BREAKER_RESET_S: next request is the probe
         payload = client.compute("map", {"workload": "PV", "dim": 16})
         assert payload["result"] == {"fixed": True}
         status, health = client.get("/healthz")
@@ -215,10 +211,8 @@ class TestAdmissionControl:
             return {"result": {}, "spans": []}
 
         monkeypatch.setattr("repro.serve.pool.pool_entry", slow)
-        server = make_server(
-            RunPolicy(retries=0),
-            resilience=ResiliencePolicy(max_pending=1),
-        )
+        monkeypatch.setattr("repro.serve.resilience.MAX_PENDING", 1)
+        server = make_server(RunPolicy(retries=0))
         shed_before = counter_value("serve.shed", kind="map")
         occupied = []
 

@@ -9,8 +9,8 @@ behavior (503s over HTTP, chaos-injected failures) lives in
 
 import pytest
 
-from repro.errors import ExperimentError
 from repro.obs.metrics import REGISTRY
+from repro.serve import resilience
 from repro.serve.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -19,7 +19,6 @@ from repro.serve.resilience import (
     CircuitOpenError,
     DrainingError,
     OverloadedError,
-    ResiliencePolicy,
     ServeResilience,
 )
 
@@ -41,33 +40,32 @@ def clock():
 
 
 class TestPolicy:
-    def test_defaults_valid(self):
-        policy = ResiliencePolicy()
-        assert policy.max_pending == 1024
-        assert policy.breaker_threshold == 5
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_pending": 0},
-            {"breaker_threshold": 0},
-            {"breaker_reset_s": 0.0},
-            {"breaker_reset_s": -1.0},
-            {"drain_timeout_s": 0.0},
-            {"grace_factor": 0.5},
-        ],
-    )
-    def test_invalid_policy_rejected(self, kwargs):
-        with pytest.raises(ExperimentError):
-            ResiliencePolicy(**kwargs)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize(
-        "field", ["breaker_reset_s", "drain_timeout_s", "grace_factor"]
-    )
-    def test_non_finite_setting_rejected(self, field, value):
-        with pytest.raises(ExperimentError, match=field):
-            ResiliencePolicy(**{field: value})
+    def test_defaults_valid(self, clock):
+        """The service limits are constants: 1024 pending per kind, and
+        a breaker that opens after 5 consecutive failures for 30 s."""
+        res = ServeResilience(clock=clock)
+        for _ in range(1024):
+            res.enter("map")
+        with pytest.raises(OverloadedError, match="budget 1024"):
+            res.enter("map")
+        res.enter("dse")  # a full 'map' budget does not shed 'dse'
+        for kind in ["map"] * 1024 + ["dse"]:
+            res.exit(kind)  # back to a zero serve.pending gauge
+        breaker = res.breaker("dse")
+        for _ in range(4):
+            breaker.acquire()
+            breaker.record_failure()
+        assert breaker.state == CLOSED
+        breaker.acquire()
+        breaker.record_failure()
+        assert breaker.state == OPEN
+        clock.advance(29.9)
+        with pytest.raises(CircuitOpenError):
+            breaker.acquire()
+        clock.advance(0.1)
+        breaker.acquire()
+        assert breaker.state == HALF_OPEN
+        assert resilience.DRAIN_TIMEOUT_S == 10.0
 
 
 class TestCircuitBreaker:
@@ -170,8 +168,9 @@ class TestCircuitBreaker:
 
 
 class TestAdmission:
-    def test_budget_sheds_the_overflow_request(self):
-        res = ServeResilience(ResiliencePolicy(max_pending=2))
+    def test_budget_sheds_the_overflow_request(self, monkeypatch):
+        monkeypatch.setattr(resilience, "MAX_PENDING", 2)
+        res = ServeResilience()
         shed = REGISTRY.counter("serve.shed", kind="map")
         before = shed.value
         res.enter("map")
@@ -183,8 +182,9 @@ class TestAdmission:
         res.exit("map")
         res.enter("map")  # freed slot readmits
 
-    def test_budget_is_per_kind(self):
-        res = ServeResilience(ResiliencePolicy(max_pending=1))
+    def test_budget_is_per_kind(self, monkeypatch):
+        monkeypatch.setattr(resilience, "MAX_PENDING", 1)
+        res = ServeResilience()
         res.enter("map")
         res.enter("dse")  # a full 'map' budget does not shed 'dse'
         with pytest.raises(OverloadedError):
@@ -207,10 +207,11 @@ class TestDrainAndHealth:
         code, payload = ServeResilience().health()
         assert (code, payload) == (200, {"status": "ok"})
 
-    def test_open_breaker_degrades_health_but_stays_200(self, clock):
-        res = ServeResilience(
-            ResiliencePolicy(breaker_threshold=1), clock=clock
-        )
+    def test_open_breaker_degrades_health_but_stays_200(
+        self, clock, monkeypatch
+    ):
+        monkeypatch.setattr(resilience, "BREAKER_THRESHOLD", 1)
+        res = ServeResilience(clock=clock)
         breaker = res.breaker("dse")
         breaker.acquire()
         breaker.record_failure()

@@ -106,6 +106,8 @@ class TestParseRequest:
                 "dse",
                 {"workload": "PV", "dims": list(range(1, MAX_DSE_DIMS + 2))},
             )
+        with pytest.raises(SpecificationError, match="lists 8 more than once"):
+            parse_request("dse", {"workload": "PV", "dims": [8, 16, 8]})
 
     def test_unknown_arch_rejected(self):
         with pytest.raises(SpecificationError, match="unknown arch"):

@@ -135,7 +135,7 @@ def direct(kind, body):
     network=networks(),
     dim=st.sampled_from((3, 4, 8, 16)),
     dims=st.lists(st.sampled_from((2, 4, 8, 12, 16)), min_size=1,
-                  max_size=3),
+                  max_size=3, unique=True),
     arch=st.sampled_from(ARCH_ORDER),
     scale=st.sampled_from((0.0, 1.0, 4.0)),
 )

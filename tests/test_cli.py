@@ -172,6 +172,32 @@ class TestErrorPaths:
         assert err.startswith(f"error: {flag} must be")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, repeated",
+        [
+            (["dse", "LeNet-5", "--dims", "8,8"], "8"),
+            (["dse", "PV", "--dims", "8,16,08"], "8"),
+            (["faults", "sweep", "--rates", "0.1,0.1", "--workloads", "PV"],
+             "0.1"),
+            (["faults", "sweep", "--rates", "0", "--workloads", "PV, PV"],
+             "'PV'"),
+            (["faults", "mask", "--rows", "1,1"], "1"),
+            (["faults", "mask", "--cols", "2,3,2"], "2"),
+            (["faults", "mask", "--pes", "1:2,1:2"], "(1, 2)"),
+        ],
+        ids=["dims", "dims-spelled-twice", "rates", "workloads", "rows",
+             "cols", "pes"],
+    )
+    def test_repeated_list_value_rejected(self, capsys, argv, repeated):
+        """A repeated value would print its row twice (twice starred as
+        the best dim, in ``dse``)."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad ")
+        assert captured.err.count("\n") == 1
+        assert f": {repeated} appears more than once" in captured.err
+
 
 class TestParallelExperiments:
     """A supervised batch (one spawn worker, ``timeout_s``) returns what
@@ -308,10 +334,7 @@ class TestResilienceFlags:
     @pytest.mark.parametrize(
         "flag, value, field",
         [
-            ("--grace-factor", "nan", "grace_factor"),
             ("--batch-window-ms", "inf", "window_ms"),
-            ("--drain-timeout", "nan", "drain_timeout_s"),
-            ("--breaker-reset", "inf", "breaker_reset_s"),
             ("--batch-max", "0", "max_batch"),
             ("--jobs", "-1", "jobs"),
         ],
@@ -329,6 +352,47 @@ class TestResilienceFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--max-pending", "--breaker-threshold", "--breaker-reset",
+            "--grace-factor", "--drain-timeout",
+        ],
+    )
+    def test_retired_serve_flags_are_usage_errors(self, capsys, flag):
+        """The service limits are constants, not options."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", flag, "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_without_flags_keeps_the_old_limits(self, monkeypatch):
+        """No flags: 1024 pending per kind, a breaker that opens after 5
+        consecutive failures for 30 s, a reap at 2x the timeout and a
+        drain of up to 10 s."""
+        import repro.serve.app as app
+        from repro.serve import resilience
+        from repro.serve.resilience import OverloadedError
+
+        built = []
+
+        async def capture(serve_app, host, port):
+            built.append(serve_app)
+
+        monkeypatch.setattr(app, "run_app", capture)
+        assert main(["serve", "--port", "0"]) == 0
+        (served,) = built
+        assert served.pool.grace_factor == 2.0
+        for _ in range(1024):
+            served.resilience.enter("map")
+        with pytest.raises(OverloadedError, match="budget 1024"):
+            served.resilience.enter("map")
+        for _ in range(1024):
+            served.resilience.exit("map")  # back to a zero pending gauge
+        breaker = served.resilience.breaker("dse")
+        assert (breaker.threshold, breaker.reset_s) == (5, 30.0)
+        assert resilience.DRAIN_TIMEOUT_S == 10.0
 
     def test_report_resilience_flags_parse(self):
         # The full resilient report is exercised in
