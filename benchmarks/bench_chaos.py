@@ -4,9 +4,10 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_chaos.py [--check]
 
-The server subprocess boots with ``REPRO_CHAOS`` arming a 20% (default)
-``worker_crash`` rate, so roughly one in five backend computations
-hard-kills its spawn worker mid-task.  The drill then drives distinct
+The server subprocess boots through :func:`bench_serve.serving` with
+``REPRO_CHAOS`` arming a 20% (default) ``worker_crash`` rate, so
+roughly one in five backend computations hard-kills its spawn worker
+mid-task.  The drill then drives distinct
 requests through a small thread fleet of well-behaved clients
 (``compute_with_retry``: 503s are retried honoring ``Retry-After``,
 anything else is a failure), fires a burst of *compatible* cold DSE
@@ -38,7 +39,6 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
-import os
 import sys
 import tempfile
 import threading
@@ -47,12 +47,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 from repro.chaos import ChaosController, ChaosRule
-from repro.serve.loadtest import (
-    ServeClient,
-    metric_total,
-    percentile,
-    start_server,
-)
+from repro.serve.loadtest import ServeClient, metric_total, percentile
+
+from bench_serve import serving
 
 #: The drill's workload mix: distinct cheap map points (kept small so a
 #: crash costs a retry, not a long recompute).
@@ -100,24 +97,22 @@ def run_drill(
 ) -> Dict[str, Any]:
     max_tries = 8
     with tempfile.TemporaryDirectory(prefix="repro-bench-chaos-") as tmp:
-        env = dict(os.environ)
-        env.update(
-            REPRO_CACHE="on",
-            REPRO_CACHE_DIR=str(Path(tmp) / "store"),
-            REPRO_CHAOS=f"worker_crash={crash_rate},seed={seed}",
-            REPRO_CHAOS_STATE=str(Path(tmp) / "chaos"),
-        )
-        proc, client = start_server(
-            jobs=jobs, env=env,
-            extra_args=[
+        chaos_env = {
+            "REPRO_CHAOS": f"worker_crash={crash_rate},seed={seed}",
+            "REPRO_CHAOS_STATE": str(Path(tmp) / "chaos"),
+        }
+        with serving(
+            jobs,
+            [
                 "--timeout", "60", "--retries", "5",
                 "--backoff", "0.05", "--max-backoff", "0.8",
                 # Batching stays ON under chaos so the drill covers the
                 # batch-leader failover path, not just singleton retries.
                 "--batch-window-ms", "50", "--batch-max", "16",
             ],
-        )
-        try:
+            store=str(Path(tmp) / "store"),
+            env=chaos_env,
+        ) as client:
             before = client.metrics()
 
             # -- phase 1: the crash storm --------------------------------
@@ -221,10 +216,6 @@ def run_drill(
                 time.sleep(0.2)
                 final_health = client.health().get("status", "?")
             after = client.metrics()
-        finally:
-            client.close()
-            proc.terminate()
-            proc.wait(timeout=30)
 
     def delta(name: str) -> float:
         return metric_total(after, name) - metric_total(before, name)

@@ -13,13 +13,13 @@ gives future changes a perf trajectory to compare against.  Two configurations a
 * ``steady_state`` — caches warm, the configuration every repeated
   experiment actually sees.
 
-A third section times the functional cycle simulator's two engines on a
-representative layer, since ``repro run`` / full-inference examples are
-bound by it rather than by the mapper.  Two further sections cover the
-fast-path work: ``analytic_engine`` times the closed-form analytic
-engine against the tile engine on a 40.1M-MAC layer, and ``sweep``
-times the full ``generate_report`` pipeline with the persistent result
-cache off / cold (empty store) / warm (populated store).
+A third section, ``sim_engine``, times the FlexFlow functional
+simulator's two paths on a representative layer, the tile engine
+against the per-PE loop (run with the tile engine's table bound at 0),
+since ``repro run`` / full-inference examples are bound by it rather
+than by the mapper.  ``sweep`` times the full ``generate_report``
+pipeline with the persistent result cache off / cold (empty store) /
+warm (populated store).
 ``dse_batched`` records absolute timings of the cold ``dse_array_scale``
 sweep under the default kernel backend, and which backend that resolved
 to.
@@ -71,6 +71,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -78,19 +79,10 @@ from repro.arch import ArchConfig
 from repro.dataflow import clear_mapping_cache
 from repro.experiments import headline_claims
 from repro.nn import ConvLayer, make_inputs, make_kernels
-from repro.sim import FlexFlowFunctionalSim
+from repro.sim import FlexFlowFunctionalSim, TileEngine
 
 #: Layer used for the engine micro-benchmark: LeNet-5 C3 scale.
 ENGINE_LAYER = ConvLayer("bench", in_maps=6, out_maps=16, out_size=10, kernel=5)
-
-#: Layer for the analytic-engine gate (40.1M MACs).  With the compiled
-#: tile kernels the analytic engine is under 2x faster than the tile
-#: engine on ENGINE_LAYER, too close to the ~1x of an analytic run that
-#: executes the tile engine for a 0.5 band to tell them apart; on this
-#: layer the closed forms win 3.2-4.2x.
-ANALYTIC_LAYER = ConvLayer(
-    "analytic", in_maps=32, out_maps=64, out_size=28, kernel=5
-)
 
 
 def _time(fn, rounds: int) -> list:
@@ -111,38 +103,34 @@ def _summary(samples: list) -> dict:
     }
 
 
-def _engine_times(layer: ConvLayer, engines, rounds: int) -> dict:
-    """``engine -> summary`` for one FlexFlow functional-sim layer run."""
+def _engine_times(layer: ConvLayer, rounds: int) -> dict:
+    """``{"tile", "reference"} -> summary`` for one FlexFlow layer run.
+
+    The layer picks the tile engine; with the tile engine's table bound
+    at 0 it runs on the per-PE reference loop instead.
+    """
     inputs = make_inputs(layer)
     kernels = make_kernels(layer)
-    config = ArchConfig(array_dim=16)
-    times = {}
-    for engine in engines:
-        sim = FlexFlowFunctionalSim(config, engine=engine)
-
-        def run_engine(sim=sim):
-            sim.run_layer(layer, inputs, kernels)
-
-        # Warm up once (allocator/numpy amortized setup), then take the
-        # min over several rounds — the stable statistic for short
-        # micro-benchmarks.
-        run_engine()
-        times[engine] = _summary(_time(run_engine, rounds))
-    return times
-
-
-def _analytic_engine() -> dict:
-    """Tile against analytic engine on :data:`ANALYTIC_LAYER`."""
-    engines = _engine_times(ANALYTIC_LAYER, ("tile", "analytic"), 3)
-    return {
-        "layer": ANALYTIC_LAYER.name,
-        "layer_macs": ANALYTIC_LAYER.macs,
-        "tile": engines["tile"],
-        "analytic": engines["analytic"],
-        "speedup_min": round(
-            engines["tile"]["min_s"] / engines["analytic"]["min_s"], 2
+    sim = FlexFlowFunctionalSim(ArchConfig(array_dim=16))
+    paths = {
+        "tile": contextlib.nullcontext,
+        "reference": lambda: mock.patch.object(
+            TileEngine, "MAX_TABLE_BYTES", 0
         ),
     }
+
+    def run_layer():
+        sim.run_layer(layer, inputs, kernels)
+
+    times = {}
+    for name, path in paths.items():
+        with path():
+            # Warm up once (allocator/numpy amortized setup), then take
+            # the min over several rounds — the stable statistic for
+            # short micro-benchmarks.
+            run_layer()
+            times[name] = _summary(_time(run_layer, rounds))
+    return times
 
 
 @contextlib.contextmanager
@@ -534,8 +522,7 @@ def capture(rounds: int = 5) -> dict:
         headline_claims.run()  # warm the cache before steady-state timing
         steady = _time(headline_claims.run, rounds)
 
-        engines = _engine_times(ENGINE_LAYER, ("tile", "reference"), 5)
-        analytic_engine = _analytic_engine()
+        engines = _engine_times(ENGINE_LAYER, 5)
 
     sweep = _sweep(max(2, rounds - 2))
     dse_batched = _dse_batched(rounds)
@@ -568,7 +555,6 @@ def capture(rounds: int = 5) -> dict:
                 engines["reference"]["min_s"] / engines["tile"]["min_s"], 2
             ),
         },
-        "analytic_engine": analytic_engine,
         "sweep": sweep,
         "dse_batched": dse_batched,
         "kernels": kernels,
@@ -642,15 +628,13 @@ def check(baseline_path: Path, tolerance: float) -> int:
     # band: with 26 small synchronous writes the cold ratio sits near
     # 1.0, and the failure mode that matters is it sliding back toward the
     # pre-fix 0.8x, not small run-to-run drift.
-    # The engine ratios get 0.5: their denominators are short, so honest
-    # runs swing ~30%; losing the fast path entirely (an analytic run
-    # that executes the tile engine reads ~1x) drops the ratio below
-    # half of any recorded baseline.
+    # The engine ratio gets 0.5: its denominator is short, so honest
+    # runs swing ~30%; losing the tile engine's fast path drops the
+    # ratio below half of any recorded baseline.
     # The warm legs of sweep and serve are gated on counts further down.
     checked_metrics = (
         ("headline", "speedup_median", None),
         ("sim_engine", "speedup_min", 0.5),
-        ("analytic_engine", "speedup_min", 0.5),
     )
     for section, field, tolerance_override in checked_metrics:
         metric = f"{section}.{field}"
@@ -794,7 +778,6 @@ def main(argv: list) -> int:
         f" -> {headline['steady_state']['median_s']*1000:.1f} ms"
         f" ({headline['speedup_median']}x),"
         f" sim engine {payload['sim_engine']['speedup_min']}x,"
-        f" analytic engine {payload['analytic_engine']['speedup_min']}x,"
         f" sweep {sweep['off']['median_s']*1000:.1f} ms"
         f" -> {sweep['warm']['median_s']*1000:.1f} ms warm"
         f" ({sweep['warm_counts']['store_hits']} store hits,"

@@ -31,16 +31,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "LocalStore",
         ),
         ".power": ("ActivityCounts", "PowerReport", "compute_power"),
-        ".serialization": (
-            "config_to_dict",
-            "config_from_dict",
-            "config_to_json",
-            "config_from_json",
-            "mask_to_dict",
-            "mask_from_dict",
-            "technology_to_dict",
-            "technology_from_dict",
-        ),
         ".technology": ("TechnologyModel", "TSMC65"),
     },
 )

@@ -158,11 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("workload", help=workload_help)
     trace_cmd.add_argument("--dim", type=_array_dim, default=16)
     trace_cmd.add_argument(
-        "--engine", choices=["auto", "tile", "reference", "analytic"],
-        default="auto",
-        help="simulation engine (span trees are engine-independent)",
-    )
-    trace_cmd.add_argument(
         "-o", "--output", default=None, metavar="FILE",
         help="write a Chrome/Perfetto trace.json (default: no file)",
     )
@@ -524,9 +519,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.profile import format_breakdown, trace_workload
 
     network = _resolve_workload(args.workload)
-    trace = trace_workload(
-        network, array_dim=args.dim, engine=args.engine
-    )
+    trace = trace_workload(network, array_dim=args.dim)
     print(format_breakdown(trace))
     if args.per_layer:
         from repro.dse import format_plan, solve_per_layer

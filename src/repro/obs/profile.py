@@ -6,9 +6,10 @@ FlexFlow functional simulator under an enabled tracer and reduces the
 span forest to a per-layer, per-phase breakdown table —
 load/compute/drain cycles, buffer traffic, PE occupancy.  The breakdown
 is built *only* from parity fields (names, cycles, counters), so the
-table is engine-independent: ``--engine auto`` and ``--engine
-reference`` print byte-identical tables, which is the CLI face of the
-tracer-as-correctness-oracle property.
+table does not depend on which simulator path ran a layer: the tile
+engine and the per-PE loop print byte-identical tables, which is the
+CLI face of the tracer-as-correctness-oracle property.  Each ``conv:``
+span's ``engine`` label names the path.
 
 :func:`profile_experiment` runs one registered experiment with a tracer
 and a fresh metrics registry installed, capturing mapper search spans
@@ -40,7 +41,6 @@ class WorkloadTrace:
 
     network_name: str
     array_dim: int
-    engine: str
     tracer: Tracer
     rows: List[Dict[str, Any]]
 
@@ -49,7 +49,6 @@ def trace_workload(
     network: Network,
     *,
     array_dim: int = 16,
-    engine: str = "auto",
     tracer: Optional[Tracer] = None,
 ) -> WorkloadTrace:
     """Simulate every CONV layer under a tracer; build the breakdown.
@@ -59,11 +58,6 @@ def trace_workload(
     on the process-wide mapping cache (a hit skips the search), which
     would break run-to-run parity.
     """
-    if engine not in FlexFlowFunctionalSim.ENGINES:
-        raise SpecificationError(
-            f"engine must be one of {FlexFlowFunctionalSim.ENGINES},"
-            f" got {engine!r}"
-        )
     if not network.conv_layers:
         raise SpecificationError(
             f"network {network.name!r} has no CONV layers to trace"
@@ -75,14 +69,12 @@ def trace_workload(
         sim = FlexFlowFunctionalSim(
             config,
             factors=mapping[layer.name].factors,
-            engine=engine,
             tracer=active,
         )
         sim.run_layer(layer, make_inputs(layer), make_kernels(layer))
     return WorkloadTrace(
         network_name=network.name,
         array_dim=array_dim,
-        engine=engine,
         tracer=active,
         rows=breakdown_rows(active, array_dim),
     )
@@ -134,7 +126,7 @@ def breakdown_rows(
 
 
 def format_breakdown(trace: WorkloadTrace) -> str:
-    """The ``repro trace`` table: aligned text, engine-independent."""
+    """The ``repro trace`` table: aligned text, path-independent."""
     columns = [
         "layer", "load", "compute", "drain", "bus_words",
         "nbuf_rd", "nbuf_wr", "kbuf_rd", "ls_rd", "ls_wr", "occupancy",
@@ -153,7 +145,7 @@ def format_breakdown(trace: WorkloadTrace) -> str:
     ]
     lines = [
         f"{trace.network_name} on a {trace.array_dim}x{trace.array_dim}"
-        f" array (engine {trace.engine}):",
+        " array:",
         "  ".join(col.rjust(widths[i]) for i, col in enumerate(columns)),
         "  ".join("-" * widths[i] for i in range(len(columns))),
     ]

@@ -28,12 +28,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".tile_engine": ("TileEngine",),
         ".tiling_sim": ("TilingFunctionalSim",),
         ".trace": ("SimTrace",),
-        ".export": (
-            "network_result_to_dict",
-            "network_result_to_json",
-            "sim_trace_to_dict",
-            "load_run",
-            "compare_runs",
-        ),
     },
 )

@@ -1,4 +1,4 @@
-"""Closed-form analytical engine: exact counters without executing MACs.
+"""Closed-form analytical counters: exact traces without executing MACs.
 
 The loop-nest structure each dataflow imposes makes every
 :class:`~repro.sim.trace.SimTrace` counter a *computable function* of the
@@ -42,6 +42,9 @@ The two capacity-dependent quantities need more care:
 
 The three baseline dataflows (Systolic, 2D-Mapping, Tiling) have fully
 static schedules, so their traces are pure arithmetic.
+
+No simulator runs these forms; :mod:`repro.sim.batch` evaluates the same
+mathematics over whole sweeps and shares :func:`_neuron_store_replay`.
 """
 
 from __future__ import annotations

@@ -7,11 +7,12 @@ layer at every array scale — which is exactly the shape MPNA/FlexNN-style
 bulk dataflow search rewards: hoist the per-configuration arithmetic into
 a handful of vectorized numpy passes over parallel arrays.
 
-This module keeps the *mathematics* of the scalar engine and changes only
-the evaluation order, so every :class:`~repro.sim.trace.SimTrace` counter
-it returns is **bit-identical** to ``engine="analytic"`` (pinned by the
-hypothesis suite in ``tests/sim/test_batch.py``, which in turn inherits
-the scalar engine's pin against the tile engine):
+This module keeps the *mathematics* of the scalar closed forms and
+changes only the evaluation order, so every
+:class:`~repro.sim.trace.SimTrace` counter it returns is
+**bit-identical** to :func:`~repro.sim.analytic.analytic_flexflow_trace`
+(pinned by the hypothesis suite in ``tests/sim/test_batch.py``, which in
+turn inherits the closed form's pin against the tile engine's counters):
 
 * All pure closed forms (cycles, MACs, register/buffer traffic, the
   kernel-store fits/thrashes dichotomy) evaluate as broadcasted integer

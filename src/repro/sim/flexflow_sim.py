@@ -17,25 +17,19 @@ The result is numerically compared against the NumPy golden model; this is
 the executable proof that the Section 4.3 mapping formulas, the RA synapse
 reordering, and the local-store addressing are mutually consistent.
 
-Three interchangeable engines produce the result:
+The layer picks one of two paths, with equal results:
 
-* ``"reference"`` — the per-PE Python loop below: one :class:`CoordStore`
-  pair per PE, explicit bus sets per cycle.  Slow, but the golden
-  definition of the machine's behaviour.
-* ``"tile"`` — the :class:`~repro.sim.tile_engine.TileEngine` fast path,
-  which replays chunks of output tiles as whole arrays; bit-identical on
-  outputs and exact on every counter (``tests/sim/test_tile_engine.py``
-  and ``tests/sim/test_flexflow_differential.py`` pin this).
-* ``"analytic"`` — the closed-form model in :mod:`repro.sim.analytic`:
-  counters are computed, not observed, yet exactly equal to the cycle
-  engines' (``tests/sim/test_analytic.py`` pins this); outputs come from
-  the NumPy golden model rather than the simulated adder trees, so this
-  engine refuses transient-fault runs (a bit flip changes outputs but not
-  traffic, which only the executing engines can show).
+* the :class:`~repro.sim.tile_engine.TileEngine`, which replays whole
+  output-map groups at once, runs whenever its last-push tables fit
+  :data:`~repro.sim.tile_engine.TileEngine.MAX_TABLE_BYTES`;
+* the per-PE loop below runs otherwise: one :class:`CoordStore` pair per
+  PE, explicit bus sets per cycle.  Slow, but the golden definition of
+  the machine's behaviour, and the oracle the tile engine is tested
+  against (tests set the bound to 0 to reach it).
 
-The default ``"auto"`` picks the tile path whenever its index tables fit
-in memory and falls back to the reference loop otherwise; the analytic
-engine is only used when explicitly selected.
+Outputs are bit-identical and every counter and span is equal
+(``tests/sim/test_tile_engine.py`` and
+``tests/sim/test_flexflow_differential.py`` pin this).
 """
 
 from __future__ import annotations
@@ -50,15 +44,13 @@ from repro.arch.local_store import LocalStore
 from repro.dataflow.grouping import GroupGeometry
 from repro.dataflow.mapper import map_layer
 from repro.dataflow.unrolling import UnrollingFactors, ceil_div
-from repro.errors import SimulationError, SpecificationError
+from repro.errors import SimulationError
 from repro.faults.mask import AvailabilityMask, LiveGrid, live_grid
 from repro.faults.model import FaultModel, apply_flip, transient_flip
 from repro.nn.layers import ConvLayer
-from repro.nn.reference import conv2d, pad_input
 from repro.obs.tracer import Tracer, counter_delta, current_tracer
-from repro.sim.analytic import analytic_flexflow_trace
 from repro.sim.tile_engine import TileEngine
-from repro.sim.trace import SimTrace
+from repro.sim.trace import SimTrace, layer_operands
 
 #: A push-time corruption hook: ``(coord, push_sequence, value) -> value``.
 Corruptor = Callable[[Hashable, int, float], float]
@@ -126,25 +118,16 @@ class _PE:
 class FlexFlowFunctionalSim:
     """Cycle-level functional model of the FlexFlow convolutional unit."""
 
-    #: Recognized execution engines (see module docstring).
-    ENGINES = ("auto", "tile", "reference", "analytic")
-
     def __init__(
         self,
         config: Optional[ArchConfig] = None,
         *,
         factors: Optional[UnrollingFactors] = None,
-        engine: str = "auto",
         fault_model: Optional[FaultModel] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if engine not in self.ENGINES:
-            raise SpecificationError(
-                f"engine must be one of {self.ENGINES}, got {engine!r}"
-            )
         self.config = config or ArchConfig(array_dim=4)
         self.factors = factors
-        self.engine = engine
         self.fault_model = fault_model
         #: ``None`` defers to the ambient tracer (``obs.current_tracer``)
         #: at run time, so an installed tracer is picked up without
@@ -183,14 +166,7 @@ class FlexFlowFunctionalSim:
             inputs: ``(N, in_size, in_size)`` input feature maps.
             kernels: ``(M, N, K, K)`` kernel tensor.
         """
-        if tuple(inputs.shape) != layer.input_shape:
-            raise SpecificationError(
-                f"inputs shape {inputs.shape} != {layer.input_shape}"
-            )
-        if tuple(kernels.shape) != layer.kernel_shape:
-            raise SpecificationError(
-                f"kernels shape {kernels.shape} != {layer.kernel_shape}"
-            )
+        padded, kernels = layer_operands(layer, inputs, kernels)
         dim = self.config.array_dim
         mask = self._resolve_mask()
         grid: Optional[LiveGrid] = None
@@ -210,34 +186,17 @@ class FlexFlowFunctionalSim:
         )
         geometry = GroupGeometry(factors, dim)
 
-        padded = pad_input(inputs, layer.padding)
-
-        use_analytic = self.engine == "analytic"
-        if use_analytic and (
-            self.fault_model is not None
-            and self.fault_model.has_transient_faults
-        ):
-            raise SimulationError(
-                f"{layer.name}: the analytic engine cannot model transient"
-                f" bit flips; use the tile or reference engine"
-            )
-        use_tile = self.engine == "tile" or (
-            self.engine == "auto"
-            and TileEngine.is_feasible(self.config, layer, factors)
-        )
-        engine_label = (
-            "analytic" if use_analytic else "tile" if use_tile else "reference"
-        )
+        use_tile = TileEngine.is_feasible(self.config, layer, factors)
         tracer = self.tracer if self.tracer is not None else current_tracer()
         # The span tree below (layer -> load/compute/drain phases ->
-        # per-m0 tile groups) is engine-independent by construction: the
+        # per-m0 tile groups) is path-independent by construction: the
         # engine name is a label, which parity trees exclude, and both
-        # engines emit identical group boundaries and counter deltas —
+        # paths emit identical group boundaries and counter deltas —
         # the tracer-level equivalence the parity tests pin.
         with tracer.span(
             f"conv:{layer.name}",
             category="sim.flexflow",
-            labels={"engine": engine_label},
+            labels={"engine": "tile" if use_tile else "reference"},
         ) as layer_span:
             # Load/drain phases model the layer's DMA legs on the
             # D-banked buffers (the same word/D accounting as the
@@ -250,18 +209,7 @@ class FlexFlowFunctionalSim:
             with tracer.span("phase:load", category="sim.flexflow") as sp:
                 sp.set_cycles(load_cycles)
             with tracer.span("phase:compute", category="sim.flexflow") as sp:
-                if use_analytic:
-                    # Counters from the closed-form model, outputs from the
-                    # golden convolution — numerically the same result the
-                    # adder trees converge to, without executing them.
-                    outputs = conv2d(padded, kernels, stride=layer.stride)
-                    trace = analytic_flexflow_trace(
-                        layer,
-                        factors,
-                        neuron_store_words=self.config.neuron_store_words,
-                        kernel_store_words=self.config.kernel_store_words,
-                    )
-                elif use_tile:
+                if use_tile:
                     outputs, trace = TileEngine(
                         self.config,
                         layer,
@@ -313,7 +261,7 @@ class FlexFlowFunctionalSim:
             """Push-time flip hooks for the PE at logical ``(row, col)``.
 
             The fault hash keys on *physical* coordinates (the live grid's
-            steering), so both engines corrupt the same words regardless
+            steering), so both paths corrupt the same words regardless
             of which logical PE a computation lands on.
             """
             if not flips_active:

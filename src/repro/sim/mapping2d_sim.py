@@ -18,9 +18,9 @@ map, so the simulator runs it once per ``(block, input map)`` with an
 event.  Outputs equal the golden convolution to within float rounding
 (the summation order differs).
 
-Whenever the C kernel suite is loaded and both operands are ``float64``,
-every block, window move, alignment check and counter of the layer is
-one ``repro_mapping2d_layer`` call
+Whenever the C kernel suite is loaded, every block, window move,
+alignment check and counter of the layer is one
+``repro_mapping2d_layer`` call
 (:meth:`~repro.kernels.cext.CExtKernels.mapping2d_layer`), which adds
 every product in the same order.  The block loop below is the ``numpy``
 backend and the reference ``tests/kernels/test_parity.py`` pins the
@@ -36,9 +36,8 @@ import numpy as np
 from repro.errors import SimulationError, SpecificationError
 from repro.kernels import active_kernels, count_kernel_call
 from repro.nn.layers import ConvLayer
-from repro.nn.reference import pad_input
 from repro.obs.tracer import Tracer, current_tracer
-from repro.sim.trace import SimTrace
+from repro.sim.trace import SimTrace, layer_operands
 
 
 class Mapping2DFunctionalSim:
@@ -60,21 +59,9 @@ class Mapping2DFunctionalSim:
         """Execute a stride-1 CONV layer block by block."""
         if layer.stride != 1:
             raise SpecificationError("2D-Mapping dataflow models stride-1 layers")
-        if tuple(inputs.shape) != layer.input_shape:
-            raise SpecificationError(
-                f"inputs shape {inputs.shape} != {layer.input_shape}"
-            )
-        if tuple(kernels.shape) != layer.kernel_shape:
-            raise SpecificationError(
-                f"kernels shape {kernels.shape} != {layer.kernel_shape}"
-            )
-        padded = pad_input(inputs, layer.padding)
+        padded, kernels = layer_operands(layer, inputs, kernels)
         trace = SimTrace()
-        # The kernel multiplies float64 words, so only float64 operands
-        # take it.
-        compiled = None
-        if padded.dtype == kernels.dtype == np.float64:
-            compiled = active_kernels()
+        compiled = active_kernels()
         tracer = self.tracer if self.tracer is not None else current_tracer()
         with tracer.span(
             f"conv:{layer.name}", category="sim.mapping2d"

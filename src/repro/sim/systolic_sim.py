@@ -29,9 +29,9 @@ once, so each pair's sum adds its products in the order the machine
 does.  Output maps sum their pairs in ascending input-map order, which
 is the order the sequential machine adds them in.
 
-Whenever the C kernel suite is loaded and both operands are ``float64``,
-the whole layer — cycle loop, machine checks, data path and counters —
-is one ``repro_systolic_layer`` call
+Whenever the C kernel suite is loaded, the whole layer — cycle loop,
+machine checks, data path and counters — is one
+``repro_systolic_layer`` call
 (:meth:`~repro.kernels.cext.CExtKernels.systolic_layer`), which adds
 every product in the same order.  The loop below is the ``numpy``
 backend and the reference ``tests/kernels/test_parity.py`` pins the
@@ -48,9 +48,8 @@ from repro.arch.interconnect import FifoLink
 from repro.errors import SimulationError, SpecificationError
 from repro.kernels import active_kernels, count_kernel_call
 from repro.nn.layers import ConvLayer
-from repro.nn.reference import pad_input
 from repro.obs.tracer import Tracer, current_tracer
-from repro.sim.trace import SimTrace
+from repro.sim.trace import SimTrace, layer_operands
 
 
 def _fifo_capacity(width: int, k: int) -> int:
@@ -88,21 +87,9 @@ class SystolicFunctionalSim:
         """
         if layer.stride != 1:
             raise SpecificationError("systolic dataflow models stride-1 layers")
-        if tuple(inputs.shape) != layer.input_shape:
-            raise SpecificationError(
-                f"inputs shape {inputs.shape} != {layer.input_shape}"
-            )
-        if tuple(kernels.shape) != layer.kernel_shape:
-            raise SpecificationError(
-                f"kernels shape {kernels.shape} != {layer.kernel_shape}"
-            )
-        padded = pad_input(inputs, layer.padding)
+        padded, kernels = layer_operands(layer, inputs, kernels)
         trace = SimTrace()
-        # The kernel multiplies float64 words, so only float64 operands
-        # take it.
-        compiled = None
-        if padded.dtype == kernels.dtype == np.float64:
-            compiled = active_kernels()
+        compiled = active_kernels()
         tracer = self.tracer if self.tracer is not None else current_tracer()
         with tracer.span(
             f"conv:{layer.name}", category="sim.systolic"

@@ -53,7 +53,8 @@ land on the gathered reads.
 Memory for the last-push table is ``active_PEs x coordinate_space``; when
 that exceeds :data:`TileEngine.MAX_TABLE_BYTES` the engine reports itself
 infeasible and :class:`~repro.sim.flexflow_sim.FlexFlowFunctionalSim`
-falls back to the reference loop.
+runs its per-PE loop instead.  Operands reach :meth:`TileEngine.run` as
+``float64`` (:func:`~repro.sim.trace.layer_operands`).
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ class TileEngine:
     """
 
     #: Upper bound on the combined last-push table footprint, in bytes.
-    #: Beyond this the engine is infeasible and callers should use the
-    #: per-PE reference loop (such layers are far outside the functional
+    #: Beyond this the engine is infeasible and
+    #: :class:`~repro.sim.flexflow_sim.FlexFlowFunctionalSim` runs its
+    #: per-PE loop instead (such layers are far outside the functional
     #: simulator's practical envelope anyway).
     MAX_TABLE_BYTES = 256 * 1024 * 1024
 
@@ -158,7 +160,8 @@ class TileEngine:
         if self.table_bytes(self.config, layer, f) > self.MAX_TABLE_BYTES:
             raise SimulationError(
                 f"{layer.name}: last-push tables exceed"
-                f" {self.MAX_TABLE_BYTES} bytes; use the reference engine"
+                f" {self.MAX_TABLE_BYTES} bytes; FlexFlowFunctionalSim runs"
+                f" such layers on its per-PE loop"
             )
 
         # Row/column offset decompositions (Section 4.3 index functions).
@@ -204,12 +207,10 @@ class TileEngine:
             self.fault_model is not None
             and self.fault_model.has_transient_faults
         )
-        # Flips are keyed in Python on each read's push and the kernel
-        # multiplies float64 words, so only fault-free float64 runs take
-        # the compiled group kernel.  It reads 0 as "never pushed".
-        compiled = None
-        if not flips_active and padded.dtype == kernels.dtype == np.float64:
-            compiled = active_kernels()
+        # Flips are keyed in Python on each read's push, so only
+        # fault-free runs take the compiled group kernel.  It reads 0 as
+        # "never pushed".
+        compiled = None if flips_active else active_kernels()
         table_size = n_pes * (neuron_space + kernel_space)
         if compiled is not None:
             table = np.zeros(table_size, dtype=np.int64)

@@ -19,8 +19,8 @@ counter by ``S^2`` per event.  Each position's ``Tn`` products stay
 contiguous on the last axis, so the adder-tree sum adds them in the same
 order as one position at a time.
 
-Whenever the C kernel suite is loaded and both operands are ``float64``,
-the whole layer is one ``repro_tiling_layer`` call
+Whenever the C kernel suite is loaded, the whole layer is one
+``repro_tiling_layer`` call
 (:meth:`~repro.kernels.cext.CExtKernels.tiling_layer`), whose adder
 trees add each position's products in NumPy's pairwise order.  The loop
 below is the ``numpy`` backend and the reference
@@ -36,9 +36,8 @@ import numpy as np
 from repro.errors import SpecificationError
 from repro.kernels import active_kernels, count_kernel_call
 from repro.nn.layers import ConvLayer
-from repro.nn.reference import pad_input
 from repro.obs.tracer import Tracer, current_tracer
-from repro.sim.trace import SimTrace
+from repro.sim.trace import SimTrace, layer_operands
 
 
 class TilingFunctionalSim:
@@ -57,21 +56,9 @@ class TilingFunctionalSim:
         self, layer: ConvLayer, inputs: np.ndarray, kernels: np.ndarray
     ) -> Tuple[np.ndarray, SimTrace]:
         """Execute a CONV layer tile group by tile group."""
-        if tuple(inputs.shape) != layer.input_shape:
-            raise SpecificationError(
-                f"inputs shape {inputs.shape} != {layer.input_shape}"
-            )
-        if tuple(kernels.shape) != layer.kernel_shape:
-            raise SpecificationError(
-                f"kernels shape {kernels.shape} != {layer.kernel_shape}"
-            )
-        padded = pad_input(inputs, layer.padding)
+        padded, kernels = layer_operands(layer, inputs, kernels)
         trace = SimTrace()
-        # The kernel multiplies float64 words, so only float64 operands
-        # take it.
-        compiled = None
-        if padded.dtype == kernels.dtype == np.float64:
-            compiled = active_kernels()
+        compiled = active_kernels()
         tracer = self.tracer if self.tracer is not None else current_tracer()
         with tracer.span(
             f"conv:{layer.name}", category="sim.tiling"

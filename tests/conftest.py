@@ -17,7 +17,13 @@ example budget of the differential suites
 ``tests/dataflow/test_restricted_differential.py`` and
 ``tests/sim/test_baseline_differential.py``); without it each runs a
 small derandomized slice.
+
+``per_pe_loop`` reaches the FlexFlow simulator's per-PE loop, the oracle
+of its tile engine: inside ``with per_pe_loop():`` no layer's last-push
+tables fit ``TileEngine.MAX_TABLE_BYTES``.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import settings
@@ -34,3 +40,12 @@ def _no_persistent_cache(monkeypatch):
     reset_cache_handles()
     yield
     reset_cache_handles()
+
+
+@pytest.fixture(scope="session")
+def per_pe_loop():
+    """A context-manager factory: FlexFlow layers run inside it take the
+    per-PE loop.  Session-scoped, so hypothesis tests may use it too."""
+    from repro.sim.tile_engine import TileEngine
+
+    return lambda: mock.patch.object(TileEngine, "MAX_TABLE_BYTES", 0)

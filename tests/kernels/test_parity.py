@@ -13,8 +13,8 @@ runs, never on bit-flip or NumPy runs) is checked.  ``systolic_layer``,
 ``mapping2d_layer`` and ``tiling_layer`` are pinned against the baseline
 simulators' NumPy machines on the edge-biased layers of
 ``tests/sim/test_baseline_differential.py``, and their dispatch (once
-per layer under ``cext``, never under ``numpy`` or for ``float32``
-operands) is checked.  The end-to-end
+per layer under ``cext``, for ``float32`` operands too, and never under
+``numpy``) is checked.  The end-to-end
 tests force ``REPRO_KERNELS`` and check that mapper, batched simulator,
 FlexFlow functional simulator and fault-retention results are identical
 under every available backend.
@@ -381,7 +381,7 @@ def test_flexflow_group_matches_numpy_chunks(suite, case, seed):
         with kernels_backend(backend):
             tracer = Tracer()
             outputs, trace = FlexFlowFunctionalSim(
-                config, factors=factors, engine="tile", tracer=tracer
+                config, factors=factors, tracer=tracer
             ).run_layer(layer, inputs, kernels)
         runs[backend] = (
             outputs.tobytes(), trace.as_dict(), parity_report(tracer)
@@ -413,7 +413,7 @@ class TestFlexFlowGroupDispatch:
         )
         before = counter.value
         FlexFlowFunctionalSim(
-            self.CONFIG, engine="tile", fault_model=fault_model
+            self.CONFIG, fault_model=fault_model
         ).run_layer(self.LAYER, make_inputs(self.LAYER), make_kernels(self.LAYER))
         return counter.value - before, len(replays)
 
@@ -614,10 +614,15 @@ class TestBaselineLayerDispatch:
         ("tiling_layer", TilingFunctionalSim(tm=2, tn=2), "_run_tiles"),
     )
 
-    def run(self, monkeypatch, dtype=np.float64):
-        """``{kernel: (compiled calls, NumPy machine runs)}``, one layer each."""
-        inputs = make_inputs(self.LAYER).astype(dtype)
-        kernels = make_kernels(self.LAYER).astype(dtype)
+    def run(self, monkeypatch, dtypes=(np.float64,), outputs=None):
+        """``{kernel: (compiled calls, NumPy machine runs)}``, one layer each.
+
+        The operands are cast to each of ``dtypes`` in turn; ``outputs``
+        collects each simulator's output bytes by kernel.
+        """
+        inputs, kernels = make_inputs(self.LAYER), make_kernels(self.LAYER)
+        for dtype in dtypes:
+            inputs, kernels = inputs.astype(dtype), kernels.astype(dtype)
         result = {}
         for kernel, sim, method in self.SIMS:
             machine_runs = []
@@ -632,8 +637,10 @@ class TestBaselineLayerDispatch:
                 "kernels.calls", kernel=kernel, backend="cext"
             )
             before = counter.value
-            sim.run_layer(self.LAYER, inputs, kernels)
+            out, _ = sim.run_layer(self.LAYER, inputs, kernels)
             result[kernel] = (counter.value - before, len(machine_runs))
+            if outputs is not None:
+                outputs[kernel] = out.tobytes()
         return result
 
     def test_compiled_run_calls_once_per_layer(self, forced_backend, monkeypatch):
@@ -641,12 +648,17 @@ class TestBaselineLayerDispatch:
             ("systolic_layer", "mapping2d_layer", "tiling_layer"), (1, 0)
         )
 
-    def test_float32_operands_take_the_numpy_machines(
+    def test_float32_takes_the_compiled_call(
         self, forced_backend, monkeypatch
     ):
-        assert self.run(monkeypatch, np.float32) == dict.fromkeys(
-            ("systolic_layer", "mapping2d_layer", "tiling_layer"), (0, 1)
+        """Operands are cast to float64 first: float32 takes the same one
+        call per layer and gives the float64 run's bytes."""
+        narrow, wide = {}, {}
+        assert self.run(monkeypatch, (np.float32,), narrow) == dict.fromkeys(
+            ("systolic_layer", "mapping2d_layer", "tiling_layer"), (1, 0)
         )
+        self.run(monkeypatch, (np.float32, np.float64), wide)
+        assert narrow == wide
 
     def test_numpy_backend_takes_the_numpy_machines(self, monkeypatch):
         _force_numpy(monkeypatch)

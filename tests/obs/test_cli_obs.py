@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.obs.export import validate_chrome_trace
 
-#: The committed LeNet-5 breakdown at dim 8 — deterministic, engine-
+#: The committed LeNet-5 breakdown at dim 8 — deterministic, path-
 #: independent, and a tripwire for silent cycle-model changes.
 LENET_DIM8_GOLDEN = [
     "layer  load  compute  drain  bus_words  nbuf_rd  nbuf_wr  kbuf_rd"
@@ -25,20 +25,23 @@ class TestTraceCommand:
     def test_golden_breakdown(self, capsys):
         assert main(["trace", "LeNet-5", "--dim", "8"]) == 0
         out = capsys.readouterr().out
-        assert "LeNet-5 on a 8x8 array (engine auto):" in out
+        assert "LeNet-5 on a 8x8 array:" in out
         for line in LENET_DIM8_GOLDEN:
             assert line in out
 
-    def test_engines_print_identical_tables(self, capsys):
-        outputs = {}
-        for engine in ("auto", "reference"):
-            assert main(
-                ["trace", "PV", "--dim", "8", "--engine", engine]
-            ) == 0
-            outputs[engine] = capsys.readouterr().out.replace(
-                f"engine {engine}", "engine X"
-            )
-        assert outputs["auto"] == outputs["reference"]
+    def test_engines_print_identical_tables(self, capsys, per_pe_loop):
+        """The tile engine and the per-PE loop print the same table."""
+        assert main(["trace", "PV", "--dim", "8"]) == 0
+        tile = capsys.readouterr().out
+        with per_pe_loop():
+            assert main(["trace", "PV", "--dim", "8"]) == 0
+        assert capsys.readouterr().out == tile
+
+    def test_engine_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "PV", "--engine", "tile"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_writes_valid_chrome_trace(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
@@ -50,6 +53,8 @@ class TestTraceCommand:
         assert validate_chrome_trace(doc) == []
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"conv:C1", "phase:load", "phase:compute"} <= names
+        convs = [e for e in doc["traceEvents"] if e["name"].startswith("conv:")]
+        assert [e["args"]["engine"] for e in convs] == ["tile", "tile"]
 
     def test_unknown_workload_errors_cleanly(self, capsys):
         assert main(["trace", "NoSuchNet"]) == 1

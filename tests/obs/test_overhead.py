@@ -22,10 +22,8 @@ from repro.sim import FlexFlowFunctionalSim
 LAYER = ConvLayer("t", in_maps=3, out_maps=8, out_size=6, kernel=3)
 
 
-def _run(engine="tile", tracer=None):
-    sim = FlexFlowFunctionalSim(
-        ArchConfig(array_dim=8), engine=engine, tracer=tracer
-    )
+def _run(tracer=None):
+    sim = FlexFlowFunctionalSim(ArchConfig(array_dim=8), tracer=tracer)
     return sim.run_layer(LAYER, make_inputs(LAYER), make_kernels(LAYER))
 
 
@@ -35,10 +33,11 @@ class TestDisabledTracerIsStructurallyFree:
         _run()
         assert NULL_TRACER.roots == []
 
-    def test_explicit_disabled_tracer_records_no_spans(self):
+    def test_explicit_disabled_tracer_records_no_spans(self, per_pe_loop):
         off = Tracer(enabled=False)
         _run(tracer=off)
-        _run(engine="reference", tracer=off)
+        with per_pe_loop():
+            _run(tracer=off)
         assert off.roots == []
         assert list(off.iter_spans()) == []
 

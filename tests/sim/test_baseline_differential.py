@@ -6,7 +6,9 @@
 with the data path carried as NumPy arrays.  ``tests/sim_oracle.py``
 replays the same schedule once per map pair, block or output position
 with scalar accumulators.  Every generated layer must give byte-identical
-outputs (``tobytes()``) and equal ``SimTrace`` counters.
+outputs (``tobytes()``) and equal ``SimTrace`` counters.  Operands come as
+``float64``, ``float32`` or ``int64``; every dtype must give the
+``float64`` run of the same values.
 
 Layers are biased toward the edges: 1x1 kernels, kernels as large as the
 input (``S = 1``), prime map counts, up to 20 input maps so tiling tiles
@@ -30,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.errors import SpecificationError
 from repro.kernels import ENV_KERNELS, reset_kernels
 from repro.kernels import cext as cext_mod
 from repro.nn.layers import ConvLayer
@@ -100,13 +103,18 @@ def layers(draw, max_in_maps, max_out_maps, strides=(1,)):
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
+#: Operand dtypes; each computes on its float64 values.
+dtypes = st.sampled_from((np.float64, np.float32, np.int64))
 
-def tensors(layer, seed):
+
+def tensors(layer, seed, dtype=np.float64):
+    """Standard-normal operands as ``dtype`` (integers: scaled, rounded)."""
     rng = np.random.default_rng(seed)
-    return (
-        rng.standard_normal(layer.input_shape),
-        rng.standard_normal(layer.kernel_shape),
-    )
+    inputs = rng.standard_normal(layer.input_shape)
+    kernels = rng.standard_normal(layer.kernel_shape)
+    if np.dtype(dtype).kind == "i":
+        inputs, kernels = np.rint(4 * inputs), np.rint(4 * kernels)
+    return inputs.astype(dtype), kernels.astype(dtype)
 
 
 def assert_identical(got, want):
@@ -116,23 +124,40 @@ def assert_identical(got, want):
     assert trace.as_dict() == ref_trace.as_dict()
 
 
+def check_layer(backend, sim, layer, seed, dtype, oracle_run):
+    """``sim`` on ``dtype`` operands equals its float64 run and the oracle."""
+    inputs, kernels = tensors(layer, seed, dtype)
+    wide = inputs.astype(np.float64), kernels.astype(np.float64)
+    with kernels_backend(backend):
+        got = sim.run_layer(layer, inputs, kernels)
+        assert_identical(got, sim.run_layer(layer, *wide))
+    assert_identical(got, oracle_run(*wide))
+
+
 @budget
-@given(layer=layers(max_in_maps=13, max_out_maps=5), seed=seeds)
+@given(layer=layers(max_in_maps=13, max_out_maps=5), seed=seeds, dtype=dtypes)
 @example(  # kernel as large as the input, prime map counts
-    layer=ConvLayer("kin", in_maps=13, out_maps=2, out_size=1, kernel=5), seed=0
+    layer=ConvLayer("kin", in_maps=13, out_maps=2, out_size=1, kernel=5),
+    seed=0,
+    dtype=np.float64,
 )
-@example(layer=ConvLayer("1x1", in_maps=7, out_maps=3, out_size=5, kernel=1), seed=1)
+@example(
+    layer=ConvLayer("1x1", in_maps=7, out_maps=3, out_size=5, kernel=1),
+    seed=1,
+    dtype=np.float64,
+)
 @example(
     layer=ConvLayer(
         "pad", in_maps=3, out_maps=5, out_size=5, kernel=3, explicit_in_size=4
     ),
     seed=2,
+    dtype=np.float32,
 )
-def test_systolic_matches_oracle(backend, layer, seed):
-    inputs, kernels = tensors(layer, seed)
-    with kernels_backend(backend):
-        got = SystolicFunctionalSim().run_layer(layer, inputs, kernels)
-    assert_identical(got, oracle.systolic(layer, inputs, kernels))
+def test_systolic_matches_oracle(backend, layer, seed, dtype):
+    check_layer(
+        backend, SystolicFunctionalSim(), layer, seed, dtype,
+        lambda inputs, kernels: oracle.systolic(layer, inputs, kernels),
+    )
 
 
 @budget
@@ -140,11 +165,13 @@ def test_systolic_matches_oracle(backend, layer, seed):
     layer=layers(max_in_maps=20, max_out_maps=7),
     block=st.one_of(st.sampled_from((1, 16)), st.integers(min_value=1, max_value=7)),
     seed=seeds,
+    dtype=dtypes,
 )
 @example(
     layer=ConvLayer("b1", in_maps=5, out_maps=3, out_size=4, kernel=3),
     block=1,
     seed=0,
+    dtype=np.float64,
 )
 @example(
     layer=ConvLayer(
@@ -152,19 +179,19 @@ def test_systolic_matches_oracle(backend, layer, seed):
     ),
     block=16,
     seed=1,
+    dtype=np.float32,
 )
 @example(
     layer=ConvLayer("part", in_maps=2, out_maps=2, out_size=6, kernel=2),
     block=4,
     seed=2,
+    dtype=np.int64,
 )
-def test_mapping2d_matches_oracle(backend, layer, block, seed):
-    inputs, kernels = tensors(layer, seed)
-    with kernels_backend(backend):
-        got = Mapping2DFunctionalSim(block_size=block).run_layer(
-            layer, inputs, kernels
-        )
-    assert_identical(got, oracle.mapping2d(layer, inputs, kernels, block))
+def test_mapping2d_matches_oracle(backend, layer, block, seed, dtype):
+    check_layer(
+        backend, Mapping2DFunctionalSim(block_size=block), layer, seed, dtype,
+        lambda inputs, kernels: oracle.mapping2d(layer, inputs, kernels, block),
+    )
 
 
 @budget
@@ -173,12 +200,14 @@ def test_mapping2d_matches_oracle(backend, layer, block, seed):
     tm=st.one_of(st.sampled_from((1, 16)), st.integers(min_value=1, max_value=7)),
     tn=st.one_of(st.sampled_from((1, 9, 16)), st.integers(min_value=1, max_value=20)),
     seed=seeds,
+    dtype=dtypes,
 )
 @example(  # Tn tiles of 16 and a 4-wide remainder
     layer=ConvLayer("wide", in_maps=20, out_maps=5, out_size=3, kernel=3),
     tm=2,
     tn=16,
     seed=0,
+    dtype=np.float32,
 )
 @example(
     layer=ConvLayer(
@@ -188,15 +217,38 @@ def test_mapping2d_matches_oracle(backend, layer, block, seed):
     tm=16,
     tn=9,
     seed=1,
+    dtype=np.float64,
 )
 @example(
     layer=ConvLayer("kin", in_maps=19, out_maps=7, out_size=1, kernel=5),
     tm=3,
     tn=19,
     seed=2,
+    dtype=np.int64,
 )
-def test_tiling_matches_oracle(backend, layer, tm, tn, seed):
-    inputs, kernels = tensors(layer, seed)
+def test_tiling_matches_oracle(backend, layer, tm, tn, seed, dtype):
+    check_layer(
+        backend, TilingFunctionalSim(tm=tm, tn=tn), layer, seed, dtype,
+        lambda inputs, kernels: oracle.tiling(layer, inputs, kernels, tm, tn),
+    )
+
+
+@pytest.mark.parametrize(
+    "sim",
+    [SystolicFunctionalSim(), Mapping2DFunctionalSim(), TilingFunctionalSim()],
+    ids=lambda sim: type(sim).__name__,
+)
+@pytest.mark.parametrize(
+    "operand,dtype", [("inputs", np.complex128), ("kernels", np.str_)]
+)
+def test_complex_and_non_numeric_operands_rejected(
+    backend, sim, operand, dtype
+):
+    layer = ConvLayer("c", in_maps=2, out_maps=3, out_size=4, kernel=3)
+    inputs, kernels = tensors(layer, 0)
+    operands = {"inputs": inputs, "kernels": kernels}
+    operands[operand] = operands[operand].astype(dtype)
+    name = str(operands[operand].dtype)
     with kernels_backend(backend):
-        got = TilingFunctionalSim(tm=tm, tn=tn).run_layer(layer, inputs, kernels)
-    assert_identical(got, oracle.tiling(layer, inputs, kernels, tm, tn))
+        with pytest.raises(SpecificationError, match=f"{operand} dtype {name}"):
+            sim.run_layer(layer, **operands)

@@ -1,11 +1,11 @@
-"""Property suite: the batched SoA evaluator vs the scalar analytic engine.
+"""Property suite: the batched SoA evaluator vs the scalar closed forms.
 
 ``repro.sim.batch`` promises *bit-identical* counters: entry ``i`` of any
 ``batch_*_traces`` result must equal the corresponding scalar closed form
 called on configuration ``i`` — across randomized layer shapes, unrolling
 triples, array dimensions, fault-mask live-grid summaries, and starved
-store capacities.  The scalar engine is itself pinned against the cycle
-simulators (``tests/sim/test_analytic.py``), so equality here chains all
+store capacities.  The scalar forms are themselves pinned against the
+cycle simulators (``tests/sim/test_analytic.py``), so equality here chains all
 the way down.
 """
 

@@ -1,11 +1,14 @@
-"""Differential test: the FlexFlow tile and analytic engines vs the reference.
+"""Differential test: the FlexFlow tile engine vs the per-PE loop.
 
-:class:`~repro.sim.FlexFlowFunctionalSim` runs one of three engines.  The
-per-PE ``"reference"`` loop is the oracle.  On every generated case the
-``"tile"`` engine must give byte-identical outputs (``tobytes()``), equal
-``SimTrace`` counters and equal ``parity_report`` span trees, and on
-fault-free cases the closed-form ``"analytic"`` engine must give equal
-counters.
+:class:`~repro.sim.FlexFlowFunctionalSim` runs a layer on its tile engine
+when the layer's last-push tables fit, and on its per-PE loop otherwise;
+the loop is the oracle, reached through the ``per_pe_loop`` fixture.  On
+every generated case the tile engine must give byte-identical outputs
+(``tobytes()``), equal ``SimTrace`` counters and equal ``parity_report``
+span trees, and on fault-free cases the closed-form
+:func:`~repro.sim.analytic.analytic_flexflow_trace` must give equal
+counters.  Operands come as ``float64``, ``float32`` or ``int64``; every
+dtype must give the ``float64`` run of the same values, on both paths.
 
 Cases are biased toward the edges: 1x1 kernels, kernels as large as the
 input (``S = 1``), prime map counts, stride 2, zero padding through
@@ -17,14 +20,18 @@ to that profile's larger random budget.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.arch import ArchConfig
+from repro.dataflow import map_layer
+from repro.errors import SpecificationError
 from repro.faults import FaultModel
 from repro.nn.layers import ConvLayer
 from repro.obs import Tracer
 from repro.obs.export import parity_report
-from repro.sim import FlexFlowFunctionalSim
+from repro.sim import FlexFlowFunctionalSim, analytic_flexflow_trace
+from tests.sim.test_baseline_differential import dtypes, seeds, tensors
 
 if settings.get_current_profile_name() == "default":
     budget = settings(max_examples=25, derandomize=True, deadline=None)
@@ -92,33 +99,33 @@ def fault_models(draw):
     )
 
 
-seeds = st.integers(min_value=0, max_value=2**32 - 1)
+#: A padded layer whose float32 runs, with and without bit flips, are
+#: pinned below: operand dtype once gave the two paths different sums.
+PADDED = ConvLayer(
+    "x", in_maps=3, out_maps=4, out_size=5, kernel=3, explicit_in_size=6
+)
 
 
-def tensors(layer, seed):
-    rng = np.random.default_rng(seed)
-    return (
-        rng.standard_normal(layer.input_shape),
-        rng.standard_normal(layer.kernel_shape),
-    )
-
-
-def run(engine, config, faults, layer, inputs, kernels):
-    """``(outputs, trace, span forest)`` of one traced engine run."""
+def run(config, faults, layer, inputs, kernels):
+    """Output shape and bytes, counters and span forest of one traced run."""
     tracer = Tracer()
     outputs, trace = FlexFlowFunctionalSim(
-        config, engine=engine, fault_model=faults, tracer=tracer
+        config, fault_model=faults, tracer=tracer
     ).run_layer(layer, inputs, kernels)
-    return outputs, trace, parity_report(tracer)
+    return outputs.shape, outputs.tobytes(), trace.as_dict(), parity_report(tracer)
 
 
 @budget
-@given(layer=layers(), config=configs(), faults=fault_models(), seed=seeds)
+@given(
+    layer=layers(), config=configs(), faults=fault_models(), seed=seeds,
+    dtype=dtypes,
+)
 @example(  # kernel as large as the input, one-word stores
     layer=ConvLayer("kin", in_maps=5, out_maps=3, out_size=1, kernel=4),
     config=ArchConfig(array_dim=4, neuron_store_bytes=2, kernel_store_bytes=2),
     faults=None,
     seed=0,
+    dtype=np.float64,
 )
 @example(  # 1x1 kernel, stride 2, padded, dead PEs and bit flips
     layer=ConvLayer(
@@ -128,15 +135,30 @@ def run(engine, config, faults, layer, inputs, kernels):
     config=ArchConfig(array_dim=8, neuron_store_bytes=6, kernel_store_bytes=4),
     faults=FaultModel(seed=3, dead_pes=((0, 1), (2, 2)), bitflip_rate=0.3),
     seed=1,
+    dtype=np.float64,
 )
-def test_tile_matches_reference(layer, config, faults, seed):
-    inputs, kernels = tensors(layer, seed)
-    tile = run("tile", config, faults, layer, inputs, kernels)
-    ref = run("reference", config, faults, layer, inputs, kernels)
-    assert tile[0].shape == ref[0].shape
-    assert tile[0].tobytes() == ref[0].tobytes()
-    assert tile[1].as_dict() == ref[1].as_dict()
-    assert tile[2] == ref[2]
+@example(
+    layer=PADDED, config=ArchConfig(array_dim=8), faults=None, seed=0,
+    dtype=np.float32,
+)
+@example(
+    layer=PADDED,
+    config=ArchConfig(array_dim=8),
+    faults=FaultModel(seed=5, bitflip_rate=0.05),
+    seed=0,
+    dtype=np.float32,
+)
+def test_tile_matches_reference(per_pe_loop, layer, config, faults, seed, dtype):
+    inputs, kernels = tensors(layer, seed, dtype)
+    tile = run(config, faults, layer, inputs, kernels)
+    with per_pe_loop():
+        ref = run(config, faults, layer, inputs, kernels)
+    assert tile == ref
+    wide = run(
+        config, faults, layer,
+        inputs.astype(np.float64), kernels.astype(np.float64),
+    )
+    assert tile == wide
 
 
 @budget
@@ -150,6 +172,26 @@ def test_tile_matches_reference(layer, config, faults, seed):
 )
 def test_analytic_counters_match_tile(layer, config, seed):
     inputs, kernels = tensors(layer, seed)
-    _, tile, _ = run("tile", config, None, layer, inputs, kernels)
-    _, analytic, _ = run("analytic", config, None, layer, inputs, kernels)
-    assert analytic.as_dict() == tile.as_dict()
+    _, _, tile, _ = run(config, None, layer, inputs, kernels)
+    analytic = analytic_flexflow_trace(
+        layer,
+        map_layer(layer, config.array_dim).factors,
+        neuron_store_words=config.neuron_store_words,
+        kernel_store_words=config.kernel_store_words,
+    )
+    assert analytic.as_dict() == tile
+
+
+@pytest.mark.parametrize(
+    "operand,dtype", [("inputs", np.complex128), ("kernels", np.str_)]
+)
+def test_complex_and_non_numeric_operands_rejected(per_pe_loop, operand, dtype):
+    inputs, kernels = tensors(PADDED, 0)
+    operands = {"inputs": inputs, "kernels": kernels}
+    operands[operand] = operands[operand].astype(dtype)
+    sim = FlexFlowFunctionalSim(ArchConfig(array_dim=8))
+    name = str(operands[operand].dtype)
+    with pytest.raises(SpecificationError, match=f"{operand} dtype {name}"):
+        sim.run_layer(PADDED, **operands)
+    with per_pe_loop(), pytest.raises(SpecificationError, match=name):
+        sim.run_layer(PADDED, **operands)

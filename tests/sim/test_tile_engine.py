@@ -3,7 +3,9 @@
 The fast path must be an executable *replacement* for the reference
 simulator, not an approximation: identical outputs (bitwise), identical
 cycle counts, and identical bus-traffic counters — across the six Table 1
-workloads, randomized layers, and capacity-starved local stores.
+workloads, randomized layers, and capacity-starved local stores.  The
+reference runs are the same simulator with the table bound at 0
+(the ``per_pe_loop`` fixture).
 """
 
 import random
@@ -13,11 +15,10 @@ import pytest
 
 from repro.arch import ArchConfig
 from repro.dataflow import map_layer, map_network
-from repro.errors import SimulationError, SpecificationError
+from repro.errors import SimulationError
 from repro.nn import ConvLayer, conv2d, make_inputs, make_kernels, pad_input
 from repro.nn.workloads import all_workloads
 from repro.sim import FlexFlowFunctionalSim, TileEngine
-from repro.sim.export import sim_trace_to_dict
 
 #: Per-layer MAC ceiling that keeps the per-PE reference loop CI-friendly;
 #: larger Table 1 layers are exercised through miniatures (same kernel,
@@ -27,21 +28,19 @@ MAC_BUDGET = 300_000
 WORKLOAD_NAMES = ["PV", "FR", "LeNet-5", "HG", "AlexNet", "VGG-11"]
 
 
-def assert_equivalent(layer, config, factors=None):
-    """Run both engines; assert bitwise outputs and exact counters."""
+def assert_equivalent(per_pe_loop, layer, config, factors=None):
+    """Run both paths; assert bitwise outputs and exact counters."""
     inputs, kernels = make_inputs(layer), make_kernels(layer)
-    out_ref, tr_ref = FlexFlowFunctionalSim(
-        config, factors=factors, engine="reference"
-    ).run_layer(layer, inputs, kernels)
-    out_tile, tr_tile = FlexFlowFunctionalSim(
-        config, factors=factors, engine="tile"
-    ).run_layer(layer, inputs, kernels)
+    sim = FlexFlowFunctionalSim(config, factors=factors)
+    with per_pe_loop():
+        out_ref, tr_ref = sim.run_layer(layer, inputs, kernels)
+    out_tile, tr_tile = sim.run_layer(layer, inputs, kernels)
     assert np.array_equal(
         out_tile.view(np.uint64), out_ref.view(np.uint64)
     ), f"{layer.name}: outputs differ bitwise"
-    assert sim_trace_to_dict(tr_tile) == sim_trace_to_dict(
-        tr_ref
-    ), f"{layer.name}: trace counters differ"
+    assert tr_tile.as_dict() == tr_ref.as_dict(), (
+        f"{layer.name}: trace counters differ"
+    )
     golden = conv2d(pad_input(inputs, layer.padding), kernels, stride=layer.stride)
     np.testing.assert_allclose(out_tile, golden, atol=1e-9)
     return tr_tile
@@ -73,21 +72,25 @@ class TestTable1Workloads:
     """Parity on every CONV layer of all six workloads (mapped at D=16)."""
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-    def test_workload_parity(self, name):
+    def test_workload_parity(self, per_pe_loop, name):
         network = next(n for n in all_workloads() if n.name == name)
         mapping = map_network(network, 16)
         config = ArchConfig(array_dim=16)
         for lm in mapping.layers:
             if lm.layer.macs <= MAC_BUDGET:
-                assert_equivalent(lm.layer, config, lm.factors)
+                assert_equivalent(per_pe_loop, lm.layer, config, lm.factors)
             else:
                 mini = miniature(lm.layer)
-                assert_equivalent(mini, config, map_layer(mini, 16).factors)
+                assert_equivalent(
+                    per_pe_loop, mini, config, map_layer(mini, 16).factors
+                )
 
-    def test_cycles_equal_outer_iterations(self):
+    def test_cycles_equal_outer_iterations(self, per_pe_loop):
         layer = ConvLayer("c", in_maps=2, out_maps=4, out_size=6, kernel=3)
         factors = map_layer(layer, 8).factors
-        trace = assert_equivalent(layer, ArchConfig(array_dim=8), factors)
+        trace = assert_equivalent(
+            per_pe_loop, layer, ArchConfig(array_dim=8), factors
+        )
         assert trace.cycles == factors.outer_iterations(layer)
 
 
@@ -95,7 +98,7 @@ class TestRandomizedLayers:
     """Parity on randomized layer shapes across array sizes and strides."""
 
     @pytest.mark.parametrize("seed", [3, 11, 29, 47])
-    def test_random_layer_parity(self, seed):
+    def test_random_layer_parity(self, per_pe_loop, seed):
         rng = random.Random(seed)
         for _ in range(3):
             kernel = rng.choice([1, 2, 3, 4, 5])
@@ -110,10 +113,10 @@ class TestRandomizedLayers:
                 stride=stride,
             )
             dim = rng.choice([4, 8, 16])
-            assert_equivalent(layer, ArchConfig(array_dim=dim))
+            assert_equivalent(per_pe_loop, layer, ArchConfig(array_dim=dim))
 
     @pytest.mark.parametrize("seed", [5, 17])
-    def test_random_padded_layer_parity(self, seed):
+    def test_random_padded_layer_parity(self, per_pe_loop, seed):
         rng = random.Random(seed)
         for _ in range(2):
             kernel = rng.choice([3, 5])
@@ -127,7 +130,7 @@ class TestRandomizedLayers:
                 kernel=kernel,
                 explicit_in_size=natural - rng.randint(1, kernel - 1),
             )
-            assert_equivalent(layer, ArchConfig(array_dim=8))
+            assert_equivalent(per_pe_loop, layer, ArchConfig(array_dim=8))
 
 
 class TestUndersizedStores:
@@ -139,43 +142,52 @@ class TestUndersizedStores:
         "neuron_bytes,kernel_bytes",
         [(8, 64), (64, 8), (8, 8), (4, 4), (2, 2)],
     )
-    def test_starved_store_parity(self, neuron_bytes, kernel_bytes):
+    def test_starved_store_parity(self, per_pe_loop, neuron_bytes, kernel_bytes):
         config = ArchConfig(
             array_dim=4,
             neuron_store_bytes=neuron_bytes,
             kernel_store_bytes=kernel_bytes,
         )
-        assert_equivalent(self.LAYER, config)
+        assert_equivalent(per_pe_loop, self.LAYER, config)
 
-    def test_single_word_store_parity(self):
+    def test_single_word_store_parity(self, per_pe_loop):
         # One-word stores: every access re-broadcasts; the harshest case
         # for the intra-tile eviction fixed point.
         config = ArchConfig(array_dim=4, neuron_store_bytes=2, kernel_store_bytes=2)
-        trace = assert_equivalent(self.LAYER, config)
+        trace = assert_equivalent(per_pe_loop, self.LAYER, config)
         # With no reuse at all, every PE write is a fresh fill.
         assert trace.local_store_writes == 2 * trace.mac_ops
 
 
 class TestEngineSelection:
     def test_invalid_engine_rejected(self):
-        with pytest.raises(SpecificationError, match="engine"):
-            FlexFlowFunctionalSim(ArchConfig(array_dim=4), engine="warp")
+        """The layer picks the path; there is no engine to choose."""
+        with pytest.raises(TypeError, match="engine"):
+            FlexFlowFunctionalSim(ArchConfig(array_dim=4), engine="tile")
 
-    def test_auto_matches_tile_on_small_layer(self):
+    def test_auto_matches_tile_on_small_layer(self, monkeypatch):
+        """A layer whose tables fit runs the tile engine, once."""
         layer = ConvLayer("c", in_maps=1, out_maps=2, out_size=4, kernel=2)
         config = ArchConfig(array_dim=4)
         assert TileEngine.is_feasible(
             config, layer, map_layer(layer, 4).factors
         )
         inputs, kernels = make_inputs(layer), make_kernels(layer)
-        out_auto, tr_auto = FlexFlowFunctionalSim(config).run_layer(
+        runs = []
+        original_run = TileEngine.run
+
+        def tracking_run(self, *args):
+            runs.append(1)
+            return original_run(self, *args)
+
+        monkeypatch.setattr(TileEngine, "run", tracking_run)
+        outputs, trace = FlexFlowFunctionalSim(config).run_layer(
             layer, inputs, kernels
         )
-        out_tile, tr_tile = FlexFlowFunctionalSim(config, engine="tile").run_layer(
-            layer, inputs, kernels
-        )
-        assert np.array_equal(out_auto, out_tile)
-        assert sim_trace_to_dict(tr_auto) == sim_trace_to_dict(tr_tile)
+        assert runs == [1]
+        golden = conv2d(inputs, kernels, stride=layer.stride)
+        np.testing.assert_allclose(outputs, golden, atol=1e-9)
+        assert trace.mac_ops == layer.macs
 
     def test_table_bytes_scales_with_layer(self):
         small = ConvLayer("s", in_maps=1, out_maps=2, out_size=4, kernel=2)
@@ -204,27 +216,27 @@ class TestEngineSelection:
 class TestFaultParity:
     """Under faults both engines must stay bitwise- and counter-identical."""
 
+    @pytest.fixture(autouse=True)
+    def _per_pe_loop(self, per_pe_loop):
+        self.per_pe_loop = per_pe_loop
+
     def fault_equivalent(self, layer, config, fault_model):
         inputs, kernels = make_inputs(layer), make_kernels(layer)
-        out_ref, tr_ref = FlexFlowFunctionalSim(
-            config, engine="reference", fault_model=fault_model
-        ).run_layer(layer, inputs, kernels)
-        out_tile, tr_tile = FlexFlowFunctionalSim(
-            config, engine="tile", fault_model=fault_model
-        ).run_layer(layer, inputs, kernels)
+        sim = FlexFlowFunctionalSim(config, fault_model=fault_model)
+        with self.per_pe_loop():
+            out_ref, tr_ref = sim.run_layer(layer, inputs, kernels)
+        out_tile, tr_tile = sim.run_layer(layer, inputs, kernels)
         assert np.array_equal(
             out_tile.view(np.uint64), out_ref.view(np.uint64)
         ), f"{layer.name}: faulty outputs differ bitwise"
-        assert sim_trace_to_dict(tr_tile) == sim_trace_to_dict(
-            tr_ref
-        ), f"{layer.name}: faulty trace counters differ"
+        assert tr_tile.as_dict() == tr_ref.as_dict(), (
+            f"{layer.name}: faulty trace counters differ"
+        )
         return out_tile, tr_tile
 
     def clean_run(self, layer, config):
         inputs, kernels = make_inputs(layer), make_kernels(layer)
-        return FlexFlowFunctionalSim(config, engine="tile").run_layer(
-            layer, inputs, kernels
-        )
+        return FlexFlowFunctionalSim(config).run_layer(layer, inputs, kernels)
 
     def test_dead_pe_parity_and_exact_math(self):
         from repro.faults import FaultModel
@@ -297,10 +309,10 @@ class TestFaultParity:
         inputs, kernels = make_inputs(layer), make_kernels(layer)
         out_clean, tr_clean = self.clean_run(layer, config)
         out_null, tr_null = FlexFlowFunctionalSim(
-            config, engine="tile", fault_model=FaultModel()
+            config, fault_model=FaultModel()
         ).run_layer(layer, inputs, kernels)
         assert np.array_equal(out_clean.view(np.uint64), out_null.view(np.uint64))
-        assert sim_trace_to_dict(tr_clean) == sim_trace_to_dict(tr_null)
+        assert tr_clean.as_dict() == tr_null.as_dict()
 
     def test_fully_dead_array_raises(self):
         from repro.faults import FaultModel
@@ -314,19 +326,15 @@ class TestFaultParity:
 
 
 class TestAutoFallback:
-    def test_memory_gate_falls_back_to_reference(self, monkeypatch):
-        """engine='auto' must use the reference loop when tables don't fit."""
+    def test_memory_gate_falls_back_to_reference(self, monkeypatch, per_pe_loop):
+        """A layer whose tables do not fit runs the per-PE loop."""
         layer = ConvLayer("c", in_maps=2, out_maps=3, out_size=5, kernel=3)
         config = ArchConfig(array_dim=4)
         inputs, kernels = make_inputs(layer), make_kernels(layer)
-        out_tile, tr_tile = FlexFlowFunctionalSim(config, engine="tile").run_layer(
+        out_tile, tr_tile = FlexFlowFunctionalSim(config).run_layer(
             layer, inputs, kernels
         )
 
-        monkeypatch.setattr(TileEngine, "MAX_TABLE_BYTES", 0)
-        assert not TileEngine.is_feasible(
-            config, layer, map_layer(layer, 4).factors
-        )
         ran = {"tile": False}
         original_run = TileEngine.run
 
@@ -335,9 +343,13 @@ class TestAutoFallback:
             return original_run(self, *args, **kwargs)
 
         monkeypatch.setattr(TileEngine, "run", tracking_run)
-        out_auto, tr_auto = FlexFlowFunctionalSim(config, engine="auto").run_layer(
-            layer, inputs, kernels
-        )
-        assert not ran["tile"], "auto should have fallen back to reference"
-        assert np.array_equal(out_auto.view(np.uint64), out_tile.view(np.uint64))
-        assert sim_trace_to_dict(tr_auto) == sim_trace_to_dict(tr_tile)
+        with per_pe_loop():
+            assert not TileEngine.is_feasible(
+                config, layer, map_layer(layer, 4).factors
+            )
+            out_ref, tr_ref = FlexFlowFunctionalSim(config).run_layer(
+                layer, inputs, kernels
+            )
+        assert not ran["tile"], "the per-PE loop should have run"
+        assert np.array_equal(out_ref.view(np.uint64), out_tile.view(np.uint64))
+        assert tr_ref.as_dict() == tr_tile.as_dict()

@@ -483,14 +483,6 @@ class TestCacheCommand:
         assert "REPRO_CACHE" in capsys.readouterr().err
 
 
-class TestTraceAnalyticEngine:
-    def test_trace_accepts_analytic(self, capsys):
-        assert main(["trace", "PV", "--engine", "analytic"]) == 0
-        out = capsys.readouterr().out
-        assert "engine analytic" in out
-        assert "occupancy" in out
-
-
 class TestTracePerLayer:
     def test_plan_appended_and_spans_exported(self, tmp_path, capsys):
         import json
