@@ -288,10 +288,6 @@ def _add_resilience_args(command: argparse.ArgumentParser) -> None:
         "--retries", type=int, default=0,
         help="extra attempts for failed/timed-out experiments",
     )
-    command.add_argument(
-        "--run-dir", default=None, metavar="DIR",
-        help="checkpoint directory; re-runs resume completed experiments",
-    )
 
 
 def _cmd_workloads() -> int:
@@ -377,9 +373,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if args.experiment_id == "all"
         else [args.experiment_id]
     )
-    policy = RunPolicy(
-        timeout_s=args.timeout, retries=args.retries, run_dir=args.run_dir
-    )
+    policy = RunPolicy(timeout_s=args.timeout, retries=args.retries)
     return _print_outcomes(run_batch(ids, policy))
 
 
@@ -486,9 +480,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
     output = args.output
-    text = generate_report(
-        timeout_s=args.timeout, retries=args.retries, run_dir=args.run_dir
-    )
+    text = generate_report(timeout_s=args.timeout, retries=args.retries)
     if output == "-":
         print(text)
     else:

@@ -21,7 +21,7 @@ import importlib
 import os
 from functools import lru_cache
 from types import ModuleType
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro._lazy import lazy_exports
 from repro.errors import ConfigurationError
@@ -107,13 +107,22 @@ def experiment_registry() -> Dict[str, Any]:
 
 
 def _check_known(ids: Sequence[str]) -> None:
-    """Fail fast, before any work starts, on ids no registry knows."""
+    """Fail fast, before any work starts, on ids no registry knows and
+    on an id named twice (its table would print twice)."""
     registry = experiment_registry()
     unknown = [eid for eid in ids if eid not in registry]
     if unknown:
         raise ConfigurationError(
             f"unknown experiment ids: {', '.join(unknown)}"
         )
+    seen = set()
+    for eid in ids:
+        if eid in seen:
+            raise ConfigurationError(
+                "duplicate experiment ids in one batch:"
+                f" {eid!r} appears more than once"
+            )
+        seen.add(eid)
 
 
 @lru_cache(maxsize=1024)
@@ -145,6 +154,42 @@ def _experiment_cache_key(experiment_id: str, module: Any) -> Optional[str]:
     )
 
 
+def _store_slot(experiment_id: str, module: Any) -> Optional[Tuple[Any, str]]:
+    """``(cache, key)`` of the experiment's store entry, or ``None`` when
+    the store is off or the module has no source file to key it by."""
+    from repro.cache import active_cache
+
+    cache = active_cache()
+    if cache is None:
+        return None
+    key = _experiment_cache_key(experiment_id, module)
+    return None if key is None else (cache, key)
+
+
+def _stored_result(
+    experiment_id: str, module: Any
+) -> Optional[ExperimentResult]:
+    """The experiment's result as the store holds it, or ``None``.
+
+    The lookup half of :func:`run_module_cached`, one ``cache.get``.
+    The supervised runner calls it in its own process, so a batch
+    resumes from the store and sends only the misses to its worker.
+    A malformed entry reads as a miss: the run that follows overwrites
+    it.
+    """
+    slot = _store_slot(experiment_id, module)
+    if slot is None:
+        return None
+    cache, key = slot
+    stored = cache.get("experiment", key)
+    if stored is not None:
+        try:
+            return result_from_dict(stored)
+        except (KeyError, TypeError, ValueError):
+            pass
+    return None
+
+
 def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
     """``module.run()`` behind the persistent result cache.
 
@@ -156,24 +201,13 @@ def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
     closed forms inside ``module.run()`` are recomputed (and memoized per
     process) on a miss.
     """
-    from repro.cache import active_cache
-
-    cache = active_cache()
-    key = (
-        _experiment_cache_key(experiment_id, module)
-        if cache is not None
-        else None
-    )
-    if cache is not None and key is not None:
-        stored = cache.get("experiment", key)
-        if stored is not None:
-            try:
-                return result_from_dict(stored)
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed entry: recompute and overwrite
-    result = module.run()
-    if cache is not None and key is not None:
-        cache.put("experiment", key, result_to_dict(result))
+    result = _stored_result(experiment_id, module)
+    if result is None:
+        result = module.run()
+        slot = _store_slot(experiment_id, module)
+        if slot is not None:
+            cache, key = slot
+            cache.put("experiment", key, result_to_dict(result))
     return result
 
 
@@ -193,58 +227,22 @@ def run_batch(
 ) -> List[RunOutcome]:
     """Run a batch on the executor its policy calls for.
 
-    A policy with no timeout, retries or run directory runs the
-    experiments in this process, one :func:`run_experiment` call each,
-    each entry on disk before the next experiment starts, and a failure
-    raises.  Any other policy goes through
-    :func:`repro.experiments.runner.run_resilient`.  Outcomes come back
-    in input order.
+    Both paths reject unknown and repeated ids before any experiment
+    runs.  A policy with no timeout and no retries runs the experiments
+    in this process, one :func:`run_experiment` call each, each entry on
+    disk before the next experiment starts, and a failure raises.  Any
+    other policy goes through
+    :func:`repro.experiments.runner.run_resilient`, which reads what the
+    store holds here and runs only the misses on its worker.  Outcomes
+    come back in input order.
     """
-    if (
-        policy.timeout_s is not None
-        or policy.retries
-        or policy.run_dir is not None
-    ):
+    if policy.timeout_s is not None or policy.retries:
         from repro.experiments.runner import run_resilient
 
         return run_resilient(experiment_ids, policy)
     ids = list(experiment_ids)
     _check_known(ids)
     return [RunOutcome(eid, "ok", result=run_experiment(eid)) for eid in ids]
-
-
-def run_experiments(
-    experiment_ids,
-    *,
-    timeout_s=None,
-    retries: int = 0,
-    run_dir=None,
-):
-    """Run several experiments; results come back in input order.
-
-    :func:`run_batch` picks the executor: with no resilience option the
-    batch runs in-process; otherwise it runs on one supervised pool
-    worker (:func:`repro.experiments.runner.run_resilient`), with a
-    wall-clock timeout per attempt, retries with capped exponential
-    backoff, and checkpoints to ``run_dir`` (resumable).  Unknown ids
-    raise before any experiment runs; a terminal failure raises
-    :class:`~repro.errors.ExperimentError` after the rest of the batch
-    finishes — use :func:`repro.experiments.runner.run_resilient`
-    directly for partial results.
-
-    Args:
-        experiment_ids: ids from :data:`ALL_EXPERIMENTS`.
-        timeout_s: per-experiment wall-clock limit in seconds.
-        retries: extra attempts for failed/timed-out experiments.
-        run_dir: checkpoint directory for resumable batches.
-
-    Returns:
-        ``List[ExperimentResult]`` in the order of ``experiment_ids``.
-    """
-    from repro.experiments.runner import require_all_ok
-
-    policy = RunPolicy(timeout_s=timeout_s, retries=retries, run_dir=run_dir)
-    return require_all_ok(run_batch(experiment_ids, policy))
 
 
 _names, _export, __dir__ = lazy_exports(
@@ -264,7 +262,6 @@ __all__ = [
     "experiment_registry",
     "run_experiment",
     "run_batch",
-    "run_experiments",
     "ExperimentResult",
     "ARCH_ORDER",
     "ARCH_LABELS",

@@ -107,14 +107,12 @@ class RunPolicy:
             capped at ``max_backoff_s``.
         max_backoff_s: ceiling on any single retry delay, so a high retry
             count cannot schedule multi-minute sleeps.
-        run_dir: checkpoint directory; ``None`` disables checkpointing.
     """
 
     timeout_s: Optional[float] = None
     retries: int = 0
     backoff_s: float = 0.5
     max_backoff_s: float = 30.0
-    run_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         # `nan <= 0` is False, so a bare sign check lets NaN through; a
@@ -154,8 +152,9 @@ class RunPolicy:
 class RunOutcome:
     """What happened to one job across all of its attempts.
 
-    For an experiment, ``result`` is its :class:`ExperimentResult`; the
-    worker pool reports any job this way, with the request label as
+    For an experiment, ``result`` is its :class:`ExperimentResult`,
+    whether it ran or was read back from the result store; the worker
+    pool reports any job this way, with the request label as
     ``experiment_id`` and the worker entry's return value as ``result``.
     """
 
@@ -164,7 +163,6 @@ class RunOutcome:
     result: Any = None
     error: str = ""
     attempts: int = 1
-    from_checkpoint: bool = False
 
     @property
     def ok(self) -> bool:

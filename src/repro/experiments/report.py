@@ -48,18 +48,17 @@ def generate_report(
     title: str = "FlexFlow Reproduction Results",
     timeout_s: Optional[float] = None,
     retries: int = 0,
-    run_dir: Optional[str] = None,
 ) -> str:
     """Run experiments and render a Markdown report.
 
     With no resilience option the experiments run in this process (see
-    :func:`repro.experiments.run_batch`).  With any of
-    ``timeout_s``, ``retries`` or ``run_dir`` set they run on one
-    supervised pool worker and a *partial* report is produced: failed or
-    timed-out experiments get a clearly marked **FAILED** section with
-    the error instead of aborting the whole document, and completed
-    results checkpoint to ``run_dir`` so a re-run resumes where this one
-    stopped.
+    :func:`repro.experiments.run_batch`).  With ``timeout_s`` or
+    ``retries`` set they run on one supervised pool worker and a
+    *partial* report is produced: failed or timed-out experiments get a
+    clearly marked **FAILED** section with the error instead of
+    aborting the whole document.  Either way every experiment the
+    result store holds is read back rather than run, so a re-run after
+    an interruption recomputes only what did not finish.
 
     Args:
         experiment_ids: which experiments to include (default: all, in
@@ -67,13 +66,9 @@ def generate_report(
         title: the document heading.
         timeout_s: per-experiment wall-clock limit in seconds.
         retries: extra attempts for failed/timed-out experiments.
-        run_dir: checkpoint directory for resumable report runs.
     """
     ids = list(experiment_ids or experiment_registry())
-    outcomes = run_batch(
-        ids,
-        RunPolicy(timeout_s=timeout_s, retries=retries, run_dir=run_dir),
-    )
+    outcomes = run_batch(ids, RunPolicy(timeout_s=timeout_s, retries=retries))
     sections = [f"# {title}", ""]
     sections.append(
         "Machine-generated by `repro.experiments.report`; see EXPERIMENTS.md"

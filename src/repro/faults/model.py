@@ -8,8 +8,8 @@ rate.  Everything is a pure function of the seed:
 * :meth:`FaultModel.mask_for` derives the permanent-fault
   :class:`~repro.faults.mask.AvailabilityMask` for a given array size
   from ``random.Random`` seeded with ``(seed, array_dim)`` — the same
-  model produces the same mask in every process, which is what makes
-  fault experiments resumable and their checkpoints trustworthy.
+  model produces the same mask in every process, which is what lets a
+  stored fault experiment stand for a re-run in another process.
 * :func:`transient_flip` decides bit flips with a *counter-based* hash of
   ``(seed, store kind, physical PE, data coordinate, push sequence)``
   rather than a sequential RNG stream, so the decision is independent of

@@ -1,13 +1,13 @@
-"""Filesystem helpers shared by the cache store, runner, and server.
+"""The atomic file publish behind the persistent result store.
 
 :func:`atomic_write_text` is the one way this codebase publishes a file:
 write to a uniquely named sibling temp file, then ``os.replace`` onto the
 destination (atomic on POSIX).  Readers therefore observe either the old
-content or the new content, never a partial write — the property the
-persistent result cache, the runner's checkpoints, and the serve layer
-all rely on.  The temp name embeds the pid *and* a process-wide counter
-so two threads of one process publishing the same destination never race
-on one temp file.
+content or the new content, never a partial write — the property every
+reader of the store (a report, a served request, a supervised batch
+resuming) relies on.  The temp name embeds the pid *and* a process-wide
+counter so two threads of one process publishing the same destination
+never race on one temp file.
 
 On any failure (serialization upstream, a full disk, ``os.replace`` into
 a vanished directory) the temp file is unlinked before the exception

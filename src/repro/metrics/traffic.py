@@ -1,4 +1,4 @@
-"""Data-movement metrics: transmission volume and DRAM accesses per op."""
+"""Data-movement metrics: Figure 17's transmission volume."""
 
 from __future__ import annotations
 
@@ -7,31 +7,14 @@ from typing import Dict, Mapping
 from repro.accelerators.base import NetworkResult
 
 
-def transmission_volume_words(result: NetworkResult) -> int:
-    """Figure 17's metric: words crossing the on-chip-buffer boundary.
+def transmission_volume_kb(result: NetworkResult) -> float:
+    """Figure 17's metric: KiB crossing the on-chip-buffer boundary.
 
     The paper uses this volume as the inverse proxy for data reusability —
     an architecture that re-reads the same word many times moves more.
     """
-    return result.buffer_traffic_words
-
-
-def transmission_volume_kb(result: NetworkResult) -> float:
     word_bytes = result.config.technology.word_bytes
     return result.buffer_traffic_words * word_bytes / 1024.0
-
-
-def dram_accesses_per_op(result: NetworkResult) -> float:
-    """Table 7's DRAM Acc/Op metric."""
-    return result.dram_accesses_per_op
-
-
-def reuse_factor(result: NetworkResult) -> float:
-    """MACs per buffer word moved — higher means better reuse."""
-    words = result.buffer_traffic_words
-    if words == 0:
-        return float("inf")
-    return result.total_macs / words
 
 
 def volume_ratio_matrix(

@@ -27,16 +27,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "make_fc_weights",
         ),
         ".stats": (
-            "LayerFootprint",
             "ParallelismProfile",
-            "conv_footprint",
-            "network_footprints",
             "parallelism_profile",
             "dominant_parallelism_by_layer",
-            "conv_compute_share",
         ),
         ".netdesc": ("parse_network", "to_description"),
-        ".synth": ("SynthSpec", "random_network", "random_networks"),
+        ".synth": ("SynthSpec", "random_network"),
         ".workloads": (
             "WORKLOAD_NAMES",
             "SMALL_WORKLOAD_NAMES",

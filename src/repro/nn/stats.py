@@ -1,54 +1,17 @@
-"""Workload statistics: operation counts, footprints, and parallelism mix.
+"""Workload statistics: the parallelism mix of each CONV layer.
 
-These are the quantities the paper's introduction and Section 3 reason
-about: how much compute each layer carries, how large its data objects are,
-and which parallelism dimension (feature map / neuron / synapse) dominates
-— the "dominant parallel type varies dramatically" observation that
-motivates FlexFlow.
+Section 3 of the paper reasons about which parallelism dimension
+(feature map / neuron / synapse) dominates a layer — the "dominant
+parallel type varies dramatically" observation that motivates FlexFlow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.nn.layers import ConvLayer
 from repro.nn.network import Network
-
-
-@dataclass(frozen=True)
-class LayerFootprint:
-    """Word counts for one CONV layer's data objects (16-bit words)."""
-
-    name: str
-    input_words: int
-    output_words: int
-    kernel_words: int
-    macs: int
-
-    @property
-    def total_words(self) -> int:
-        return self.input_words + self.output_words + self.kernel_words
-
-    def bytes(self, word_bytes: int = 2) -> int:
-        """Footprint in bytes for the given word width (default 16-bit)."""
-        return self.total_words * word_bytes
-
-
-def conv_footprint(layer: ConvLayer) -> LayerFootprint:
-    """Footprint of a single CONV layer."""
-    return LayerFootprint(
-        name=layer.name,
-        input_words=layer.num_input_words,
-        output_words=layer.num_output_words,
-        kernel_words=layer.num_kernel_words,
-        macs=layer.macs,
-    )
-
-
-def network_footprints(network: Network) -> List[LayerFootprint]:
-    """Per-CONV-layer footprints for a whole network."""
-    return [conv_footprint(layer) for layer in network.conv_layers]
 
 
 @dataclass(frozen=True)
@@ -96,12 +59,3 @@ def dominant_parallelism_by_layer(network: Network) -> Dict[str, str]:
         layer.name: parallelism_profile(layer).dominant
         for layer in network.conv_layers
     }
-
-
-def conv_compute_share(network: Network) -> float:
-    """Share of the network's MACs spent in CONV layers.
-
-    Supports the paper's ">90 % of the computation volume" claim for the
-    workloads that include FC layers.
-    """
-    return network.conv_fraction()

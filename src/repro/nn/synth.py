@@ -110,12 +110,3 @@ def random_network(
         layers.append(FCLayer("FC", in_neurons=flat, out_neurons=classes))
 
     return Network(name or f"synth-{seed}", input_spec, layers)
-
-
-def random_networks(
-    count: int, *, base_seed: int = 0, spec: Optional[SynthSpec] = None
-) -> List[Network]:
-    """A reproducible batch of random networks."""
-    if count <= 0:
-        raise SpecificationError(f"count must be positive, got {count}")
-    return [random_network(base_seed + i, spec) for i in range(count)]

@@ -8,8 +8,7 @@ them freely):
   trees for engine equivalence checks.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with label
   sets, recorded into a process-wide registry.
-* :mod:`repro.obs.export` — Chrome/Perfetto ``trace.json`` and flat
-  JSON/CSV metric dumps.
+* :mod:`repro.obs.export` — Chrome/Perfetto ``trace.json``.
 
 Plus one orchestration module, imported lazily to avoid a cycle with
 :mod:`repro.sim`:
@@ -45,10 +44,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         ".export": (
             "TRACE_SCHEMA_VERSION",
-            "metrics_to_csv",
-            "metrics_to_json",
             "parity_report",
-            "span_to_dict",
             "to_chrome_trace",
             "validate_chrome_trace",
             "write_chrome_trace",

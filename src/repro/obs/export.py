@@ -1,4 +1,4 @@
-"""Exporters: Chrome/Perfetto trace files and flat metric dumps.
+"""Exporters: Chrome/Perfetto trace files.
 
 The span tracer's output becomes a ``trace.json`` in the Chrome trace
 event format (the JSON array-of-events flavour wrapped in an object with
@@ -6,18 +6,13 @@ event format (the JSON array-of-events flavour wrapped in an object with
 open directly.  Every span maps to one complete (``"ph": "X"``) event
 whose ``args`` carry the simulated cycles and counter deltas; tracer
 events map to instant (``"ph": "i"``) events.
-
-Metric registries dump to flat JSON or CSV for spreadsheet-grade
-consumption.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer
 
 #: Trace-file schema version (recorded in ``otherData``).
@@ -101,51 +96,9 @@ def write_chrome_trace(
         handle.write("\n")
 
 
-def span_to_dict(span: Span) -> Dict[str, Any]:
-    """Full (timing-included) JSON projection of one span subtree."""
-    return {
-        "name": span.name,
-        "category": span.category,
-        "start_wall": span.start_wall,
-        "duration_wall": span.duration_wall,
-        "cycles": span.cycles,
-        "counters": dict(sorted(span.counters.items())),
-        "labels": dict(sorted(span.labels.items())),
-        "events": [
-            {"name": e["name"], "labels": dict(e["labels"])}
-            for e in span.events
-        ],
-        "children": [span_to_dict(child) for child in span.children],
-    }
-
-
 def parity_report(tracer: Tracer) -> List[Dict[str, Any]]:
     """Deterministic span forest: the engine-parity comparison object."""
     return [root.parity_tree() for root in tracer.roots]
-
-
-def metrics_to_json(registry: Optional[MetricsRegistry] = None) -> str:
-    """The registry snapshot as a JSON object string."""
-    from repro.obs.metrics import REGISTRY
-
-    registry = registry if registry is not None else REGISTRY
-    return json.dumps(registry.snapshot(), indent=2, sort_keys=True)
-
-
-def metrics_to_csv(registry: Optional[MetricsRegistry] = None) -> str:
-    """The registry snapshot as ``metric,field,value`` CSV rows."""
-    from repro.obs.metrics import REGISTRY
-
-    registry = registry if registry is not None else REGISTRY
-    out = io.StringIO()
-    out.write("metric,field,value\n")
-    for name, value in registry.snapshot().items():
-        if isinstance(value, dict):
-            for field, inner in value.items():
-                out.write(f"{name},{field},{inner}\n")
-        else:
-            out.write(f"{name},value,{value}\n")
-    return out.getvalue()
 
 
 def validate_chrome_trace(document: Any) -> List[str]:

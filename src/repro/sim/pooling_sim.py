@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.errors import SpecificationError
 from repro.nn.layers import PoolLayer
-from repro.nn.reference import pool2d
 from repro.sim.trace import SimTrace
 
 
@@ -66,10 +65,3 @@ class PoolingUnitSim:
                     trace.mac_ops += patch.size  # comparator/add ops
                     trace.neuron_buffer_writes += 1
         return outputs, trace
-
-
-def verify_against_golden(layer: PoolLayer, inputs: np.ndarray) -> bool:
-    """Convenience: does the unit match the golden pool for these inputs?"""
-    outputs, _ = PoolingUnitSim().run_layer(layer, inputs)
-    golden = pool2d(inputs, layer.window, layer.out_size, layer.mode)
-    return bool(np.allclose(outputs, golden, atol=1e-12))

@@ -2,9 +2,15 @@
 
 The store holds whole experiment results; a warm store reproduces
 *exactly* what a cold run computes, and a damaged store silently
-degrades to recomputation.  The mapper and the simulators persist
-nothing: a fresh process re-derives the same mappings and closed forms.
+degrades to recomputation.  A supervised batch resumes from it: what
+the store holds is read back without starting a worker.  The mapper
+and the simulators persist nothing: a fresh process re-derives the
+same mappings and closed forms.
 """
+
+import multiprocessing
+import os
+import shutil
 
 import pytest
 
@@ -16,6 +22,7 @@ from repro.dataflow.mapper import clear_mapping_cache
 from repro.faults.model import FaultModel
 from repro.nn.workloads import get_workload
 from repro.obs.metrics import REGISTRY
+from repro.serve.loadtest import metric_total
 
 
 def fresh_process_state():
@@ -186,11 +193,40 @@ class TestExperimentTier:
         warm = generate_report(ids)
         assert warm == cold
 
+    def test_every_path_reads_back_the_same(self, cache_dir):
+        """Each built-in experiment prints the same table, columns in the
+        same order, whether computed, re-read from the memory tier or
+        re-read from disk by a fresh handle."""
+        from repro.experiments import ALL_EXPERIMENTS, run_experiment
+
+        def shape(result):
+            return result.format_table(), [list(row) for row in result.rows]
+
+        ids = list(ALL_EXPERIMENTS)
+        assert len(ids) == 26
+        computed = {eid: shape(run_experiment(eid)) for eid in ids}
+        REGISTRY.reset()
+        memory = {eid: shape(run_experiment(eid)) for eid in ids}
+        assert REGISTRY.snapshot()["cache.memo_hits{section=experiment}"] == 26
+        reset_cache_handles()
+        REGISTRY.reset()
+        disk = {eid: shape(run_experiment(eid)) for eid in ids}
+        snapshot = REGISTRY.snapshot()
+        assert "cache.memo_hits{section=experiment}" not in snapshot
+        assert snapshot["cache.lookups{outcome=hit,section=experiment}"] == 26
+        for eid in ids:
+            assert memory[eid] == computed[eid], eid
+            assert disk[eid] == computed[eid], eid
+
+
+def pool_attempts():
+    return metric_total(REGISTRY.snapshot(), "pool.attempts")
+
 
 class TestResilientRunnerSharing:
     def test_spawned_workers_share_the_store(self, cache_dir):
         """A supervised batch's worker writes the store this process
-        reads, and a second batch's worker reads it back."""
+        reads, and a second batch reads it back without a worker."""
         from repro.experiments.runner import RunPolicy, run_resilient
 
         ids = ["table04", "area", "table03"]
@@ -199,6 +235,94 @@ class TestResilientRunnerSharing:
         assert len(store_files(cache_dir, "experiment")) == len(ids)
         # A second batch restores every experiment from the shared store.
         fresh_process_state()
+        REGISTRY.reset()
         again = run_resilient(ids, RunPolicy())
         for first, second in zip(outcomes, again):
             assert second.result.rows == first.result.rows
+        assert pool_attempts() == 0
+        assert "pool.workers" not in REGISTRY.snapshot()
+
+
+class TestSupervisedResume:
+    """The store is how a supervised batch resumes."""
+
+    def test_warm_batch_starts_no_worker(self, cache_dir):
+        from repro.experiments import ALL_EXPERIMENTS, run_batch
+        from repro.experiments.runner import RunPolicy
+
+        ids = list(ALL_EXPERIMENTS)
+        first = run_batch(ids, RunPolicy())
+        fresh_process_state()
+        REGISTRY.reset()
+        resumed = run_batch(ids, RunPolicy(timeout_s=300))
+        assert [o.result.format_table() for o in resumed] == [
+            o.result.format_table() for o in first
+        ]
+        snapshot = REGISTRY.snapshot()
+        assert snapshot["cache.lookups{outcome=hit,section=experiment}"] == 26
+        assert pool_attempts() == 0
+        assert multiprocessing.active_children() == []
+
+    def test_corrupt_entry_is_recomputed(self, cache_dir):
+        """A damaged entry is a miss in this process: only its experiment
+        goes to the worker, and the worker's run replaces it."""
+        from repro.experiments import run_batch
+        from repro.experiments.runner import RunPolicy
+
+        (cold,) = run_batch(["table04"], RunPolicy())
+        (entry,) = store_files(cache_dir, "experiment")
+        entry.write_text(entry.read_text()[:10])
+        fresh_process_state()
+        REGISTRY.reset()
+        (outcome,) = run_batch(["table04"], RunPolicy(timeout_s=300))
+        assert outcome.ok
+        assert outcome.result.format_table() == cold.result.format_table()
+        assert pool_attempts() == 1
+        assert REGISTRY.snapshot()[
+            "cache.quarantined{section=experiment}"
+        ] == 1
+        assert len(store_files(cache_dir, "experiment")) == 1
+
+    def test_edited_experiment_reruns(self, cache_dir, tmp_path, monkeypatch):
+        """Editing an experiment's source between two supervised batches
+        re-runs it: its entry key digests the module file, so the first
+        batch's entry never stands for the edited code."""
+        from repro.experiments import (
+            ALL_EXPERIMENTS,
+            PLUGIN_ENV,
+            _experiment_cache_key,
+        )
+        from repro.experiments.runner import RunPolicy, run_resilient
+
+        # The built-in ``area`` experiment from an editable copy of its
+        # module: a plugin entry overrides the built-in id, here and in
+        # the pool's worker.
+        source = tmp_path / "repro_test_area_copy.py"
+        shutil.copyfile(ALL_EXPERIMENTS["area"].__file__, source)
+        (tmp_path / "repro_test_area_plugin.py").write_text(
+            "import repro_test_area_copy\n"
+            "EXTRA = {'area': repro_test_area_copy}\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv(PLUGIN_ENV, "repro_test_area_plugin:EXTRA")
+        monkeypatch.setenv(
+            "PYTHONPATH",
+            str(tmp_path) + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        )
+        old_title = "Layout area at the 16x16 scale"
+        new_title = "Edited layout area at the 16x16 scale"
+
+        (first,) = run_resilient(["area"], RunPolicy())
+        assert old_title in first.result.format_table()
+        text = source.read_text()
+        assert old_title in text
+        source.write_text(text.replace(old_title, new_title))
+
+        # A fresh process: no store handle, no memoized keys.
+        _experiment_cache_key.cache_clear()
+        fresh_process_state()
+        REGISTRY.reset()
+        (second,) = run_resilient(["area"], RunPolicy())
+        assert new_title in second.result.format_table()
+        assert pool_attempts() == 1
+        assert len(store_files(cache_dir, "experiment")) == 2

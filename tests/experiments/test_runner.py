@@ -8,29 +8,22 @@ the preparation data) and named via the environment, which crosses the
 process boundary.
 """
 
-import json
+import dataclasses
 import os
-import sys
 import textwrap
 import time
 
 import pytest
 
-from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.common import ExperimentResult
-from repro.experiments import PLUGIN_ENV
-from repro.experiments.runner import (
-    RunOutcome,
+from repro.errors import ConfigurationError
+from repro.experiments import PLUGIN_ENV, experiment_registry, run_batch
+from repro.experiments.records import (
+    ExperimentResult,
     RunPolicy,
-    _load_checkpoint,
-    _write_checkpoint,
-    batch_config_hash,
-    experiment_registry,
-    require_all_ok,
     result_from_dict,
     result_to_dict,
-    run_resilient,
 )
+from repro.experiments.runner import run_resilient
 
 PLUGIN_SOURCE = """
 import os
@@ -42,6 +35,10 @@ from repro.experiments.common import ExperimentResult
 class _Good:
     @staticmethod
     def run():
+        marker = os.environ.get("REPRO_TEST_GOOD_MARKER")
+        if marker:
+            with open(marker, "w") as handle:
+                handle.write("done")
         return ExperimentResult("good_exp", "A good experiment", [{"x": 1}])
 
 
@@ -61,14 +58,6 @@ class _Hang:
     @staticmethod
     def run():
         time.sleep(300)
-
-
-class _Columns:
-    @staticmethod
-    def run():
-        return ExperimentResult(
-            "cols_exp", "Columns", [{"zeta": 1, "alpha": 2}]
-        )
 
 
 class _Pid:
@@ -96,7 +85,6 @@ EXTRA = {
     "raise_exp": _Raise,
     "hang_exp": _Hang,
     "flaky_exp": _Flaky,
-    "cols_exp": _Columns,
     "pid_a": _Pid,
     "pid_b": _Pid,
     "pid_c": _Pid,
@@ -141,7 +129,9 @@ class TestRunPolicy:
     def test_defaults_valid(self):
         policy = RunPolicy()
         assert policy.timeout_s is None and policy.retries == 0
-        assert policy.run_dir is None
+        assert [field.name for field in dataclasses.fields(RunPolicy)] == [
+            "timeout_s", "retries", "backoff_s", "max_backoff_s"
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -191,33 +181,28 @@ class TestSerialization:
         result = ExperimentResult("id", "Title", [{"a": 1.5}], notes="n")
         assert result_from_dict(result_to_dict(result)) == result
 
-    def test_checkpoint_and_done_marker_bytes(self, tmp_path):
-        """The bytes of a run checkpoint are pinned, so run directories
-        written before and after stay readable by each other."""
-        result = ExperimentResult(
-            "table04", "Table 4", [{"zeta": 1, "alpha": 2.5, "name": "PV"}],
-            notes="n",
-        )
-        ok = RunOutcome("table04", "ok", result=result, attempts=2)
-        _write_checkpoint(str(tmp_path), ok)
-        assert (tmp_path / "table04.json").read_bytes() == (
-            b'{\n  "experiment_id": "table04",\n  "status": "ok",\n'
-            b'  "result": {\n    "experiment_id": "table04",\n'
-            b'    "title": "Table 4",\n    "rows": [\n      {\n'
-            b'        "zeta": 1,\n        "alpha": 2.5,\n'
-            b'        "name": "PV"\n      }\n    ],\n    "notes": "n"\n'
-            b'  },\n  "error": "",\n  "attempts": 2\n}'
-        )
-        resumed = _load_checkpoint(str(tmp_path), "table04")
-        assert resumed == RunOutcome(
-            "table04", "ok", result=result, attempts=2, from_checkpoint=True
+    def test_wrongly_shaped_records_read_as_corrupt(
+        self, tmp_path, monkeypatch
+    ):
+        """Valid JSON of the wrong shape under an experiment's store key
+        is a miss, never a crash: the run recomputes and overwrites it."""
+        from repro.cache import active_cache, reset_cache_handles
+        from repro.experiments import (
+            ALL_EXPERIMENTS,
+            _experiment_cache_key,
+            _stored_result,
+            run_experiment,
         )
 
-    def test_wrongly_shaped_records_read_as_corrupt(self, tmp_path):
-        """Valid JSON of the wrong shape is a corrupt checkpoint, never a
-        crash: its experiment re-runs."""
-        (tmp_path / "table04.json").write_text("[1, 2]")
-        assert _load_checkpoint(str(tmp_path), "table04") is None
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        reset_cache_handles()
+        module = ALL_EXPERIMENTS["table04"]
+        key = _experiment_cache_key("table04", module)
+        active_cache().put("experiment", key, [1, 2])
+        assert _stored_result("table04", module) is None
+        result = run_experiment("table04")
+        assert _stored_result("table04", module) == result
 
 
 class TestFailFast:
@@ -226,8 +211,20 @@ class TestFailFast:
             run_resilient(["good_exp", "nope"], RunPolicy())
 
     def test_duplicate_ids_rejected(self, plugin):
+        with pytest.raises(
+            ConfigurationError, match="'good_exp' appears more than once"
+        ):
+            run_resilient(["good_exp", "pid_a", "good_exp"], RunPolicy())
+
+    def test_duplicate_ids_rejected_in_process(self, plugin):
+        """The in-process path keeps the same rule: a repeated id would
+        print its table twice."""
+        from repro.experiments.report import generate_report
+
+        with pytest.raises(ConfigurationError, match="'area' appears more"):
+            run_batch(["area", "area"], RunPolicy())
         with pytest.raises(ConfigurationError, match="duplicate"):
-            run_resilient(["good_exp", "good_exp"], RunPolicy())
+            generate_report(["good_exp", "good_exp"])
 
 
 class TestSupervision:
@@ -308,81 +305,6 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
 
-class TestCheckpoints:
-    def test_checkpoint_written_and_resumed(self, plugin, tmp_path):
-        run_dir = str(tmp_path / "run")
-        (first,) = run_resilient(["good_exp"], RunPolicy(run_dir=run_dir))
-        assert not first.from_checkpoint
-        assert (tmp_path / "run" / "good_exp.json").is_file()
-
-        (second,) = run_resilient(["good_exp"], RunPolicy(run_dir=run_dir))
-        assert second.ok
-        assert second.from_checkpoint
-        assert second.result == first.result
-
-    def test_resumed_result_keeps_column_order(self, plugin, tmp_path):
-        run_dir = str(tmp_path / "run")
-        (first,) = run_resilient(["cols_exp"], RunPolicy(run_dir=run_dir))
-        (second,) = run_resilient(["cols_exp"], RunPolicy(run_dir=run_dir))
-        assert second.from_checkpoint
-        assert list(second.result.rows[0]) == ["zeta", "alpha"]
-        assert second.result.format_table() == first.result.format_table()
-
-    def test_failed_checkpoint_is_rerun(self, plugin, tmp_path):
-        run_dir = str(tmp_path / "run")
-        run_resilient(["crash_exp"], RunPolicy(run_dir=run_dir, backoff_s=0.0))
-        assert (tmp_path / "run" / "crash_exp.json").is_file()
-        (again,) = run_resilient(
-            ["crash_exp"], RunPolicy(run_dir=run_dir, backoff_s=0.0)
-        )
-        assert not again.from_checkpoint  # failures re-run, not resumed
-
-    def test_corrupt_checkpoint_is_rerun(self, plugin, tmp_path):
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        (run_dir / "good_exp.json").write_text("{ not json")
-        (outcome,) = run_resilient(["good_exp"], RunPolicy(run_dir=str(run_dir)))
-        assert outcome.ok
-        assert not outcome.from_checkpoint
-        # The corrupt file was replaced by a valid checkpoint.
-        payload = json.loads((run_dir / "good_exp.json").read_text())
-        assert payload["status"] == "ok"
-
-
-class TestManifest:
-    def test_resumed_batch_records_every_checkpoint(self, plugin, tmp_path):
-        run_dir = tmp_path / "run"
-        ids = ["good_exp", "cols_exp"]
-        policy = RunPolicy(run_dir=str(run_dir))
-        run_resilient(ids, policy)
-        run_resilient(ids, policy)
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["status"] == "ok"
-        assert manifest["experiment_ids"] == ids
-        assert manifest["policy"] == {
-            "timeout_s": None,
-            "retries": 0,
-            "backoff_s": 0.5,
-            "max_backoff_s": 30.0,
-        }
-        assert manifest["config_hash"] == batch_config_hash(ids, policy)
-        assert manifest["outcomes"] == {
-            eid: {"status": "ok", "attempts": 1, "from_checkpoint": True}
-            for eid in ids
-        }
-
-    def test_failed_experiment_makes_a_partial_run(self, plugin, tmp_path):
-        run_dir = tmp_path / "run"
-        run_resilient(
-            ["good_exp", "crash_exp"],
-            RunPolicy(run_dir=str(run_dir), backoff_s=0.0),
-        )
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["status"] == "partial"
-        assert manifest["outcomes"]["good_exp"]["status"] == "ok"
-        assert manifest["outcomes"]["crash_exp"]["status"] == "failed"
-
-
 class TestNonBlockingBackoff:
     def test_peer_progresses_during_pending_backoff(
         self, plugin, tmp_path, monkeypatch
@@ -393,17 +315,18 @@ class TestNonBlockingBackoff:
         backoff; ``good_exp`` must run *inside* that window.  The proof is
         clock-based but not racy: the flaky plugin writes its marker file
         at first-crash time, so the retry cannot launch before
-        ``marker_mtime + backoff`` — and good_exp's checkpoint must exist
+        ``marker_mtime + backoff`` — and good_exp's own marker must exist
         strictly before that instant.
         """
         marker = tmp_path / "flaky.marker"
+        good_marker = tmp_path / "good.marker"
         monkeypatch.setenv("REPRO_TEST_FLAKY_MARKER", str(marker))
-        run_dir = tmp_path / "run"
+        monkeypatch.setenv("REPRO_TEST_GOOD_MARKER", str(good_marker))
         backoff = 3.0
         started = time.monotonic()
         outcomes = run_resilient(
             ["flaky_exp", "good_exp"],
-            RunPolicy(retries=1, backoff_s=backoff, run_dir=str(run_dir)),
+            RunPolicy(retries=1, backoff_s=backoff),
         )
         elapsed = time.monotonic() - started
         by_id = {o.experiment_id: o for o in outcomes}
@@ -411,53 +334,33 @@ class TestNonBlockingBackoff:
         assert by_id["good_exp"].ok and by_id["good_exp"].attempts == 1
         # The backoff really was served before the retry...
         assert elapsed >= backoff
-        # ...and good_exp checkpointed before the retry could even start.
-        good_published = (run_dir / "good_exp.json").stat().st_mtime
+        # ...and good_exp ran before the retry could even start.
+        good_ran = good_marker.stat().st_mtime
         retry_earliest = marker.stat().st_mtime + backoff
-        assert good_published < retry_earliest, (
+        assert good_ran < retry_earliest, (
             "good_exp finished only after flaky_exp's backoff elapsed — "
             "the supervisor blocked on a pending retry"
         )
-        # Atomic checkpoint publishes leave no temp litter behind.
-        assert not list(run_dir.glob(".*.tmp"))
-
-
-class TestRequireAllOk:
-    def test_passes_through_results(self):
-        result = ExperimentResult("a", "A", [])
-        outcomes = [RunOutcome("a", "ok", result=result)]
-        assert require_all_ok(outcomes) == [result]
-
-    def test_raises_with_summary(self):
-        outcomes = [
-            RunOutcome("a", "ok", result=ExperimentResult("a", "A", [])),
-            RunOutcome("b", "timeout", error="too slow"),
-        ]
-        with pytest.raises(ExperimentError, match="b \\(timeout\\)"):
-            require_all_ok(outcomes)
 
 
 class TestIntegration:
-    def test_run_experiments_routes_resilient_and_raises(self, plugin):
-        from repro.experiments import run_experiments
-
-        with pytest.raises(ExperimentError):
-            run_experiments(["crash_exp"], timeout_s=30.0)
+    def test_run_batch_routes_resilient_and_reports_failure(self, plugin):
+        """A timeout sends the batch to the pool: a crashing experiment
+        comes back as a failed outcome instead of taking this process
+        down."""
+        (outcome,) = run_batch(["crash_exp"], RunPolicy(timeout_s=30.0))
+        assert outcome.status == "failed"
+        assert "exitcode" in outcome.error
 
     def test_run_experiments_resilient_ok_returns_results(self, plugin):
-        from repro.experiments import run_experiments
+        (outcome,) = run_batch(["good_exp"], RunPolicy(timeout_s=30.0))
+        assert outcome.ok
+        assert outcome.result.rows == [{"x": 1}]
 
-        results = run_experiments(["good_exp"], timeout_s=30.0)
-        assert results[0].rows == [{"x": 1}]
-
-    def test_partial_report_marks_failures(self, plugin, tmp_path):
+    def test_partial_report_marks_failures(self, plugin):
         from repro.experiments.report import generate_report
 
-        text = generate_report(
-            ["good_exp", "crash_exp"],
-            timeout_s=30.0,
-            run_dir=str(tmp_path / "run"),
-        )
+        text = generate_report(["good_exp", "crash_exp"], timeout_s=30.0)
         assert "Partial report" in text
         assert "crash_exp — FAILED (failed)" in text
         assert "A good experiment" in text

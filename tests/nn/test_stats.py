@@ -2,11 +2,8 @@
 
 from repro.nn import (
     ConvLayer,
-    conv_compute_share,
-    conv_footprint,
     dominant_parallelism_by_layer,
     get_workload,
-    network_footprints,
     parallelism_profile,
 )
 
@@ -14,23 +11,16 @@ from repro.nn import (
 class TestFootprint:
     def test_footprint_fields(self):
         layer = ConvLayer("c", in_maps=2, out_maps=3, out_size=4, kernel=3)
-        fp = conv_footprint(layer)
-        assert fp.input_words == 2 * 36
-        assert fp.output_words == 3 * 16
-        assert fp.kernel_words == 3 * 2 * 9
-        assert fp.macs == layer.macs
-        assert fp.total_words == fp.input_words + fp.output_words + fp.kernel_words
-
-    def test_bytes_uses_word_width(self):
-        layer = ConvLayer("c", in_maps=1, out_maps=1, out_size=2, kernel=2)
-        fp = conv_footprint(layer)
-        assert fp.bytes() == fp.total_words * 2
-        assert fp.bytes(word_bytes=4) == fp.total_words * 4
+        assert layer.num_input_words == 2 * 36
+        assert layer.num_output_words == 3 * 16
+        assert layer.num_kernel_words == 3 * 2 * 9
+        assert layer.macs == 3 * 16 * 2 * 9
 
     def test_network_footprints_cover_all_convs(self):
         net = get_workload("PV")
-        footprints = network_footprints(net)
-        assert [f.name for f in footprints] == ["C1", "C3", "C5", "C6", "C7"]
+        assert [layer.name for layer in net.conv_layers] == [
+            "C1", "C3", "C5", "C6", "C7"
+        ]
 
 
 class TestParallelismProfile:
@@ -62,7 +52,7 @@ class TestParallelismProfile:
 
 class TestComputeShare:
     def test_pure_conv_network_share_is_one(self):
-        assert conv_compute_share(get_workload("PV")) == 1.0
+        assert get_workload("PV").conv_fraction() == 1.0
 
     def test_share_with_fc_below_one(self):
-        assert 0.0 < conv_compute_share(get_workload("LeNet-5")) < 1.0
+        assert 0.0 < get_workload("LeNet-5").conv_fraction() < 1.0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dataflow import map_network
 from repro.errors import SpecificationError
-from repro.nn import ConvLayer, SynthSpec, random_network, random_networks
+from repro.nn import SynthSpec, random_network
 
 
 class TestRandomNetwork:
@@ -48,17 +48,6 @@ class TestRandomNetwork:
 
     def test_custom_name(self):
         assert random_network(1, name="mynet").name == "mynet"
-
-
-class TestRandomNetworks:
-    def test_batch_size(self):
-        nets = random_networks(5)
-        assert len(nets) == 5
-        assert len({n.name for n in nets}) == 5
-
-    def test_invalid_count_rejected(self):
-        with pytest.raises(SpecificationError):
-            random_networks(0)
 
 
 class TestSynthSpecValidation:

@@ -1,17 +1,13 @@
-"""Exporter tests: Chrome trace schema, metric dumps."""
+"""Exporter tests: Chrome trace schema."""
 
 import json
 
 from repro.obs.export import (
-    metrics_to_csv,
-    metrics_to_json,
     parity_report,
-    span_to_dict,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
@@ -87,32 +83,6 @@ class TestValidator:
 
 
 class TestProjections:
-    def test_span_to_dict_roundtrips_through_json(self):
-        t = _sample_tracer()
-        doc = span_to_dict(t.roots[0])
-        assert json.loads(json.dumps(doc))["name"] == "conv:C1"
-        assert doc["children"][0]["events"][0]["name"] == "checkpoint"
-
     def test_parity_report_matches_parity_trees(self):
         t = _sample_tracer()
         assert parity_report(t) == [t.roots[0].parity_tree()]
-
-
-class TestMetricDumps:
-    def _registry(self) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        reg.counter("cache", outcome="hit").inc(3)
-        reg.histogram("sizes").observe(4)
-        return reg
-
-    def test_json_dump(self):
-        data = json.loads(metrics_to_json(self._registry()))
-        assert data["cache{outcome=hit}"] == 3
-        assert data["sizes"]["count"] == 1
-
-    def test_csv_dump(self):
-        text = metrics_to_csv(self._registry())
-        lines = text.strip().splitlines()
-        assert lines[0] == "metric,field,value"
-        assert "cache{outcome=hit},value,3" in lines
-        assert "sizes,count,1" in lines

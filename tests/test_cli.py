@@ -204,20 +204,25 @@ class TestParallelExperiments:
     the same batch returns in-process."""
 
     def test_run_experiments_parallel_matches_serial(self):
-        from repro.experiments import run_experiments
+        from repro.experiments import RunPolicy, run_batch
 
         ids = ["area", "table04"]
-        serial = run_experiments(ids)
-        supervised = run_experiments(ids, timeout_s=300)
-        assert [r.title for r in serial] == [r.title for r in supervised]
-        assert [r.rows for r in serial] == [r.rows for r in supervised]
+        serial = run_batch(ids, RunPolicy())
+        supervised = run_batch(ids, RunPolicy(timeout_s=300))
+        assert all(o.ok for o in supervised)
+        assert [o.result.title for o in serial] == [
+            o.result.title for o in supervised
+        ]
+        assert [o.result.rows for o in serial] == [
+            o.result.rows for o in supervised
+        ]
 
     def test_run_experiments_rejects_unknown_ids(self):
         from repro.errors import ConfigurationError
-        from repro.experiments import run_experiments
+        from repro.experiments import RunPolicy, run_batch
 
         with pytest.raises(ConfigurationError, match="unknown experiment"):
-            run_experiments(["area", "nope"], timeout_s=300)
+            run_batch(["area", "nope"], RunPolicy(timeout_s=300))
 
     def test_report_jobs_matches_serial(self):
         from repro.experiments.report import generate_report
@@ -268,27 +273,39 @@ class TestFaultsCommand:
 
 
 class TestResilienceFlags:
-    def test_experiment_with_run_dir_checkpoints(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        assert main(
-            [
-                "experiment", "table04",
-                "--timeout", "300", "--run-dir", str(run_dir),
-            ]
-        ) == 0
-        assert (run_dir / "table04.json").is_file()
-        assert "table04" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["experiment", "report"])
+    def test_run_dir_is_a_usage_error(self, capsys, command):
+        """The store is how a batch resumes; there is no checkpoint
+        directory to name."""
+        argv = [command, "--run-dir", "/tmp/x"]
+        if command == "experiment":
+            argv.insert(1, "area")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--run-dir" in capsys.readouterr().err
 
-    def test_experiment_resume_uses_checkpoint(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        main(["experiment", "table04", "--timeout", "300",
-              "--run-dir", str(run_dir)])
-        capsys.readouterr()
-        # Second run resumes from the checkpoint (no worker spawn needed).
-        assert main(
-            ["experiment", "table04", "--run-dir", str(run_dir)]
-        ) == 0
-        assert "table04" in capsys.readouterr().out
+    def test_experiment_resume_uses_the_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cache import reset_cache_handles
+        from repro.obs.metrics import REGISTRY
+
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        reset_cache_handles()
+        argv = ["experiment", "table04", "--timeout", "300"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        # The second run reads the entry the first run's worker stored
+        # and starts no worker.
+        reset_cache_handles()
+        REGISTRY.reset()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert not any(
+            name.startswith("pool.") for name in REGISTRY.snapshot()
+        )
 
     def test_experiment_invalid_timeout_rejected(self, capsys):
         assert main(["experiment", "table04", "--timeout", "-5"]) == 1
@@ -402,15 +419,13 @@ class TestResilienceFlags:
             from repro.cli import _build_parser
 
             args = _build_parser().parse_args(
-                ["report", "--timeout", "60", "--retries", "2",
-                 "--run-dir", "/tmp/x"]
+                ["report", "--timeout", "60", "--retries", "2"]
             )
         except SystemExit:
             parser_error = True
         assert not parser_error
         assert args.timeout == 60.0
         assert args.retries == 2
-        assert args.run_dir == "/tmp/x"
 
 
 class TestCacheCommand:
