@@ -59,14 +59,6 @@ class AreaReport:
     def total_mm2(self) -> float:
         return sum(self.components.values()) * LAYOUT_OVERHEAD
 
-    @property
-    def interconnect_share(self) -> float:
-        """Fraction of (pre-overhead) area spent on wiring."""
-        raw = sum(self.components.values())
-        if raw == 0:
-            return 0.0
-        return self.components.get("interconnect", 0.0) / raw
-
     def describe(self) -> str:
         lines = [f"{self.kind}: {self.total_mm2:.2f} mm^2"]
         for name, mm2 in sorted(self.components.items(), key=lambda kv: -kv[1]):

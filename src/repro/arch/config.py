@@ -108,13 +108,6 @@ class ArchConfig:
         return self.array_dim * self.array_dim
 
     @property
-    def num_live_pes(self) -> int:
-        """PEs that are physically usable (``num_pes`` minus masked-dead)."""
-        if self.pe_mask is None:
-            return self.num_pes
-        return self.pe_mask.num_live
-
-    @property
     def banks(self) -> int:
         """Effective bank count per buffer (defaults to ``D``)."""
         return self.buffer_banks or self.array_dim

@@ -133,14 +133,6 @@ class PowerReport:
             ),
         }
 
-    @property
-    def interconnect_power_share(self) -> float:
-        """Interconnect share of dynamic power (Section 6.2.5's study)."""
-        total = self.dynamic_energy_pj
-        if total == 0:
-            return 0.0
-        return self.component_energy_pj.get("interconnect", 0.0) / total
-
 
 def compute_power(
     counts: ActivityCounts, kind: str, config: ArchConfig

@@ -145,12 +145,6 @@ class TechnologyModel:
         density_kb = max(1.0, kb)
         return kb * self.sram_base_mm2_per_kb * density_kb**self.sram_area_exponent
 
-    def energy_pj_to_joules(self, pj: float) -> float:
-        return pj * 1e-12
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles * self.cycle_time_s
-
     def scaled(self, **overrides) -> "TechnologyModel":
         """A copy with the given fields replaced (dataclass ``replace``)."""
         return replace(self, **overrides)

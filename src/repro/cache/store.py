@@ -3,12 +3,12 @@
 Entries live under ``<root>/<section>/<key>.json`` where the key is a
 SHA-256 over the full request (:mod:`repro.cache.keys`); only
 :class:`ResultCache` knows the layout.  The store is safe for concurrent
-writers — any number of ``repro`` processes, and the worker a
-supervised batch runs on, share one directory — because every write
-lands in a unique temp file and is published with ``os.replace``
-(atomic on POSIX).  Nothing trims it: a report writes
-its 26 experiment entries, each distinct served request one ``serve``
-entry, and ``repro cache clear`` empties it.  A corrupt or truncated
+writers — any number of ``repro`` processes share one directory —
+because every write lands in a unique temp file and is published with
+``os.replace`` (atomic on POSIX; :func:`atomic_write_text`).  Nothing
+trims it: a report writes its 26 experiment entries, each distinct
+served request one ``serve`` entry, and ``repro cache clear`` empties
+it.  A corrupt or truncated
 entry is never fatal: the hot read path *self-heals* — the bad entry is
 quarantined (moved under ``<root>/.quarantine`` for post mortems),
 counted, and reported as a miss so the caller recomputes and
@@ -36,18 +36,18 @@ effectiveness.
 from __future__ import annotations
 
 import atexit
+import itertools
 import json
 import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.cache.keys import CACHE_SCHEMA_VERSION
 from repro.cache.memtier import DEFAULT_MEM_MB, MemoryTier
 from repro.chaos import chaos_point, chaos_sleep
 from repro.errors import ConfigurationError
-from repro.fsutil import atomic_write_text
 from repro.obs.metrics import REGISTRY
 
 #: Default store location, under the user cache directory.
@@ -65,6 +65,55 @@ QUARANTINE_DIR = ".quarantine"
 
 _FALSEY = {"0", "off", "false", "no"}
 _TRUTHY = {"1", "on", "true", "yes", ""}
+
+#: Process-wide uniquifier: two threads writing the same destination get
+#: distinct temp files even though they share a pid.
+_SEQUENCE = itertools.count()
+
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+
+def atomic_write_text(path: Union[str, "os.PathLike[str]"], text: str) -> None:
+    """Atomically publish ``text`` (UTF-8) at ``path`` (parents created).
+
+    Write to a uniquely named sibling temp file, then ``os.replace`` onto
+    the destination (atomic on POSIX).  Readers therefore observe either
+    the old content or the new content, never a partial write — the
+    property every reader of the store (a report, a served request)
+    relies on.  The temp name embeds the pid *and* a process-wide counter
+    so two threads of one process publishing the same destination never
+    race on one temp file.
+
+    Either the write completes and ``path`` holds exactly ``text``, or it
+    fails, the temp file is removed, and the original ``path`` (if any)
+    is untouched: an interrupted write (a full disk, ``os.replace`` into
+    a vanished directory) never litters ``*.tmp`` files next to the
+    store.  Raises ``OSError`` on filesystem failure.  The writer makes
+    plain ``os`` calls and creates the directory only when the temp file
+    cannot be opened without it.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{next(_SEQUENCE)}.tmp")
+    try:
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    try:
+        try:
+            data = text.encode("utf-8")
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _encode_entry(section: str, key: str, payload: Any) -> Optional[str]:

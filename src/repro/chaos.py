@@ -1,13 +1,13 @@
 """Seeded fault-injection registry: chaos the control plane can rehearse.
 
 PR 2 gave the *simulator* a fault story (stuck PEs, remapping); this
-module gives the *serving/runner control plane* one.  A chaos spec in the
+module gives the *serving control plane* one.  A chaos spec in the
 ``REPRO_CHAOS`` environment variable arms named injection points inside
-the worker pool, the resilient runner, and the persistent cache, so the
-recovery machinery (retries, worker reaping, circuit breaking, cache
-quarantine) can be demonstrated under real faults instead of hoped
-about.  The variable crosses the ``spawn`` boundary with the
-environment, which is how injected faults reach real worker processes.
+the worker pool and the persistent cache, so the recovery machinery
+(retries, worker reaping, circuit breaking, cache quarantine) can be
+demonstrated under real faults instead of hoped about.  The variable
+crosses the ``spawn`` boundary with the environment, which is how
+injected faults reach real worker processes.
 
 Spec grammar (comma-separated, ``off``/empty disables everything)::
 
@@ -74,7 +74,7 @@ KNOWN_POINTS = (
 )
 
 #: Exit code of a chaos-crashed spawn worker (distinctive in supervisor
-#: error messages, like the runner tests' deliberate ``os._exit(17)``).
+#: error messages).
 CRASH_EXIT_CODE = 23
 
 #: Default fault sizes, overridable in the spec.

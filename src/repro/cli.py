@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "experiment_id", choices=list(EXPERIMENT_MODULES) + ["all"]
     )
-    _add_resilience_args(experiment)
 
     dse_cmd = sub.add_parser(
         "dse", help="design-space sweep of the FlexFlow array scale"
@@ -150,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "-o", "--output", default="-", help="output file ('-' for stdout)"
     )
-    _add_resilience_args(report)
 
     trace_cmd = sub.add_parser(
         "trace", help="trace a workload: per-layer, per-phase breakdown"
@@ -279,17 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_resilience_args(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-experiment wall-clock limit",
-    )
-    command.add_argument(
-        "--retries", type=int, default=0,
-        help="extra attempts for failed/timed-out experiments",
-    )
-
-
 def _cmd_workloads() -> int:
     from repro.nn import all_workloads
 
@@ -364,39 +351,15 @@ def _cmd_compile(workload: str, dim: int, execute: bool) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiment(experiment_id: str) -> int:
     from repro.experiments import run_batch
-    from repro.experiments.records import RunPolicy
 
     ids = (
-        list(EXPERIMENT_MODULES)
-        if args.experiment_id == "all"
-        else [args.experiment_id]
+        list(EXPERIMENT_MODULES) if experiment_id == "all" else [experiment_id]
     )
-    policy = RunPolicy(timeout_s=args.timeout, retries=args.retries)
-    return _print_outcomes(run_batch(ids, policy))
-
-
-def _print_outcomes(outcomes) -> int:
-    """Tables for ok outcomes, a stderr summary for failures; exit code."""
-    failed = [o for o in outcomes if not o.ok]
-    for outcome in outcomes:
-        if outcome.ok:
-            print(outcome.result.format_table())
-            print()
-        else:
-            print(
-                f"## {outcome.experiment_id} FAILED ({outcome.status},"
-                f" {outcome.attempts} attempt(s))",
-                file=sys.stderr,
-            )
-    if failed:
-        print(
-            f"error: {len(failed)} of {len(outcomes)} experiment(s)"
-            f" failed: {', '.join(o.experiment_id for o in failed)}",
-            file=sys.stderr,
-        )
-        return 1
+    for result in run_batch(ids):
+        print(result.format_table())
+        print()
     return 0
 
 
@@ -480,7 +443,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
     output = args.output
-    text = generate_report(timeout_s=args.timeout, retries=args.retries)
+    text = generate_report()
     if output == "-":
         print(text)
     else:
@@ -697,7 +660,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "compile":
         return _cmd_compile(args.workload, args.dim, args.execute)
     if args.command == "experiment":
-        return _cmd_experiment(args)
+        return _cmd_experiment(args.experiment_id)
     if args.command == "dse":
         return _cmd_dse(args)
     if args.command == "report":

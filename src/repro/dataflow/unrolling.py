@@ -77,11 +77,6 @@ class UnrollingFactors:
         """PE rows used: ``Tm * Tr * Tc``."""
         return self.tm * self.tr * self.tc
 
-    @property
-    def macs_per_cycle(self) -> int:
-        """Concurrent MACs: all six factors multiplied."""
-        return self.row_occupancy * self.column_occupancy
-
     # -- feasibility (Eq. 1) ------------------------------------------------------
 
     def check(

@@ -86,16 +86,6 @@ class ReconfigCostModel:
             self.array_dim + relayout_penalty_cycles(layer, self.array_dim)
         )
 
-    def switch_cycles(self, kind: str, layer: ConvLayer) -> int:
-        """Dispatch on the reconfiguration kind recorded in a plan."""
-        if kind == "family":
-            return self.family_switch_cycles(layer)
-        if kind == "param":
-            return self.param_switch_cycles(layer)
-        if kind in ("", "relayout"):
-            return 0  # priced by the mapper's own relayout term
-        raise ConfigurationError(f"unknown reconfiguration kind {kind!r}")
-
     def switch_energy_pj(self, kind: str, technology: TechnologyModel) -> float:
         """Configuration-write energy of one switch (reported, not optimized)."""
         if kind == "family":

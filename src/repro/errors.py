@@ -66,9 +66,10 @@ class ConfigurationError(ReproError):
 
 
 class ExperimentError(ReproError):
-    """An experiment run failed in the resilient runner.
+    """A supervised computation failed.
 
-    Raised when an experiment's worker process crashes, times out, or
-    exhausts its retries; the message carries the experiment id and the
-    terminal failure.
+    Raised when a worker pool computation crashes, times out, or
+    exhausts its retries (the message carries the request label and
+    every attempt's failure), and by the serve layer's admission and
+    client errors.
     """

@@ -7,21 +7,18 @@ first read (``ALL_EXPERIMENTS``, :func:`experiment_registry`,
 :func:`run_experiment`), and importing :mod:`repro.experiments.report`
 reads it.
 
-This module is also the in-process path: the registry read, the
-persistent-store lookup (:func:`run_module_cached` and the experiment
-key) and :func:`run_batch`, the one place that picks between running a
-batch here and the supervised runner (:mod:`repro.experiments.runner`),
-which it imports only for a supervised batch.
+This module is also the one way an experiment runs: the registry read,
+the persistent-store lookup (:func:`run_module_cached` and the
+experiment key) and :func:`run_batch`, which runs a batch in this
+process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
-import os
 from functools import lru_cache
-from types import ModuleType
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro._lazy import lazy_exports
 from repro.errors import ConfigurationError
@@ -29,8 +26,6 @@ from repro.experiments.records import (
     ARCH_LABELS,
     ARCH_ORDER,
     ExperimentResult,
-    RunOutcome,
-    RunPolicy,
     result_from_dict,
     result_to_dict,
 )
@@ -67,15 +62,8 @@ EXPERIMENT_MODULES = {
     "fault_degradation": "fig_fault_degradation",
 }
 
-#: Environment variable naming extra experiments: ``"module:attribute"``
-#: where the attribute is a ``dict`` of id -> module-like (has ``run()``).
-#: It crosses the ``spawn`` boundary with the environment, which is how
-#: the test suite injects deliberately crashing/hanging experiments into
-#: real worker processes.
-PLUGIN_ENV = "REPRO_EXPERIMENTS_PLUGIN"
 
-
-def _builtin_experiments() -> Dict[str, ModuleType]:
+def experiment_registry() -> Dict[str, Any]:
     """``ALL_EXPERIMENTS``: id -> module, every module imported on the
     first call."""
     registry = globals().get("ALL_EXPERIMENTS")
@@ -88,33 +76,20 @@ def _builtin_experiments() -> Dict[str, ModuleType]:
     return registry
 
 
-def experiment_registry() -> Dict[str, Any]:
-    """All runnable experiments: the built-in registry plus env plugins."""
-    registry: Dict[str, Any] = dict(_builtin_experiments())
-    spec = os.environ.get(PLUGIN_ENV)
-    if spec:
-        try:
-            module_name, _, attr = spec.partition(":")
-            if not attr:
-                raise ValueError("expected 'module:attribute'")
-            extra = getattr(importlib.import_module(module_name), attr)
-            registry.update(extra)
-        except Exception as exc:
-            raise ConfigurationError(
-                f"cannot load {PLUGIN_ENV}={spec!r}: {exc}"
-            ) from exc
-    return registry
+def _unknown_ids_error(unknown: Sequence[str]) -> ConfigurationError:
+    return ConfigurationError(
+        f"unknown experiment ids: {', '.join(unknown)};"
+        f" known: {', '.join(experiment_registry())}"
+    )
 
 
 def _check_known(ids: Sequence[str]) -> None:
-    """Fail fast, before any work starts, on ids no registry knows and
-    on an id named twice (its table would print twice)."""
+    """Fail fast, before any work starts, on ids the registry does not
+    know and on an id named twice (its table would print twice)."""
     registry = experiment_registry()
     unknown = [eid for eid in ids if eid not in registry]
     if unknown:
-        raise ConfigurationError(
-            f"unknown experiment ids: {', '.join(unknown)}"
-        )
+        raise _unknown_ids_error(unknown)
     seen = set()
     for eid in ids:
         if eid in seen:
@@ -134,7 +109,7 @@ def _experiment_cache_key(experiment_id: str, module: Any) -> Optional[str]:
     the library rely on :data:`repro.cache.CACHE_SCHEMA_VERSION`.  The
     hash is over the file's bytes, which for a source file is the digest
     ``inspect.getsource`` text gave, without its tokenizer pass.  Objects
-    without a ``.py`` file (e.g. test-plugin namespaces) return ``None``
+    without a ``.py`` file (e.g. a test's stand-in class) return ``None``
     and are never cached.  Memoized per ``(id, module)`` — the source
     cannot change under a running process.
     """
@@ -154,60 +129,32 @@ def _experiment_cache_key(experiment_id: str, module: Any) -> Optional[str]:
     )
 
 
-def _store_slot(experiment_id: str, module: Any) -> Optional[Tuple[Any, str]]:
-    """``(cache, key)`` of the experiment's store entry, or ``None`` when
-    the store is off or the module has no source file to key it by."""
-    from repro.cache import active_cache
-
-    cache = active_cache()
-    if cache is None:
-        return None
-    key = _experiment_cache_key(experiment_id, module)
-    return None if key is None else (cache, key)
-
-
-def _stored_result(
-    experiment_id: str, module: Any
-) -> Optional[ExperimentResult]:
-    """The experiment's result as the store holds it, or ``None``.
-
-    The lookup half of :func:`run_module_cached`, one ``cache.get``.
-    The supervised runner calls it in its own process, so a batch
-    resumes from the store and sends only the misses to its worker.
-    A malformed entry reads as a miss: the run that follows overwrites
-    it.
-    """
-    slot = _store_slot(experiment_id, module)
-    if slot is None:
-        return None
-    cache, key = slot
-    stored = cache.get("experiment", key)
-    if stored is not None:
-        try:
-            return result_from_dict(stored)
-        except (KeyError, TypeError, ValueError):
-            pass
-    return None
-
-
 def run_module_cached(experiment_id: str, module: Any) -> ExperimentResult:
     """``module.run()`` behind the persistent result cache.
 
-    Both the in-process path (:func:`run_experiment`) and the pool
-    workers (:func:`repro.experiments.runner.experiment_entry`) go
-    through here, so a warm store turns a whole report into a series of
-    JSON reads.  The experiment entry is the only thing a run publishes,
-    and it is on disk when the call returns: the mapping searches and
-    closed forms inside ``module.run()`` are recomputed (and memoized per
-    process) on a miss.
+    A warm store turns a whole report into a series of JSON reads.  The
+    experiment entry is the only thing a run publishes, and it is on
+    disk when the call returns: the mapping searches and closed forms
+    inside ``module.run()`` are recomputed (and memoized per process) on
+    a miss.  A malformed entry reads as a miss, and the run overwrites
+    it.
     """
-    result = _stored_result(experiment_id, module)
-    if result is None:
-        result = module.run()
-        slot = _store_slot(experiment_id, module)
-        if slot is not None:
-            cache, key = slot
-            cache.put("experiment", key, result_to_dict(result))
+    from repro.cache import active_cache
+
+    cache = active_cache()
+    key = None
+    if cache is not None:
+        key = _experiment_cache_key(experiment_id, module)
+    if key is not None:
+        stored = cache.get("experiment", key)
+        if stored is not None:
+            try:
+                return result_from_dict(stored)
+            except (KeyError, TypeError, ValueError):
+                pass
+    result = module.run()
+    if key is not None:
+        cache.put("experiment", key, result_to_dict(result))
     return result
 
 
@@ -215,34 +162,21 @@ def run_experiment(experiment_id: str) -> ExperimentResult:
     """Run one experiment by its id (e.g. ``"fig16"``)."""
     module = experiment_registry().get(experiment_id)
     if module is None:
-        raise ConfigurationError(
-            f"unknown experiment {experiment_id!r}; known:"
-            f" {', '.join(EXPERIMENT_MODULES)}"
-        )
+        raise _unknown_ids_error([experiment_id])
     return run_module_cached(experiment_id, module)
 
 
-def run_batch(
-    experiment_ids: Sequence[str], policy: RunPolicy
-) -> List[RunOutcome]:
-    """Run a batch on the executor its policy calls for.
+def run_batch(experiment_ids: Sequence[str]) -> List[ExperimentResult]:
+    """Run a batch in this process and return the results in input order.
 
-    Both paths reject unknown and repeated ids before any experiment
-    runs.  A policy with no timeout and no retries runs the experiments
-    in this process, one :func:`run_experiment` call each, each entry on
-    disk before the next experiment starts, and a failure raises.  Any
-    other policy goes through
-    :func:`repro.experiments.runner.run_resilient`, which reads what the
-    store holds here and runs only the misses on its worker.  Outcomes
-    come back in input order.
+    Unknown and repeated ids are rejected before any experiment runs.
+    Each experiment is one :func:`run_experiment` call, and its entry is
+    on disk before the next one starts, so the result store is how an
+    interrupted batch resumes.  A failure raises.
     """
-    if policy.timeout_s is not None or policy.retries:
-        from repro.experiments.runner import run_resilient
-
-        return run_resilient(experiment_ids, policy)
     ids = list(experiment_ids)
     _check_known(ids)
-    return [RunOutcome(eid, "ok", result=run_experiment(eid)) for eid in ids]
+    return [run_experiment(eid) for eid in ids]
 
 
 _names, _export, __dir__ = lazy_exports(
@@ -252,7 +186,7 @@ _names, _export, __dir__ = lazy_exports(
 
 def __getattr__(name: str) -> Any:
     if name == "ALL_EXPERIMENTS":
-        return _builtin_experiments()
+        return experiment_registry()
     return _export(name)
 
 

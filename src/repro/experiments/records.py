@@ -1,14 +1,13 @@
-"""Records every experiment path shares, with no model imports.
+"""Records the experiments, the report, the CLI and serve share, with
+no model imports.
 
-The in-process runs (:mod:`repro.experiments`), the supervised runner
-(:mod:`repro.experiments.runner`), the report, the CLI and the serve
-coordinator all speak in these: the :class:`ExperimentResult` a paper
-artifact regenerates (and its JSON form), the :class:`RunPolicy` a
-batch or a served request runs under, the :class:`RunOutcome` it ends
-in, and the architecture order and labels every table uses.  Importing
-this module loads no accelerator, simulator or NumPy, so a process that
-only routes work (``repro serve``) or parses arguments does not pay for
-the experiment suite.
+The experiment runs (:mod:`repro.experiments`), the report, the CLI and
+the serve coordinator all speak in these: the :class:`ExperimentResult`
+a paper artifact regenerates (and its JSON form), the :class:`RunPolicy`
+a served request runs under, and the architecture order and labels
+every table uses.  Importing this module loads no accelerator,
+simulator or NumPy, so a process that only routes work (``repro
+serve``) or parses arguments does not pay for the experiment suite.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class RunPolicy:
-    """How :func:`~repro.experiments.runner.run_resilient` (and the serve
-    worker pool) supervise jobs.
+    """How the serve worker pool (:class:`repro.serve.pool.WorkerPool`)
+    supervises jobs.
 
     Args:
         timeout_s: per-attempt wall-clock limit (``None`` = unlimited).
@@ -142,28 +141,6 @@ class RunPolicy:
         """Delay before the retry that follows failed attempt ``attempt``.
 
         Exponential from ``backoff_s``, but never above ``max_backoff_s``
-        — the worker pool schedules every retry (served requests and
-        experiment batches alike) through here.
+        — the worker pool schedules every retry through here.
         """
         return min(self.backoff_s * (2 ** (attempt - 1)), self.max_backoff_s)
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """What happened to one job across all of its attempts.
-
-    For an experiment, ``result`` is its :class:`ExperimentResult`,
-    whether it ran or was read back from the result store; the worker
-    pool reports any job this way, with the request label as
-    ``experiment_id`` and the worker entry's return value as ``result``.
-    """
-
-    experiment_id: str
-    status: str  # "ok" | "failed" | "timeout"
-    result: Any = None
-    error: str = ""
-    attempts: int = 1
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"

@@ -20,7 +20,6 @@ from repro.experiments import (  # noqa: F401  (imports every experiment)
     experiment_registry,
     run_batch,
 )
-from repro.experiments.records import RunPolicy
 
 
 def _markdown_table(rows: List[Dict[str, Any]], float_digits: int = 3) -> str:
@@ -46,67 +45,32 @@ def generate_report(
     experiment_ids: Optional[Sequence[str]] = None,
     *,
     title: str = "FlexFlow Reproduction Results",
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
 ) -> str:
-    """Run experiments and render a Markdown report.
+    """Run experiments in this process and render a Markdown report.
 
-    With no resilience option the experiments run in this process (see
-    :func:`repro.experiments.run_batch`).  With ``timeout_s`` or
-    ``retries`` set they run on one supervised pool worker and a
-    *partial* report is produced: failed or timed-out experiments get a
-    clearly marked **FAILED** section with the error instead of
-    aborting the whole document.  Either way every experiment the
-    result store holds is read back rather than run, so a re-run after
-    an interruption recomputes only what did not finish.
+    The batch runs through :func:`repro.experiments.run_batch`, so every
+    experiment the result store holds is read back rather than run, and
+    a re-run after an interruption recomputes only what did not finish.
 
     Args:
         experiment_ids: which experiments to include (default: all, in
             registry order).
         title: the document heading.
-        timeout_s: per-experiment wall-clock limit in seconds.
-        retries: extra attempts for failed/timed-out experiments.
     """
     ids = list(experiment_ids or experiment_registry())
-    outcomes = run_batch(ids, RunPolicy(timeout_s=timeout_s, retries=retries))
+    results = run_batch(ids)
     sections = [f"# {title}", ""]
     sections.append(
         "Machine-generated by `repro.experiments.report`; see EXPERIMENTS.md"
         " for the paper-vs-measured analysis."
     )
     sections.append("")
-    failed = [o for o in outcomes if not o.ok]
-    if failed:
-        sections.append(
-            f"> **Partial report:** {len(failed)} of {len(outcomes)}"
-            f" experiment(s) failed —"
-            f" {', '.join(o.experiment_id for o in failed)}."
-        )
+    for eid, result in zip(ids, results):
+        sections.append(f"## {eid} — {result.title}")
         sections.append("")
-    for outcome in outcomes:
-        if outcome.ok:
-            _append_result_section(
-                sections, outcome.experiment_id, outcome.result
-            )
-        else:
-            sections.append(
-                f"## {outcome.experiment_id} — FAILED ({outcome.status})"
-            )
+        sections.append(_markdown_table(result.rows))
+        if result.notes:
             sections.append("")
-            sections.append(f"Failed after {outcome.attempts} attempt(s):")
-            sections.append("")
-            sections.append("```")
-            sections.append(outcome.error.rstrip())
-            sections.append("```")
-            sections.append("")
+            sections.append(f"*{result.notes}*")
+        sections.append("")
     return "\n".join(sections)
-
-
-def _append_result_section(sections: List[str], eid: str, result) -> None:
-    sections.append(f"## {eid} — {result.title}")
-    sections.append("")
-    sections.append(_markdown_table(result.rows))
-    if result.notes:
-        sections.append("")
-        sections.append(f"*{result.notes}*")
-    sections.append("")

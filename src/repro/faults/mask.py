@@ -23,7 +23,6 @@ rows/columns in order).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Tuple
@@ -120,14 +119,6 @@ class AvailabilityMask:
 
     def is_dead(self, row: int, col: int) -> bool:
         return (row, col) in self.dead
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable short digest for cache keys, filenames, and logs."""
-        canonical = f"{self.array_dim}:" + ",".join(
-            f"{r}.{c}" for r, c in sorted(self.dead)
-        )
-        return hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
 
     def describe(self) -> str:
         """ASCII map of the array: ``.`` live, ``X`` dead."""

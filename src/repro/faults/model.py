@@ -85,10 +85,6 @@ class FaultModel:
     def has_transient_faults(self) -> bool:
         return self.bitflip_rate > 0
 
-    @property
-    def is_null(self) -> bool:
-        return not (self.has_permanent_faults or self.has_transient_faults)
-
     def mask_for(self, array_dim: int) -> AvailabilityMask:
         """The permanent-fault availability mask for a ``D x D`` array.
 

@@ -22,7 +22,7 @@ Two properties shape the design:
 
 A module-level *current tracer* (default: disabled) lets code that has
 no tracer parameter of its own — the mapper's cached search, the
-experiment runner — participate when the CLI installs one via
+experiment sweeps — participate when the CLI installs one via
 :func:`use_tracer`.
 """
 

@@ -17,8 +17,7 @@ array-scale DSE sweep behind a small stdlib-only HTTP API (see
   default);
 * :mod:`repro.serve.resilience` — admission control, per-kind circuit
   breakers and drain state, with their limits as module constants;
-* :mod:`repro.serve.pool` — the supervised ``spawn`` worker pool (also
-  the resilient experiment runner's executor) under
+* :mod:`repro.serve.pool` — the supervised ``spawn`` worker pool under
   :class:`~repro.experiments.records.RunPolicy` (timeout / retries /
   non-blocking backoff);
 * :mod:`repro.serve.worker` — the worker side of the pool: the loop a

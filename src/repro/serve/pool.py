@@ -1,18 +1,17 @@
 """Supervised async worker pool: the repo's one spawn executor.
 
 No other code under ``src`` runs computations in worker processes
-(``repro dse`` sweeps in-process).  Cold serve requests and resilient
-experiment batches (:func:`repro.experiments.runner.run_resilient`)
-both run here, in ``spawn`` worker processes, so a crashing
+(``repro dse`` sweeps and experiment batches run in-process).  Cold
+serve requests run here, in ``spawn`` worker processes, so a crashing
 computation cannot take down the coordinator and CPU-heavy work does
-not stall its event loop.  The pool takes its worker entry function
-at construction: serve keeps :func:`~repro.serve.compute.pool_entry`,
-the runner passes :func:`~repro.experiments.runner.experiment_entry`.
-The supervision policy is :class:`~repro.experiments.records.RunPolicy`
-— timeout / retries / capped exponential backoff — enforced
-*asynchronously*: an attempt's timeout runs from its dispatch to a
-booted worker, and backoff is an ``await asyncio.sleep``, so one
-struggling job never blocks the others.
+not stall its event loop.  Workers run serve's
+:func:`~repro.serve.compute.pool_entry`; the ``entry`` argument exists
+so a test can run its own module-level entry instead.  The supervision
+policy is :class:`~repro.experiments.records.RunPolicy` — timeout /
+retries / capped exponential backoff — enforced *asynchronously*: an
+attempt's timeout runs from its dispatch to a booted worker, and backoff
+is an ``await asyncio.sleep``, so one struggling job never blocks the
+others.
 
 The loop a spawn worker runs lives in :mod:`repro.serve.worker`, so a
 worker imports its entry and the entry's compute code, never asyncio.
@@ -22,24 +21,24 @@ each worker directly (one duplex pipe + one reader thread per worker),
 which buys what an executor cannot provide:
 
 * **hung-worker reaping** — every dispatched task carries a deadline of
-  ``timeout_s * grace_factor``, counted from the moment its worker has
-  booted (a task sent to a worker still booting waits up to
-  :data:`BOOT_TIMEOUT_S` for the boot, so a slow spawn on a loaded host
-  is not taken for a hung task); a worker still busy past it is killed
-  (``SIGKILL`` — hung computations ignore polite signals) and replaced,
-  so a wedged computation costs one worker-respawn, not a pool slot
-  forever.  ``pool.worker_reaps`` / ``pool.worker_respawns`` count the
-  churn, and a result arriving after its caller gave up is dropped and
-  counted (``pool.late_results``), never delivered to the wrong caller;
+  ``timeout_s *`` :data:`DEFAULT_GRACE_FACTOR`, counted from the moment
+  its worker has booted (a task sent to a worker still booting waits up
+  to :data:`BOOT_TIMEOUT_S` for the boot, so a slow spawn on a loaded
+  host is not taken for a hung task); a worker still busy past it is
+  killed (``SIGKILL`` — hung computations ignore polite signals) and
+  replaced, so a wedged computation costs one worker-respawn, not a pool
+  slot forever.  ``pool.worker_reaps`` / ``pool.worker_respawns`` count
+  the churn, and a result arriving after its caller gave up is dropped
+  and counted (``pool.late_results``), never delivered to the wrong
+  caller;
 * **crash self-healing** — a worker that dies mid-task (chaos
   ``worker_crash``, OOM kill) fails exactly the attempt it was running
   with its exit code, the worker is respawned, and the retry runs on a
   live worker (``pool.worker_crashes``);
 * **graceful stop** — :meth:`WorkerPool.shutdown` sends idle workers a
   stop sentinel and waits for them to exit normally, sparing them a
-  SIGKILL (each experiment entry a worker computed is already on disk:
-  the worker publishes it before it replies); only busy or unresponsive
-  workers are killed.
+  SIGKILL (so their atexit hooks, such as the store's write-behind
+  drain, run); only busy or unresponsive workers are killed.
 
 ``jobs=0`` selects *inline* mode — daemon worker threads in the
 coordinator process — used by tests and tiny deployments.  Threads
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import math
 import multiprocessing
 import queue
 import threading
@@ -66,7 +64,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.records import RunOutcome, RunPolicy
+from repro.experiments.records import RunPolicy
 from repro.obs.events import event_record
 from repro.obs.metrics import REGISTRY
 from repro.serve.compute import pool_entry
@@ -84,6 +82,8 @@ ProgressSink = Callable[[Dict[str, Any]], None]
 
 #: How far past ``timeout_s`` a busy worker may run before the reaper
 #: kills and replaces it (callers have long since timed out and retried).
+#: Read where a deadline is armed, so tests can patch it; below 1 the
+#: reaper would fire before the caller's own timeout.
 DEFAULT_GRACE_FACTOR = 2.0
 
 #: How long ``shutdown()`` waits for stopped workers to exit normally
@@ -215,11 +215,8 @@ class WorkerPool:
     Args:
         policy: timeout / retries / backoff for every job.
         jobs: worker count; ``0`` = one inline thread worker.
-        grace_factor: a busy worker is reaped ``timeout_s *
-            grace_factor`` after its task reached the booted worker
-            (``1`` kills it at the timeout).
-        entry: the module-level worker function; ``None`` is serve's
-            :func:`~repro.serve.compute.pool_entry`.
+        entry: a module-level worker function for tests; ``None`` is
+            serve's :func:`~repro.serve.compute.pool_entry`.
     """
 
     def __init__(
@@ -227,20 +224,12 @@ class WorkerPool:
         policy: Optional[RunPolicy] = None,
         *,
         jobs: int = 2,
-        grace_factor: float = DEFAULT_GRACE_FACTOR,
         entry: Optional[Entry] = None,
     ):
         if jobs < 0:
             raise ExperimentError(f"jobs must be >= 0, got {jobs}")
-        # A NaN deadline never compares due, so the reaper would spin
-        # without awaiting and wedge the event loop.
-        if not (math.isfinite(grace_factor) and grace_factor >= 1):
-            raise ExperimentError(
-                f"grace_factor must be >= 1 and finite, got {grace_factor}"
-            )
         self.policy = policy or RunPolicy()
         self.jobs = jobs
-        self.grace_factor = grace_factor
         self.entry = entry
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._workers: List[Any] = []
@@ -460,7 +449,7 @@ class WorkerPool:
         if self.policy.timeout_s is None:
             return
         if budget_s is None:
-            budget_s = self.policy.timeout_s * self.grace_factor
+            budget_s = self.policy.timeout_s * DEFAULT_GRACE_FACTOR
         worker.deadline = time.monotonic() + budget_s
         self._reaper_wakeup.set()
 
@@ -488,8 +477,8 @@ class WorkerPool:
             for worker in list(self._workers):
                 if worker.deadline is not None and worker.deadline <= now:
                     REGISTRY.counter("pool.worker_reaps").inc()
-                    # With grace_factor 1 the reap can beat the caller's
-                    # own timer; either way the attempt timed out.
+                    # With a grace factor of 1 the reap can beat the
+                    # caller's own timer; either way the attempt timed out.
                     self._retire(
                         worker,
                         self._timeout_report()
@@ -557,17 +546,18 @@ class WorkerPool:
             self._abandon(task_id)
             raise
 
-    async def supervise(
+    async def run(
         self,
         request: ComputeRequest,
         progress: Optional[ProgressSink] = None,
-    ) -> RunOutcome:
-        """One job through the pool: attempts, timeout, async backoff.
+    ) -> Dict[str, Any]:
+        """One serve request through the pool: attempts, timeout, async
+        backoff.
 
-        Never raises for a worker-side failure.  The outcome carries the
-        request label as its id, the entry's return value when ``ok``,
-        and otherwise the last attempt's status plus one ``attempt N:
-        [status] detail`` line per failed attempt.
+        Returns the worker envelope ``{"result": ..., "spans": [...]}``.
+        Raises :class:`ExperimentError` when every attempt failed or
+        timed out (the HTTP layer maps it to a 500), with one ``attempt
+        N: [status] detail`` line per attempt.
         """
         progress = progress or _noop_sink
         self._ensure_started()
@@ -575,9 +565,7 @@ class WorkerPool:
         for attempt in range(1, self.policy.retries + 2):
             status, data = await self._attempt(request, attempt, progress)
             if status == "ok":
-                return RunOutcome(
-                    request.label, "ok", result=data, attempts=attempt
-                )
+                return data
             errors.append(f"attempt {attempt}: [{status}] {data}")
             if status == "timeout":
                 REGISTRY.counter("pool.timeouts", kind=request.kind).inc()
@@ -600,25 +588,7 @@ class WorkerPool:
                     )
                 )
                 await asyncio.sleep(delay)
-        return RunOutcome(
-            request.label, status, error="\n".join(errors), attempts=attempt
+        raise ExperimentError(
+            f"{request.label} failed after {attempt} attempt(s):\n"
+            + "\n".join(errors)
         )
-
-    async def run(
-        self,
-        request: ComputeRequest,
-        progress: Optional[ProgressSink] = None,
-    ) -> Dict[str, Any]:
-        """One serve request through :meth:`supervise`.
-
-        Returns the worker envelope ``{"result": ..., "spans": [...]}``.
-        Raises :class:`ExperimentError` when every attempt failed or
-        timed out (the HTTP layer maps it to a 500).
-        """
-        outcome = await self.supervise(request, progress)
-        if not outcome.ok:
-            raise ExperimentError(
-                f"{request.label} failed after {outcome.attempts}"
-                " attempt(s):\n" + outcome.error
-            )
-        return outcome.result

@@ -23,8 +23,18 @@ from repro.experiments.records import ARCH_ORDER
 from repro.nn import WORKLOAD_NAMES, get_workload, parse_network
 from repro.nn.network import Network
 
-#: Request kinds the service computes (``sweep`` is a batch of these).
-REQUEST_KINDS = ("map", "simulate", "dse", "dse_per_layer")
+#: The body fields each request kind reads; any other field is an error,
+#: so a misspelled field is rejected rather than answered at its default.
+#: ``sweep`` is a batch of these (its points may also name their kind).
+REQUEST_FIELDS = {
+    "map": ("workload", "network", "dim"),
+    "simulate": ("workload", "network", "dim", "arch"),
+    "dse": ("workload", "network", "dims"),
+    "dse_per_layer": ("workload", "network", "dim", "reconfig_scale"),
+}
+
+#: Request kinds the service computes.
+REQUEST_KINDS = tuple(REQUEST_FIELDS)
 
 #: Kinds a client may safely retry after a 5xx: all served computations
 #: are pure functions of their spec (no side effects beyond the cache),
@@ -64,6 +74,17 @@ def _require_dict(body: Any) -> Dict[str, Any]:
             f"request body must be a JSON object, got {type(body).__name__}"
         )
     return body
+
+
+def _reject_unknown_fields(
+    body: Dict[str, Any], fields: Tuple[str, ...], what: str
+) -> None:
+    for field in body:
+        if field not in fields:
+            raise SpecificationError(
+                f"unknown field {field!r} in a {what} body;"
+                f" valid fields: {', '.join(fields)}"
+            )
 
 
 def _resolve_network(body: Dict[str, Any]) -> Tuple[Network, Dict[str, Any]]:
@@ -138,6 +159,7 @@ def parse_request(kind: str, body: Any) -> ComputeRequest:
             f"unknown request kind {kind!r}; known: {', '.join(REQUEST_KINDS)}"
         )
     body = _require_dict(body)
+    _reject_unknown_fields(body, REQUEST_FIELDS[kind], kind)
     network, spec = _resolve_network(body)
     if kind == "map":
         dim = _parse_dim(body)
@@ -190,6 +212,7 @@ def parse_sweep(body: Any) -> List[ComputeRequest]:
     concurrent single request for the same point.
     """
     body = _require_dict(body)
+    _reject_unknown_fields(body, ("points",), "sweep")
     points = body.get("points")
     if not isinstance(points, list) or not points:
         raise SpecificationError("'points' must be a non-empty list")
@@ -203,7 +226,13 @@ def parse_sweep(body: Any) -> List[ComputeRequest]:
         point = _require_dict(point)
         kind = point.get("kind", "simulate")
         try:
-            requests.append(parse_request(kind, point))
+            if kind in REQUEST_KINDS:
+                _reject_unknown_fields(
+                    point, REQUEST_FIELDS[kind] + ("kind",), f"{kind} point"
+                )
+            fields = {name: value for name, value in point.items()
+                      if name != "kind"}
+            requests.append(parse_request(kind, fields))
         except (SpecificationError, ConfigurationError) as exc:
             raise type(exc)(f"points[{index}]: {exc}") from exc
     return requests

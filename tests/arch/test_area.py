@@ -60,11 +60,6 @@ class TestStructure:
         with pytest.raises(ConfigurationError):
             pe_area_mm2("tpu", DEFAULT_CONFIG)
 
-    def test_interconnect_share_bounded(self):
-        for kind in ARCH_KINDS:
-            share = area_report(kind, DEFAULT_CONFIG).interconnect_share
-            assert 0.0 <= share < 1.0
-
 
 class TestScaling:
     def test_area_grows_with_array(self):

@@ -101,11 +101,3 @@ class TestValidation:
         mask = AvailabilityMask.from_failures(8, dead_pes=[(0, 0)])
         with pytest.raises(ConfigurationError):
             ArchConfig(array_dim=16, pe_mask=mask)
-
-    def test_num_live_pes_tracks_mask(self):
-        from repro.faults import AvailabilityMask
-
-        mask = AvailabilityMask.from_failures(16, dead_pes=[(0, 0), (5, 5)])
-        cfg = ArchConfig(pe_mask=mask)
-        assert cfg.num_live_pes == 256 - 2
-        assert ArchConfig().num_live_pes == 256

@@ -94,7 +94,3 @@ class TestComputePower:
     def test_negative_cycles_rejected(self):
         with pytest.raises(ConfigurationError):
             compute_power(ActivityCounts(cycles=-1), "flexflow", DEFAULT_CONFIG)
-
-    def test_interconnect_share_bounded(self):
-        report = compute_power(toy_counts(), "flexflow", DEFAULT_CONFIG)
-        assert 0.0 <= report.interconnect_power_share < 1.0

@@ -19,7 +19,6 @@ class TestTechnologyModel:
 
     def test_cycle_time(self):
         assert TSMC65.cycle_time_s == pytest.approx(1e-9)
-        assert TSMC65.cycles_to_seconds(1000) == pytest.approx(1e-6)
 
     def test_sram_access_energy_grows_with_capacity(self):
         small = TSMC65.sram_access_energy_pj(1024)
@@ -63,6 +62,3 @@ class TestTechnologyModel:
         assert doubled.frequency_hz == 2e9
         assert TSMC65.frequency_hz == 1e9
         assert doubled.mult_energy_pj == TSMC65.mult_energy_pj
-
-    def test_pj_to_joules(self):
-        assert TSMC65.energy_pj_to_joules(1e12) == pytest.approx(1.0)

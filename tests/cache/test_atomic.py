@@ -28,7 +28,7 @@ class TestPutFaultInjection:
 
     def test_replace_failure_degrades_silently(self, cache_dir, monkeypatch):
         monkeypatch.setattr(
-            "repro.fsutil.os.replace",
+            "repro.cache.store.os.replace",
             lambda src, dst: (_ for _ in ()).throw(OSError("disk full")),
         )
         cache = ResultCache(cache_dir)
@@ -58,7 +58,7 @@ class TestPutFaultInjection:
         self, cache_dir, monkeypatch
     ):
         monkeypatch.setattr(
-            "repro.fsutil.os.replace",
+            "repro.cache.store.os.replace",
             lambda src, dst: (_ for _ in ()).throw(OSError("disk full")),
         )
         caches = [
@@ -81,7 +81,7 @@ class TestPutFaultInjection:
         cache = ResultCache(cache_dir)
         cache.put("sec", KEY, {"version": 1})
         monkeypatch.setattr(
-            "repro.fsutil.os.replace",
+            "repro.cache.store.os.replace",
             lambda src, dst: (_ for _ in ()).throw(OSError("read-only fs")),
         )
         cache.put("sec", KEY, {"version": 2})

@@ -2,14 +2,14 @@
 
 The store holds whole experiment results; a warm store reproduces
 *exactly* what a cold run computes, and a damaged store silently
-degrades to recomputation.  A supervised batch resumes from it: what
-the store holds is read back without starting a worker.  The mapper
-and the simulators persist nothing: a fresh process re-derives the
-same mappings and closed forms.
+degrades to recomputation.  An interrupted batch resumes from it: what
+the store holds is read back, not run again.  The mapper and the
+simulators persist nothing: a fresh process re-derives the same mappings
+and closed forms.
 """
 
+import importlib.util
 import multiprocessing
-import os
 import shutil
 
 import pytest
@@ -22,7 +22,6 @@ from repro.dataflow.mapper import clear_mapping_cache
 from repro.faults.model import FaultModel
 from repro.nn.workloads import get_workload
 from repro.obs.metrics import REGISTRY
-from repro.serve.loadtest import metric_total
 
 
 def fresh_process_state():
@@ -219,110 +218,89 @@ class TestExperimentTier:
             assert disk[eid] == computed[eid], eid
 
 
-def pool_attempts():
-    return metric_total(REGISTRY.snapshot(), "pool.attempts")
+def experiment_writes():
+    return REGISTRY.snapshot().get("cache.writes{section=experiment}", 0)
 
 
-class TestResilientRunnerSharing:
-    def test_spawned_workers_share_the_store(self, cache_dir):
-        """A supervised batch's worker writes the store this process
-        reads, and a second batch reads it back without a worker."""
-        from repro.experiments.runner import RunPolicy, run_resilient
-
-        ids = ["table04", "area", "table03"]
-        outcomes = run_resilient(ids, RunPolicy())
-        assert all(o.result is not None and not o.error for o in outcomes)
-        assert len(store_files(cache_dir, "experiment")) == len(ids)
-        # A second batch restores every experiment from the shared store.
-        fresh_process_state()
-        REGISTRY.reset()
-        again = run_resilient(ids, RunPolicy())
-        for first, second in zip(outcomes, again):
-            assert second.result.rows == first.result.rows
-        assert pool_attempts() == 0
-        assert "pool.workers" not in REGISTRY.snapshot()
-
-
-class TestSupervisedResume:
-    """The store is how a supervised batch resumes."""
+class TestStoreResume:
+    """The store is how an interrupted batch resumes."""
 
     def test_warm_batch_starts_no_worker(self, cache_dir):
+        """A warm batch reads all 26 experiments back and runs none."""
         from repro.experiments import ALL_EXPERIMENTS, run_batch
-        from repro.experiments.runner import RunPolicy
 
         ids = list(ALL_EXPERIMENTS)
-        first = run_batch(ids, RunPolicy())
+        first = run_batch(ids)
         fresh_process_state()
         REGISTRY.reset()
-        resumed = run_batch(ids, RunPolicy(timeout_s=300))
-        assert [o.result.format_table() for o in resumed] == [
-            o.result.format_table() for o in first
+        resumed = run_batch(ids)
+        assert [r.format_table() for r in resumed] == [
+            r.format_table() for r in first
         ]
         snapshot = REGISTRY.snapshot()
         assert snapshot["cache.lookups{outcome=hit,section=experiment}"] == 26
-        assert pool_attempts() == 0
+        assert "cache.lookups{outcome=miss,section=experiment}" not in snapshot
+        assert experiment_writes() == 0
         assert multiprocessing.active_children() == []
 
     def test_corrupt_entry_is_recomputed(self, cache_dir):
-        """A damaged entry is a miss in this process: only its experiment
-        goes to the worker, and the worker's run replaces it."""
+        """A damaged entry is a miss: only its experiment runs again, and
+        the run replaces it."""
         from repro.experiments import run_batch
-        from repro.experiments.runner import RunPolicy
 
-        (cold,) = run_batch(["table04"], RunPolicy())
+        (cold,) = run_batch(["table04"])
         (entry,) = store_files(cache_dir, "experiment")
         entry.write_text(entry.read_text()[:10])
         fresh_process_state()
         REGISTRY.reset()
-        (outcome,) = run_batch(["table04"], RunPolicy(timeout_s=300))
-        assert outcome.ok
-        assert outcome.result.format_table() == cold.result.format_table()
-        assert pool_attempts() == 1
+        (result,) = run_batch(["table04"])
+        assert result.format_table() == cold.format_table()
+        assert experiment_writes() == 1
         assert REGISTRY.snapshot()[
             "cache.quarantined{section=experiment}"
         ] == 1
         assert len(store_files(cache_dir, "experiment")) == 1
 
     def test_edited_experiment_reruns(self, cache_dir, tmp_path, monkeypatch):
-        """Editing an experiment's source between two supervised batches
-        re-runs it: its entry key digests the module file, so the first
-        batch's entry never stands for the edited code."""
+        """Editing an experiment's source between two batches re-runs it:
+        its entry key digests the module file, so the first batch's entry
+        never stands for the edited code."""
         from repro.experiments import (
             ALL_EXPERIMENTS,
-            PLUGIN_ENV,
             _experiment_cache_key,
+            run_batch,
         )
-        from repro.experiments.runner import RunPolicy, run_resilient
 
         # The built-in ``area`` experiment from an editable copy of its
-        # module: a plugin entry overrides the built-in id, here and in
-        # the pool's worker.
+        # module, put in the registry under the built-in id.
         source = tmp_path / "repro_test_area_copy.py"
         shutil.copyfile(ALL_EXPERIMENTS["area"].__file__, source)
-        (tmp_path / "repro_test_area_plugin.py").write_text(
-            "import repro_test_area_copy\n"
-            "EXTRA = {'area': repro_test_area_copy}\n"
-        )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        monkeypatch.setenv(PLUGIN_ENV, "repro_test_area_plugin:EXTRA")
-        monkeypatch.setenv(
-            "PYTHONPATH",
-            str(tmp_path) + os.pathsep + os.environ.get("PYTHONPATH", ""),
-        )
+
+        def load_copy():
+            spec = importlib.util.spec_from_file_location(
+                "repro_test_area_copy", source
+            )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+
+        monkeypatch.setitem(ALL_EXPERIMENTS, "area", load_copy())
         old_title = "Layout area at the 16x16 scale"
         new_title = "Edited layout area at the 16x16 scale"
 
-        (first,) = run_resilient(["area"], RunPolicy())
-        assert old_title in first.result.format_table()
+        (first,) = run_batch(["area"])
+        assert old_title in first.format_table()
         text = source.read_text()
         assert old_title in text
         source.write_text(text.replace(old_title, new_title))
 
-        # A fresh process: no store handle, no memoized keys.
+        # A fresh process: the edited module, no store handle, no
+        # memoized keys.
+        monkeypatch.setitem(ALL_EXPERIMENTS, "area", load_copy())
         _experiment_cache_key.cache_clear()
         fresh_process_state()
         REGISTRY.reset()
-        (second,) = run_resilient(["area"], RunPolicy())
-        assert new_title in second.result.format_table()
-        assert pool_attempts() == 1
+        (second,) = run_batch(["area"])
+        assert new_title in second.format_table()
+        assert experiment_writes() == 1
         assert len(store_files(cache_dir, "experiment")) == 2

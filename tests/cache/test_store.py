@@ -348,14 +348,14 @@ class TestDeferredPublishes:
         """An in-process batch publishes inside ``put``: every entry is on
         disk when ``run_batch`` returns, with no ``drain()`` and no flush
         thread."""
-        from repro.experiments import RunPolicy, run_batch
+        from repro.experiments import run_batch
 
         flushes = []
         monkeypatch.setattr(
             ResultCache, "_flush_worker", lambda self: flushes.append(self)
         )
         ids = ["table04", "area"]
-        outcomes = run_batch(ids, RunPolicy())
-        assert [outcome.status for outcome in outcomes] == ["ok", "ok"]
+        results = run_batch(ids)
+        assert [result.experiment_id for result in results] == ids
         assert len(self.entry_files(cache_dir / "experiment")) == len(ids)
         assert flushes == []

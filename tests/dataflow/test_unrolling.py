@@ -49,7 +49,6 @@ class TestUnrollingFactors:
         assert f.output_triple == (3, 1, 5)
         assert f.row_occupancy == 15
         assert f.column_occupancy == 15
-        assert f.macs_per_cycle == 225
 
     def test_nonpositive_rejected(self):
         with pytest.raises(MappingError):

@@ -82,10 +82,6 @@ class TestReconfigCostModel:
             ReconfigCostModel(0)
         with pytest.raises(ConfigurationError):
             ReconfigCostModel(16, -1.0)
-        with pytest.raises(ConfigurationError):
-            ReconfigCostModel(16).switch_cycles(
-                "bogus", get_workload("PV").conv_layers[0]
-            )
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
     def test_non_finite_scale_rejected(self, scale):

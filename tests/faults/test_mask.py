@@ -51,14 +51,6 @@ class TestAvailabilityMask:
         with pytest.raises(ConfigurationError):
             AvailabilityMask.from_failures(4, dead_cols=[-1])
 
-    def test_fingerprint_stable_and_distinct(self):
-        a = AvailabilityMask.from_failures(8, dead_pes=[(1, 2)])
-        b = AvailabilityMask.from_failures(8, dead_pes=[(1, 2)])
-        c = AvailabilityMask.from_failures(8, dead_pes=[(2, 1)])
-        assert a.fingerprint == b.fingerprint
-        assert a.fingerprint != c.fingerprint
-        assert a.fingerprint != AvailabilityMask.healthy(8).fingerprint
-
     def test_describe_ascii_map(self):
         mask = AvailabilityMask.from_failures(3, dead_pes=[(0, 1)])
         assert mask.describe() == ".X.\n...\n..."

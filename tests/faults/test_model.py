@@ -11,7 +11,6 @@ from repro.faults import FaultModel, apply_flip, transient_flip
 class TestFaultModel:
     def test_null_model(self):
         model = FaultModel()
-        assert model.is_null
         assert not model.has_permanent_faults
         assert not model.has_transient_faults
         assert model.mask_for(8).is_healthy

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.cache import reset_cache_handles
-from repro.experiments.runner import RunPolicy
+from repro.experiments.records import RunPolicy
 from repro.serve.app import ServeApp
 from repro.serve.loadtest import ServeClient
 

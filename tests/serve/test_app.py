@@ -60,6 +60,16 @@ class TestEndpoints:
             "/v1/dse", {"workload": "PV", "dims": [8, 8, 16]}
         )
         assert (status, body["error"]) == (400, "'dims' lists 8 more than once")
+        # The CLI's spelling of a served field is not the served one.
+        status, body = server.client().post(
+            "/v1/dse_per_layer",
+            {"workload": "PV", "dim": 8, "reconfig_cost": 0},
+        )
+        assert (status, body["error"]) == (
+            400,
+            "unknown field 'reconfig_cost' in a dse_per_layer body;"
+            " valid fields: workload, network, dim, reconfig_scale",
+        )
 
     def test_keep_alive_serves_sequential_requests(self, server):
         client = server.client()
@@ -246,7 +256,7 @@ class TestStreamDisconnect:
         ``serve.stream_disconnects``."""
         import http.client
 
-        from repro.experiments.runner import RunPolicy
+        from repro.experiments.records import RunPolicy
 
         calls = []
 

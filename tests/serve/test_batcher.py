@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.chaos import reset_chaos_handles
 from repro.errors import ExperimentError
-from repro.experiments.runner import RunPolicy
+from repro.experiments.records import RunPolicy
 from repro.obs.metrics import REGISTRY
 from repro.serve.app import ServeApp
 from repro.serve.batcher import (

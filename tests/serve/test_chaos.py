@@ -14,7 +14,8 @@ import pytest
 
 from repro.cache import reset_cache_handles
 from repro.chaos import CRASH_EXIT_CODE, reset_chaos_handles
-from repro.experiments.runner import RunPolicy
+from repro.errors import ExperimentError
+from repro.experiments.records import RunPolicy
 from repro.obs.metrics import REGISTRY
 from repro.serve.pool import WorkerPool
 from repro.serve.schemas import parse_request
@@ -98,16 +99,17 @@ class TestWorkerCrashRecovery:
             RunPolicy(retries=0, timeout_s=60.0), jobs=1
         )
         try:
-            outcome = asyncio.run(
-                pool.supervise(
-                    parse_request("map", {"workload": "PV", "dim": 4})
+            with pytest.raises(ExperimentError) as excinfo:
+                asyncio.run(
+                    pool.run(
+                        parse_request("map", {"workload": "PV", "dim": 4})
+                    )
                 )
-            )
         finally:
             pool.shutdown()
         assert CRASH_EXIT_CODE == 23
-        assert outcome.status == "failed"
-        assert outcome.error == (
+        assert str(excinfo.value) == (
+            "map:PV@4 failed after 1 attempt(s):\n"
             "attempt 1: [failed] worker died without a result"
             f" (exitcode {CRASH_EXIT_CODE})"
         )
@@ -119,23 +121,23 @@ class TestHungWorkerReaping:
     ):
         """One injected 30s hang against a 1s timeout: the caller times
         out, retries block on the (single) wedged worker, and only the
-        reaper — at ``timeout_s * grace_factor`` after the task reached
-        the booted worker — frees the slot.  The request still succeeds,
-        which *proves* the reap happened on schedule (un-reaped, every
-        retry would starve and the 30s hang would blow the elapsed
-        bound).  Worker boots are not charged to either clock, so a slow
-        spawn on a loaded host does not add reaps."""
+        reaper — at ``timeout_s * DEFAULT_GRACE_FACTOR`` (patched to 1.5)
+        after the task reached the booted worker — frees the slot.  The
+        request still succeeds, which *proves* the reap happened on
+        schedule (un-reaped, every retry would starve and the 30s hang
+        would blow the elapsed bound).  Worker boots are not charged to
+        either clock, so a slow spawn on a loaded host does not add
+        reaps."""
         monkeypatch.setenv(
             "REPRO_CHAOS", "worker_hang=1@1,hang_s=30,seed=1"
         )
         monkeypatch.setenv("REPRO_CHAOS_STATE", str(tmp_path / "chaos"))
+        monkeypatch.setattr("repro.serve.pool.DEFAULT_GRACE_FACTOR", 1.5)
         reset_chaos_handles()
         reaps = REGISTRY.counter("pool.worker_reaps")
         reaps_before = reaps.value
         pool = WorkerPool(
-            RunPolicy(retries=4, backoff_s=0.05, timeout_s=1.0),
-            jobs=1,
-            grace_factor=1.5,
+            RunPolicy(retries=4, backoff_s=0.05, timeout_s=1.0), jobs=1
         )
         try:
             import asyncio

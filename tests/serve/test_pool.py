@@ -8,7 +8,7 @@ import pytest
 
 from repro.cache import ResultCache
 from repro.errors import ExperimentError
-from repro.experiments.runner import RunPolicy
+from repro.experiments.records import RunPolicy
 from repro.obs.metrics import REGISTRY
 from repro.serve.pool import WorkerPool
 from repro.serve.schemas import parse_request
@@ -38,14 +38,6 @@ class TestWorkerPool:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ExperimentError, match="jobs must be >= 0"):
             WorkerPool(jobs=-1)
-
-    @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), float("-inf"), 0.5]
-    )
-    def test_bad_grace_factor_rejected(self, value):
-        # A NaN deadline would keep the reaper looping without an await.
-        with pytest.raises(ExperimentError, match="grace_factor"):
-            WorkerPool(RunPolicy(timeout_s=5.0), jobs=0, grace_factor=value)
 
     def test_inline_success_returns_envelope(self, inline_pool):
         from repro.dataflow import clear_mapping_cache
@@ -112,8 +104,7 @@ class TestWorkerPool:
         """While one request sits in backoff, others are served.
 
         The failing request retries after 0.3 s; the fast request must
-        complete during that window, not after it — the serve-side
-        mirror of the runner's deadline-scheduled retries.
+        complete during that window, not after it.
         """
         calls = []
 
@@ -163,8 +154,9 @@ class TestSupervision:
     def test_hung_inline_worker_reaped_and_replaced(
         self, inline_pool, monkeypatch
     ):
-        """A wedged inline worker is abandoned within ``grace_factor *
-        timeout_s`` and a fresh thread takes over its slot — the
+        """A wedged inline worker is abandoned within
+        ``DEFAULT_GRACE_FACTOR * timeout_s`` and a fresh thread takes
+        over its slot — the
         ``jobs=0`` wedging fix.  Its eventual result is dropped as late,
         never delivered."""
         release = threading.Event()
@@ -188,7 +180,7 @@ class TestSupervision:
             with pytest.raises(ExperimentError, match=r"\[timeout\]"):
                 await pool.run(MAP_PV)
             # The worker is still wedged; the reaper fires at
-            # timeout_s * grace_factor = 0.2 s after dispatch.
+            # timeout_s * DEFAULT_GRACE_FACTOR = 0.2 s after dispatch.
             deadline = time.monotonic() + 2.0
             while reaps.value == reaps_before:
                 if time.monotonic() > deadline:
@@ -238,15 +230,14 @@ class TestBootNotCharged:
         assert timeouts.value == timeouts_before
         assert reaps.value == reaps_before
 
-    def test_spawn_boot_not_charged_to_the_timeout(self):
+    def test_spawn_boot_not_charged_to_the_timeout(self, monkeypatch):
         """A spawn worker's start (a process, the package import) takes
         far longer than this timeout; the map it then runs does not."""
+        monkeypatch.setattr("repro.serve.pool.DEFAULT_GRACE_FACTOR", 1.0)
         timeouts = REGISTRY.counter("pool.timeouts", kind="map")
         reaps = REGISTRY.counter("pool.worker_reaps")
         timeouts_before, reaps_before = timeouts.value, reaps.value
-        pool = WorkerPool(
-            RunPolicy(retries=0, timeout_s=0.2), jobs=1, grace_factor=1.0
-        )
+        pool = WorkerPool(RunPolicy(retries=0, timeout_s=0.2), jobs=1)
         try:
             envelope = run(pool.run(MAP_PV))
         finally:
@@ -354,52 +345,39 @@ class TestWorkerPreload:
         assert not any(envelope["asyncio"] for envelope in envelopes)
 
 
-def store_entries(root):
-    """Every published cache entry under ``root``, as relative paths."""
-    return sorted(
-        str(path.relative_to(root))
-        for _, path in ResultCache(root)._entry_files()
-    )
-
-
 class TestGracefulShutdown:
     def test_shutdown_lands_worker_cache_publishes(
-        self, serve_cache, tmp_path, monkeypatch
+        self, serve_cache, monkeypatch
     ):
-        """The experiment entry a spawn worker computed is on disk once
-        shutdown() returns, with no drain() in this process: the worker
-        writes it inside ``cache.put`` before it replies, and shutdown()
-        stops the idle worker with the sentinel rather than a SIGKILL.
-        Experiment workers are the only pool workers that publish."""
-        from repro.cache import active_cache, reset_cache_handles
-        from repro.experiments import run_experiment
-        from repro.experiments.runner import experiment_entry
+        """A write-behind entry a spawn worker queued is on disk once
+        shutdown() returns, with no drain() in this process: shutdown()
+        stops the idle worker with the sentinel rather than a SIGKILL, so
+        the worker's exit drains its flush queue.  The chaos ``slow_io``
+        point holds the worker's disk write past its reply."""
+        from repro.cache import hash_payload
+        from repro.chaos import reset_chaos_handles
         from repro.serve.schemas import ComputeRequest
+        from tests.serve.module_probe import publish_entry
 
+        monkeypatch.setenv("REPRO_CHAOS", "slow_io=1@1,slow_io_s=0.5")
+        reset_chaos_handles()
+        key = hash_payload("unit", {"n": 1})
         request = ComputeRequest(
-            "experiment", {"experiment_id": "table04"},
-            key="table04", label="table04",
+            "publish", {"key": key}, key=key, label="publish"
         )
         pool = WorkerPool(
             RunPolicy(retries=0, timeout_s=120.0), jobs=1,
-            entry=experiment_entry,
+            entry=publish_entry,
         )
         try:
             run(pool.run(request))
         finally:
             pool.shutdown()
-        published = store_entries(serve_cache)
-
-        # The same experiment in this process, drained, names every
-        # entry the computation writes.
-        reference = tmp_path / "reference"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(reference))
-        reset_cache_handles()
-        run_experiment("table04")
-        active_cache().drain()
-        expected = store_entries(reference)
-        assert expected, "the experiment should compute a cache entry"
-        assert published == expected
+        monkeypatch.delenv("REPRO_CHAOS")
+        reset_chaos_handles()
+        assert ResultCache(serve_cache).get("serve", key) == {
+            "kind": "publish"
+        }
 
     def test_shutdown_leaves_no_worker_alive(self):
         """Idle workers exit on the sentinel and are reaped before

@@ -148,6 +148,47 @@ class TestParseRequest:
         assert base.key == int_scale.key  # 1 and 1.0 coalesce
 
 
+#: One misspelled field per request kind, with the fields that kind reads.
+UNKNOWN_FIELDS = [
+    ("map", {"workload": "PV", "dims": [8]}, "dims",
+     "workload, network, dim"),
+    ("simulate", {"workload": "PV", "architecture": "tiling"},
+     "architecture", "workload, network, dim, arch"),
+    ("dse", {"workload": "PV", "dim": 8}, "dim", "workload, network, dims"),
+    ("dse_per_layer", {"workload": "PV", "dim": 8, "reconfig_cost": 0},
+     "reconfig_cost", "workload, network, dim, reconfig_scale"),
+]
+
+
+class TestUnknownFields:
+    """A misspelled field is a 400, never a 200 at the field's default."""
+
+    @pytest.mark.parametrize(
+        "kind, body, field, valid", UNKNOWN_FIELDS,
+        ids=[case[0] for case in UNKNOWN_FIELDS],
+    )
+    def test_unknown_field_rejected(self, kind, body, field, valid):
+        with pytest.raises(SpecificationError) as request:
+            parse_request(kind, body)
+        assert str(request.value) == (
+            f"unknown field {field!r} in a {kind} body; valid fields: {valid}"
+        )
+        points = [{"workload": "PV"}, {"kind": kind, **body}]
+        with pytest.raises(SpecificationError) as point:
+            parse_sweep({"points": points})
+        assert str(point.value) == (
+            f"points[1]: unknown field {field!r} in a {kind} point body;"
+            f" valid fields: {valid}, kind"
+        )
+
+    def test_sweep_body_takes_only_points(self):
+        with pytest.raises(SpecificationError) as excinfo:
+            parse_sweep({"points": [{"workload": "PV"}], "kind": "map"})
+        assert str(excinfo.value) == (
+            "unknown field 'kind' in a sweep body; valid fields: points"
+        )
+
+
 class TestParseSweep:
     def test_points_default_to_simulate(self):
         reqs = parse_sweep(

@@ -31,7 +31,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.cache import active_cache, reset_cache_handles
 from repro.dataflow import clear_mapping_cache
 from repro.experiments.common import ARCH_ORDER
-from repro.experiments.runner import RunPolicy
+from repro.experiments.records import RunPolicy
 from repro.kernels import active_kernels
 from repro.nn.layers import ConvLayer, FCLayer, InputSpec
 from repro.nn.netdesc import to_description

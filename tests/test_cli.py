@@ -109,8 +109,8 @@ class TestExperimentCommand:
         ],
     )
     def test_parallel_runner_flags_rejected(self, argv, capsys):
-        """Batches run in one process (or on one supervised worker):
-        the options that spread them over more are usage errors."""
+        """Batches run in one process: the options that spread them over
+        more are usage errors."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -200,35 +200,12 @@ class TestErrorPaths:
 
 
 class TestParallelExperiments:
-    """A supervised batch (one spawn worker, ``timeout_s``) returns what
-    the same batch returns in-process."""
-
-    def test_run_experiments_parallel_matches_serial(self):
-        from repro.experiments import RunPolicy, run_batch
-
-        ids = ["area", "table04"]
-        serial = run_batch(ids, RunPolicy())
-        supervised = run_batch(ids, RunPolicy(timeout_s=300))
-        assert all(o.ok for o in supervised)
-        assert [o.result.title for o in serial] == [
-            o.result.title for o in supervised
-        ]
-        assert [o.result.rows for o in serial] == [
-            o.result.rows for o in supervised
-        ]
-
     def test_run_experiments_rejects_unknown_ids(self):
         from repro.errors import ConfigurationError
-        from repro.experiments import RunPolicy, run_batch
+        from repro.experiments import run_batch
 
         with pytest.raises(ConfigurationError, match="unknown experiment"):
-            run_batch(["area", "nope"], RunPolicy(timeout_s=300))
-
-    def test_report_jobs_matches_serial(self):
-        from repro.experiments.report import generate_report
-
-        ids = ["area", "table04"]
-        assert generate_report(ids, timeout_s=300) == generate_report(ids)
+            run_batch(["area", "nope"])
 
 
 class TestFaultsCommand:
@@ -285,6 +262,19 @@ class TestResilienceFlags:
         assert exc.value.code == 2
         assert "--run-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["experiment", "report"])
+    @pytest.mark.parametrize("flag", ["--timeout", "--retries"])
+    def test_supervision_flags_are_usage_errors(self, capsys, command, flag):
+        """Every batch runs in this process: there is no per-experiment
+        timeout or retry to set."""
+        argv = [command, flag, "1"]
+        if command == "experiment":
+            argv.insert(1, "area")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     def test_experiment_resume_uses_the_store(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -294,38 +284,17 @@ class TestResilienceFlags:
         monkeypatch.setenv("REPRO_CACHE", "on")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
         reset_cache_handles()
-        argv = ["experiment", "table04", "--timeout", "300"]
+        argv = ["experiment", "table04"]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        # The second run reads the entry the first run's worker stored
-        # and starts no worker.
+        # The second run reads the entry the first run stored.
         reset_cache_handles()
         REGISTRY.reset()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
-        assert not any(
-            name.startswith("pool.") for name in REGISTRY.snapshot()
-        )
-
-    def test_experiment_invalid_timeout_rejected(self, capsys):
-        assert main(["experiment", "table04", "--timeout", "-5"]) == 1
-        assert "timeout_s must be positive" in capsys.readouterr().err
-
-    def test_experiment_nan_timeout_rejected_before_any_worker(
-        self, capsys, monkeypatch
-    ):
-        import multiprocessing
-
-        import repro.experiments as experiments
-
-        batches = []
-        monkeypatch.setattr(
-            experiments, "run_batch", lambda *args: batches.append(args) or []
-        )
-        assert main(["experiment", "table04", "--timeout", "nan"]) == 1
-        assert "timeout_s" in capsys.readouterr().err
-        assert batches == []
-        assert multiprocessing.active_children() == []
+        snapshot = REGISTRY.snapshot()
+        assert snapshot["cache.lookups{outcome=hit,section=experiment}"] == 1
+        assert "cache.writes{section=experiment}" not in snapshot
 
     @pytest.mark.parametrize(
         "flag, field",
@@ -389,7 +358,7 @@ class TestResilienceFlags:
         consecutive failures for 30 s, a reap at 2x the timeout and a
         drain of up to 10 s."""
         import repro.serve.app as app
-        from repro.serve import resilience
+        from repro.serve import pool, resilience
         from repro.serve.resilience import OverloadedError
 
         built = []
@@ -400,7 +369,7 @@ class TestResilienceFlags:
         monkeypatch.setattr(app, "run_app", capture)
         assert main(["serve", "--port", "0"]) == 0
         (served,) = built
-        assert served.pool.grace_factor == 2.0
+        assert pool.DEFAULT_GRACE_FACTOR == 2.0
         for _ in range(1024):
             served.resilience.enter("map")
         with pytest.raises(OverloadedError, match="budget 1024"):
@@ -410,22 +379,6 @@ class TestResilienceFlags:
         breaker = served.resilience.breaker("dse")
         assert (breaker.threshold, breaker.reset_s) == (5, 30.0)
         assert resilience.DRAIN_TIMEOUT_S == 10.0
-
-    def test_report_resilience_flags_parse(self):
-        # The full resilient report is exercised in
-        # tests/experiments/test_runner.py; here just the flag plumbing.
-        parser_error = False
-        try:
-            from repro.cli import _build_parser
-
-            args = _build_parser().parse_args(
-                ["report", "--timeout", "60", "--retries", "2"]
-            )
-        except SystemExit:
-            parser_error = True
-        assert not parser_error
-        assert args.timeout == 60.0
-        assert args.retries == 2
 
 
 class TestCacheCommand:

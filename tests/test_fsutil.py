@@ -1,4 +1,4 @@
-"""Fault-injection tests for :func:`repro.fsutil.atomic_write_text`.
+"""Fault-injection tests for :func:`repro.cache.store.atomic_write_text`.
 
 The invariant: either the destination holds exactly the new text, or the
 write failed, the destination is untouched, and — critically — no
@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.fsutil import atomic_write_text
+from repro.cache.store import atomic_write_text
 
 
 def tmp_litter(directory):
@@ -40,7 +40,7 @@ class TestHappyPath:
             seen.append(os.path.basename(str(src)))
             real_replace(src, dst)
 
-        monkeypatch.setattr("repro.fsutil.os.replace", recording_replace)
+        monkeypatch.setattr("repro.cache.store.os.replace", recording_replace)
         target = tmp_path / "out.json"
         atomic_write_text(target, "a")
         atomic_write_text(target, "b")
@@ -51,7 +51,7 @@ class TestFaultInjection:
     def test_replace_failure_leaves_no_tmp(self, tmp_path, monkeypatch):
         """A failing ``os.replace`` (vanished dir, EXDEV...) cleans up."""
         monkeypatch.setattr(
-            "repro.fsutil.os.replace",
+            "repro.cache.store.os.replace",
             lambda src, dst: (_ for _ in ()).throw(OSError("disk full")),
         )
         target = tmp_path / "out.json"
@@ -64,7 +64,7 @@ class TestFaultInjection:
         target = tmp_path / "out.json"
         atomic_write_text(target, "old")
         monkeypatch.setattr(
-            "repro.fsutil.os.replace",
+            "repro.cache.store.os.replace",
             lambda src, dst: (_ for _ in ()).throw(OSError("read-only fs")),
         )
         with pytest.raises(OSError):
@@ -80,7 +80,7 @@ class TestFaultInjection:
             real_write(fd, data[: len(data) // 2])  # partial!
             raise OSError("no space left on device")
 
-        monkeypatch.setattr("repro.fsutil.os.write", failing_write)
+        monkeypatch.setattr("repro.cache.store.os.write", failing_write)
         target = tmp_path / "out.json"
         with pytest.raises(OSError, match="no space left"):
             atomic_write_text(target, "data-that-does-not-fit")
