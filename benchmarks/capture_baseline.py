@@ -14,8 +14,8 @@ gives future changes a perf trajectory to compare against.  Two configurations a
   experiment actually sees.
 
 A third section, ``sim_engine``, times the FlexFlow functional
-simulator's two paths on a representative layer, the tile engine
-against the per-PE loop (run with the tile engine's table bound at 0),
+simulator on a representative layer against the literal per-PE machine
+it is proven equal to (``FlexFlowPerPELoop`` in ``tests/sim_oracle.py``),
 since ``repro run`` / full-inference examples are bound by it rather
 than by the mapper.  ``sweep`` times the full ``generate_report``
 pipeline with the persistent result cache off / cold (empty store) /
@@ -71,7 +71,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -79,7 +78,7 @@ from repro.arch import ArchConfig
 from repro.dataflow import clear_mapping_cache
 from repro.experiments import headline_claims
 from repro.nn import ConvLayer, make_inputs, make_kernels
-from repro.sim import FlexFlowFunctionalSim, TileEngine
+from repro.sim import FlexFlowFunctionalSim
 
 #: Layer used for the engine micro-benchmark: LeNet-5 C3 scale.
 ENGINE_LAYER = ConvLayer("bench", in_maps=6, out_maps=16, out_size=10, kernel=5)
@@ -103,33 +102,38 @@ def _summary(samples: list) -> dict:
     }
 
 
-def _engine_times(layer: ConvLayer, rounds: int) -> dict:
-    """``{"tile", "reference"} -> summary`` for one FlexFlow layer run.
+def _per_pe_machine():
+    """The FlexFlow simulator on the per-PE machine of ``tests/sim_oracle.py``."""
+    repo = str(Path(__file__).resolve().parent.parent)
+    if repo not in sys.path:
+        sys.path.insert(0, repo)
+    from tests.sim_oracle import FlexFlowPerPELoop
 
-    The layer picks the tile engine; with the tile engine's table bound
-    at 0 it runs on the per-PE reference loop instead.
-    """
+    return FlexFlowPerPELoop
+
+
+def _engine_times(layer: ConvLayer, rounds: int) -> dict:
+    """``{"tile", "reference"} -> summary`` for one FlexFlow layer run:
+    the simulator's tile engine, and the per-PE machine it is proven
+    equal to."""
     inputs = make_inputs(layer)
     kernels = make_kernels(layer)
-    sim = FlexFlowFunctionalSim(ArchConfig(array_dim=16))
-    paths = {
-        "tile": contextlib.nullcontext,
-        "reference": lambda: mock.patch.object(
-            TileEngine, "MAX_TABLE_BYTES", 0
-        ),
+    config = ArchConfig(array_dim=16)
+    sims = {
+        "tile": FlexFlowFunctionalSim(config),
+        "reference": _per_pe_machine()(config),
     }
-
-    def run_layer():
-        sim.run_layer(layer, inputs, kernels)
-
     times = {}
-    for name, path in paths.items():
-        with path():
-            # Warm up once (allocator/numpy amortized setup), then take
-            # the min over several rounds — the stable statistic for
-            # short micro-benchmarks.
-            run_layer()
-            times[name] = _summary(_time(run_layer, rounds))
+    for name, sim in sims.items():
+
+        def run_layer():
+            sim.run_layer(layer, inputs, kernels)
+
+        # Warm up once (allocator/numpy amortized setup), then take the
+        # min over several rounds — the stable statistic for short
+        # micro-benchmarks.
+        run_layer()
+        times[name] = _summary(_time(run_layer, rounds))
     return times
 
 

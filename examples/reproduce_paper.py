@@ -11,23 +11,23 @@ Usage::
 
     python examples/reproduce_paper.py [experiment_id ...]
 
-With no arguments, all experiments run in the paper's order.
+With no arguments, all experiments run in the paper's order.  An unknown
+or repeated id stops the run before any experiment starts.
 """
 
 import sys
 
-from repro.experiments import ALL_EXPERIMENTS, run_experiment
+from repro.errors import ConfigurationError
+from repro.experiments import ALL_EXPERIMENTS, run_batch
 
 
 def main() -> None:
     requested = sys.argv[1:] or list(ALL_EXPERIMENTS)
-    unknown = [eid for eid in requested if eid not in ALL_EXPERIMENTS]
-    if unknown:
-        raise SystemExit(
-            f"unknown experiment ids {unknown}; known: {', '.join(ALL_EXPERIMENTS)}"
-        )
-    for eid in requested:
-        result = run_experiment(eid)
+    try:
+        results = run_batch(requested)
+    except ConfigurationError as exc:  # an unknown or repeated id
+        raise SystemExit(f"error: {exc}") from None
+    for result in results:
         print(result.format_table())
         print()
 

@@ -185,9 +185,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         "repro_flexflow_store_sums": (None, [i64] + [ptr] * 12),
         "repro_surviving_structures": (i64, [ptr, i64, i64, i64]),
         "repro_store_replay": (
-            None, [ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr],
+            i64, [ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr],
         ),
-        "repro_flexflow_group": (i64, [ptr] * 13),
+        "repro_flexflow_group": (i64, [ptr] * 14),
         "repro_systolic_layer": (i64, [ptr] * 6),
         "repro_mapping2d_layer": (i64, [ptr] * 7),
         "repro_tiling_layer": (i64, [ptr] * 5),
@@ -201,6 +201,29 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 def _i64(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.int64)
+
+
+#: The C store index keeps 32-bit coordinates.
+_COORD_LIMIT = 2**32
+
+
+def _check_rings(stores) -> None:
+    """A :class:`~repro.kernels.replay.StoreRings` whose arrays the C
+    loop may index: contiguous ``int64``, each ring where its offset
+    says, every capacity at least 1."""
+    arrays = (stores.ring, stores.offset, stores.counts, stores.capacity)
+    for arr in arrays:
+        if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+            raise ValueError("store rings must be contiguous int64 arrays")
+    capacity = stores.capacity
+    if (
+        capacity.min(initial=1) < 1
+        or stores.offset.shape != capacity.shape
+        or stores.counts.shape != capacity.shape
+        or not np.array_equal(stores.offset, np.cumsum(capacity) - capacity)
+        or stores.ring.size != capacity.sum()
+    ):
+        raise ValueError("store rings do not match their capacities")
 
 
 def _layer_operands(
@@ -336,41 +359,35 @@ class CExtKernels:
 
     def store_replay(
         self,
-        table: np.ndarray,
-        counts: np.ndarray,
-        capacity: np.ndarray,
+        stores,
         coords: np.ndarray,
         active: np.ndarray,
         tile_len: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(miss, seq)`` of one access stream; see ``repro_store_replay``.
 
-        ``table`` and ``counts`` are updated in place, so they must already
-        be contiguous ``int64``.  The plain loop needs no tile structure;
-        ``tile_len`` is accepted for signature parity with NumPy.
+        ``stores`` is a :class:`~repro.kernels.replay.StoreRings`, updated
+        in place.  The plain loop needs no tile structure; ``tile_len`` is
+        accepted for signature parity with NumPy.
         """
-        for name, arr in (("table", table), ("counts", counts)):
-            if arr.dtype != np.int64 or not arr.flags.c_contiguous:
-                raise ValueError(f"{name} must be a contiguous int64 array")
-        capacity = _i64(capacity)
+        _check_rings(stores)
         coords = _i64(coords)
         active = np.ascontiguousarray(active, dtype=bool)
-        steps, stores = coords.shape
-        if (
-            active.shape != coords.shape
-            or counts.shape != (stores,)
-            or capacity.shape != (stores,)
-        ):
+        steps, n_stores = coords.shape
+        if active.shape != coords.shape or len(stores.counts) != n_stores:
             raise ValueError("store_replay: mismatched stream shapes")
-        if coords.size and (coords.min() < 0 or coords.max() >= table.size):
-            raise ValueError("store_replay: coordinate outside the table")
-        miss = np.empty((steps, stores), dtype=bool)
-        seq = np.empty((steps, stores), dtype=np.int64)
-        self._lib.repro_store_replay(
-            table.ctypes.data, counts.ctypes.data, capacity.ctypes.data,
-            coords.ctypes.data, active.ctypes.data, steps, stores,
+        if coords.size and (coords.min() < 0 or coords.max() >= _COORD_LIMIT):
+            raise ValueError("store_replay: coordinate outside [0, 2**32)")
+        miss = np.empty((steps, n_stores), dtype=bool)
+        seq = np.empty((steps, n_stores), dtype=np.int64)
+        status = self._lib.repro_store_replay(
+            stores.ring.ctypes.data, stores.offset.ctypes.data,
+            stores.counts.ctypes.data, stores.capacity.ctypes.data,
+            coords.ctypes.data, active.ctypes.data, steps, n_stores,
             miss.ctypes.data, seq.ctypes.data,
         )
+        if status < 0:
+            raise MemoryError("store_replay: out of scratch memory")
         return miss, seq
 
     def flexflow_group(
@@ -387,9 +404,7 @@ class CExtKernels:
         col_ok: np.ndarray,
         neuron_base: np.ndarray,
         kernel_base: np.ndarray,
-        table: np.ndarray,
-        counts: np.ndarray,
-        capacity: Sequence[int],
+        stores,
         outputs: np.ndarray,
     ) -> Dict[str, int]:
         """Run one output-map tile group; see ``repro_flexflow_group``.
@@ -398,37 +413,36 @@ class CExtKernels:
         ``float64``.  ``row_offsets`` holds each PE row's ``(dm, dr, dc)``,
         ``origins`` each spatial tile's ``(r0, c0)``; ``col_ok``,
         ``neuron_base`` and ``kernel_base`` are ``(steps, cols)``.
-        ``table`` (0 = never pushed), ``counts`` and ``outputs`` are
-        updated in place.  Returns the group's counter deltas by
+        ``stores`` (a :class:`~repro.kernels.replay.StoreRings` of every
+        PE's neuron store, then every PE's kernel store) and ``outputs``
+        are updated in place.  Returns the group's counter deltas by
         :class:`~repro.sim.trace.SimTrace` field name.
         """
         for name, arr, dtype in (
             ("padded", padded, np.float64),
             ("kernels", kernels, np.float64),
-            ("table", table, np.int64),
-            ("counts", counts, np.int64),
             ("outputs", outputs, np.float64),
         ):
             if arr.dtype != dtype or not arr.flags.c_contiguous:
                 raise ValueError(
                     f"{name} must be a contiguous {dtype.__name__} array"
                 )
+        _check_rings(stores)
         row_offsets, origins = _i64(row_offsets), _i64(origins)
         neuron_base, kernel_base = _i64(neuron_base), _i64(kernel_base)
         col_ok = np.ascontiguousarray(col_ok, dtype=bool)
-        capacity = _i64(capacity)
         m_total, padded_size = kernels.shape[0], padded.shape[1]
         rows, cols = len(row_offsets), col_ok.shape[1]
         kernel_m = kernels[0].size
+        if max(padded.size, kernels.size) > _COORD_LIMIT:
+            raise ValueError("flexflow_group: operands past 2**32 words")
         if (
             row_offsets.shape != (rows, 3)
             or origins.shape[1:] != (2,)
             or neuron_base.shape != col_ok.shape
             or kernel_base.shape != col_ok.shape
             or rows % rows_per_map
-            or table.size != rows * cols * (padded.size + kernels.size)
-            or counts.shape != (2 * rows * cols,)
-            or capacity.shape != (2,)
+            or stores.counts.shape != (2 * rows * cols,)
             or outputs.size != m_total * out_size * out_size
         ):
             raise ValueError("flexflow_group: mismatched operand shapes")
@@ -445,15 +459,15 @@ class CExtKernels:
             raise ValueError("flexflow_group: coordinate outside the operands")
         geom = _i64([
             m0, m_total, out_size, stride, padded_size, rows, cols,
-            col_ok.shape[0], len(origins), rows_per_map, padded.size,
-            kernels.size, kernel_m,
+            col_ok.shape[0], len(origins), rows_per_map, kernel_m,
         ])
         counters = np.empty(len(FLEXFLOW_GROUP_COUNTERS), dtype=np.int64)
         status = self._lib.repro_flexflow_group(
             padded.ctypes.data, kernels.ctypes.data, geom.ctypes.data,
             row_offsets.ctypes.data, origins.ctypes.data, col_ok.ctypes.data,
             neuron_base.ctypes.data, kernel_base.ctypes.data,
-            table.ctypes.data, counts.ctypes.data, capacity.ctypes.data,
+            stores.ring.ctypes.data, stores.offset.ctypes.data,
+            stores.counts.ctypes.data, stores.capacity.ctypes.data,
             outputs.ctypes.data, counters.ctypes.data,
         )
         if status < 0:

@@ -30,7 +30,8 @@ stay **bit-identical** to it (pinned by ``tests/kernels/test_parity.py``):
   ``repro.faults.impact`` (reshape + any + sum).
 * ``repro_store_replay`` — the demand-fill replay of circular local
   stores behind ``repro.kernels.replay.store_replay``: a plain loop over
-  the access stream in order, equal to the NumPy per-tile fixed point.
+  the access stream in order against each store's ring of its last
+  pushes, equal to the NumPy per-tile fixed point.
 * ``repro_flexflow_group`` — one output-map tile group of
   ``repro.sim.tile_engine.TileEngine`` without transient faults: the
   same store replay, bus counts, adder trees and accumulators as the
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 #: Bumped when the ABI (function names/signatures) changes incompatibly;
 #: folded into the build hash alongside the source text.
-KERNELS_C_ABI = 5
+KERNELS_C_ABI = 6
 
 KERNELS_C_SOURCE = r"""
 #include <stdint.h>
@@ -532,55 +533,203 @@ i64 repro_surviving_structures(const unsigned char *flags, i64 n_flags,
     return alive;
 }
 
-/* Demand-fill replay of circular local stores over `steps` x `stores`
- * accesses in row-major (access) order.  Store `s` holds `capacity[s]`
- * words and has pushed `counts[s]` times; `table[coords[k]]` is the
- * 1-based push that last wrote the word access `k` touches.  A word is
- * resident iff fewer than `capacity` pushes happened since its own last
- * push; a miss pushes it.  `seq[k]` is the push the read sees (its own on
- * a miss); inactive accesses touch nothing and read 0. */
-void repro_store_replay(i64 *table, i64 *counts, const i64 *capacity,
-                        const i64 *coords, const unsigned char *active,
-                        i64 steps, i64 stores, unsigned char *miss,
-                        i64 *seq) {
-    for (i64 t = 0; t < steps; t++) {
-        for (i64 s = 0; s < stores; s++) {
+/* Residency of circular local stores.  Store `s` holds `capacity[s]`
+ * words and has pushed `counts[s]` times; its ring, `ring + offset[s]`,
+ * keeps the coordinate each of its last `capacity[s]` pushes wrote,
+ * push p in slot (p - 1) % capacity[s], -1 in a slot never written.  A
+ * word is resident iff it is in its store's ring, and a miss pushes it
+ * over the oldest slot.  The rings and counts are the whole state.
+ * Stores never interact, so the kernels below replay one store at a
+ * time: `store_open` indexes its ring in an open-addressed table of
+ * resident coordinates and their pushes (linear probing, at most a
+ * quarter full).  One scratch table serves every store: an entry holds
+ * its store's tag above a 32-bit coordinate, so opening the next store
+ * takes a fresh tag instead of clearing the table.  A read is O(1), and
+ * the table stays in cache while the store replays. */
+typedef struct {
+    uint64_t *entry;  /* (tag << 32) | coordinate; another tag = empty */
+    i64 *push;        /* the push that wrote each entry's coordinate */
+    i64 size;         /* entries */
+    uint64_t tag;     /* the open store's tag */
+} scratch_t;
+
+typedef struct {
+    i64 *ring, *count;
+    i64 cap, head, mask;
+    uint64_t *entry, tag;
+    i64 *push;
+} store_t;
+
+/* Entries in the scratch table of a store of `cap` words. */
+static i64 store_index_size(i64 cap) {
+    i64 size = 2;
+    while (size < 4 * cap) size *= 2;
+    return size;
+}
+
+/* A scratch table for the largest of `stores` stores; 0, or -3 when out
+ * of memory. */
+static i64 scratch_open(scratch_t *sc, const i64 *capacity, i64 stores) {
+    sc->size = 2;
+    for (i64 s = 0; s < stores; s++) {
+        i64 need = store_index_size(capacity[s]);
+        if (need > sc->size) sc->size = need;
+    }
+    sc->entry = calloc((size_t)sc->size, sizeof(uint64_t));
+    sc->push = malloc(sizeof(i64) * (size_t)sc->size);
+    sc->tag = 0;
+    return sc->entry && sc->push ? 0 : -3;
+}
+
+static void scratch_close(scratch_t *sc) {
+    free(sc->entry);
+    free(sc->push);
+}
+
+static i64 store_home(const store_t *st, i64 coord) {
+    return (i64)(((uint64_t)coord * 0x9E3779B97F4A7C15ULL) >> 32)
+           & st->mask;
+}
+
+static int store_held(const store_t *st, i64 h) {
+    return st->entry[h] >> 32 == st->tag;
+}
+
+static void store_index_put(store_t *st, i64 coord, i64 push) {
+    i64 h = store_home(st, coord);
+    while (store_held(st, h)) h = (h + 1) & st->mask;
+    st->entry[h] = st->tag << 32 | (uint64_t)coord;
+    st->push[h] = push;
+}
+
+/* Drops `coord` from the index, shifting later entries of its probe run
+ * back into the hole so every lookup still reaches them. */
+static void store_index_drop(store_t *st, i64 coord) {
+    uint64_t want = st->tag << 32 | (uint64_t)coord;
+    i64 mask = st->mask, hole = store_home(st, coord);
+    while (st->entry[hole] != want) hole = (hole + 1) & mask;
+    for (i64 next = (hole + 1) & mask; store_held(st, next);
+         next = (next + 1) & mask) {
+        i64 home = store_home(st, (i64)(st->entry[next] & 0xFFFFFFFFULL));
+        if (((next - home) & mask) >= ((next - hole) & mask)) {
+            st->entry[hole] = st->entry[next];
+            st->push[hole] = st->push[next];
+            hole = next;
+        }
+    }
+    st->entry[hole] = 0;
+}
+
+/* Store `s` of the rings, indexed in the scratch table. */
+static void store_open(store_t *st, i64 *ring, const i64 *offset,
+                       i64 *counts, const i64 *capacity, i64 s,
+                       scratch_t *sc) {
+    if (++sc->tag >> 31) {  /* tags run out: empty the table, restart */
+        for (i64 h = 0; h < sc->size; h++) sc->entry[h] = 0;
+        sc->tag = 1;
+    }
+    st->ring = ring + offset[s];
+    st->count = counts + s;
+    st->cap = capacity[s];
+    st->head = *st->count % st->cap;
+    st->mask = store_index_size(st->cap) - 1;
+    st->entry = sc->entry;
+    st->push = sc->push;
+    st->tag = sc->tag;
+    /* Oldest first: the head slot holds push count - cap + 1. */
+    i64 slot = st->head, push0 = *st->count - st->cap + 1;
+    for (i64 age = 0; age < st->cap; age++) {
+        if (st->ring[slot] >= 0) {
+            store_index_put(st, st->ring[slot], push0 + age);
+        }
+        slot = slot + 1 == st->cap ? 0 : slot + 1;
+    }
+}
+
+/* The index entry holding `coord`, or, when it is not resident, -1 -
+ * the empty entry that ends its probe run (where it would go). */
+static i64 store_find(const store_t *st, i64 coord) {
+    uint64_t want = st->tag << 32 | (uint64_t)coord;
+    i64 h = store_home(st, coord);
+    for (; store_held(st, h); h = (h + 1) & st->mask) {
+        if (st->entry[h] == want) return h;
+    }
+    return -1 - h;
+}
+
+/* Pushes `coord` over the oldest slot; `free` is the empty entry that
+ * store_find found for it.  Returns the push. */
+static i64 store_push(store_t *st, i64 coord, i64 free) {
+    i64 slot = st->head, push = ++*st->count;
+    st->head = slot + 1 == st->cap ? 0 : slot + 1;
+    st->entry[free] = st->tag << 32 | (uint64_t)coord;
+    st->push[free] = push;
+    if (st->ring[slot] >= 0) store_index_drop(st, st->ring[slot]);
+    st->ring[slot] = coord;
+    return push;
+}
+
+/* Reads `coord`, pushing it on a miss; returns 1 on a miss. */
+static int store_fill(store_t *st, i64 coord) {
+    i64 h = store_find(st, coord);
+    if (h >= 0) return 0;
+    store_push(st, coord, -1 - h);
+    return 1;
+}
+
+/* Demand-fill replay of circular local stores (see store_t) over `steps`
+ * x `stores` accesses, each store's in row (access) order: access `k`
+ * reads word `coords[k]` (non-negative) of store k % stores.  `seq[k]` is
+ * the push the read sees (its own on a miss); inactive accesses touch
+ * nothing and read 0.  Returns 0, or -3 when out of memory. */
+i64 repro_store_replay(i64 *ring, const i64 *offset, i64 *counts,
+                       const i64 *capacity, const i64 *coords,
+                       const unsigned char *active, i64 steps, i64 stores,
+                       unsigned char *miss, i64 *seq) {
+    scratch_t sc;
+    if (scratch_open(&sc, capacity, stores) != 0) {
+        scratch_close(&sc);
+        return -3;
+    }
+    store_t st;
+    for (i64 s = 0; s < stores; s++) {
+        store_open(&st, ring, offset, counts, capacity, s, &sc);
+        for (i64 t = 0; t < steps; t++) {
             i64 k = t * stores + s;
             miss[k] = 0;
             seq[k] = 0;
             if (!active[k]) continue;
-            i64 *word = table + coords[k];
-            if (counts[s] - *word >= capacity[s]) {
-                *word = ++counts[s];
-                miss[k] = 1;
-            }
-            seq[k] = *word;
+            i64 h = store_find(&st, coords[k]);
+            miss[k] = h < 0;
+            seq[k] = h < 0 ? store_push(&st, coords[k], -1 - h) : st.push[h];
         }
     }
+    scratch_close(&sc);
+    return 0;
 }
 
 /* One output-map tile group of a FlexFlow layer, end to end: the
  * TileEngine chunk loop of a run without transient faults, fused.
- * Spatial tiles run in reference order, each tile's inner cycles in
- * order.  Every cycle demand-fills both local stores of every active PE
- * against the shared last-push table, counts one bus word per RA/RS
- * sharing set that missed, sums each row's adder tree column by column
- * and adds the tree to the row's accumulator; a tile's finished rows
- * then land in `outputs`.  Table entries hold 1-based pushes and 0
- * means "never pushed", so the table may start as zeroed pages.
+ * Spatial tiles run in order, in chunks.  Per chunk, every active PE
+ * first demand-fills its two local stores (see store_t) over the chunk's
+ * tiles and inner cycles, one store at a time, flagging each (cycle,
+ * RA/RS sharing set) in which a store of the set missed: one bus word
+ * each.  A neuron word is shared by the rows that differ only in dm, a
+ * kernel word by the Tr*Tc rows of one output map.  Then, tile by tile
+ * and cycle by cycle, each row sums its adder tree column by column and
+ * adds the tree to the row's accumulator, and a tile's finished rows
+ * land in `outputs`.
  *
- * `geom` holds 13 ints: [0] m0  [1] out_maps  [2] out_size  [3] stride
+ * `geom` holds 11 ints: [0] m0  [1] out_maps  [2] out_size  [3] stride
  * [4] padded_size  [5] rows  [6] cols  [7] steps (inner cycles per tile)
- * [8] tiles  [9] rows per output map (Tr*Tc)  [10] neuron_space
- * [11] kernel_space  [12] N*K*K (kernel words per output map).
+ * [8] tiles  [9] rows per output map (Tr*Tc)  [10] N*K*K (kernel words
+ * per output map).
  * `row_off` is rows x 3 (dm, dr, dc); `origin` tiles x 2 (r0, c0);
  * `col_ok`, `neuron_base` and `kernel_base` are steps x cols: each
  * cycle's column validity and the tile-independent parts of the flat
- * data coordinates.  Store `pe` (row * cols + col) owns table slice
- * `pe * neuron_space` (neuron) and `rows * cols * neuron_space + pe *
- * kernel_space` (kernel); `counts` holds the neuron stores' push
- * counters, then the kernel stores'; `capacity` is (neuron words,
- * kernel words).  `counters` receives the group's deltas: cycles,
+ * data coordinates.  PE `pe` (row * cols + col) owns neuron store `pe`
+ * and kernel store `rows * cols + pe` of `ring`, `offset`, `counts` and
+ * `capacity`.  `counters` receives the group's deltas: cycles,
  * neuron_buffer_reads, kernel_buffer_reads, bus_transfers,
  * local_store_writes, mac_ops, local_store_reads, register_accesses,
  * neuron_buffer_writes.  Returns 0, or -3 when out of memory. */
@@ -588,90 +737,120 @@ i64 repro_flexflow_group(const double *padded, const double *kernels,
                          const i64 *geom, const i64 *row_off,
                          const i64 *origin, const unsigned char *col_ok,
                          const i64 *neuron_base, const i64 *kernel_base,
-                         i64 *table, i64 *counts, const i64 *capacity,
-                         double *outputs, i64 *counters) {
+                         i64 *ring, const i64 *offset, i64 *counts,
+                         const i64 *capacity, double *outputs,
+                         i64 *counters) {
     i64 m0 = geom[0], m_total = geom[1], s_total = geom[2];
     i64 stride = geom[3], psize = geom[4], rows = geom[5], cols = geom[6];
     i64 steps = geom[7], tiles = geom[8], per_map = geom[9];
-    i64 nspace = geom[10], kspace = geom[11], kernel_m = geom[12];
-    i64 n_pes = rows * cols;
-    i64 *kernel_table = table + n_pes * nspace;
-    i64 *kernel_counts = counts + n_pes;
-    i64 *row_ok = malloc(sizeof(i64) * (size_t)rows);
-    i64 *ntile = malloc(sizeof(i64) * (size_t)rows);
-    i64 *kmap = malloc(sizeof(i64) * (size_t)rows);
-    i64 *out_at = malloc(sizeof(i64) * (size_t)rows);
+    i64 kernel_m = geom[10];
+    i64 n_pes = rows * cols, maps = rows / per_map;
+    i64 words = 1;
+    for (i64 s = 0; s < 2 * n_pes; s++) {
+        if (capacity[s] > words) words = capacity[s];
+    }
+    /* Tiles per chunk: about eight store sizes of reads per store, so
+     * re-indexing a store costs little against its reads. */
+    i64 chunk = 8 * words / steps + 1;
+    if (chunk > tiles) chunk = tiles;
+    i64 cycles = chunk * steps;
+    scratch_t sc;
+    i64 status = scratch_open(&sc, capacity, 2 * n_pes);
+    /* Per tile of the chunk and row: validity, neuron tile offset,
+     * kernel map offset, output position. */
+    i64 *row_ok = malloc(sizeof(i64) * (size_t)(chunk * rows));
+    i64 *ntile = malloc(sizeof(i64) * (size_t)(chunk * rows));
+    i64 *kmap = malloc(sizeof(i64) * (size_t)(chunk * rows));
+    i64 *out_at = malloc(sizeof(i64) * (size_t)(chunk * rows));
     double *acc = malloc(sizeof(double) * (size_t)rows);
-    /* Bus-sharing stamps: the last cycle each sharing set drove a word.
-     * A neuron word is shared by the rows that differ only in dm, a
-     * kernel word by the Tr*Tc rows of one output map. */
-    i64 *nstamp = malloc(sizeof(i64) * (size_t)(per_map * cols));
-    i64 *kstamp = malloc(sizeof(i64) * (size_t)(rows / per_map * cols));
-    if (!row_ok || !ntile || !kmap || !out_at || !acc || !nstamp ||
-        !kstamp) {
+    /* Per sharing set, per cycle of the chunk: whether a store missed. */
+    unsigned char *nbus = malloc((size_t)(per_map * cols * cycles));
+    unsigned char *kbus = malloc((size_t)(maps * cols * cycles));
+    if (status != 0 || !row_ok || !ntile || !kmap || !out_at || !acc ||
+        !nbus || !kbus) {
+        scratch_close(&sc);
         free(row_ok); free(ntile); free(kmap); free(out_at); free(acc);
-        free(nstamp); free(kstamp);
+        free(nbus); free(kbus);
         return -3;
     }
-    for (i64 k = 0; k < per_map * cols; k++) nstamp[k] = -1;
-    for (i64 k = 0; k < rows / per_map * cols; k++) kstamp[k] = -1;
     i64 macs_per_row = 0;
     for (i64 k = 0; k < steps * cols; k++) macs_per_row += col_ok[k] != 0;
 
-    i64 cycle = 0, neuron_bus = 0, kernel_bus = 0, writes = 0;
-    i64 rows_done = 0;
-    for (i64 tile = 0; tile < tiles; tile++) {
-        i64 r0 = origin[tile * 2], c0 = origin[tile * 2 + 1];
-        for (i64 row = 0; row < rows; row++) {
-            i64 m = m0 + row_off[row * 3];
-            i64 r = r0 + row_off[row * 3 + 1];
-            i64 c = c0 + row_off[row * 3 + 2];
-            row_ok[row] = m < m_total && r < s_total && c < s_total;
-            if (!row_ok[row]) continue;
-            ntile[row] = r * stride * psize + c * stride;
-            kmap[row] = m * kernel_m;
-            out_at[row] = (m * s_total + r) * s_total + c;
-            acc[row] = 0.0;
-            rows_done++;
-        }
-        for (i64 t = 0; t < steps; t++, cycle++) {
+    i64 neuron_bus = 0, kernel_bus = 0, writes = 0, rows_done = 0;
+    store_t st;
+    for (i64 first = 0; first < tiles; first += chunk) {
+        i64 span = tiles - first < chunk ? tiles - first : chunk;
+        for (i64 b = 0; b < span; b++) {
+            i64 r0 = origin[(first + b) * 2];
+            i64 c0 = origin[(first + b) * 2 + 1];
             for (i64 row = 0; row < rows; row++) {
-                if (!row_ok[row]) continue;
-                i64 *nshare = nstamp + row % per_map * cols;
-                i64 *kshare = kstamp + row / per_map * cols;
-                double tree = 0.0;
-                for (i64 col = 0; col < cols; col++) {
-                    i64 k = t * cols + col;
-                    if (!col_ok[k]) continue;
-                    i64 pe = row * cols + col;
-                    i64 nd = neuron_base[k] + ntile[row];
-                    i64 *word = table + pe * nspace + nd;
-                    if (*word == 0 || counts[pe] - *word >= capacity[0]) {
-                        *word = ++counts[pe];
-                        writes++;
-                        if (nshare[col] != cycle) {
-                            nshare[col] = cycle;
-                            neuron_bus++;
-                        }
-                    }
-                    i64 kd = kernel_base[k] + kmap[row];
-                    word = kernel_table + pe * kspace + kd;
-                    if (*word == 0
-                        || kernel_counts[pe] - *word >= capacity[1]) {
-                        *word = ++kernel_counts[pe];
-                        writes++;
-                        if (kshare[col] != cycle) {
-                            kshare[col] = cycle;
-                            kernel_bus++;
-                        }
-                    }
-                    tree += padded[nd] * kernels[kd];
-                }
-                acc[row] += tree;
+                i64 at = b * rows + row;
+                i64 m = m0 + row_off[row * 3];
+                i64 r = r0 + row_off[row * 3 + 1];
+                i64 c = c0 + row_off[row * 3 + 2];
+                row_ok[at] = m < m_total && r < s_total && c < s_total;
+                ntile[at] = r * stride * psize + c * stride;
+                kmap[at] = m * kernel_m;
+                out_at[at] = (m * s_total + r) * s_total + c;
+                rows_done += row_ok[at] != 0;
             }
         }
-        for (i64 row = 0; row < rows; row++) {
-            if (row_ok[row]) outputs[out_at[row]] = acc[row];
+        /* Store fills, one store at a time over the whole chunk. */
+        for (i64 k = 0; k < per_map * cols * cycles; k++) nbus[k] = 0;
+        for (i64 k = 0; k < maps * cols * cycles; k++) kbus[k] = 0;
+        for (i64 pe = 0; pe < n_pes; pe++) {
+            i64 row = pe / cols, col = pe % cols;
+            unsigned char *nset = nbus + (row % per_map * cols + col) * cycles;
+            unsigned char *kset = kbus + (row / per_map * cols + col) * cycles;
+            store_open(&st, ring, offset, counts, capacity, pe, &sc);
+            for (i64 b = 0; b < span; b++) {
+                if (!row_ok[b * rows + row]) continue;
+                for (i64 t = 0; t < steps; t++) {
+                    i64 k = t * cols + col;
+                    if (col_ok[k] && store_fill(
+                            &st, neuron_base[k] + ntile[b * rows + row])) {
+                        writes++;
+                        nset[b * steps + t] = 1;
+                    }
+                }
+            }
+            store_open(&st, ring, offset, counts, capacity, n_pes + pe, &sc);
+            for (i64 b = 0; b < span; b++) {
+                if (!row_ok[b * rows + row]) continue;
+                for (i64 t = 0; t < steps; t++) {
+                    i64 k = t * cols + col;
+                    if (col_ok[k] && store_fill(
+                            &st, kernel_base[k] + kmap[b * rows + row])) {
+                        writes++;
+                        kset[b * steps + t] = 1;
+                    }
+                }
+            }
+        }
+        for (i64 k = 0; k < per_map * cols * cycles; k++) neuron_bus += nbus[k];
+        for (i64 k = 0; k < maps * cols * cycles; k++) kernel_bus += kbus[k];
+        /* Adder trees and accumulators, cycle by cycle. */
+        for (i64 b = 0; b < span; b++) {
+            const i64 *ok = row_ok + b * rows;
+            for (i64 row = 0; row < rows; row++) acc[row] = 0.0;
+            for (i64 t = 0; t < steps; t++) {
+                for (i64 row = 0; row < rows; row++) {
+                    if (!ok[row]) continue;
+                    i64 nd = ntile[b * rows + row];
+                    i64 kd = kmap[b * rows + row];
+                    double tree = 0.0;
+                    for (i64 col = 0; col < cols; col++) {
+                        i64 k = t * cols + col;
+                        if (!col_ok[k]) continue;
+                        tree += padded[neuron_base[k] + nd]
+                              * kernels[kernel_base[k] + kd];
+                    }
+                    acc[row] += tree;
+                }
+            }
+            for (i64 row = 0; row < rows; row++) {
+                if (ok[row]) outputs[out_at[b * rows + row]] = acc[row];
+            }
         }
     }
 
@@ -685,8 +864,9 @@ i64 repro_flexflow_group(const double *padded, const double *kernels,
     counters[6] = 2 * macs;
     counters[7] = 2 * steps * rows_done;
     counters[8] = rows_done;
+    scratch_close(&sc);
     free(row_ok); free(ntile); free(kmap); free(out_at); free(acc);
-    free(nstamp); free(kstamp);
+    free(nbus); free(kbus);
     return 0;
 }
 

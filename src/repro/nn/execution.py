@@ -20,24 +20,20 @@ import numpy as np
 from repro.errors import SpecificationError
 from repro.nn.layers import ConvLayer, FCLayer, JoinLayer, PoolLayer
 from repro.nn.network import Network
-from repro.nn.reference import run_conv_layer, run_fc_layer, run_pool_layer
+from repro.nn.reference import (
+    run_conv_layer,
+    run_fc_layer,
+    run_pool_layer,
+    synthetic_values,
+)
 
 
 def make_network_inputs(network: Network, *, seed_tag: Optional[str] = None) -> np.ndarray:
     """Deterministic input plane for a network."""
     spec = network.input_spec
-    tag = seed_tag or f"net:{network.name}:{spec.shape}"
-    rng = np.random.default_rng(abs(hash_stable(tag)) % (2**63))
-    return rng.standard_normal(spec.shape)
-
-
-def hash_stable(text: str) -> int:
-    """A process-stable string hash (builtin ``hash`` is salted)."""
-    value = 1469598103934665603  # FNV-1a 64-bit
-    for byte in text.encode("utf-8"):
-        value ^= byte
-        value = (value * 1099511628211) % (2**64)
-    return value
+    return synthetic_values(
+        seed_tag or f"net:{network.name}:{spec.shape}", spec.shape
+    )
 
 
 def run_join_layer(layer: JoinLayer, inputs: np.ndarray) -> np.ndarray:

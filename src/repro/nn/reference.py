@@ -150,32 +150,60 @@ def run_fc_layer(layer: FCLayer, inputs: np.ndarray) -> np.ndarray:
 
 # -- deterministic data generation ------------------------------------------
 
+#: SplitMix64's increment and output mixers.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
 
-def _rng_for(tag: str) -> np.random.Generator:
-    """A generator seeded from a stable hash of ``tag``.
 
-    Python's builtin ``hash`` is salted per process, so derive the seed from
-    the tag bytes instead — results must be reproducible across runs.
+def hash_stable(text: str) -> int:
+    """A process-stable 64-bit hash of all of ``text`` (FNV-1a; the
+    builtin ``hash`` is salted per process)."""
+    value = 1469598103934665603
+    for byte in text.encode("utf-8"):
+        value ^= byte
+        value = (value * 1099511628211) % (2**64)
+    return value
+
+
+def synthetic_values(tag: str, shape) -> np.ndarray:
+    """Deterministic ``float64`` values in ``[-1, 1)`` named by ``tag``.
+
+    Element ``i`` is SplitMix64's output for counter ``i + 1`` from the
+    seed ``hash_stable(tag)``, scaled from its top 53 bits, so every
+    value is a multiple of ``2**-52`` and (but for odds of ``2**-51``)
+    not an integer.  A counter-based hash needs no generator state and
+    no random-number module.
     """
-    seed = np.frombuffer(tag.encode("utf-8").ljust(8, b"\0")[:8], dtype=np.uint64)
-    return np.random.default_rng(int(seed[0]) % (2**63))
+    z = np.arange(1, int(np.prod(shape)) + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(hash_stable(tag))
+    for shift, factor in _MIX:
+        z ^= z >> np.uint64(shift)
+        z *= factor
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    values = z.astype(np.float64)
+    values *= 2.0**-52
+    values -= 1.0
+    return values.reshape(shape)
 
 
 def make_inputs(layer: ConvLayer, *, seed_tag: Optional[str] = None) -> np.ndarray:
     """Deterministic synthetic input feature maps for a CONV layer."""
-    rng = _rng_for(seed_tag or f"in:{layer.name}:{layer.input_shape}")
-    return rng.standard_normal(layer.input_shape).astype(np.float64)
+    return synthetic_values(
+        seed_tag or f"in:{layer.name}:{layer.input_shape}", layer.input_shape
+    )
 
 
 def make_kernels(layer: ConvLayer, *, seed_tag: Optional[str] = None) -> np.ndarray:
     """Deterministic synthetic kernels for a CONV layer."""
-    rng = _rng_for(seed_tag or f"k:{layer.name}:{layer.kernel_shape}")
-    return rng.standard_normal(layer.kernel_shape).astype(np.float64)
+    return synthetic_values(
+        seed_tag or f"k:{layer.name}:{layer.kernel_shape}", layer.kernel_shape
+    )
 
 
 def make_fc_weights(layer: FCLayer, *, seed_tag: Optional[str] = None) -> np.ndarray:
     """Deterministic synthetic weight matrix for an FC layer."""
-    rng = _rng_for(seed_tag or f"w:{layer.name}")
-    return rng.standard_normal((layer.out_neurons, layer.in_neurons)).astype(
-        np.float64
+    return synthetic_values(
+        seed_tag or f"w:{layer.name}", (layer.out_neurons, layer.in_neurons)
     )

@@ -20,7 +20,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "LayerBatch",
             "TraceBatch",
         ),
-        ".flexflow_sim": ("CoordStore", "FlexFlowFunctionalSim"),
+        ".flexflow_sim": ("FlexFlowFunctionalSim",),
         ".network_sim": ("FlexFlowNetworkSim", "NetworkSimResult"),
         ".mapping2d_sim": ("Mapping2DFunctionalSim",),
         ".pooling_sim": ("PoolingUnitSim",),

@@ -33,12 +33,13 @@ The two capacity-dependent quantities need more care:
   compressed state space: neuron coordinates carry no ``dm`` term, so the
   ``Tm * Tr * Tc`` PE rows collapse to ``Tr * Tc`` representative classes,
   and every output-map group presents the identical tile stream, so the
-  replay runs group-by-group until the store state (a capacity-clipped
-  push-slack signature) reaches its steady state and the remaining groups
-  are extrapolated exactly.  Each group's class streams go to the same
-  :func:`~repro.kernels.replay.store_replay` kernel as the tile
-  engine's chunk loop, in budgeted chunks of spatial tiles, and the
-  state tables are chunked to :data:`REPLAY_BUDGET_BYTES`.
+  replay runs group-by-group until the store state (which word each of
+  a store's last ``W`` pushes wrote) reaches its steady state and the
+  remaining groups are extrapolated exactly.  Each group's class streams
+  go to the same :func:`~repro.kernels.replay.store_replay` kernel as
+  the tile engine's chunk loop, in budgeted chunks of spatial tiles, and
+  the classes replay in chunks whose store rings fit
+  :data:`REPLAY_BUDGET_BYTES`.
 
 The three baseline dataflows (Systolic, 2D-Mapping, Tiling) have fully
 static schedules, so their traces are pure arithmetic.
@@ -56,12 +57,12 @@ import numpy as np
 from repro.dataflow.unrolling import UnrollingFactors, ceil_div
 from repro.errors import SpecificationError
 from repro.nn.layers import ConvLayer
-from repro.kernels.replay import NEVER, store_replay
+from repro.kernels.replay import StoreRings, store_replay
 from repro.sim.tile_engine import TileEngine
 from repro.sim.trace import SimTrace
 
-#: Memory budget for one neuron-replay state chunk (last-push table plus
-#: its signature copies).  Tests shrink this to force multi-chunk runs,
+#: Memory budget for one neuron-replay state chunk (store rings plus
+#: their signature copies).  Tests shrink this to force multi-chunk runs,
 #: which also shrinks the access-stream chunks to one spatial tile.
 REPLAY_BUDGET_BYTES = 64 * 1024 * 1024
 
@@ -179,14 +180,14 @@ def _neuron_store_replay(
     column misses") reduces to the representative's misses, and the store
     writes multiply by the group's valid ``dm`` count.  Groups present
     identical tile streams, so the group loop stops as soon as the
-    capacity-clipped state signature stops changing and the remaining
-    groups contribute the converged per-group miss count.
+    rings' signature (which word each of the last ``W`` pushes wrote)
+    stops changing, and the remaining groups contribute the converged
+    per-group miss count.
     """
     m_total, n_total = layer.out_maps, layer.in_maps
     s_total, k_total = layer.out_size, layer.kernel
     stride = layer.stride
     padded_size = layer.in_size + layer.padding
-    neuron_space = n_total * padded_size * padded_size
     n_groups = ceil_div(m_total, f.tm)
     group_sizes = np.minimum(f.tm, m_total - f.tm * np.arange(n_groups))
 
@@ -210,8 +211,9 @@ def _neuron_store_replay(
     n_cols = col_ok.shape[1]
     n_classes = n_rc * n_cols
     n_steps = len(steps)
-    # Four state-sized arrays live at once (table, two signatures, coords).
-    chunk = max(1, REPLAY_BUDGET_BYTES // (4 * 8 * neuron_space))
+    # Four ring-sized arrays live at once (rings, two signatures, their
+    # slot ages).
+    chunk = max(1, REPLAY_BUDGET_BYTES // (4 * 8 * capacity))
     # Spatial tile origins (r0, c0) in reference loop order.
     r0, c0 = np.divmod(
         np.arange(ceil_div(s_total, f.tr) * ceil_div(s_total, f.tc)),
@@ -225,11 +227,9 @@ def _neuron_store_replay(
         cls = np.arange(start, min(start + chunk, n_classes))
         rc_i, c_i = np.divmod(cls, n_cols)
         n_cls = len(cls)
-        # One store per class, each owning a slice of one last-push table.
-        last_push = np.full(n_cls * neuron_space, NEVER)
-        count = np.zeros(n_cls, dtype=np.int64)
-        capacities = np.full(n_cls, capacity)
-        coords_base = base_tc[:, c_i] + np.arange(n_cls) * neuron_space
+        # One store per class.
+        stores = StoreRings(np.full(n_cls, capacity))
+        coords_base = base_tc[:, c_i]
         act_cols = col_ok[:, c_i]  # (T, n_cls)
         cls_dr, cls_dc = dr[rc_i], dc[rc_i]
         # Spatial tiles per replay call: a stream chunk of (tiles * T,
@@ -252,19 +252,21 @@ def _neuron_store_replay(
                     active, coords_base[None, :, :] + offset[:, None, :], 0
                 )
                 miss, _ = store_replay(
-                    last_push, count, capacities,
-                    coords.reshape(-1, n_cls), active.reshape(-1, n_cls),
-                    n_steps,
+                    stores, coords.reshape(-1, n_cls),
+                    active.reshape(-1, n_cls), n_steps,
                 )
                 misses += int(np.count_nonzero(miss))
             return misses
 
+        ages = np.arange(capacity)
+
         def signature() -> np.ndarray:
-            # Push slacks clipped at the capacity: slacks >= capacity all
-            # mean "not resident", so clipping makes the signature a
-            # sufficient statistic for all future behaviour.
-            slack = count[:, None] - last_push.reshape(n_cls, neuron_space)
-            return np.minimum(slack, capacity)
+            # Each ring read from its latest push back: which word every
+            # push of the last W wrote.  Older pushes mean "not resident",
+            # so this is a sufficient statistic for all future behaviour.
+            slots = (stores.counts[:, None] - 1 - ages) % capacity
+            rings = stores.ring.reshape(n_cls, capacity)
+            return np.take_along_axis(rings, slots, axis=1)
 
         sig_prev = signature()
         m_hist: List[int] = []

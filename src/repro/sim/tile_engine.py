@@ -1,60 +1,57 @@
-"""Fast path for the FlexFlow functional simulator.
+"""The FlexFlow functional simulator's PE array.
 
-:class:`TileEngine` executes the same computation as the per-PE reference
-loop in :mod:`repro.sim.flexflow_sim` — one unrolled tile per cycle, RA/RS
-broadcast sharing, capacity-limited circular local stores — one
-output-map group at a time, on one of two paths:
+:class:`TileEngine` executes a CONV layer on the FlexFlow array — one
+unrolled tile per cycle, RA/RS broadcast sharing, capacity-limited
+circular local stores — one output-map group at a time, on one of two
+paths:
 
 * **one compiled call per group** whenever the C kernel suite is loaded
   and the run has no transient bit flips: ``repro_flexflow_group``
   (:meth:`~repro.kernels.cext.CExtKernels.flexflow_group`) runs every
-  spatial tile and inner cycle of the group in reference order, with the
-  store fills, bus counts, adder trees and accumulators below, and
-  returns the group's counter deltas;
+  spatial tile and inner cycle of the group in order, with the store
+  fills, bus counts, adder trees and accumulators below, and returns the
+  group's counter deltas;
 * **the NumPy chunk loop** otherwise (the ``numpy`` backend, and every
   bit-flip run): a *chunk* of the group's output tiles per step, every
   tile's ``f_in`` inner cycles on every PE as whole-array passes.
 
-Either path is an executable replacement, not an approximation, and
-``tests/kernels/test_parity.py`` pins the two against each other group by
-group:
+Both paths are exact, and ``tests/kernels/test_parity.py`` pins them
+against each other group by group; ``tests/sim_oracle.py`` keeps the
+literal per-PE machine (one store object per PE, explicit bus sets per
+cycle) that both are proven against:
 
 * **outputs** are bit-identical: within each cycle the adder-tree sum is
   accumulated column by column in PE-column order, and the per-row
   accumulator adds one tree sum per cycle in cycle order — the exact
-  float-addition sequence of the reference loop;
+  float-addition sequence of the per-PE machine;
 * **cycle count** is asserted equal to ``factors.outer_iterations(layer)``
   (the Section 4.2 one-tile-per-cycle invariant);
 * **traffic counters** (buffer reads, bus transfers, local-store
   reads/writes) are exact, including capacity evictions of the per-PE
   circular stores.
 
-**The last-push table.**  Both local stores of every PE share one
-last-push table with one store axis: PE ``p``'s neuron store is store
-``p``, its kernel store is store ``R*C + p``, and each owns a contiguous
-slice of the table.  The compiled kernel reads 0 as "never pushed"
-(pushes are 1-based), so its table starts as zeroed pages that the OS
-maps on first touch.  In the chunk loop, a chunk's whole access stream —
-``(tiles * f_in, 2 * R * C)`` coordinates in access order — demand-fills
-every store in one call to :func:`~repro.kernels.replay.store_replay`,
-which holds the residency rule (a compiled loop, or the NumPy per-tile
-fixed point); :data:`TileEngine.CHUNK_BYTES` of temporaries bound the
-tiles per chunk.
+**The local stores.**  Both local stores of every PE live in one
+:class:`~repro.kernels.replay.StoreRings` with one store axis: PE ``p``'s
+neuron store is store ``p``, its kernel store is store ``R*C + p``.  Each
+store keeps only the coordinates of its last ``W`` pushes, so the state
+is ``2 * active_PEs * W`` words whatever the layer's extents, and every
+Table 1 layer runs here.  In the chunk loop, a chunk's whole access
+stream — ``(tiles * f_in, 2 * R * C)`` coordinates in access order —
+demand-fills every store in one call to
+:func:`~repro.kernels.replay.store_replay`.  A chunk holds
+:data:`TileEngine.CHUNK_BYTES` of temporaries, or enough tiles to read
+every store about ``W`` times, whichever is more.
 
 **Transient faults.**  A store word holds what its last push wrote, so
 what a read sees is a pure function of the push it sees: the replay's
 read sequence (the read's own push on a miss, the word's last push on a
 hit).  The flip is :func:`~repro.faults.model.transient_flip` of the
-physical PE, the data coordinate and that sequence — the push-time
-corruption of :class:`~repro.sim.flexflow_sim.CoordStore` — keyed by a
-blake2b hash in Python, so bit-flip runs take the chunk loop and flips
-land on the gathered reads.
+physical PE, the data coordinate and that sequence — a push-time
+corruption — keyed by a blake2b hash in Python, so bit-flip runs take
+the chunk loop and flips land on the gathered reads.
 
-Memory for the last-push table is ``active_PEs x coordinate_space``; when
-that exceeds :data:`TileEngine.MAX_TABLE_BYTES` the engine reports itself
-infeasible and :class:`~repro.sim.flexflow_sim.FlexFlowFunctionalSim`
-runs its per-PE loop instead.  Operands reach :meth:`TileEngine.run` as
-``float64`` (:func:`~repro.sim.trace.layer_operands`).
+Operands reach :meth:`TileEngine.run` as ``float64``
+(:func:`~repro.sim.trace.layer_operands`).
 """
 
 from __future__ import annotations
@@ -71,21 +68,22 @@ from repro.errors import SimulationError
 from repro.faults.mask import LiveGrid
 from repro.faults.model import FaultModel, transient_flip
 from repro.kernels import active_kernels, count_kernel_call
-from repro.kernels.replay import NEVER, store_replay
+from repro.kernels.replay import StoreRings, store_replay
 from repro.nn.layers import ConvLayer
 from repro.obs.tracer import Tracer, counter_delta, current_tracer
 from repro.sim.trace import SimTrace
 
 #: Temporary bytes per (cycle, PE) slot of a chunk: coordinates, masks,
-#: read sequences, values and products, for both stores.
-_SLOT_BYTES = 96
+#: the replay's compact keys and read sequences, values and products, for
+#: both stores.
+_SLOT_BYTES = 128
 
 #: Store kinds along the stacked store axis, as the fault hash names them.
 _KINDS = ("neuron", "kernel")
 
 
 class TileEngine:
-    """Fast execution of one CONV layer on the FlexFlow array.
+    """Execution of one CONV layer on the FlexFlow array.
 
     Args:
         config: the architecture (array dimension, local-store capacities).
@@ -93,15 +91,8 @@ class TileEngine:
         factors: the unrolling factors (must already satisfy Eq. 1).
     """
 
-    #: Upper bound on the combined last-push table footprint, in bytes.
-    #: Beyond this the engine is infeasible and
-    #: :class:`~repro.sim.flexflow_sim.FlexFlowFunctionalSim` runs its
-    #: per-PE loop instead (such layers are far outside the functional
-    #: simulator's practical envelope anyway).
-    MAX_TABLE_BYTES = 256 * 1024 * 1024
-
-    #: Budget for one chunk's temporaries, in bytes; bounds how many
-    #: spatial tiles replay per :func:`store_replay` call.
+    #: Budget for one chunk's temporaries, in bytes; with the store size,
+    #: sets how many spatial tiles replay per :func:`store_replay` call.
     CHUNK_BYTES = 1024 * 1024
 
     def __init__(
@@ -122,29 +113,6 @@ class TileEngine:
         self.fault_model = fault_model
         self.tracer = tracer
 
-    # -- feasibility ---------------------------------------------------------
-
-    @classmethod
-    def table_bytes(
-        cls, config: ArchConfig, layer: ConvLayer, factors: UnrollingFactors
-    ) -> int:
-        """Footprint of the per-PE last-push tables for this layer."""
-        rows = factors.column_occupancy
-        cols = factors.row_occupancy
-        padded_size = layer.in_size + layer.padding
-        neuron_space = layer.in_maps * padded_size * padded_size
-        kernel_space = (
-            layer.out_maps * layer.in_maps * layer.kernel * layer.kernel
-        )
-        return rows * cols * (neuron_space + kernel_space) * 8
-
-    @classmethod
-    def is_feasible(
-        cls, config: ArchConfig, layer: ConvLayer, factors: UnrollingFactors
-    ) -> bool:
-        """Whether the vectorized engine can run this layer in memory."""
-        return cls.table_bytes(config, layer, factors) <= cls.MAX_TABLE_BYTES
-
     # -- execution -----------------------------------------------------------
 
     def run(
@@ -157,12 +125,6 @@ class TileEngine:
         n_total = layer.in_maps
         rows, cols = geo.active_rows, geo.active_cols
         padded_size = padded.shape[1]
-        if self.table_bytes(self.config, layer, f) > self.MAX_TABLE_BYTES:
-            raise SimulationError(
-                f"{layer.name}: last-push tables exceed"
-                f" {self.MAX_TABLE_BYTES} bytes; FlexFlowFunctionalSim runs"
-                f" such layers on its per-PE loop"
-            )
 
         # Row/column offset decompositions (Section 4.3 index functions).
         dm, rest = np.divmod(np.arange(rows), f.tr * f.tc)
@@ -170,7 +132,7 @@ class TileEngine:
         dn, rest = np.divmod(np.arange(cols), f.ti * f.tj)
         di, dj = np.divmod(rest, f.tj)
 
-        # Inner-cycle bases (n0, i0, j0) in reference loop order.
+        # Inner-cycle bases (n0, i0, j0) in loop order.
         n0 = np.arange(0, n_total, f.tn)
         i0 = np.arange(0, k_total, f.ti)
         j0 = np.arange(0, k_total, f.tj)
@@ -190,43 +152,37 @@ class TileEngine:
         neuron_base_tc = n_tc * (padded_size * padded_size) + i_tc * padded_size + j_tc
         kernel_base_tc = (n_tc * k_total + i_tc) * k_total + j_tc
 
-        # Spatial tile origins (r0, c0) in reference loop order.
+        # Spatial tile origins (r0, c0) in loop order.
         r0, c0 = np.divmod(
             np.arange(ceil_div(s_total, f.tr) * ceil_div(s_total, f.tc)),
             ceil_div(s_total, f.tc),
         )
         r0, c0 = r0 * f.tr, c0 * f.tc
-        chunk = max(1, self.CHUNK_BYTES // (n_steps * rows * cols * _SLOT_BYTES))
+        # Tiles per chunk: within CHUNK_BYTES, or enough to read every
+        # store about once per word it holds, since each replay also
+        # passes over the rings once.
+        words = max(self.config.neuron_store_words, self.config.kernel_store_words)
+        chunk = max(
+            self.CHUNK_BYTES // (n_steps * rows * cols * _SLOT_BYTES),
+            ceil_div(words, n_steps),
+        )
 
-        # One last-push table for both stores of every PE (store axis:
-        # neuron stores, then kernel stores), each a contiguous slice.
+        # Both stores of every PE (store axis: neuron stores, then kernel
+        # stores).
         n_pes = rows * cols
-        neuron_space = n_total * padded_size * padded_size
-        kernel_space = m_total * n_total * k_total * k_total
+        stores = StoreRings(
+            np.repeat(
+                [self.config.neuron_store_words, self.config.kernel_store_words],
+                n_pes,
+            )
+        )
         flips_active = (
             self.fault_model is not None
             and self.fault_model.has_transient_faults
         )
         # Flips are keyed in Python on each read's push, so only
-        # fault-free runs take the compiled group kernel.  It reads 0 as
-        # "never pushed".
+        # fault-free runs take the compiled group kernel.
         compiled = None if flips_active else active_kernels()
-        table_size = n_pes * (neuron_space + kernel_space)
-        if compiled is not None:
-            table = np.zeros(table_size, dtype=np.int64)
-        else:
-            table = np.full(table_size, NEVER)
-        store_base = np.concatenate(
-            [
-                np.arange(n_pes) * neuron_space,
-                n_pes * neuron_space + np.arange(n_pes) * kernel_space,
-            ]
-        ).reshape(2, rows, cols)
-        counts = np.zeros(2 * n_pes, dtype=np.int64)
-        capacity = np.repeat(
-            [self.config.neuron_store_words, self.config.kernel_store_words],
-            n_pes,
-        )
 
         padded_flat = padded.reshape(-1)
         kernels_flat = kernels.reshape(-1)
@@ -247,19 +203,14 @@ class TileEngine:
                 col_ok=col_ok,
                 neuron_base=neuron_base_tc,
                 kernel_base=kernel_base_tc,
-                table=table,
-                counts=counts,
-                capacity=(
-                    self.config.neuron_store_words,
-                    self.config.kernel_store_words,
-                ),
+                stores=stores,
                 outputs=outputs,
             )
 
         for m0 in range(0, m_total, f.tm):
             # One span per output-map tile group, with the group's exact
-            # counter deltas — the same boundaries the reference loop
-            # traces, so both engines' span trees compare equal.
+            # counter deltas — the same boundaries the per-PE machine
+            # traces, so the span trees compare equal.
             with tracer.span(
                 f"group:m0={m0}", category="sim.flexflow"
             ) as group_span:
@@ -295,8 +246,7 @@ class TileEngine:
 
                         # Demand-fill both stores of every PE in one replay.
                         miss, seq = store_replay(
-                            table, counts, capacity,
-                            (data + store_base).reshape(-1, 2 * n_pes),
+                            stores, data.reshape(-1, 2 * n_pes),
                             lanes.reshape(-1, 2 * n_pes), n_steps,
                         )
                         # Bus sharing (RA/RS): a word already driven this cycle
@@ -330,9 +280,9 @@ class TileEngine:
                                 values, data, seq.reshape(shape), lanes
                             )
                             neuron_vals, kernel_vals = values[:, :, 0], values[:, :, 1]
-                        # Adder trees and accumulators, in the reference
-                        # float-addition order: columns left to right within a
-                        # cycle, cycles first to last within each tile.
+                        # Adder trees and accumulators, in the per-PE
+                        # machine's float-addition order: columns left to right
+                        # within a cycle, cycles first to last within each tile.
                         products = np.where(active, neuron_vals * kernel_vals, 0.0)
                         tree = np.zeros(shape[:2] + (rows,))
                         for col in range(cols):

@@ -8,22 +8,19 @@ off; cache-specific tests re-enable it against a ``tmp_path`` via their
 own ``monkeypatch.setenv`` calls (which land after this fixture).
 
 The environment variable (rather than an in-process flag) is the switch
-because it crosses the ``spawn`` boundary to the resilient runner's
-worker processes.
+because it crosses into the subprocesses that tests start.
 
 The ``ci`` hypothesis profile (``--hypothesis-profile=ci``) widens the
 example budget of the differential suites
 (``tests/test_dse_differential.py``,
-``tests/dataflow/test_restricted_differential.py`` and
-``tests/sim/test_baseline_differential.py``); without it each runs a
-small derandomized slice.
-
-``per_pe_loop`` reaches the FlexFlow simulator's per-PE loop, the oracle
-of its tile engine: inside ``with per_pe_loop():`` no layer's last-push
-tables fit ``TileEngine.MAX_TABLE_BYTES``.
+``tests/dataflow/test_restricted_differential.py``,
+``tests/sim/test_baseline_differential.py`` and
+``tests/sim/test_flexflow_differential.py``); without it each runs a
+small derandomized slice.  The oracles those suites check against live
+beside them: ``tests/dse_oracle.py`` for the mapper and the DSE, and
+``tests/sim_oracle.py`` for the four functional simulators (the FlexFlow
+per-PE machine included).
 """
-
-from unittest import mock
 
 import pytest
 from hypothesis import settings
@@ -41,11 +38,3 @@ def _no_persistent_cache(monkeypatch):
     yield
     reset_cache_handles()
 
-
-@pytest.fixture(scope="session")
-def per_pe_loop():
-    """A context-manager factory: FlexFlow layers run inside it take the
-    per-PE loop.  Session-scoped, so hypothesis tests may use it too."""
-    from repro.sim.tile_engine import TileEngine
-
-    return lambda: mock.patch.object(TileEngine, "MAX_TABLE_BYTES", 0)

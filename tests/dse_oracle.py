@@ -17,9 +17,16 @@ of the NumPy helpers it checks.  Its tie-break rules are the contract:
 
 With no extern states the per-layer DP *is* the mapper's DP, so one
 :func:`solve` serves both.
+
+:func:`per_layer_assignments` checks the DP's recurrence itself: it
+scores every per-layer assignment of a small network in full, with no
+buckets, pruning or optimal substructure, so a modeling bug the DP and
+the fast paths shared would still show against it.
 """
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.technology import TechnologyModel
 from repro.dse import (
@@ -308,3 +315,98 @@ def solve_per_layer(
     )
     assert plan.total_cycles == total
     return plan
+
+
+#: One layer of an assignment: ``(family, params, in_triple, out_triple)``.
+Assigned = Tuple[str, Tuple[int, ...], Optional[Triple], Optional[Triple]]
+
+
+def per_layer_assignments(
+    network: Network, array_dim: int, reconfig_scale: float = 1.0
+) -> Tuple[int, List[Tuple[Assigned, ...]]]:
+    """``(least total cycles, every assignment that reaches it)``.
+
+    An assignment gives each CONV layer either FlexFlow — an output
+    triple within the row limit, and as input triple the free best one
+    or, after a FlexFlow layer, the coupled triple that layer's outputs
+    offer when it fits the columns — or one extern state.  Entering a
+    layer costs: nothing on the first layer, a coupled FlexFlow input or
+    the same extern state; the re-layout penalty for a free FlexFlow
+    input after FlexFlow; a parameter switch between states of one
+    family; a family switch otherwise.  Every assignment is scored in
+    full, as one entry of a cost tensor with an axis per layer.
+    """
+    contexts = network.conv_contexts()
+    layers = [ctx.layer for ctx in contexts]
+    states = family_param_states(layers, array_dim)
+    model = ReconfigCostModel(array_dim, reconfig_scale)
+    options: List[list] = []  # per layer: (kind, family, params, out)
+    for ctx in contexts:
+        outs = output_candidates(ctx.layer, array_dim, ctx.tr_tc_bound)
+        options.append(
+            [(kind, "flexflow", (), out)
+             for out in outs for kind in ("free", "coupled")]
+            + [("extern", st.family, st.params, None) for st in states]
+        )
+
+    def coupled(prev_out: Triple, layer: ConvLayer) -> Optional[Triple]:
+        key = (
+            min(prev_out[0], layer.in_maps),
+            min(prev_out[1], layer.kernel),
+            min(prev_out[2], layer.kernel),
+        )
+        return key if key[0] * key[1] * key[2] <= array_dim else None
+
+    def enter(idx: int, prev, option) -> float:
+        """Cycles of layer ``idx`` under ``option`` after ``prev``."""
+        layer = layers[idx]
+        kind, family, params, out = option
+        if kind == "extern":
+            cycles = extern_layer_cycles(
+                ExternState(family, params), layer, array_dim * array_dim
+            )
+            if prev is None or prev[1:3] == (family, params):
+                return cycles
+            if prev[0] != "extern" or prev[1] != family:
+                return cycles + model.family_switch_cycles(layer)
+            return cycles + model.param_switch_cycles(layer)
+        fout = steps(out_dims(layer), out)
+        if kind == "coupled":
+            key = None
+            if prev is not None and prev[0] != "extern":
+                key = coupled(prev[3], layer)
+            if key is None:
+                return np.inf
+            return fout * steps(in_dims(layer), key)
+        cycles = fout * best_input(layer, array_dim)[1]
+        if prev is None:
+            return cycles
+        if prev[0] == "extern":
+            return cycles + model.family_switch_cycles(layer)
+        return cycles + 2 * cdiv(layer.num_input_words, array_dim)
+
+    totals = np.array([enter(0, None, option) for option in options[0]])
+    for idx in range(1, len(layers)):
+        entering = np.array([
+            [enter(idx, prev, option) for option in options[idx]]
+            for prev in options[idx - 1]
+        ])
+        totals = totals[..., None] + entering
+    best = totals.min()
+    optimal = []
+    for index in zip(*np.nonzero(totals == best)):
+        chosen, prev_out = [], None
+        for idx, at in enumerate(index):
+            kind, family, params, out = options[idx][at]
+            if kind == "extern":
+                chosen.append((family, params, None, None))
+                prev_out = None
+                continue
+            tin = (
+                coupled(prev_out, layers[idx]) if kind == "coupled"
+                else best_input(layers[idx], array_dim)[0]
+            )
+            chosen.append((family, params, tin, out))
+            prev_out = out
+        optimal.append(tuple(chosen))
+    return int(best), optimal

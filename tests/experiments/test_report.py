@@ -1,5 +1,7 @@
 """Tests for the Markdown report generator."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -37,6 +39,12 @@ class TestGenerateReport:
     def test_custom_title(self):
         text = generate_report(["area"], title="My Report")
         assert text.startswith("# My Report")
+
+    def test_results_md_is_the_report(self):
+        """RESULTS.md is ``repro report`` output, every section included;
+        regenerate it with ``REPRO_CACHE=off repro report -o RESULTS.md``."""
+        results = Path(__file__).resolve().parents[2] / "RESULTS.md"
+        assert results.read_text(encoding="utf-8") == generate_report()
 
 
 class TestReportCommand:

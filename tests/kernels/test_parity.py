@@ -226,10 +226,10 @@ def replay_streams(draw):
     """A ``store_replay`` access stream and the stores it runs against.
 
     Each (tile, store) touches distinct words — a prefix of a permutation
-    of the store's small word space — so words are revisited across
-    tiles; lanes go inactive at random, and capacities run from one word
-    to more than the whole touch set.  ``split`` cuts the stream at a
-    tile boundary into two calls, so state must carry over in place.
+    of a small word space — so words are revisited across tiles; lanes go
+    inactive at random, and capacities run from one word to more than the
+    whole touch set.  ``split`` cuts the stream at a tile boundary into
+    two calls, so state must carry over in place.
     """
     stores = draw(st.integers(min_value=1, max_value=4))
     tile_len = draw(st.integers(min_value=1, max_value=4))
@@ -239,7 +239,7 @@ def replay_streams(draw):
     for tile in range(tiles):
         for store in range(stores):
             words = draw(st.permutations(range(space)))[:tile_len]
-            coords[tile, :, store] = store * space + np.asarray(words)
+            coords[tile, :, store] = words
     lanes = tiles * tile_len * stores
     active = np.asarray(
         draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes))
@@ -252,39 +252,37 @@ def replay_streams(draw):
         dtype=np.int64,
     )
     split = draw(st.integers(min_value=0, max_value=tiles)) * tile_len
-    return (
-        stores * space, capacity, coords.reshape(-1, stores), active,
-        tile_len, split,
-    )
+    return capacity, coords.reshape(-1, stores), active, tile_len, split
 
 
 def _run_replay(replay, stream):
-    """``(miss, seq, table, counts)`` of ``stream`` replayed in two calls."""
-    from repro.kernels.replay import NEVER
+    """``(miss, seq, ring, counts)`` of ``stream`` replayed in two calls."""
+    from repro.kernels.replay import StoreRings
 
-    size, capacity, coords, active, tile_len, split = stream
-    table = np.full(size, NEVER)
-    counts = np.zeros(len(capacity), dtype=np.int64)
+    capacity, coords, active, tile_len, split = stream
+    stores = StoreRings(capacity)
     parts = [
-        replay(table, counts, capacity, coords[cut], active[cut], tile_len)
+        replay(stores, coords[cut], active[cut], tile_len)
         for cut in (slice(None, split), slice(split, None))
     ]
     miss = np.concatenate([part[0] for part in parts])
     seq = np.concatenate([part[1] for part in parts])
-    return miss, seq, table, counts
+    return miss, seq, stores.ring, stores.counts
 
 
 def _ring_replay(stream):
-    """Plain-Python circular stores: ``(miss, seq, counts)``.
+    """Plain-Python circular stores: ``(miss, seq, rings, counts)``.
 
     Each store is a ring of ``capacity`` slots written round-robin on a
-    miss; a word is resident while its slot still holds it.
+    miss; a word is resident while its slot still holds it.  ``rings``
+    lists every store's slots in store order, -1 for a slot never
+    written.
     """
-    _, capacity, coords, active, _, _ = stream
+    capacity, coords, active, _, _ = stream
     steps, stores = coords.shape
     miss = np.zeros((steps, stores), dtype=bool)
     seq = np.zeros((steps, stores), dtype=np.int64)
-    counts = []
+    rings, counts = [], []
     for store in range(stores):
         ring = [None] * int(capacity[store])
         pushed_at = {}
@@ -300,8 +298,9 @@ def _ring_replay(stream):
                 pushed_at[word] = pushes
                 miss[step, store] = True
             seq[step, store] = pushed_at[word]
+        rings += [-1 if word is None else word for word in ring]
         counts.append(pushes)
-    return miss, seq, np.asarray(counts)
+    return miss, seq, np.asarray(rings), np.asarray(counts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,10 +308,11 @@ def _ring_replay(stream):
 def test_store_replay_numpy_matches_ring_buffers(stream):
     from repro.kernels.replay import numpy_store_replay
 
-    miss, seq, _, counts = _run_replay(numpy_store_replay, stream)
-    ref_miss, ref_seq, ref_counts = _ring_replay(stream)
+    miss, seq, ring, counts = _run_replay(numpy_store_replay, stream)
+    ref_miss, ref_seq, ref_ring, ref_counts = _ring_replay(stream)
     assert miss.tolist() == ref_miss.tolist()
     assert seq.tolist() == ref_seq.tolist()
+    assert ring.tolist() == ref_ring.tolist()
     assert counts.tolist() == ref_counts.tolist()
 
 
@@ -323,8 +323,20 @@ def test_store_replay_matches_numpy(suite, stream):
 
     got = _run_replay(suite.store_replay, stream)
     want = _run_replay(numpy_store_replay, stream)
-    for name, fast, ref in zip(("miss", "seq", "table", "counts"), got, want):
+    for name, fast, ref in zip(("miss", "seq", "ring", "counts"), got, want):
         assert fast.tolist() == ref.tolist(), name
+
+
+def test_store_replay_rejects_coordinates_past_32_bits(suite):
+    """The compiled index packs each coordinate into 32 bits."""
+    from repro.kernels.replay import StoreRings
+
+    stores = StoreRings([4])
+    for word in (-1, 2**32):
+        with pytest.raises(ValueError, match="coordinate outside"):
+            suite.store_replay(
+                stores, np.array([[word]]), np.array([[True]]), 1
+            )
 
 
 # -- the FlexFlow group kernel vs. the tile engine's NumPy chunk loop ----------

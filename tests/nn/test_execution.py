@@ -16,7 +16,7 @@ from repro.nn import (
     run_join_layer,
     run_network,
 )
-from repro.nn.execution import hash_stable
+from repro.nn.reference import hash_stable
 
 
 def toy_net():

@@ -9,6 +9,7 @@ from repro.nn import (
     FCLayer,
     PoolLayer,
     conv2d,
+    make_fc_weights,
     make_inputs,
     make_kernels,
     pad_input,
@@ -185,3 +186,25 @@ class TestGenerators:
         a = make_inputs(layer, seed_tag="a")
         b = make_inputs(layer, seed_tag="b")
         assert not np.array_equal(a, b)
+
+    def test_tags_differing_past_eight_bytes_draw_different_values(self):
+        # `in:Fig8-C1...` and `in:Fig8-C2...` share their first 8 bytes.
+        c1 = ConvLayer("Fig8-C1", in_maps=1, out_maps=2, out_size=8, kernel=4)
+        c2 = ConvLayer("Fig8-C2", in_maps=2, out_maps=2, out_size=4, kernel=2)
+        inputs = make_inputs(c1).reshape(-1), make_inputs(c2).reshape(-1)
+        kernels = make_kernels(c1).reshape(-1), make_kernels(c2).reshape(-1)
+        for a, b in (inputs, kernels):
+            common = min(a.size, b.size)
+            assert not np.any(a[:common] == b[:common])
+
+    def test_values_are_deterministic_non_integer_float64(self):
+        layer = ConvLayer("c", in_maps=3, out_maps=4, out_size=6, kernel=3)
+        for make in (make_inputs, make_kernels):
+            values = make(layer)
+            assert values.dtype == np.float64
+            assert np.array_equal(values, make(layer))
+            assert np.all((values >= -1.0) & (values < 1.0))
+            assert not np.any(values == np.round(values))
+        weights = make_fc_weights(FCLayer("F", in_neurons=12, out_neurons=5))
+        assert weights.shape == (5, 12)
+        assert not np.any(weights == np.round(weights))

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.nn import get_workload
 from repro.obs.export import validate_chrome_trace
+from repro.obs.profile import format_breakdown
+from tests.sim_oracle import trace_workload_per_pe
 
 #: The committed LeNet-5 breakdown at dim 8 — deterministic, path-
 #: independent, and a tripwire for silent cycle-model changes.
@@ -29,13 +32,11 @@ class TestTraceCommand:
         for line in LENET_DIM8_GOLDEN:
             assert line in out
 
-    def test_engines_print_identical_tables(self, capsys, per_pe_loop):
-        """The tile engine and the per-PE loop print the same table."""
+    def test_engines_print_identical_tables(self, capsys):
+        """The tile engine prints the table the per-PE machine gives."""
         assert main(["trace", "PV", "--dim", "8"]) == 0
-        tile = capsys.readouterr().out
-        with per_pe_loop():
-            assert main(["trace", "PV", "--dim", "8"]) == 0
-        assert capsys.readouterr().out == tile
+        reference = trace_workload_per_pe(get_workload("PV"), 8)
+        assert capsys.readouterr().out == format_breakdown(reference) + "\n"
 
     def test_engine_option_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -54,7 +55,7 @@ class TestTraceCommand:
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"conv:C1", "phase:load", "phase:compute"} <= names
         convs = [e for e in doc["traceEvents"] if e["name"].startswith("conv:")]
-        assert [e["args"]["engine"] for e in convs] == ["tile", "tile"]
+        assert [e["name"] for e in convs] == ["conv:C1", "conv:C3"]
 
     def test_unknown_workload_errors_cleanly(self, capsys):
         assert main(["trace", "NoSuchNet"]) == 1

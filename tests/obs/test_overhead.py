@@ -18,13 +18,14 @@ from repro.arch import ArchConfig
 from repro.nn import ConvLayer, make_inputs, make_kernels
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, Tracer, current_tracer
 from repro.sim import FlexFlowFunctionalSim
+from tests.sim_oracle import FlexFlowPerPELoop
 
 LAYER = ConvLayer("t", in_maps=3, out_maps=8, out_size=6, kernel=3)
 
 
-def _run(tracer=None):
-    sim = FlexFlowFunctionalSim(ArchConfig(array_dim=8), tracer=tracer)
-    return sim.run_layer(LAYER, make_inputs(LAYER), make_kernels(LAYER))
+def _run(tracer=None, sim=FlexFlowFunctionalSim):
+    machine = sim(ArchConfig(array_dim=8), tracer=tracer)
+    return machine.run_layer(LAYER, make_inputs(LAYER), make_kernels(LAYER))
 
 
 class TestDisabledTracerIsStructurallyFree:
@@ -33,11 +34,10 @@ class TestDisabledTracerIsStructurallyFree:
         _run()
         assert NULL_TRACER.roots == []
 
-    def test_explicit_disabled_tracer_records_no_spans(self, per_pe_loop):
+    def test_explicit_disabled_tracer_records_no_spans(self):
         off = Tracer(enabled=False)
         _run(tracer=off)
-        with per_pe_loop():
-            _run(tracer=off)
+        _run(tracer=off, sim=FlexFlowPerPELoop)
         assert off.roots == []
         assert list(off.iter_spans()) == []
 

@@ -23,7 +23,6 @@ from repro.sim import (
     FlexFlowFunctionalSim,
     Mapping2DFunctionalSim,
     SystolicFunctionalSim,
-    TileEngine,
     TilingFunctionalSim,
     analytic_flexflow_trace,
     analytic_mapping2d_trace,
@@ -47,7 +46,6 @@ def assert_analytic_equivalent(layer, config, factors=None, fault_model=None):
             mask = fault_model.mask_for(config.array_dim)
         factors = map_layer(layer, config.array_dim, mask=mask).factors
     inputs, kernels = make_inputs(layer), make_kernels(layer)
-    assert TileEngine.is_feasible(config, layer, factors)
     out_tile, tr_tile = FlexFlowFunctionalSim(
         config, factors=factors, fault_model=fault_model
     ).run_layer(layer, inputs, kernels)
@@ -93,9 +91,7 @@ class TestTable1Workloads:
         config = ArchConfig(array_dim=16)
         for lm in mapping.layers:
             layer, factors = lm.layer, lm.factors
-            if layer.macs > MAC_BUDGET or not TileEngine.is_feasible(
-                config, layer, factors
-            ):
+            if layer.macs > MAC_BUDGET:
                 layer = miniature(layer)
                 factors = map_layer(layer, 16).factors
             assert_analytic_equivalent(layer, config, factors)

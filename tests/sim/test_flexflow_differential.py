@@ -1,9 +1,9 @@
-"""Differential test: the FlexFlow tile engine vs the per-PE loop.
+"""Differential test: the FlexFlow tile engine vs the per-PE machine.
 
-:class:`~repro.sim.FlexFlowFunctionalSim` runs a layer on its tile engine
-when the layer's last-push tables fit, and on its per-PE loop otherwise;
-the loop is the oracle, reached through the ``per_pe_loop`` fixture.  On
-every generated case the tile engine must give byte-identical outputs
+:class:`~repro.sim.FlexFlowFunctionalSim` runs every layer on its tile
+engine; :class:`tests.sim_oracle.FlexFlowPerPELoop` runs the literal
+per-PE machine and is the oracle.  On every generated case the tile
+engine must give byte-identical outputs
 (``tobytes()``), equal ``SimTrace`` counters and equal ``parity_report``
 span trees, and on fault-free cases the closed-form
 :func:`~repro.sim.analytic.analytic_flexflow_trace` must give equal
@@ -32,6 +32,7 @@ from repro.obs import Tracer
 from repro.obs.export import parity_report
 from repro.sim import FlexFlowFunctionalSim, analytic_flexflow_trace
 from tests.sim.test_baseline_differential import dtypes, seeds, tensors
+from tests.sim_oracle import FlexFlowPerPELoop
 
 if settings.get_current_profile_name() == "default":
     budget = settings(max_examples=25, derandomize=True, deadline=None)
@@ -106,10 +107,10 @@ PADDED = ConvLayer(
 )
 
 
-def run(config, faults, layer, inputs, kernels):
+def run(config, faults, layer, inputs, kernels, sim=FlexFlowFunctionalSim):
     """Output shape and bytes, counters and span forest of one traced run."""
     tracer = Tracer()
-    outputs, trace = FlexFlowFunctionalSim(
+    outputs, trace = sim(
         config, fault_model=faults, tracer=tracer
     ).run_layer(layer, inputs, kernels)
     return outputs.shape, outputs.tobytes(), trace.as_dict(), parity_report(tracer)
@@ -148,11 +149,10 @@ def run(config, faults, layer, inputs, kernels):
     seed=0,
     dtype=np.float32,
 )
-def test_tile_matches_reference(per_pe_loop, layer, config, faults, seed, dtype):
+def test_tile_matches_reference(layer, config, faults, seed, dtype):
     inputs, kernels = tensors(layer, seed, dtype)
     tile = run(config, faults, layer, inputs, kernels)
-    with per_pe_loop():
-        ref = run(config, faults, layer, inputs, kernels)
+    ref = run(config, faults, layer, inputs, kernels, sim=FlexFlowPerPELoop)
     assert tile == ref
     wide = run(
         config, faults, layer,
@@ -185,13 +185,13 @@ def test_analytic_counters_match_tile(layer, config, seed):
 @pytest.mark.parametrize(
     "operand,dtype", [("inputs", np.complex128), ("kernels", np.str_)]
 )
-def test_complex_and_non_numeric_operands_rejected(per_pe_loop, operand, dtype):
+def test_complex_and_non_numeric_operands_rejected(operand, dtype):
     inputs, kernels = tensors(PADDED, 0)
     operands = {"inputs": inputs, "kernels": kernels}
     operands[operand] = operands[operand].astype(dtype)
-    sim = FlexFlowFunctionalSim(ArchConfig(array_dim=8))
     name = str(operands[operand].dtype)
-    with pytest.raises(SpecificationError, match=f"{operand} dtype {name}"):
-        sim.run_layer(PADDED, **operands)
-    with per_pe_loop(), pytest.raises(SpecificationError, match=name):
-        sim.run_layer(PADDED, **operands)
+    for sim in (FlexFlowFunctionalSim, FlexFlowPerPELoop):
+        with pytest.raises(
+            SpecificationError, match=f"{operand} dtype {name}"
+        ):
+            sim(ArchConfig(array_dim=8)).run_layer(PADDED, **operands)

@@ -1,5 +1,12 @@
 """Tests for the FlexFlow functional simulator."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +14,8 @@ from repro.arch import ArchConfig
 from repro.dataflow import UnrollingFactors, map_layer
 from repro.errors import SimulationError, SpecificationError
 from repro.nn import ConvLayer, conv2d, make_inputs, make_kernels, pad_input
-from repro.sim import CoordStore, FlexFlowFunctionalSim
+from repro.sim import FlexFlowFunctionalSim
+from tests.sim_oracle import CoordStore
 
 
 def run(layer, dim=4, factors=None):
@@ -173,3 +181,83 @@ class TestCoordStore:
             t_small.neuron_buffer_reads + t_small.kernel_buffer_reads
             > t_big.neuron_buffer_reads + t_big.kernel_buffer_reads
         )
+
+
+#: AlexNet C1 at 16x16 in a fresh interpreter: the tile engine's output,
+#: trace and memory.  VmHWM is read from /proc, so only on Linux.
+ALEXNET_C1 = """
+    import json, tracemalloc
+    from pathlib import Path
+
+    import numpy as np
+
+    import repro.kernels
+    from repro.arch import ArchConfig
+    from repro.dataflow import map_network
+    from repro.nn import conv2d, get_workload, make_inputs, make_kernels, pad_input
+    from repro.sim import FlexFlowFunctionalSim, analytic_flexflow_trace
+
+    def status(key):
+        for line in Path("/proc/self/status").read_text().splitlines():
+            if line.startswith(key):
+                return int(line.split()[1]) * 1024
+
+    network = get_workload("AlexNet")
+    layer = network.conv_layers[0]
+    factors = map_network(network, 16).by_layer_name()[layer.name].factors
+    config = ArchConfig().scaled_to(16)
+    inputs, kernels = make_inputs(layer), make_kernels(layer)
+    repro.kernels.active_kernels()
+    rss = status("VmRSS:")
+    tracemalloc.start()
+    outputs, trace = FlexFlowFunctionalSim(config, factors=factors).run_layer(
+        layer, inputs, kernels
+    )
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    golden = conv2d(pad_input(inputs, layer.padding), kernels, stride=layer.stride)
+    analytic = analytic_flexflow_trace(
+        layer, factors,
+        neuron_store_words=config.neuron_store_words,
+        kernel_store_words=config.kernel_store_words,
+    )
+    print(json.dumps({
+        "name": layer.name,
+        "allclose": bool(np.allclose(outputs, golden, atol=1e-9)),
+        "trace_is_analytic": analytic.as_dict() == trace.as_dict(),
+        "peak": peak,
+        "hwm_rise": status("VmHWM:") - rss,
+        "layer_bytes": inputs.nbytes + kernels.nbytes + outputs.nbytes,
+        "store_bytes": 2 * 16 * 16 * 8 * max(
+            config.neuron_store_words, config.kernel_store_words
+        ),
+    }))
+"""
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
+)
+def test_alexnet_c1_runs_on_the_tile_engine_in_store_sized_memory():
+    """The layer needed a 336 MiB last-push table, and so ran on a per-PE
+    loop that never finished; its store state is now two rings of W words
+    per PE."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(ALEXNET_C1)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert run["name"] == "C1"
+    assert run["allclose"] and run["trace_is_analytic"]
+    # Operands and outputs, a float64 copy of each, and a few copies of
+    # the store state: a bound set by the layer's tensors and by the
+    # array and its stores, never by a table over the input and kernels.
+    bound = 2 * run["layer_bytes"] + 8 * run["store_bytes"] + 2**20
+    assert run["peak"] <= bound
+    assert run["hwm_rise"] <= bound
+    old_table = 16 * 16 * (3 * 227 * 227 + 48 * 3 * 11 * 11) * 8
+    assert bound < old_table / 30

@@ -1,11 +1,10 @@
-"""Equivalence suite: the vectorized TileEngine vs the per-PE reference.
+"""Equivalence suite: the TileEngine vs the per-PE machine.
 
-The fast path must be an executable *replacement* for the reference
-simulator, not an approximation: identical outputs (bitwise), identical
-cycle counts, and identical bus-traffic counters — across the six Table 1
-workloads, randomized layers, and capacity-starved local stores.  The
-reference runs are the same simulator with the table bound at 0
-(the ``per_pe_loop`` fixture).
+The tile engine must be an executable *replacement* for the literal
+per-PE machine, not an approximation: identical outputs (bitwise),
+identical cycle counts, and identical bus-traffic counters — across the
+six Table 1 workloads, randomized layers, and capacity-starved local
+stores.  The per-PE machine is :class:`tests.sim_oracle.FlexFlowPerPELoop`.
 """
 
 import random
@@ -19,8 +18,9 @@ from repro.errors import SimulationError
 from repro.nn import ConvLayer, conv2d, make_inputs, make_kernels, pad_input
 from repro.nn.workloads import all_workloads
 from repro.sim import FlexFlowFunctionalSim, TileEngine
+from tests.sim_oracle import FlexFlowPerPELoop
 
-#: Per-layer MAC ceiling that keeps the per-PE reference loop CI-friendly;
+#: Per-layer MAC ceiling that keeps the per-PE machine CI-friendly;
 #: larger Table 1 layers are exercised through miniatures (same kernel,
 #: stride, and padding structure, capped M/N/S).
 MAC_BUDGET = 300_000
@@ -28,13 +28,15 @@ MAC_BUDGET = 300_000
 WORKLOAD_NAMES = ["PV", "FR", "LeNet-5", "HG", "AlexNet", "VGG-11"]
 
 
-def assert_equivalent(per_pe_loop, layer, config, factors=None):
-    """Run both paths; assert bitwise outputs and exact counters."""
+def assert_equivalent(layer, config, factors=None):
+    """Run both machines; assert bitwise outputs and exact counters."""
     inputs, kernels = make_inputs(layer), make_kernels(layer)
-    sim = FlexFlowFunctionalSim(config, factors=factors)
-    with per_pe_loop():
-        out_ref, tr_ref = sim.run_layer(layer, inputs, kernels)
-    out_tile, tr_tile = sim.run_layer(layer, inputs, kernels)
+    out_ref, tr_ref = FlexFlowPerPELoop(config, factors=factors).run_layer(
+        layer, inputs, kernels
+    )
+    out_tile, tr_tile = FlexFlowFunctionalSim(
+        config, factors=factors
+    ).run_layer(layer, inputs, kernels)
     assert np.array_equal(
         out_tile.view(np.uint64), out_ref.view(np.uint64)
     ), f"{layer.name}: outputs differ bitwise"
@@ -50,7 +52,7 @@ def miniature(layer: ConvLayer) -> ConvLayer:
     """Shrink a layer past MAC_BUDGET, preserving its dataflow structure.
 
     Keeps the kernel size, stride, and whether the layer is padded; caps
-    the map counts and output size so the reference loop stays fast.
+    the map counts and output size so the per-PE machine stays fast.
     """
     out_size = min(layer.out_size, 6)
     explicit = None
@@ -72,25 +74,21 @@ class TestTable1Workloads:
     """Parity on every CONV layer of all six workloads (mapped at D=16)."""
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-    def test_workload_parity(self, per_pe_loop, name):
+    def test_workload_parity(self, name):
         network = next(n for n in all_workloads() if n.name == name)
         mapping = map_network(network, 16)
         config = ArchConfig(array_dim=16)
         for lm in mapping.layers:
             if lm.layer.macs <= MAC_BUDGET:
-                assert_equivalent(per_pe_loop, lm.layer, config, lm.factors)
+                assert_equivalent(lm.layer, config, lm.factors)
             else:
                 mini = miniature(lm.layer)
-                assert_equivalent(
-                    per_pe_loop, mini, config, map_layer(mini, 16).factors
-                )
+                assert_equivalent(mini, config, map_layer(mini, 16).factors)
 
-    def test_cycles_equal_outer_iterations(self, per_pe_loop):
+    def test_cycles_equal_outer_iterations(self):
         layer = ConvLayer("c", in_maps=2, out_maps=4, out_size=6, kernel=3)
         factors = map_layer(layer, 8).factors
-        trace = assert_equivalent(
-            per_pe_loop, layer, ArchConfig(array_dim=8), factors
-        )
+        trace = assert_equivalent(layer, ArchConfig(array_dim=8), factors)
         assert trace.cycles == factors.outer_iterations(layer)
 
 
@@ -98,7 +96,7 @@ class TestRandomizedLayers:
     """Parity on randomized layer shapes across array sizes and strides."""
 
     @pytest.mark.parametrize("seed", [3, 11, 29, 47])
-    def test_random_layer_parity(self, per_pe_loop, seed):
+    def test_random_layer_parity(self, seed):
         rng = random.Random(seed)
         for _ in range(3):
             kernel = rng.choice([1, 2, 3, 4, 5])
@@ -113,10 +111,10 @@ class TestRandomizedLayers:
                 stride=stride,
             )
             dim = rng.choice([4, 8, 16])
-            assert_equivalent(per_pe_loop, layer, ArchConfig(array_dim=dim))
+            assert_equivalent(layer, ArchConfig(array_dim=dim))
 
     @pytest.mark.parametrize("seed", [5, 17])
-    def test_random_padded_layer_parity(self, per_pe_loop, seed):
+    def test_random_padded_layer_parity(self, seed):
         rng = random.Random(seed)
         for _ in range(2):
             kernel = rng.choice([3, 5])
@@ -130,7 +128,7 @@ class TestRandomizedLayers:
                 kernel=kernel,
                 explicit_in_size=natural - rng.randint(1, kernel - 1),
             )
-            assert_equivalent(per_pe_loop, layer, ArchConfig(array_dim=8))
+            assert_equivalent(layer, ArchConfig(array_dim=8))
 
 
 class TestUndersizedStores:
@@ -142,36 +140,33 @@ class TestUndersizedStores:
         "neuron_bytes,kernel_bytes",
         [(8, 64), (64, 8), (8, 8), (4, 4), (2, 2)],
     )
-    def test_starved_store_parity(self, per_pe_loop, neuron_bytes, kernel_bytes):
+    def test_starved_store_parity(self, neuron_bytes, kernel_bytes):
         config = ArchConfig(
             array_dim=4,
             neuron_store_bytes=neuron_bytes,
             kernel_store_bytes=kernel_bytes,
         )
-        assert_equivalent(per_pe_loop, self.LAYER, config)
+        assert_equivalent(self.LAYER, config)
 
-    def test_single_word_store_parity(self, per_pe_loop):
+    def test_single_word_store_parity(self):
         # One-word stores: every access re-broadcasts; the harshest case
         # for the intra-tile eviction fixed point.
         config = ArchConfig(array_dim=4, neuron_store_bytes=2, kernel_store_bytes=2)
-        trace = assert_equivalent(per_pe_loop, self.LAYER, config)
+        trace = assert_equivalent(self.LAYER, config)
         # With no reuse at all, every PE write is a fresh fill.
         assert trace.local_store_writes == 2 * trace.mac_ops
 
 
 class TestEngineSelection:
     def test_invalid_engine_rejected(self):
-        """The layer picks the path; there is no engine to choose."""
+        """There is one path; there is no engine to choose."""
         with pytest.raises(TypeError, match="engine"):
             FlexFlowFunctionalSim(ArchConfig(array_dim=4), engine="tile")
 
     def test_auto_matches_tile_on_small_layer(self, monkeypatch):
-        """A layer whose tables fit runs the tile engine, once."""
+        """Every layer runs the tile engine, once."""
         layer = ConvLayer("c", in_maps=1, out_maps=2, out_size=4, kernel=2)
         config = ArchConfig(array_dim=4)
-        assert TileEngine.is_feasible(
-            config, layer, map_layer(layer, 4).factors
-        )
         inputs, kernels = make_inputs(layer), make_kernels(layer)
         runs = []
         original_run = TileEngine.run
@@ -189,43 +184,18 @@ class TestEngineSelection:
         np.testing.assert_allclose(outputs, golden, atol=1e-9)
         assert trace.mac_ops == layer.macs
 
-    def test_table_bytes_scales_with_layer(self):
-        small = ConvLayer("s", in_maps=1, out_maps=2, out_size=4, kernel=2)
-        big = ConvLayer("b", in_maps=8, out_maps=16, out_size=16, kernel=3)
-        config = ArchConfig(array_dim=4)
-        fs = map_layer(small, 4).factors
-        fb = map_layer(big, 4).factors
-        assert TileEngine.table_bytes(config, big, fb) > TileEngine.table_bytes(
-            config, small, fs
-        )
-
-    def test_explicit_tile_raises_when_infeasible(self):
-        layer = ConvLayer("huge", in_maps=512, out_maps=512, out_size=64, kernel=3)
-        config = ArchConfig(array_dim=16)
-        factors = map_layer(layer, 16).factors
-        if TileEngine.is_feasible(config, layer, factors):
-            pytest.skip("layer unexpectedly fits the table budget")
-        engine = TileEngine(config, layer, factors)
-        with pytest.raises(SimulationError, match="last-push tables"):
-            engine.run(
-                np.zeros((layer.in_maps, layer.in_size, layer.in_size)),
-                np.zeros(layer.kernel_shape),
-            )
-
 
 class TestFaultParity:
-    """Under faults both engines must stay bitwise- and counter-identical."""
-
-    @pytest.fixture(autouse=True)
-    def _per_pe_loop(self, per_pe_loop):
-        self.per_pe_loop = per_pe_loop
+    """Under faults both machines must stay bitwise- and counter-identical."""
 
     def fault_equivalent(self, layer, config, fault_model):
         inputs, kernels = make_inputs(layer), make_kernels(layer)
-        sim = FlexFlowFunctionalSim(config, fault_model=fault_model)
-        with self.per_pe_loop():
-            out_ref, tr_ref = sim.run_layer(layer, inputs, kernels)
-        out_tile, tr_tile = sim.run_layer(layer, inputs, kernels)
+        out_ref, tr_ref = FlexFlowPerPELoop(
+            config, fault_model=fault_model
+        ).run_layer(layer, inputs, kernels)
+        out_tile, tr_tile = FlexFlowFunctionalSim(
+            config, fault_model=fault_model
+        ).run_layer(layer, inputs, kernels)
         assert np.array_equal(
             out_tile.view(np.uint64), out_ref.view(np.uint64)
         ), f"{layer.name}: faulty outputs differ bitwise"
@@ -323,33 +293,3 @@ class TestFaultParity:
         sim = FlexFlowFunctionalSim(config, fault_model=model)
         with pytest.raises(SimulationError, match="no usable PE subgrid"):
             sim.run_layer(layer, make_inputs(layer), make_kernels(layer))
-
-
-class TestAutoFallback:
-    def test_memory_gate_falls_back_to_reference(self, monkeypatch, per_pe_loop):
-        """A layer whose tables do not fit runs the per-PE loop."""
-        layer = ConvLayer("c", in_maps=2, out_maps=3, out_size=5, kernel=3)
-        config = ArchConfig(array_dim=4)
-        inputs, kernels = make_inputs(layer), make_kernels(layer)
-        out_tile, tr_tile = FlexFlowFunctionalSim(config).run_layer(
-            layer, inputs, kernels
-        )
-
-        ran = {"tile": False}
-        original_run = TileEngine.run
-
-        def tracking_run(self, *args, **kwargs):
-            ran["tile"] = True
-            return original_run(self, *args, **kwargs)
-
-        monkeypatch.setattr(TileEngine, "run", tracking_run)
-        with per_pe_loop():
-            assert not TileEngine.is_feasible(
-                config, layer, map_layer(layer, 4).factors
-            )
-            out_ref, tr_ref = FlexFlowFunctionalSim(config).run_layer(
-                layer, inputs, kernels
-            )
-        assert not ran["tile"], "the per-PE loop should have run"
-        assert np.array_equal(out_ref.view(np.uint64), out_tile.view(np.uint64))
-        assert tr_ref.as_dict() == tr_tile.as_dict()

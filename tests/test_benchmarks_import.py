@@ -2,9 +2,9 @@
 
 ``benchmarks/`` is not a package: CI runs each script by path, and
 ``capture_baseline.py`` imports the other two from its own directory.
-Only CI's serve, chaos and perf-guard jobs run them, so a ``repro``
-name one of them imports could disappear with every other tier-1 test
-green.  Importing a script runs nothing: each one's work sits behind
+Only CI's serve, chaos, perf-guard and robustness jobs run them, so a
+``repro`` name one of them imports could disappear with every other
+tier-1 test green.  Importing a script runs nothing: each one's work sits behind
 its ``__main__`` check.
 """
 
@@ -22,6 +22,7 @@ ENTRY_POINTS = {
         "main", "run_load_test", "run_fastpath_test", "check_fastpath",
     ),
     "bench_chaos": ("main", "run_drill", "check_report"),
+    "table1_layers": ("main", "run_layer"),
 }
 
 

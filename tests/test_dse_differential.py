@@ -172,3 +172,52 @@ def test_solve_per_layer_matches_oracle(backends, network):
                 assert plan_payload(got) == plan_payload(want), (
                     backend, dim, scale,
                 )
+
+
+#: Networks of one to three CONV layers, small enough to score every
+#: per-layer assignment at dims 3 and 4.
+small_networks = st.builds(
+    random_network,
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.builds(
+        SynthSpec,
+        min_conv_layers=st.just(1),
+        max_conv_layers=st.integers(min_value=1, max_value=3),
+        min_input_size=st.just(4),
+        max_input_size=st.integers(min_value=4, max_value=16),
+        max_maps=st.sampled_from((1, 2, 3, 5, 7, 13)),
+        max_kernel=st.integers(min_value=1, max_value=5),
+    ),
+)
+#: At dim 3 its optimal plan re-lays out C2's inputs: the coupled triple
+#: C1's outputs offer takes 9 steps, the free one 3.
+RELAYOUT_PAIR = Network(
+    "relayout-pair",
+    InputSpec(maps=1, size=4),
+    [
+        ConvLayer("C1", in_maps=1, out_maps=1, out_size=4, kernel=1),
+        ConvLayer("C2", in_maps=1, out_maps=4, out_size=2, kernel=3),
+    ],
+)
+
+
+@budget
+@given(network=small_networks)
+@example(network=FC_AS_CONV)
+@example(network=RELAYOUT_PAIR)
+def test_solve_per_layer_is_the_brute_force_optimum(backends, network):
+    """The per-layer plan is an optimum of every assignment, scored in full
+    (:func:`tests.dse_oracle.per_layer_assignments`)."""
+    for dim in (3, 4):
+        for scale in SCALES:
+            best, optimal = oracle.per_layer_assignments(network, dim, scale)
+            assert oracle.solve_per_layer(network, dim, scale).total_cycles == best
+            for backend in backends:
+                with forced_kernels(backend):
+                    plan = solve_per_layer(network, dim, reconfig_scale=scale)
+                assert plan.total_cycles == best, (backend, dim, scale)
+                assigned = tuple(
+                    (c.family, c.params, c.in_triple, c.out_triple)
+                    for c in plan.choices
+                )
+                assert assigned in optimal, (backend, dim, scale)

@@ -39,6 +39,26 @@ def test_example_runs(script, args, marker):
     assert marker in result.stdout
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["area", "area"], "duplicate experiment ids"),
+        (["area", "nope"], "unknown experiment id"),
+    ],
+)
+def test_reproduce_paper_rejects_bad_ids(args, message):
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "examples" / "reproduce_paper.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=REPO_ROOT,
+    )
+    assert result.returncode != 0
+    assert message in result.stderr
+    assert "Layout area" not in result.stdout
+
+
 def test_cli_module_entrypoint_runs():
     result = subprocess.run(
         [sys.executable, "-m", "repro", "workloads"],

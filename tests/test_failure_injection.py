@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.nn import ConvLayer, make_inputs, make_kernels
 from repro.sim import FlexFlowFunctionalSim
-from repro.sim.flexflow_sim import CoordStore
+from tests.sim_oracle import CoordStore
 
 
 class TestStorageFaults:

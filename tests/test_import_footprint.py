@@ -101,9 +101,11 @@ def test_report_import_loads_every_experiment_and_model():
 def test_cold_report_imports_no_repro_module(tmp_path):
     """Set up as ``perfbench/worker.py`` does (the report module and the
     kernels), then a cold report against an empty store imports no
-    ``repro`` module: all of its imports land in set-up."""
+    ``repro`` module: all of its imports land in set-up.  Nor does the
+    process ever load ``numpy.random``: the synthetic operands are a
+    counter-based hash."""
     env = dict(os.environ, REPRO_CACHE="on", REPRO_CACHE_DIR=str(tmp_path))
-    added = fresh_modules("""
+    result = fresh_modules("""
         import json, sys
         import repro.experiments.report
         import repro.kernels
@@ -111,9 +113,15 @@ def test_cold_report_imports_no_repro_module(tmp_path):
         repro.kernels.active_kernels()
         before = set(sys.modules)
         repro.experiments.report.generate_report()
-        print(json.dumps(sorted(set(sys.modules) - before)))
+        print(json.dumps({
+            "added": sorted(set(sys.modules) - before),
+            "loaded": sorted(sys.modules),
+        }))
     """, env=env)
-    assert [name for name in added if name.startswith("repro")] == []
+    assert [name for name in result["added"] if name.startswith("repro")] == []
+    assert [
+        name for name in result["loaded"] if name.startswith("numpy.random")
+    ] == []
     assert len(list((tmp_path / "experiment").iterdir())) == 26
 
 
